@@ -47,7 +47,7 @@ warm_epoch = long_trace.departure_times[default_warmup(long_trace.n) - 1]
 poisson = generate_decisions(long_trace, 1.0, long_trace.last_departure,
                              SeededStream(9, DECISION_STREAM))
 kept = poisson.ages[poisson.defined & (poisson.times > warm_epoch)]
-sawtooth_avg = time_average_aoi(aoi_path(long_trace), warm_epoch, long_trace.last_departure)
+sawtooth_avg = time_average_aoi(aoi_path(long_trace), [warm_epoch, long_trace.last_departure])[0]
 print(f"\nlong run: sawtooth time average {sawtooth_avg:.4f}, "
       f"decision-sampled mean {kept.mean():.4f} "
       f"({empirical_average_aud(poisson).n_defined} decisions)")

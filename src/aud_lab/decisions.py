@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import SeededStream
 from .errors import InsufficientDataError, ParameterError, TruncationError
-from .queueing import UpdateTrace
+from .queueing import UpdateTrace, locate_window_edges
 
 UNDEFINED_INDEX = -1
 
@@ -79,27 +79,42 @@ class AudSummary(NamedTuple):
 
 
 def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
-    """Evaluate decision records at explicit epochs (sorted, within the trace).
+    """Evaluate decision records at explicit epochs.
 
-    Epochs beyond the last departure cannot certify the freshest update and
-    raise TruncationError.  Epochs before the first departure yield records
-    with the undefined-age marker.
+    The epochs must be sorted (non-decreasing); unsorted input raises
+    ParameterError.  Epochs beyond the last departure cannot certify the
+    freshest update and raise TruncationError.  Epochs before the first
+    departure yield records with the undefined-age marker.  A decision at a
+    departure epoch acts on the update departing then.
+
+    The departures are searched into the sorted epochs, not the reverse:
+    each departure starts a run of decisions that act on it, and the records
+    are those runs repeated out.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if trace.n < 1:
         raise InsufficientDataError("empty trace")
-    if len(times) and times.max() > trace.last_departure:
+    if not (times[1:] >= times[:-1]).all():
+        raise ParameterError("decision epochs must be sorted")
+    if len(times) and times[-1] > trace.last_departure:
         raise TruncationError("decision epochs extend beyond the last departure")
-    if len(times) and times.min() <= 0.0:
+    if len(times) and times[0] <= 0.0:
         raise ParameterError("decision epochs must be positive")
-    freshest = np.searchsorted(trace.departure_times, times, side="right") - 1
-    defined = freshest >= 0
-    generation = np.full(len(times), np.nan)
-    ages = np.full(len(times), np.nan)
-    generation[defined] = trace.arrival_times[freshest[defined]]
-    ages[defined] = times[defined] - generation[defined]
-    freshest[~defined] = UNDEFINED_INDEX
-    return DecisionSet(times, freshest, generation, ages)
+    # counts[0] decisions precede the first departure; counts[k + 1] act on update k
+    counts = np.diff(
+        np.searchsorted(times, trace.departure_times, side="left"), prepend=0, append=len(times)
+    )
+    freshest = np.repeat(np.arange(UNDEFINED_INDEX, trace.n), counts)
+    generation = np.repeat(np.concatenate(([np.nan], trace.arrival_times)), counts)
+    return DecisionSet(times, freshest, generation, times - generation)
+
+
+def _poisson_epochs(stream: SeededStream, rate: float, size: int) -> np.ndarray:
+    """Cumulative sums of ``size`` gaps -log(U) / rate, computed in one buffer."""
+    epochs = stream.uniform_open(size)
+    np.log(epochs, out=epochs)
+    epochs /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
+    return np.cumsum(epochs, out=epochs)
 
 
 def generate_decisions(
@@ -126,13 +141,11 @@ def generate_decisions(
         )
     expected = decision_rate * horizon
     chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
-    gaps = -np.log(stream.uniform_open(chunk)) / decision_rate
-    epochs = np.cumsum(gaps)
+    epochs = _poisson_epochs(stream, decision_rate, chunk)
     while epochs[-1] <= horizon:
-        gaps = -np.log(stream.uniform_open(chunk)) / decision_rate
-        epochs = np.concatenate([epochs, epochs[-1] + np.cumsum(gaps)])
-    epochs = epochs[epochs <= horizon]
-    return decisions_at(trace, epochs)
+        more = _poisson_epochs(stream, decision_rate, chunk)
+        epochs = np.concatenate([epochs, epochs[-1] + more])
+    return decisions_at(trace, epochs[: np.searchsorted(epochs, horizon, side="right")])
 
 
 def periodic_decisions(trace: UpdateTrace, decision_rate: float, horizon: float) -> DecisionSet:
@@ -196,20 +209,37 @@ def aoi_path(trace: UpdateTrace) -> AoiPath:
     return AoiPath(trace.departure_times, trace.system_times)
 
 
-def time_average_aoi(path: AoiPath, start: float, end: float) -> float:
-    """Exact time average of the sawtooth over [start, end] within its support."""
+def time_average_aoi(path: AoiPath, edges) -> np.ndarray:
+    """Exact time average of the sawtooth over each window, within its support.
+
+    ``edges`` bound adjacent windows [edges[w], edges[w + 1]]; a single
+    window is ``[start, end]``.  Returns one average per window.
+
+    Each window's integral is ``np.sum`` over one term per sawtooth segment,
+    zero for segments outside the window.  Adding only the window's own
+    terms would change numpy's pairwise summation tree and move the last
+    bits, so the terms of one window at a time are written into a zeroed
+    buffer of every segment, summed, and cleared again.
+    """
     lo, hi = path.support
-    if not start < end:
-        raise ParameterError(f"need start < end, got [{start}, {end}]")
-    if start < lo or end > hi:
-        raise ParameterError(f"window [{start}, {end}] outside path support [{lo:.6g}, {hi:.6g}]")
     e, v = path.drop_epochs, path.drop_values
-    seg_lo = np.maximum(e[:-1], start)
-    seg_hi = np.minimum(e[1:], end)
-    dur = np.clip(seg_hi - seg_lo, 0.0, None)
-    age_at_lo = v[:-1] + (seg_lo - e[:-1])
-    integral = float(np.sum(dur * age_at_lo + 0.5 * dur * dur))
-    return integral / (end - start)
+    edges, pos = locate_window_edges(e, edges)
+    if edges[0] < lo or edges[-1] > hi:
+        raise ParameterError(
+            f"windows [{edges[0]}, {edges[-1]}] outside path support [{lo:.6g}, {hi:.6g}]"
+        )
+    terms = np.zeros(len(e) - 1)
+    integrals = np.empty(len(edges) - 1)
+    for w, (start, end) in enumerate(zip(edges[:-1], edges[1:])):
+        # segments [e[i], e[i + 1]] for a <= i < b are all that overlap the window
+        a, b = pos[w] - 1, min(pos[w + 1], len(e) - 1)
+        seg_lo = np.maximum(e[a:b], start)
+        dur = np.clip(np.minimum(e[a + 1:b + 1], end) - seg_lo, 0.0, None)
+        age_at_lo = v[a:b] + (seg_lo - e[a:b])
+        terms[a:b] = dur * age_at_lo + 0.5 * dur * dur
+        integrals[w] = np.sum(terms)
+        terms[a:b] = 0.0
+    return integrals / np.diff(edges)
 
 
 def write_decisions_csv(decisions: DecisionSet, path: str) -> None:

@@ -94,6 +94,15 @@ class ExperimentConfig:
             raise ParameterError("nu_invariance needs at least two decision rates")
 
 
+def _parse_number(text: str, kind: type, what: str):
+    """``kind(text)``, raising ParameterError rather than ValueError when malformed."""
+    try:
+        return kind(text.strip())
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{what} must be {noun}, got {text.strip()!r}") from None
+
+
 def parse_rates(text: str) -> tuple:
     """Parse '0.5', '0.1,0.2,0.5', or 'start:stop:step' (stop inclusive)."""
     text = text.strip()
@@ -101,13 +110,13 @@ def parse_rates(text: str) -> tuple:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_parse_number(p, float, "rate") for p in parts)
         if step <= 0.0 or stop < start:
             raise ParameterError(f"bad range {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         # rounding kills float accumulation artifacts (0.6000000000000001)
         return tuple(round(start + i * step, 12) for i in range(count))
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_parse_number(p, float, "rate") for p in text.split(",") if p.strip())
 
 
 def _parse_bool(text: str) -> bool:
@@ -124,15 +133,15 @@ _CONFIG_KEYS = {
     "lambda": ("arrival_rates", parse_rates),
     "mu": ("service_rates", parse_rates),
     "nu": ("decision_rates", parse_rates),
-    "updates": ("n_updates", lambda s: int(s.strip())),
-    "n_updates": ("n_updates", lambda s: int(s.strip())),
-    "seed": ("seed", lambda s: int(s.strip())),
-    "confidence": ("confidence", lambda s: float(s.strip())),
+    "updates": ("n_updates", lambda s: _parse_number(s, int, "updates")),
+    "n_updates": ("n_updates", lambda s: _parse_number(s, int, "n_updates")),
+    "seed": ("seed", lambda s: _parse_number(s, int, "seed")),
+    "confidence": ("confidence", lambda s: _parse_number(s, float, "confidence")),
     "out": ("output_path", str.strip),
     "output": ("output_path", str.strip),
     "allow_unstable": ("allow_unstable", _parse_bool),
     "periodic_decisions": ("periodic", _parse_bool),
-    "warmup": ("warmup_updates", lambda s: int(s.strip())),
+    "warmup": ("warmup_updates", lambda s: _parse_number(s, int, "warmup")),
 }
 
 
@@ -151,7 +160,10 @@ def load_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
             attr, conv = _CONFIG_KEYS[key]
-            values[attr] = conv(value)
+            try:
+                values[attr] = conv(value)
+            except ParameterError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -297,7 +309,7 @@ def manifest_path_for(output_path: str) -> str:
 
 def _max_workers(n_tasks: int) -> int:
     cap = os.environ.get("AUD_LAB_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    limit = _parse_number(cap, int, "AUD_LAB_THREADS") if cap else (os.cpu_count() or 1)
     return max(1, min(n_tasks, limit))
 
 
@@ -634,9 +646,7 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     path = queue_length_process(trace)
     pi = analytic.stationary_queue_dist(params, 10)
     edges = np.linspace(warm_epoch, horizon, 101)
-    per_batch = np.array(
-        [occupancy_fractions(path, 10, edges[i], edges[i + 1]) for i in range(100)]
-    )
+    per_batch = occupancy_fractions(path, 10, edges)
     z = z_value(config.confidence)
     z_joint = z_value(1.0 - (1.0 - config.confidence) / len(pi))
     frac_mean = per_batch.mean(axis=0)
@@ -748,9 +758,7 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
         decisions = _decisions_for(trace, 1.0, point_seed, config.periodic)
         estimates[1.0] = _aud_estimate(decisions, warm_epoch, config.confidence)
     sawtooth = aoi_path(trace)
-    aoi_batches = np.array(
-        [time_average_aoi(sawtooth, edges[i], edges[i + 1]) for i in range(100)]
-    )
+    aoi_batches = time_average_aoi(sawtooth, edges)
     aoi_mean = float(aoi_batches.mean())
     aoi_half = z * float(aoi_batches.std(ddof=1)) / 10.0
     aud_est = estimates[1.0]

@@ -135,9 +135,7 @@ def test_criterion_5_queue_length_distribution(lam, seed):
     horizon = trace.last_departure
     path = queue_length_process(trace)
     edges = np.linspace(warm_epoch, horizon, 101)
-    per_batch = np.array(
-        [occupancy_fractions(path, 10, edges[i], edges[i + 1]) for i in range(100)]
-    )
+    per_batch = occupancy_fractions(path, 10, edges)
     mean = per_batch.mean(axis=0)
     half = z_value(0.99) * per_batch.std(axis=0, ddof=1) / 10.0
     pi = analytic.stationary_queue_dist(params, 10)
@@ -248,7 +246,7 @@ def test_criterion_9_pasta_cross_check(trace_half):
     aud_est = batch_means_ci(ages, 0.99)
     edges = np.linspace(warm_epoch, horizon, 101)
     path = aoi_path(trace_half)
-    batches = np.array([time_average_aoi(path, edges[i], edges[i + 1]) for i in range(100)])
+    batches = time_average_aoi(path, edges)
     aoi_mean = batches.mean()
     aoi_half = z_value(0.99) * batches.std(ddof=1) / 10.0
     diff = abs(aoi_mean - aud_est.mean)

@@ -150,15 +150,15 @@ def test_aoi_path_dd1_sawtooth():
     assert verts[:, 1].min() == pytest.approx(1.0)
     assert verts[:, 1].max() == pytest.approx(3.0)
     # over whole periods the ramp from 1 to 3 averages 2
-    assert time_average_aoi(path, 3.0, 99.0) == pytest.approx(2.0, abs=1e-12)
+    assert time_average_aoi(path, [3.0, 99.0])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_time_average_on_constant_slope_segment():
     # a pure ramp from age a over window w averages a + w/2
     trace = UpdateTrace(np.array([0.0, 9.0]), np.array([0.0, 9.0]), np.array([1.0, 10.0]))
     path = aoi_path(trace)
-    assert time_average_aoi(path, 1.0, 5.0) == pytest.approx(1.0 + 4.0 / 2.0, abs=1e-12)
-    assert time_average_aoi(path, 2.0, 3.0) == pytest.approx(2.0 + 0.5, abs=1e-12)
+    assert time_average_aoi(path, [1.0, 5.0])[0] == pytest.approx(1.0 + 4.0 / 2.0, abs=1e-12)
+    assert time_average_aoi(path, [2.0, 3.0])[0] == pytest.approx(2.0 + 0.5, abs=1e-12)
 
 
 def test_time_average_matches_riemann_oracle():
@@ -170,17 +170,17 @@ def test_time_average_matches_riemann_oracle():
     grid = np.linspace(a, b, 2_000_001)
     mids = 0.5 * (grid[:-1] + grid[1:])
     riemann = path.evaluate(mids).mean()
-    assert time_average_aoi(path, a, b) == pytest.approx(riemann, abs=2e-4)
+    assert time_average_aoi(path, [a, b])[0] == pytest.approx(riemann, abs=2e-4)
 
 
 def test_time_average_window_validation():
     path = aoi_path(crafted_trace())
     with pytest.raises(ParameterError):
-        time_average_aoi(path, 5.0, 5.0)
+        time_average_aoi(path, [5.0, 5.0])
     with pytest.raises(ParameterError):
-        time_average_aoi(path, 1.0, 6.0)
+        time_average_aoi(path, [1.0, 6.0])
     with pytest.raises(ParameterError):
-        time_average_aoi(path, 4.0, 9.0)
+        time_average_aoi(path, [4.0, 9.0])
 
 
 def test_decision_ages_equal_path_evaluation():
@@ -204,7 +204,7 @@ def test_pasta_time_average_matches_decision_mean():
     decisions = generate_decisions(trace, 1.0, horizon, SeededStream(42, DECISION_STREAM))
     ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
     est = batch_means_ci(ages, 0.99)
-    sawtooth_mean = time_average_aoi(aoi_path(trace), warm_epoch, horizon)
+    sawtooth_mean = time_average_aoi(aoi_path(trace), [warm_epoch, horizon])[0]
     assert abs(est.mean - sawtooth_mean) <= est.half_width
 
 
@@ -229,3 +229,87 @@ def test_decisions_csv(tmp_path):
     assert lines[1] == "1,0.5,0,"  # undefined: no freshest update, empty age
     assert lines[2] == "2,3.0,1,1.0"
     assert lines[3] == "3,6.0,2,3.0"
+
+
+def sawtooth_reference(path, start, end):
+    """One window at a time: the per-window integral the batched estimator replaced."""
+    e, v = path.drop_epochs, path.drop_values
+    seg_lo = np.maximum(e[:-1], start)
+    seg_hi = np.minimum(e[1:], end)
+    dur = np.clip(seg_hi - seg_lo, 0.0, None)
+    age_at_lo = v[:-1] + (seg_lo - e[:-1])
+    integral = float(np.sum(dur * age_at_lo + 0.5 * dur * dur))
+    return integral / (end - start)
+
+
+def assert_sawtooth_matches_reference(path, edges):
+    batched = time_average_aoi(path, edges)
+    reference = [sawtooth_reference(path, edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    assert np.array_equal(batched, reference)
+
+
+@pytest.mark.parametrize("seed", [42, 1009])
+def test_batched_sawtooth_is_bit_identical_to_window_scan(seed):
+    trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
+    warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
+    edges = np.linspace(warm_epoch, trace.last_departure, 101)
+    assert_sawtooth_matches_reference(aoi_path(trace), edges)
+
+
+def test_batched_sawtooth_window_edge_cases():
+    trace = simulate(SystemParams(0.6, 1.0), 3000, 11)
+    path = aoi_path(trace)
+    drops = path.drop_epochs
+    # edges exactly on drop epochs, including both ends of the support
+    assert_sawtooth_matches_reference(path, drops[[0, 1, 2, 700, 701, 2999]])
+    # a single window
+    assert_sawtooth_matches_reference(path, [drops[5] + 0.25, drops[2000] - 0.25])
+    with pytest.raises(ParameterError):
+        time_average_aoi(path, [drops[0], drops[10], drops[9]])
+
+
+def decisions_reference(trace, times):
+    """Search each decision epoch into the departures: the scan decisions_at replaced."""
+    times = np.asarray(times, dtype=float)
+    freshest = np.searchsorted(trace.departure_times, times, side="right") - 1
+    defined = freshest >= 0
+    generation = np.full(len(times), np.nan)
+    ages = np.full(len(times), np.nan)
+    generation[defined] = trace.arrival_times[freshest[defined]]
+    ages[defined] = times[defined] - generation[defined]
+    freshest[~defined] = -1
+    return freshest, generation, ages
+
+
+def assert_decisions_match_reference(trace, times):
+    decisions = decisions_at(trace, times)
+    freshest, generation, ages = decisions_reference(trace, times)
+    assert decisions.freshest_index.dtype == freshest.dtype
+    assert np.array_equal(decisions.freshest_index, freshest)
+    assert np.array_equal(decisions.generation_times, generation, equal_nan=True)
+    assert np.array_equal(decisions.ages, ages, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [42, 1009])
+def test_inverted_decision_search_is_identical(seed):
+    trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
+    for nu in (0.1, 10.0):
+        stream = SeededStream(seed, DECISION_STREAM)
+        epochs = generate_decisions(trace, nu, trace.last_departure, stream).times
+        assert_decisions_match_reference(trace, epochs)
+
+
+def test_inverted_decision_search_edge_cases():
+    trace = crafted_trace()
+    # epochs exactly on departures, repeated epochs, and the last departure
+    assert_decisions_match_reference(trace, [3.0, 3.0, 4.0, 5.0, 7.5])
+    # every epoch before the first departure
+    assert_decisions_match_reference(trace, [0.5, 1.0, 2.999])
+    # no epochs at all
+    empty = decisions_at(trace, [])
+    assert len(empty) == 0 and empty.freshest_index.dtype == np.intp
+
+
+def test_decisions_at_rejects_unsorted_epochs():
+    with pytest.raises(ParameterError):
+        decisions_at(crafted_trace(), [3.0, 6.0, 4.0])

@@ -399,6 +399,31 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_bad_rate_exits_2(capsys):
+    code = cli_main(["validate", "--lambda", "abc", "--updates", "1000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
+
+
+def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("lambda = 0.5\nupdates = 1e6\n")
+    code = cli_main(["validate", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ":2: updates must be an integer" in err
+
+
+def test_cli_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AUD_LAB_THREADS", "x")
+    code = cli_main(["sweep", "--lambda", "0.5", "--updates", "2000",
+                     "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "AUD_LAB_THREADS" in err
+
+
 def test_cli_periodic_decisions_flag():
     code = cli_main([
         "validate", "--lambda", "0.5", "--mu", "1.0", "--nu", "1",

@@ -80,7 +80,7 @@ def test_dd1_queue_length_cycle():
     path = queue_length_process(trace)
     assert set(np.unique(path.lengths)) == {0, 1}
     # whole cycles: busy exactly half the time
-    fractions = occupancy_fractions(path, 1, start=2.0, end=2.0 * n)
+    fractions = occupancy_fractions(path, 1, [2.0, 2.0 * n])[0]
     assert fractions[1] == pytest.approx(0.5, abs=1e-12)
     assert fractions[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -91,7 +91,7 @@ def test_single_update_pulse():
     path = queue_length_process(trace)
     assert list(path.lengths) == [1, 0]
     width = trace.departure_times[0] - trace.arrival_times[0]
-    fractions = occupancy_fractions(path, 1, start=0.0, end=trace.last_departure)
+    fractions = occupancy_fractions(path, 1, [0.0, trace.last_departure])[0]
     assert fractions[1] * trace.last_departure == pytest.approx(width, rel=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_empty_fraction_matches_geometric_head():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 43)
     path = queue_length_process(trace)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
-    fractions = occupancy_fractions(path, 0, start=warm_epoch, end=trace.last_departure)
+    fractions = occupancy_fractions(path, 0, [warm_epoch, trace.last_departure])[0]
     assert fractions[0] == pytest.approx(0.5, rel=0.01)
 
 
@@ -120,7 +120,7 @@ def test_busy_time_equals_total_service():
     trace = simulate(SystemParams(0.6, 1.0), 50_000, 5)
     path = queue_length_process(trace)
     end = trace.last_departure
-    fractions = occupancy_fractions(path, 10_000, start=0.0, end=end)
+    fractions = occupancy_fractions(path, 10_000, [0.0, end])[0]
     idle = fractions[0] * end
     assert end - idle == pytest.approx(trace.service_times.sum(), rel=1e-9)
 
@@ -267,3 +267,65 @@ def test_engine_invariants_property(seed, lam):
     # work conservation: start at the later of own arrival and predecessor departure
     expected_start = np.maximum(trace.arrival_times[1:], trace.departure_times[:-1])
     assert np.allclose(trace.service_start_times[1:], expected_start, rtol=1e-9, atol=1e-9)
+
+
+def occupancy_reference(path, max_length, start, end):
+    """One window at a time: the per-window scan the batched estimator replaced."""
+    lo = np.concatenate(([0.0], path.epochs))
+    hi = np.concatenate((path.epochs, [end]))
+    levels = np.concatenate(([0], path.lengths))
+    durations = np.clip(np.minimum(hi, end) - np.maximum(lo, start), 0.0, None)
+    out = np.zeros(max_length + 1)
+    mask = levels <= max_length
+    np.add.at(out, levels[mask], durations[mask])
+    return out / (end - start)
+
+
+def assert_occupancy_matches_reference(path, max_length, edges):
+    batched = occupancy_fractions(path, max_length, edges)
+    reference = np.array([
+        occupancy_reference(path, max_length, edges[i], edges[i + 1])
+        for i in range(len(edges) - 1)
+    ])
+    assert batched.shape == (len(edges) - 1, max_length + 1)
+    assert np.array_equal(batched, reference)
+
+
+@pytest.mark.parametrize("seed", [42, 1009])
+def test_batched_occupancy_is_bit_identical_to_window_scan(seed):
+    trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
+    warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
+    edges = np.linspace(warm_epoch, trace.last_departure, 101)
+    assert_occupancy_matches_reference(queue_length_process(trace), 10, edges)
+
+
+def test_batched_occupancy_window_edge_cases():
+    trace = simulate(SystemParams(0.7, 1.0), 2000, 8)
+    path = queue_length_process(trace)
+    epochs = path.epochs
+    # edges exactly on event epochs
+    assert_occupancy_matches_reference(path, 5, epochs[[3, 40, 41, 900, 2500]])
+    # a window that starts before the first event, and one past the last event
+    edges = [0.0, 0.5 * epochs[0], epochs[10], epochs[-1], epochs[-1] + 3.0]
+    assert_occupancy_matches_reference(path, 5, edges)
+    assert occupancy_fractions(path, 5, edges)[0].tolist() == [1.0, 0, 0, 0, 0, 0]
+    # a single window
+    assert_occupancy_matches_reference(path, 5, [epochs[7] + 0.1, epochs[1500] - 0.1])
+
+
+def test_batched_occupancy_edges_on_simultaneous_events():
+    # every arrival coincides with the previous departure
+    trace = simulate(SystemParams(1.0, 1.0), 200, 0, arrival=Deterministic(1.0),
+                     service=Deterministic(1.0), allow_unstable=True)
+    path = queue_length_process(trace)
+    assert_occupancy_matches_reference(path, 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
+
+
+def test_occupancy_rejects_bad_edges():
+    path = queue_length_process(simulate(SystemParams(0.5, 1.0), 100, 1))
+    with pytest.raises(ParameterError):
+        occupancy_fractions(path, 3, [5.0])
+    with pytest.raises(ParameterError):
+        occupancy_fractions(path, 3, [1.0, 4.0, 4.0])
+    with pytest.raises(ParameterError):
+        occupancy_fractions(path, 3, [[1.0, 2.0], [3.0, 4.0]])

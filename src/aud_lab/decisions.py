@@ -18,8 +18,6 @@ from .distributions import SeededStream
 from .errors import InsufficientDataError, ParameterError, TruncationError
 from .queueing import UpdateTrace, locate_window_edges
 
-UNDEFINED_INDEX = -1
-
 
 class DecisionRecord(NamedTuple):
     """One decision: epoch, freshest delivered update, its generation epoch, age."""
@@ -87,34 +85,79 @@ def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
     departure yield records with the undefined-age marker.  A decision at a
     departure epoch acts on the update departing then.
 
-    The departures are searched into the sorted epochs, not the reverse:
-    each departure starts a run of decisions that act on it, and the records
-    are those runs repeated out.
+    The search is local to the epochs' span: only the departures in
+    (times[0], times[-1]] are searched into the sorted epochs.  Each of them
+    starts a run of decisions that act on it, the decisions ahead of the
+    first one act on the update that departed last at or before times[0],
+    and the records are those runs repeated out.  A call on a short run of
+    epochs from a long trace therefore costs O(len(times) + departures in
+    the span), and any contiguous slice of epochs gets exactly the records
+    of the same slice of a call on all of them.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if trace.n < 1:
         raise InsufficientDataError("empty trace")
     if not (times[1:] >= times[:-1]).all():
         raise ParameterError("decision epochs must be sorted")
-    if len(times) and times[-1] > trace.last_departure:
+    m = len(times)
+    if m and times[-1] > trace.last_departure:
         raise TruncationError("decision epochs extend beyond the last departure")
-    if len(times) and times[0] <= 0.0:
+    if m and times[0] <= 0.0:
         raise ParameterError("decision epochs must be positive")
-    # counts[0] decisions precede the first departure; counts[k + 1] act on update k
+    departures = trace.departure_times
+    # departures[:k0] precede the span, departures[k0:k1] fall inside it
+    k0, k1 = np.searchsorted(departures, times[[0, -1]], side="right") if m else (0, 0)
+    # counts[0] decisions act on update k0 - 1 (undefined when k0 == 0);
+    # counts[k - k0 + 1] act on update k
     counts = np.diff(
-        np.searchsorted(times, trace.departure_times, side="left"), prepend=0, append=len(times)
+        np.searchsorted(times, departures[k0:k1], side="left"), prepend=0, append=m
     )
-    freshest = np.repeat(np.arange(UNDEFINED_INDEX, trace.n), counts)
-    generation = np.repeat(np.concatenate(([np.nan], trace.arrival_times)), counts)
+    freshest = np.repeat(np.arange(k0 - 1, k1), counts)
+    arrivals = trace.arrival_times
+    sources = np.concatenate(([np.nan], arrivals[:k1])) if k0 == 0 else arrivals[k0 - 1:k1]
+    generation = np.repeat(sources, counts)
     return DecisionSet(times, freshest, generation, times - generation)
 
 
-def _poisson_epochs(stream: SeededStream, rate: float, size: int) -> np.ndarray:
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be positive, got {value!r}")
+
+
+def _cumulative_gaps(stream: SeededStream, rate: float, size: int) -> np.ndarray:
     """Cumulative sums of ``size`` gaps -log(U) / rate, computed in one buffer."""
     epochs = stream.uniform_open(size)
     np.log(epochs, out=epochs)
     epochs /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
     return np.cumsum(epochs, out=epochs)
+
+
+def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -> np.ndarray:
+    """Sorted Poisson epochs at ``decision_rate`` on (0, horizon].
+
+    The gaps are drawn in one block sized ten standard deviations above the
+    expected count, topped up block by block in the rare case that falls
+    short, and the epochs past the horizon are cut off.  Drawing consumes
+    ``stream`` sequentially, so the result is deterministic in
+    (decision_rate, horizon, stream).  The result is a view of the drawn
+    buffer: 8 bytes per epoch kept.
+    """
+    _require_positive("decision_rate", decision_rate)
+    _require_positive("horizon", horizon)
+    expected = decision_rate * horizon
+    chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
+    epochs = _cumulative_gaps(stream, decision_rate, chunk)
+    while epochs[-1] <= horizon:
+        more = _cumulative_gaps(stream, decision_rate, chunk)
+        epochs = np.concatenate([epochs, epochs[-1] + more])
+    return epochs[: np.searchsorted(epochs, horizon, side="right")]
+
+
+def periodic_epochs(decision_rate: float, horizon: float) -> np.ndarray:
+    """Deterministic epochs k / decision_rate for k = 1, 2, ... on (0, horizon]."""
+    _require_positive("decision_rate", decision_rate)
+    count = int(math.floor(horizon * decision_rate))
+    return np.arange(1, count + 1, dtype=float) / decision_rate
 
 
 def generate_decisions(
@@ -123,38 +166,24 @@ def generate_decisions(
     horizon: float,
     stream: SeededStream,
 ) -> DecisionSet:
-    """Poisson decision epochs at ``decision_rate`` on (0, horizon].
+    """Decision records at Poisson epochs (``poisson_epochs``) on (0, horizon].
 
-    The horizon must not exceed the last departure epoch.  Epoch generation
-    consumes ``stream`` sequentially, so the result is deterministic in
-    (trace, decision_rate, horizon, stream).
+    The horizon must not exceed the last departure epoch.
     """
     if trace.n < 1:
         raise InsufficientDataError("empty trace")
-    if not (math.isfinite(decision_rate) and decision_rate > 0.0):
-        raise ParameterError(f"decision_rate must be positive, got {decision_rate!r}")
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ParameterError(f"horizon must be positive, got {horizon!r}")
+    _require_positive("decision_rate", decision_rate)
+    _require_positive("horizon", horizon)
     if horizon > trace.last_departure:
         raise TruncationError(
             f"horizon {horizon:.6g} exceeds last departure {trace.last_departure:.6g}"
         )
-    expected = decision_rate * horizon
-    chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
-    epochs = _poisson_epochs(stream, decision_rate, chunk)
-    while epochs[-1] <= horizon:
-        more = _poisson_epochs(stream, decision_rate, chunk)
-        epochs = np.concatenate([epochs, epochs[-1] + more])
-    return decisions_at(trace, epochs[: np.searchsorted(epochs, horizon, side="right")])
+    return decisions_at(trace, poisson_epochs(decision_rate, horizon, stream))
 
 
 def periodic_decisions(trace: UpdateTrace, decision_rate: float, horizon: float) -> DecisionSet:
-    """Deterministic decisions every 1/decision_rate time units on (0, horizon]."""
-    if not (math.isfinite(decision_rate) and decision_rate > 0.0):
-        raise ParameterError(f"decision_rate must be positive, got {decision_rate!r}")
-    count = int(math.floor(horizon * decision_rate))
-    epochs = np.arange(1, count + 1, dtype=float) / decision_rate
-    return decisions_at(trace, epochs)
+    """Decision records every 1/decision_rate time units on (0, horizon]."""
+    return decisions_at(trace, periodic_epochs(decision_rate, horizon))
 
 
 def average_aud(decisions: DecisionSet) -> AudSummary:

@@ -22,7 +22,13 @@ import numpy as np
 import scipy
 
 from . import analytic
-from .decisions import DecisionSet, aoi_path, generate_decisions, periodic_decisions, time_average_aoi
+from .decisions import (
+    aoi_path,
+    decisions_at,
+    periodic_epochs,
+    poisson_epochs,
+    time_average_aoi,
+)
 from .distributions import SeededStream, splitmix64
 from .errors import ParameterError, StabilityError
 from .queueing import (
@@ -33,7 +39,14 @@ from .queueing import (
     queue_length_process,
     simulate,
 )
-from .stats import EstimateWithCI, batch_means_ci, ks_exponential, mean_ci, z_value
+from .stats import (
+    EstimateWithCI,
+    batch_means_ci,
+    ci_from_batch_means,
+    ks_exponential,
+    mean_ci,
+    z_value,
+)
 
 MODES = ("sweep_lambda", "sweep_mu", "grid_lambda_mu", "nu_invariance", "validate")
 
@@ -51,6 +64,10 @@ LOW_POWER_UPDATES = 100_000
 
 # Goodness-of-fit tests use at most this many post-warm-up samples.
 KS_MAX_SAMPLES = 100_000
+
+# Mean-age CIs use batch means over this many batches once there are at
+# least two decisions per batch.
+AUD_BATCHES = 100
 
 
 @dataclass(frozen=True)
@@ -292,12 +309,16 @@ def _versions_record() -> dict:
     }
 
 
-def write_manifest(path: str, config: ExperimentConfig, wall_seconds: float) -> None:
+def write_manifest(
+    path: str, config: ExperimentConfig, wall_seconds: float, extra_records: tuple = ()
+) -> None:
+    """Write the config, versions and timing records, then ``extra_records``."""
     with open(path, "w", newline="") as fh:
         for record in (
             _config_record(config),
             _versions_record(),
             {"record": "timing", "wall_seconds": wall_seconds},
+            *extra_records,
         ):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -319,30 +340,78 @@ def _warmup_count(config: ExperimentConfig, n: int) -> int:
     return default_warmup(n)
 
 
-def _decisions_for(
+def _decision_epochs(
     trace: UpdateTrace,
     decision_rate: float,
     point_seed: int,
     periodic: bool,
-) -> DecisionSet:
+) -> np.ndarray:
     horizon = trace.last_departure
     if periodic:
-        return periodic_decisions(trace, decision_rate, horizon)
+        return periodic_epochs(decision_rate, horizon)
     stream = SeededStream(point_seed, decision_stream_id(decision_rate))
-    return generate_decisions(trace, decision_rate, horizon, stream)
+    return poisson_epochs(decision_rate, horizon, stream)
+
+
+def _n_undefined(trace: UpdateTrace, epochs: np.ndarray) -> int:
+    """Decisions ahead of the first departure, which have no age."""
+    return int(np.searchsorted(epochs, trace.departure_times[0], side="left"))
+
+
+def _first_estimated(trace: UpdateTrace, epochs: np.ndarray, warm_epoch: float) -> int:
+    """Index of the first decision after the warm-up that has a defined age."""
+    return max(int(np.searchsorted(epochs, warm_epoch, side="right")),
+               _n_undefined(trace, epochs))
 
 
 def _aud_estimate(
-    decisions: DecisionSet, warm_epoch: float, confidence: float
+    trace: UpdateTrace, epochs: np.ndarray, warm_epoch: float, confidence: float
 ) -> EstimateWithCI | None:
-    ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-    if len(ages) >= 200:
-        return batch_means_ci(ages, confidence)
-    if len(ages) >= 2:
+    """Mean age upon the decisions at the sorted ``epochs`` after ``warm_epoch``.
+
+    Decisions ahead of the first departure have no age and are left out.
+    With at least 2 * AUD_BATCHES such decisions the CI comes from batch
+    means, and each batch's records are built on their own with
+    ``decisions_at`` and reduced at once, so no per-decision column of the
+    whole run is ever held.  The result is bit-identical to
+    ``batch_means_ci`` over the filtered ages of one ``decisions_at`` call:
+    that takes a row mean of a contiguous (AUD_BATCHES, per) array, which
+    numpy sums per row with the same pairwise tree as the 1-D mean of the
+    row's ages, and a slice of epochs gets exactly the same records as the
+    same slice of the full call.
+    """
+    start = _first_estimated(trace, epochs, warm_epoch)
+    size = len(epochs) - start
+    if size >= 2 * AUD_BATCHES:
+        per = size // AUD_BATCHES
+        means = [
+            decisions_at(trace, epochs[a:a + per]).ages.mean()
+            for a in range(start, start + per * AUD_BATCHES, per)
+        ]
+        return ci_from_batch_means(means, confidence)
+    ages = decisions_at(trace, epochs[start:]).ages
+    if size >= 2:
         return mean_ci(ages, confidence)
-    if len(ages) == 1:
+    if size == 1:
         return EstimateWithCI(float(ages[0]), math.inf, 1, confidence)
     return None
+
+
+def _pairwise_overlap(estimates) -> tuple[float, float, bool]:
+    """Largest pairwise mean difference, its CI allowance, and whether all CIs overlap.
+
+    Pairs are visited in the order given; the first pair reaching the
+    largest difference supplies the allowance.
+    """
+    max_diff, max_allow, consistent = 0.0, 0.0, True
+    for i, a in enumerate(estimates):
+        for b in estimates[i + 1:]:
+            diff = abs(a.mean - b.mean)
+            allow = a.half_width + b.half_width
+            if diff > max_diff:
+                max_diff, max_allow = diff, allow
+            consistent = consistent and diff <= allow
+    return max_diff, max_allow, consistent
 
 
 def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
@@ -380,8 +449,8 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
 
     rows = []
     for nu in config.decision_rates:
-        decisions = _decisions_for(trace, nu, point_seed, config.periodic)
-        est = _aud_estimate(decisions, warm_epoch, config.confidence)
+        epochs = _decision_epochs(trace, nu, point_seed, config.periodic)
+        est = _aud_estimate(trace, epochs, warm_epoch, config.confidence)
         rows.append(
             SweepRow(
                 arrival_rate,
@@ -390,8 +459,8 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
                 analytic_value,
                 est.mean if est else None,
                 (est.half_width if est and math.isfinite(est.half_width) else None),
-                len(decisions),
-                decisions.n_undefined,
+                len(epochs),
+                _n_undefined(trace, epochs),
                 ks_t_p,
                 ks_y_p,
                 status,
@@ -464,15 +533,7 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
         estimates[row.decision_rate] = EstimateWithCI(
             row.empirical_aud, row.ci_half_width or math.inf, 0, config.confidence
         )
-    rates = list(estimates)
-    max_diff, max_allow, consistent = 0.0, 0.0, True
-    for i, a in enumerate(rates):
-        for b in rates[i + 1:]:
-            diff = abs(estimates[a].mean - estimates[b].mean)
-            allow = estimates[a].half_width + estimates[b].half_width
-            if diff > max_diff:
-                max_diff, max_allow = diff, allow
-            consistent = consistent and diff <= allow
+    max_diff, max_allow, consistent = _pairwise_overlap(list(estimates.values()))
     result = NuInvarianceResult(sweep, estimates, max_diff, max_allow, consistent)
     if config.output_path:
         sweep.write_csv(config.output_path)
@@ -556,14 +617,29 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     horizon = trace.last_departure
     theory = analytic.average_aud(params)
 
+    # Run sizes for the manifest; they stay out of the CSV.
+    decision_sizes = []
+
+    def estimate_at(nu: float) -> EstimateWithCI:
+        epochs = _decision_epochs(trace, nu, point_seed, config.periodic)
+        est = _aud_estimate(trace, epochs, warm_epoch, config.confidence)
+        if est is None:
+            raise ParameterError(f"no defined decisions at decision rate {nu}")
+        estimated = len(epochs) - _first_estimated(trace, epochs, warm_epoch)
+        decision_sizes.append({
+            "nu": nu,
+            "total": len(epochs),
+            "after_warmup": estimated,
+            "undefined": _n_undefined(trace, epochs),
+            # est.n counts batches, or single decisions below 2 * AUD_BATCHES
+            "batch_length": estimated // est.n,
+        })
+        return est
+
     # Monte Carlo mean age vs closed form, per decision rate, on one trace.
     estimates = {}
     for nu in config.decision_rates:
-        decisions = _decisions_for(trace, nu, point_seed, config.periodic)
-        est = _aud_estimate(decisions, warm_epoch, config.confidence)
-        if est is None:
-            raise ParameterError(f"no defined decisions at decision rate {nu}")
-        estimates[nu] = est
+        estimates[nu] = estimate_at(nu)
     worst_rel = max(abs(e.mean - theory) / theory for e in estimates.values())
     checks.append(
         CheckResult(
@@ -577,16 +653,9 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     )
 
     if len(estimates) >= 2:
-        rates = sorted(estimates)
-        max_diff = max_allow = 0.0
-        all_overlap = True
-        for i, a in enumerate(rates):
-            for b in rates[i + 1:]:
-                diff = abs(estimates[a].mean - estimates[b].mean)
-                allow = estimates[a].half_width + estimates[b].half_width
-                if diff > max_diff:
-                    max_diff, max_allow = diff, allow
-                all_overlap = all_overlap and diff <= allow
+        max_diff, max_allow, all_overlap = _pairwise_overlap(
+            [estimates[nu] for nu in sorted(estimates)]
+        )
         checks.append(
             CheckResult(
                 "aud_nu_invariance",
@@ -645,7 +714,9 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     # adjusted confidence to keep the family-wise false-alarm rate nominal.
     path = queue_length_process(trace)
     pi = analytic.stationary_queue_dist(params, 10)
-    edges = np.linspace(warm_epoch, horizon, 101)
+    # The windows start no earlier than the first departure, where the age
+    # path begins; with a warm-up that is the warm-up's last departure.
+    edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), horizon, 101)
     per_batch = occupancy_fractions(path, 10, edges)
     z = z_value(config.confidence)
     z_joint = z_value(1.0 - (1.0 - config.confidence) / len(pi))
@@ -755,24 +826,33 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
 
     # Poisson decisions sample the time average of the age path (PASTA).
     if 1.0 not in estimates:
-        decisions = _decisions_for(trace, 1.0, point_seed, config.periodic)
-        estimates[1.0] = _aud_estimate(decisions, warm_epoch, config.confidence)
+        estimates[1.0] = estimate_at(1.0)
     sawtooth = aoi_path(trace)
-    aoi_batches = time_average_aoi(sawtooth, edges)
-    aoi_mean = float(aoi_batches.mean())
-    aoi_half = z * float(aoi_batches.std(ddof=1)) / 10.0
+    aoi_est = ci_from_batch_means(time_average_aoi(sawtooth, edges), config.confidence)
     aud_est = estimates[1.0]
-    pasta_diff = abs(aoi_mean - aud_est.mean)
-    pasta_allow = aoi_half + aud_est.half_width
+    pasta_diff = abs(aoi_est.mean - aud_est.mean)
+    pasta_allow = aoi_est.half_width + aud_est.half_width
     checks.append(
         CheckResult("pasta_time_average", pasta_diff <= pasta_allow, pasta_diff, 0.0,
-                    pasta_allow, f"time-average age {aoi_mean:.6g}")
+                    pasta_allow, f"time-average age {aoi_est.mean:.6g}")
     )
 
     report = ValidationReport(config, tuple(checks), low_power)
     if config.output_path:
+        sizes = {
+            "record": "sizes",
+            "n_updates": trace.n,
+            "warmup_updates": warm,
+            "warm_epoch": warm_epoch,
+            "decisions": decision_sizes,
+            "window_length": float(edges[1] - edges[0]),
+            "ks_system_time_samples": ks_t.n,
+            "ks_system_time_lag": lag,
+            "ks_interdeparture_samples": ks_y.n,
+        }
         report.write_csv(config.output_path)
         write_manifest(
-            manifest_path_for(config.output_path), config, time.monotonic() - started
+            manifest_path_for(config.output_path), config, time.monotonic() - started,
+            (sizes,),
         )
     return report

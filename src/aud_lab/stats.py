@@ -71,10 +71,19 @@ def batch_means_ci(samples, confidence: float = 0.99, n_batches: int = 100) -> E
     if x.size < n_batches:
         raise InsufficientDataError(f"need >= {n_batches} samples, got {x.size}")
     per = x.size // n_batches
-    means = x[: per * n_batches].reshape(n_batches, per).mean(axis=1)
+    return ci_from_batch_means(x[: per * n_batches].reshape(n_batches, per).mean(axis=1),
+                               confidence)
+
+
+def ci_from_batch_means(means, confidence: float = 0.99) -> EstimateWithCI:
+    """CI for the grand mean from already computed, near-independent batch means.
+
+    ``n`` in the result is the number of batches.
+    """
+    means = np.asarray(means, dtype=float)
     z = z_value(confidence)
-    half = z * float(means.std(ddof=1)) / math.sqrt(n_batches)
-    return EstimateWithCI(float(means.mean()), half, n_batches, confidence)
+    half = z * float(means.std(ddof=1)) / math.sqrt(means.size)
+    return EstimateWithCI(float(means.mean()), half, int(means.size), confidence)
 
 
 def kolmogorov_sf(x: float) -> float:

@@ -9,6 +9,8 @@ from aud_lab.decisions import (
     decisions_at,
     generate_decisions,
     periodic_decisions,
+    periodic_epochs,
+    poisson_epochs,
     time_average_aoi,
     write_decisions_csv,
 )
@@ -313,3 +315,53 @@ def test_inverted_decision_search_edge_cases():
 def test_decisions_at_rejects_unsorted_epochs():
     with pytest.raises(ParameterError):
         decisions_at(crafted_trace(), [3.0, 6.0, 4.0])
+
+
+def assert_slice_matches_full_call(trace, epochs, a, b):
+    full = decisions_at(trace, epochs)
+    part = decisions_at(trace, epochs[a:b])
+    assert np.array_equal(part.times, full.times[a:b])
+    assert part.freshest_index.dtype == full.freshest_index.dtype
+    assert np.array_equal(part.freshest_index, full.freshest_index[a:b])
+    assert np.array_equal(part.generation_times, full.generation_times[a:b], equal_nan=True)
+    assert np.array_equal(part.ages, full.ages[a:b], equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [42, 1009])
+def test_decisions_on_a_slice_equal_the_slice_of_the_full_call(seed):
+    trace = simulate(SystemParams(0.5, 1.0), 20_000, seed)
+    epochs = poisson_epochs(3.0, trace.last_departure, SeededStream(seed, DECISION_STREAM))
+    m = len(epochs)
+    for a, b in ((m // 3, m // 3 + 1000), (0, 50), (m - 777, m), (m // 2, m // 2 + 1), (5, 5)):
+        assert_slice_matches_full_call(trace, epochs, a, b)
+
+
+def test_decision_slices_at_the_span_boundaries():
+    trace = crafted_trace()
+    epochs = np.array([0.5, 1.0, 2.999, 3.0, 3.0, 4.0, 5.0, 6.0, 7.5])
+    # starting exactly on a departure, wholly before the first departure,
+    # ending on a departure, a single epoch, and empty
+    for a, b in ((3, 9), (6, 8), (0, 3), (0, 4), (4, 7), (8, 9), (2, 2)):
+        assert_slice_matches_full_call(trace, epochs, a, b)
+    # a slice between two departures acts only on the earlier one
+    inside = decisions_at(trace, [5.5, 6.0, 7.0])
+    assert list(inside.freshest_index) == [1, 1, 1]
+
+
+def test_epoch_generators_match_the_record_builders():
+    trace = simulate(SystemParams(0.5, 1.0), 5000, 3)
+    horizon = trace.last_departure
+    epochs = poisson_epochs(2.0, horizon, SeededStream(3, 9))
+    assert np.array_equal(
+        epochs, generate_decisions(trace, 2.0, horizon, SeededStream(3, 9)).times
+    )
+    assert 0.0 < epochs[0] and epochs[-1] <= horizon < epochs[-1] + 10.0
+    assert np.array_equal(periodic_epochs(0.5, horizon),
+                          periodic_decisions(trace, 0.5, horizon).times)
+    assert list(periodic_epochs(0.5, 7.9)) == [2.0, 4.0, 6.0]
+    with pytest.raises(ParameterError):
+        poisson_epochs(0.0, 5.0, SeededStream(0, DECISION_STREAM))
+    with pytest.raises(ParameterError):
+        poisson_epochs(1.0, math.inf, SeededStream(0, DECISION_STREAM))
+    with pytest.raises(ParameterError):
+        periodic_epochs(-1.0, 5.0)

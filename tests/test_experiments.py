@@ -1,13 +1,20 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from aud_lab.cli import main as cli_main
+from aud_lab.decisions import decisions_at, generate_decisions, periodic_decisions
+from aud_lab.distributions import SeededStream
 from aud_lab.errors import ParameterError
 from aud_lab.experiments import (
     ExperimentConfig,
+    _aud_estimate,
+    _decision_epochs,
+    _n_undefined,
+    _pairwise_overlap,
     build_config,
     decision_stream_id,
     decorrelation_lag,
@@ -19,6 +26,8 @@ from aud_lab.experiments import (
     run_sweep,
     run_validation,
 )
+from aud_lab.queueing import SystemParams, simulate
+from aud_lab.stats import EstimateWithCI, batch_means_ci, mean_ci
 
 SMALL = dict(n_updates=50_000, seed=11)
 
@@ -279,9 +288,20 @@ def test_warmup_is_configurable(tmp_path):
                          service_rates=(1.0,), decision_rates=(1.0,),
                          n_updates=20_000, seed=5, warmup_updates=0)
     ).rows[0]
-    # dropping the warm-up keeps the transient decisions in the mean
+    # dropping the warm-up keeps the transient decisions in the mean, and
+    # the decisions ahead of the first departure stay out of it
     assert no_warm_row.n_decisions == default_row.n_decisions
+    assert math.isfinite(no_warm_row.empirical_aud)
     assert no_warm_row.empirical_aud != default_row.empirical_aud
+    trace = simulate(SystemParams(0.5, 1.0), 20_000, derive_point_seed(5, 0))
+    reference = generate_decisions(
+        trace, 1.0, trace.last_departure,
+        SeededStream(derive_point_seed(5, 0), decision_stream_id(1.0)),
+    )
+    expected = batch_means_ci(reference.defined_ages)
+    assert no_warm_row.empirical_aud == expected.mean
+    assert no_warm_row.ci_half_width == expected.half_width
+    assert no_warm_row.n_undefined_decisions == reference.n_undefined > 0
     with pytest.raises(ParameterError):
         ExperimentConfig(n_updates=100, warmup_updates=100)
     cfg = tmp_path / "w.cfg"
@@ -330,7 +350,80 @@ def test_validation_writes_deterministic_outputs(tmp_path):
     assert out.read_bytes() == first_csv
     assert non_timing_lines(manifest) == first_manifest
     records = [json.loads(line) for line in open(manifest)]
-    assert {r["record"] for r in records} == {"config", "versions", "timing"}
+    assert {r["record"] for r in records} == {"config", "versions", "timing", "sizes"}
+    sizes = next(r for r in records if r["record"] == "sizes")
+    assert sizes["n_updates"] == 20_000 and sizes["warmup_updates"] == 1000
+    assert [d["nu"] for d in sizes["decisions"]] == [0.1, 1.0, 10.0]
+    for d in sizes["decisions"]:
+        assert d["undefined"] < d["total"] - d["after_warmup"]
+        assert d["batch_length"] == d["after_warmup"] // 100
+    assert sizes["ks_system_time_lag"] == decorrelation_lag(0.5)
+    assert sizes["ks_system_time_samples"] == len(range(0, 19_000, sizes["ks_system_time_lag"]))
+    assert sizes["ks_interdeparture_samples"] == 18_999  # n - 1 gaps, less the warm-up
+
+
+def test_validation_without_warmup_returns_a_report(tmp_path, capsys):
+    report = run_validation(ExperimentConfig(n_updates=20_000, seed=8, warmup_updates=0))
+    assert len(report.checks) == 15
+    assert all(math.isfinite(c.observed) for c in report.checks)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("warmup = 0\nupdates = 20000\nseed = 8\n")
+    assert cli_main(["validate", "--config", str(cfg)]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
+def reference_estimate(decisions, warm_epoch):
+    """The mean-age estimate from the full decision columns of one run."""
+    ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
+    if len(ages) >= 200:
+        return batch_means_ci(ages, 0.99)
+    if len(ages) >= 2:
+        return mean_ci(ages, 0.99)
+    if len(ages) == 1:
+        return EstimateWithCI(float(ages[0]), math.inf, 1, 0.99)
+    return None
+
+
+@pytest.mark.parametrize("seed", [42, 1009])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_batched_aud_estimate_is_bit_identical(seed, periodic):
+    trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
+    for nu in (0.1, 1.0, 10.0):
+        epochs = _decision_epochs(trace, nu, seed, periodic)
+        decisions = decisions_at(trace, epochs)
+        assert _n_undefined(trace, epochs) == decisions.n_undefined
+        for warm_epoch in (0.0, float(trace.departure_times[999])):
+            got = _aud_estimate(trace, epochs, warm_epoch, 0.99)
+            assert got == reference_estimate(decisions, warm_epoch)
+            assert got.n == 100
+
+
+def test_aud_estimate_small_branches():
+    trace = simulate(SystemParams(0.5, 1.0), 3000, 4)
+    d0 = float(trace.departure_times[0])
+    epochs = periodic_decisions(trace, 0.02, trace.last_departure).times
+    # under 200 estimated decisions: a plain mean CI
+    for warm_epoch in (0.0, float(trace.departure_times[1500])):
+        got = _aud_estimate(trace, epochs, warm_epoch, 0.99)
+        assert got == reference_estimate(decisions_at(trace, epochs), warm_epoch)
+        assert 2 <= got.n < 200
+    # one decision after the warm-up, behind undefined ones: a single sample
+    single = np.array([0.5 * d0, 0.8 * d0, d0])
+    got = _aud_estimate(trace, single, 0.0, 0.99)
+    assert got == reference_estimate(decisions_at(trace, single), 0.0)
+    assert got.n == 1 and got.half_width == math.inf
+    # nothing after the warm-up, only undefined decisions, or no epochs at all
+    assert _aud_estimate(trace, single, d0, 0.99) is None
+    assert _aud_estimate(trace, single[:2], 0.0, 0.99) is None
+    assert _aud_estimate(trace, np.empty(0), 0.0, 0.99) is None
+    assert _n_undefined(trace, single) == 2 and _n_undefined(trace, np.empty(0)) == 0
+
+
+def test_pairwise_overlap_keeps_the_first_largest_pair():
+    a, b, c = (EstimateWithCI(m, h, 100) for m, h in ((1.0, 0.5), (2.0, 0.25), (0.0, 1.0)))
+    assert _pairwise_overlap([a, b, c]) == (2.0, 1.25, False)
+    assert _pairwise_overlap([a, c]) == (1.0, 1.5, True)
+    assert _pairwise_overlap([a]) == (0.0, 0.0, True)
 
 
 def test_sweep_csv_reruns_byte_identical(tmp_path):
@@ -413,6 +506,16 @@ def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and ":2: updates must be an integer" in err
+
+
+def test_cli_no_decision_for_the_pasta_check_exits_2(capsys):
+    # the PASTA check samples nu = 1 on its own; on this short, fast trace
+    # no such decision falls after the warm-up
+    code = cli_main(["validate", "--lambda", "1000", "--mu", "2000", "--nu", "1000",
+                     "--updates", "210", "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: no defined decisions at decision rate 1.0\n"
 
 
 def test_cli_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -73,7 +73,6 @@ from .experiments import (
 )
 from .queueing import (
     QueueLengthPath,
-    QueueLengthSample,
     SystemParams,
     UpdateTrace,
     default_warmup,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import ParameterError
 
@@ -116,11 +117,11 @@ class SeededStream:
             raise ParameterError(f"stream_id must be non-negative, got {stream_id}")
         self.seed = int(seed)
         self.stream_id = int(stream_id) & _MASK64
-        key = np.random.SeedSequence(
+        key = SeedSequence(
             entropy=self.seed,
             spawn_key=(self.stream_id & 0xFFFFFFFF, self.stream_id >> 32),
         )
-        self._gen = np.random.Generator(np.random.Philox(key))
+        self._gen = Generator(Philox(key))
 
     def __repr__(self):
         return f"SeededStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy
 
 from . import analytic
 from .decisions import (
@@ -294,18 +293,13 @@ def _config_record(config: ExperimentConfig) -> dict:
 
 
 def _versions_record() -> dict:
-    try:
-        from importlib.metadata import version
+    from . import __version__  # the package module imports this one first
 
-        own = version("aud-lab")
-    except Exception:
-        own = "unknown"
     return {
         "record": "versions",
-        "aud_lab": own,
+        "aud_lab": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 
@@ -326,6 +320,17 @@ def write_manifest(
 def manifest_path_for(output_path: str) -> str:
     base, _ = os.path.splitext(output_path)
     return base + ".manifest.jsonl"
+
+
+def _write_outputs(config: ExperimentConfig, result, started: float,
+                   extra_records: tuple = ()) -> None:
+    """Write ``result``'s CSV and the manifest next to it, if the config names an output."""
+    if config.output_path:
+        result.write_csv(config.output_path)
+        write_manifest(
+            manifest_path_for(config.output_path), config, time.monotonic() - started,
+            extra_records,
+        )
 
 
 def _max_workers(n_tasks: int) -> int:
@@ -397,6 +402,32 @@ def _aud_estimate(
     return None
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One simulated (lambda, mu) point: its trace, seed and warm-up cut."""
+
+    config: ExperimentConfig
+    params: SystemParams
+    seed: int
+    trace: UpdateTrace
+    warm: int  # updates cut as warm-up
+    warm_epoch: float  # departure of the last warm-up update, 0.0 without one
+
+    def aud(self, nu: float) -> tuple[np.ndarray, EstimateWithCI | None]:
+        """Decision epochs at rate ``nu`` and the mean age upon those after the warm-up."""
+        epochs = _decision_epochs(self.trace, nu, self.seed, self.config.periodic)
+        return epochs, _aud_estimate(self.trace, epochs, self.warm_epoch,
+                                     self.config.confidence)
+
+
+def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
+    seed = derive_point_seed(config.seed, grid_index)
+    trace = simulate(params, config.n_updates, seed, allow_unstable=config.allow_unstable)
+    warm = _warmup_count(config, trace.n)
+    warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
+    return _Point(config, params, seed, trace, warm, warm_epoch)
+
+
 def _pairwise_overlap(estimates) -> tuple[float, float, bool]:
     """Largest pairwise mean difference, its CI allowance, and whether all CIs overlap.
 
@@ -431,12 +462,12 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
             for nu in config.decision_rates
         ]
 
-    point_seed = derive_point_seed(config.seed, grid_index)
-    trace = simulate(params, config.n_updates, point_seed, allow_unstable=config.allow_unstable)
-    warm = _warmup_count(config, trace.n)
-    warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
+    point = _simulate_point(config, grid_index, params)
+    trace, warm = point.trace, point.warm
     status = "ok" if trace.stationary else "unstable-simulated"
 
+    # Too few thinned samples leave the sweep's p-value blank; validate
+    # shrinks the lag instead, as its run is already marked low-power.
     ks_t_p = ks_y_p = None
     if trace.stationary:
         thinned = trace.system_times[warm:][:: decorrelation_lag(params.utilization)]
@@ -449,8 +480,7 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
 
     rows = []
     for nu in config.decision_rates:
-        epochs = _decision_epochs(trace, nu, point_seed, config.periodic)
-        est = _aud_estimate(trace, epochs, warm_epoch, config.confidence)
+        epochs, est = point.aud(nu)
         rows.append(
             SweepRow(
                 arrival_rate,
@@ -498,11 +528,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             rows_by_point[futures[fut]] = fut.result()
     rows = tuple(row for point_rows in rows_by_point for row in point_rows)
     result = SweepResult(config, rows)
-    if config.output_path:
-        result.write_csv(config.output_path)
-        write_manifest(
-            manifest_path_for(config.output_path), config, time.monotonic() - started
-        )
+    _write_outputs(config, result, started)
     return result
 
 
@@ -522,8 +548,6 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     the per-rate age means reflect decision sampling only.  Consistency
     means every pair of batch-means confidence intervals overlaps.
     """
-    if len(config.decision_rates) < 2:
-        raise ParameterError("nu invariance needs at least two decision rates")
     started = time.monotonic()
     sweep = run_sweep(replace(config, mode="nu_invariance", output_path=None))
     estimates = {}
@@ -534,13 +558,8 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
             row.empirical_aud, row.ci_half_width or math.inf, 0, config.confidence
         )
     max_diff, max_allow, consistent = _pairwise_overlap(list(estimates.values()))
-    result = NuInvarianceResult(sweep, estimates, max_diff, max_allow, consistent)
-    if config.output_path:
-        sweep.write_csv(config.output_path)
-        write_manifest(
-            manifest_path_for(config.output_path), config, time.monotonic() - started
-        )
-    return result
+    _write_outputs(config, sweep, started)
+    return NuInvarianceResult(sweep, estimates, max_diff, max_allow, consistent)
 
 
 @dataclass(frozen=True)
@@ -593,39 +612,33 @@ class ValidationReport:
         return "\n".join(lines + [verdict])
 
 
-def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> ValidationReport:
-    """Certify one simulated point against every closed-form oracle.
+def _at_most(name: str, observed: float, tolerance: float, detail: str = "") -> CheckResult:
+    """A check that passes when ``observed`` (expected 0) is at most ``tolerance``."""
+    return CheckResult(name, observed <= tolerance, observed, 0.0, tolerance, detail)
 
-    ``oracle_rate_scale`` deliberately mis-scales the exponential reference
-    rates of the K-S checks; it exists so the test surface can demonstrate
-    the checks have power (anything but 1.0 must fail them).
+
+def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
+    """Every oracle check on one simulated point, and the run sizes for the manifest.
+
+    The closed forms are evaluated at ``point.params``, so a point whose
+    params differ from the rates it was simulated at is checked against the
+    wrong oracle.
     """
-    started = time.monotonic()
-    lam, mu = config.arrival_rates[0], config.service_rates[0]
-    params = SystemParams(lam, mu, config.decision_rates[0])
-    analytic.require_stable(params)
-    n = config.n_updates
-    low_power = n < LOW_POWER_UPDATES
-    tol_scale = max(1.0, math.sqrt(LOW_POWER_UPDATES / n))
-    significance = 0.01 if not low_power else 0.001
+    config, params, trace, warm = point.config, point.params, point.trace, point.warm
+    lam, mu = params.arrival_rate, params.service_rate
+    tol_scale = max(1.0, math.sqrt(LOW_POWER_UPDATES / config.n_updates))
+    significance = 0.01 if config.n_updates >= LOW_POWER_UPDATES else 0.001
     checks: list[CheckResult] = []
-
-    point_seed = derive_point_seed(config.seed, 0)
-    trace = simulate(params, n, point_seed)
-    warm = _warmup_count(config, n)
-    warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
-    horizon = trace.last_departure
     theory = analytic.average_aud(params)
 
     # Run sizes for the manifest; they stay out of the CSV.
     decision_sizes = []
 
     def estimate_at(nu: float) -> EstimateWithCI:
-        epochs = _decision_epochs(trace, nu, point_seed, config.periodic)
-        est = _aud_estimate(trace, epochs, warm_epoch, config.confidence)
+        epochs, est = point.aud(nu)
         if est is None:
             raise ParameterError(f"no defined decisions at decision rate {nu}")
-        estimated = len(epochs) - _first_estimated(trace, epochs, warm_epoch)
+        estimated = len(epochs) - _first_estimated(trace, epochs, point.warm_epoch)
         decision_sizes.append({
             "nu": nu,
             "total": len(epochs),
@@ -641,16 +654,8 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     for nu in config.decision_rates:
         estimates[nu] = estimate_at(nu)
     worst_rel = max(abs(e.mean - theory) / theory for e in estimates.values())
-    checks.append(
-        CheckResult(
-            "aud_mc_vs_theory",
-            worst_rel <= 0.01 * tol_scale,
-            worst_rel,
-            0.0,
-            0.01 * tol_scale,
-            f"theory={theory:.6g}; rates={sorted(estimates)}",
-        )
-    )
+    checks.append(_at_most("aud_mc_vs_theory", worst_rel, 0.01 * tol_scale,
+                           f"theory={theory:.6g}; rates={sorted(estimates)}"))
 
     if len(estimates) >= 2:
         max_diff, max_allow, all_overlap = _pairwise_overlap(
@@ -675,7 +680,7 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     if len(post_warm_system) // lag < 50:
         lag = max(1, len(post_warm_system) // 50)
     thinned = post_warm_system[::lag][:KS_MAX_SAMPLES]
-    ks_t = ks_exponential(thinned, oracle_rate_scale * analytic.system_time_rate(params))
+    ks_t = ks_exponential(thinned, analytic.system_time_rate(params))
     checks.append(
         CheckResult(
             "ks_system_time",
@@ -687,7 +692,7 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
         )
     )
     gaps = trace.interdeparture_times[warm:][:KS_MAX_SAMPLES]
-    ks_y = ks_exponential(gaps, oracle_rate_scale * lam)
+    ks_y = ks_exponential(gaps, lam)
     checks.append(
         CheckResult(
             "ks_interdeparture",
@@ -699,15 +704,9 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
         )
     )
     rel_y1 = abs(float(gaps.mean()) - 1.0 / lam) * lam
-    checks.append(
-        CheckResult("interdeparture_mean", rel_y1 <= 0.01 * tol_scale, rel_y1, 0.0,
-                    0.01 * tol_scale)
-    )
+    checks.append(_at_most("interdeparture_mean", rel_y1, 0.01 * tol_scale))
     rel_y2 = abs(float((gaps**2).mean()) - 2.0 / lam**2) / (2.0 / lam**2)
-    checks.append(
-        CheckResult("interdeparture_second_moment", rel_y2 <= 0.02 * tol_scale, rel_y2,
-                    0.0, 0.02 * tol_scale)
-    )
+    checks.append(_at_most("interdeparture_second_moment", rel_y2, 0.02 * tol_scale))
 
     # Stationary occupancy head vs geometric law, batch CIs over time windows.
     # Eleven levels are asserted jointly, so each level gets a Bonferroni-
@@ -716,7 +715,8 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     pi = analytic.stationary_queue_dist(params, 10)
     # The windows start no earlier than the first departure, where the age
     # path begins; with a warm-up that is the warm-up's last departure.
-    edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), horizon, 101)
+    edges = np.linspace(max(point.warm_epoch, float(trace.departure_times[0])),
+                        trace.last_departure, 101)
     per_batch = occupancy_fractions(path, 10, edges)
     z = z_value(config.confidence)
     z_joint = z_value(1.0 - (1.0 - config.confidence) / len(pi))
@@ -724,25 +724,15 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     frac_half = z_joint * per_batch.std(axis=0, ddof=1) / 10.0
     ratios = np.abs(frac_mean - pi) / np.where(frac_half > 0, frac_half, np.inf)
     worst_level = int(np.argmax(ratios))
-    checks.append(
-        CheckResult(
-            "queue_length_distribution",
-            bool((ratios <= 1.0).all()),
-            float(ratios.max()),
-            0.0,
-            1.0,
-            f"worst level {worst_level}",
-        )
-    )
+    checks.append(_at_most("queue_length_distribution", float(ratios.max()), 1.0,
+                           f"worst level {worst_level}"))
 
     # Probability an arrival finds the server busy, within 3 batch-sigma.
     busy = (trace.interarrival_times[1:] < trace.system_times[:-1]).astype(float)[warm:]
     busy_est = batch_means_ci(busy, config.confidence)
     sigma = busy_est.half_width / z
     err = abs(busy_est.mean - params.utilization)
-    checks.append(
-        CheckResult("prob_busy_on_arrival", err <= 3.0 * sigma, err, 0.0, 3.0 * sigma)
-    )
+    checks.append(_at_most("prob_busy_on_arrival", err, 3.0 * sigma))
 
     # Transform identity: busy/idle mixture must reassemble the plain rate transform.
     s_stream = SeededStream(config.seed, 0xC0FFEE)
@@ -757,18 +747,14 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
         )
         direct = analytic.interdeparture_mgf(params, float(s))
         worst_mgf = max(worst_mgf, abs(mixed - direct) / abs(direct))
-    checks.append(
-        CheckResult("mgf_mixture_identity", worst_mgf <= 1e-10, worst_mgf, 0.0, 1e-10)
-    )
+    checks.append(_at_most("mgf_mixture_identity", worst_mgf, 1e-10))
 
     # Cross moment of system time and following departure gap.
     prod = (trace.system_times[:-1] * trace.interdeparture_times)[warm:]
     cross_theory = analytic.cross_moment_system_interdeparture(params)
     rel_cross = abs(float(prod.mean()) - cross_theory) / cross_theory
-    checks.append(
-        CheckResult("cross_moment", rel_cross <= 0.02 * tol_scale, rel_cross, 0.0,
-                    0.02 * tol_scale, f"theory={cross_theory:.6g}")
-    )
+    checks.append(_at_most("cross_moment", rel_cross, 0.02 * tol_scale,
+                           f"theory={cross_theory:.6g}"))
 
     # Two derivations of the average age must coincide across the stable region.
     pair_stream = SeededStream(config.seed, 0xD0A1)
@@ -781,9 +767,7 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
         direct = analytic.average_aud(p)
         renewal = analytic.average_aud_renewal(p)
         worst_dual = max(worst_dual, abs(direct - renewal) / direct)
-    checks.append(
-        CheckResult("aud_dual_path", worst_dual <= 1e-12, worst_dual, 0.0, 1e-12)
-    )
+    checks.append(_at_most("aud_dual_path", worst_dual, 1e-12))
 
     # Shape of the closed form: U in arrival rate, decreasing in service rate,
     # and blowing up faster as service capacity vanishes than as arrivals do.
@@ -832,27 +816,30 @@ def run_validation(config: ExperimentConfig, oracle_rate_scale: float = 1.0) -> 
     aud_est = estimates[1.0]
     pasta_diff = abs(aoi_est.mean - aud_est.mean)
     pasta_allow = aoi_est.half_width + aud_est.half_width
-    checks.append(
-        CheckResult("pasta_time_average", pasta_diff <= pasta_allow, pasta_diff, 0.0,
-                    pasta_allow, f"time-average age {aoi_est.mean:.6g}")
-    )
+    checks.append(_at_most("pasta_time_average", pasta_diff, pasta_allow,
+                           f"time-average age {aoi_est.mean:.6g}"))
 
-    report = ValidationReport(config, tuple(checks), low_power)
-    if config.output_path:
-        sizes = {
-            "record": "sizes",
-            "n_updates": trace.n,
-            "warmup_updates": warm,
-            "warm_epoch": warm_epoch,
-            "decisions": decision_sizes,
-            "window_length": float(edges[1] - edges[0]),
-            "ks_system_time_samples": ks_t.n,
-            "ks_system_time_lag": lag,
-            "ks_interdeparture_samples": ks_y.n,
-        }
-        report.write_csv(config.output_path)
-        write_manifest(
-            manifest_path_for(config.output_path), config, time.monotonic() - started,
-            (sizes,),
-        )
+    sizes = {
+        "record": "sizes",
+        "n_updates": trace.n,
+        "warmup_updates": warm,
+        "warm_epoch": point.warm_epoch,
+        "decisions": decision_sizes,
+        "window_length": float(edges[1] - edges[0]),
+        "ks_system_time_samples": ks_t.n,
+        "ks_system_time_lag": lag,
+        "ks_interdeparture_samples": ks_y.n,
+    }
+    return checks, sizes
+
+
+def run_validation(config: ExperimentConfig) -> ValidationReport:
+    """Certify one simulated point against every closed-form oracle."""
+    started = time.monotonic()
+    params = SystemParams(config.arrival_rates[0], config.service_rates[0],
+                          config.decision_rates[0])
+    analytic.require_stable(params)
+    checks, sizes = _validation_checks(_simulate_point(config, 0, params))
+    report = ValidationReport(config, tuple(checks), config.n_updates < LOW_POWER_UPDATES)
+    _write_outputs(config, report, started, (sizes,))
     return report

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -129,11 +128,6 @@ class UpdateTrace:
         return float(self.departure_times[-1])
 
 
-class QueueLengthSample(NamedTuple):
-    epoch: float
-    length: int
-
-
 @dataclass(frozen=True)
 class QueueLengthPath:
     """Piecewise-constant number-in-system path.
@@ -146,10 +140,6 @@ class QueueLengthPath:
 
     epochs: np.ndarray
     lengths: np.ndarray
-
-    def __iter__(self) -> Iterator[QueueLengthSample]:
-        for e, l in zip(self.epochs, self.lengths):
-            yield QueueLengthSample(float(e), int(l))
 
     def __len__(self) -> int:
         return len(self.epochs)

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .decisions import DecisionSet
 from .errors import InsufficientDataError, ParameterError
@@ -20,7 +20,7 @@ from .queueing import UpdateTrace
 def z_value(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must be in (0, 1), got {confidence}")
-    return float(norm.ppf(0.5 * (1.0 + confidence)))
+    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ def test_batch_means_requires_enough_samples():
 
 def test_z_value_bounds():
     assert z_value(0.99) == pytest.approx(2.5758, abs=1e-4)
+    # the CLI's levels, the last one Bonferroni-adjusted over eleven occupancy levels
+    for confidence in (0.9, 0.95, 0.99, 1.0 - 0.01 / 11):
+        reference = scipy.stats.norm.ppf(0.5 * (1.0 + confidence))
+        assert abs(z_value(confidence) - reference) <= 4 * math.ulp(reference)
     with pytest.raises(ParameterError):
         z_value(1.0)
 

@@ -85,14 +85,10 @@ def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
     departure yield records with the undefined-age marker.  A decision at a
     departure epoch acts on the update departing then.
 
-    The search is local to the epochs' span: only the departures in
-    (times[0], times[-1]] are searched into the sorted epochs.  Each of them
-    starts a run of decisions that act on it, the decisions ahead of the
-    first one act on the update that departed last at or before times[0],
-    and the records are those runs repeated out.  A call on a short run of
-    epochs from a long trace therefore costs O(len(times) + departures in
-    the span), and any contiguous slice of epochs gets exactly the records
-    of the same slice of a call on all of them.
+    The search is local to the epochs' span (``_generation_epochs``), so a
+    call on a short run of epochs from a long trace costs O(len(times) +
+    departures in the span), and any contiguous slice of epochs gets exactly
+    the records of the same slice of a call on all of them.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if trace.n < 1:
@@ -104,19 +100,47 @@ def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
         raise TruncationError("decision epochs extend beyond the last departure")
     if m and times[0] <= 0.0:
         raise ParameterError("decision epochs must be positive")
+    generation, k0, counts = _generation_epochs(trace, times)
+    freshest = np.repeat(np.arange(k0 - 1, k0 - 1 + len(counts)), counts)
+    return DecisionSet(times, freshest, generation, times - generation)
+
+
+def _generation_epochs(
+    trace: UpdateTrace, times: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Generation epochs of the freshest delivered update at sorted ``times``.
+
+    Only the departures in (times[0], times[-1]] are searched into the
+    epochs.  Each of them starts a run of decisions that act on it, the
+    decisions ahead of the first one act on the update that departed last
+    at or before times[0], and the generation epochs are those runs'
+    arrival epochs repeated out (NaN for decisions before the first
+    departure).  Returns them with ``k0``, the number of departures at or
+    before times[0], and the run lengths ``counts``: counts[0] decisions act
+    on update k0 - 1 (on no update when k0 == 0), counts[j] on update
+    k0 - 1 + j.
+    """
     departures = trace.departure_times
+    m = len(times)
     # departures[:k0] precede the span, departures[k0:k1] fall inside it
     k0, k1 = np.searchsorted(departures, times[[0, -1]], side="right") if m else (0, 0)
-    # counts[0] decisions act on update k0 - 1 (undefined when k0 == 0);
-    # counts[k - k0 + 1] act on update k
     counts = np.diff(
         np.searchsorted(times, departures[k0:k1], side="left"), prepend=0, append=m
     )
-    freshest = np.repeat(np.arange(k0 - 1, k1), counts)
     arrivals = trace.arrival_times
     sources = np.concatenate(([np.nan], arrivals[:k1])) if k0 == 0 else arrivals[k0 - 1:k1]
-    generation = np.repeat(sources, counts)
-    return DecisionSet(times, freshest, generation, times - generation)
+    return np.repeat(sources, counts), int(k0), counts
+
+
+def _mean_age(trace: UpdateTrace, times: np.ndarray) -> np.float64:
+    """Mean age upon decisions at sorted ``times`` in (first departure, last departure].
+
+    Bit-identical to ``decisions_at(trace, times).ages.mean()``, without the
+    record columns or the input checks.
+    """
+    ages, _, _ = _generation_epochs(trace, times)
+    np.subtract(times, ages, out=ages)
+    return ages.mean()
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -125,22 +149,40 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _cumulative_gaps(stream: SeededStream, rate: float, size: int) -> np.ndarray:
-    """Cumulative sums of ``size`` gaps -log(U) / rate, computed in one buffer."""
-    epochs = stream.uniform_open(size)
-    np.log(epochs, out=epochs)
-    epochs /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
-    return np.cumsum(epochs, out=epochs)
+    """Cumulative sums of ``size`` gaps -log(U) / rate, computed in one buffer.
+
+    The gaps arrive part by part from ``stream.fill_open`` (the draws of a
+    long request run on the block pool, which also takes the log and
+    scales), and each part is summed as it arrives, its first element first
+    taking the previous part's last sum.  ``np.cumsum`` adds left to right,
+    so this is bit-identical to one ``np.cumsum`` over all the gaps.
+    """
+
+    def to_gaps(u: np.ndarray) -> None:
+        np.log(u, out=u)
+        u /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
+
+    epochs = np.empty(size)
+    carry = None
+    for part in stream.fill_open(epochs, to_gaps):
+        if carry is not None:
+            part[0] += carry
+        np.cumsum(part, out=part)
+        carry = part[-1]
+    return epochs
 
 
 def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -> np.ndarray:
     """Sorted Poisson epochs at ``decision_rate`` on (0, horizon].
 
-    The gaps are drawn in one block sized ten standard deviations above the
-    expected count, topped up block by block in the rare case that falls
-    short, and the epochs past the horizon are cut off.  Drawing consumes
-    ``stream`` sequentially, so the result is deterministic in
-    (decision_rate, horizon, stream).  The result is a view of the drawn
-    buffer: 8 bytes per epoch kept.
+    The gaps are drawn in one request sized ten standard deviations above
+    the expected count, topped up request by request in the rare case that
+    falls short, and the epochs past the horizon are cut off.  The draws
+    consume ``stream`` as one sequential draw would (long requests run in
+    counter blocks on the block pool), so the result is deterministic in
+    (decision_rate, horizon, stream) and does not depend on the number of
+    threads.  The result is a view of the drawn buffer: 8 bytes per epoch
+    kept.
     """
     _require_positive("decision_rate", decision_rate)
     _require_positive("horizon", horizon)

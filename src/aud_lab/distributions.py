@@ -5,12 +5,21 @@ counter-based Philox stream, so a given (seed, stream_id) pair reproduces
 the same sequence on any platform, and distinct stream ids give
 statistically independent streams for the arrival, service, and decision
 processes.
+
+Philox maps a counter to four 64-bit words, so any stretch of a stream can
+be drawn on its own from the key and the counter at its start.  Requests
+longer than ``BLOCK_SIZE`` values are drawn that way, one counter block per
+task on a shared thread pool, with the same values and the same stream
+state afterwards as one sequential draw.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -23,6 +32,69 @@ SERVICE_STREAM = 1
 DECISION_STREAM = 2
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Values per pool task; a multiple of Philox's four words per counter.  The
+# split changes no drawn value, only how the work is shared out.
+BLOCK_SIZE = 1 << 19
+
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def worker_limit() -> int:
+    """Threads per worker pool: ``AUD_LAB_THREADS`` if set, else the CPU count.
+
+    Values below 1 count as 1; a value that is not an integer raises
+    ParameterError.
+    """
+    cap = os.environ.get("AUD_LAB_THREADS")
+    if not cap:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(cap.strip()))
+    except ValueError:
+        raise ParameterError(
+            f"AUD_LAB_THREADS must be an integer, got {cap.strip()!r}"
+        ) from None
+
+
+def block_pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The shared pool of ``worker_limit()`` threads, made on first use.
+
+    Its tasks never wait on other tasks, so threads of another pool may
+    submit to it and wait.  A changed ``AUD_LAB_THREADS`` gets a new pool;
+    the old one's threads exit once the last caller drops it.  The
+    executor's module loads on first use too, which keeps it out of the
+    import.
+    """
+    global _pool, _pool_workers
+    workers = worker_limit()
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            _pool = concurrent.futures.ThreadPoolExecutor(workers, thread_name_prefix="aud-lab")
+            _pool_workers = workers
+        return _pool
+
+
+def _finish(part: np.ndarray, transform) -> bool:
+    """Whether freshly drawn ``part`` is free of 0.0; only then is ``transform`` applied.
+
+    A part holding an exact 0.0 stays raw for the rejection loop.
+    """
+    nonzero = bool(part.all())
+    if nonzero and transform is not None:
+        transform(part)
+    return nonzero
+
+
+def _draw_block(counter, key, skip: int, out: np.ndarray, transform) -> bool:
+    """Fill ``out`` from the Philox stream (counter, key) advanced by ``skip`` counters."""
+    bit_generator = Philox(counter=counter, key=key)
+    if skip:
+        bit_generator.advance(skip)
+    Generator(bit_generator).random(out=out)
+    return _finish(out, transform)
 
 
 def splitmix64(x: int) -> int:
@@ -127,7 +199,14 @@ class SeededStream:
         return f"SeededStream(seed={self.seed}, stream_id={self.stream_id})"
 
     def uniform_open(self, size: int | None = None):
-        """Uniform draws on the open interval (0, 1); exact 0.0 is rejected."""
+        """Uniform draws on the open interval (0, 1); exact 0.0 is rejected.
+
+        Each exact 0.0 is replaced, in index order, by the next draws after
+        the ``size`` requested (repeatedly, should one of those be 0.0 too).
+        A request longer than ``BLOCK_SIZE`` is drawn in counter blocks on
+        ``block_pool()`` (see ``fill_open``); the values and the stream's
+        state afterwards are those of one sequential draw.
+        """
         if size is None:
             u = self._gen.random()
             while u == 0.0:
@@ -135,12 +214,84 @@ class SeededStream:
             return u
         if size < 0:
             raise ParameterError(f"size must be non-negative, got {size}")
-        u = self._gen.random(size)
+        u = np.empty(size)
+        for _ in self.fill_open(u):
+            pass
+        return u
+
+    def fill_open(
+        self, out: np.ndarray, transform: Callable[[np.ndarray], None] | None = None
+    ) -> Iterator[np.ndarray]:
+        """Fill ``out`` with ``uniform_open(len(out))``; yield its parts in index order.
+
+        Each yielded part is a non-empty view of ``out`` that is final: its
+        draws passed through ``transform`` (in place), if given.  The parts
+        cover ``out`` once the generator is exhausted, and only then is the
+        stream's state that of a ``uniform_open`` call.
+
+        Up to ``BLOCK_SIZE`` values are drawn sequentially in one part.  A
+        longer request draws the words left in Philox's four-word buffer
+        (the head) and the last ``(size - head) % 4`` values (the tail) from
+        the stream itself, and the body between them in counter blocks of
+        ``BLOCK_SIZE`` on ``block_pool()``, each from the counter after the
+        head plus its offset.  The stream then skips the body with one
+        ``advance``; ``advance`` also clears the buffer, which is spent by
+        then.  The tasks apply ``transform``, so the caller can consume each
+        block while later ones are still being drawn.
+        """
+        gen = self._gen
+        size = len(out)
+        # (part, whether it is free of 0.0, or the future of that), in index order
+        parts: list[tuple[np.ndarray, bool | concurrent.futures.Future]] = []
+        if size <= BLOCK_SIZE:
+            gen.random(out=out)
+            parts.append((out, _finish(out, transform)))
+        else:
+            bit_generator = gen.bit_generator
+            state = bit_generator.state
+            head = 4 - state["buffer_pos"]
+            end = size - (size - head) % 4
+            if head:
+                gen.random(out=out[:head])
+                parts.append((out[:head], _finish(out[:head], transform)))
+            counter, key = state["state"]["counter"], state["state"]["key"]
+            pool = block_pool()
+            for a in range(head, end, BLOCK_SIZE):
+                block = out[a:min(a + BLOCK_SIZE, end)]
+                parts.append((block, pool.submit(
+                    _draw_block, counter, key, (a - head) // 4, block, transform)))
+            bit_generator.advance((end - head) // 4)
+            if end < size:
+                gen.random(out=out[end:])
+                parts.append((out[end:], _finish(out[end:], transform)))
+
+        def nonzero(flag) -> bool:
+            return flag if isinstance(flag, bool) else flag.result()
+
+        rejected = False
+        for part, flag in parts:
+            if not rejected and not nonzero(flag):
+                self._reject_zeros([p for p, f in parts if not nonzero(f)], transform)
+                rejected = True
+            if len(part):
+                yield part
+
+    def _reject_zeros(self, raw: list, transform) -> None:
+        """Replace exact 0.0s in the ``raw`` parts as one sequential draw would.
+
+        The parts are the ones holding a 0.0, in index order; every other
+        part is free of them, so the replacements go to the same positions
+        as in a rejection loop over the whole request.
+        """
+        u = np.concatenate(raw)
         bad = u == 0.0
         while bad.any():
             u[bad] = self._gen.random(int(bad.sum()))
             bad = u == 0.0
-        return u
+        for part, values in zip(raw, np.split(u, np.cumsum([len(p) for p in raw[:-1]]))):
+            part[:] = values
+            if transform is not None:
+                transform(part)
 
 
 def sample(spec: DistributionSpec, stream: SeededStream) -> float:

@@ -5,7 +5,10 @@ comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run concurrently, each with a seed derived from the base seed and its grid
 index, and rows are assembled in grid order so output is byte-reproducible
-regardless of scheduling.  ``AUD_LAB_THREADS`` caps the worker count.
+regardless of scheduling.  Long random draws and the per-batch mean ages
+run on the shared block pool (``distributions.block_pool``), which the
+grid points' threads submit to.  ``AUD_LAB_THREADS`` caps the threads of
+both pools; no result depends on it.
 """
 from __future__ import annotations
 
@@ -22,13 +25,14 @@ import numpy as np
 
 from . import analytic
 from .decisions import (
+    _mean_age,
     aoi_path,
     decisions_at,
     periodic_epochs,
     poisson_epochs,
     time_average_aoi,
 )
-from .distributions import SeededStream, splitmix64
+from .distributions import SeededStream, block_pool, splitmix64, worker_limit
 from .errors import ParameterError, StabilityError
 from .queueing import (
     SystemParams,
@@ -304,14 +308,19 @@ def _versions_record() -> dict:
 
 
 def write_manifest(
-    path: str, config: ExperimentConfig, wall_seconds: float, extra_records: tuple = ()
+    path: str, config: ExperimentConfig, wall_seconds: float, workers: int,
+    extra_records: tuple = (),
 ) -> None:
-    """Write the config, versions and timing records, then ``extra_records``."""
+    """Write the config, versions and timing records, then ``extra_records``.
+
+    The timing record holds the wall time and ``workers``, the threads of
+    the block pool the run used.
+    """
     with open(path, "w", newline="") as fh:
         for record in (
             _config_record(config),
             _versions_record(),
-            {"record": "timing", "wall_seconds": wall_seconds},
+            {"record": "timing", "wall_seconds": wall_seconds, "workers": workers},
             *extra_records,
         ):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -322,21 +331,15 @@ def manifest_path_for(output_path: str) -> str:
     return base + ".manifest.jsonl"
 
 
-def _write_outputs(config: ExperimentConfig, result, started: float,
+def _write_outputs(config: ExperimentConfig, result, started: float, workers: int,
                    extra_records: tuple = ()) -> None:
     """Write ``result``'s CSV and the manifest next to it, if the config names an output."""
     if config.output_path:
         result.write_csv(config.output_path)
         write_manifest(
             manifest_path_for(config.output_path), config, time.monotonic() - started,
-            extra_records,
+            workers, extra_records,
         )
-
-
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("AUD_LAB_THREADS")
-    limit = _parse_number(cap, int, "AUD_LAB_THREADS") if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
 
 
 def _warmup_count(config: ExperimentConfig, n: int) -> int:
@@ -374,25 +377,24 @@ def _aud_estimate(
 ) -> EstimateWithCI | None:
     """Mean age upon the decisions at the sorted ``epochs`` after ``warm_epoch``.
 
+    The epochs come from ``poisson_epochs`` or ``periodic_epochs`` with the
+    last departure as horizon, so they are sorted and end within the trace.
     Decisions ahead of the first departure have no age and are left out.
     With at least 2 * AUD_BATCHES such decisions the CI comes from batch
-    means, and each batch's records are built on their own with
-    ``decisions_at`` and reduced at once, so no per-decision column of the
-    whole run is ever held.  The result is bit-identical to
-    ``batch_means_ci`` over the filtered ages of one ``decisions_at`` call:
-    that takes a row mean of a contiguous (AUD_BATCHES, per) array, which
-    numpy sums per row with the same pairwise tree as the 1-D mean of the
-    row's ages, and a slice of epochs gets exactly the same records as the
-    same slice of the full call.
+    means, and each batch's mean age is taken on its own by ``_mean_age``
+    on the block pool, so no per-decision column of the whole run is ever
+    held.  The result is bit-identical to ``batch_means_ci`` over the
+    filtered ages of one ``decisions_at`` call: that takes a row mean of a
+    contiguous (AUD_BATCHES, per) array, which numpy sums per row with the
+    same pairwise tree as the 1-D mean of the row's ages, and a slice of
+    epochs gets exactly the same ages as the same slice of the full call.
     """
     start = _first_estimated(trace, epochs, warm_epoch)
     size = len(epochs) - start
     if size >= 2 * AUD_BATCHES:
         per = size // AUD_BATCHES
-        means = [
-            decisions_at(trace, epochs[a:a + per]).ages.mean()
-            for a in range(start, start + per * AUD_BATCHES, per)
-        ]
+        batches = [epochs[a:a + per] for a in range(start, start + per * AUD_BATCHES, per)]
+        means = list(block_pool().map(_mean_age, [trace] * AUD_BATCHES, batches))
         return ci_from_batch_means(means, confidence)
     ages = decisions_at(trace, epochs[start:]).ages
     if size >= 2:
@@ -517,9 +519,10 @@ def _grid_points(config: ExperimentConfig) -> list[tuple]:
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """One simulated row per (grid point, decision rate); CSV + manifest if configured."""
     started = time.monotonic()
+    workers = worker_limit()
     points = _grid_points(config)
     rows_by_point: list = [None] * len(points)
-    with concurrent.futures.ThreadPoolExecutor(_max_workers(len(points))) as pool:
+    with concurrent.futures.ThreadPoolExecutor(min(len(points), workers)) as pool:
         futures = {
             pool.submit(_point_rows, config, i, lam, mu): i
             for i, (lam, mu) in enumerate(points)
@@ -528,7 +531,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             rows_by_point[futures[fut]] = fut.result()
     rows = tuple(row for point_rows in rows_by_point for row in point_rows)
     result = SweepResult(config, rows)
-    _write_outputs(config, result, started)
+    _write_outputs(config, result, started, workers)
     return result
 
 
@@ -549,6 +552,7 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     means every pair of batch-means confidence intervals overlaps.
     """
     started = time.monotonic()
+    workers = worker_limit()
     sweep = run_sweep(replace(config, mode="nu_invariance", output_path=None))
     estimates = {}
     for row in sweep.rows:
@@ -558,7 +562,7 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
             row.empirical_aud, row.ci_half_width or math.inf, 0, config.confidence
         )
     max_diff, max_allow, consistent = _pairwise_overlap(list(estimates.values()))
-    _write_outputs(config, sweep, started)
+    _write_outputs(config, sweep, started, workers)
     return NuInvarianceResult(sweep, estimates, max_diff, max_allow, consistent)
 
 
@@ -836,10 +840,11 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
 def run_validation(config: ExperimentConfig) -> ValidationReport:
     """Certify one simulated point against every closed-form oracle."""
     started = time.monotonic()
+    workers = worker_limit()
     params = SystemParams(config.arrival_rates[0], config.service_rates[0],
                           config.decision_rates[0])
     analytic.require_stable(params)
     checks, sizes = _validation_checks(_simulate_point(config, 0, params))
     report = ValidationReport(config, tuple(checks), config.n_updates < LOW_POWER_UPDATES)
-    _write_outputs(config, report, started, (sizes,))
+    _write_outputs(config, report, started, workers, (sizes,))
     return report

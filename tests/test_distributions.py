@@ -1,10 +1,15 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator
 
+from aud_lab import distributions
+from aud_lab.decisions import _cumulative_gaps
 from aud_lab.distributions import (
     Deterministic,
     Exponential,
@@ -128,3 +133,125 @@ def test_exponential_draw_properties(rate, seed, stream_id):
     again = sample_many(Exponential(rate), SeededStream(seed, stream_id), 100)
     assert (draws > 0.0).all()
     assert (draws == again).all()
+
+
+# A small block so that short requests already run in several counter blocks.
+SMALL_BLOCK = 4096
+BLOCK_SIZES = [0, 1, 3, 4, 5, SMALL_BLOCK + 7, 3 * SMALL_BLOCK]
+
+
+def sequential_open(gen, size):
+    """``uniform_open`` as one sequential draw plus the rejection loop."""
+    u = gen.random(size)
+    bad = u == 0.0
+    while bad.any():
+        u[bad] = gen.random(int(bad.sum()))
+        bad = u == 0.0
+    return u
+
+
+class ZeroingGenerator:
+    """A Generator whose draws below ``threshold`` come out as exact 0.0.
+
+    Which draws turn to 0.0 depends only on their values, so the block path
+    and a sequential draw see the same draws.
+    """
+
+    threshold = 0.05
+
+    def __init__(self, bit_generator):
+        self._gen = Generator(bit_generator)
+        self.bit_generator = bit_generator
+
+    def random(self, size=None, out=None):
+        if size is None and out is None:
+            u = self._gen.random()
+            return 0.0 if u < self.threshold else u
+        u = self._gen.random(size, out=out)
+        u[u < self.threshold] = 0.0
+        return u
+
+
+@pytest.mark.parametrize("offset", range(9))
+def test_block_draws_equal_one_sequential_draw(monkeypatch, offset):
+    monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
+    for size in BLOCK_SIZES:
+        stream = SeededStream(42, 3)
+        reference = SeededStream(42, 3)._gen
+        np.testing.assert_array_equal(stream.uniform_open(offset), reference.random(offset))
+        got = stream.uniform_open(size)
+        assert got.shape == (size,)
+        np.testing.assert_array_equal(got, reference.random(size))
+        # the stream's state afterwards is that of the sequential draw
+        np.testing.assert_array_equal(stream.uniform_open(11), reference.random(11))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_block_draws_reject_zeros_like_one_sequential_draw(monkeypatch, threads):
+    monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
+    monkeypatch.setattr(distributions, "Generator", ZeroingGenerator)
+    monkeypatch.setenv("AUD_LAB_THREADS", threads)
+    for offset in (0, 1, 3):
+        for size in BLOCK_SIZES:
+            stream = SeededStream(7, 1)
+            reference = SeededStream(7, 1)._gen
+            stream.uniform_open(offset)
+            sequential_open(reference, offset)
+            got = stream.uniform_open(size)
+            assert (got > 0.0).all()
+            np.testing.assert_array_equal(got, sequential_open(reference, size))
+            np.testing.assert_array_equal(stream.uniform_open(11), sequential_open(reference, 11))
+
+
+@pytest.mark.parametrize("threshold,zeros", [(0.0, 0), (5e-5, 1), (0.05, 1054)])
+def test_block_cumulative_gaps_equal_one_cumsum(monkeypatch, threshold, zeros):
+    monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
+    size = 5 * SMALL_BLOCK + 3
+    # at 5e-5 one draw turns to 0.0, in the first of five blocks; at 0.05 every block has some
+    assert (SeededStream(1009, 2).uniform_open(1 + size) < threshold).sum() == zeros
+    monkeypatch.setattr(ZeroingGenerator, "threshold", threshold)
+    monkeypatch.setattr(distributions, "Generator", ZeroingGenerator)
+    stream = SeededStream(1009, 2)
+    reference = SeededStream(1009, 2)._gen
+    stream.uniform_open(1)
+    sequential_open(reference, 1)
+    got = _cumulative_gaps(stream, 2.5, size)
+    np.testing.assert_array_equal(got, np.cumsum(-np.log(sequential_open(reference, size)) / 2.5))
+    np.testing.assert_array_equal(stream.uniform_open(5), sequential_open(reference, 5))
+
+
+def test_concurrent_block_draws_from_many_threads(monkeypatch):
+    # more submitting threads than pool workers or cores, as sweep points do
+    monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
+    monkeypatch.setenv("AUD_LAB_THREADS", "3")
+    size = 7 * SMALL_BLOCK + 5
+
+    def draw(stream_id):
+        stream = SeededStream(5, stream_id)
+        return [stream.uniform_open(size) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as callers:
+            futures = [callers.submit(draw, i) for i in range(16)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for stream_id, got in enumerate(results):
+        reference = SeededStream(5, stream_id)._gen
+        for draws in got:
+            np.testing.assert_array_equal(draws, reference.random(size))
+
+
+def test_block_pool_follows_the_thread_cap(monkeypatch):
+    monkeypatch.setenv("AUD_LAB_THREADS", "3")
+    assert distributions.worker_limit() == 3
+    pool = distributions.block_pool()
+    assert distributions.block_pool() is pool
+    monkeypatch.setenv("AUD_LAB_THREADS", "0")
+    assert distributions.worker_limit() == 1
+    assert distributions.block_pool() is not pool
+    monkeypatch.setenv("AUD_LAB_THREADS", "two")
+    with pytest.raises(ParameterError, match="AUD_LAB_THREADS"):
+        distributions.worker_limit()

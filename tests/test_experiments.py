@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import aud_lab
+from aud_lab import distributions
 from aud_lab.cli import main as cli_main
 from aud_lab.decisions import decisions_at, generate_decisions, periodic_decisions
 from aud_lab.distributions import SeededStream
@@ -240,6 +241,33 @@ def test_threads_env_does_not_change_rows(tmp_path):
     assert [r.as_csv() for r in serial.rows] == [r.as_csv() for r in parallel.rows]
 
 
+def test_thread_count_does_not_change_block_drawn_outputs(tmp_path, monkeypatch):
+    # n = 2e4 fills no full-size block; a small block runs the block path on
+    # the trace's draws and on the epochs at every decision rate
+    validate = ExperimentConfig(n_updates=20_000, seed=8)
+    sweep = ExperimentConfig(mode="sweep_lambda", arrival_rates=(0.3, 0.6),
+                             decision_rates=(0.5, 4.0), n_updates=20_000, seed=5)
+
+    def csv_bytes(name):
+        out = {}
+        for mode, config, run in (("v", validate, run_validation), ("s", sweep, run_sweep)):
+            path = tmp_path / f"{mode}-{name}.csv"
+            run(replace(config, output_path=str(path)))
+            out[mode] = path.read_bytes()
+        return out
+
+    monkeypatch.setenv("AUD_LAB_THREADS", "2")
+    sequential = csv_bytes("sequential")
+    monkeypatch.setattr(distributions, "BLOCK_SIZE", 4096)
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("AUD_LAB_THREADS", threads)
+        assert csv_bytes(threads) == sequential
+        manifest = tmp_path / f"v-{threads}.manifest.jsonl"
+        records = map(json.loads, manifest.read_text().splitlines())
+        timing = next(r for r in records if r["record"] == "timing")
+        assert timing["workers"] == int(threads)
+
+
 def test_nu_invariance_paired_design():
     config = ExperimentConfig(
         mode="nu_invariance",
@@ -359,6 +387,9 @@ def test_validation_writes_deterministic_outputs(tmp_path):
     assert non_timing_lines(manifest) == first_manifest
     records = [json.loads(line) for line in open(manifest)]
     assert {r["record"] for r in records} == {"config", "versions", "timing", "sizes"}
+    timing = next(r for r in records if r["record"] == "timing")
+    assert set(timing) == {"record", "wall_seconds", "workers"}
+    assert timing["workers"] == distributions.worker_limit()
     versions = next(r for r in records if r["record"] == "versions")
     assert versions["aud_lab"] == aud_lab.__version__
     assert set(versions) == {"record", "aud_lab", "python", "numpy"}
@@ -531,11 +562,15 @@ def test_cli_no_decision_for_the_pasta_check_exits_2(capsys):
 
 def test_cli_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AUD_LAB_THREADS", "x")
-    code = cli_main(["sweep", "--lambda", "0.5", "--updates", "2000",
-                     "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "AUD_LAB_THREADS" in err
+    for verb in ("sweep", "nu-invariance", "validate"):
+        out = tmp_path / f"{verb}.csv"
+        code = cli_main([verb, "--lambda", "0.5", "--nu", "1,2", "--updates", "2000",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: AUD_LAB_THREADS must be an integer, got 'x'\n"
+        # refused before any work: nothing was written
+        assert not out.exists()
 
 
 def test_cli_periodic_decisions_flag():

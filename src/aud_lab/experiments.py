@@ -8,7 +8,9 @@ index, and rows are assembled in grid order so output is byte-reproducible
 regardless of scheduling.  Long random draws and the per-batch mean ages
 run on the shared block pool (``distributions.block_pool``), which the
 grid points' threads submit to.  ``AUD_LAB_THREADS`` caps the threads of
-both pools; no result depends on it.
+both pools; no result depends on it.  A sample below its estimator's floor
+(InsufficientDataError) gets no verdict: a sweep leaves that p-value blank,
+and validation reports that check alone as skipped, with the reason.
 """
 from __future__ import annotations
 
@@ -33,10 +35,11 @@ from .decisions import (
     time_average_aoi,
 )
 from .distributions import SeededStream, block_pool, splitmix64, worker_limit
-from .errors import ParameterError, StabilityError
+from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
     SystemParams,
     UpdateTrace,
+    arrivals_seeing_busy,
     default_warmup,
     occupancy_fractions,
     queue_length_process,
@@ -415,11 +418,22 @@ class _Point:
     warm: int  # updates cut as warm-up
     warm_epoch: float  # departure of the last warm-up update, 0.0 without one
 
-    def aud(self, nu: float) -> tuple[np.ndarray, EstimateWithCI | None]:
-        """Decision epochs at rate ``nu`` and the mean age upon those after the warm-up."""
+    def aud(self, nu: float) -> tuple[EstimateWithCI | None, dict]:
+        """Mean age upon the decisions at rate ``nu`` after the warm-up, and their counts.
+
+        The decision epochs (8 bytes per decision) are dropped on return.
+        """
         epochs = _decision_epochs(self.trace, nu, self.seed, self.config.periodic)
-        return epochs, _aud_estimate(self.trace, epochs, self.warm_epoch,
-                                     self.config.confidence)
+        est = _aud_estimate(self.trace, epochs, self.warm_epoch, self.config.confidence)
+        estimated = len(epochs) - _first_estimated(self.trace, epochs, self.warm_epoch)
+        return est, {
+            "nu": nu,
+            "total": len(epochs),
+            "after_warmup": estimated,
+            "undefined": _n_undefined(self.trace, epochs),
+            # est.n counts batches, or single decisions below 2 * AUD_BATCHES
+            "batch_length": estimated // est.n if est else 0,
+        }
 
 
 def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
@@ -428,6 +442,25 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
     warm = _warmup_count(config, trace.n)
     warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
     return _Point(config, params, seed, trace, warm, warm_epoch)
+
+
+def _ks_samples(point: _Point) -> tuple[int, np.ndarray, np.ndarray]:
+    """The full ``decorrelation_lag``, the system times thinned at it and the departure gaps.
+
+    Both samples start after the warm-up and hold at most KS_MAX_SAMPLES values.
+    """
+    trace, warm = point.trace, point.warm
+    lag = decorrelation_lag(point.params.utilization)
+    thinned = trace.system_times[warm:][::lag][:KS_MAX_SAMPLES]
+    return lag, thinned, trace.interdeparture_times[warm:][:KS_MAX_SAMPLES]
+
+
+def _ks_p_value(samples: np.ndarray, rate: float) -> float | None:
+    """K-S p-value against Exponential(rate); None (a blank field) below the test's floor."""
+    try:
+        return ks_exponential(samples, rate).p_value
+    except InsufficientDataError:
+        return None
 
 
 def _pairwise_overlap(estimates) -> tuple[float, float, bool]:
@@ -465,39 +498,21 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
         ]
 
     point = _simulate_point(config, grid_index, params)
-    trace, warm = point.trace, point.warm
-    status = "ok" if trace.stationary else "unstable-simulated"
-
-    # Too few thinned samples leave the sweep's p-value blank; validate
-    # shrinks the lag instead, as its run is already marked low-power.
+    stationary = point.trace.stationary
     ks_t_p = ks_y_p = None
-    if trace.stationary:
-        thinned = trace.system_times[warm:][:: decorrelation_lag(params.utilization)]
-        thinned = thinned[:KS_MAX_SAMPLES]
-        if len(thinned) >= 50:
-            ks_t_p = ks_exponential(thinned, analytic.system_time_rate(params)).p_value
-        gaps = trace.interdeparture_times[warm:][:KS_MAX_SAMPLES]
-        if len(gaps) >= 50:
-            ks_y_p = ks_exponential(gaps, params.arrival_rate).p_value
+    if stationary:
+        _, thinned, gaps = _ks_samples(point)
+        ks_t_p = _ks_p_value(thinned, analytic.system_time_rate(params))
+        ks_y_p = _ks_p_value(gaps, params.arrival_rate)
 
     rows = []
     for nu in config.decision_rates:
-        epochs, est = point.aud(nu)
-        rows.append(
-            SweepRow(
-                arrival_rate,
-                service_rate,
-                nu,
-                analytic_value,
-                est.mean if est else None,
-                (est.half_width if est and math.isfinite(est.half_width) else None),
-                len(epochs),
-                _n_undefined(trace, epochs),
-                ks_t_p,
-                ks_y_p,
-                status,
-            )
-        )
+        est, counts = point.aud(nu)
+        half_width = est.half_width if est and math.isfinite(est.half_width) else None
+        rows.append(SweepRow(arrival_rate, service_rate, nu, analytic_value,
+                             est.mean if est else None, half_width, counts["total"],
+                             counts["undefined"], ks_t_p, ks_y_p,
+                             "ok" if stationary else "unstable-simulated"))
     return rows
 
 
@@ -557,7 +572,7 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     estimates = {}
     for row in sweep.rows:
         if row.empirical_aud is None:
-            raise ParameterError("nu invariance point produced no defined decisions")
+            raise InsufficientDataError("nu invariance point produced no defined decisions")
         estimates[row.decision_rate] = EstimateWithCI(
             row.empirical_aud, row.ci_half_width or math.inf, 0, config.confidence
         )
@@ -568,24 +583,19 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict; ``passed`` is None when the check was skipped."""
+
     name: str
-    passed: bool
+    passed: bool | None
     observed: float
     expected: float
     tolerance: float
     detail: str = ""
 
     def as_csv(self) -> str:
-        return ",".join(
-            (
-                self.name,
-                "true" if self.passed else "false",
-                repr(float(self.observed)),
-                repr(float(self.expected)),
-                repr(float(self.tolerance)),
-                self.detail.replace(",", ";"),
-            )
-        )
+        verdict = "skipped" if self.passed is None else "true" if self.passed else "false"
+        numbers = (repr(float(v)) for v in (self.observed, self.expected, self.tolerance))
+        return ",".join((self.name, verdict, *numbers, self.detail.replace(",", ";")))
 
 
 @dataclass(frozen=True)
@@ -596,7 +606,8 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        """No check failed; a skipped check counts as neither pass nor fail."""
+        return all(check.passed or check.passed is None for check in self.checks)
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -605,223 +616,202 @@ class ValidationReport:
 
     def summary(self) -> str:
         lines = [
-            f"{'PASS' if c.passed else 'FAIL'}  {c.name}: observed={c.observed:.6g} "
-            f"expected={c.expected:.6g} tol={c.tolerance:.6g}"
+            f"{'SKIP' if c.passed is None else 'PASS' if c.passed else 'FAIL'}  {c.name}: "
+            f"observed={c.observed:.6g} expected={c.expected:.6g} tol={c.tolerance:.6g}"
             + (f"  [{c.detail}]" if c.detail else "")
             for c in self.checks
         ]
         verdict = "ALL CHECKS PASSED" if self.passed else "SOME CHECKS FAILED"
+        skipped = sum(c.passed is None for c in self.checks)
+        verdict += f" ({skipped} skipped: too few samples)" if skipped else ""
         if self.low_power:
             verdict += " (low-power run: tolerances widened)"
         return "\n".join(lines + [verdict])
 
 
-def _at_most(name: str, observed: float, tolerance: float, detail: str = "") -> CheckResult:
-    """A check that passes when ``observed`` (expected 0) is at most ``tolerance``."""
-    return CheckResult(name, observed <= tolerance, observed, 0.0, tolerance, detail)
+def _require(enough: bool, reason: str) -> None:
+    """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
+    if not enough:
+        raise InsufficientDataError(reason)
+
+
+def _mean(sample: np.ndarray) -> float:
+    """The mean of a sample taken after the warm-up, which must not be empty."""
+    _require(sample.size > 0, "no samples after the warm-up")
+    return float(sample.mean())
+
+
+def _at_most(observed: float, tolerance: float, detail: str = "") -> tuple:
+    """Verdict of a check that passes when ``observed`` (expected 0) is at most ``tolerance``."""
+    return observed <= tolerance, observed, 0.0, tolerance, detail
 
 
 def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     """Every oracle check on one simulated point, and the run sizes for the manifest.
 
-    The closed forms are evaluated at ``point.params``, so a point whose
-    params differ from the rates it was simulated at is checked against the
-    wrong oracle.
+    Each check is a function named after it that returns its verdict,
+    observed, expected and tolerance values and detail.  One whose sample is
+    below its estimator's floor raises InsufficientDataError and is reported
+    as skipped, with the reason.  The closed forms are evaluated at
+    ``point.params``, so a point simulated at other rates is checked against
+    the wrong oracle.
     """
     config, params, trace, warm = point.config, point.params, point.trace, point.warm
     lam, mu = params.arrival_rate, params.service_rate
     tol_scale = max(1.0, math.sqrt(LOW_POWER_UPDATES / config.n_updates))
     significance = 0.01 if config.n_updates >= LOW_POWER_UPDATES else 0.001
-    checks: list[CheckResult] = []
-    theory = analytic.average_aud(params)
 
-    # Run sizes for the manifest; they stay out of the CSV.
-    decision_sizes = []
+    # The mean age at each decision rate, and at nu = 1 for the PASTA check,
+    # on one trace; each rate's epochs are dropped once estimated and counted.
+    estimates, decision_sizes = {}, []
+    pasta_rate = () if 1.0 in config.decision_rates else (1.0,)
+    for nu in (*config.decision_rates, *pasta_rate):
+        estimates[nu], counts = point.aud(nu)
+        decision_sizes.append(counts)
 
-    def estimate_at(nu: float) -> EstimateWithCI:
-        epochs, est = point.aud(nu)
-        if est is None:
-            raise ParameterError(f"no defined decisions at decision rate {nu}")
-        estimated = len(epochs) - _first_estimated(trace, epochs, point.warm_epoch)
-        decision_sizes.append({
-            "nu": nu,
-            "total": len(epochs),
-            "after_warmup": estimated,
-            "undefined": _n_undefined(trace, epochs),
-            # est.n counts batches, or single decisions below 2 * AUD_BATCHES
-            "batch_length": estimated // est.n,
-        })
-        return est
+    def estimate(nu: float) -> EstimateWithCI:
+        _require(estimates[nu] is not None, f"no defined decisions at decision rate {nu}")
+        return estimates[nu]
 
-    # Monte Carlo mean age vs closed form, per decision rate, on one trace.
-    estimates = {}
-    for nu in config.decision_rates:
-        estimates[nu] = estimate_at(nu)
-    worst_rel = max(abs(e.mean - theory) / theory for e in estimates.values())
-    checks.append(_at_most("aud_mc_vs_theory", worst_rel, 0.01 * tol_scale,
-                           f"theory={theory:.6g}; rates={sorted(estimates)}"))
-
-    if len(estimates) >= 2:
-        max_diff, max_allow, all_overlap = _pairwise_overlap(
-            [estimates[nu] for nu in sorted(estimates)]
-        )
-        checks.append(
-            CheckResult(
-                "aud_nu_invariance",
-                all_overlap,
-                max_diff,
-                0.0,
-                max_allow,
-                "pairwise CI overlap on shared trace",
-            )
-        )
-
-    # Distributional checks (marginals), decorrelated where needed.  Short
-    # runs cannot afford the full thinning stride; they keep at least 50
-    # samples and accept the residual correlation (already low-power).
-    post_warm_system = trace.system_times[warm:]
-    lag = decorrelation_lag(params.utilization)
-    if len(post_warm_system) // lag < 50:
-        lag = max(1, len(post_warm_system) // 50)
-    thinned = post_warm_system[::lag][:KS_MAX_SAMPLES]
-    ks_t = ks_exponential(thinned, analytic.system_time_rate(params))
-    checks.append(
-        CheckResult(
-            "ks_system_time",
-            ks_t.p_value >= significance,
-            ks_t.p_value,
-            significance,
-            0.0,
-            f"n={ks_t.n}; D={ks_t.statistic:.6g}; lag={lag}",
-        )
-    )
-    gaps = trace.interdeparture_times[warm:][:KS_MAX_SAMPLES]
-    ks_y = ks_exponential(gaps, lam)
-    checks.append(
-        CheckResult(
-            "ks_interdeparture",
-            ks_y.p_value >= significance,
-            ks_y.p_value,
-            significance,
-            0.0,
-            f"n={ks_y.n}; D={ks_y.statistic:.6g}",
-        )
-    )
-    rel_y1 = abs(float(gaps.mean()) - 1.0 / lam) * lam
-    checks.append(_at_most("interdeparture_mean", rel_y1, 0.01 * tol_scale))
-    rel_y2 = abs(float((gaps**2).mean()) - 2.0 / lam**2) / (2.0 / lam**2)
-    checks.append(_at_most("interdeparture_second_moment", rel_y2, 0.02 * tol_scale))
-
-    # Stationary occupancy head vs geometric law, batch CIs over time windows.
-    # Eleven levels are asserted jointly, so each level gets a Bonferroni-
-    # adjusted confidence to keep the family-wise false-alarm rate nominal.
-    path = queue_length_process(trace)
-    pi = analytic.stationary_queue_dist(params, 10)
-    # The windows start no earlier than the first departure, where the age
-    # path begins; with a warm-up that is the warm-up's last departure.
+    lag, thinned, gaps = _ks_samples(point)
+    # The time windows start no earlier than the first departure, where the
+    # age path begins; with a warm-up that is the warm-up's last departure.
     edges = np.linspace(max(point.warm_epoch, float(trace.departure_times[0])),
                         trace.last_departure, 101)
-    per_batch = occupancy_fractions(path, 10, edges)
-    z = z_value(config.confidence)
-    z_joint = z_value(1.0 - (1.0 - config.confidence) / len(pi))
-    frac_mean = per_batch.mean(axis=0)
-    frac_half = z_joint * per_batch.std(axis=0, ddof=1) / 10.0
-    ratios = np.abs(frac_mean - pi) / np.where(frac_half > 0, frac_half, np.inf)
-    worst_level = int(np.argmax(ratios))
-    checks.append(_at_most("queue_length_distribution", float(ratios.max()), 1.0,
-                           f"worst level {worst_level}"))
+    spans_time = bool((np.diff(edges) > 0.0).all())
 
-    # Probability an arrival finds the server busy, within 3 batch-sigma.
-    busy = (trace.interarrival_times[1:] < trace.system_times[:-1]).astype(float)[warm:]
-    busy_est = batch_means_ci(busy, config.confidence)
-    sigma = busy_est.half_width / z
-    err = abs(busy_est.mean - params.utilization)
-    checks.append(_at_most("prob_busy_on_arrival", err, 3.0 * sigma))
+    def aud_mc_vs_theory():
+        theory = analytic.average_aud(params)
+        rated = {nu: estimate(nu) for nu in config.decision_rates}
+        worst_rel = max(abs(e.mean - theory) / theory for e in rated.values())
+        return _at_most(worst_rel, 0.01 * tol_scale, f"theory={theory:.6g}; rates={sorted(rated)}")
 
-    # Transform identity: busy/idle mixture must reassemble the plain rate transform.
-    s_stream = SeededStream(config.seed, 0xC0FFEE)
-    s_hi = min(lam, mu)
-    s_values = -2.0 * s_hi + 2.95 * s_hi * np.asarray(s_stream.uniform_open(10))
-    worst_mgf = 0.0
-    for s in s_values:
-        mixed = params.utilization * analytic.interdeparture_mgf_given_busy_arrival(
-            params, float(s)
-        ) + (1.0 - params.utilization) * analytic.interdeparture_mgf_given_idle_arrival(
-            params, float(s)
-        )
-        direct = analytic.interdeparture_mgf(params, float(s))
-        worst_mgf = max(worst_mgf, abs(mixed - direct) / abs(direct))
-    checks.append(_at_most("mgf_mixture_identity", worst_mgf, 1e-10))
+    def aud_nu_invariance():
+        by_rate = [estimate(nu) for nu in sorted(set(config.decision_rates))]
+        max_diff, max_allow, all_overlap = _pairwise_overlap(by_rate)
+        return all_overlap, max_diff, 0.0, max_allow, "pairwise CI overlap on shared trace"
 
-    # Cross moment of system time and following departure gap.
-    prod = (trace.system_times[:-1] * trace.interdeparture_times)[warm:]
-    cross_theory = analytic.cross_moment_system_interdeparture(params)
-    rel_cross = abs(float(prod.mean()) - cross_theory) / cross_theory
-    checks.append(_at_most("cross_moment", rel_cross, 0.02 * tol_scale,
-                           f"theory={cross_theory:.6g}"))
+    def ks_system_time():
+        ks = ks_exponential(thinned, analytic.system_time_rate(params))
+        return (ks.p_value >= significance, ks.p_value, significance, 0.0,
+                f"n={ks.n}; D={ks.statistic:.6g}; lag={lag}")
 
-    # Two derivations of the average age must coincide across the stable region.
-    pair_stream = SeededStream(config.seed, 0xD0A1)
-    u = np.asarray(pair_stream.uniform_open(200)).reshape(100, 2)
-    worst_dual = 0.0
-    for u_rho, u_mu in u:
-        mu_r = 0.1 + 9.9 * u_mu
-        rho_r = 0.01 + 0.98 * u_rho
-        p = SystemParams(rho_r * mu_r, mu_r)
-        direct = analytic.average_aud(p)
-        renewal = analytic.average_aud_renewal(p)
-        worst_dual = max(worst_dual, abs(direct - renewal) / direct)
-    checks.append(_at_most("aud_dual_path", worst_dual, 1e-12))
+    def ks_interdeparture():
+        ks = ks_exponential(gaps, lam)
+        return (ks.p_value >= significance, ks.p_value, significance, 0.0,
+                f"n={ks.n}; D={ks.statistic:.6g}")
+
+    def interdeparture_mean():
+        return _at_most(abs(_mean(gaps) - 1.0 / lam) * lam, 0.01 * tol_scale)
+
+    def interdeparture_second_moment():
+        rel_y2 = abs(_mean(gaps**2) - 2.0 / lam**2) / (2.0 / lam**2)
+        return _at_most(rel_y2, 0.02 * tol_scale)
+
+    def queue_length_distribution():
+        # Levels 0-10 vs the geometric law, batch CIs over the windows.  The
+        # eleven levels are asserted jointly, so each gets a Bonferroni-adjusted
+        # confidence to keep the family-wise false-alarm rate nominal.
+        _require(spans_time, "no time after the warm-up")
+        per_batch = occupancy_fractions(queue_length_process(trace), 10, edges)
+        pi = analytic.stationary_queue_dist(params, 10)
+        z_joint = z_value(1.0 - (1.0 - config.confidence) / len(pi))
+        frac_mean = per_batch.mean(axis=0)
+        frac_half = z_joint * per_batch.std(axis=0, ddof=1) / 10.0
+        ratios = np.abs(frac_mean - pi) / np.where(frac_half > 0, frac_half, np.inf)
+        return _at_most(float(ratios.max()), 1.0, f"worst level {int(np.argmax(ratios))}")
+
+    def prob_busy_on_arrival():
+        busy = arrivals_seeing_busy(trace).astype(float)[warm:]
+        busy_est = batch_means_ci(busy, config.confidence)
+        sigma = busy_est.half_width / z_value(config.confidence)
+        return _at_most(abs(busy_est.mean - params.utilization), 3.0 * sigma)
+
+    def mgf_mixture_identity():
+        # Busy/idle mixture must reassemble the plain rate transform.
+        s_stream = SeededStream(config.seed, 0xC0FFEE)
+        s_hi = min(lam, mu)
+        s_values = -2.0 * s_hi + 2.95 * s_hi * np.asarray(s_stream.uniform_open(10))
+        rho = params.utilization
+        worst_mgf = 0.0
+        for s in map(float, s_values):
+            mixed = (rho * analytic.interdeparture_mgf_given_busy_arrival(params, s)
+                     + (1.0 - rho) * analytic.interdeparture_mgf_given_idle_arrival(params, s))
+            direct = analytic.interdeparture_mgf(params, s)
+            worst_mgf = max(worst_mgf, abs(mixed - direct) / abs(direct))
+        return _at_most(worst_mgf, 1e-10)
+
+    def cross_moment():
+        prod = (trace.system_times[:-1] * trace.interdeparture_times)[warm:]
+        cross_theory = analytic.cross_moment_system_interdeparture(params)
+        rel_cross = abs(_mean(prod) - cross_theory) / cross_theory
+        return _at_most(rel_cross, 0.02 * tol_scale, f"theory={cross_theory:.6g}")
+
+    def aud_dual_path():
+        # Two derivations of the average age must coincide across the stable region.
+        u = np.asarray(SeededStream(config.seed, 0xD0A1).uniform_open(200)).reshape(100, 2)
+        worst_dual = 0.0
+        for u_rho, u_mu in u:
+            mu_r = 0.1 + 9.9 * u_mu
+            rho_r = 0.01 + 0.98 * u_rho
+            p = SystemParams(rho_r * mu_r, mu_r)
+            direct = analytic.average_aud(p)
+            renewal = analytic.average_aud_renewal(p)
+            worst_dual = max(worst_dual, abs(direct - renewal) / direct)
+        return _at_most(worst_dual, 1e-12)
 
     # Shape of the closed form: U in arrival rate, decreasing in service rate,
     # and blowing up faster as service capacity vanishes than as arrivals do.
-    rho_grid = np.linspace(0.01, 0.99, 999)
-    curve = np.array([analytic.average_aud(SystemParams(r, 1.0)) for r in rho_grid])
-    interior_min = int(np.argmin(curve))
-    rho_at_min = float(rho_grid[interior_min])
-    u_ok = (
-        0 < interior_min < len(curve) - 1
-        and bool((np.diff(curve[: interior_min + 1]) < 0).all())
-        and bool((np.diff(curve[interior_min:]) > 0).all())
-        and 0.45 <= rho_at_min <= 0.60
-    )
-    checks.append(
-        CheckResult("shape_lambda_u_curve", u_ok, rho_at_min, 0.525, 0.075,
-                    "interior minimum of the arrival-rate sweep")
-    )
-    mu_grid = np.linspace(0.6, 3.0, 200)
-    mu_curve = np.array([analytic.average_aud(SystemParams(0.5, m)) for m in mu_grid])
-    mu_ok = bool((np.diff(mu_curve) < 0).all())
-    checks.append(
-        CheckResult("shape_mu_decreasing", mu_ok, float(np.max(np.diff(mu_curve))), 0.0, 0.0,
-                    "age strictly decreases with service rate")
-    )
-    try:
-        service_starved = analytic.average_aud(SystemParams(0.5, 0.05))
-    except StabilityError:
-        service_starved = math.inf  # unstable: the age has no finite steady state
-    arrival_starved = analytic.average_aud(SystemParams(0.05, 0.5))
-    checks.append(
-        CheckResult(
-            "shape_divergence_asymmetry",
-            service_starved > arrival_starved,
-            arrival_starved,
-            service_starved,
-            0.0,
-            "service starvation must dominate arrival starvation",
+    def shape_lambda_u_curve():
+        rho_grid = np.linspace(0.01, 0.99, 999)
+        curve = np.array([analytic.average_aud(SystemParams(r, 1.0)) for r in rho_grid])
+        interior_min = int(np.argmin(curve))
+        rho_at_min = float(rho_grid[interior_min])
+        u_ok = (
+            0 < interior_min < len(curve) - 1
+            and bool((np.diff(curve[: interior_min + 1]) < 0).all())
+            and bool((np.diff(curve[interior_min:]) > 0).all())
+            and 0.45 <= rho_at_min <= 0.60
         )
-    )
+        return u_ok, rho_at_min, 0.525, 0.075, "interior minimum of the arrival-rate sweep"
 
-    # Poisson decisions sample the time average of the age path (PASTA).
-    if 1.0 not in estimates:
-        estimates[1.0] = estimate_at(1.0)
-    sawtooth = aoi_path(trace)
-    aoi_est = ci_from_batch_means(time_average_aoi(sawtooth, edges), config.confidence)
-    aud_est = estimates[1.0]
-    pasta_diff = abs(aoi_est.mean - aud_est.mean)
-    pasta_allow = aoi_est.half_width + aud_est.half_width
-    checks.append(_at_most("pasta_time_average", pasta_diff, pasta_allow,
-                           f"time-average age {aoi_est.mean:.6g}"))
+    def shape_mu_decreasing():
+        mu_grid = np.linspace(0.6, 3.0, 200)
+        mu_curve = np.array([analytic.average_aud(SystemParams(0.5, m)) for m in mu_grid])
+        return (bool((np.diff(mu_curve) < 0).all()), float(np.max(np.diff(mu_curve))), 0.0,
+                0.0, "age strictly decreases with service rate")
+
+    def shape_divergence_asymmetry():
+        try:
+            service_starved = analytic.average_aud(SystemParams(0.5, 0.05))
+        except StabilityError:
+            service_starved = math.inf  # unstable: the age has no finite steady state
+        arrival_starved = analytic.average_aud(SystemParams(0.05, 0.5))
+        return (service_starved > arrival_starved, arrival_starved, service_starved, 0.0,
+                "service starvation must dominate arrival starvation")
+
+    def pasta_time_average():
+        # Poisson decisions sample the time average of the age path (PASTA).
+        _require(spans_time, "no time after the warm-up")
+        aud_est = estimate(1.0)
+        aoi_est = ci_from_batch_means(time_average_aoi(aoi_path(trace), edges), config.confidence)
+        return _at_most(abs(aoi_est.mean - aud_est.mean), aoi_est.half_width + aud_est.half_width,
+                        f"time-average age {aoi_est.mean:.6g}")
+
+    order = [aud_mc_vs_theory, aud_nu_invariance, ks_system_time, ks_interdeparture,
+             interdeparture_mean, interdeparture_second_moment, queue_length_distribution,
+             prob_busy_on_arrival, mgf_mixture_identity, cross_moment, aud_dual_path,
+             shape_lambda_u_curve, shape_mu_decreasing, shape_divergence_asymmetry,
+             pasta_time_average]
+    if len(set(config.decision_rates)) < 2:
+        order.remove(aud_nu_invariance)
+    checks = []
+    for check in order:
+        try:
+            verdict = check()
+        except InsufficientDataError as exc:
+            verdict = None, math.nan, math.nan, math.nan, str(exc)
+        checks.append(CheckResult(check.__name__, *verdict))
 
     sizes = {
         "record": "sizes",
@@ -830,9 +820,9 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         "warm_epoch": point.warm_epoch,
         "decisions": decision_sizes,
         "window_length": float(edges[1] - edges[0]),
-        "ks_system_time_samples": ks_t.n,
+        "ks_system_time_samples": len(thinned),
         "ks_system_time_lag": lag,
-        "ks_interdeparture_samples": ks_y.n,
+        "ks_interdeparture_samples": len(gaps),
     }
     return checks, sizes
 

@@ -87,10 +87,11 @@ class UpdateTrace:
             raise ParameterError("trace columns must be non-empty and equally long")
         if arr[0] < 0.0:
             raise ParameterError("first arrival epoch must be non-negative")
-        if n > 1 and not (np.diff(arr) > 0.0).all():
-            raise ParameterError("arrival epochs must be strictly increasing")
-        if n > 1 and not (np.diff(dep) > 0.0).all():
-            raise ParameterError("departure epochs must be strictly increasing")
+        # Epochs may tie: a gap below half an ulp of a long run's epoch rounds away.
+        if n > 1 and not (np.diff(arr) >= 0.0).all():
+            raise ParameterError("arrival epochs must be non-decreasing")
+        if n > 1 and not (np.diff(dep) >= 0.0).all():
+            raise ParameterError("departure epochs must be non-decreasing")
         if (start < arr).any() or (dep < start).any():
             raise ParameterError("each update needs arrival <= service start <= departure")
 
@@ -272,13 +273,16 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, edges) -> np.nda
     return totals.reshape(n_windows, max_length + 1) / np.diff(edges)[:, None]
 
 
-def empirical_prob_arrival_sees_busy(trace: UpdateTrace) -> float:
-    """Fraction of updates (from the second on) arriving before their predecessor departs."""
+def arrivals_seeing_busy(trace: UpdateTrace) -> np.ndarray:
+    """Whether each update from the second on arrives before its predecessor departs."""
     if trace.n < 2:
         raise InsufficientDataError("need at least 2 updates to compare gaps with system times")
-    gaps = trace.interarrival_times[1:]
-    prev_system = trace.system_times[:-1]
-    return float(np.mean(gaps < prev_system))
+    return trace.interarrival_times[1:] < trace.system_times[:-1]
+
+
+def empirical_prob_arrival_sees_busy(trace: UpdateTrace) -> float:
+    """Fraction of updates (from the second on) arriving before their predecessor departs."""
+    return float(np.mean(arrivals_seeing_busy(trace)))
 
 
 def default_warmup(n_updates: int) -> int:

@@ -48,6 +48,34 @@ def test_decision_inside_following_gap():
     assert rec.age == pytest.approx(3.0, abs=1e-12)
 
 
+def tied_arrivals():
+    # updates 1 and 2 both arrive at 2.0 and depart at 3.0 and 4.0
+    return UpdateTrace(np.array([1.0, 2.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 5.0]),
+                       np.array([2.0, 3.0, 4.0, 6.0]))
+
+
+def tied_departures():
+    # updates 0 and 1 both depart at 2.0, update 1 after a zero service time
+    return UpdateTrace(np.array([1.0, 1.5, 4.0]), np.array([1.0, 2.0, 4.0]),
+                       np.array([2.0, 2.0, 5.0]))
+
+
+def test_decisions_at_tied_epochs():
+    # a decision at tied departures acts on the later, fresher update
+    decisions = decisions_at(tied_departures(), [1.5, 2.0, 3.0, 5.0])
+    assert list(decisions.freshest_index) == [-1, 1, 1, 2]
+    assert list(decisions.ages[1:]) == [0.5, 1.5, 1.0]
+    decisions = decisions_at(tied_arrivals(), [3.0, 4.0, 4.5])
+    assert list(decisions.freshest_index) == [1, 2, 2]
+    assert list(decisions.ages) == [1.0, 2.0, 2.5]
+
+
+def test_time_average_over_tied_epochs():
+    # the tied departures leave a zero-length sawtooth segment
+    assert list(time_average_aoi(aoi_path(tied_departures()), [2.0, 3.5, 5.0])) == [1.25, 2.75]
+    assert list(time_average_aoi(aoi_path(tied_arrivals()), [2.0, 6.0])) == [2.25]
+
+
 def test_decisions_before_first_departure_are_undefined():
     decisions = decisions_at(crafted_trace(), [0.5, 1.0, 4.0])
     assert decisions.n_undefined == 2

@@ -10,6 +10,7 @@ from aud_lab.errors import InsufficientDataError, ParameterError, StabilityError
 from aud_lab.queueing import (
     SystemParams,
     UpdateTrace,
+    arrivals_seeing_busy,
     default_warmup,
     empirical_prob_arrival_sees_busy,
     occupancy_fractions,
@@ -137,6 +138,13 @@ def test_prob_arrival_sees_busy_dd1():
     assert empirical_prob_arrival_sees_busy(trace) == 0.0
 
 
+def test_busy_indicator_is_the_gap_against_the_previous_system_time():
+    trace = simulate(SystemParams(0.5, 1.0), 20_000, 3)
+    reference = trace.interarrival_times[1:] < trace.system_times[:-1]
+    assert np.array_equal(arrivals_seeing_busy(trace), reference)
+    assert empirical_prob_arrival_sees_busy(trace) == float(np.mean(reference))
+
+
 def test_prob_busy_needs_two_updates():
     trace = simulate(SystemParams(0.5, 1.0), 1, 2)
     with pytest.raises(InsufficientDataError):
@@ -255,6 +263,49 @@ def test_crafted_trace_validation():
         UpdateTrace(np.array([1.0]), np.array([0.5]), np.array([2.0]))
     with pytest.raises(ParameterError):
         simulate(SystemParams(0.5, 1.0), 0, 0)
+
+
+def tied_arrivals():
+    # updates 1 and 2 arrive together at 2.0
+    return UpdateTrace(np.array([1.0, 2.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 5.0]),
+                       np.array([2.0, 3.0, 4.0, 6.0]))
+
+
+def tied_departures():
+    # update 1 has a zero service time and departs with update 0 at 2.0
+    return UpdateTrace(np.array([1.0, 1.5, 4.0]), np.array([1.0, 2.0, 4.0]),
+                       np.array([2.0, 2.0, 5.0]))
+
+
+def test_trace_accepts_tied_epochs_and_rejects_decreasing_ones():
+    assert list(tied_arrivals().interarrival_times) == [1.0, 1.0, 0.0, 3.0]
+    assert list(tied_departures().interdeparture_times) == [0.0, 3.0]
+    # an update arriving with its predecessor finds the server busy
+    assert list(arrivals_seeing_busy(tied_arrivals())) == [False, True, False]
+    with pytest.raises(ParameterError, match="arrival epochs must be non-decreasing"):
+        UpdateTrace(np.array([1.0, 0.5]), np.array([1.0, 1.5]), np.array([2.0, 3.0]))
+    with pytest.raises(ParameterError, match="departure epochs must be non-decreasing"):
+        UpdateTrace(np.array([1.0, 1.5]), np.array([1.0, 1.5]), np.array([2.0, 1.9]))
+    with pytest.raises(ParameterError, match="arrival <= service start"):
+        UpdateTrace(np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0, 1.5]),
+                    np.array([2.0, 3.0, 3.0]))
+
+
+def test_queue_length_path_of_tied_epochs():
+    # at a shared epoch departures come first, then the arrivals one by one
+    path = queue_length_process(tied_arrivals())
+    assert list(path.epochs) == [1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert list(path.lengths) == [1, 0, 1, 2, 1, 0, 1, 0]
+    path = queue_length_process(tied_departures())
+    assert list(path.epochs) == [1.0, 1.5, 2.0, 2.0, 4.0, 5.0]
+    assert list(path.lengths) == [1, 2, 1, 0, 1, 0]
+
+
+def test_occupancy_of_tied_epochs():
+    got = occupancy_fractions(queue_length_process(tied_arrivals()), 2, [0.0, 2.0, 6.0])
+    assert got.tolist() == [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25]]
+    got = occupancy_fractions(queue_length_process(tied_departures()), 2, [0.0, 5.0])
+    assert got[0] == pytest.approx([0.6, 0.3, 0.1], abs=1e-15)
 
 
 @given(seed=st.integers(0, 2**32), lam=st.floats(0.1, 0.9))

@@ -104,6 +104,19 @@ def test_ks_statistic_and_pvalue_match_scipy():
     assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-8)
 
 
+def test_ks_on_gaps_of_tied_epochs_matches_scipy():
+    # epochs on a 0.1 grid tie often; with zero service times the departures
+    # tie with them, so the gaps hold zeros and repeated values
+    arrivals = np.round(np.cumsum(sample_many(Exponential(1.0), SeededStream(5, 0), 300)), 1)
+    trace = UpdateTrace(arrivals, arrivals, arrivals)
+    gaps = trace.interdeparture_times
+    assert (gaps == 0.0).sum() > 10
+    mine = ks_exponential(gaps, 1.0)
+    ref = scipy.stats.ks_1samp(gaps, lambda x: 1.0 - np.exp(-x), method="asymp")
+    assert mine.statistic == pytest.approx(ref.statistic, abs=1e-12)
+    assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-8)
+
+
 def test_ks_calibration_under_null():
     # drawing from the tested law: at most 2 false rejections at the 0.01
     # level over 100 seeded replications

@@ -95,8 +95,11 @@ def main(argv: list[str] | None = None) -> int:
             for rate in sorted(result.estimates):
                 est = result.estimates[rate]
                 print(f"nu={rate:g}: mean age {est.mean:.6g} +/- {est.half_width:.6g}")
-            print(f"max pairwise difference {result.max_pairwise_diff:.6g} "
-                  f"(allowance {result.max_pairwise_allowance:.6g}); "
+            if result.consistent is None:
+                print("SKIP  fewer than two decision rates have a defined decision")
+                return 0
+            print(f"worst pairwise difference {result.worst_se_ratio:.6g} standard errors "
+                  f"(gate {result.z:.6g}); "
                   + ("consistent" if result.consistent else "INCONSISTENT"))
             return 0 if result.consistent else 1
         config = build_config(args.config, **_overrides(args, "validate"))

@@ -11,10 +11,13 @@ grid points' threads submit to.  ``AUD_LAB_THREADS`` caps the threads of
 both pools; no result depends on it.  A sample below its estimator's floor
 (InsufficientDataError) gets no verdict: a sweep leaves that p-value blank,
 and validation reports that check alone as skipped, with the reason.
+Validation splits 1 - confidence evenly over its statistical checks, so a
+correct run fails with at most that probability (see ``_within``).
 """
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -64,9 +67,6 @@ SWEEP_CSV_HEADER = (
 VALIDATION_CSV_HEADER = "check,passed,observed,expected,tolerance,detail"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# Runs below this many updates get scaled-up tolerances and a low-power mark.
-LOW_POWER_UPDATES = 100_000
 
 # Goodness-of-fit tests use at most this many post-warm-up samples.
 KS_MAX_SAMPLES = 100_000
@@ -463,21 +463,25 @@ def _ks_p_value(samples: np.ndarray, rate: float) -> float | None:
         return None
 
 
-def _pairwise_overlap(estimates) -> tuple[float, float, bool]:
-    """Largest pairwise mean difference, its CI allowance, and whether all CIs overlap.
+def _within(estimates, theory, alpha: float, detail: str = "") -> tuple:
+    """Whether every estimate's |mean - theory| is at most z standard errors, as a check row.
 
-    Pairs are visited in the order given; the first pair reaching the
-    largest difference supplies the allowance.
+    ``theory`` is one value or one per estimate, and z is two-sided at
+    ``alpha`` split over the estimates.  Observed is the worst
+    |mean - theory| / SE, expected 0 and the tolerance z.
     """
-    max_diff, max_allow, consistent = 0.0, 0.0, True
-    for i, a in enumerate(estimates):
-        for b in estimates[i + 1:]:
-            diff = abs(a.mean - b.mean)
-            allow = a.half_width + b.half_width
-            if diff > max_diff:
-                max_diff, max_allow = diff, allow
-            consistent = consistent and diff <= allow
-    return max_diff, max_allow, consistent
+    diffs = np.abs(np.array([e.mean for e in estimates]) - theory)
+    ses = np.array([e.half_width / z_value(e.confidence) for e in estimates])
+    z = z_value(1.0 - alpha / len(diffs))
+    with np.errstate(divide="ignore"):
+        worst = float((diffs / ses).max())
+    return worst <= z, worst, 0.0, z, detail
+
+
+def _differences(estimates) -> list[EstimateWithCI]:
+    """Every pairwise difference, half-widths in quadrature (conservative within one trace)."""
+    return [EstimateWithCI(a.mean - b.mean, math.hypot(a.half_width, b.half_width), 0,
+                           a.confidence) for a, b in itertools.combinations(estimates, 2)]
 
 
 def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
@@ -554,31 +558,34 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 class NuInvarianceResult:
     sweep: SweepResult
     estimates: dict
-    max_pairwise_diff: float
-    max_pairwise_allowance: float
-    consistent: bool
+    worst_se_ratio: float
+    z: float
+    consistent: bool | None
 
 
 def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     """Paired comparison of decision rates on one shared trace.
 
     Every decision rate samples the same simulated path, so differences in
-    the per-rate age means reflect decision sampling only.  Consistency
-    means every pair of batch-means confidence intervals overlaps.
+    the per-rate age means reflect decision sampling only.  The rates with
+    an estimate are compared pairwise by ``_within``; a rate with no defined
+    decision keeps its blank sweep row, and below two such rates
+    ``consistent`` is None.
     """
     started = time.monotonic()
     workers = worker_limit()
     sweep = run_sweep(replace(config, mode="nu_invariance", output_path=None))
-    estimates = {}
-    for row in sweep.rows:
-        if row.empirical_aud is None:
-            raise InsufficientDataError("nu invariance point produced no defined decisions")
-        estimates[row.decision_rate] = EstimateWithCI(
-            row.empirical_aud, row.ci_half_width or math.inf, 0, config.confidence
-        )
-    max_diff, max_allow, consistent = _pairwise_overlap(list(estimates.values()))
+    estimates = {
+        row.decision_rate: EstimateWithCI(row.empirical_aud, row.ci_half_width or math.inf, 0,
+                                          config.confidence)
+        for row in sweep.rows if row.empirical_aud is not None
+    }
+    consistent, worst, z = None, math.nan, math.nan
+    if len(estimates) >= 2:
+        consistent, worst, _, z, _ = _within(_differences(estimates.values()), 0.0,
+                                             1.0 - config.confidence)
     _write_outputs(config, sweep, started, workers)
-    return NuInvarianceResult(sweep, estimates, max_diff, max_allow, consistent)
+    return NuInvarianceResult(sweep, estimates, worst, z, consistent)
 
 
 @dataclass(frozen=True)
@@ -602,7 +609,6 @@ class CheckResult:
 class ValidationReport:
     config: ExperimentConfig
     checks: tuple
-    low_power: bool
 
     @property
     def passed(self) -> bool:
@@ -624,8 +630,6 @@ class ValidationReport:
         verdict = "ALL CHECKS PASSED" if self.passed else "SOME CHECKS FAILED"
         skipped = sum(c.passed is None for c in self.checks)
         verdict += f" ({skipped} skipped: too few samples)" if skipped else ""
-        if self.low_power:
-            verdict += " (low-power run: tolerances widened)"
         return "\n".join(lines + [verdict])
 
 
@@ -633,17 +637,6 @@ def _require(enough: bool, reason: str) -> None:
     """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
     if not enough:
         raise InsufficientDataError(reason)
-
-
-def _mean(sample: np.ndarray) -> float:
-    """The mean of a sample taken after the warm-up, which must not be empty."""
-    _require(sample.size > 0, "no samples after the warm-up")
-    return float(sample.mean())
-
-
-def _at_most(observed: float, tolerance: float, detail: str = "") -> tuple:
-    """Verdict of a check that passes when ``observed`` (expected 0) is at most ``tolerance``."""
-    return observed <= tolerance, observed, 0.0, tolerance, detail
 
 
 def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
@@ -658,8 +651,6 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     """
     config, params, trace, warm = point.config, point.params, point.trace, point.warm
     lam, mu = params.arrival_rate, params.service_rate
-    tol_scale = max(1.0, math.sqrt(LOW_POWER_UPDATES / config.n_updates))
-    significance = 0.01 if config.n_updates >= LOW_POWER_UPDATES else 0.001
 
     # The mean age at each decision rate, and at nu = 1 for the PASTA check,
     # on one trace; each rate's epochs are dropped once estimated and counted.
@@ -669,63 +660,67 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         estimates[nu], counts = point.aud(nu)
         decision_sizes.append(counts)
 
+    lag, thinned, gaps = _ks_samples(point)
+    span = (trace.n - warm) // AUD_BATCHES
+
+    def batched():
+        # Batch means are near-independent once a batch spans the relaxation
+        # scale; 100 such batches also leave time in each of the 100 windows.
+        _require(span >= lag, f"a batch spans {span} updates; below the decorrelation lag {lag}")
+
     def estimate(nu: float) -> EstimateWithCI:
         _require(estimates[nu] is not None, f"no defined decisions at decision rate {nu}")
+        batched()
         return estimates[nu]
 
-    lag, thinned, gaps = _ks_samples(point)
     # The time windows start no earlier than the first departure, where the
     # age path begins; with a warm-up that is the warm-up's last departure.
     edges = np.linspace(max(point.warm_epoch, float(trace.departure_times[0])),
                         trace.last_departure, 101)
-    spans_time = bool((np.diff(edges) > 0.0).all())
 
     def aud_mc_vs_theory():
         theory = analytic.average_aud(params)
-        rated = {nu: estimate(nu) for nu in config.decision_rates}
-        worst_rel = max(abs(e.mean - theory) / theory for e in rated.values())
-        return _at_most(worst_rel, 0.01 * tol_scale, f"theory={theory:.6g}; rates={sorted(rated)}")
+        ests = {nu: estimate(nu) for nu in config.decision_rates}
+        return _within(ests.values(), theory, alpha, f"theory={theory:.6g}; rates={sorted(ests)}")
 
     def aud_nu_invariance():
         by_rate = [estimate(nu) for nu in sorted(set(config.decision_rates))]
-        max_diff, max_allow, all_overlap = _pairwise_overlap(by_rate)
-        return all_overlap, max_diff, 0.0, max_allow, "pairwise CI overlap on shared trace"
+        return _within(_differences(by_rate), 0.0, alpha, "pairwise on the shared trace")
 
     def ks_system_time():
         ks = ks_exponential(thinned, analytic.system_time_rate(params))
-        return (ks.p_value >= significance, ks.p_value, significance, 0.0,
+        return (ks.p_value >= alpha, ks.p_value, alpha, 0.0,
                 f"n={ks.n}; D={ks.statistic:.6g}; lag={lag}")
 
     def ks_interdeparture():
         ks = ks_exponential(gaps, lam)
-        return (ks.p_value >= significance, ks.p_value, significance, 0.0,
-                f"n={ks.n}; D={ks.statistic:.6g}")
+        return ks.p_value >= alpha, ks.p_value, alpha, 0.0, f"n={ks.n}; D={ks.statistic:.6g}"
 
+    # The departure gaps are i.i.d. (the departures are Poisson, by Burke's theorem).
     def interdeparture_mean():
-        return _at_most(abs(_mean(gaps) - 1.0 / lam) * lam, 0.01 * tol_scale)
+        return _within([mean_ci(gaps, config.confidence)], 1.0 / lam, alpha)
 
     def interdeparture_second_moment():
-        rel_y2 = abs(_mean(gaps**2) - 2.0 / lam**2) / (2.0 / lam**2)
-        return _at_most(rel_y2, 0.02 * tol_scale)
+        return _within([mean_ci(gaps**2, config.confidence)], 2.0 / lam**2, alpha)
 
     def queue_length_distribution():
-        # Levels 0-10 vs the geometric law, batch CIs over the windows.  The
-        # eleven levels are asserted jointly, so each gets a Bonferroni-adjusted
-        # confidence to keep the family-wise false-alarm rate nominal.
-        _require(spans_time, "no time after the warm-up")
-        per_batch = occupancy_fractions(queue_length_process(trace), 10, edges)
+        # Levels 0..k-1 and the tail >= k against the geometric law, k the first
+        # of levels 0-10 where the level or the tail after it expects fewer than
+        # 5 arrivals per window: the normal law breaks down for rarer cells.
+        batched()
         pi = analytic.stationary_queue_dist(params, 10)
-        z_joint = z_value(1.0 - (1.0 - config.confidence) / len(pi))
-        frac_mean = per_batch.mean(axis=0)
-        frac_half = z_joint * per_batch.std(axis=0, ddof=1) / 10.0
-        ratios = np.abs(frac_mean - pi) / np.where(frac_half > 0, frac_half, np.inf)
-        return _at_most(float(ratios.max()), 1.0, f"worst level {int(np.argmax(ratios))}")
+        expected = lam * (edges[1] - edges[0]) * np.minimum(pi, 1.0 - np.cumsum(pi))
+        k = int((expected >= 5.0).sum())  # expected falls with the level
+        _require(k > 0, "fewer than 5 arrivals per window expected at occupancy level 0")
+        per_batch = occupancy_fractions(queue_length_process(trace), k - 1, edges)
+        per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
+        return _within([ci_from_batch_means(level, config.confidence) for level in per_batch.T],
+                       np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
     def prob_busy_on_arrival():
+        batched()
         busy = arrivals_seeing_busy(trace).astype(float)[warm:]
-        busy_est = batch_means_ci(busy, config.confidence)
-        sigma = busy_est.half_width / z_value(config.confidence)
-        return _at_most(abs(busy_est.mean - params.utilization), 3.0 * sigma)
+        return _within([batch_means_ci(busy, config.confidence)], params.utilization, alpha)
 
     def mgf_mixture_identity():
         # Busy/idle mixture must reassemble the plain rate transform.
@@ -739,13 +734,14 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
                      + (1.0 - rho) * analytic.interdeparture_mgf_given_idle_arrival(params, s))
             direct = analytic.interdeparture_mgf(params, s)
             worst_mgf = max(worst_mgf, abs(mixed - direct) / abs(direct))
-        return _at_most(worst_mgf, 1e-10)
+        return worst_mgf <= 1e-10, worst_mgf, 0.0, 1e-10
 
     def cross_moment():
+        batched()
         prod = (trace.system_times[:-1] * trace.interdeparture_times)[warm:]
-        cross_theory = analytic.cross_moment_system_interdeparture(params)
-        rel_cross = abs(_mean(prod) - cross_theory) / cross_theory
-        return _at_most(rel_cross, 0.02 * tol_scale, f"theory={cross_theory:.6g}")
+        theory = analytic.cross_moment_system_interdeparture(params)
+        est = batch_means_ci(prod, config.confidence)
+        return _within([est], theory, alpha, f"theory={theory:.6g}")
 
     def aud_dual_path():
         # Two derivations of the average age must coincide across the stable region.
@@ -758,7 +754,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
             direct = analytic.average_aud(p)
             renewal = analytic.average_aud_renewal(p)
             worst_dual = max(worst_dual, abs(direct - renewal) / direct)
-        return _at_most(worst_dual, 1e-12)
+        return worst_dual <= 1e-12, worst_dual, 0.0, 1e-12
 
     # Shape of the closed form: U in arrival rate, decreasing in service rate,
     # and blowing up faster as service capacity vanishes than as arrivals do.
@@ -792,11 +788,9 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
 
     def pasta_time_average():
         # Poisson decisions sample the time average of the age path (PASTA).
-        _require(spans_time, "no time after the warm-up")
-        aud_est = estimate(1.0)
-        aoi_est = ci_from_batch_means(time_average_aoi(aoi_path(trace), edges), config.confidence)
-        return _at_most(abs(aoi_est.mean - aud_est.mean), aoi_est.half_width + aud_est.half_width,
-                        f"time-average age {aoi_est.mean:.6g}")
+        aud = estimate(1.0)
+        aoi = ci_from_batch_means(time_average_aoi(aoi_path(trace), edges), config.confidence)
+        return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 
     order = [aud_mc_vs_theory, aud_nu_invariance, ks_system_time, ks_interdeparture,
              interdeparture_mean, interdeparture_second_moment, queue_length_distribution,
@@ -805,13 +799,16 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
              pasta_time_average]
     if len(set(config.decision_rates)) < 2:
         order.remove(aud_nu_invariance)
+    exact = {mgf_mixture_identity, aud_dual_path, shape_lambda_u_curve, shape_mu_decreasing,
+             shape_divergence_asymmetry}
+    alpha = (1.0 - config.confidence) / len(set(order) - exact)
     checks = []
     for check in order:
         try:
-            verdict = check()
+            passed, *rest = check()
         except InsufficientDataError as exc:
-            verdict = None, math.nan, math.nan, math.nan, str(exc)
-        checks.append(CheckResult(check.__name__, *verdict))
+            passed, rest = None, (math.nan, math.nan, math.nan, str(exc))
+        checks.append(CheckResult(check.__name__, None if passed is None else bool(passed), *rest))
 
     sizes = {
         "record": "sizes",
@@ -835,6 +832,6 @@ def run_validation(config: ExperimentConfig) -> ValidationReport:
                           config.decision_rates[0])
     analytic.require_stable(params)
     checks, sizes = _validation_checks(_simulate_point(config, 0, params))
-    report = ValidationReport(config, tuple(checks), config.n_updates < LOW_POWER_UPDATES)
+    report = ValidationReport(config, tuple(checks))
     _write_outputs(config, report, started, workers, (sizes,))
     return report

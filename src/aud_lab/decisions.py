@@ -110,25 +110,32 @@ def _generation_epochs(
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Generation epochs of the freshest delivered update at sorted ``times``.
 
-    Only the departures in (times[0], times[-1]] are searched into the
-    epochs.  Each of them starts a run of decisions that act on it, the
-    decisions ahead of the first one act on the update that departed last
-    at or before times[0], and the generation epochs are those runs'
-    arrival epochs repeated out (NaN for decisions before the first
-    departure).  Returns them with ``k0``, the number of departures at or
-    before times[0], and the run lengths ``counts``: counts[0] decisions act
-    on update k0 - 1 (on no update when k0 == 0), counts[j] on update
-    k0 - 1 + j.
+    Only the departures in (times[0], times[-1]] take part.  Each of them
+    starts a run of decisions that act on it, the decisions ahead of the
+    first one act on the update that departed last at or before times[0],
+    and the generation epochs are those runs' arrival epochs (NaN for
+    decisions before the first departure).  Returns them with ``k0``, the
+    number of departures at or before times[0], and the run lengths
+    ``counts``: counts[0] decisions act on update k0 - 1 (on no update when
+    k0 == 0), counts[j] on update k0 - 1 + j.
+
+    The shorter side is searched into the longer one: the departures into
+    the epochs, whose runs are then repeated out, or, when the epochs are
+    fewer, the epochs into the departures, which gives each decision's run
+    directly.  Both give the same values.
     """
     departures = trace.departure_times
     m = len(times)
     # departures[:k0] precede the span, departures[k0:k1] fall inside it
     k0, k1 = np.searchsorted(departures, times[[0, -1]], side="right") if m else (0, 0)
+    arrivals = trace.arrival_times
+    sources = np.concatenate(([np.nan], arrivals[:k1])) if k0 == 0 else arrivals[k0 - 1:k1]
+    if m < k1 - k0:
+        run = np.searchsorted(departures[k0:k1], times, side="right")
+        return sources[run], int(k0), np.bincount(run, minlength=k1 - k0 + 1)
     counts = np.diff(
         np.searchsorted(times, departures[k0:k1], side="left"), prepend=0, append=m
     )
-    arrivals = trace.arrival_times
-    sources = np.concatenate(([np.nan], arrivals[:k1])) if k0 == 0 else arrivals[k0 - 1:k1]
     return np.repeat(sources, counts), int(k0), counts
 
 

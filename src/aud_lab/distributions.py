@@ -300,5 +300,15 @@ def sample(spec: DistributionSpec, stream: SeededStream) -> float:
 
 
 def sample_many(spec: DistributionSpec, stream: SeededStream, n: int) -> np.ndarray:
-    """Draw ``n`` inter-event times from ``spec`` as a float array."""
-    return np.asarray(spec.from_uniform(stream.uniform_open(n)), dtype=float)
+    """Draw ``n`` inter-event times from ``spec`` as a float array.
+
+    Exponential times are made in the buffer of the uniform draws:
+    log(U) / (-rate) has the same bits as ``from_uniform``'s -log(U) / rate,
+    as IEEE division is sign-symmetric.
+    """
+    u = stream.uniform_open(n)
+    if isinstance(spec, Exponential):
+        np.log(u, out=u)
+        u /= -spec.rate
+        return u
+    return np.asarray(spec.from_uniform(u), dtype=float)

@@ -5,12 +5,16 @@ comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run concurrently, each with a seed derived from the base seed and its grid
 index, and rows are assembled in grid order so output is byte-reproducible
-regardless of scheduling.  Long random draws and the per-batch mean ages
-run on the shared block pool (``distributions.block_pool``), which the
-grid points' threads submit to.  ``AUD_LAB_THREADS`` caps the threads of
-both pools; no result depends on it.  A sample below its estimator's floor
-(InsufficientDataError) gets no verdict: a sweep leaves that p-value blank,
-and validation reports that check alone as skipped, with the reason.
+regardless of scheduling.  Validation runs its decision-rate estimates
+and the checks of the trace alone as two concurrent tasks, and the checks
+that compare the estimates once both are done.  Long random draws and the
+per-batch mean ages run on the shared block pool
+(``distributions.block_pool``), which the grid points' and validation's
+threads submit to.  ``AUD_LAB_THREADS`` caps the threads of every pool; one
+thread runs everything in sequence, and no result depends on it.  A
+sample below its estimator's floor (InsufficientDataError) gets no verdict:
+a sweep leaves that p-value blank, and validation reports that check alone
+as skipped, with the reason.
 Validation splits 1 - confidence evenly over its statistical checks, so a
 correct run fails with at most that probability (see ``_within``).
 """
@@ -447,12 +451,28 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
 def _ks_samples(point: _Point) -> tuple[int, np.ndarray, np.ndarray]:
     """The full ``decorrelation_lag``, the system times thinned at it and the departure gaps.
 
-    Both samples start after the warm-up and hold at most KS_MAX_SAMPLES values.
+    Both samples start after the warm-up and hold at most KS_MAX_SAMPLES
+    values.  They are taken from slices of the epoch columns, so no
+    full-length column is built.
     """
-    trace, warm = point.trace, point.warm
+    arr, dep, warm = point.trace.arrival_times, point.trace.departure_times, point.warm
     lag = decorrelation_lag(point.params.utilization)
-    thinned = trace.system_times[warm:][::lag][:KS_MAX_SAMPLES]
-    return lag, thinned, trace.interdeparture_times[warm:][:KS_MAX_SAMPLES]
+    stop = warm + lag * KS_MAX_SAMPLES
+    thinned = dep[warm:stop:lag] - arr[warm:stop:lag]
+    m = min(KS_MAX_SAMPLES, len(dep) - warm - 1)
+    return lag, thinned, dep[warm + 1:warm + 1 + m] - dep[warm:warm + m]
+
+
+def _occupancy_by_window(trace: UpdateTrace, max_length: int, edges: np.ndarray) -> np.ndarray:
+    """``occupancy_fractions(queue_length_process(trace), max_length, edges)``, window by window.
+
+    Each window's path merges only the events inside it and starts from the
+    level at its start edge.  It has the same pieces, durations and order of
+    addition as the path of the whole run, so every row is bit-identical,
+    and no path of all 2n events is built.
+    """
+    return np.vstack([occupancy_fractions(queue_length_process(trace, a, b), max_length, (a, b))
+                      for a, b in zip(edges[:-1], edges[1:])])
 
 
 def _ks_p_value(samples: np.ndarray, rate: float) -> float | None:
@@ -654,11 +674,15 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
 
     # The mean age at each decision rate, and at nu = 1 for the PASTA check,
     # on one trace; each rate's epochs are dropped once estimated and counted.
-    estimates, decision_sizes = {}, []
-    pasta_rate = () if 1.0 in config.decision_rates else (1.0,)
-    for nu in (*config.decision_rates, *pasta_rate):
-        estimates[nu], counts = point.aud(nu)
-        decision_sizes.append(counts)
+    estimates = {}
+
+    def estimate_rates() -> list[dict]:
+        decision_sizes = []
+        pasta_rate = () if 1.0 in config.decision_rates else (1.0,)
+        for nu in (*config.decision_rates, *pasta_rate):
+            estimates[nu], counts = point.aud(nu)
+            decision_sizes.append(counts)
+        return decision_sizes
 
     lag, thinned, gaps = _ks_samples(point)
     span = (trace.n - warm) // AUD_BATCHES
@@ -712,14 +736,14 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         expected = lam * (edges[1] - edges[0]) * np.minimum(pi, 1.0 - np.cumsum(pi))
         k = int((expected >= 5.0).sum())  # expected falls with the level
         _require(k > 0, "fewer than 5 arrivals per window expected at occupancy level 0")
-        per_batch = occupancy_fractions(queue_length_process(trace), k - 1, edges)
+        per_batch = _occupancy_by_window(trace, k - 1, edges)
         per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
         return _within([ci_from_batch_means(level, config.confidence) for level in per_batch.T],
                        np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
     def prob_busy_on_arrival():
         batched()
-        busy = arrivals_seeing_busy(trace).astype(float)[warm:]
+        busy = arrivals_seeing_busy(trace)[warm:].astype(float)
         return _within([batch_means_ci(busy, config.confidence)], params.utilization, alpha)
 
     def mgf_mixture_identity():
@@ -738,7 +762,10 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
 
     def cross_moment():
         batched()
-        prod = (trace.system_times[:-1] * trace.interdeparture_times)[warm:]
+        # each departure gap after the warm-up times the system time before it
+        arr, dep = trace.arrival_times, trace.departure_times
+        prod = dep[warm + 1:] - dep[warm:-1]
+        prod *= dep[warm:-1] - arr[warm:-1]
         theory = analytic.cross_moment_system_interdeparture(params)
         est = batch_means_ci(prod, config.confidence)
         return _within([est], theory, alpha, f"theory={theory:.6g}")
@@ -802,13 +829,28 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     exact = {mgf_mixture_identity, aud_dual_path, shape_lambda_u_curve, shape_mu_decreasing,
              shape_divergence_asymmetry}
     alpha = (1.0 - config.confidence) / len(set(order) - exact)
-    checks = []
-    for check in order:
-        try:
-            passed, *rest = check()
-        except InsufficientDataError as exc:
-            passed, rest = None, (math.nan, math.nan, math.nan, str(exc))
-        checks.append(CheckResult(check.__name__, None if passed is None else bool(passed), *rest))
+
+    def run(checks) -> dict:
+        results = {}
+        for check in checks:
+            try:
+                passed, *rest = check()
+            except InsufficientDataError as exc:
+                passed, rest = None, (math.nan, math.nan, math.nan, str(exc))
+            results[check] = CheckResult(check.__name__, None if passed is None else bool(passed),
+                                         *rest)
+        return results
+
+    # The checks of the trace alone run beside the decision-rate estimates;
+    # with one thread, after them.  Neither task runs on the block pool, so
+    # the block tasks that the estimates wait on never wait themselves.
+    uses_estimates = {aud_mc_vs_theory, aud_nu_invariance, pasta_time_average}
+    with concurrent.futures.ThreadPoolExecutor(min(2, worker_limit())) as pool:
+        tasks = (pool.submit(estimate_rates),
+                 pool.submit(run, [c for c in order if c not in uses_estimates]))
+        decision_sizes, results = (task.result() for task in tasks)
+    results.update(run([c for c in order if c in uses_estimates]))
+    checks = [results[check] for check in order]
 
     sizes = {
         "record": "sizes",

@@ -57,6 +57,17 @@ class SystemParams:
         return self.utilization < 1.0
 
 
+def _non_decreasing(epochs: np.ndarray) -> bool:
+    """Whether every gap ``np.diff(epochs)`` is >= 0, without building the gaps.
+
+    A gap fails on a NaN and on two equal infinities (inf - inf is NaN), and
+    in a sorted column equal infinities can only sit at its two ends.
+    """
+    return bool((epochs[1:] >= epochs[:-1]).all()) and not (
+        epochs[0] == epochs[1] == -np.inf or epochs[-2] == epochs[-1] == np.inf
+    )
+
+
 @dataclass(frozen=True)
 class UpdateTrace:
     """Columnar per-update record of a FCFS single-server run.
@@ -88,9 +99,9 @@ class UpdateTrace:
         if arr[0] < 0.0:
             raise ParameterError("first arrival epoch must be non-negative")
         # Epochs may tie: a gap below half an ulp of a long run's epoch rounds away.
-        if n > 1 and not (np.diff(arr) >= 0.0).all():
+        if n > 1 and not _non_decreasing(arr):
             raise ParameterError("arrival epochs must be non-decreasing")
-        if n > 1 and not (np.diff(dep) >= 0.0).all():
+        if n > 1 and not _non_decreasing(dep):
             raise ParameterError("departure epochs must be non-decreasing")
         if (start < arr).any() or (dep < start).any():
             raise ParameterError("each update needs arrival <= service start <= departure")
@@ -134,13 +145,14 @@ class QueueLengthPath:
     """Piecewise-constant number-in-system path.
 
     ``lengths[i]`` holds on [epochs[i], epochs[i+1]); before the first epoch
-    the system is empty.  Simultaneous events are ordered departure first,
-    so the path never counts an update and its same-instant replacement
-    twice.
+    the system holds ``initial`` updates (none on a path of the whole run).
+    Simultaneous events are ordered departure first, so the path never
+    counts an update and its same-instant replacement twice.
     """
 
     epochs: np.ndarray
     lengths: np.ndarray
+    initial: int = 0
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -194,31 +206,47 @@ def simulate(
             "pass allow_unstable=True to simulate anyway"
         )
 
-    gaps = sample_many(arrival, SeededStream(seed, ARRIVAL_STREAM), n_updates)
+    # Every column is computed in place in one of four buffers: the trace's
+    # three columns and the shifted service sums.
+    arrivals = sample_many(arrival, SeededStream(seed, ARRIVAL_STREAM), n_updates)
     services = sample_many(service, SeededStream(seed, SERVICE_STREAM), n_updates)
-
-    arrivals = np.cumsum(gaps)
-    cum_service = np.cumsum(services)
-    shifted = np.concatenate(([0.0], cum_service[:-1]))
+    np.cumsum(arrivals, out=arrivals)
+    shifted = np.empty(n_updates)
+    shifted[0] = 0.0
+    np.cumsum(services[:-1], out=shifted[1:])
     # start(k) = max(arrival(k), departure(k-1)) unrolls to
     # shifted_cum_service(k) + max_{j<=k}(arrival(j) - shifted_cum_service(j));
     # the outer maximum re-pins idle starts to the arrival epoch exactly.
-    headroom = np.maximum.accumulate(arrivals - shifted)
-    starts = np.maximum(arrivals, shifted + headroom)
-    departures = starts + services
+    starts = np.subtract(arrivals, shifted)
+    np.maximum.accumulate(starts, out=starts)
+    np.add(shifted, starts, out=starts)
+    np.maximum(arrivals, starts, out=starts)
+    departures = np.add(starts, services, out=services)
     return UpdateTrace(arrivals, starts, departures, stationary=stable)
 
 
-def queue_length_process(trace: UpdateTrace) -> QueueLengthPath:
-    """Number-in-system path implied by the trace's arrival/departure epochs."""
-    n = trace.n
-    times = np.concatenate([trace.arrival_times, trace.departure_times])
-    delta = np.concatenate([np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)])
+def queue_length_process(
+    trace: UpdateTrace, start: float = -math.inf, end: float = math.inf
+) -> QueueLengthPath:
+    """Number-in-system path implied by the trace's arrival/departure epochs.
+
+    Only the events in (start, end] are merged, and the path starts from
+    the level after the events at or before ``start``: the arrivals less
+    the departures up to then.  By default that is the whole run.
+    """
+    arr, dep = trace.arrival_times, trace.departure_times
+    a0, a1 = np.searchsorted(arr, (start, end), side="right")
+    d0, d1 = np.searchsorted(dep, (start, end), side="right")
+    na, nd = a1 - a0, d1 - d0
+    times = np.concatenate([arr[a0:a1], dep[d0:d1]])
+    delta = np.concatenate([np.ones(na, dtype=np.int64), -np.ones(nd, dtype=np.int64)])
     # lexsort is stable: equal epochs keep departures (priority 0) ahead of arrivals
-    priority = np.concatenate([np.ones(n, dtype=np.int8), np.zeros(n, dtype=np.int8)])
+    priority = np.concatenate([np.ones(na, dtype=np.int8), np.zeros(nd, dtype=np.int8)])
     order = np.lexsort((priority, times))
+    initial = int(a0 - d0)
     lengths = np.cumsum(delta[order])
-    return QueueLengthPath(times[order], lengths)
+    lengths += initial
+    return QueueLengthPath(times[order], lengths, initial)
 
 
 def locate_window_edges(breaks: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +272,8 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, edges) -> np.nda
     ``edges`` bound adjacent windows [edges[w], edges[w + 1]]; a single
     window is ``[start, end]``.  Returns an array of shape
     (len(edges) - 1, max_length + 1).  Levels above ``max_length`` are not
-    reported, so a row may sum to < 1.  The system is empty before the first
-    event, and the last event's level holds after it.
+    reported, so a row may sum to < 1.  The path's ``initial`` level holds
+    before its first event, and the last event's level after it.
 
     The windows are computed in one pass: the window edges are merged into
     the event epochs, every stretch between consecutive merged epochs is one
@@ -262,7 +290,7 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, edges) -> np.nda
     # window w has one piece from its start edge plus one per event inside it
     window = np.repeat(np.arange(n_windows), np.diff(pos) + 1)
     # the level of a piece is that after the events at or before its start
-    levels = np.concatenate(([0], path.lengths))
+    levels = np.concatenate(([path.initial], path.lengths))
     level = levels[np.arange(len(window)) - window + pos[0]]
     keep = level <= max_length
     totals = np.bincount(
@@ -277,7 +305,8 @@ def arrivals_seeing_busy(trace: UpdateTrace) -> np.ndarray:
     """Whether each update from the second on arrives before its predecessor departs."""
     if trace.n < 2:
         raise InsufficientDataError("need at least 2 updates to compare gaps with system times")
-    return trace.interarrival_times[1:] < trace.system_times[:-1]
+    arr = trace.arrival_times
+    return arr[1:] - arr[:-1] < trace.departure_times[:-1] - arr[:-1]
 
 
 def empirical_prob_arrival_sees_busy(trace: UpdateTrace) -> float:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from aud_lab.decisions import (
+    _generation_epochs,
+    _mean_age,
     aoi_path,
     average_aud,
     decisions_at,
@@ -393,3 +395,42 @@ def test_epoch_generators_match_the_record_builders():
         poisson_epochs(1.0, math.inf, SeededStream(0, DECISION_STREAM))
     with pytest.raises(ParameterError):
         periodic_epochs(-1.0, 5.0)
+
+
+def tied_departure_runs():
+    # updates 0-1 and 2-3 depart in tied pairs (1 and 3 after zero service times)
+    return UpdateTrace(np.array([1.0, 1.5, 3.0, 3.5, 5.0, 6.0, 7.0]),
+                       np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+                       np.array([2.0, 2.0, 4.0, 4.0, 6.0, 7.0, 8.0]))
+
+
+def assert_generation_epochs_match_reference(trace, times):
+    times = np.asarray(times, dtype=float)
+    freshest, generation, _ = decisions_reference(trace, times)
+    got, k0, counts = _generation_epochs(trace, times)
+    assert np.array_equal(got, generation, equal_nan=True)
+    assert k0 == np.searchsorted(trace.departure_times, times[0], side="right")
+    assert np.array_equal(np.repeat(np.arange(k0 - 1, k0 - 1 + len(counts)), counts), freshest)
+    k1 = np.searchsorted(trace.departure_times, times[-1], side="right")
+    assert len(counts) == k1 - k0 + 1
+
+
+def test_generation_epochs_search_the_shorter_side():
+    trace = tied_departure_runs()
+    # fewer epochs than departures in their span: 2.0 and 4.0 fall on tied
+    # departures and act on the later update, 7.0 on a single departure
+    sparse = [2.0, 4.0, 7.0]
+    k0, k1 = np.searchsorted(trace.departure_times, [2.0, 7.0], side="right")
+    assert k1 - k0 > len(sparse)
+    assert_generation_epochs_match_reference(trace, sparse)
+    assert_generation_epochs_match_reference(trace, [1.5, 6.5])  # from before the first departure
+    assert list(_generation_epochs(trace, np.array([2.0, 4.0, 7.0]))[0]) == [1.5, 3.5, 6.0]
+    # at least as many epochs as departures in their span
+    dense = [1.5, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 7.0, 8.0]
+    assert_generation_epochs_match_reference(trace, dense)
+    assert_generation_epochs_match_reference(trace, [2.0, 4.0])
+    for times in (sparse, dense):
+        times = np.array(times)
+        assert _mean_age(trace, times[times >= 2.0]) == decisions_at(
+            trace, times[times >= 2.0]).ages.mean()
+

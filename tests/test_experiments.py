@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import aud_lab
-from aud_lab import distributions
+from aud_lab import analytic, distributions, experiments
 from aud_lab.cli import main as cli_main
 from aud_lab.decisions import decisions_at, generate_decisions, periodic_decisions
 from aud_lab.distributions import SeededStream
@@ -19,6 +19,7 @@ from aud_lab.experiments import (
     _aud_estimate,
     _decision_epochs,
     _differences,
+    _ks_samples,
     _n_undefined,
     _simulate_point,
     _validation_checks,
@@ -34,8 +35,14 @@ from aud_lab.experiments import (
     run_sweep,
     run_validation,
 )
-from aud_lab.queueing import SystemParams, simulate
-from aud_lab.stats import EstimateWithCI, batch_means_ci, mean_ci, z_value
+from aud_lab.queueing import (
+    SystemParams,
+    arrivals_seeing_busy,
+    occupancy_fractions,
+    queue_length_process,
+    simulate,
+)
+from aud_lab.stats import EstimateWithCI, batch_means_ci, ci_from_batch_means, mean_ci, z_value
 
 SMALL = dict(n_updates=50_000, seed=11)
 
@@ -732,3 +739,103 @@ def test_cli_runs_without_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert all(code in (0, 1) for code in result["codes"]), result
     assert result["attempts"] == []
+
+
+def ks_samples_reference(point):
+    """The K-S samples as views of the full-length derived columns."""
+    trace, warm = point.trace, point.warm
+    lag = decorrelation_lag(point.params.utilization)
+    return (lag, trace.system_times[warm:][::lag][:experiments.KS_MAX_SAMPLES],
+            trace.interdeparture_times[warm:][:experiments.KS_MAX_SAMPLES])
+
+
+@pytest.mark.parametrize("cap", [None, 700])
+def test_ks_samples_from_column_slices(cap, monkeypatch):
+    if cap:  # the cap binds on both samples
+        monkeypatch.setattr(experiments, "KS_MAX_SAMPLES", cap)
+    params = SystemParams(0.5, 1.0, 1.0)
+    for n, warmup in ((30_000, None), (30_000, 0), (5000, 4998), (2, 1), (1, None), (1, 0)):
+        config = ExperimentConfig(n_updates=n, seed=4, warmup_updates=warmup)
+        point = _simulate_point(config, 0, params)
+        lag, thinned, gaps = _ks_samples(point)
+        ref_lag, ref_thinned, ref_gaps = ks_samples_reference(point)
+        assert lag == ref_lag
+        assert np.array_equal(thinned, ref_thinned) and np.array_equal(gaps, ref_gaps)
+        assert thinned.base is None and gaps.base is None  # no full-length buffer kept
+    assert len(gaps) == 0 and len(thinned) == 1  # n - warm = 1: no departure gap
+
+
+def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
+    config = ExperimentConfig(n_updates=100_000, seed=21)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.1))
+    trace, warm, params = point.trace, point.warm, point.params
+    checks = {c.name: c for c in _validation_checks(point)[0]}
+    alpha = (1.0 - config.confidence) / 10
+
+    def row(name, *gate):
+        passed, observed, expected, tolerance, detail = _within(*gate)
+        assert (checks[name].passed, checks[name].observed, checks[name].tolerance,
+                checks[name].detail) == (passed, observed, tolerance, detail)
+
+    prod = (trace.system_times[:-1] * trace.interdeparture_times)[warm:]
+    theory = analytic.cross_moment_system_interdeparture(params)
+    row("cross_moment", [batch_means_ci(prod, config.confidence)], theory, alpha,
+        f"theory={theory:.6g}")
+    busy = arrivals_seeing_busy(trace).astype(float)[warm:]
+    assert np.array_equal(busy, (trace.interarrival_times[1:] < trace.system_times[:-1])[warm:])
+    row("prob_busy_on_arrival", [batch_means_ci(busy, config.confidence)],
+        params.utilization, alpha)
+    edges = np.linspace(point.warm_epoch, trace.last_departure, 101)
+    per_batch = occupancy_fractions(queue_length_process(trace), 6, edges)
+    per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
+    pi = analytic.stationary_queue_dist(params, 10)
+    row("queue_length_distribution",
+        [ci_from_batch_means(level, config.confidence) for level in per_batch.T],
+        np.append(pi[:7], 1 - pi[:7].sum()), alpha, "levels 0-6 and >= 7")
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(n_updates=100_000, seed=31),
+    ExperimentConfig(n_updates=60, seed=1),  # skips the checks below their floors
+])
+def test_validation_outputs_do_not_depend_on_the_thread_count(config, tmp_path, monkeypatch):
+    outputs = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("AUD_LAB_THREADS", threads)
+        out = tmp_path / f"v{threads}.csv"
+        run_validation(replace(config, output_path=str(out)))
+        manifest = manifest_path_for(str(out))
+        sizes = [line for line in open(manifest) if '"record": "sizes"' in line]
+        outputs.append((out.read_bytes(), sizes))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert len(outputs[0][1]) == 1
+
+
+# Runs ``validate`` in a child and prints the child's peak RSS: as this
+# process has no other child, RUSAGE_CHILDREN holds that child's alone.
+PEAK_RSS_OF_VALIDATE = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "aud_lab.cli", *sys.argv[1:]], check=True,
+               stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+# Allowed rise of the two-thread peak over the one-thread peak.  The trace
+# checks' temporaries that overlap the decision epochs add about 7% at this
+# size; a merged path of all 2n events beside the nu = 10 epochs adds 25-35%.
+THREADS_RSS_MARGIN = 0.12
+
+
+def test_validate_peak_memory_with_two_threads_stays_near_one_thread(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aud_lab.__file__)))
+    peaks = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_OF_VALIDATE, "validate", "--updates", "200000",
+             "--seed", "3", "--out", str(tmp_path / f"v{threads}.csv")],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "AUD_LAB_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks[threads] = int(proc.stdout.split()[-1])
+    assert peaks["2"] <= (1.0 + THREADS_RSS_MARGIN) * peaks["1"], peaks

@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aud_lab.distributions import Deterministic, Exponential, SeededStream, Uniform, sample_many
+from aud_lab import distributions
+from aud_lab.distributions import (
+    ARRIVAL_STREAM,
+    SERVICE_STREAM,
+    Deterministic,
+    Exponential,
+    SeededStream,
+    Uniform,
+    sample_many,
+)
 from aud_lab.errors import InsufficientDataError, ParameterError, StabilityError
+from aud_lab.experiments import _occupancy_by_window
 from aud_lab.queueing import (
     SystemParams,
     UpdateTrace,
+    _non_decreasing,
     arrivals_seeing_busy,
     default_warmup,
     empirical_prob_arrival_sees_busy,
@@ -380,3 +391,116 @@ def test_occupancy_rejects_bad_edges():
         occupancy_fractions(path, 3, [1.0, 4.0, 4.0])
     with pytest.raises(ParameterError):
         occupancy_fractions(path, 3, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def occupancy_of_whole_path(trace, max_length, edges):
+    return occupancy_fractions(queue_length_process(trace), max_length, edges)
+
+
+def assert_windowed_occupancy_matches(trace, max_length, edges):
+    windowed = _occupancy_by_window(trace, max_length, np.asarray(edges, dtype=float))
+    assert np.array_equal(windowed, occupancy_of_whole_path(trace, max_length, edges))
+
+
+@pytest.mark.parametrize("lam,seed", [(0.5, 42), (0.5, 1009), (0.9, 7)])
+def test_windowed_occupancy_is_bit_identical_to_the_whole_path(lam, seed):
+    trace = simulate(SystemParams(lam, 1.0), 100_000, seed)
+    warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
+    edges = np.linspace(warm_epoch, trace.last_departure, 101)
+    for max_length in (0, 4, 10):
+        assert_windowed_occupancy_matches(trace, max_length, edges)
+
+
+def test_windowed_occupancy_of_tied_epochs():
+    assert_windowed_occupancy_matches(tied_arrivals(), 2, [0.0, 2.0, 6.0])
+    assert_windowed_occupancy_matches(tied_arrivals(), 3, [1.0, 2.0, 3.0, 5.5, 6.0])
+    assert_windowed_occupancy_matches(tied_departures(), 2, [0.0, 5.0])
+    assert_windowed_occupancy_matches(tied_departures(), 2, [1.0, 1.5, 2.0, 4.5, 5.0])
+
+
+def test_windowed_occupancy_edge_cases():
+    trace = simulate(SystemParams(0.7, 1.0), 2000, 8)
+    epochs = queue_length_process(trace).epochs
+    # edges on event epochs, including a window between two events
+    assert_windowed_occupancy_matches(trace, 5, epochs[[3, 40, 41, 900, 2500]])
+    # windows with no event: before the first event, within one gap, past the last
+    gap = np.linspace(epochs[10], epochs[11], 6)
+    edges = np.concatenate(([0.0, 0.5 * epochs[0]], gap, [epochs[-1], epochs[-1] + 3.0]))
+    assert_windowed_occupancy_matches(trace, 5, edges)
+    # every arrival coincides with the previous departure
+    trace = simulate(SystemParams(1.0, 1.0), 200, 0, arrival=Deterministic(1.0),
+                     service=Deterministic(1.0), allow_unstable=True)
+    assert_windowed_occupancy_matches(trace, 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
+
+
+def test_queue_length_path_of_a_window_starts_from_its_level():
+    # (2, 4] of the tied arrivals: three updates arrived and one departed by 2.0
+    path = queue_length_process(tied_arrivals(), 2.0, 4.0)
+    assert (path.initial, list(path.epochs), list(path.lengths)) == (2, [3.0, 4.0], [1, 0])
+    path = queue_length_process(tied_departures(), 1.5, 2.0)
+    assert (path.initial, list(path.epochs), list(path.lengths)) == (2, [2.0, 2.0], [1, 0])
+    empty = queue_length_process(tied_departures(), 2.5, 3.5)
+    assert (empty.initial, len(empty)) == (0, 0)
+    assert occupancy_fractions(empty, 1, [2.5, 3.5]).tolist() == [[1.0, 0.0]]
+    whole = queue_length_process(tied_arrivals())
+    assert whole.initial == 0 and len(whole) == 8
+
+
+@pytest.mark.parametrize("epochs", [
+    [1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [0.0, -0.0], [-0.0, 0.0],
+    [np.nan, 1.0], [1.0, np.nan], [0.0, 1.0, np.nan, 2.0], [np.nan, np.nan],
+    [np.inf, np.inf], [-np.inf, -np.inf], [-np.inf, np.inf], [np.inf, -np.inf],
+    [1.0, np.inf], [np.inf, 1.0], [-np.inf, 1.0], [1.0, -np.inf],
+    [1.0, np.inf, np.inf], [-np.inf, -np.inf, 0.0], [-np.inf, 0.0, np.inf],
+    [-np.inf, 0.0, 0.0, np.inf, np.inf], [0.0, 0.0, 0.0],
+])
+def test_order_check_gives_the_verdict_of_the_gaps(epochs):
+    epochs = np.array(epochs)
+    with np.errstate(invalid="ignore"):
+        expected = bool((np.diff(epochs) >= 0.0).all())
+    assert _non_decreasing(epochs) is expected
+
+
+@given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]),
+                min_size=2, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_order_check_property(values):
+    epochs = np.array(values)
+    with np.errstate(invalid="ignore"):
+        expected = bool((np.diff(epochs) >= 0.0).all())
+    assert _non_decreasing(epochs) is expected
+
+
+def simulate_reference(arrival, service, n, seed):
+    """The column arithmetic of ``simulate`` before it worked in place."""
+    gaps = np.asarray(arrival.from_uniform(SeededStream(seed, ARRIVAL_STREAM).uniform_open(n)))
+    services = np.asarray(service.from_uniform(SeededStream(seed, SERVICE_STREAM).uniform_open(n)))
+    arrivals = np.cumsum(gaps)
+    cum_service = np.cumsum(services)
+    shifted = np.concatenate(([0.0], cum_service[:-1]))
+    headroom = np.maximum.accumulate(arrivals - shifted)
+    starts = np.maximum(arrivals, shifted + headroom)
+    return arrivals, starts, starts + services
+
+
+@pytest.mark.parametrize("block", [None, 4096])
+def test_simulate_in_place_is_bit_identical_to_the_reference(block, monkeypatch):
+    if block:  # long draws then take the block path
+        monkeypatch.setattr(distributions, "BLOCK_SIZE", block)
+    cases = [(Exponential(0.5), Exponential(1.0)), (Exponential(0.93), Exponential(1.0)),
+             (Uniform(0.5, 3.5), Deterministic(1.5)), (Deterministic(2.0), Exponential(0.7))]
+    for arrival, service in cases:
+        params = SystemParams(1.0 / arrival.mean, 1.0 / service.mean)
+        for n, seed in ((1, 3), (2, 4), (5, 5), (20_000, 6)):
+            trace = simulate(params, n, seed, arrival=arrival, service=service)
+            expected = simulate_reference(arrival, service, n, seed)
+            got = (trace.arrival_times, trace.service_start_times, trace.departure_times)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_sample_many_keeps_from_uniform_pure():
+    u = SeededStream(4, 0).uniform_open(1000)
+    kept = u.copy()
+    gaps = Exponential(0.3).from_uniform(u)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(sample_many(Exponential(0.3), SeededStream(4, 0), 1000), gaps)

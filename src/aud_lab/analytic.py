@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -154,40 +153,22 @@ class OptimalOperatingPoint(NamedTuple):
     arrival_rate: float
 
 
-def _aud_shape(rho: Decimal) -> Decimal:
-    # service_rate * average_aud as a function of utilization alone
-    one = Decimal(1)
-    return one + one / rho + rho * rho / (one - rho)
-
-
 def optimal_utilization(service_rate: float = 1.0) -> OptimalOperatingPoint:
     """Utilization (and matching arrival rate) minimizing the average age upon decisions.
 
-    Golden-section search on the utilization profile, evaluated in 50-digit
-    decimal arithmetic: double precision cannot rank points closer than
-    ~1e-8 near the flat minimum, which would defeat the 1e-9 tolerance.
-    The minimizer does not depend on the service rate.
+    service_rate * average_aud is g(rho) = 1 + 1/rho + rho^2/(1 - rho), so the
+    minimizer does not depend on the service rate.  g'(rho) = 0 clears to the
+    palindromic quartic rho^4 - 2 rho^3 + rho^2 - 2 rho + 1 = 0; divided by
+    rho^2 it is x^2 - 2x - 1 = 0 in x = rho + 1/rho, so x = 1 + sqrt(2) and
+
+        rho* = (x - sqrt(x^2 - 4)) / 2 = (1 + sqrt(2) - sqrt(2 sqrt(2) - 1)) / 2.
+
+    It is evaluated as 2 / (x + sqrt(x^2 - 4)), which adds where the first
+    form cancels, and lands within an ulp of the root.
     """
     if not (math.isfinite(service_rate) and service_rate > 0.0):
         raise ParameterError(f"service_rate must be positive, got {service_rate!r}")
-    with localcontext() as ctx:
-        ctx.prec = 50
-        inv_phi = (Decimal(5).sqrt() - 1) / 2
-        a = Decimal("1e-6")
-        b = Decimal(1) - Decimal("1e-6")
-        c = b - (b - a) * inv_phi
-        d = a + (b - a) * inv_phi
-        fc, fd = _aud_shape(c), _aud_shape(d)
-        while b - a > Decimal("1e-13"):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - (b - a) * inv_phi
-                fc = _aud_shape(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + (b - a) * inv_phi
-                fd = _aud_shape(d)
-        rho_star = float((a + b) / 2)
+    rho_star = 2.0 / (1.0 + math.sqrt(2.0) + math.sqrt(2.0 * math.sqrt(2.0) - 1.0))
     return OptimalOperatingPoint(rho_star, rho_star * service_rate)
 
 

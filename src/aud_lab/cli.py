@@ -39,7 +39,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="deterministic decision epochs at gap 1/nu instead of Poisson")
 
 
-def _overrides(args: argparse.Namespace, mode: str | None) -> dict:
+def _overrides(args: argparse.Namespace) -> dict:
+    """The ExperimentConfig field values of the flags that were given."""
     out = {
         "arrival_rates": parse_rates(args.arrival) if args.arrival else None,
         "service_rates": parse_rates(args.service) if args.service else None,
@@ -51,15 +52,11 @@ def _overrides(args: argparse.Namespace, mode: str | None) -> dict:
         "allow_unstable": args.allow_unstable,
         "periodic": args.periodic_decisions,
     }
-    if mode is not None:
-        out["mode"] = mode
-    return out
+    return {k: v for k, v in out.items() if v is not None}
 
 
-def _sweep_mode(file_values: dict, overrides: dict) -> str:
+def _sweep_mode(merged: dict) -> str:
     """Choose the sweep flavor: explicit mode wins, else infer from grid shapes."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
     if merged.get("mode") in ("sweep_lambda", "sweep_mu", "grid_lambda_mu"):
         return merged["mode"]
     many_lam = len(merged.get("arrival_rates", ())) > 1
@@ -81,28 +78,28 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.verb == "sweep":
-            overrides = _overrides(args, None)
-            file_values = load_config_file(args.config) if args.config else {}
-            overrides["mode"] = _sweep_mode(file_values, overrides)
-            config = build_config(args.config, **overrides)
+            overrides = _overrides(args)  # flags are parsed before the file is read
+            values = {**(load_config_file(args.config) if args.config else {}), **overrides}
+            values["mode"] = _sweep_mode(values)
+            config = build_config(**values)
             result = run_sweep(config)
             print(f"wrote {len(result.rows)} rows"
                   + (f" to {config.output_path}" if config.output_path else ""))
             return 0
         if args.verb == "nu-invariance":
-            config = build_config(args.config, **_overrides(args, "nu_invariance"))
+            config = build_config(args.config, **_overrides(args), mode="nu_invariance")
             result = run_nu_invariance(config)
             for rate in sorted(result.estimates):
                 est = result.estimates[rate]
                 print(f"nu={rate:g}: mean age {est.mean:.6g} +/- {est.half_width:.6g}")
             if result.consistent is None:
-                print("SKIP  fewer than two decision rates have a defined decision")
+                print("SKIP  fewer than two decision rates have an estimate")
                 return 0
             print(f"worst pairwise difference {result.worst_se_ratio:.6g} standard errors "
                   f"(gate {result.z:.6g}); "
                   + ("consistent" if result.consistent else "INCONSISTENT"))
             return 0 if result.consistent else 1
-        config = build_config(args.config, **_overrides(args, "validate"))
+        config = build_config(args.config, **_overrides(args), mode="validate")
         report = run_validation(config)
         print(report.summary())
         return 0 if report.passed else 1

@@ -6,15 +6,16 @@ plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run concurrently, each with a seed derived from the base seed and its grid
 index, and rows are assembled in grid order so output is byte-reproducible
 regardless of scheduling.  Validation runs its decision-rate estimates
-and the checks of the trace alone as two concurrent tasks, and the checks
-that compare the estimates once both are done.  Long random draws and the
-per-batch mean ages run on the shared block pool
-(``distributions.block_pool``), which the grid points' and validation's
-threads submit to.  ``AUD_LAB_THREADS`` caps the threads of every pool; one
-thread runs everything in sequence, and no result depends on it.  A
-sample below its estimator's floor (InsufficientDataError) gets no verdict:
-a sweep leaves that p-value blank, and validation reports that check alone
-as skipped, with the reason.
+beside the checks of the trace alone and the sawtooth's time average, and
+the checks that compare the estimates once both are done.  Long random
+draws and the batch means of every correlated mean (``_batch_means``: one
+slice per batch, never a full-length column) run on the shared block pool
+(``distributions.block_pool``).  ``AUD_LAB_THREADS`` caps the threads of
+every pool; one thread runs everything in sequence, and no result depends
+on it.  A sample below its estimator's floor (InsufficientDataError) gets
+no verdict: a sweep leaves that p-value, or a mean age with under
+2 * AUD_BATCHES decisions after the warm-up, blank, and validation reports
+that check alone as skipped, with the reason.
 Validation splits 1 - confidence evenly over its statistical checks, so a
 correct run fails with at most that probability (see ``_within``).
 """
@@ -27,20 +28,14 @@ import math
 import os
 import platform
 import struct
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import analytic
-from .decisions import (
-    _mean_age,
-    aoi_path,
-    decisions_at,
-    periodic_epochs,
-    poisson_epochs,
-    time_average_aoi,
-)
+from .decisions import _mean_age, aoi_path, periodic_epochs, poisson_epochs, time_average_aoi
 from .distributions import SeededStream, block_pool, splitmix64, worker_limit
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
@@ -52,14 +47,7 @@ from .queueing import (
     queue_length_process,
     simulate,
 )
-from .stats import (
-    EstimateWithCI,
-    batch_means_ci,
-    ci_from_batch_means,
-    ks_exponential,
-    mean_ci,
-    z_value,
-)
+from .stats import EstimateWithCI, ci_from_batch_means, ks_exponential, mean_ci, z_value
 
 MODES = ("sweep_lambda", "sweep_mu", "grid_lambda_mu", "nu_invariance", "validate")
 
@@ -75,9 +63,33 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Goodness-of-fit tests use at most this many post-warm-up samples.
 KS_MAX_SAMPLES = 100_000
 
-# Mean-age CIs use batch means over this many batches once there are at
-# least two decisions per batch.
+# Every correlated mean takes its CI from this many batch means.
 AUD_BATCHES = 100
+
+# A batch mean is near-normal once it expects this many events: updates,
+# busy and idle arrivals, arrivals at an occupancy level.
+MIN_EXPECTED = 5
+
+
+def _require(enough: bool, reason: str) -> None:
+    """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
+    if not enough:
+        raise InsufficientDataError(reason)
+
+
+def _batch_means(stat, start: int, stop: int, confidence: float) -> EstimateWithCI:
+    """CI from the means ``stat(a, b)`` of [start, stop) cut into AUD_BATCHES equal slices.
+
+    The remainder is dropped, and the slices' means are taken on the block
+    pool, so only the slices in flight are held.  Over a contiguous column
+    this equals the row means of its (AUD_BATCHES, per) reshape bit for bit:
+    numpy sums a row with the same pairwise tree as the 1-D slice.
+    """
+    per = (stop - start) // AUD_BATCHES
+    _require(per >= 2, f"{stop - start} samples; batch means need {2 * AUD_BATCHES}")
+    starts = range(start, start + per * AUD_BATCHES, per)
+    means = list(block_pool().map(lambda a: stat(a, a + per), starts))
+    return ci_from_batch_means(means, confidence)
 
 
 @dataclass(frozen=True)
@@ -386,29 +398,15 @@ def _aud_estimate(
 
     The epochs come from ``poisson_epochs`` or ``periodic_epochs`` with the
     last departure as horizon, so they are sorted and end within the trace.
-    Decisions ahead of the first departure have no age and are left out.
-    With at least 2 * AUD_BATCHES such decisions the CI comes from batch
-    means, and each batch's mean age is taken on its own by ``_mean_age``
-    on the block pool, so no per-decision column of the whole run is ever
-    held.  The result is bit-identical to ``batch_means_ci`` over the
-    filtered ages of one ``decisions_at`` call: that takes a row mean of a
-    contiguous (AUD_BATCHES, per) array, which numpy sums per row with the
-    same pairwise tree as the 1-D mean of the row's ages, and a slice of
-    epochs gets exactly the same ages as the same slice of the full call.
+    Decisions ahead of the first departure have no age and are left out, and
+    below 2 * AUD_BATCHES such decisions there is no estimate (None).  A slice
+    of epochs gets exactly the ages of that slice of one ``decisions_at`` call.
     """
-    start = _first_estimated(trace, epochs, warm_epoch)
-    size = len(epochs) - start
-    if size >= 2 * AUD_BATCHES:
-        per = size // AUD_BATCHES
-        batches = [epochs[a:a + per] for a in range(start, start + per * AUD_BATCHES, per)]
-        means = list(block_pool().map(_mean_age, [trace] * AUD_BATCHES, batches))
-        return ci_from_batch_means(means, confidence)
-    ages = decisions_at(trace, epochs[start:]).ages
-    if size >= 2:
-        return mean_ci(ages, confidence)
-    if size == 1:
-        return EstimateWithCI(float(ages[0]), math.inf, 1, confidence)
-    return None
+    try:
+        return _batch_means(lambda a, b: _mean_age(trace, epochs[a:b]),
+                            _first_estimated(trace, epochs, warm_epoch), len(epochs), confidence)
+    except InsufficientDataError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -435,8 +433,7 @@ class _Point:
             "total": len(epochs),
             "after_warmup": estimated,
             "undefined": _n_undefined(self.trace, epochs),
-            # est.n counts batches, or single decisions below 2 * AUD_BATCHES
-            "batch_length": estimated // est.n if est else 0,
+            "batch_length": estimated // AUD_BATCHES if est else 0,
         }
 
 
@@ -532,10 +529,9 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
     rows = []
     for nu in config.decision_rates:
         est, counts = point.aud(nu)
-        half_width = est.half_width if est and math.isfinite(est.half_width) else None
         rows.append(SweepRow(arrival_rate, service_rate, nu, analytic_value,
-                             est.mean if est else None, half_width, counts["total"],
-                             counts["undefined"], ks_t_p, ks_y_p,
+                             est.mean if est else None, est.half_width if est else None,
+                             counts["total"], counts["undefined"], ks_t_p, ks_y_p,
                              "ok" if stationary else "unstable-simulated"))
     return rows
 
@@ -588,15 +584,15 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
 
     Every decision rate samples the same simulated path, so differences in
     the per-rate age means reflect decision sampling only.  The rates with
-    an estimate are compared pairwise by ``_within``; a rate with no defined
-    decision keeps its blank sweep row, and below two such rates
-    ``consistent`` is None.
+    an estimate are compared pairwise by ``_within``; a rate with under
+    2 * AUD_BATCHES decisions after the warm-up keeps its blank sweep row,
+    and below two rates with an estimate ``consistent`` is None.
     """
     started = time.monotonic()
     workers = worker_limit()
     sweep = run_sweep(replace(config, mode="nu_invariance", output_path=None))
     estimates = {
-        row.decision_rate: EstimateWithCI(row.empirical_aud, row.ci_half_width or math.inf, 0,
+        row.decision_rate: EstimateWithCI(row.empirical_aud, row.ci_half_width, 0,
                                           config.confidence)
         for row in sweep.rows if row.empirical_aud is not None
     }
@@ -653,12 +649,6 @@ class ValidationReport:
         return "\n".join(lines + [verdict])
 
 
-def _require(enough: bool, reason: str) -> None:
-    """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
-    if not enough:
-        raise InsufficientDataError(reason)
-
-
 def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     """Every oracle check on one simulated point, and the run sizes for the manifest.
 
@@ -672,30 +662,39 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     config, params, trace, warm = point.config, point.params, point.trace, point.warm
     lam, mu = params.arrival_rate, params.service_rate
 
-    # The mean age at each decision rate, and at nu = 1 for the PASTA check,
-    # on one trace; each rate's epochs are dropped once estimated and counted.
+    # The mean age and counts at each decision rate, and at nu = 1 for the PASTA
+    # check.  Each rate's epochs are dropped once counted; the highest rate's are
+    # the run's peak, so it goes first, and the sawtooth's columns wait for it.
+    rates = (*config.decision_rates, *(() if 1.0 in config.decision_rates else (1.0,)))
     estimates = {}
+    highest_rate_done = threading.Event()
 
     def estimate_rates() -> list[dict]:
-        decision_sizes = []
-        pasta_rate = () if 1.0 in config.decision_rates else (1.0,)
-        for nu in (*config.decision_rates, *pasta_rate):
-            estimates[nu], counts = point.aud(nu)
-            decision_sizes.append(counts)
-        return decision_sizes
+        try:
+            for nu in sorted(set(rates), reverse=True):
+                estimates[nu] = point.aud(nu)
+                highest_rate_done.set()
+        finally:
+            highest_rate_done.set()
+        return [estimates[nu][1] for nu in rates]
 
     lag, thinned, gaps = _ks_samples(point)
     span = (trace.n - warm) // AUD_BATCHES
 
     def batched():
-        # Batch means are near-independent once a batch spans the relaxation
-        # scale; 100 such batches also leave time in each of the 100 windows.
+        # Batch means are near-independent once a batch spans the relaxation scale, and
+        # near-normal once it holds a few updates; such batches leave time in every window.
         _require(span >= lag, f"a batch spans {span} updates; below the decorrelation lag {lag}")
+        _require(span >= MIN_EXPECTED, f"a batch spans {span} updates; below {MIN_EXPECTED}")
 
     def estimate(nu: float) -> EstimateWithCI:
-        _require(estimates[nu] is not None, f"no defined decisions at decision rate {nu}")
+        est, counts = estimates[nu]
+        n = counts["after_warmup"]
+        _require(n > 0, f"no defined decisions at decision rate {nu}")
+        _require(est is not None, f"{n} decisions after the warm-up at decision rate {nu}; "
+                                  f"an estimate needs {2 * AUD_BATCHES}")
         batched()
-        return estimates[nu]
+        return est
 
     # The time windows start no earlier than the first departure, where the
     # age path begins; with a warm-up that is the warm-up's last departure.
@@ -734,17 +733,24 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         batched()
         pi = analytic.stationary_queue_dist(params, 10)
         expected = lam * (edges[1] - edges[0]) * np.minimum(pi, 1.0 - np.cumsum(pi))
-        k = int((expected >= 5.0).sum())  # expected falls with the level
-        _require(k > 0, "fewer than 5 arrivals per window expected at occupancy level 0")
+        k = int((expected >= MIN_EXPECTED).sum())  # expected falls with the level
+        _require(k > 0, f"fewer than {MIN_EXPECTED} arrivals per window expected at occupancy "
+                        "level 0")
         per_batch = _occupancy_by_window(trace, k - 1, edges)
         per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
         return _within([ci_from_batch_means(level, config.confidence) for level in per_batch.T],
                        np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
     def prob_busy_on_arrival():
+        # one indicator per update after the warm-up but the last
         batched()
-        busy = arrivals_seeing_busy(trace)[warm:].astype(float)
-        return _within([batch_means_ci(busy, config.confidence)], params.utilization, alpha)
+        rho = params.utilization
+        expected = min(rho, 1.0 - rho) * ((trace.n - 1 - warm) // AUD_BATCHES)
+        _require(expected >= MIN_EXPECTED,
+                 f"{expected:.3g} busy or idle arrivals expected per batch; below {MIN_EXPECTED}")
+        est = _batch_means(lambda a, b: arrivals_seeing_busy(trace, a, b).mean(),
+                           warm, trace.n - 1, config.confidence)
+        return _within([est], rho, alpha)
 
     def mgf_mixture_identity():
         # Busy/idle mixture must reassemble the plain rate transform.
@@ -762,12 +768,16 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
 
     def cross_moment():
         batched()
-        # each departure gap after the warm-up times the system time before it
         arr, dep = trace.arrival_times, trace.departure_times
-        prod = dep[warm + 1:] - dep[warm:-1]
-        prod *= dep[warm:-1] - arr[warm:-1]
+
+        def mean_product(a: int, b: int) -> np.float64:
+            # each departure gap after the warm-up times the system time before it
+            prod = dep[a + 1:b + 1] - dep[a:b]
+            prod *= dep[a:b] - arr[a:b]
+            return prod.mean()
+
         theory = analytic.cross_moment_system_interdeparture(params)
-        est = batch_means_ci(prod, config.confidence)
+        est = _batch_means(mean_product, warm, trace.n - 1, config.confidence)
         return _within([est], theory, alpha, f"theory={theory:.6g}")
 
     def aud_dual_path():
@@ -813,10 +823,15 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         return (service_starved > arrival_starved, arrival_starved, service_starved, 0.0,
                 "service starvation must dominate arrival starvation")
 
+    def time_average_age() -> EstimateWithCI:
+        batched()  # below it the windows can coincide
+        highest_rate_done.wait()
+        return ci_from_batch_means(time_average_aoi(aoi_path(trace), edges), config.confidence)
+
     def pasta_time_average():
         # Poisson decisions sample the time average of the age path (PASTA).
         aud = estimate(1.0)
-        aoi = ci_from_batch_means(time_average_aoi(aoi_path(trace), edges), config.confidence)
+        aoi = sawtooth.result()
         return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 
     order = [aud_mc_vs_theory, aud_nu_invariance, ks_system_time, ks_interdeparture,
@@ -841,15 +856,17 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
                                          *rest)
         return results
 
-    # The checks of the trace alone run beside the decision-rate estimates;
-    # with one thread, after them.  Neither task runs on the block pool, so
-    # the block tasks that the estimates wait on never wait themselves.
+    # The checks of the trace alone, then the sawtooth's time average, run
+    # beside the decision-rate estimates; with one thread, after them.  No
+    # task runs on the block pool, so the block tasks that the tasks wait on
+    # never wait themselves.
     uses_estimates = {aud_mc_vs_theory, aud_nu_invariance, pasta_time_average}
     with concurrent.futures.ThreadPoolExecutor(min(2, worker_limit())) as pool:
-        tasks = (pool.submit(estimate_rates),
-                 pool.submit(run, [c for c in order if c not in uses_estimates]))
-        decision_sizes, results = (task.result() for task in tasks)
-    results.update(run([c for c in order if c in uses_estimates]))
+        estimated = pool.submit(estimate_rates)
+        trace_checks = pool.submit(run, [c for c in order if c not in uses_estimates])
+        sawtooth = pool.submit(time_average_age)
+        decision_sizes, results = estimated.result(), trace_checks.result()
+        results.update(run([c for c in order if c in uses_estimates]))
     checks = [results[check] for check in order]
 
     sizes = {

@@ -301,12 +301,14 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, edges) -> np.nda
     return totals.reshape(n_windows, max_length + 1) / np.diff(edges)[:, None]
 
 
-def arrivals_seeing_busy(trace: UpdateTrace) -> np.ndarray:
-    """Whether each update from the second on arrives before its predecessor departs."""
+def arrivals_seeing_busy(trace: UpdateTrace, start: int = 0,
+                         stop: int | None = None) -> np.ndarray:
+    """Whether update i + 1 arrives before update i departs, for i in [start, stop), or all i."""
     if trace.n < 2:
         raise InsufficientDataError("need at least 2 updates to compare gaps with system times")
-    arr = trace.arrival_times
-    return arr[1:] - arr[:-1] < trace.departure_times[:-1] - arr[:-1]
+    stop = trace.n - 1 if stop is None else stop
+    arr, dep = trace.arrival_times[start:stop + 1], trace.departure_times[start:stop]
+    return arr[1:] - arr[:-1] < dep - arr[:-1]
 
 
 def empirical_prob_arrival_sees_busy(trace: UpdateTrace) -> float:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -187,6 +188,17 @@ def test_optimizer_agrees_with_derivative_bisection():
     by_bisection = 0.5 * (lo + hi)
     by_search = analytic.optimal_utilization(1.0).utilization
     assert abs(by_search - by_bisection) <= 1e-9
+
+
+def test_optimal_utilization_is_the_root_of_the_quartic():
+    # the root below 1 of rho^4 - 2 rho^3 + rho^2 - 2 rho + 1 = 0, at 60 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        two = decimal.Decimal(2)
+        root = (1 + two.sqrt() - (2 * two.sqrt() - 1).sqrt()) / 2
+        assert abs(root**4 - 2 * root**3 + root**2 - 2 * root + 1) < decimal.Decimal("1e-55")
+        rho_star = analytic.optimal_utilization(1.0).utilization
+        assert abs(decimal.Decimal(rho_star) - root) <= decimal.Decimal(math.ulp(rho_star))
 
 
 def test_aud_curve_u_shape_in_arrival_rate():

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 import aud_lab
-from aud_lab import analytic, distributions, experiments
+from aud_lab import analytic, cli, distributions, experiments
 from aud_lab.cli import main as cli_main
-from aud_lab.decisions import decisions_at, generate_decisions, periodic_decisions
+from aud_lab.decisions import decisions_at, generate_decisions
 from aud_lab.distributions import SeededStream
-from aud_lab.errors import ParameterError
+from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.experiments import (
     ExperimentConfig,
     _aud_estimate,
     _decision_epochs,
     _differences,
+    _first_estimated,
     _ks_samples,
     _n_undefined,
     _simulate_point,
@@ -42,7 +43,7 @@ from aud_lab.queueing import (
     queue_length_process,
     simulate,
 )
-from aud_lab.stats import EstimateWithCI, batch_means_ci, ci_from_batch_means, mean_ci, z_value
+from aud_lab.stats import EstimateWithCI, batch_means_ci, ci_from_batch_means, z_value
 
 SMALL = dict(n_updates=50_000, seed=11)
 
@@ -355,14 +356,18 @@ def test_warmup_is_configurable(tmp_path):
 
 def test_validation_small_run_skips_the_checks_below_their_floors():
     # 500 updates after the warm-up: thinned at the full lag of 12 they leave
-    # 42 system times, below the K-S floor, and a batch of 5 updates is
-    # shorter than that lag, so every batch-means check is skipped too
+    # 42 system times, below the K-S floor; 95 decisions at nu = 0.1 give no
+    # mean-age estimate; and a batch of 5 updates is shorter than that lag,
+    # so every other batch-means check is skipped too
     report = run_validation(ExperimentConfig(n_updates=1000, seed=6))
     skipped = {c.name: c.as_csv() for c in report.checks if c.passed is None}
     assert skipped.pop("ks_system_time") == (
         "ks_system_time,skipped,nan,nan,nan,K-S needs at least 50 samples; got 42")
-    assert set(skipped) == {"aud_mc_vs_theory", "aud_nu_invariance",
-                            "queue_length_distribution", "prob_busy_on_arrival",
+    for name in ("aud_mc_vs_theory", "aud_nu_invariance"):
+        assert skipped.pop(name) == (f"{name},skipped,nan,nan,nan,95 decisions after the "
+                                     "warm-up at decision rate 0.1; an estimate needs 200")
+    # nu = 1 has an estimate, so the PASTA check reports the batch floor
+    assert set(skipped) == {"queue_length_distribution", "prob_busy_on_arrival",
                             "cross_moment", "pasta_time_average"}
     assert set(skipped.values()) == {
         f"{name},skipped,nan,nan,nan,a batch spans 5 updates; below the decorrelation lag 12"
@@ -470,13 +475,7 @@ def test_validation_without_warmup_returns_a_report(tmp_path, capsys):
 def reference_estimate(decisions, warm_epoch):
     """The mean-age estimate from the full decision columns of one run."""
     ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-    if len(ages) >= 200:
-        return batch_means_ci(ages, 0.99)
-    if len(ages) >= 2:
-        return mean_ci(ages, 0.99)
-    if len(ages) == 1:
-        return EstimateWithCI(float(ages[0]), math.inf, 1, 0.99)
-    return None
+    return batch_means_ci(ages, 0.99) if len(ages) >= 200 else None
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -494,24 +493,33 @@ def test_batched_aud_estimate_is_bit_identical(seed, periodic):
 
 
 def test_aud_estimate_small_branches():
+    # an estimate needs two decisions per batch after the warm-up: 199 give
+    # none, 200 give the batch means of 100 pairs
     trace = simulate(SystemParams(0.5, 1.0), 3000, 4)
     d0 = float(trace.departure_times[0])
-    epochs = periodic_decisions(trace, 0.02, trace.last_departure).times
-    # under 200 estimated decisions: a plain mean CI
+    epochs = _decision_epochs(trace, 1.0, 4, False)
     for warm_epoch in (0.0, float(trace.departure_times[1500])):
-        got = _aud_estimate(trace, epochs, warm_epoch, 0.99)
-        assert got == reference_estimate(decisions_at(trace, epochs), warm_epoch)
-        assert 2 <= got.n < 200
-    # one decision after the warm-up, behind undefined ones: a single sample
+        start = _first_estimated(trace, epochs, warm_epoch)
+        assert _aud_estimate(trace, epochs[:start + 199], warm_epoch, 0.99) is None
+        got = _aud_estimate(trace, epochs[:start + 200], warm_epoch, 0.99)
+        assert got == reference_estimate(decisions_at(trace, epochs[:start + 200]), warm_epoch)
+        assert got.n == 100 and math.isfinite(got.half_width)
+    # a single decision behind undefined ones, only undefined decisions, or none
     single = np.array([0.5 * d0, 0.8 * d0, d0])
-    got = _aud_estimate(trace, single, 0.0, 0.99)
-    assert got == reference_estimate(decisions_at(trace, single), 0.0)
-    assert got.n == 1 and got.half_width == math.inf
-    # nothing after the warm-up, only undefined decisions, or no epochs at all
-    assert _aud_estimate(trace, single, d0, 0.99) is None
+    assert _aud_estimate(trace, single, 0.0, 0.99) is None
     assert _aud_estimate(trace, single[:2], 0.0, 0.99) is None
     assert _aud_estimate(trace, np.empty(0), 0.0, 0.99) is None
     assert _n_undefined(trace, single) == 2 and _n_undefined(trace, np.empty(0)) == 0
+
+
+def test_batch_means_over_slices_match_the_whole_column():
+    x = np.random.default_rng(3).exponential(size=12_345)
+    for start in (0, 345):
+        got = experiments._batch_means(lambda a, b: x[a:b].mean(), start, len(x), 0.99)
+        assert got == batch_means_ci(x[start:], 0.99)
+    assert experiments._batch_means(lambda a, b: x[a:b].mean(), 0, 200, 0.99).n == 100
+    with pytest.raises(InsufficientDataError, match="199 samples; batch means need 200"):
+        experiments._batch_means(lambda a, b: x[a:b].mean(), 1, 200, 0.99)
 
 
 def test_within_gates_the_worst_se_ratio():
@@ -578,16 +586,26 @@ def test_cli_nu_invariance(tmp_path, capsys):
 
 
 def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, capsys):
-    # no decision at nu = 1e-4 falls on this short trace: its row stays
-    # blank, and one rate alone leaves nothing to compare
+    # periodic decisions at these two rates fall 199 and 200 times after the
+    # warm-up: the first row stays blank, and one rate alone leaves nothing
+    # to compare
+    flags = ["--nu", "0.0985,0.099", "--updates", "2000", "--seed", "42",
+             "--periodic-decisions"]
+    config = ExperimentConfig(mode="nu_invariance", decision_rates=(0.0985, 0.099),
+                              n_updates=2000, seed=42, periodic=True)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.0985))
+    assert [point.aud(nu)[1]["after_warmup"] for nu in config.decision_rates] == [199, 200]
     out = tmp_path / "nu.csv"
-    code = cli_main(["nu-invariance", "--nu", "0.0001,1", "--updates", "100", "--out", str(out)])
+    code = cli_main(["nu-invariance", *flags, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out.splitlines()[-1] == (
-        "SKIP  fewer than two decision rates have a defined decision")
-    rows = out.read_text().splitlines()[1:]
-    assert [r.split(",")[4] == "" for r in rows] == [True, False]
+        "SKIP  fewer than two decision rates have an estimate")
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert [r[4:6] == ["", ""] for r in rows] == [True, False]
+    # no decision at nu = 1e-4 falls on this short trace
+    code = cli_main(["nu-invariance", "--nu", "0.0001,1", "--updates", "100", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().out.startswith("SKIP")
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -601,6 +619,27 @@ def test_cli_config_file_with_flag_override(tmp_path):
     config_record = next(r for r in manifest if r["record"] == "config")
     assert config_record["seed"] == 99
     assert config_record["mode"] == "sweep_mu"
+
+
+def test_cli_sweep_reads_its_config_file_once(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("lambda = 0.3,0.6\nnu = 1\nupdates = 2000\nseed = 1\n")
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return load_config_file(path)
+
+    monkeypatch.setattr(cli, "load_config_file", counting)
+    monkeypatch.setattr(experiments, "load_config_file", counting)
+    assert cli_main(["sweep", "--config", str(cfg)]) == 0
+    assert reads == [str(cfg)] and capsys.readouterr().out == "wrote 2 rows\n"
+    # a bad flag is still reported ahead of a bad file
+    cfg.write_text("bogus = 1\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--lambda", "x"]) == 2
+    assert capsys.readouterr().err == "error: rate must be a number, got 'x'\n"
+    assert cli_main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'bogus'\n"
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -676,6 +715,40 @@ def test_cli_short_runs_skip_the_checks_below_their_floor(tmp_path, capsys, flag
     assert all(r[1] in ("true", "false") for r in rows if r[0] not in skipped)
     # a skipped check neither passes nor fails the run
     assert code == (1 if any(r[1] == "false" for r in rows) else 0)
+
+
+@pytest.mark.parametrize("flags,aud_reason,batch_span", [
+    # 89 decisions at nu = 0.1 once failed aud_mc_vs_theory on an i.i.d. CI
+    (["--lambda", "0.1", "--updates", "200", "--seed", "100"],
+     "89 decisions after the warm-up at decision rate 0.1; an estimate needs 200", 1),
+    # batches of 3 updates at rho = 0.01 once failed prob_busy_on_arrival
+    (["--lambda", "0.01", "--updates", "600", "--seed", "102"],
+     "a batch spans 3 updates; below 5", 3),
+], ids=["rho0.1-n200", "rho0.01-n600"])
+def test_cli_short_low_load_runs_pass(tmp_path, capsys, flags, aud_reason, batch_span):
+    out = tmp_path / "v.csv"
+    assert cli_main(["validate", *flags, "--out", str(out)]) == 0, capsys.readouterr().out
+    rows = {r.split(",")[0]: r for r in out.read_text().splitlines()[1:]}
+    assert rows["aud_mc_vs_theory"] == f"aud_mc_vs_theory,skipped,nan,nan,nan,{aud_reason}"
+    assert rows["prob_busy_on_arrival"] == ("prob_busy_on_arrival,skipped,nan,nan,nan,"
+                                            f"a batch spans {batch_span} updates; below 5")
+
+
+def test_busy_check_needs_busy_and_idle_arrivals_in_every_batch(tmp_path):
+    # 190 updates per batch at rho = 0.01 expect 1.89 busy arrivals each
+    out = tmp_path / "v.csv"
+    cli_main(["validate", "--lambda", "0.01", "--updates", "20000", "--seed", "100",
+              "--out", str(out)])
+    assert ("prob_busy_on_arrival,skipped,nan,nan,nan,1.89 busy or idle arrivals expected per "
+            "batch; below 5") in out.read_text().splitlines()
+
+
+def test_sweep_leaves_the_estimate_blank_below_two_decisions_per_batch():
+    config = ExperimentConfig(mode="sweep_lambda", decision_rates=(0.01, 1.0),
+                              n_updates=2000, seed=7)
+    low, high = run_sweep(config).rows
+    assert low.n_decisions > 0 and low.empirical_aud is low.ci_half_width is None
+    assert high.empirical_aud > 0.0 and high.ci_half_width > 0.0
 
 
 def test_cli_sweep_with_tied_arrival_epochs(tmp_path):

@@ -154,6 +154,10 @@ def test_busy_indicator_is_the_gap_against_the_previous_system_time():
     reference = trace.interarrival_times[1:] < trace.system_times[:-1]
     assert np.array_equal(arrivals_seeing_busy(trace), reference)
     assert empirical_prob_arrival_sees_busy(trace) == float(np.mean(reference))
+    # an index range gives the same entries as the slice of the whole column
+    for start, stop in ((0, None), (0, 19_999), (1000, 1190), (19_998, 19_999), (7, 7)):
+        got = arrivals_seeing_busy(trace, start, stop)
+        assert np.array_equal(got, reference[start:stop])
 
 
 def test_prob_busy_needs_two_updates():

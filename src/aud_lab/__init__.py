@@ -4,7 +4,7 @@ A receiver acts on status updates flowing through a single-server queue;
 each decision uses the freshest update already delivered, and the age upon
 decision is the elapsed time since that update was generated.  The package
 pairs closed-form steady-state results for the M/M/1 case with a seeded
-discrete-event simulator and the statistical machinery to certify one
+simulator of the same queue and the statistical machinery to certify one
 against the other.
 """
 
@@ -45,13 +45,7 @@ from .distributions import (
     ARRIVAL_STREAM,
     DECISION_STREAM,
     SERVICE_STREAM,
-    Deterministic,
-    DistributionSpec,
-    Exponential,
     SeededStream,
-    Uniform,
-    sample,
-    sample_many,
 )
 from .errors import (
     AudLabError,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import SeededStream
+from .distributions import SeededStream, exponential_epochs
 from .errors import InsufficientDataError, ParameterError, TruncationError
 from .queueing import UpdateTrace, locate_window_edges
 
@@ -155,30 +155,6 @@ def _require_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
-def _cumulative_gaps(stream: SeededStream, rate: float, size: int) -> np.ndarray:
-    """Cumulative sums of ``size`` gaps -log(U) / rate, computed in one buffer.
-
-    The gaps arrive part by part from ``stream.fill_open`` (the draws of a
-    long request run on the block pool, which also takes the log and
-    scales), and each part is summed as it arrives, its first element first
-    taking the previous part's last sum.  ``np.cumsum`` adds left to right,
-    so this is bit-identical to one ``np.cumsum`` over all the gaps.
-    """
-
-    def to_gaps(u: np.ndarray) -> None:
-        np.log(u, out=u)
-        u /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
-
-    epochs = np.empty(size)
-    carry = None
-    for part in stream.fill_open(epochs, to_gaps):
-        if carry is not None:
-            part[0] += carry
-        np.cumsum(part, out=part)
-        carry = part[-1]
-    return epochs
-
-
 def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -> np.ndarray:
     """Sorted Poisson epochs at ``decision_rate`` on (0, horizon].
 
@@ -195,9 +171,9 @@ def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -
     _require_positive("horizon", horizon)
     expected = decision_rate * horizon
     chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
-    epochs = _cumulative_gaps(stream, decision_rate, chunk)
+    epochs = exponential_epochs(stream, decision_rate, chunk)
     while epochs[-1] <= horizon:
-        more = _cumulative_gaps(stream, decision_rate, chunk)
+        more = exponential_epochs(stream, decision_rate, chunk)
         epochs = np.concatenate([epochs, epochs[-1] + more])
     return epochs[: np.searchsorted(epochs, horizon, side="right")]
 

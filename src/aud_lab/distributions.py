@@ -1,10 +1,11 @@
-"""Seeded random-variate generation for inter-event times.
+"""Seeded exponential inter-event times from counter-based Philox streams.
 
-Every variate is an inverse-CDF transform of a uniform draw from a
-counter-based Philox stream, so a given (seed, stream_id) pair reproduces
-the same sequence on any platform, and distinct stream ids give
-statistically independent streams for the arrival, service, and decision
-processes.
+Every gap is -ln(U) / rate for a uniform draw U on (0, 1) from a Philox
+stream, so a given (seed, stream_id) pair reproduces the same sequence on
+any platform, and distinct stream ids give statistically independent
+streams for the arrival, service, and decision processes.  One transform
+(``_gap_parts``) makes the gaps of all three: ``exponential_gaps`` returns
+them, ``exponential_epochs`` their running sums.
 
 Philox maps a counter to four 64-bit words, so any stretch of a stream can
 be drawn on its own from the key and the counter at its start.  Requests
@@ -15,11 +16,9 @@ state afterwards as one sequential draw.
 from __future__ import annotations
 
 import concurrent.futures
-import math
 import os
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -106,70 +105,6 @@ def splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Exponential:
-    """Exponential inter-event times with the given rate (mean 1/rate)."""
-
-    rate: float
-
-    def __post_init__(self):
-        _require_positive_finite("rate", self.rate)
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def from_uniform(self, u):
-        """Map uniform draws on (0, 1) to variates via -ln(u)/rate."""
-        return -np.log(u) / self.rate
-
-
-@dataclass(frozen=True)
-class Deterministic:
-    """Degenerate distribution: every draw equals ``value``."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_positive_finite("value", self.value)
-
-    @property
-    def mean(self) -> float:
-        return self.value
-
-    def from_uniform(self, u):
-        return np.full(np.shape(u), self.value, dtype=float)
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """Uniform inter-event times on (lo, hi) with 0 <= lo < hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ParameterError(f"bounds must be finite, got ({self.lo!r}, {self.hi!r})")
-        if not (0.0 <= self.lo < self.hi):
-            raise ParameterError(f"bounds must satisfy 0 <= lo < hi, got ({self.lo}, {self.hi})")
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def from_uniform(self, u):
-        return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=float)
-
-
-DistributionSpec = Union[Exponential, Deterministic, Uniform]
-
-
 class SeededStream:
     """Reproducible uniform source identified by (seed, stream_id).
 
@@ -198,8 +133,8 @@ class SeededStream:
     def __repr__(self):
         return f"SeededStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def uniform_open(self, size: int | None = None):
-        """Uniform draws on the open interval (0, 1); exact 0.0 is rejected.
+    def uniform_open(self, size: int) -> np.ndarray:
+        """``size`` uniform draws on the open interval (0, 1); exact 0.0 is rejected.
 
         Each exact 0.0 is replaced, in index order, by the next draws after
         the ``size`` requested (repeatedly, should one of those be 0.0 too).
@@ -207,11 +142,6 @@ class SeededStream:
         ``block_pool()`` (see ``fill_open``); the values and the stream's
         state afterwards are those of one sequential draw.
         """
-        if size is None:
-            u = self._gen.random()
-            while u == 0.0:
-                u = self._gen.random()
-            return u
         if size < 0:
             raise ParameterError(f"size must be non-negative, got {size}")
         u = np.empty(size)
@@ -294,21 +224,41 @@ class SeededStream:
                 transform(part)
 
 
-def sample(spec: DistributionSpec, stream: SeededStream) -> float:
-    """Draw one inter-event time from ``spec`` using ``stream``."""
-    return float(spec.from_uniform(stream.uniform_open()))
+def _gap_parts(stream: SeededStream, rate: float, out: np.ndarray) -> Iterator[np.ndarray]:
+    """Fill ``out`` with gaps -log(U) / rate from ``stream``; yield its parts in index order.
 
-
-def sample_many(spec: DistributionSpec, stream: SeededStream, n: int) -> np.ndarray:
-    """Draw ``n`` inter-event times from ``spec`` as a float array.
-
-    Exponential times are made in the buffer of the uniform draws:
-    log(U) / (-rate) has the same bits as ``from_uniform``'s -log(U) / rate,
-    as IEEE division is sign-symmetric.
+    The uniforms come from ``stream.fill_open``, and each part is final when
+    yielded (see there): the tasks of a long request take the log and scale
+    on the block pool.
     """
-    u = stream.uniform_open(n)
-    if isinstance(spec, Exponential):
+
+    def to_gaps(u: np.ndarray) -> None:
         np.log(u, out=u)
-        u /= -spec.rate
-        return u
-    return np.asarray(spec.from_uniform(u), dtype=float)
+        u /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
+
+    return stream.fill_open(out, to_gaps)
+
+
+def exponential_gaps(stream: SeededStream, rate: float, size: int) -> np.ndarray:
+    """``size`` exponential gaps -log(U) / rate (mean 1 / rate) drawn from ``stream``."""
+    gaps = np.empty(size)
+    for _ in _gap_parts(stream, rate, gaps):
+        pass
+    return gaps
+
+
+def exponential_epochs(stream: SeededStream, rate: float, size: int) -> np.ndarray:
+    """Cumulative sums of ``exponential_gaps(stream, rate, size)``, computed in one buffer.
+
+    Each part of the gaps is summed as it arrives, its first element first
+    taking the previous part's last sum.  ``np.cumsum`` adds left to right,
+    so this is bit-identical to one ``np.cumsum`` over all the gaps.
+    """
+    epochs = np.empty(size)
+    carry = None
+    for part in _gap_parts(stream, rate, epochs):
+        if carry is not None:
+            part[0] += carry
+        np.cumsum(part, out=part)
+        carry = part[-1]
+    return epochs

@@ -70,6 +70,12 @@ AUD_BATCHES = 100
 # busy and idle arrivals, arrivals at an occupancy level.
 MIN_EXPECTED = 5
 
+# A squared Exp departure gap has skewness 592 / 20**1.5 = 6.62, so the mean
+# of m of them has 6.62 / sqrt(m).  From this many gaps on that is no larger
+# than the skewness 2 / sqrt(99) = 0.20 of the gap mean at 99 gaps, where the
+# departure-gap mean check does not false-alarm.
+MIN_SQUARED_GAPS = 1085
+
 
 def _require(enough: bool, reason: str) -> None:
     """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
@@ -392,19 +398,20 @@ def _first_estimated(trace: UpdateTrace, epochs: np.ndarray, warm_epoch: float) 
 
 
 def _aud_estimate(
-    trace: UpdateTrace, epochs: np.ndarray, warm_epoch: float, confidence: float
+    trace: UpdateTrace, epochs: np.ndarray, first: int, confidence: float
 ) -> EstimateWithCI | None:
-    """Mean age upon the decisions at the sorted ``epochs`` after ``warm_epoch``.
+    """Mean age upon the decisions at the sorted ``epochs`` from index ``first`` on.
 
     The epochs come from ``poisson_epochs`` or ``periodic_epochs`` with the
     last departure as horizon, so they are sorted and end within the trace.
-    Decisions ahead of the first departure have no age and are left out, and
-    below 2 * AUD_BATCHES such decisions there is no estimate (None).  A slice
-    of epochs gets exactly the ages of that slice of one ``decisions_at`` call.
+    ``first`` is ``_first_estimated``: the first decision after the warm-up
+    with a defined age.  With under 2 * AUD_BATCHES decisions from there on,
+    there is no estimate (None).  A slice of epochs gets exactly the ages of
+    that slice of one ``decisions_at`` call.
     """
     try:
         return _batch_means(lambda a, b: _mean_age(trace, epochs[a:b]),
-                            _first_estimated(trace, epochs, warm_epoch), len(epochs), confidence)
+                            first, len(epochs), confidence)
     except InsufficientDataError:
         return None
 
@@ -426,8 +433,9 @@ class _Point:
         The decision epochs (8 bytes per decision) are dropped on return.
         """
         epochs = _decision_epochs(self.trace, nu, self.seed, self.config.periodic)
-        est = _aud_estimate(self.trace, epochs, self.warm_epoch, self.config.confidence)
-        estimated = len(epochs) - _first_estimated(self.trace, epochs, self.warm_epoch)
+        first = _first_estimated(self.trace, epochs, self.warm_epoch)
+        est = _aud_estimate(self.trace, epochs, first, self.config.confidence)
+        estimated = len(epochs) - first
         return est, {
             "nu": nu,
             "total": len(epochs),
@@ -721,10 +729,14 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
 
     # The departure gaps are i.i.d. (the departures are Poisson, by Burke's theorem).
     def interdeparture_mean():
-        return _within([mean_ci(gaps, config.confidence)], 1.0 / lam, alpha)
+        return _within([mean_ci(gaps, config.confidence)],
+                       analytic.mean_interdeparture(params), alpha)
 
     def interdeparture_second_moment():
-        return _within([mean_ci(gaps**2, config.confidence)], 2.0 / lam**2, alpha)
+        _require(len(gaps) >= MIN_SQUARED_GAPS,
+                 f"{len(gaps)} departure gaps; the squared-gap mean needs {MIN_SQUARED_GAPS}")
+        return _within([mean_ci(gaps**2, config.confidence)],
+                       analytic.second_moment_interdeparture(params), alpha)
 
     def queue_length_distribution():
         # Levels 0..k-1 and the tail >= k against the geometric law, k the first
@@ -744,7 +756,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     def prob_busy_on_arrival():
         # one indicator per update after the warm-up but the last
         batched()
-        rho = params.utilization
+        rho = analytic.prob_busy_on_arrival(params)
         expected = min(rho, 1.0 - rho) * ((trace.n - 1 - warm) // AUD_BATCHES)
         _require(expected >= MIN_EXPECTED,
                  f"{expected:.3g} busy or idle arrivals expected per batch; below {MIN_EXPECTED}")

@@ -1,4 +1,4 @@
-"""Event-driven simulation of a single-server FCFS queue with infinite buffer.
+"""Event-driven simulation of the M/M/1 FCFS queue with infinite buffer.
 
 The simulator produces a complete per-update trace (arrival, service-start,
 and departure epochs stored as columnar arrays); inter-arrival, waiting,
@@ -20,10 +20,9 @@ import numpy as np
 from .distributions import (
     ARRIVAL_STREAM,
     SERVICE_STREAM,
-    DistributionSpec,
-    Exponential,
     SeededStream,
-    sample_many,
+    exponential_epochs,
+    exponential_gaps,
 )
 from .errors import InsufficientDataError, ParameterError, StabilityError
 
@@ -158,59 +157,36 @@ class QueueLengthPath:
         return len(self.epochs)
 
 
-def _effective_utilization(arrival: DistributionSpec, service: DistributionSpec) -> float:
-    return service.mean / arrival.mean
-
-
 def simulate(
     params: SystemParams,
     n_updates: int,
     seed: int,
     *,
-    arrival: DistributionSpec | None = None,
-    service: DistributionSpec | None = None,
     allow_unstable: bool = False,
 ) -> UpdateTrace:
-    """Simulate ``n_updates`` through a FCFS single-server queue.
+    """Simulate ``n_updates`` through the M/M/1 FCFS queue of ``params``.
 
-    Arrival and service inter-event distributions default to exponentials at
-    ``params.arrival_rate`` and ``params.service_rate`` (the M/M/1 case);
-    pass explicit specs for G/G/1 runs.  Draws come from two independent
-    streams keyed by ``seed``, so the trace is a deterministic function of
-    (params, specs, n_updates, seed).
+    Inter-arrival and service times are exponential at
+    ``params.arrival_rate`` and ``params.service_rate``, drawn from two
+    independent streams keyed by ``seed``, so the trace is a deterministic
+    function of (params, n_updates, seed).
 
     Raises:
         StabilityError: utilization >= 1 and ``allow_unstable`` not set.
-        ParameterError: invalid sizes, or an exponential spec whose rate
-            contradicts ``params``.
+        ParameterError: ``n_updates`` < 1.
     """
     if n_updates < 1:
         raise ParameterError(f"n_updates must be >= 1, got {n_updates}")
-    if arrival is None:
-        arrival = Exponential(params.arrival_rate)
-    elif isinstance(arrival, Exponential) and not math.isclose(
-        arrival.rate, params.arrival_rate, rel_tol=1e-9
-    ):
-        raise ParameterError("exponential arrival spec must match params.arrival_rate")
-    if service is None:
-        service = Exponential(params.service_rate)
-    elif isinstance(service, Exponential) and not math.isclose(
-        service.rate, params.service_rate, rel_tol=1e-9
-    ):
-        raise ParameterError("exponential service spec must match params.service_rate")
-
-    stable = _effective_utilization(arrival, service) < 1.0
-    if not stable and not allow_unstable:
-        raise StabilityError(
-            f"utilization {_effective_utilization(arrival, service):.6g} >= 1; "
-            "pass allow_unstable=True to simulate anyway"
-        )
+    if not params.is_stable and not allow_unstable:
+        raise StabilityError(f"utilization {params.utilization:.6g} >= 1; "
+                             "pass allow_unstable=True to simulate anyway")
 
     # Every column is computed in place in one of four buffers: the trace's
     # three columns and the shifted service sums.
-    arrivals = sample_many(arrival, SeededStream(seed, ARRIVAL_STREAM), n_updates)
-    services = sample_many(service, SeededStream(seed, SERVICE_STREAM), n_updates)
-    np.cumsum(arrivals, out=arrivals)
+    arrivals = exponential_epochs(SeededStream(seed, ARRIVAL_STREAM), params.arrival_rate,
+                                  n_updates)
+    services = exponential_gaps(SeededStream(seed, SERVICE_STREAM), params.service_rate,
+                                n_updates)
     shifted = np.empty(n_updates)
     shifted[0] = 0.0
     np.cumsum(services[:-1], out=shifted[1:])
@@ -222,7 +198,7 @@ def simulate(
     np.add(shifted, starts, out=starts)
     np.maximum(arrivals, starts, out=starts)
     departures = np.add(starts, services, out=services)
-    return UpdateTrace(arrivals, starts, departures, stationary=stable)
+    return UpdateTrace(arrivals, starts, departures, stationary=params.is_stable)
 
 
 def queue_length_process(

@@ -16,7 +16,7 @@ from aud_lab.decisions import (
     time_average_aoi,
     write_decisions_csv,
 )
-from aud_lab.distributions import DECISION_STREAM, Deterministic, SeededStream
+from aud_lab.distributions import DECISION_STREAM, SeededStream
 from aud_lab.errors import InsufficientDataError, ParameterError, TruncationError
 from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, simulate
 from aud_lab.stats import batch_means_ci, ks_exponential
@@ -172,9 +172,9 @@ def test_aoi_path_single_update():
 
 
 def test_aoi_path_dd1_sawtooth():
-    trace = simulate(SystemParams(0.5, 1.0), 50, 1,
-                     arrival=Deterministic(2.0), service=Deterministic(1.0))
-    path = aoi_path(trace)
+    # D/D/1: an arrival every 2, each served on arrival for 1
+    arrivals = 2.0 * np.arange(1, 51)
+    path = aoi_path(UpdateTrace(arrivals, arrivals, arrivals + 1.0))
     # age oscillates between 1 (just after a departure) and 3 (just before the next)
     assert path.evaluate(3.0) == pytest.approx(1.0)
     assert path.evaluate(4.999999) == pytest.approx(2.999999)

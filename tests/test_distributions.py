@@ -9,52 +9,39 @@ from hypothesis import strategies as st
 from numpy.random import Generator
 
 from aud_lab import distributions
-from aud_lab.decisions import _cumulative_gaps
-from aud_lab.distributions import (
-    Deterministic,
-    Exponential,
-    SeededStream,
-    Uniform,
-    sample,
-    sample_many,
-    splitmix64,
-)
+from aud_lab.distributions import SeededStream, exponential_epochs, exponential_gaps, splitmix64
 from aud_lab.errors import ParameterError
+from aud_lab.queueing import SystemParams
 from aud_lab.stats import ks_exponential
 
 
 def test_exponential_inverse_cdf_identity():
-    # forcing u = e^-1 through the inverse CDF must give exactly the mean
-    assert Exponential(rate=1.0).from_uniform(math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
-    assert Exponential(rate=2.0).from_uniform(math.exp(-2.0)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_deterministic_always_value():
-    stream = SeededStream(1, 0)
-    draws = sample_many(Deterministic(2.5), stream, 100)
-    assert (draws == 2.5).all()
-    assert sample(Deterministic(2.5), stream) == 2.5
+    # each gap is -log(U) / rate of the stream's own uniform draw, bit for bit,
+    # and the streamed epochs are its running sums
+    gaps = -np.log(SeededStream(4, 0).uniform_open(1000)) / 0.3
+    assert np.array_equal(exponential_gaps(SeededStream(4, 0), 0.3, 1000), gaps)
+    assert np.array_equal(exponential_epochs(SeededStream(4, 0), 0.3, 1000), np.cumsum(gaps))
 
 
 def test_exponential_mean_lln():
     # law of large numbers: 1e6 draws at rate 0.5 put the mean well within 1%
     # of 2.0 (the sampling noise scale is 2.58 sigma/sqrt(n) ~ 0.005)
     n = 1_000_000
-    draws = sample_many(Exponential(0.5), SeededStream(42, 0), n)
+    draws = exponential_gaps(SeededStream(42, 0), 0.5, n)
     noise_scale = 2.58 * draws.std(ddof=1) / math.sqrt(n)
     assert noise_scale < 0.01 * 2.0
     assert abs(draws.mean() - 2.0) / 2.0 < 0.01
 
 
 def test_exponential_variance():
-    draws = sample_many(Exponential(0.7), SeededStream(7, 3), 1_000_000)
+    draws = exponential_gaps(SeededStream(7, 3), 0.7, 1_000_000)
     assert draws.var(ddof=1) == pytest.approx(1.0 / 0.7**2, rel=0.01)
 
 
 def test_exponential_memorylessness():
     # draws beyond t0, shifted back by t0, must still be exponential at the same rate
     rate, t0 = 0.7, 1.0
-    draws = sample_many(Exponential(rate), SeededStream(11, 0), 400_000)
+    draws = exponential_gaps(SeededStream(11, 0), rate, 400_000)
     tail = draws[draws > t0] - t0
     assert len(tail) >= 100_000
     result = ks_exponential(tail[:100_000], rate)
@@ -62,41 +49,41 @@ def test_exponential_memorylessness():
 
 
 def test_uniform_bounds_and_mean():
-    draws = sample_many(Uniform(0.5, 1.5), SeededStream(3, 0), 200_000)
-    assert draws.min() > 0.5 and draws.max() < 1.5
-    assert draws.mean() == pytest.approx(1.0, rel=0.005)
+    draws = SeededStream(3, 0).uniform_open(200_000)
+    assert draws.min() > 0.0 and draws.max() < 1.0
+    assert draws.mean() == pytest.approx(0.5, rel=0.005)
 
 
 def test_determinism_bit_identical():
-    a = sample_many(Exponential(1.3), SeededStream(123, 5), 10_000)
-    b = sample_many(Exponential(1.3), SeededStream(123, 5), 10_000)
+    a = exponential_gaps(SeededStream(123, 5), 1.3, 10_000)
+    b = exponential_gaps(SeededStream(123, 5), 1.3, 10_000)
     assert (a == b).all()
 
 
 def test_distinct_streams_differ():
-    a = sample_many(Exponential(1.0), SeededStream(123, 0), 1000)
-    b = sample_many(Exponential(1.0), SeededStream(123, 1), 1000)
+    a = exponential_gaps(SeededStream(123, 0), 1.0, 1000)
+    b = exponential_gaps(SeededStream(123, 1), 1.0, 1000)
     assert not (a == b).any()
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
 def test_draws_strictly_positive():
-    for spec in (Exponential(5.0), Deterministic(0.1), Uniform(0.0, 0.2)):
-        draws = sample_many(spec, SeededStream(9, 2), 50_000)
-        assert (draws > 0.0).all()
+    for rate in (5.0, 0.1, 1e3):
+        assert (exponential_gaps(SeededStream(9, 2), rate, 50_000) > 0.0).all()
 
 
+# The rates in SystemParams are all that specifies the exponential gaps.
 @pytest.mark.parametrize(
     "bad",
     [
-        lambda: Exponential(0.0),
-        lambda: Exponential(-1.0),
-        lambda: Exponential(math.inf),
-        lambda: Deterministic(0.0),
-        lambda: Deterministic(-2.5),
-        lambda: Uniform(-0.1, 1.0),
-        lambda: Uniform(2.0, 2.0),
-        lambda: Uniform(3.0, 1.0),
+        lambda: SystemParams(0.0, 1.0),
+        lambda: SystemParams(-1.0, 1.0),
+        lambda: SystemParams(math.inf, 1.0),
+        lambda: SystemParams(1.0, 0.0),
+        lambda: SystemParams(1.0, -2.5),
+        lambda: SystemParams(1.0, math.nan),
+        lambda: SystemParams(1.0, 2.0, 0.0),
+        lambda: SystemParams(1.0, 2.0, -math.inf),
     ],
 )
 def test_invalid_spec_parameters(bad):
@@ -129,8 +116,8 @@ def test_splitmix64_stable_values():
 )
 @settings(max_examples=50, deadline=None)
 def test_exponential_draw_properties(rate, seed, stream_id):
-    draws = sample_many(Exponential(rate), SeededStream(seed, stream_id), 100)
-    again = sample_many(Exponential(rate), SeededStream(seed, stream_id), 100)
+    draws = exponential_gaps(SeededStream(seed, stream_id), rate, 100)
+    again = exponential_gaps(SeededStream(seed, stream_id), rate, 100)
     assert (draws > 0.0).all()
     assert (draws == again).all()
 
@@ -211,13 +198,16 @@ def test_block_cumulative_gaps_equal_one_cumsum(monkeypatch, threshold, zeros):
     assert (SeededStream(1009, 2).uniform_open(1 + size) < threshold).sum() == zeros
     monkeypatch.setattr(ZeroingGenerator, "threshold", threshold)
     monkeypatch.setattr(distributions, "Generator", ZeroingGenerator)
-    stream = SeededStream(1009, 2)
-    reference = SeededStream(1009, 2)._gen
-    stream.uniform_open(1)
-    sequential_open(reference, 1)
-    got = _cumulative_gaps(stream, 2.5, size)
-    np.testing.assert_array_equal(got, np.cumsum(-np.log(sequential_open(reference, size)) / 2.5))
-    np.testing.assert_array_equal(stream.uniform_open(5), sequential_open(reference, 5))
+    # both entry points: the epochs of the arrivals and decisions, the gaps of the services
+    for entry, total in ((exponential_epochs, np.cumsum), (exponential_gaps, None)):
+        stream = SeededStream(1009, 2)
+        reference = SeededStream(1009, 2)._gen
+        stream.uniform_open(1)
+        sequential_open(reference, 1)
+        got = entry(stream, 2.5, size)
+        gaps = -np.log(sequential_open(reference, size)) / 2.5
+        np.testing.assert_array_equal(got, total(gaps) if total else gaps)
+        np.testing.assert_array_equal(stream.uniform_open(5), sequential_open(reference, 5))
 
 
 def test_concurrent_block_draws_from_many_threads(monkeypatch):

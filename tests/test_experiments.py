@@ -357,8 +357,9 @@ def test_warmup_is_configurable(tmp_path):
 def test_validation_small_run_skips_the_checks_below_their_floors():
     # 500 updates after the warm-up: thinned at the full lag of 12 they leave
     # 42 system times, below the K-S floor; 95 decisions at nu = 0.1 give no
-    # mean-age estimate; and a batch of 5 updates is shorter than that lag,
-    # so every other batch-means check is skipped too
+    # mean-age estimate; 499 departure gaps are below the squared-gap floor;
+    # and a batch of 5 updates is shorter than that lag, so every other
+    # batch-means check is skipped too
     report = run_validation(ExperimentConfig(n_updates=1000, seed=6))
     skipped = {c.name: c.as_csv() for c in report.checks if c.passed is None}
     assert skipped.pop("ks_system_time") == (
@@ -366,6 +367,9 @@ def test_validation_small_run_skips_the_checks_below_their_floors():
     for name in ("aud_mc_vs_theory", "aud_nu_invariance"):
         assert skipped.pop(name) == (f"{name},skipped,nan,nan,nan,95 decisions after the "
                                      "warm-up at decision rate 0.1; an estimate needs 200")
+    assert skipped.pop("interdeparture_second_moment") == (
+        "interdeparture_second_moment,skipped,nan,nan,nan,"
+        "499 departure gaps; the squared-gap mean needs 1085")
     # nu = 1 has an estimate, so the PASTA check reports the batch floor
     assert set(skipped) == {"queue_length_distribution", "prob_busy_on_arrival",
                             "cross_moment", "pasta_time_average"}
@@ -373,7 +377,7 @@ def test_validation_small_run_skips_the_checks_below_their_floors():
         f"{name},skipped,nan,nan,nan,a batch spans 5 updates; below the decorrelation lag 12"
         for name in skipped}
     summary = report.summary()
-    assert summary.endswith("(7 skipped: too few samples)") and "widened" not in summary
+    assert summary.endswith("(8 skipped: too few samples)") and "widened" not in summary
     assert "SKIP  ks_system_time: observed=nan expected=nan tol=nan" in summary
 
 
@@ -487,7 +491,7 @@ def test_batched_aud_estimate_is_bit_identical(seed, periodic):
         decisions = decisions_at(trace, epochs)
         assert _n_undefined(trace, epochs) == decisions.n_undefined
         for warm_epoch in (0.0, float(trace.departure_times[999])):
-            got = _aud_estimate(trace, epochs, warm_epoch, 0.99)
+            got = _aud_estimate(trace, epochs, _first_estimated(trace, epochs, warm_epoch), 0.99)
             assert got == reference_estimate(decisions, warm_epoch)
             assert got.n == 100
 
@@ -500,15 +504,14 @@ def test_aud_estimate_small_branches():
     epochs = _decision_epochs(trace, 1.0, 4, False)
     for warm_epoch in (0.0, float(trace.departure_times[1500])):
         start = _first_estimated(trace, epochs, warm_epoch)
-        assert _aud_estimate(trace, epochs[:start + 199], warm_epoch, 0.99) is None
-        got = _aud_estimate(trace, epochs[:start + 200], warm_epoch, 0.99)
+        assert _aud_estimate(trace, epochs[:start + 199], start, 0.99) is None
+        got = _aud_estimate(trace, epochs[:start + 200], start, 0.99)
         assert got == reference_estimate(decisions_at(trace, epochs[:start + 200]), warm_epoch)
         assert got.n == 100 and math.isfinite(got.half_width)
     # a single decision behind undefined ones, only undefined decisions, or none
     single = np.array([0.5 * d0, 0.8 * d0, d0])
-    assert _aud_estimate(trace, single, 0.0, 0.99) is None
-    assert _aud_estimate(trace, single[:2], 0.0, 0.99) is None
-    assert _aud_estimate(trace, np.empty(0), 0.0, 0.99) is None
+    for epochs in (single, single[:2], np.empty(0)):
+        assert _aud_estimate(trace, epochs, _first_estimated(trace, epochs, 0.0), 0.99) is None
     assert _n_undefined(trace, single) == 2 and _n_undefined(trace, np.empty(0)) == 0
 
 
@@ -696,13 +699,17 @@ FAST = ["--lambda", "1000", "--mu", "2000", "--nu", "1000", "--seed", "1"]
                           "interdeparture_second_moment", "queue_length_distribution",
                           "prob_busy_on_arrival", "cross_moment", "pasta_time_average"}),
     # a batch of under 12 updates is below the decorrelation lag at rho = 0.5
+    # and the squared departure gaps are below their floor up to n = 2085
     (["--updates", "60"], {"aud_mc_vs_theory", "aud_nu_invariance", "ks_system_time",
-                           "ks_interdeparture", "queue_length_distribution",
-                           "prob_busy_on_arrival", "cross_moment", "pasta_time_average"}),
+                           "ks_interdeparture", "interdeparture_second_moment",
+                           "queue_length_distribution", "prob_busy_on_arrival",
+                           "cross_moment", "pasta_time_average"}),
     ([*FAST, "--updates", "200"], {"aud_mc_vs_theory", "ks_system_time",
+                                   "interdeparture_second_moment",
                                    "queue_length_distribution", "prob_busy_on_arrival",
                                    "cross_moment", "pasta_time_average"}),
     ([*FAST, "--updates", "210"], {"aud_mc_vs_theory", "ks_system_time",
+                                   "interdeparture_second_moment",
                                    "queue_length_distribution", "prob_busy_on_arrival",
                                    "cross_moment", "pasta_time_average"}),
 ])
@@ -732,6 +739,22 @@ def test_cli_short_low_load_runs_pass(tmp_path, capsys, flags, aud_reason, batch
     assert rows["aud_mc_vs_theory"] == f"aud_mc_vs_theory,skipped,nan,nan,nan,{aud_reason}"
     assert rows["prob_busy_on_arrival"] == ("prob_busy_on_arrival,skipped,nan,nan,nan,"
                                             f"a batch spans {batch_span} updates; below 5")
+
+
+@pytest.mark.parametrize("updates,row", [
+    # 1000 warm-up updates leave n - 1001 departure gaps
+    (2085, "interdeparture_second_moment,skipped,nan,nan,nan,"
+           "1084 departure gaps; the squared-gap mean needs 1085"),
+    (2086, None),
+])
+def test_squared_gap_check_needs_its_floor(tmp_path, updates, row):
+    out = tmp_path / "v.csv"
+    cli_main(["validate", "--updates", str(updates), "--seed", "3", "--out", str(out)])
+    rows = {r.split(",")[0]: r for r in out.read_text().splitlines()[1:]}
+    if row is None:
+        assert rows["interdeparture_second_moment"].split(",")[1] in ("true", "false")
+    else:
+        assert rows["interdeparture_second_moment"] == row
 
 
 def test_busy_check_needs_busy_and_idle_arrivals_in_every_batch(tmp_path):

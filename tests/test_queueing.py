@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aud_lab import distributions
-from aud_lab.distributions import (
-    ARRIVAL_STREAM,
-    SERVICE_STREAM,
-    Deterministic,
-    Exponential,
-    SeededStream,
-    Uniform,
-    sample_many,
-)
+from aud_lab.distributions import ARRIVAL_STREAM, SERVICE_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError, StabilityError
 from aud_lab.experiments import _occupancy_by_window
 from aud_lab.queueing import (
@@ -68,27 +60,23 @@ def test_engine_matches_event_loop_oracle(lam, mu, seed):
     n = 3000
     params = SystemParams(lam, mu)
     trace = simulate(params, n, seed)
-    x = sample_many(Exponential(lam), SeededStream(seed, 0), n)
-    s = sample_many(Exponential(mu), SeededStream(seed, 1), n)
+    x = exponential_gaps(SeededStream(seed, 0), lam, n)
+    s = exponential_gaps(SeededStream(seed, 1), mu, n)
     arr, starts, deps = event_loop_oracle(x, s)
     assert np.allclose(trace.arrival_times, arr, rtol=1e-12, atol=1e-9)
     assert np.allclose(trace.service_start_times, starts, rtol=1e-12, atol=1e-9)
     assert np.allclose(trace.departure_times, deps, rtol=1e-12, atol=1e-9)
 
 
-def test_dd1_never_queues():
-    # deterministic arrivals every 2, service 1: no waiting, system time 1, gap 2
-    params = SystemParams(0.5, 1.0)
-    trace = simulate(params, 200, 1, arrival=Deterministic(2.0), service=Deterministic(1.0))
-    assert np.allclose(trace.waiting_times, 0.0, atol=1e-12)
-    assert np.allclose(trace.system_times, 1.0, atol=1e-12)
-    assert np.allclose(trace.interdeparture_times, 2.0, atol=1e-12)
+def dd1_trace(n: int, gap: float) -> UpdateTrace:
+    """D/D/1 run: an arrival every ``gap``, each served on arrival for one time unit."""
+    arrivals = gap * np.arange(1, n + 1)
+    return UpdateTrace(arrivals, arrivals, arrivals + 1.0)
 
 
 def test_dd1_queue_length_cycle():
-    params = SystemParams(0.5, 1.0)
     n = 100
-    trace = simulate(params, n, 1, arrival=Deterministic(2.0), service=Deterministic(1.0))
+    trace = dd1_trace(n, 2.0)
     path = queue_length_process(trace)
     assert set(np.unique(path.lengths)) == {0, 1}
     # whole cycles: busy exactly half the time
@@ -144,9 +132,7 @@ def test_prob_arrival_sees_busy(lam, expected):
 
 
 def test_prob_arrival_sees_busy_dd1():
-    trace = simulate(SystemParams(0.5, 1.0), 50, 1,
-                     arrival=Deterministic(2.0), service=Deterministic(1.0))
-    assert empirical_prob_arrival_sees_busy(trace) == 0.0
+    assert empirical_prob_arrival_sees_busy(dd1_trace(50, 2.0)) == 0.0
 
 
 def test_busy_indicator_is_the_gap_against_the_previous_system_time():
@@ -177,20 +163,12 @@ def test_unstable_override_tags_trace():
     assert trace.n == 5000
 
 
-def test_exponential_spec_must_match_params():
-    with pytest.raises(ParameterError):
-        simulate(SystemParams(0.5, 1.0), 10, 0, arrival=Exponential(0.7))
-
-
 def test_simultaneous_events_depart_before_arrive():
     # deterministic X = S = 1: every arrival coincides with the previous departure,
     # so the queue never holds two updates at once
-    trace = simulate(SystemParams(1.0, 1.0), 500, 0,
-                     arrival=Deterministic(1.0), service=Deterministic(1.0),
-                     allow_unstable=True)
-    path = queue_length_process(trace)
+    path = queue_length_process(dd1_trace(500, 1.0))
     assert path.lengths.max() == 1
-    assert np.allclose(trace.waiting_times, 0.0, atol=1e-12)
+    assert path.lengths.min() == 0
 
 
 def test_lindley_recursion_holds():
@@ -223,23 +201,6 @@ def test_trace_invariants_on_mm1():
     assert np.allclose(
         trace.system_times, trace.waiting_times + trace.service_times, rtol=1e-12, atol=1e-12
     )
-
-
-def test_gg1_uniform_run():
-    # G/G/1 with uniform inter-event times: same invariants, effective
-    # utilization from the spec means (0.5 / 1.0 here)
-    params = SystemParams(1.0, 2.0)
-    trace = simulate(params, 50_000, 31,
-                     arrival=Uniform(0.5, 1.5), service=Uniform(0.2, 0.8))
-    assert trace.stationary
-    assert (trace.waiting_times >= 0.0).all()
-    assert np.allclose(
-        trace.system_times, trace.waiting_times + trace.service_times, rtol=1e-12, atol=1e-12
-    )
-    assert trace.service_times.mean() == pytest.approx(0.5, rel=0.02)
-    again = simulate(params, 50_000, 31,
-                     arrival=Uniform(0.5, 1.5), service=Uniform(0.2, 0.8))
-    assert (trace.departure_times == again.departure_times).all()
 
 
 def test_queue_length_path_closes_at_zero():
@@ -381,9 +342,7 @@ def test_batched_occupancy_window_edge_cases():
 
 def test_batched_occupancy_edges_on_simultaneous_events():
     # every arrival coincides with the previous departure
-    trace = simulate(SystemParams(1.0, 1.0), 200, 0, arrival=Deterministic(1.0),
-                     service=Deterministic(1.0), allow_unstable=True)
-    path = queue_length_process(trace)
+    path = queue_length_process(dd1_trace(200, 1.0))
     assert_occupancy_matches_reference(path, 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
 
 
@@ -432,9 +391,7 @@ def test_windowed_occupancy_edge_cases():
     edges = np.concatenate(([0.0, 0.5 * epochs[0]], gap, [epochs[-1], epochs[-1] + 3.0]))
     assert_windowed_occupancy_matches(trace, 5, edges)
     # every arrival coincides with the previous departure
-    trace = simulate(SystemParams(1.0, 1.0), 200, 0, arrival=Deterministic(1.0),
-                     service=Deterministic(1.0), allow_unstable=True)
-    assert_windowed_occupancy_matches(trace, 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
+    assert_windowed_occupancy_matches(dd1_trace(200, 1.0), 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
 
 
 def test_queue_length_path_of_a_window_starts_from_its_level():
@@ -475,10 +432,10 @@ def test_order_check_property(values):
     assert _non_decreasing(epochs) is expected
 
 
-def simulate_reference(arrival, service, n, seed):
+def simulate_reference(lam, mu, n, seed):
     """The column arithmetic of ``simulate`` before it worked in place."""
-    gaps = np.asarray(arrival.from_uniform(SeededStream(seed, ARRIVAL_STREAM).uniform_open(n)))
-    services = np.asarray(service.from_uniform(SeededStream(seed, SERVICE_STREAM).uniform_open(n)))
+    gaps = -np.log(SeededStream(seed, ARRIVAL_STREAM).uniform_open(n)) / lam
+    services = -np.log(SeededStream(seed, SERVICE_STREAM).uniform_open(n)) / mu
     arrivals = np.cumsum(gaps)
     cum_service = np.cumsum(services)
     shifted = np.concatenate(([0.0], cum_service[:-1]))
@@ -491,20 +448,9 @@ def simulate_reference(arrival, service, n, seed):
 def test_simulate_in_place_is_bit_identical_to_the_reference(block, monkeypatch):
     if block:  # long draws then take the block path
         monkeypatch.setattr(distributions, "BLOCK_SIZE", block)
-    cases = [(Exponential(0.5), Exponential(1.0)), (Exponential(0.93), Exponential(1.0)),
-             (Uniform(0.5, 3.5), Deterministic(1.5)), (Deterministic(2.0), Exponential(0.7))]
-    for arrival, service in cases:
-        params = SystemParams(1.0 / arrival.mean, 1.0 / service.mean)
+    for lam, mu in ((0.5, 1.0), (0.93, 1.0), (0.3, 0.7)):
         for n, seed in ((1, 3), (2, 4), (5, 5), (20_000, 6)):
-            trace = simulate(params, n, seed, arrival=arrival, service=service)
-            expected = simulate_reference(arrival, service, n, seed)
+            trace = simulate(SystemParams(lam, mu), n, seed)
+            expected = simulate_reference(lam, mu, n, seed)
             got = (trace.arrival_times, trace.service_start_times, trace.departure_times)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-
-
-def test_sample_many_keeps_from_uniform_pure():
-    u = SeededStream(4, 0).uniform_open(1000)
-    kept = u.copy()
-    gaps = Exponential(0.3).from_uniform(u)
-    assert np.array_equal(u, kept)
-    assert np.array_equal(sample_many(Exponential(0.3), SeededStream(4, 0), 1000), gaps)

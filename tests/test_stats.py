@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from aud_lab.decisions import decisions_at, generate_decisions
-from aud_lab.distributions import DECISION_STREAM, Exponential, SeededStream, sample_many
+from aud_lab.distributions import DECISION_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.queueing import SystemParams, UpdateTrace, simulate
 from aud_lab.stats import (
@@ -43,7 +43,7 @@ def test_ci_coverage_experiment():
     # contain the true mean 2.0 in at least 95 of them
     hits = 0
     for seed in range(100):
-        draws = sample_many(Exponential(0.5), SeededStream(1000 + seed, 0), 1_000_000)
+        draws = exponential_gaps(SeededStream(1000 + seed, 0), 0.5, 1_000_000)
         if mean_ci(draws, 0.99).contains(2.0):
             hits += 1
     assert hits >= 95
@@ -95,7 +95,7 @@ def test_kolmogorov_sf_matches_scipy():
 
 
 def test_ks_statistic_and_pvalue_match_scipy():
-    draws = sample_many(Exponential(0.8), SeededStream(3, 0), 5000)
+    draws = exponential_gaps(SeededStream(3, 0), 0.8, 5000)
     mine = ks_exponential(draws, 0.8)
     ref = scipy.stats.ks_1samp(
         draws, lambda x: 1.0 - np.exp(-0.8 * x), method="asymp"
@@ -107,7 +107,7 @@ def test_ks_statistic_and_pvalue_match_scipy():
 def test_ks_on_gaps_of_tied_epochs_matches_scipy():
     # epochs on a 0.1 grid tie often; with zero service times the departures
     # tie with them, so the gaps hold zeros and repeated values
-    arrivals = np.round(np.cumsum(sample_many(Exponential(1.0), SeededStream(5, 0), 300)), 1)
+    arrivals = np.round(np.cumsum(exponential_gaps(SeededStream(5, 0), 1.0, 300)), 1)
     trace = UpdateTrace(arrivals, arrivals, arrivals)
     gaps = trace.interdeparture_times
     assert (gaps == 0.0).sum() > 10
@@ -122,14 +122,14 @@ def test_ks_calibration_under_null():
     # level over 100 seeded replications
     rejections = 0
     for seed in range(100):
-        draws = sample_many(Exponential(1.3), SeededStream(5000 + seed, 0), 10_000)
+        draws = exponential_gaps(SeededStream(5000 + seed, 0), 1.3, 10_000)
         if ks_exponential(draws, 1.3).reject_at_001:
             rejections += 1
     assert rejections <= 2
 
 
 def test_ks_power_against_wrong_rate():
-    draws = sample_many(Exponential(1.0), SeededStream(8, 0), 10_000)
+    draws = exponential_gaps(SeededStream(8, 0), 1.0, 10_000)
     assert ks_exponential(draws, 2.0).reject_at_001
     assert not ks_exponential(draws, 1.0).reject_at_001
 

@@ -454,3 +454,21 @@ def test_simulate_in_place_is_bit_identical_to_the_reference(block, monkeypatch)
             expected = simulate_reference(lam, mu, n, seed)
             got = (trace.arrival_times, trace.service_start_times, trace.departure_times)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_sample_many_keeps_from_uniform_pure(monkeypatch):
+    # a gap draw transforms only its own buffer: uniforms drawn earlier stay as
+    # they were, each gap is -log(U) / rate of them, and the stream ends where
+    # one uniform draw of the same length leaves it; on the sequential path and
+    # on the block path
+    for block in (distributions.BLOCK_SIZE, 256):
+        monkeypatch.setattr(distributions, "BLOCK_SIZE", block)
+        u = SeededStream(4, 0).uniform_open(1000)
+        kept = u.copy()
+        stream = SeededStream(4, 0)
+        gaps = exponential_gaps(stream, 0.3, 1000)
+        assert np.array_equal(u, kept)
+        assert np.array_equal(gaps, -np.log(kept) / 0.3)
+        plain = SeededStream(4, 0)
+        plain.uniform_open(1000)
+        assert np.array_equal(stream.uniform_open(10), plain.uniform_open(10))

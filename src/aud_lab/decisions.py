@@ -272,8 +272,7 @@ def time_average_aoi(path: AoiPath, edges) -> np.ndarray:
     Each window's integral is ``np.sum`` over one term per sawtooth segment,
     zero for segments outside the window.  Adding only the window's own
     terms would change numpy's pairwise summation tree and move the last
-    bits, so the terms of one window at a time are written into a zeroed
-    buffer of every segment, summed, and cleared again.
+    bits, so ``_padded_sum`` follows that tree over the window's terms.
     """
     lo, hi = path.support
     e, v = path.drop_epochs, path.drop_values
@@ -282,7 +281,6 @@ def time_average_aoi(path: AoiPath, edges) -> np.ndarray:
         raise ParameterError(
             f"windows [{edges[0]}, {edges[-1]}] outside path support [{lo:.6g}, {hi:.6g}]"
         )
-    terms = np.zeros(len(e) - 1)
     integrals = np.empty(len(edges) - 1)
     for w, (start, end) in enumerate(zip(edges[:-1], edges[1:])):
         # segments [e[i], e[i + 1]] for a <= i < b are all that overlap the window
@@ -290,10 +288,40 @@ def time_average_aoi(path: AoiPath, edges) -> np.ndarray:
         seg_lo = np.maximum(e[a:b], start)
         dur = np.clip(np.minimum(e[a + 1:b + 1], end) - seg_lo, 0.0, None)
         age_at_lo = v[a:b] + (seg_lo - e[a:b])
-        terms[a:b] = dur * age_at_lo + 0.5 * dur * dur
-        integrals[w] = np.sum(terms)
-        terms[a:b] = 0.0
+        integrals[w] = _padded_sum(dur * age_at_lo + 0.5 * dur * dur, a, len(e) - 1)
     return integrals / np.diff(edges)
+
+
+# numpy sums at most this many values of a contiguous float64 array in one leaf.
+_PAIRWISE_LEAF = 128
+
+
+def _padded_sum(terms: np.ndarray, a: int, n: int) -> float:
+    """``np.sum`` of ``n`` values that are ``terms`` at [a, a + len(terms)) and +0.0 elsewhere.
+
+    numpy sums a contiguous float64 array with one pairwise tree: a node of
+    more than _PAIRWISE_LEAF values splits at half its length, rounded down
+    to a multiple of 8.  Every term is at least +0.0, so a node of padding
+    adds exactly +0.0.  A node inside the terms is ``np.sum`` of its slice,
+    and one across an edge of them splits further, down to a zero-padded
+    leaf.  That is bit-identical to the padded sum in O(len(terms) + log n).
+    """
+    b = a + len(terms)
+
+    def node(lo: int, size: int):
+        hi = lo + size
+        if hi <= a or b <= lo:
+            return 0.0
+        if a <= lo and hi <= b:
+            return np.sum(terms[lo - a:hi - a])
+        if size <= _PAIRWISE_LEAF:
+            leaf = np.zeros(size)
+            leaf[max(a, lo) - lo:min(b, hi) - lo] = terms[max(a, lo) - a:min(b, hi) - a]
+            return np.sum(leaf)
+        half = size // 2 - size // 2 % 8
+        return node(lo, half) + node(lo + half, size - half)
+
+    return node(0, n)
 
 
 def write_decisions_csv(decisions: DecisionSet, path: str) -> None:

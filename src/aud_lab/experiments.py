@@ -4,12 +4,14 @@ Configurations come from flat ``key = value`` text files (``#`` starts a
 comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run concurrently, each with a seed derived from the base seed and its grid
-index, and rows are assembled in grid order so output is byte-reproducible
-regardless of scheduling.  Validation runs its decision-rate estimates
-beside the checks of the trace alone and the sawtooth's time average, and
-the checks that compare the estimates once both are done.  Long random
-draws and the batch means of every correlated mean (``_batch_means``: one
-slice per batch, never a full-length column) run on the shared block pool
+index, and take turns at drawing and averaging their decision epochs, so a
+run holds one column of them at a time.  Rows are assembled in grid order
+so output is byte-reproducible regardless of scheduling.  Validation runs
+its decision-rate estimates, one rate at a time, beside the checks of the
+trace alone and the sawtooth's time average, and the checks that compare
+the estimates once both are done.  Long random draws and the batch means
+of every correlated mean (``_batch_means``: one slice per batch, never a
+full-length column) run on the shared block pool
 (``distributions.block_pool``).  ``AUD_LAB_THREADS`` caps the threads of
 every pool; one thread runs everything in sequence, and no result depends
 on it.  A sample below its estimator's floor (InsufficientDataError) gets
@@ -76,6 +78,10 @@ MIN_EXPECTED = 5
 # departure-gap mean check does not false-alarm.
 MIN_SQUARED_GAPS = 1085
 
+# Every rate lies in [2^-64, 2^64], so that its gaps, their squares and the
+# horizons of a run stay normal doubles.
+MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
+
 
 def _require(enough: bool, reason: str) -> None:
     """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
@@ -125,8 +131,8 @@ class ExperimentConfig:
             grid = getattr(self, name)
             if len(grid) == 0:
                 raise ParameterError(f"{name} must not be empty")
-            if any(not (math.isfinite(v) and v > 0.0) for v in grid):
-                raise ParameterError(f"{name} entries must be positive, got {grid}")
+            if any(not MIN_RATE <= v <= MAX_RATE for v in grid):
+                raise ParameterError(f"{name} entries must lie in [2^-64, 2^64], got {grid}")
         if self.n_updates < 1:
             raise ParameterError(f"n_updates must be >= 1, got {self.n_updates}")
         if not 0.0 < self.confidence < 1.0:
@@ -497,7 +503,11 @@ def _within(estimates, theory, alpha: float, detail: str = "") -> tuple:
     """
     diffs = np.abs(np.array([e.mean for e in estimates]) - theory)
     ses = np.array([e.half_width / z_value(e.confidence) for e in estimates])
-    z = z_value(1.0 - alpha / len(diffs))
+    level = 1.0 - alpha / len(diffs)
+    if 0.5 * (1.0 + level) == 1.0:  # z_value's tail level rounds to 1
+        raise ParameterError(f"the per-comparison level 1 - {alpha / len(diffs):.3g} has no "
+                             "finite z; the confidence is too close to 1")
+    z = z_value(level)
     with np.errstate(divide="ignore"):
         worst = float((diffs / ses).max())
     return worst <= z, worst, 0.0, z, detail
@@ -510,8 +520,12 @@ def _differences(estimates) -> list[EstimateWithCI]:
 
 
 def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
-                service_rate: float) -> list[SweepRow]:
-    """All rows (one per decision rate) for a single (lambda, mu) grid point."""
+                service_rate: float, decision_lock: threading.Lock) -> list[SweepRow]:
+    """All rows (one per decision rate) for a single (lambda, mu) grid point.
+
+    Each decision phase (``point.aud``) runs under ``decision_lock``, so the
+    points of one sweep hold one column of decision epochs at a time.
+    """
     params = SystemParams(arrival_rate, service_rate, config.decision_rates[0])
     try:
         analytic_value = analytic.average_aud(params)
@@ -536,7 +550,8 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
 
     rows = []
     for nu in config.decision_rates:
-        est, counts = point.aud(nu)
+        with decision_lock:
+            est, counts = point.aud(nu)
         rows.append(SweepRow(arrival_rate, service_rate, nu, analytic_value,
                              est.mean if est else None, est.half_width if est else None,
                              counts["total"], counts["undefined"], ks_t_p, ks_y_p,
@@ -560,14 +575,21 @@ def _grid_points(config: ExperimentConfig) -> list[tuple]:
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """One simulated row per (grid point, decision rate); CSV + manifest if configured."""
+    """One simulated row per (grid point, decision rate); CSV + manifest if configured.
+
+    The points simulate and run their K-S tests concurrently, but take turns
+    at the decision phase, whose one column of epochs is drawn and averaged
+    on the whole block pool.  The lock holder waits only on block-pool
+    tasks, which never wait, so no point deadlocks.
+    """
     started = time.monotonic()
     workers = worker_limit()
     points = _grid_points(config)
     rows_by_point: list = [None] * len(points)
+    decision_lock = threading.Lock()
     with concurrent.futures.ThreadPoolExecutor(min(len(points), workers)) as pool:
         futures = {
-            pool.submit(_point_rows, config, i, lam, mu): i
+            pool.submit(_point_rows, config, i, lam, mu, decision_lock): i
             for i, (lam, mu) in enumerate(points)
         }
         for fut in concurrent.futures.as_completed(futures):

@@ -18,9 +18,18 @@ from .queueing import UpdateTrace
 
 
 def z_value(confidence: float) -> float:
+    """Two-sided normal quantile at ``confidence``.
+
+    A confidence so close to 1 that its upper tail level 0.5 * (1 +
+    confidence) rounds to 1 raises ParameterError: it has no finite z.
+    """
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must be in (0, 1), got {confidence}")
-    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    level = 0.5 * (1.0 + confidence)
+    if level == 1.0:
+        raise ParameterError(f"confidence {confidence!r} is too close to 1: "
+                             "its tail level rounds to 1 and has no finite z")
+    return NormalDist().inv_cdf(level)
 
 
 @dataclass(frozen=True)

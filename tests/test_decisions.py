@@ -300,6 +300,18 @@ def test_batched_sawtooth_window_edge_cases():
         time_average_aoi(path, [drops[0], drops[10], drops[9]])
 
 
+def test_sawtooth_matches_the_padded_sum_at_a_million_updates():
+    trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 7)
+    path = aoi_path(trace)
+    drops = path.drop_epochs
+    terms = len(drops) - 1  # one per segment
+    split = terms // 2 - terms // 2 % 8  # the root split of numpy's pairwise tree
+    assert_sawtooth_matches_reference(path, np.linspace(drops[1000], drops[-1], 11))
+    # straddling the root split: within one leaf, and across several leaves
+    assert_sawtooth_matches_reference(path, [drops[split - 3] + 0.25, drops[split + 2]])
+    assert_sawtooth_matches_reference(path, [drops[split - 200], drops[split + 300] - 0.25])
+
+
 def decisions_reference(trace, times):
     """Search each decision epoch into the departures: the scan decisions_at replaced."""
     times = np.asarray(times, dtype=float)

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -227,27 +229,41 @@ def test_grid_mode_covers_cross_product():
     ]
 
 
-def test_threads_env_does_not_change_rows(tmp_path):
+def test_threads_env_does_not_change_rows(tmp_path, monkeypatch):
+    # the points take turns at the decision phase, at every thread count
     config = ExperimentConfig(
         mode="sweep_lambda",
-        arrival_rates=(0.2, 0.4, 0.6, 0.8),
+        arrival_rates=parse_rates("0.1:0.9:0.1"),
         service_rates=(1.0,),
         decision_rates=(1.0,),
         n_updates=20_000,
         seed=5,
     )
-    old = os.environ.get("AUD_LAB_THREADS")
-    try:
-        os.environ["AUD_LAB_THREADS"] = "1"
-        serial = run_sweep(config)
-        os.environ["AUD_LAB_THREADS"] = "4"
-        parallel = run_sweep(config)
-    finally:
-        if old is None:
-            os.environ.pop("AUD_LAB_THREADS", None)
-        else:
-            os.environ["AUD_LAB_THREADS"] = old
-    assert [r.as_csv() for r in serial.rows] == [r.as_csv() for r in parallel.rows]
+    aud = experiments._Point.aud
+    count = threading.Lock()
+    in_flight = most = 0
+
+    def counted_aud(point, nu):
+        nonlocal in_flight, most
+        with count:
+            in_flight += 1
+            most = max(most, in_flight)
+        try:
+            time.sleep(0.01)  # long enough for phases that may overlap to meet
+            return aud(point, nu)
+        finally:
+            with count:
+                in_flight -= 1
+
+    monkeypatch.setattr(experiments._Point, "aud", counted_aud)
+    csv = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("AUD_LAB_THREADS", threads)
+        out = tmp_path / f"sweep-{threads}.csv"
+        run_sweep(replace(config, output_path=str(out)))
+        csv[threads] = out.read_bytes()
+    assert csv["2"] == csv["1"] and csv["4"] == csv["1"]
+    assert most == 1
 
 
 def test_thread_count_does_not_change_block_drawn_outputs(tmp_path, monkeypatch):
@@ -656,6 +672,31 @@ def test_cli_bad_rate_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
+
+
+def test_cli_rates_outside_their_range_exit_2(capsys):
+    # each used to end in a traceback, or in a false FAIL on underflowing gaps
+    for flags in (["--nu", "1e300", "--updates", "10"],
+                  ["--lambda", "1e-300", "--updates", "100"],
+                  ["--lambda", "1e300", "--mu", "1e301", "--updates", "100000"],
+                  ["--lambda", "1e300", "--mu", "1e301", "--updates", "100"]):
+        assert cli_main(["validate", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and "must lie in [2^-64, 2^64]" in err
+    ExperimentConfig(arrival_rates=(2.0**-64,), service_rates=(2.0**64,), decision_rates=(1.0,))
+    for rate in (math.nextafter(2.0**-64, 0.0), math.nextafter(2.0**64, math.inf)):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(decision_rates=(rate,))
+
+
+def test_cli_confidence_next_to_one_exits_2(capsys):
+    # 0.5 * (1 + c) rounds to 1; then a per-comparison level 1 - (1 - c) / (10 m) does
+    for confidence in ("0.9999999999999999", "0.9999999999999998", "0.999999999999999"):
+        assert cli_main(["validate", "--confidence", confidence, "--updates", "5000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "too close to 1" in err
 
 
 def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):

@@ -79,6 +79,10 @@ def test_z_value_bounds():
         assert abs(z_value(confidence) - reference) <= 4 * math.ulp(reference)
     with pytest.raises(ParameterError):
         z_value(1.0)
+    # 0.5 * (1 + c) rounds to 1 just below 1; the largest c below that keeps its z
+    with pytest.raises(ParameterError, match="too close to 1"):
+        z_value(1.0 - 2.0**-53)
+    assert math.isfinite(z_value(1.0 - 2.0**-52))
 
 
 def test_kolmogorov_sf_reference_points():

@@ -18,14 +18,12 @@ from .analytic import (
     interdeparture_mgf,
     interdeparture_mgf_given_busy_arrival,
     interdeparture_mgf_given_idle_arrival,
-    interdeparture_pdf,
     mean_interdeparture,
     mean_system_time,
     optimal_utilization,
     prob_busy_on_arrival,
     second_moment_interdeparture,
     stationary_queue_dist,
-    system_time_pdf,
     system_time_rate,
 )
 from .decisions import (
@@ -37,9 +35,7 @@ from .decisions import (
     average_aud as empirical_average_aud,
     decisions_at,
     generate_decisions,
-    periodic_decisions,
     time_average_aoi,
-    write_decisions_csv,
 )
 from .distributions import (
     ARRIVAL_STREAM,
@@ -74,7 +70,6 @@ from .queueing import (
     occupancy_fractions,
     queue_length_process,
     simulate,
-    write_trace_csv,
 )
 from .stats import (
     EstimateWithCI,
@@ -82,9 +77,7 @@ from .stats import (
     batch_means_ci,
     kolmogorov_sf,
     ks_exponential,
-    ks_uniform,
     mean_ci,
-    uniformity_offsets,
 )
 
 __version__ = "0.1.0"

@@ -44,26 +44,8 @@ def system_time_rate(params: SystemParams) -> float:
     return params.service_rate * (1.0 - params.utilization)
 
 
-def system_time_pdf(params: SystemParams, x):
-    """Stationary system-time density at x >= 0."""
-    rate = system_time_rate(params)
-    x = np.asarray(x, dtype=float)
-    if (x < 0.0).any():
-        raise ParameterError("system-time density is defined for x >= 0 only")
-    return rate * np.exp(-rate * x)
-
-
 def mean_system_time(params: SystemParams) -> float:
     return 1.0 / system_time_rate(params)
-
-
-def interdeparture_pdf(params: SystemParams, x):
-    """Stationary inter-departure density: exponential at the arrival rate."""
-    require_stable(params)
-    x = np.asarray(x, dtype=float)
-    if (x < 0.0).any():
-        raise ParameterError("inter-departure density is defined for x >= 0 only")
-    return params.arrival_rate * np.exp(-params.arrival_rate * x)
 
 
 def mean_interdeparture(params: SystemParams) -> float:

@@ -206,11 +206,6 @@ def generate_decisions(
     return decisions_at(trace, poisson_epochs(decision_rate, horizon, stream))
 
 
-def periodic_decisions(trace: UpdateTrace, decision_rate: float, horizon: float) -> DecisionSet:
-    """Decision records every 1/decision_rate time units on (0, horizon]."""
-    return decisions_at(trace, periodic_epochs(decision_rate, horizon))
-
-
 def average_aud(decisions: DecisionSet) -> AudSummary:
     """Arithmetic mean age over defined decisions, plus the undefined count."""
     ages = decisions.defined_ages
@@ -322,20 +317,3 @@ def _padded_sum(terms: np.ndarray, a: int, n: int) -> float:
         return node(lo, half) + node(lo + half, size - half)
 
     return node(0, n)
-
-
-def write_decisions_csv(decisions: DecisionSet, path: str) -> None:
-    """Export decisions as CSV; undefined records leave ``aud`` empty.
-
-    ``freshest_index`` is written 1-based to match the trace CSV's ``k``
-    column; undefined records carry 0.
-    """
-    times = decisions.times.tolist()
-    fresh = decisions.freshest_index.tolist()
-    ages = decisions.ages.tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write("j,tau,freshest_index,aud\n")
-        fh.writelines(
-            f"{j + 1},{times[j]!r},{fresh[j] + 1},{'' if fresh[j] < 0 else repr(ages[j])}\n"
-            for j in range(len(times))
-        )

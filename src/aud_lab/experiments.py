@@ -3,13 +3,13 @@
 Configurations come from flat ``key = value`` text files (``#`` starts a
 comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
-run concurrently, each with a seed derived from the base seed and its grid
+run two at a time, each with a seed derived from the base seed and its grid
 index, and take turns at drawing and averaging their decision epochs, so a
-run holds one column of them at a time.  Rows are assembled in grid order
-so output is byte-reproducible regardless of scheduling.  Validation runs
-its decision-rate estimates, one rate at a time, beside the checks of the
-trace alone and the sawtooth's time average, and the checks that compare
-the estimates once both are done.  Long random draws and the batch means
+run holds one column of them and at most two traces at a time.  Rows are
+assembled in grid order so output is byte-reproducible regardless of
+scheduling.  Validation runs its decision-rate estimates, one rate at a
+time, beside the checks of the trace alone and the sawtooth's time average,
+and the checks that compare the estimates once both are done.  Long random draws and the batch means
 of every correlated mean (``_batch_means``: one slice per batch, never a
 full-length column) run on the shared block pool
 (``distributions.block_pool``).  ``AUD_LAB_THREADS`` caps the threads of
@@ -49,7 +49,7 @@ from .queueing import (
     queue_length_process,
     simulate,
 )
-from .stats import EstimateWithCI, ci_from_batch_means, ks_exponential, mean_ci, z_value
+from .stats import EstimateWithCI, ks_exponential, mean_ci, z_value
 
 MODES = ("sweep_lambda", "sweep_mu", "grid_lambda_mu", "nu_invariance", "validate")
 
@@ -82,6 +82,12 @@ MIN_SQUARED_GAPS = 1085
 # horizons of a run stay normal doubles.
 MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 
+# A run simulates at most this many updates and draws at most about this
+# many decisions at one rate (nu * n / min(lambda, mu) at a point): one
+# column of that many float64 values takes 2 GiB.  Beyond it a run exits
+# before simulating, where numpy would fail mid-run.
+MAX_COLUMN = 2**28
+
 
 def _require(enough: bool, reason: str) -> None:
     """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
@@ -101,7 +107,7 @@ def _batch_means(stat, start: int, stop: int, confidence: float) -> EstimateWith
     _require(per >= 2, f"{stop - start} samples; batch means need {2 * AUD_BATCHES}")
     starts = range(start, start + per * AUD_BATCHES, per)
     means = list(block_pool().map(lambda a: stat(a, a + per), starts))
-    return ci_from_batch_means(means, confidence)
+    return mean_ci(means, confidence)
 
 
 @dataclass(frozen=True)
@@ -137,12 +143,22 @@ class ExperimentConfig:
             raise ParameterError(f"n_updates must be >= 1, got {self.n_updates}")
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.mode == "nu_invariance" and (
+        if self.mode in ("nu_invariance", "validate") and (
             len(self.arrival_rates) != 1 or len(self.service_rates) != 1
         ):
-            raise ParameterError("nu_invariance runs a single (lambda, mu) point")
+            raise ParameterError(f"{self.mode} runs a single (lambda, mu) point")
         if self.mode == "nu_invariance" and len(self.decision_rates) < 2:
             raise ParameterError("nu_invariance needs at least two decision rates")
+        if self.n_updates > MAX_COLUMN:
+            raise ParameterError(f"{self.n_updates} updates exceed the cap of {MAX_COLUMN} "
+                                 "values per column")
+        nu = max(self.decision_rates)
+        for lam, mu in itertools.product(self.arrival_rates, self.service_rates):
+            count = nu * self.n_updates / min(lam, mu)
+            if (lam / mu < 1.0 or self.allow_unstable) and count > MAX_COLUMN:
+                raise ParameterError(
+                    f"decision rate {nu:g} at lambda={lam:g}, mu={mu:g} draws about "
+                    f"{count:.3g} decisions; the cap is {MAX_COLUMN} values per column")
 
 
 def _parse_number(text: str, kind: type, what: str):
@@ -560,34 +576,29 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
 
 
 def _grid_points(config: ExperimentConfig) -> list[tuple]:
-    if config.mode == "sweep_lambda":
-        if len(config.service_rates) != 1:
-            raise ParameterError("sweep_lambda expects a single service rate")
-        return [(lam, config.service_rates[0]) for lam in config.arrival_rates]
-    if config.mode == "sweep_mu":
-        if len(config.arrival_rates) != 1:
-            raise ParameterError("sweep_mu expects a single arrival rate")
-        return [(config.arrival_rates[0], mu) for mu in config.service_rates]
-    if config.mode == "grid_lambda_mu":
-        return [(lam, mu) for lam in config.arrival_rates for mu in config.service_rates]
-    # nu_invariance / validate run a single point
-    return [(config.arrival_rates[0], config.service_rates[0])]
+    if config.mode == "sweep_lambda" and len(config.service_rates) != 1:
+        raise ParameterError("sweep_lambda expects a single service rate")
+    if config.mode == "sweep_mu" and len(config.arrival_rates) != 1:
+        raise ParameterError("sweep_mu expects a single arrival rate")
+    return [(lam, mu) for lam in config.arrival_rates for mu in config.service_rates]
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """One simulated row per (grid point, decision rate); CSV + manifest if configured.
 
-    The points simulate and run their K-S tests concurrently, but take turns
-    at the decision phase, whose one column of epochs is drawn and averaged
-    on the whole block pool.  The lock holder waits only on block-pool
-    tasks, which never wait, so no point deadlocks.
+    At most two points run at a time: one draws and averages its column of
+    decision epochs on the whole block pool, while the next simulates and
+    runs its K-S tests.  They take turns at the decision phase, so a run
+    holds one column of epochs and at most two traces at any thread count.
+    The lock holder waits only on block-pool tasks, which never wait, so no
+    point deadlocks.
     """
     started = time.monotonic()
     workers = worker_limit()
     points = _grid_points(config)
     rows_by_point: list = [None] * len(points)
     decision_lock = threading.Lock()
-    with concurrent.futures.ThreadPoolExecutor(min(len(points), workers)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(min(len(points), workers, 2)) as pool:
         futures = {
             pool.submit(_point_rows, config, i, lam, mu, decision_lock): i
             for i, (lam, mu) in enumerate(points)
@@ -692,21 +703,21 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     config, params, trace, warm = point.config, point.params, point.trace, point.warm
     lam, mu = params.arrival_rate, params.service_rate
 
-    # The mean age and counts at each decision rate, and at nu = 1 for the PASTA
-    # check.  Each rate's epochs are dropped once counted; the highest rate's are
-    # the run's peak, so it goes first, and the sawtooth's columns wait for it.
-    rates = (*config.decision_rates, *(() if 1.0 in config.decision_rates else (1.0,)))
+    # The mean age and counts at each decision rate.  Each rate's epochs are
+    # dropped once counted; the highest rate's are the run's peak, so it goes
+    # first, and the sawtooth's columns wait for it.
+    distinct = sorted(set(config.decision_rates))
     estimates = {}
     highest_rate_done = threading.Event()
 
     def estimate_rates() -> list[dict]:
         try:
-            for nu in sorted(set(rates), reverse=True):
+            for nu in reversed(distinct):
                 estimates[nu] = point.aud(nu)
                 highest_rate_done.set()
         finally:
             highest_rate_done.set()
-        return [estimates[nu][1] for nu in rates]
+        return [estimates[nu][1] for nu in config.decision_rates]
 
     lag, thinned, gaps = _ks_samples(point)
     span = (trace.n - warm) // AUD_BATCHES
@@ -737,7 +748,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         return _within(ests.values(), theory, alpha, f"theory={theory:.6g}; rates={sorted(ests)}")
 
     def aud_nu_invariance():
-        by_rate = [estimate(nu) for nu in sorted(set(config.decision_rates))]
+        by_rate = [estimate(nu) for nu in distinct]
         return _within(_differences(by_rate), 0.0, alpha, "pairwise on the shared trace")
 
     def ks_system_time():
@@ -772,7 +783,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
                         "level 0")
         per_batch = _occupancy_by_window(trace, k - 1, edges)
         per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
-        return _within([ci_from_batch_means(level, config.confidence) for level in per_batch.T],
+        return _within([mean_ci(level, config.confidence) for level in per_batch.T],
                        np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
     def prob_busy_on_arrival():
@@ -860,11 +871,12 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     def time_average_age() -> EstimateWithCI:
         batched()  # below it the windows can coincide
         highest_rate_done.wait()
-        return ci_from_batch_means(time_average_aoi(aoi_path(trace), edges), config.confidence)
+        return mean_ci(time_average_aoi(aoi_path(trace), edges), config.confidence)
 
     def pasta_time_average():
-        # Poisson decisions sample the time average of the age path (PASTA).
-        aud = estimate(1.0)
+        # Poisson decisions sample the time average of the age path (PASTA).  The
+        # median configured rate (the upper one of an even count) draws nothing extra.
+        aud = estimate(distinct[len(distinct) // 2])
         aoi = sawtooth.result()
         return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 
@@ -873,7 +885,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
              prob_busy_on_arrival, mgf_mixture_identity, cross_moment, aud_dual_path,
              shape_lambda_u_curve, shape_mu_decreasing, shape_divergence_asymmetry,
              pasta_time_average]
-    if len(set(config.decision_rates)) < 2:
+    if len(distinct) < 2:
         order.remove(aud_nu_invariance)
     exact = {mgf_mixture_identity, aud_dual_path, shape_lambda_u_curve, shape_mu_decreasing,
              shape_divergence_asymmetry}

@@ -295,15 +295,3 @@ def empirical_prob_arrival_sees_busy(trace: UpdateTrace) -> float:
 def default_warmup(n_updates: int) -> int:
     """Updates to discard before steady-state estimation: max(1000, 1%), capped at half."""
     return min(max(1000, n_updates // 100), n_updates // 2)
-
-
-def write_trace_csv(trace: UpdateTrace, path: str) -> None:
-    """Export the trace as CSV with full-precision epochs, one row per update."""
-    arr = trace.arrival_times.tolist()
-    start = trace.service_start_times.tolist()
-    dep = trace.departure_times.tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write("k,t_arrival,t_service_start,t_depart\n")
-        fh.writelines(
-            f"{k + 1},{arr[k]!r},{start[k]!r},{dep[k]!r}\n" for k in range(trace.n)
-        )

@@ -12,9 +12,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .decisions import DecisionSet
 from .errors import InsufficientDataError, ParameterError
-from .queueing import UpdateTrace
 
 
 def z_value(confidence: float) -> float:
@@ -57,7 +55,11 @@ class EstimateWithCI:
 
 
 def mean_ci(samples, confidence: float = 0.99) -> EstimateWithCI:
-    """Normal-approximation CI for the mean of (approximately) i.i.d. samples."""
+    """Normal-approximation CI for the mean of (approximately) i.i.d. samples.
+
+    Near-independent batch means are such samples; ``n`` is then the number
+    of batches.
+    """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {x.size}")
@@ -80,19 +82,7 @@ def batch_means_ci(samples, confidence: float = 0.99, n_batches: int = 100) -> E
     if x.size < n_batches:
         raise InsufficientDataError(f"need >= {n_batches} samples, got {x.size}")
     per = x.size // n_batches
-    return ci_from_batch_means(x[: per * n_batches].reshape(n_batches, per).mean(axis=1),
-                               confidence)
-
-
-def ci_from_batch_means(means, confidence: float = 0.99) -> EstimateWithCI:
-    """CI for the grand mean from already computed, near-independent batch means.
-
-    ``n`` in the result is the number of batches.
-    """
-    means = np.asarray(means, dtype=float)
-    z = z_value(confidence)
-    half = z * float(means.std(ddof=1)) / math.sqrt(means.size)
-    return EstimateWithCI(float(means.mean()), half, int(means.size), confidence)
+    return mean_ci(x[: per * n_batches].reshape(n_batches, per).mean(axis=1), confidence)
 
 
 def kolmogorov_sf(x: float) -> float:
@@ -124,16 +114,6 @@ class KsResult:
     reject_at_001: bool
 
 
-def _ks_from_cdf_values(cdf_sorted: np.ndarray) -> KsResult:
-    n = len(cdf_sorted)
-    i = np.arange(1, n + 1, dtype=float)
-    d_plus = float((i / n - cdf_sorted).max())
-    d_minus = float((cdf_sorted - (i - 1.0) / n).max())
-    d = max(d_plus, d_minus)
-    p = kolmogorov_sf(math.sqrt(n) * d)
-    return KsResult(d, p, n, p < 0.01)
-
-
 def ks_exponential(samples, rate: float) -> KsResult:
     """K-S test of the samples against Exponential(rate)."""
     x = np.asarray(samples, dtype=float)
@@ -142,33 +122,10 @@ def ks_exponential(samples, rate: float) -> KsResult:
     if not (math.isfinite(rate) and rate > 0.0):
         raise ParameterError(f"rate must be positive, got {rate!r}")
     cdf = 1.0 - np.exp(-rate * np.sort(x))
-    return _ks_from_cdf_values(cdf)
-
-
-def ks_uniform(samples) -> KsResult:
-    """K-S test of the samples against Uniform(0, 1)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 50:
-        raise InsufficientDataError(f"K-S needs at least 50 samples, got {x.size}")
-    cdf = np.clip(np.sort(x), 0.0, 1.0)
-    return _ks_from_cdf_values(cdf)
-
-
-def uniformity_offsets(decisions: DecisionSet, trace: UpdateTrace) -> KsResult:
-    """Test that decision offsets are uniform within their departure gaps.
-
-    Each decision inside a complete inter-departure interval is mapped to
-    (tau - previous departure) / interval length; under Poisson decisions
-    these normalized offsets are i.i.d. Uniform(0, 1).  Decisions before
-    the first departure or after the last complete interval are skipped.
-    """
-    eligible = (decisions.freshest_index >= 0) & (decisions.freshest_index < trace.n - 1)
-    if int(eligible.sum()) < 50:
-        raise InsufficientDataError(
-            f"need >= 50 decisions inside complete intervals, got {int(eligible.sum())}"
-        )
-    idx = decisions.freshest_index[eligible]
-    left = trace.departure_times[idx]
-    right = trace.departure_times[idx + 1]
-    offsets = (decisions.times[eligible] - left) / (right - left)
-    return ks_uniform(offsets)
+    n = x.size
+    i = np.arange(1, n + 1, dtype=float)
+    d_plus = float((i / n - cdf).max())
+    d_minus = float((cdf - (i - 1.0) / n).max())
+    d = max(d_plus, d_minus)
+    p = kolmogorov_sf(math.sqrt(n) * d)
+    return KsResult(d, p, n, p < 0.01)

@@ -10,11 +10,9 @@ from aud_lab.decisions import (
     average_aud,
     decisions_at,
     generate_decisions,
-    periodic_decisions,
     periodic_epochs,
     poisson_epochs,
     time_average_aoi,
-    write_decisions_csv,
 )
 from aud_lab.distributions import DECISION_STREAM, SeededStream
 from aud_lab.errors import InsufficientDataError, ParameterError, TruncationError
@@ -242,7 +240,7 @@ def test_pasta_time_average_matches_decision_mean():
 
 def test_periodic_decisions_spacing():
     trace = simulate(SystemParams(0.5, 1.0), 10_000, 5)
-    decisions = periodic_decisions(trace, 0.5, trace.last_departure)
+    decisions = decisions_at(trace, periodic_epochs(0.5, trace.last_departure))
     assert np.allclose(np.diff(decisions.times), 2.0, atol=1e-9)
     assert average_aud(decisions).mean == pytest.approx(3.5, rel=0.05)
 
@@ -250,17 +248,6 @@ def test_periodic_decisions_spacing():
 def test_empty_trace_rejected():
     with pytest.raises(ParameterError):
         UpdateTrace(np.array([]), np.array([]), np.array([]))
-
-
-def test_decisions_csv(tmp_path):
-    decisions = decisions_at(crafted_trace(), [0.5, 3.0, 6.0])
-    out = tmp_path / "decisions.csv"
-    write_decisions_csv(decisions, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "j,tau,freshest_index,aud"
-    assert lines[1] == "1,0.5,0,"  # undefined: no freshest update, empty age
-    assert lines[2] == "2,3.0,1,1.0"
-    assert lines[3] == "3,6.0,2,3.0"
 
 
 def sawtooth_reference(path, start, end):
@@ -398,8 +385,6 @@ def test_epoch_generators_match_the_record_builders():
         epochs, generate_decisions(trace, 2.0, horizon, SeededStream(3, 9)).times
     )
     assert 0.0 < epochs[0] and epochs[-1] <= horizon < epochs[-1] + 10.0
-    assert np.array_equal(periodic_epochs(0.5, horizon),
-                          periodic_decisions(trace, 0.5, horizon).times)
     assert list(periodic_epochs(0.5, 7.9)) == [2.0, 4.0, 6.0]
     with pytest.raises(ParameterError):
         poisson_epochs(0.0, 5.0, SeededStream(0, DECISION_STREAM))

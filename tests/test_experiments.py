@@ -45,7 +45,7 @@ from aud_lab.queueing import (
     queue_length_process,
     simulate,
 )
-from aud_lab.stats import EstimateWithCI, batch_means_ci, ci_from_batch_means, z_value
+from aud_lab.stats import EstimateWithCI, batch_means_ci, mean_ci, z_value
 
 SMALL = dict(n_updates=50_000, seed=11)
 
@@ -574,6 +574,35 @@ def test_sweep_csv_reruns_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_sweep_runs_at_most_two_points_at_a_time(tmp_path, monkeypatch):
+    point_rows, lock = experiments._point_rows, threading.Lock()
+    in_flight = most = 0
+
+    def counted(*args):
+        nonlocal in_flight, most
+        with lock:
+            in_flight += 1
+            most = max(most, in_flight)
+        try:
+            time.sleep(0.05)  # time for every pool thread to start a point
+            return point_rows(*args)
+        finally:
+            with lock:
+                in_flight -= 1
+
+    monkeypatch.setattr(experiments, "_point_rows", counted)
+    outputs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("AUD_LAB_THREADS", threads)
+        out = tmp_path / f"s{threads}.csv"
+        run_sweep(ExperimentConfig(mode="sweep_lambda", arrival_rates=parse_rates("0.1:0.9:0.1"),
+                                   decision_rates=(1.0,), n_updates=3000, seed=42,
+                                   output_path=str(out)))
+        outputs.append(out.read_bytes())
+    assert most == 2 and in_flight == 0
+    assert outputs[1] == outputs[0] and len(outputs[0].splitlines()) == 10
+
+
 def test_cli_sweep_and_validate(tmp_path, capsys):
     out = tmp_path / "cli.csv"
     code = cli_main([
@@ -684,7 +713,8 @@ def test_cli_rates_outside_their_range_exit_2(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error:") and "must lie in [2^-64, 2^64]" in err
-    ExperimentConfig(arrival_rates=(2.0**-64,), service_rates=(2.0**64,), decision_rates=(1.0,))
+    ExperimentConfig(arrival_rates=(2.0**-64,), service_rates=(2.0**64,),
+                     decision_rates=(2.0**-64,))
     for rate in (math.nextafter(2.0**-64, 0.0), math.nextafter(2.0**64, math.inf)):
         with pytest.raises(ParameterError):
             ExperimentConfig(decision_rates=(rate,))
@@ -709,21 +739,73 @@ def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):
 
 
 def test_cli_no_decision_for_the_pasta_check_skips_it(tmp_path, capsys):
-    # the PASTA check samples nu = 1 on its own; on this short, fast trace
-    # no such decision falls after the warm-up
+    # the PASTA check samples the median configured rate, here 0.002; on this
+    # short, fast trace no such decision falls after the warm-up
     out = tmp_path / "v.csv"
-    code = cli_main(["validate", "--lambda", "1000", "--mu", "2000", "--nu", "1000",
+    code = cli_main(["validate", "--lambda", "1000", "--mu", "2000", "--nu", "1000,0.002,0.001",
                      "--updates", "210", "--seed", "1", "--out", str(out)])
     assert code in (0, 1)
     assert capsys.readouterr().err == ""
     rows = out.read_text().splitlines()
     assert ("pasta_time_average,skipped,nan,nan,nan,"
-            "no defined decisions at decision rate 1.0") in rows
-    # the sizes record still counts the nu = 1 decisions
+            "no defined decisions at decision rate 0.002") in rows
+    # the sizes record counts the configured rates alone, in their order
     with open(manifest_path_for(str(out))) as fh:
         sizes = json.loads(fh.readlines()[-1])
-    assert [d["nu"] for d in sizes["decisions"]] == [1000.0, 1.0]
+    assert [d["nu"] for d in sizes["decisions"]] == [1000.0, 0.002, 0.001]
     assert sizes["decisions"][1]["after_warmup"] == sizes["decisions"][1]["batch_length"] == 0
+
+
+# The validate rows that read only the trace or the closed forms.
+TRACE_ROWS = ("ks_system_time", "ks_interdeparture", "interdeparture_mean",
+              "interdeparture_second_moment", "queue_length_distribution",
+              "prob_busy_on_arrival", "mgf_mixture_identity", "cross_moment", "aud_dual_path",
+              "shape_lambda_u_curve", "shape_mu_decreasing", "shape_divergence_asymmetry")
+
+
+def test_validate_rescaled_in_time_keeps_its_trace_rows_and_its_cost(tmp_path):
+    # Every rate times a power of two c only relabels time: each epoch scales
+    # exactly.  The decision streams are keyed by the rate, so their rows move.
+    def run(c):
+        out = tmp_path / f"v{c!r}.csv"
+        code = cli_main(["validate", "--lambda", repr(0.5 * c), "--mu", repr(1.0 * c),
+                         "--nu", ",".join(repr(nu * c) for nu in (0.1, 1.0, 10.0)),
+                         "--updates", "100000", "--seed", "7", "--out", str(out)])
+        assert code in (0, 1)
+        rows = {line.split(",")[0]: line.split(",")[1:5]
+                for line in out.read_text().splitlines()[1:]}
+        with open(manifest_path_for(str(out))) as fh:
+            sizes = json.loads(fh.readlines()[-1])
+        return {name: rows[name] for name in TRACE_ROWS}, [d["total"] for d in sizes["decisions"]]
+
+    rows, totals = run(1.0)
+    assert len(totals) == 3
+    for c in (2.0**20, 2.0**-20):
+        scaled_rows, scaled_totals = run(c)
+        assert scaled_rows == rows
+        assert len(scaled_totals) == 3
+        assert all(abs(s - t) <= 0.05 * t for s, t in zip(scaled_totals, totals))
+
+
+def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
+    # each used to end in a numpy memory error or, for the grid, to validate
+    # its first point alone
+    for argv, reason in (
+        (["validate", "--updates", "100000000000"], "100000000000 updates exceed the cap"),
+        (["sweep", "--lambda", "1e-12", "--mu", "1", "--nu", "1", "--updates", "1000"],
+         "decision rate 1 at lambda=1e-12, mu=1 draws about 1e+15 decisions"),
+        (["validate", "--lambda", "0.3,0.5", "--mu", "1", "--updates", "5000"],
+         "validate runs a single (lambda, mu) point"),
+    ):
+        out = tmp_path / "out.csv"
+        assert cli_main([*argv, "--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and reason in captured.err
+        assert not out.exists() and not os.path.exists(manifest_path_for(str(out)))
+    # 2e8 decisions at nu = 10 stay within the cap of 2^28
+    assert experiments.MAX_COLUMN == 2**28
+    build_config(mode="validate", arrival_rates=(0.01,), n_updates=200_000, seed=3)
 
 
 FAST = ["--lambda", "1000", "--mu", "2000", "--nu", "1000", "--seed", "1"]
@@ -927,7 +1009,7 @@ def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
     per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
     pi = analytic.stationary_queue_dist(params, 10)
     row("queue_length_distribution",
-        [ci_from_batch_means(level, config.confidence) for level in per_batch.T],
+        [mean_ci(level, config.confidence) for level in per_batch.T],
         np.append(pi[:7], 1 - pi[:7].sum()), alpha, "levels 0-6 and >= 7")
 
 

@@ -19,7 +19,6 @@ from aud_lab.queueing import (
     occupancy_fractions,
     queue_length_process,
     simulate,
-    write_trace_csv,
 )
 
 
@@ -215,21 +214,6 @@ def test_default_warmup_rule():
     assert default_warmup(50_000) == 1000
     assert default_warmup(100) == 50
     assert default_warmup(1) == 0
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    trace = simulate(SystemParams(0.5, 1.0), 500, 6)
-    out = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "k,t_arrival,t_service_start,t_depart"
-    assert len(lines) == 501
-    k, arr, start, dep = lines[100].split(",")
-    assert int(k) == 100
-    # full-precision round trip
-    assert float(arr) == trace.arrival_times[99]
-    assert float(start) == trace.service_start_times[99]
-    assert float(dep) == trace.departure_times[99]
 
 
 def test_crafted_trace_validation():

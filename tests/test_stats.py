@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from aud_lab.decisions import decisions_at, generate_decisions
+from aud_lab.decisions import generate_decisions
 from aud_lab.distributions import DECISION_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.queueing import SystemParams, UpdateTrace, simulate
@@ -12,9 +12,7 @@ from aud_lab.stats import (
     batch_means_ci,
     kolmogorov_sf,
     ks_exponential,
-    ks_uniform,
     mean_ci,
-    uniformity_offsets,
     z_value,
 )
 
@@ -143,8 +141,6 @@ def test_ks_requires_minimum_samples_and_valid_rate():
         ks_exponential(np.ones(49), 1.0)
     with pytest.raises(ParameterError):
         ks_exponential(np.ones(100), 0.0)
-    with pytest.raises(InsufficientDataError):
-        ks_uniform(np.linspace(0, 1, 10))
 
 
 def test_ks_system_times_not_rejected():
@@ -160,23 +156,11 @@ def test_uniform_offsets_of_poisson_decisions():
     decisions = generate_decisions(
         trace, 1.0, trace.last_departure, SeededStream(42, DECISION_STREAM)
     )
-    result = uniformity_offsets(decisions, trace)
-    assert not result.reject_at_001
-
-
-def test_uniformity_rejects_midpoint_decisions():
-    trace = simulate(SystemParams(0.5, 1.0), 5000, 9)
-    mids = 0.5 * (trace.departure_times[:-1] + trace.departure_times[1:])
-    decisions = decisions_at(trace, mids)
-    result = uniformity_offsets(decisions, trace)
-    assert result.reject_at_001
-    assert result.statistic == pytest.approx(0.5, abs=0.01)
-
-
-def test_uniformity_needs_enough_decisions():
-    trace = UpdateTrace(
-        np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0, 4.0]), np.array([1.5, 3.0, 5.0])
-    )
-    decisions = decisions_at(trace, [2.0, 4.5])
-    with pytest.raises(InsufficientDataError):
-        uniformity_offsets(decisions, trace)
+    # each decision inside a complete departure gap, as a fraction of that gap,
+    # is Uniform(0, 1) under Poisson decisions
+    idx = decisions.freshest_index
+    inside = (idx >= 0) & (idx < trace.n - 1)
+    left = trace.departure_times[idx[inside]]
+    right = trace.departure_times[idx[inside] + 1]
+    offsets = (decisions.times[inside] - left) / (right - left)
+    assert scipy.stats.kstest(offsets, "uniform").pvalue >= 0.01

@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Verbs:
-    sweep          parameter sweep over arrival and/or service rates
+    sweep          one row per (arrival rate, service rate, decision rate)
     nu-invariance  paired decision-rate comparison on one shared trace
     validate       run every oracle check against one simulated point
 
@@ -16,7 +16,6 @@ import sys
 from .errors import AudLabError
 from .experiments import (
     build_config,
-    load_config_file,
     parse_rates,
     run_nu_invariance,
     run_sweep,
@@ -33,10 +32,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base seed")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--confidence", type=float, help="CI confidence level")
-    parser.add_argument("--allow-unstable", action="store_true", default=None,
-                        help="simulate points with utilization >= 1 anyway")
-    parser.add_argument("--periodic-decisions", action="store_true", default=None,
-                        help="deterministic decision epochs at gap 1/nu instead of Poisson")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -49,23 +44,8 @@ def _overrides(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "output_path": args.out,
         "confidence": args.confidence,
-        "allow_unstable": args.allow_unstable,
-        "periodic": args.periodic_decisions,
     }
     return {k: v for k, v in out.items() if v is not None}
-
-
-def _sweep_mode(merged: dict) -> str:
-    """Choose the sweep flavor: explicit mode wins, else infer from grid shapes."""
-    if merged.get("mode") in ("sweep_lambda", "sweep_mu", "grid_lambda_mu"):
-        return merged["mode"]
-    many_lam = len(merged.get("arrival_rates", ())) > 1
-    many_mu = len(merged.get("service_rates", ())) > 1
-    if many_lam and many_mu:
-        return "grid_lambda_mu"
-    if many_mu:
-        return "sweep_mu"
-    return "sweep_lambda"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -77,17 +57,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        config = build_config(args.config, **_overrides(args), mode=args.verb.replace("-", "_"))
         if args.verb == "sweep":
-            overrides = _overrides(args)  # flags are parsed before the file is read
-            values = {**(load_config_file(args.config) if args.config else {}), **overrides}
-            values["mode"] = _sweep_mode(values)
-            config = build_config(**values)
             result = run_sweep(config)
             print(f"wrote {len(result.rows)} rows"
                   + (f" to {config.output_path}" if config.output_path else ""))
             return 0
         if args.verb == "nu-invariance":
-            config = build_config(args.config, **_overrides(args), mode="nu_invariance")
             result = run_nu_invariance(config)
             for rate in sorted(result.estimates):
                 est = result.estimates[rate]
@@ -99,7 +75,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"(gate {result.z:.6g}); "
                   + ("consistent" if result.consistent else "INCONSISTENT"))
             return 0 if result.consistent else 1
-        config = build_config(args.config, **_overrides(args), mode="validate")
         report = run_validation(config)
         print(report.summary())
         return 0 if report.passed else 1

@@ -178,13 +178,6 @@ def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -
     return epochs[: np.searchsorted(epochs, horizon, side="right")]
 
 
-def periodic_epochs(decision_rate: float, horizon: float) -> np.ndarray:
-    """Deterministic epochs k / decision_rate for k = 1, 2, ... on (0, horizon]."""
-    _require_positive("decision_rate", decision_rate)
-    count = int(math.floor(horizon * decision_rate))
-    return np.arange(1, count + 1, dtype=float) / decision_rate
-
-
 def generate_decisions(
     trace: UpdateTrace,
     decision_rate: float,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import analytic
-from .decisions import _mean_age, aoi_path, periodic_epochs, poisson_epochs, time_average_aoi
+from .decisions import _mean_age, aoi_path, poisson_epochs, time_average_aoi
 from .distributions import SeededStream, block_pool, splitmix64, worker_limit
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
@@ -51,7 +51,7 @@ from .queueing import (
 )
 from .stats import EstimateWithCI, ks_exponential, mean_ci, z_value
 
-MODES = ("sweep_lambda", "sweep_mu", "grid_lambda_mu", "nu_invariance", "validate")
+MODES = ("sweep", "nu_invariance", "validate")
 
 SWEEP_CSV_HEADER = (
     "lambda,mu,nu,analytic_aud,empirical_aud,ci_half_width,"
@@ -120,8 +120,6 @@ class ExperimentConfig:
     seed: int = 42
     confidence: float = 0.99
     output_path: str | None = None
-    allow_unstable: bool = False
-    periodic: bool = False
     warmup_updates: int | None = None  # None: max(1000, 1% of n), capped at half
 
     def __post_init__(self):
@@ -141,6 +139,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} entries must lie in [2^-64, 2^64], got {grid}")
         if self.n_updates < 1:
             raise ParameterError(f"n_updates must be >= 1, got {self.n_updates}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ParameterError(f"seed must lie in [0, 2^64), got {self.seed}")
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.mode in ("nu_invariance", "validate") and (
@@ -155,7 +155,7 @@ class ExperimentConfig:
         nu = max(self.decision_rates)
         for lam, mu in itertools.product(self.arrival_rates, self.service_rates):
             count = nu * self.n_updates / min(lam, mu)
-            if (lam / mu < 1.0 or self.allow_unstable) and count > MAX_COLUMN:
+            if lam / mu < 1.0 and count > MAX_COLUMN:
                 raise ParameterError(
                     f"decision rate {nu:g} at lambda={lam:g}, mu={mu:g} draws about "
                     f"{count:.3g} decisions; the cap is {MAX_COLUMN} values per column")
@@ -178,21 +178,17 @@ def parse_rates(text: str) -> tuple:
         if len(parts) != 3:
             raise ParameterError(f"range syntax is start:stop:step, got {text!r}")
         start, stop, step = (_parse_number(p, float, "rate") for p in parts)
-        if step <= 0.0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
             raise ParameterError(f"bad range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        # the range holds floor(steps) + 1 rates; the quotient may overflow to inf
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_COLUMN:
+            raise ParameterError(f"range {text!r} holds about {steps:.3g} rates; the cap is "
+                                 f"{MAX_COLUMN}")
+        count = math.floor(steps) + 1
         # rounding kills float accumulation artifacts (0.6000000000000001)
         return tuple(round(start + i * step, 12) for i in range(count))
     return tuple(_parse_number(p, float, "rate") for p in text.split(",") if p.strip())
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ParameterError(f"cannot parse boolean from {text!r}")
 
 
 _CONFIG_KEYS = {
@@ -206,31 +202,33 @@ _CONFIG_KEYS = {
     "confidence": ("confidence", lambda s: _parse_number(s, float, "confidence")),
     "out": ("output_path", str.strip),
     "output": ("output_path", str.strip),
-    "allow_unstable": ("allow_unstable", _parse_bool),
-    "periodic_decisions": ("periodic", _parse_bool),
     "warmup": ("warmup_updates", lambda s: _parse_number(s, int, "warmup")),
 }
 
 
 def load_config_file(path: str) -> dict:
     """Read a flat key=value config file into ExperimentConfig field values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            attr, conv = _CONFIG_KEYS[key]
-            try:
-                values[attr] = conv(value)
-            except ParameterError as exc:
-                raise ParameterError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        attr, conv = _CONFIG_KEYS[key]
+        try:
+            values[attr] = conv(value)
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -249,7 +247,7 @@ def build_config(file_path: str | None = None, **overrides) -> ExperimentConfig:
 
 def derive_point_seed(seed: int, grid_index: int) -> int:
     """Per-grid-point seed: base seed XOR a stable hash of the grid index."""
-    return (seed ^ splitmix64(grid_index)) & _MASK64
+    return seed ^ splitmix64(grid_index)
 
 
 def decision_stream_id(decision_rate: float) -> int:
@@ -337,8 +335,6 @@ def _config_record(config: ExperimentConfig) -> dict:
         "seed": config.seed,
         "confidence": config.confidence,
         "output": config.output_path,
-        "allow_unstable": config.allow_unstable,
-        "periodic_decisions": config.periodic,
         "warmup": config.warmup_updates,
     }
 
@@ -395,17 +391,9 @@ def _warmup_count(config: ExperimentConfig, n: int) -> int:
     return default_warmup(n)
 
 
-def _decision_epochs(
-    trace: UpdateTrace,
-    decision_rate: float,
-    point_seed: int,
-    periodic: bool,
-) -> np.ndarray:
-    horizon = trace.last_departure
-    if periodic:
-        return periodic_epochs(decision_rate, horizon)
+def _decision_epochs(trace: UpdateTrace, decision_rate: float, point_seed: int) -> np.ndarray:
     stream = SeededStream(point_seed, decision_stream_id(decision_rate))
-    return poisson_epochs(decision_rate, horizon, stream)
+    return poisson_epochs(decision_rate, trace.last_departure, stream)
 
 
 def _n_undefined(trace: UpdateTrace, epochs: np.ndarray) -> int:
@@ -424,8 +412,8 @@ def _aud_estimate(
 ) -> EstimateWithCI | None:
     """Mean age upon the decisions at the sorted ``epochs`` from index ``first`` on.
 
-    The epochs come from ``poisson_epochs`` or ``periodic_epochs`` with the
-    last departure as horizon, so they are sorted and end within the trace.
+    The epochs come from ``poisson_epochs`` with the last departure as
+    horizon, so they are sorted and end within the trace.
     ``first`` is ``_first_estimated``: the first decision after the warm-up
     with a defined age.  With under 2 * AUD_BATCHES decisions from there on,
     there is no estimate (None).  A slice of epochs gets exactly the ages of
@@ -454,7 +442,7 @@ class _Point:
 
         The decision epochs (8 bytes per decision) are dropped on return.
         """
-        epochs = _decision_epochs(self.trace, nu, self.seed, self.config.periodic)
+        epochs = _decision_epochs(self.trace, nu, self.seed)
         first = _first_estimated(self.trace, epochs, self.warm_epoch)
         est = _aud_estimate(self.trace, epochs, first, self.config.confidence)
         estimated = len(epochs) - first
@@ -469,7 +457,7 @@ class _Point:
 
 def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
     seed = derive_point_seed(config.seed, grid_index)
-    trace = simulate(params, config.n_updates, seed, allow_unstable=config.allow_unstable)
+    trace = simulate(params, config.n_updates, seed)
     warm = _warmup_count(config, trace.n)
     warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
     return _Point(config, params, seed, trace, warm, warm_epoch)
@@ -548,8 +536,7 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
     except StabilityError:
         analytic_value = None
 
-    unstable = params.utilization >= 1.0
-    if unstable and not config.allow_unstable:
+    if not params.is_stable:
         return [
             SweepRow(arrival_rate, service_rate, nu, None, None, None, None, None,
                      None, None, "unstable")
@@ -557,12 +544,9 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
         ]
 
     point = _simulate_point(config, grid_index, params)
-    stationary = point.trace.stationary
-    ks_t_p = ks_y_p = None
-    if stationary:
-        _, thinned, gaps = _ks_samples(point)
-        ks_t_p = _ks_p_value(thinned, analytic.system_time_rate(params))
-        ks_y_p = _ks_p_value(gaps, params.arrival_rate)
+    _, thinned, gaps = _ks_samples(point)
+    ks_t_p = _ks_p_value(thinned, analytic.system_time_rate(params))
+    ks_y_p = _ks_p_value(gaps, params.arrival_rate)
 
     rows = []
     for nu in config.decision_rates:
@@ -570,17 +554,8 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
             est, counts = point.aud(nu)
         rows.append(SweepRow(arrival_rate, service_rate, nu, analytic_value,
                              est.mean if est else None, est.half_width if est else None,
-                             counts["total"], counts["undefined"], ks_t_p, ks_y_p,
-                             "ok" if stationary else "unstable-simulated"))
+                             counts["total"], counts["undefined"], ks_t_p, ks_y_p, "ok"))
     return rows
-
-
-def _grid_points(config: ExperimentConfig) -> list[tuple]:
-    if config.mode == "sweep_lambda" and len(config.service_rates) != 1:
-        raise ParameterError("sweep_lambda expects a single service rate")
-    if config.mode == "sweep_mu" and len(config.arrival_rates) != 1:
-        raise ParameterError("sweep_mu expects a single arrival rate")
-    return [(lam, mu) for lam in config.arrival_rates for mu in config.service_rates]
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -595,7 +570,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """
     started = time.monotonic()
     workers = worker_limit()
-    points = _grid_points(config)
+    points = list(itertools.product(config.arrival_rates, config.service_rates))
     rows_by_point: list = [None] * len(points)
     decision_lock = threading.Lock()
     with concurrent.futures.ThreadPoolExecutor(min(len(points), workers, 2)) as pool:

@@ -69,17 +69,11 @@ def _non_decreasing(epochs: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class UpdateTrace:
-    """Columnar per-update record of a FCFS single-server run.
-
-    ``stationary`` is False when the trace was produced under an unstable
-    configuration via the ``allow_unstable`` override; steady-state
-    estimators must refuse such traces.
-    """
+    """Columnar per-update record of a FCFS single-server run."""
 
     arrival_times: np.ndarray
     service_start_times: np.ndarray
     departure_times: np.ndarray
-    stationary: bool = True
 
     def __post_init__(self):
         columns = {}
@@ -157,13 +151,7 @@ class QueueLengthPath:
         return len(self.epochs)
 
 
-def simulate(
-    params: SystemParams,
-    n_updates: int,
-    seed: int,
-    *,
-    allow_unstable: bool = False,
-) -> UpdateTrace:
+def simulate(params: SystemParams, n_updates: int, seed: int) -> UpdateTrace:
     """Simulate ``n_updates`` through the M/M/1 FCFS queue of ``params``.
 
     Inter-arrival and service times are exponential at
@@ -172,14 +160,13 @@ def simulate(
     function of (params, n_updates, seed).
 
     Raises:
-        StabilityError: utilization >= 1 and ``allow_unstable`` not set.
+        StabilityError: utilization >= 1.
         ParameterError: ``n_updates`` < 1.
     """
     if n_updates < 1:
         raise ParameterError(f"n_updates must be >= 1, got {n_updates}")
-    if not params.is_stable and not allow_unstable:
-        raise StabilityError(f"utilization {params.utilization:.6g} >= 1; "
-                             "pass allow_unstable=True to simulate anyway")
+    if not params.is_stable:
+        raise StabilityError(f"utilization {params.utilization:.6g} >= 1")
 
     # Every column is computed in place in one of four buffers: the trace's
     # three columns and the shifted service sums.
@@ -198,7 +185,7 @@ def simulate(
     np.add(shifted, starts, out=starts)
     np.maximum(arrivals, starts, out=starts)
     departures = np.add(starts, services, out=services)
-    return UpdateTrace(arrivals, starts, departures, stationary=params.is_stable)
+    return UpdateTrace(arrivals, starts, departures)
 
 
 def queue_length_process(

@@ -10,7 +10,6 @@ from aud_lab.decisions import (
     average_aud,
     decisions_at,
     generate_decisions,
-    periodic_epochs,
     poisson_epochs,
     time_average_aoi,
 )
@@ -238,13 +237,6 @@ def test_pasta_time_average_matches_decision_mean():
     assert abs(est.mean - sawtooth_mean) <= est.half_width
 
 
-def test_periodic_decisions_spacing():
-    trace = simulate(SystemParams(0.5, 1.0), 10_000, 5)
-    decisions = decisions_at(trace, periodic_epochs(0.5, trace.last_departure))
-    assert np.allclose(np.diff(decisions.times), 2.0, atol=1e-9)
-    assert average_aud(decisions).mean == pytest.approx(3.5, rel=0.05)
-
-
 def test_empty_trace_rejected():
     with pytest.raises(ParameterError):
         UpdateTrace(np.array([]), np.array([]), np.array([]))
@@ -385,13 +377,10 @@ def test_epoch_generators_match_the_record_builders():
         epochs, generate_decisions(trace, 2.0, horizon, SeededStream(3, 9)).times
     )
     assert 0.0 < epochs[0] and epochs[-1] <= horizon < epochs[-1] + 10.0
-    assert list(periodic_epochs(0.5, 7.9)) == [2.0, 4.0, 6.0]
     with pytest.raises(ParameterError):
         poisson_epochs(0.0, 5.0, SeededStream(0, DECISION_STREAM))
     with pytest.raises(ParameterError):
         poisson_epochs(1.0, math.inf, SeededStream(0, DECISION_STREAM))
-    with pytest.raises(ParameterError):
-        periodic_epochs(-1.0, 5.0)
 
 
 def tied_departure_runs():

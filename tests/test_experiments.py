@@ -5,13 +5,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import aud_lab
-from aud_lab import analytic, cli, distributions, experiments
+from aud_lab import analytic, distributions, experiments
 from aud_lab.cli import main as cli_main
 from aud_lab.decisions import decisions_at, generate_decisions
 from aud_lab.distributions import SeededStream
@@ -37,6 +37,7 @@ from aud_lab.experiments import (
     run_nu_invariance,
     run_sweep,
     run_validation,
+    write_manifest,
 )
 from aud_lab.queueing import (
     SystemParams,
@@ -69,22 +70,20 @@ def test_config_file_parsing(tmp_path):
     cfg.write_text(
         """
 # comment line
-mode = sweep_lambda
+mode = sweep
 lambda = 0.2:0.4:0.1   # inline comment
 mu = 1.0
 nu = 1
 updates = 20000
 seed = 9
 out = result.csv
-allow_unstable = false
 """
     )
     values = load_config_file(str(cfg))
-    assert values["mode"] == "sweep_lambda"
+    assert values["mode"] == "sweep"
     assert values["arrival_rates"] == pytest.approx((0.2, 0.3, 0.4))
     assert values["n_updates"] == 20000
     assert values["output_path"] == "result.csv"
-    assert values["allow_unstable"] is False
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -100,6 +99,25 @@ def test_overrides_beat_file_values(tmp_path):
     config = build_config(str(cfg), seed=77, n_updates=None)
     assert config.seed == 77
     assert config.n_updates == 5000
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(mode="sweep", arrival_rates=(0.3, 0.6), service_rates=(1.0, 2.0),
+                     decision_rates=(1.0,), n_updates=2000, seed=5, output_path="s.csv"),
+    ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95, warmup_updates=10),
+], ids=["sweep", "validate"])
+def test_manifest_config_record_rebuilds_the_config(config, tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(str(manifest), config, 0.0, 1)
+    record = json.loads(manifest.read_text().splitlines()[0])
+    assert record.pop("record") == "config"
+    assert len(record) == len(fields(ExperimentConfig))
+    # one config-file line per key: lists joined with commas, null left out
+    cfg = tmp_path / "cfg"
+    cfg.write_text("".join(
+        f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in record.items() if value is not None))
+    assert ExperimentConfig(**load_config_file(str(cfg))) == config
 
 
 def test_config_validation():
@@ -136,7 +154,7 @@ def test_decorrelation_lag_grows_with_load():
 def test_sweep_lambda_shape(tmp_path):
     out = tmp_path / "sweep.csv"
     config = ExperimentConfig(
-        mode="sweep_lambda",
+        mode="sweep",
         arrival_rates=tuple(np.round(np.arange(0.1, 0.95, 0.1), 10)),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -166,7 +184,7 @@ def test_sweep_lambda_shape(tmp_path):
 
 def test_sweep_mu_strictly_decreasing():
     config = ExperimentConfig(
-        mode="sweep_mu",
+        mode="sweep",
         arrival_rates=(0.5,),
         service_rates=tuple(np.round(np.arange(0.6, 3.01, 0.2), 10)),
         decision_rates=(1.0,),
@@ -179,7 +197,7 @@ def test_sweep_mu_strictly_decreasing():
 
 def test_sweep_marks_unstable_rows():
     config = ExperimentConfig(
-        mode="sweep_lambda",
+        mode="sweep",
         arrival_rates=(0.5, 1.0, 1.3),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -197,26 +215,9 @@ def test_sweep_marks_unstable_rows():
     assert csv_line.endswith("unstable")
 
 
-def test_sweep_unstable_override_simulates():
-    config = ExperimentConfig(
-        mode="sweep_lambda",
-        arrival_rates=(1.3,),
-        service_rates=(1.0,),
-        decision_rates=(1.0,),
-        n_updates=5000,
-        seed=2,
-        allow_unstable=True,
-    )
-    row = run_sweep(config).rows[0]
-    assert row.status == "unstable-simulated"
-    assert row.analytic_aud is None
-    assert row.empirical_aud is not None
-    assert row.ks_system_time_pvalue is None  # steady-state checks refuse the trace
-
-
 def test_grid_mode_covers_cross_product():
     config = ExperimentConfig(
-        mode="grid_lambda_mu",
+        mode="sweep",
         arrival_rates=(0.3, 0.5),
         service_rates=(1.0, 2.0),
         decision_rates=(1.0,),
@@ -232,7 +233,7 @@ def test_grid_mode_covers_cross_product():
 def test_threads_env_does_not_change_rows(tmp_path, monkeypatch):
     # the points take turns at the decision phase, at every thread count
     config = ExperimentConfig(
-        mode="sweep_lambda",
+        mode="sweep",
         arrival_rates=parse_rates("0.1:0.9:0.1"),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -270,7 +271,7 @@ def test_thread_count_does_not_change_block_drawn_outputs(tmp_path, monkeypatch)
     # n = 2e4 fills no full-size block; a small block runs the block path on
     # the trace's draws and on the epochs at every decision rate
     validate = ExperimentConfig(n_updates=20_000, seed=8)
-    sweep = ExperimentConfig(mode="sweep_lambda", arrival_rates=(0.3, 0.6),
+    sweep = ExperimentConfig(mode="sweep", arrival_rates=(0.3, 0.6),
                              decision_rates=(0.5, 4.0), n_updates=20_000, seed=5)
 
     def csv_bytes(name):
@@ -340,12 +341,12 @@ def test_nu_invariance_tiny_trace_no_crash():
 
 
 def test_warmup_is_configurable(tmp_path):
-    base = ExperimentConfig(mode="sweep_lambda", arrival_rates=(0.5,),
+    base = ExperimentConfig(mode="sweep", arrival_rates=(0.5,),
                             service_rates=(1.0,), decision_rates=(1.0,),
                             n_updates=20_000, seed=5)
     default_row = run_sweep(base).rows[0]
     no_warm_row = run_sweep(
-        ExperimentConfig(mode="sweep_lambda", arrival_rates=(0.5,),
+        ExperimentConfig(mode="sweep", arrival_rates=(0.5,),
                          service_rates=(1.0,), decision_rates=(1.0,),
                          n_updates=20_000, seed=5, warmup_updates=0)
     ).rows[0]
@@ -499,11 +500,15 @@ def reference_estimate(decisions, warm_epoch):
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
-@pytest.mark.parametrize("periodic", [False, True])
-def test_batched_aud_estimate_is_bit_identical(seed, periodic):
+@pytest.mark.parametrize("regular", [False, True])
+def test_batched_aud_estimate_is_bit_identical(seed, regular):
+    # Poisson epochs, or evenly spaced ones at gap 1 / nu
     trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
     for nu in (0.1, 1.0, 10.0):
-        epochs = _decision_epochs(trace, nu, seed, periodic)
+        if regular:
+            epochs = np.arange(1, math.floor(trace.last_departure * nu) + 1) / nu
+        else:
+            epochs = _decision_epochs(trace, nu, seed)
         decisions = decisions_at(trace, epochs)
         assert _n_undefined(trace, epochs) == decisions.n_undefined
         for warm_epoch in (0.0, float(trace.departure_times[999])):
@@ -517,7 +522,7 @@ def test_aud_estimate_small_branches():
     # none, 200 give the batch means of 100 pairs
     trace = simulate(SystemParams(0.5, 1.0), 3000, 4)
     d0 = float(trace.departure_times[0])
-    epochs = _decision_epochs(trace, 1.0, 4, False)
+    epochs = _decision_epochs(trace, 1.0, 4)
     for warm_epoch in (0.0, float(trace.departure_times[1500])):
         start = _first_estimated(trace, epochs, warm_epoch)
         assert _aud_estimate(trace, epochs[:start + 199], start, 0.99) is None
@@ -560,7 +565,7 @@ def test_within_gates_the_worst_se_ratio():
 def test_sweep_csv_reruns_byte_identical(tmp_path):
     out = tmp_path / "s.csv"
     config = ExperimentConfig(
-        mode="sweep_lambda",
+        mode="sweep",
         arrival_rates=(0.3, 0.6),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -595,7 +600,7 @@ def test_sweep_runs_at_most_two_points_at_a_time(tmp_path, monkeypatch):
     for threads in ("1", "4"):
         monkeypatch.setenv("AUD_LAB_THREADS", threads)
         out = tmp_path / f"s{threads}.csv"
-        run_sweep(ExperimentConfig(mode="sweep_lambda", arrival_rates=parse_rates("0.1:0.9:0.1"),
+        run_sweep(ExperimentConfig(mode="sweep", arrival_rates=parse_rates("0.1:0.9:0.1"),
                                    decision_rates=(1.0,), n_updates=3000, seed=42,
                                    output_path=str(out)))
         outputs.append(out.read_bytes())
@@ -634,14 +639,12 @@ def test_cli_nu_invariance(tmp_path, capsys):
 
 
 def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, capsys):
-    # periodic decisions at these two rates fall 199 and 200 times after the
-    # warm-up: the first row stays blank, and one rate alone leaves nothing
-    # to compare
-    flags = ["--nu", "0.0985,0.099", "--updates", "2000", "--seed", "42",
-             "--periodic-decisions"]
-    config = ExperimentConfig(mode="nu_invariance", decision_rates=(0.0985, 0.099),
-                              n_updates=2000, seed=42, periodic=True)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.0985))
+    # decisions at these two rates fall 199 and 200 times after the warm-up:
+    # the first row stays blank, and one rate alone leaves nothing to compare
+    flags = ["--nu", "0.0945,0.0905", "--updates", "2000", "--seed", "42"]
+    config = ExperimentConfig(mode="nu_invariance", decision_rates=(0.0945, 0.0905),
+                              n_updates=2000, seed=42)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.0945))
     assert [point.aud(nu)[1]["after_warmup"] for nu in config.decision_rates] == [199, 200]
     out = tmp_path / "nu.csv"
     code = cli_main(["nu-invariance", *flags, "--out", str(out)])
@@ -659,14 +662,14 @@ def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, ca
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg"
     out = tmp_path / "o.csv"
-    cfg.write_text("mode = sweep_mu\nlambda = 0.5\nmu = 0.8:1.2:0.2\nnu = 1\n"
+    cfg.write_text("mode = validate\nlambda = 0.5\nmu = 0.8:1.2:0.2\nnu = 1\n"
                    "updates = 5000\nseed = 1\n")
     code = cli_main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "99"])
     assert code == 0
     manifest = [json.loads(line) for line in open(manifest_path_for(str(out)))]
     config_record = next(r for r in manifest if r["record"] == "config")
     assert config_record["seed"] == 99
-    assert config_record["mode"] == "sweep_mu"
+    assert config_record["mode"] == "sweep"  # the verb sets the mode
 
 
 def test_cli_sweep_reads_its_config_file_once(tmp_path, monkeypatch, capsys):
@@ -678,7 +681,6 @@ def test_cli_sweep_reads_its_config_file_once(tmp_path, monkeypatch, capsys):
         reads.append(path)
         return load_config_file(path)
 
-    monkeypatch.setattr(cli, "load_config_file", counting)
     monkeypatch.setattr(experiments, "load_config_file", counting)
     assert cli_main(["sweep", "--config", str(cfg)]) == 0
     assert reads == [str(cfg)] and capsys.readouterr().out == "wrote 2 rows\n"
@@ -715,6 +717,16 @@ def test_cli_rates_outside_their_range_exit_2(capsys):
         assert err.startswith("error:") and "must lie in [2^-64, 2^64]" in err
     ExperimentConfig(arrival_rates=(2.0**-64,), service_rates=(2.0**64,),
                      decision_rates=(2.0**-64,))
+    # a range with a non-finite part, or of more rates than a column holds, is
+    # refused before any rate is built
+    for text, reason in (("0.1:inf:0.1", "bad range"), ("nan:1:0.1", "bad range"),
+                         ("0.1:0.9:nan", "bad range"), ("-inf:1:0.1", "bad range"),
+                         ("0.1:0.9:1e-12", "holds about 8e+11 rates; the cap is 268435456"),
+                         ("1e-300:1e300:1e-300", "holds about inf rates")):
+        assert cli_main(["sweep", f"--lambda={text}", "--updates", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and reason in err and repr(text) in err
     for rate in (math.nextafter(2.0**-64, 0.0), math.nextafter(2.0**64, math.inf)):
         with pytest.raises(ParameterError):
             ExperimentConfig(decision_rates=(rate,))
@@ -736,6 +748,41 @@ def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and ":2: updates must be an integer" in err
+
+
+def test_cli_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_bytes(b"seed = 1\n\xff = 2\n")
+    assert cli_main(["validate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {cfg}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("line", ["allow_unstable = true", "periodic_decisions = true"])
+def test_cli_removed_config_keys_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"updates = 2000\n{line}\n")
+    for verb in ("sweep", "nu-invariance", "validate"):
+        assert cli_main([verb, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and err.endswith(f":2: unknown key {line.split()[0]!r}\n")
+
+
+def test_cli_seed_outside_64_bits_exits_2(tmp_path, capsys):
+    # a sweep used to mask such a seed to 64 bits, and validate refused it
+    # only after simulating
+    for seed in ("-1", str(2**64)):
+        for verb in ("sweep", "nu-invariance", "validate"):
+            out = tmp_path / f"{verb}.csv"
+            assert cli_main([verb, "--nu", "1,2", "--updates", "2000", "--seed", seed,
+                             "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                f"error: seed must lie in [0, 2^64), got {seed}\n")
+            assert not out.exists()
+    ExperimentConfig(seed=0)
+    ExperimentConfig(seed=2**64 - 1)
 
 
 def test_cli_no_decision_for_the_pasta_check_skips_it(tmp_path, capsys):
@@ -890,7 +937,7 @@ def test_busy_check_needs_busy_and_idle_arrivals_in_every_batch(tmp_path):
 
 
 def test_sweep_leaves_the_estimate_blank_below_two_decisions_per_batch():
-    config = ExperimentConfig(mode="sweep_lambda", decision_rates=(0.01, 1.0),
+    config = ExperimentConfig(mode="sweep", decision_rates=(0.01, 1.0),
                               n_updates=2000, seed=7)
     low, high = run_sweep(config).rows
     assert low.n_decisions > 0 and low.empirical_aud is low.ci_half_width is None
@@ -921,15 +968,6 @@ def test_cli_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
         assert err == "error: AUD_LAB_THREADS must be an integer, got 'x'\n"
         # refused before any work: nothing was written
         assert not out.exists()
-
-
-def test_cli_periodic_decisions_flag():
-    code = cli_main([
-        "validate", "--lambda", "0.5", "--mu", "1.0", "--nu", "1",
-        "--updates", "20000", "--seed", "3", "--periodic-decisions",
-    ])
-    # periodic sampling is exploratory: it still runs end to end
-    assert code in (0, 1)
 
 
 SCIPY_BLOCKED_RUN = """

@@ -156,12 +156,6 @@ def test_unstable_raises_without_override():
         simulate(SystemParams(1.2, 1.0), 100, 0)
 
 
-def test_unstable_override_tags_trace():
-    trace = simulate(SystemParams(1.2, 1.0), 5000, 0, allow_unstable=True)
-    assert not trace.stationary
-    assert trace.n == 5000
-
-
 def test_simultaneous_events_depart_before_arrive():
     # deterministic X = S = 1: every arrival coincides with the previous departure,
     # so the queue never holds two updates at once

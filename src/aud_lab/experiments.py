@@ -29,6 +29,7 @@ import json
 import math
 import os
 import platform
+import resource
 import struct
 import threading
 import time
@@ -141,8 +142,7 @@ class ExperimentConfig:
             raise ParameterError(f"n_updates must be >= 1, got {self.n_updates}")
         if not 0 <= self.seed <= _MASK64:
             raise ParameterError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ParameterError(f"confidence must be in (0, 1), got {self.confidence}")
+        z_value(self.confidence)  # raises for a confidence without a finite, positive z
         if self.mode in ("nu_invariance", "validate") and (
             len(self.arrival_rates) != 1 or len(self.service_rates) != 1
         ):
@@ -191,8 +191,16 @@ def parse_rates(text: str) -> tuple:
     return tuple(_parse_number(p, float, "rate") for p in text.split(",") if p.strip())
 
 
+def _parse_mode(text: str) -> str:
+    """A mode from MODES; a verb overrides it, but a file may not name another."""
+    mode = text.strip()
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return mode
+
+
 _CONFIG_KEYS = {
-    "mode": ("mode", str.strip),
+    "mode": ("mode", _parse_mode),
     "lambda": ("arrival_rates", parse_rates),
     "mu": ("service_rates", parse_rates),
     "nu": ("decision_rates", parse_rates),
@@ -356,14 +364,17 @@ def write_manifest(
 ) -> None:
     """Write the config, versions and timing records, then ``extra_records``.
 
-    The timing record holds the wall time and ``workers``, the threads of
-    the block pool the run used.
+    The timing record holds the wall time, ``workers``, the threads of the
+    block pool the run used, and the process's peak RSS so far in MiB
+    (``ru_maxrss``, which Linux reports in KiB).
     """
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(path, "w", newline="") as fh:
         for record in (
             _config_record(config),
             _versions_record(),
-            {"record": "timing", "wall_seconds": wall_seconds, "workers": workers},
+            {"record": "timing", "wall_seconds": wall_seconds, "workers": workers,
+             "peak_rss_mb": peak_rss_mb},
             *extra_records,
         ):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -547,6 +558,7 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
     _, thinned, gaps = _ks_samples(point)
     ks_t_p = _ks_p_value(thinned, analytic.system_time_rate(params))
     ks_y_p = _ks_p_value(gaps, params.arrival_rate)
+    del thinned, gaps  # not held while the point waits for the decision phase
 
     rows = []
     for nu in config.decision_rates:

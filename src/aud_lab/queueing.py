@@ -1,14 +1,16 @@
 """Event-driven simulation of the M/M/1 FCFS queue with infinite buffer.
 
-The simulator produces a complete per-update trace (arrival, service-start,
-and departure epochs stored as columnar arrays); inter-arrival, waiting,
-service, system, and inter-departure times are derived on demand.  The
+The simulator produces a complete per-update trace: the arrival and
+departure epochs as two columnar arrays, 16 bytes per update.  The
 work-conserving recursion
 
     service_start(k) = max(arrival(k), departure(k-1))
 
-is evaluated in closed vector form: with C(k) the running sum of service
-times, departure(k) = C(k) + max_{j<=k}(arrival(j) - C(j-1)).
+fixes the service starts from those two columns, so they are derived on
+demand, as are the inter-arrival, waiting, service, system and
+inter-departure times.  The simulator evaluates the recursion in closed
+vector form: with C(k) the running sum of service times,
+departure(k) = C(k) + max_{j<=k}(arrival(j) - C(j-1)).
 """
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ from .distributions import (
     exponential_gaps,
 )
 from .errors import InsufficientDataError, ParameterError, StabilityError
+
+# ``simulate`` runs its Lindley scan over this many updates at a time.
+SCAN_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -69,25 +74,25 @@ def _non_decreasing(epochs: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class UpdateTrace:
-    """Columnar per-update record of a FCFS single-server run."""
+    """Columnar per-update record of a FCFS single-server run.
+
+    Only the arrival and departure epochs are stored.  The checks below
+    (each update departs no earlier than it arrives, and both columns are
+    non-decreasing) imply arrival <= service start <= departure.
+    """
 
     arrival_times: np.ndarray
-    service_start_times: np.ndarray
     departure_times: np.ndarray
 
     def __post_init__(self):
-        columns = {}
-        for name in ("arrival_times", "service_start_times", "departure_times"):
+        for name in ("arrival_times", "departure_times"):
             # read-only view: traces are shared across threads after construction
             col = np.asarray(getattr(self, name), dtype=float).view()
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-            columns[name] = col
-        arr = columns["arrival_times"]
-        start = columns["service_start_times"]
-        dep = columns["departure_times"]
+        arr, dep = self.arrival_times, self.departure_times
         n = len(arr)
-        if n < 1 or len(start) != n or len(dep) != n:
+        if n < 1 or len(dep) != n:
             raise ParameterError("trace columns must be non-empty and equally long")
         if arr[0] < 0.0:
             raise ParameterError("first arrival epoch must be non-negative")
@@ -96,8 +101,8 @@ class UpdateTrace:
             raise ParameterError("arrival epochs must be non-decreasing")
         if n > 1 and not _non_decreasing(dep):
             raise ParameterError("departure epochs must be non-decreasing")
-        if (start < arr).any() or (dep < start).any():
-            raise ParameterError("each update needs arrival <= service start <= departure")
+        if not (dep >= arr).all():
+            raise ParameterError("each update needs arrival <= departure")
 
     def __len__(self) -> int:
         return len(self.arrival_times)
@@ -110,6 +115,13 @@ class UpdateTrace:
     def interarrival_times(self) -> np.ndarray:
         """Gaps between consecutive arrivals; the first entry is the first epoch."""
         return np.diff(self.arrival_times, prepend=0.0)
+
+    @property
+    def service_start_times(self) -> np.ndarray:
+        """FCFS service starts: the later of each arrival and the previous departure."""
+        starts = self.arrival_times.copy()
+        np.maximum(starts[1:], self.departure_times[:-1], out=starts[1:])
+        return starts
 
     @property
     def waiting_times(self) -> np.ndarray:
@@ -168,24 +180,35 @@ def simulate(params: SystemParams, n_updates: int, seed: int) -> UpdateTrace:
     if not params.is_stable:
         raise StabilityError(f"utilization {params.utilization:.6g} >= 1")
 
-    # Every column is computed in place in one of four buffers: the trace's
-    # three columns and the shifted service sums.
+    # The departures overwrite the service gaps in place, SCAN_CHUNK updates
+    # at a time, so the scan holds the trace's two columns and two chunks.
     arrivals = exponential_epochs(SeededStream(seed, ARRIVAL_STREAM), params.arrival_rate,
                                   n_updates)
     services = exponential_gaps(SeededStream(seed, SERVICE_STREAM), params.service_rate,
                                 n_updates)
-    shifted = np.empty(n_updates)
-    shifted[0] = 0.0
-    np.cumsum(services[:-1], out=shifted[1:])
     # start(k) = max(arrival(k), departure(k-1)) unrolls to
     # shifted_cum_service(k) + max_{j<=k}(arrival(j) - shifted_cum_service(j));
     # the outer maximum re-pins idle starts to the arrival epoch exactly.
-    starts = np.subtract(arrivals, shifted)
-    np.maximum.accumulate(starts, out=starts)
-    np.add(shifted, starts, out=starts)
-    np.maximum(arrivals, starts, out=starts)
-    departures = np.add(starts, services, out=services)
-    return UpdateTrace(arrivals, starts, departures)
+    # Across a seam the chunks carry the next shifted sum and the running
+    # maximum; cumsum adds left to right, so every value is that of one scan.
+    chunk = min(SCAN_CHUNK, n_updates)
+    shifted_buf, starts_buf = np.empty(chunk), np.empty(chunk)
+    carry, headroom = 0.0, -math.inf
+    for a in range(0, n_updates, chunk):
+        b = min(a + chunk, n_updates)
+        shifted, starts, service = shifted_buf[:b - a], starts_buf[:b - a], services[a:b]
+        shifted[0] = carry
+        shifted[1:] = service[:-1]
+        np.cumsum(shifted, out=shifted)
+        carry = shifted[-1] + service[-1]
+        np.subtract(arrivals[a:b], shifted, out=starts)
+        starts[0] = max(starts[0], headroom)
+        np.maximum.accumulate(starts, out=starts)
+        headroom = starts[-1]
+        np.add(shifted, starts, out=starts)
+        np.maximum(arrivals[a:b], starts, out=starts)
+        np.add(starts, service, out=service)
+    return UpdateTrace(arrivals, services)
 
 
 def queue_length_process(

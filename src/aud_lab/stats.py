@@ -19,7 +19,9 @@ def z_value(confidence: float) -> float:
     """Two-sided normal quantile at ``confidence``.
 
     A confidence so close to 1 that its upper tail level 0.5 * (1 +
-    confidence) rounds to 1 raises ParameterError: it has no finite z.
+    confidence) rounds to 1 raises ParameterError: it has no finite z.  So
+    does one so close to 0 that the level rounds to 0.5: its z is 0, and
+    no standard error can be recovered from a half-width of z * SE.
     """
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must be in (0, 1), got {confidence}")
@@ -27,6 +29,9 @@ def z_value(confidence: float) -> float:
     if level == 1.0:
         raise ParameterError(f"confidence {confidence!r} is too close to 1: "
                              "its tail level rounds to 1 and has no finite z")
+    if level == 0.5:
+        raise ParameterError(f"confidence {confidence!r} is too close to 0: "
+                             "its tail level rounds to 0.5 and gives z = 0")
     return NormalDist().inv_cdf(level)
 
 

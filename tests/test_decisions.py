@@ -23,11 +23,7 @@ def crafted_trace():
     # update 1: arrives 2, departs 3 (system time 1)
     # update 2: arrives 3, departs 5 (system time 2)
     # update 3: arrives 6.5, departs 7.5
-    return UpdateTrace(
-        np.array([2.0, 3.0, 6.5]),
-        np.array([2.0, 3.0, 6.5]),
-        np.array([3.0, 5.0, 7.5]),
-    )
+    return UpdateTrace(np.array([2.0, 3.0, 6.5]), np.array([3.0, 5.0, 7.5]))
 
 
 def test_decision_exactly_at_departure():
@@ -49,14 +45,12 @@ def test_decision_inside_following_gap():
 
 def tied_arrivals():
     # updates 1 and 2 both arrive at 2.0 and depart at 3.0 and 4.0
-    return UpdateTrace(np.array([1.0, 2.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 5.0]),
-                       np.array([2.0, 3.0, 4.0, 6.0]))
+    return UpdateTrace(np.array([1.0, 2.0, 2.0, 5.0]), np.array([2.0, 3.0, 4.0, 6.0]))
 
 
 def tied_departures():
     # updates 0 and 1 both depart at 2.0, update 1 after a zero service time
-    return UpdateTrace(np.array([1.0, 1.5, 4.0]), np.array([1.0, 2.0, 4.0]),
-                       np.array([2.0, 2.0, 5.0]))
+    return UpdateTrace(np.array([1.0, 1.5, 4.0]), np.array([2.0, 2.0, 5.0]))
 
 
 def test_decisions_at_tied_epochs():
@@ -162,7 +156,7 @@ def test_aud_invariant_across_decision_rates():
 
 
 def test_aoi_path_single_update():
-    trace = UpdateTrace(np.array([0.0]), np.array([0.0]), np.array([1.0]))
+    trace = UpdateTrace(np.array([0.0]), np.array([1.0]))
     path = aoi_path(trace)
     assert path.vertices().tolist() == [[1.0, 1.0]]
     assert path.evaluate(1.0) == pytest.approx(1.0)
@@ -171,7 +165,7 @@ def test_aoi_path_single_update():
 def test_aoi_path_dd1_sawtooth():
     # D/D/1: an arrival every 2, each served on arrival for 1
     arrivals = 2.0 * np.arange(1, 51)
-    path = aoi_path(UpdateTrace(arrivals, arrivals, arrivals + 1.0))
+    path = aoi_path(UpdateTrace(arrivals, arrivals + 1.0))
     # age oscillates between 1 (just after a departure) and 3 (just before the next)
     assert path.evaluate(3.0) == pytest.approx(1.0)
     assert path.evaluate(4.999999) == pytest.approx(2.999999)
@@ -184,7 +178,7 @@ def test_aoi_path_dd1_sawtooth():
 
 def test_time_average_on_constant_slope_segment():
     # a pure ramp from age a over window w averages a + w/2
-    trace = UpdateTrace(np.array([0.0, 9.0]), np.array([0.0, 9.0]), np.array([1.0, 10.0]))
+    trace = UpdateTrace(np.array([0.0, 9.0]), np.array([1.0, 10.0]))
     path = aoi_path(trace)
     assert time_average_aoi(path, [1.0, 5.0])[0] == pytest.approx(1.0 + 4.0 / 2.0, abs=1e-12)
     assert time_average_aoi(path, [2.0, 3.0])[0] == pytest.approx(2.0 + 0.5, abs=1e-12)
@@ -239,7 +233,7 @@ def test_pasta_time_average_matches_decision_mean():
 
 def test_empty_trace_rejected():
     with pytest.raises(ParameterError):
-        UpdateTrace(np.array([]), np.array([]), np.array([]))
+        UpdateTrace(np.array([]), np.array([]))
 
 
 def sawtooth_reference(path, start, end):
@@ -386,7 +380,6 @@ def test_epoch_generators_match_the_record_builders():
 def tied_departure_runs():
     # updates 0-1 and 2-3 depart in tied pairs (1 and 3 after zero service times)
     return UpdateTrace(np.array([1.0, 1.5, 3.0, 3.5, 5.0, 6.0, 7.0]),
-                       np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
                        np.array([2.0, 2.0, 4.0, 4.0, 6.0, 7.0, 8.0]))
 
 

@@ -467,7 +467,8 @@ def test_validation_writes_deterministic_outputs(tmp_path):
     records = [json.loads(line) for line in open(manifest)]
     assert {r["record"] for r in records} == {"config", "versions", "timing", "sizes"}
     timing = next(r for r in records if r["record"] == "timing")
-    assert set(timing) == {"record", "wall_seconds", "workers"}
+    assert set(timing) == {"record", "wall_seconds", "workers", "peak_rss_mb"}
+    assert timing["peak_rss_mb"] > 0.0
     assert timing["workers"] == distributions.worker_limit()
     versions = next(r for r in records if r["record"] == "versions")
     assert versions["aud_lab"] == aud_lab.__version__
@@ -739,6 +740,28 @@ def test_cli_confidence_next_to_one_exits_2(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "too close to 1" in err
+
+
+def test_cli_confidence_next_to_zero_exits_2(capsys):
+    # 0.5 * (1 + c) rounds to 0.5, so z = 0 and no standard error can be recovered
+    for argv in (["validate", "--confidence", "1e-300", "--updates", "2000"],
+                 ["nu-invariance", "--confidence", "1e-300", "--nu", "1,2", "--updates", "2000"],
+                 ["sweep", "--confidence", "1e-300", "--updates", "2000"],
+                 ["validate", "--confidence", "1.1e-16", "--updates", "2000"]):
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "too close to 0" in err
+
+
+def test_cli_config_file_with_an_unknown_mode_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = nonsense\nupdates = 2000\n")
+    for verb in ("sweep", "nu-invariance", "validate"):
+        assert cli_main([verb, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}:1: unknown mode 'nonsense'")
 
 
 def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aud_lab import distributions
+from aud_lab import distributions, queueing
 from aud_lab.distributions import ARRIVAL_STREAM, SERVICE_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError, StabilityError
 from aud_lab.experiments import _occupancy_by_window
@@ -70,7 +71,7 @@ def test_engine_matches_event_loop_oracle(lam, mu, seed):
 def dd1_trace(n: int, gap: float) -> UpdateTrace:
     """D/D/1 run: an arrival every ``gap``, each served on arrival for one time unit."""
     arrivals = gap * np.arange(1, n + 1)
-    return UpdateTrace(arrivals, arrivals, arrivals + 1.0)
+    return UpdateTrace(arrivals, arrivals + 1.0)
 
 
 def test_dd1_queue_length_cycle():
@@ -212,23 +213,19 @@ def test_default_warmup_rule():
 
 def test_crafted_trace_validation():
     with pytest.raises(ParameterError):
-        UpdateTrace(np.array([1.0, 0.5]), np.array([1.0, 1.5]), np.array([2.0, 3.0]))
-    with pytest.raises(ParameterError):
-        UpdateTrace(np.array([1.0]), np.array([0.5]), np.array([2.0]))
+        UpdateTrace(np.array([1.0, 0.5]), np.array([2.0, 3.0]))
     with pytest.raises(ParameterError):
         simulate(SystemParams(0.5, 1.0), 0, 0)
 
 
 def tied_arrivals():
     # updates 1 and 2 arrive together at 2.0
-    return UpdateTrace(np.array([1.0, 2.0, 2.0, 5.0]), np.array([1.0, 2.0, 3.0, 5.0]),
-                       np.array([2.0, 3.0, 4.0, 6.0]))
+    return UpdateTrace(np.array([1.0, 2.0, 2.0, 5.0]), np.array([2.0, 3.0, 4.0, 6.0]))
 
 
 def tied_departures():
     # update 1 has a zero service time and departs with update 0 at 2.0
-    return UpdateTrace(np.array([1.0, 1.5, 4.0]), np.array([1.0, 2.0, 4.0]),
-                       np.array([2.0, 2.0, 5.0]))
+    return UpdateTrace(np.array([1.0, 1.5, 4.0]), np.array([2.0, 2.0, 5.0]))
 
 
 def test_trace_accepts_tied_epochs_and_rejects_decreasing_ones():
@@ -237,12 +234,14 @@ def test_trace_accepts_tied_epochs_and_rejects_decreasing_ones():
     # an update arriving with its predecessor finds the server busy
     assert list(arrivals_seeing_busy(tied_arrivals())) == [False, True, False]
     with pytest.raises(ParameterError, match="arrival epochs must be non-decreasing"):
-        UpdateTrace(np.array([1.0, 0.5]), np.array([1.0, 1.5]), np.array([2.0, 3.0]))
+        UpdateTrace(np.array([1.0, 0.5]), np.array([2.0, 3.0]))
     with pytest.raises(ParameterError, match="departure epochs must be non-decreasing"):
-        UpdateTrace(np.array([1.0, 1.5]), np.array([1.0, 1.5]), np.array([2.0, 1.9]))
-    with pytest.raises(ParameterError, match="arrival <= service start"):
-        UpdateTrace(np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0, 1.5]),
-                    np.array([2.0, 3.0, 3.0]))
+        UpdateTrace(np.array([1.0, 1.5]), np.array([2.0, 1.9]))
+    with pytest.raises(ParameterError, match="arrival <= departure"):
+        UpdateTrace(np.array([1.0, 2.0, 2.5]), np.array([2.0, 2.0, 2.4]))
+    # the service starts follow from the two columns
+    assert list(tied_arrivals().service_start_times) == [1.0, 2.0, 3.0, 5.0]
+    assert list(tied_departures().service_start_times) == [1.0, 2.0, 4.0]
 
 
 def test_queue_length_path_of_tied_epochs():
@@ -268,10 +267,12 @@ def test_engine_invariants_property(seed, lam):
     trace = simulate(SystemParams(lam, 1.0), 300, seed)
     assert (np.diff(trace.arrival_times) > 0).all()
     assert (np.diff(trace.departure_times) > 0).all()
-    assert (trace.service_start_times >= trace.arrival_times).all()
+    starts = trace.service_start_times
+    assert (starts >= trace.arrival_times).all() and (starts <= trace.departure_times).all()
     # work conservation: start at the later of own arrival and predecessor departure
     expected_start = np.maximum(trace.arrival_times[1:], trace.departure_times[:-1])
-    assert np.allclose(trace.service_start_times[1:], expected_start, rtol=1e-9, atol=1e-9)
+    assert np.array_equal(starts[1:], expected_start)
+    assert starts[0] == trace.arrival_times[0]
 
 
 def occupancy_reference(path, max_length, start, end):
@@ -411,7 +412,7 @@ def test_order_check_property(values):
 
 
 def simulate_reference(lam, mu, n, seed):
-    """The column arithmetic of ``simulate`` before it worked in place."""
+    """The column arithmetic of ``simulate`` before it worked in place: arrivals, departures."""
     gaps = -np.log(SeededStream(seed, ARRIVAL_STREAM).uniform_open(n)) / lam
     services = -np.log(SeededStream(seed, SERVICE_STREAM).uniform_open(n)) / mu
     arrivals = np.cumsum(gaps)
@@ -419,19 +420,39 @@ def simulate_reference(lam, mu, n, seed):
     shifted = np.concatenate(([0.0], cum_service[:-1]))
     headroom = np.maximum.accumulate(arrivals - shifted)
     starts = np.maximum(arrivals, shifted + headroom)
-    return arrivals, starts, starts + services
+    return arrivals, starts + services
 
 
 @pytest.mark.parametrize("block", [None, 4096])
 def test_simulate_in_place_is_bit_identical_to_the_reference(block, monkeypatch):
     if block:  # long draws then take the block path
         monkeypatch.setattr(distributions, "BLOCK_SIZE", block)
-    for lam, mu in ((0.5, 1.0), (0.93, 1.0), (0.3, 0.7)):
-        for n, seed in ((1, 3), (2, 4), (5, 5), (20_000, 6)):
-            trace = simulate(SystemParams(lam, mu), n, seed)
-            expected = simulate_reference(lam, mu, n, seed)
-            got = (trace.arrival_times, trace.service_start_times, trace.departure_times)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    for chunk in (queueing.SCAN_CHUNK, 64):
+        monkeypatch.setattr(queueing, "SCAN_CHUNK", chunk)
+        for lam, mu in ((0.5, 1.0), (0.93, 1.0), (0.3, 0.7)):
+            # one update, the chunk less one, exactly one, one more, and several chunks
+            for n, seed in ((1, 3), (2, 4), (5, 5), (chunk - 1, 6), (chunk, 7),
+                            (chunk + 1, 8), (5 * chunk + 17, 9), (20_000, 10)):
+                trace = simulate(SystemParams(lam, mu), n, seed)
+                got = (trace.arrival_times, trace.departure_times)
+                expected = simulate_reference(lam, mu, n, seed)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_simulated_trace_holds_16_bytes_per_update():
+    n = 100_000
+    trace = simulate(SystemParams(0.5, 1.0), n, 3)
+    assert trace.arrival_times.nbytes + trace.departure_times.nbytes == 16 * n
+    n = 2**20
+    simulate(SystemParams(0.5, 1.0), n, 3)  # start the block pool's threads
+    tracemalloc.start()
+    try:
+        simulate(SystemParams(0.5, 1.0), n, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two columns, two chunks of the scan and the trace's order checks
+    assert peak < 16 * n + 3 * 2**20
 
 
 def test_sample_many_keeps_from_uniform_pure(monkeypatch):

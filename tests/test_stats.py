@@ -110,7 +110,7 @@ def test_ks_on_gaps_of_tied_epochs_matches_scipy():
     # epochs on a 0.1 grid tie often; with zero service times the departures
     # tie with them, so the gaps hold zeros and repeated values
     arrivals = np.round(np.cumsum(exponential_gaps(SeededStream(5, 0), 1.0, 300)), 1)
-    trace = UpdateTrace(arrivals, arrivals, arrivals)
+    trace = UpdateTrace(arrivals, arrivals)
     gaps = trace.interdeparture_times
     assert (gaps == 0.0).sum() > 10
     mine = ks_exponential(gaps, 1.0)

@@ -42,7 +42,7 @@ _pool_lock = threading.Lock()
 
 
 def worker_limit() -> int:
-    """Threads per worker pool: ``AUD_LAB_THREADS`` if set, else the CPU count.
+    """Threads of the block pool: ``AUD_LAB_THREADS`` if set, else the CPU count.
 
     Values below 1 count as 1; a value that is not an integer raises
     ParameterError.
@@ -61,8 +61,8 @@ def worker_limit() -> int:
 def block_pool() -> concurrent.futures.ThreadPoolExecutor:
     """The shared pool of ``worker_limit()`` threads, made on first use.
 
-    Its tasks never wait on other tasks, so threads of another pool may
-    submit to it and wait.  A changed ``AUD_LAB_THREADS`` gets a new pool;
+    Its tasks never wait on other tasks, so any thread may submit to it
+    and wait.  A changed ``AUD_LAB_THREADS`` gets a new pool;
     the old one's threads exit once the last caller drops it.  The
     executor's module loads on first use too, which keeps it out of the
     import.

@@ -3,27 +3,24 @@
 Configurations come from flat ``key = value`` text files (``#`` starts a
 comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
-run two at a time, each with a seed derived from the base seed and its grid
-index, and take turns at drawing and averaging their decision epochs, so a
-run holds one column of them and at most two traces at a time.  Rows are
-assembled in grid order so output is byte-reproducible regardless of
-scheduling.  Validation runs its decision-rate estimates, one rate at a
-time, beside the checks of the trace alone and the sawtooth's time average,
-and the checks that compare the estimates once both are done.  Long random draws and the batch means
-of every correlated mean (``_batch_means``: one slice per batch, never a
-full-length column) run on the shared block pool
-(``distributions.block_pool``).  ``AUD_LAB_THREADS`` caps the threads of
-every pool; one thread runs everything in sequence, and no result depends
-on it.  A sample below its estimator's floor (InsufficientDataError) gets
-no verdict: a sweep leaves that p-value, or a mean age with under
-2 * AUD_BATCHES decisions after the warm-up, blank, and validation reports
-that check alone as skipped, with the reason.
+run one after another in grid order, each with a seed derived from the base
+seed and its grid index, so a run holds one trace and one column of decision
+epochs at a time, and output is byte-reproducible.  Validation estimates one
+decision rate at a time, then runs its checks in order.  Long random draws,
+the occupancy windows and the batch means of every correlated mean
+(``_batch_means``: one slice per batch, never a full-length column) run on
+the shared block pool (``distributions.block_pool``), the program's only
+thread pool.  ``AUD_LAB_THREADS`` caps its threads; one thread runs
+everything in sequence, and no result depends on it.  A sample below its
+estimator's floor (InsufficientDataError) gets no verdict: a sweep leaves
+that p-value, or a mean age with under 2 * AUD_BATCHES decisions after the
+warm-up, blank, and validation reports that check alone as skipped, with
+the reason.
 Validation splits 1 - confidence evenly over its statistical checks, so a
 correct run fails with at most that probability (see ``_within``).
 """
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import json
 import math
@@ -31,7 +28,6 @@ import os
 import platform
 import resource
 import struct
-import threading
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -88,6 +84,12 @@ MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 # column of that many float64 values takes 2 GiB.  Beyond it a run exits
 # before simulating, where numpy would fail mid-run.
 MAX_COLUMN = 2**28
+
+# A stable point's epochs reach about n / lambda, where adjacent doubles lie
+# up to (n / lambda) * 2^-52 apart.  With n * mu / lambda at most this, that
+# is at most 2^-12 of a mean service time 1 / mu: rounding cannot bend a
+# system time by anything a K-S test on KS_MAX_SAMPLES samples could see.
+MAX_HORIZON = 2.0**40
 
 
 def _require(enough: bool, reason: str) -> None:
@@ -154,11 +156,19 @@ class ExperimentConfig:
                                  "values per column")
         nu = max(self.decision_rates)
         for lam, mu in itertools.product(self.arrival_rates, self.service_rates):
+            if lam / mu >= 1.0:
+                continue  # an unstable point is not simulated
             count = nu * self.n_updates / min(lam, mu)
-            if lam / mu < 1.0 and count > MAX_COLUMN:
+            if count > MAX_COLUMN:
                 raise ParameterError(
                     f"decision rate {nu:g} at lambda={lam:g}, mu={mu:g} draws about "
                     f"{count:.3g} decisions; the cap is {MAX_COLUMN} values per column")
+            span = self.n_updates * mu / lam
+            if span > MAX_HORIZON:
+                raise ParameterError(
+                    f"{self.n_updates} updates at lambda={lam:g}, mu={mu:g} span about "
+                    f"{span:.3g} mean service times; epochs that late cannot resolve a "
+                    "service time (the cap is 2^40)")
 
 
 def _parse_number(text: str, kind: type, what: str):
@@ -495,10 +505,13 @@ def _occupancy_by_window(trace: UpdateTrace, max_length: int, edges: np.ndarray)
     Each window's path merges only the events inside it and starts from the
     level at its start edge.  It has the same pieces, durations and order of
     addition as the path of the whole run, so every row is bit-identical,
-    and no path of all 2n events is built.
+    and no path of all 2n events is built.  The windows are taken on the
+    block pool, in order.
     """
-    return np.vstack([occupancy_fractions(queue_length_process(trace, a, b), max_length, (a, b))
-                      for a, b in zip(edges[:-1], edges[1:])])
+    def window(ab):
+        return occupancy_fractions(queue_length_process(trace, *ab), max_length, ab)
+
+    return np.vstack(list(block_pool().map(window, zip(edges[:-1], edges[1:]))))
 
 
 def _ks_p_value(samples: np.ndarray, rate: float) -> float | None:
@@ -535,19 +548,17 @@ def _differences(estimates) -> list[EstimateWithCI]:
 
 
 def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
-                service_rate: float, decision_lock: threading.Lock) -> list[SweepRow]:
+                service_rate: float) -> list[SweepRow]:
     """All rows (one per decision rate) for a single (lambda, mu) grid point.
 
-    Each decision phase (``point.aud``) runs under ``decision_lock``, so the
-    points of one sweep hold one column of decision epochs at a time.
+    A point without a closed form (``analytic.average_aud`` raises
+    StabilityError: utilization within ``analytic.STABILITY_GUARD`` of 1 or
+    above) is not simulated and gets ``unstable`` rows.
     """
     params = SystemParams(arrival_rate, service_rate, config.decision_rates[0])
     try:
         analytic_value = analytic.average_aud(params)
     except StabilityError:
-        analytic_value = None
-
-    if not params.is_stable:
         return [
             SweepRow(arrival_rate, service_rate, nu, None, None, None, None, None,
                      None, None, "unstable")
@@ -558,12 +569,11 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
     _, thinned, gaps = _ks_samples(point)
     ks_t_p = _ks_p_value(thinned, analytic.system_time_rate(params))
     ks_y_p = _ks_p_value(gaps, params.arrival_rate)
-    del thinned, gaps  # not held while the point waits for the decision phase
+    del thinned, gaps  # not held through the decision phase
 
     rows = []
     for nu in config.decision_rates:
-        with decision_lock:
-            est, counts = point.aud(nu)
+        est, counts = point.aud(nu)
         rows.append(SweepRow(arrival_rate, service_rate, nu, analytic_value,
                              est.mean if est else None, est.half_width if est else None,
                              counts["total"], counts["undefined"], ks_t_p, ks_y_p, "ok"))
@@ -573,26 +583,15 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """One simulated row per (grid point, decision rate); CSV + manifest if configured.
 
-    At most two points run at a time: one draws and averages its column of
-    decision epochs on the whole block pool, while the next simulates and
-    runs its K-S tests.  They take turns at the decision phase, so a run
-    holds one column of epochs and at most two traces at any thread count.
-    The lock holder waits only on block-pool tasks, which never wait, so no
-    point deadlocks.
+    The points run one after another in grid order, and each draws and
+    averages its decision epochs one rate at a time on the block pool, so a
+    run holds one trace and one column of epochs at any thread count.
     """
     started = time.monotonic()
     workers = worker_limit()
-    points = list(itertools.product(config.arrival_rates, config.service_rates))
-    rows_by_point: list = [None] * len(points)
-    decision_lock = threading.Lock()
-    with concurrent.futures.ThreadPoolExecutor(min(len(points), workers, 2)) as pool:
-        futures = {
-            pool.submit(_point_rows, config, i, lam, mu, decision_lock): i
-            for i, (lam, mu) in enumerate(points)
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            rows_by_point[futures[fut]] = fut.result()
-    rows = tuple(row for point_rows in rows_by_point for row in point_rows)
+    points = itertools.product(config.arrival_rates, config.service_rates)
+    rows = tuple(row for i, (lam, mu) in enumerate(points)
+                 for row in _point_rows(config, i, lam, mu))
     result = SweepResult(config, rows)
     _write_outputs(config, result, started, workers)
     return result
@@ -690,21 +689,10 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     config, params, trace, warm = point.config, point.params, point.trace, point.warm
     lam, mu = params.arrival_rate, params.service_rate
 
-    # The mean age and counts at each decision rate.  Each rate's epochs are
-    # dropped once counted; the highest rate's are the run's peak, so it goes
-    # first, and the sawtooth's columns wait for it.
+    # The mean age and counts at each decision rate; each rate's epochs are
+    # dropped once counted, before any check runs.
     distinct = sorted(set(config.decision_rates))
-    estimates = {}
-    highest_rate_done = threading.Event()
-
-    def estimate_rates() -> list[dict]:
-        try:
-            for nu in reversed(distinct):
-                estimates[nu] = point.aud(nu)
-                highest_rate_done.set()
-        finally:
-            highest_rate_done.set()
-        return [estimates[nu][1] for nu in config.decision_rates]
+    estimates = {nu: point.aud(nu) for nu in distinct}
 
     lag, thinned, gaps = _ks_samples(point)
     span = (trace.n - warm) // AUD_BATCHES
@@ -855,16 +843,11 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         return (service_starved > arrival_starved, arrival_starved, service_starved, 0.0,
                 "service starvation must dominate arrival starvation")
 
-    def time_average_age() -> EstimateWithCI:
-        batched()  # below it the windows can coincide
-        highest_rate_done.wait()
-        return mean_ci(time_average_aoi(aoi_path(trace), edges), config.confidence)
-
     def pasta_time_average():
         # Poisson decisions sample the time average of the age path (PASTA).  The
         # median configured rate (the upper one of an even count) draws nothing extra.
-        aud = estimate(distinct[len(distinct) // 2])
-        aoi = sawtooth.result()
+        aud = estimate(distinct[len(distinct) // 2])  # its batch rule keeps the windows apart
+        aoi = mean_ci(time_average_aoi(aoi_path(trace), edges), config.confidence)
         return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 
     order = [aud_mc_vs_theory, aud_nu_invariance, ks_system_time, ks_interdeparture,
@@ -878,36 +861,20 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
              shape_divergence_asymmetry}
     alpha = (1.0 - config.confidence) / len(set(order) - exact)
 
-    def run(checks) -> dict:
-        results = {}
-        for check in checks:
-            try:
-                passed, *rest = check()
-            except InsufficientDataError as exc:
-                passed, rest = None, (math.nan, math.nan, math.nan, str(exc))
-            results[check] = CheckResult(check.__name__, None if passed is None else bool(passed),
-                                         *rest)
-        return results
-
-    # The checks of the trace alone, then the sawtooth's time average, run
-    # beside the decision-rate estimates; with one thread, after them.  No
-    # task runs on the block pool, so the block tasks that the tasks wait on
-    # never wait themselves.
-    uses_estimates = {aud_mc_vs_theory, aud_nu_invariance, pasta_time_average}
-    with concurrent.futures.ThreadPoolExecutor(min(2, worker_limit())) as pool:
-        estimated = pool.submit(estimate_rates)
-        trace_checks = pool.submit(run, [c for c in order if c not in uses_estimates])
-        sawtooth = pool.submit(time_average_age)
-        decision_sizes, results = estimated.result(), trace_checks.result()
-        results.update(run([c for c in order if c in uses_estimates]))
-    checks = [results[check] for check in order]
+    checks = []
+    for check in order:
+        try:
+            passed, *rest = check()
+        except InsufficientDataError as exc:
+            passed, rest = None, (math.nan, math.nan, math.nan, str(exc))
+        checks.append(CheckResult(check.__name__, None if passed is None else bool(passed), *rest))
 
     sizes = {
         "record": "sizes",
         "n_updates": trace.n,
         "warmup_updates": warm,
         "warm_epoch": point.warm_epoch,
-        "decisions": decision_sizes,
+        "decisions": [estimates[nu][1] for nu in config.decision_rates],
         "window_length": float(edges[1] - edges[0]),
         "ks_system_time_samples": len(thinned),
         "ks_system_time_lag": lag,

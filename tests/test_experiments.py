@@ -198,7 +198,7 @@ def test_sweep_mu_strictly_decreasing():
 def test_sweep_marks_unstable_rows():
     config = ExperimentConfig(
         mode="sweep",
-        arrival_rates=(0.5, 1.0, 1.3),
+        arrival_rates=(0.5, 1 - 1e-10, 1.0, 1.3),
         service_rates=(1.0,),
         decision_rates=(1.0,),
         n_updates=5000,
@@ -207,7 +207,7 @@ def test_sweep_marks_unstable_rows():
     result = run_sweep(config)
     by_rate = {row.arrival_rate: row for row in result.rows}
     assert by_rate[0.5].status == "ok"
-    for lam in (1.0, 1.3):
+    for lam in (1 - 1e-10, 1.0, 1.3):
         row = by_rate[lam]
         assert row.status == "unstable"
         assert row.analytic_aud is None and row.empirical_aud is None
@@ -580,7 +580,7 @@ def test_sweep_csv_reruns_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_sweep_runs_at_most_two_points_at_a_time(tmp_path, monkeypatch):
+def test_sweep_runs_one_point_at_a_time(tmp_path, monkeypatch):
     point_rows, lock = experiments._point_rows, threading.Lock()
     in_flight = most = 0
 
@@ -590,7 +590,7 @@ def test_sweep_runs_at_most_two_points_at_a_time(tmp_path, monkeypatch):
             in_flight += 1
             most = max(most, in_flight)
         try:
-            time.sleep(0.05)  # time for every pool thread to start a point
+            time.sleep(0.05)  # time for another point to start, if one could
             return point_rows(*args)
         finally:
             with lock:
@@ -605,7 +605,7 @@ def test_sweep_runs_at_most_two_points_at_a_time(tmp_path, monkeypatch):
                                    decision_rates=(1.0,), n_updates=3000, seed=42,
                                    output_path=str(out)))
         outputs.append(out.read_bytes())
-    assert most == 2 and in_flight == 0
+    assert most == 1 and in_flight == 0
     assert outputs[1] == outputs[0] and len(outputs[0].splitlines()) == 10
 
 
@@ -716,8 +716,10 @@ def test_cli_rates_outside_their_range_exit_2(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error:") and "must lie in [2^-64, 2^64]" in err
-    ExperimentConfig(arrival_rates=(2.0**-64,), service_rates=(2.0**64,),
+    ExperimentConfig(arrival_rates=(2.0**-64,), service_rates=(2.0**-63,),
                      decision_rates=(2.0**-64,))
+    ExperimentConfig(arrival_rates=(2.0**63,), service_rates=(2.0**64,),
+                     decision_rates=(2.0**64,))
     # a range with a non-finite part, or of more rates than a column holds, is
     # refused before any rate is built
     for text, reason in (("0.1:inf:0.1", "bad range"), ("nan:1:0.1", "bad range"),
@@ -866,6 +868,12 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
          "decision rate 1 at lambda=1e-12, mu=1 draws about 1e+15 decisions"),
         (["validate", "--lambda", "0.3,0.5", "--mu", "1", "--updates", "5000"],
          "validate runs a single (lambda, mu) point"),
+        # epochs near the horizon lie 16 or more mean service times apart, so a
+        # correct simulator failed ks_system_time and cross_moment here
+        (["validate", "--lambda", "1e-12", "--mu", "1", "--nu", "1e-12", "--updates", "100000"],
+         "100000 updates at lambda=1e-12, mu=1 span about 1e+17 mean service times"),
+        (["sweep", "--lambda", "1e-19", "--mu", "1", "--nu", "1e-19", "--updates", "100"],
+         "100 updates at lambda=1e-19, mu=1 span about 1e+21 mean service times"),
     ):
         out = tmp_path / "out.csv"
         assert cli_main([*argv, "--seed", "1", "--out", str(out)]) == 2
@@ -876,6 +884,9 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
     # 2e8 decisions at nu = 10 stay within the cap of 2^28
     assert experiments.MAX_COLUMN == 2**28
     build_config(mode="validate", arrival_rates=(0.01,), n_updates=200_000, seed=3)
+    # n * mu / lambda = 1e12 stays within the cap of 2^40
+    build_config(mode="validate", arrival_rates=(1e-7,), decision_rates=(1e-7,),
+                 n_updates=100_000)
 
 
 FAST = ["--lambda", "1000", "--mu", "2000", "--nu", "1000", "--seed", "1"]
@@ -1089,6 +1100,27 @@ def test_validation_outputs_do_not_depend_on_the_thread_count(config, tmp_path, 
         outputs.append((out.read_bytes(), sizes))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     assert len(outputs[0][1]) == 1
+
+
+def test_validation_runs_its_estimates_and_windows_on_the_calling_thread(monkeypatch):
+    # only the block pool's slice tasks leave the calling thread
+    monkeypatch.setenv("AUD_LAB_THREADS", "4")
+    threads = []
+
+    def on_caller(fn):
+        def wrapped(*args, **kwargs):
+            threads.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(experiments._Point, "aud", on_caller(experiments._Point.aud))
+    for name in ("_occupancy_by_window", "time_average_aoi"):
+        monkeypatch.setattr(experiments, name, on_caller(getattr(experiments, name)))
+    report = run_validation(ExperimentConfig(n_updates=20_000, seed=7))
+    assert not any(check.passed is None for check in report.checks)
+    assert sorted(name for name, _ in threads) == [
+        "_occupancy_by_window", "aud", "aud", "aud", "time_average_aoi"]
+    assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
 # Runs ``validate`` in a child and prints the child's peak RSS: as this

@@ -13,8 +13,7 @@ from aud_lab import (
     aoi_path,
     decisions_at,
     default_warmup,
-    empirical_average_aud,
-    generate_decisions,
+    poisson_epochs,
     simulate,
     time_average_aoi,
 )
@@ -44,10 +43,10 @@ for rec in (decisions[j] for j in range(len(decisions))):
 
 long_trace = simulate(params, 200_000, 9)
 warm_epoch = long_trace.departure_times[default_warmup(long_trace.n) - 1]
-poisson = generate_decisions(long_trace, 1.0, long_trace.last_departure,
-                             SeededStream(9, DECISION_STREAM))
+poisson = decisions_at(long_trace, poisson_epochs(1.0, long_trace.last_departure,
+                                                  SeededStream(9, DECISION_STREAM)))
 kept = poisson.ages[poisson.defined & (poisson.times > warm_epoch)]
 sawtooth_avg = time_average_aoi(aoi_path(long_trace), [warm_epoch, long_trace.last_departure])[0]
 print(f"\nlong run: sawtooth time average {sawtooth_avg:.4f}, "
       f"decision-sampled mean {kept.mean():.4f} "
-      f"({empirical_average_aud(poisson).n_defined} decisions)")
+      f"({len(poisson) - poisson.n_undefined} decisions)")

@@ -10,8 +10,8 @@ import numpy as np
 from aud_lab import (
     SystemParams,
     analytic_report,
+    arrivals_seeing_busy,
     default_warmup,
-    empirical_prob_arrival_sees_busy,
     ks_exponential,
     occupancy_fractions,
     queue_length_process,
@@ -46,7 +46,7 @@ print(f"{'level':>5} {'observed':>9} {'geometric':>9}")
 for level, (obs, exp) in enumerate(zip(observed, expected)):
     print(f"{level:5d} {obs:9.5f} {exp:9.5f}")
 
-busy = empirical_prob_arrival_sees_busy(trace)
+busy = arrivals_seeing_busy(trace).mean()
 print(f"\narrival sees busy: {busy:.4f} vs utilization {params.utilization:.4f}")
 cross = (trace.system_times[:-1] * trace.interdeparture_times)[warm:].mean()
 print(f"cross moment: {cross:.4f} vs {report.cross_moment_system_interdeparture:.4f}")

@@ -37,9 +37,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _overrides(args: argparse.Namespace) -> dict:
     """The ExperimentConfig field values of the flags that were given."""
     out = {
-        "arrival_rates": parse_rates(args.arrival) if args.arrival else None,
-        "service_rates": parse_rates(args.service) if args.service else None,
-        "decision_rates": parse_rates(args.decision) if args.decision else None,
+        "arrival_rates": parse_rates(args.arrival) if args.arrival is not None else None,
+        "service_rates": parse_rates(args.service) if args.service is not None else None,
+        "decision_rates": parse_rates(args.decision) if args.decision is not None else None,
         "n_updates": args.updates,
         "seed": args.seed,
         "output_path": args.out,

@@ -70,12 +70,6 @@ class DecisionSet:
         return int((~self.defined).sum())
 
 
-class AudSummary(NamedTuple):
-    mean: float
-    n_defined: int
-    n_undefined: int
-
-
 def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
     """Evaluate decision records at explicit epochs.
 
@@ -176,35 +170,6 @@ def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -
         more = exponential_epochs(stream, decision_rate, chunk)
         epochs = np.concatenate([epochs, epochs[-1] + more])
     return epochs[: np.searchsorted(epochs, horizon, side="right")]
-
-
-def generate_decisions(
-    trace: UpdateTrace,
-    decision_rate: float,
-    horizon: float,
-    stream: SeededStream,
-) -> DecisionSet:
-    """Decision records at Poisson epochs (``poisson_epochs``) on (0, horizon].
-
-    The horizon must not exceed the last departure epoch.
-    """
-    if trace.n < 1:
-        raise InsufficientDataError("empty trace")
-    _require_positive("decision_rate", decision_rate)
-    _require_positive("horizon", horizon)
-    if horizon > trace.last_departure:
-        raise TruncationError(
-            f"horizon {horizon:.6g} exceeds last departure {trace.last_departure:.6g}"
-        )
-    return decisions_at(trace, poisson_epochs(decision_rate, horizon, stream))
-
-
-def average_aud(decisions: DecisionSet) -> AudSummary:
-    """Arithmetic mean age over defined decisions, plus the undefined count."""
-    ages = decisions.defined_ages
-    if len(ages) == 0:
-        raise InsufficientDataError("no decision with a defined age")
-    return AudSummary(float(ages.mean()), len(ages), decisions.n_undefined)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import resource
 import struct
 import time
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -181,23 +182,27 @@ def _parse_number(text: str, kind: type, what: str):
 
 
 def parse_rates(text: str) -> tuple:
-    """Parse '0.5', '0.1,0.2,0.5', or 'start:stop:step' (stop inclusive)."""
+    """Parse '0.5', '0.1,0.2,0.5', or 'start:stop:step' (stop inclusive).
+
+    A range is counted and stepped in decimal on the flag's text, so each
+    rate is the double nearest the decimal value the text names, at any
+    scale: '0.1:0.3:0.1' gives 0.3, not 0.30000000000000004.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (_parse_number(p, float, "rate") for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+        values = [_parse_number(p, float, "rate") for p in parts]
+        if not all(map(math.isfinite, values)) or values[2] <= 0.0 or values[1] < values[0]:
             raise ParameterError(f"bad range {text!r}")
-        # the range holds floor(steps) + 1 rates; the quotient may overflow to inf
-        steps = (stop - start) / step + 1e-9
+        start, stop, step = (Decimal(p.strip()) for p in parts)
+        # the range holds floor(steps) + 1 rates
+        steps = (stop - start) / step
         if not steps < MAX_COLUMN:
-            raise ParameterError(f"range {text!r} holds about {steps:.3g} rates; the cap is "
-                                 f"{MAX_COLUMN}")
-        count = math.floor(steps) + 1
-        # rounding kills float accumulation artifacts (0.6000000000000001)
-        return tuple(round(start + i * step, 12) for i in range(count))
+            raise ParameterError(f"range {text!r} holds about {float(steps):.3g} rates; "
+                                 f"the cap is {MAX_COLUMN}")
+        return tuple(float(start + i * step) for i in range(int(steps) + 1))
     return tuple(_parse_number(p, float, "rate") for p in text.split(",") if p.strip())
 
 
@@ -357,6 +362,20 @@ def _config_record(config: ExperimentConfig) -> dict:
     }
 
 
+def _cpu_features() -> list[str]:
+    """The enabled CPU features numpy dispatches its kernels by, sorted.
+
+    numpy's ``log`` and ``exp`` kernels differ in the last bit between
+    dispatch paths, so output bytes are reproducible for one numpy build
+    and one set of these features.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return sorted(name for name, enabled in __cpu_features__.items() if enabled)
+
+
 def _versions_record() -> dict:
     from . import __version__  # the package module imports this one first
 
@@ -365,6 +384,7 @@ def _versions_record() -> dict:
         "aud_lab": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_features": _cpu_features(),
     }
 
 
@@ -613,10 +633,12 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     the per-rate age means reflect decision sampling only.  The rates with
     an estimate are compared pairwise by ``_within``; a rate with under
     2 * AUD_BATCHES decisions after the warm-up keeps its blank sweep row,
-    and below two rates with an estimate ``consistent`` is None.
+    and below two rates with an estimate ``consistent`` is None.  A point
+    without a steady state raises StabilityError, as in ``run_validation``.
     """
     started = time.monotonic()
     workers = worker_limit()
+    analytic.require_stable(SystemParams(config.arrival_rates[0], config.service_rates[0]))
     sweep = run_sweep(replace(config, mode="nu_invariance", output_path=None))
     estimates = {
         row.decision_rate: EstimateWithCI(row.empirical_aud, row.ci_half_width, 0,

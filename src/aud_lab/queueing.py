@@ -297,11 +297,6 @@ def arrivals_seeing_busy(trace: UpdateTrace, start: int = 0,
     return arr[1:] - arr[:-1] < dep - arr[:-1]
 
 
-def empirical_prob_arrival_sees_busy(trace: UpdateTrace) -> float:
-    """Fraction of updates (from the second on) arriving before their predecessor departs."""
-    return float(np.mean(arrivals_seeing_busy(trace)))
-
-
 def default_warmup(n_updates: int) -> int:
     """Updates to discard before steady-state estimation: max(1000, 1%), capped at half."""
     return min(max(1000, n_updates // 100), n_updates // 2)

@@ -1,8 +1,9 @@
 """Estimators and goodness-of-fit tests used to certify simulation output.
 
 Confidence intervals use the normal approximation (every certification run
-has n >= 1e4); serially correlated series such as decision ages go through
-batch means so the interval width reflects the true estimator variance.
+has n >= 1e4).  A serially correlated series such as the decision ages gets
+its interval from near-independent batch means (``experiments._batch_means``
+feeds them to ``mean_ci``), so the width reflects the true estimator variance.
 """
 from __future__ import annotations
 
@@ -71,23 +72,6 @@ def mean_ci(samples, confidence: float = 0.99) -> EstimateWithCI:
     z = z_value(confidence)
     half = z * float(x.std(ddof=1)) / math.sqrt(x.size)
     return EstimateWithCI(float(x.mean()), half, int(x.size), confidence)
-
-
-def batch_means_ci(samples, confidence: float = 0.99, n_batches: int = 100) -> EstimateWithCI:
-    """CI for the mean of a serially correlated series via batch means.
-
-    The series is split in order into ``n_batches`` equal batches (tail
-    remainder dropped); batch averages are near-independent once batches
-    are long against the correlation time, so the usual CI applies to them.
-    ``n`` in the result is the number of batches.
-    """
-    x = np.asarray(samples, dtype=float)
-    if n_batches < 2:
-        raise ParameterError(f"need at least 2 batches, got {n_batches}")
-    if x.size < n_batches:
-        raise InsufficientDataError(f"need >= {n_batches} samples, got {x.size}")
-    per = x.size // n_batches
-    return mean_ci(x[: per * n_batches].reshape(n_batches, per).mean(axis=1), confidence)
 
 
 def kolmogorov_sf(x: float) -> float:

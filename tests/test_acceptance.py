@@ -14,24 +14,25 @@ import pytest
 from conftest import record_criterion
 
 from aud_lab import analytic
-from aud_lab.decisions import aoi_path, generate_decisions, time_average_aoi
-from aud_lab.distributions import DECISION_STREAM, SeededStream
+from aud_lab.decisions import aoi_path, time_average_aoi
 from aud_lab.errors import StabilityError
 from aud_lab.experiments import (
     ExperimentConfig,
+    _batch_means,
+    _simulate_point,
     decorrelation_lag,
     manifest_path_for,
     run_validation,
 )
 from aud_lab.queueing import (
     SystemParams,
+    arrivals_seeing_busy,
     default_warmup,
-    empirical_prob_arrival_sees_busy,
     occupancy_fractions,
     queue_length_process,
     simulate,
 )
-from aud_lab.stats import batch_means_ci, ks_exponential, z_value
+from aud_lab.stats import ks_exponential, z_value
 
 THEORY_AT_HALF = 3.5  # closed form at utilization 0.5, unit service rate
 KS_PARAM_SETS = [(0.5, 1.0), (0.8, 1.0), (0.25, 0.5)]
@@ -40,6 +41,19 @@ KS_PARAM_SETS = [(0.5, 1.0), (0.8, 1.0), (0.25, 0.5)]
 @pytest.fixture(scope="module")
 def trace_half():
     return simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
+
+
+@pytest.fixture(scope="module")
+def point_half():
+    """The half-load point as ``validate`` simulates it, and the seconds that took.
+
+    ``point.aud(nu)`` is the mean age upon decisions that ``validate``,
+    ``sweep`` and ``nu-invariance`` report at decision rate nu.
+    """
+    started = time.perf_counter()
+    config = ExperimentConfig(n_updates=1_000_000, seed=42, decision_rates=(0.1, 1.0, 10.0))
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+    return point, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
@@ -53,21 +67,12 @@ def ks_traces():
     return traces
 
 
-def post_warm_ages(trace, decision_rate, seed):
-    decisions = generate_decisions(
-        trace, decision_rate, trace.last_departure, SeededStream(seed, DECISION_STREAM)
-    )
-    warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
-    mask = decisions.defined & (decisions.times > warm_epoch)
-    return decisions.ages[mask]
-
-
-def test_criterion_1_closed_form_reproduction():
+def test_criterion_1_closed_form_reproduction(point_half):
+    point, simulate_seconds = point_half
     started = time.perf_counter()
-    trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
-    ages = post_warm_ages(trace, 1.0, 42)
-    elapsed = time.perf_counter() - started
-    rel_err = abs(ages.mean() - THEORY_AT_HALF) / THEORY_AT_HALF
+    est = point.aud(1.0)[0]
+    elapsed = simulate_seconds + time.perf_counter() - started
+    rel_err = abs(est.mean - THEORY_AT_HALF) / THEORY_AT_HALF
     passed = rel_err < 0.01 and elapsed < 10.0
     record_criterion(
         1, "closed-form reproduction at half load",
@@ -77,11 +82,9 @@ def test_criterion_1_closed_form_reproduction():
     assert elapsed < 10.0
 
 
-def test_criterion_2_decision_rate_invariance(trace_half):
-    estimates = {}
-    for nu in (0.1, 1.0, 10.0):
-        ages = post_warm_ages(trace_half, nu, 42)
-        estimates[nu] = batch_means_ci(ages, 0.99)
+def test_criterion_2_decision_rate_invariance(point_half):
+    point, _ = point_half
+    estimates = {nu: point.aud(nu)[0] for nu in (0.1, 1.0, 10.0)}
     worst_rel = max(abs(e.mean - THEORY_AT_HALF) / THEORY_AT_HALF for e in estimates.values())
     rates = sorted(estimates)
     overlaps = all(
@@ -150,19 +153,21 @@ def test_criterion_5_queue_length_distribution(lam, seed):
 
 @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
 def test_criterion_6_busy_probability(lam):
-    trace = simulate(SystemParams(lam, 1.0), 1_000_000, 44)
-    warm = default_warmup(trace.n)
-    observed = empirical_prob_arrival_sees_busy(trace)
-    indicators = (trace.interarrival_times[1:] < trace.system_times[:-1]).astype(float)[warm:]
-    sigma = batch_means_ci(indicators, 0.99).half_width / z_value(0.99)
-    err = abs(indicators.mean() - lam)
+    # the estimate of validate's prob_busy_on_arrival check
+    point = _simulate_point(ExperimentConfig(n_updates=1_000_000, seed=44), 0,
+                            SystemParams(lam, 1.0))
+    trace = point.trace
+    est = _batch_means(lambda a, b: arrivals_seeing_busy(trace, a, b).mean(),
+                       point.warm, trace.n - 1, 0.99)
+    sigma = est.half_width / z_value(0.99)
+    err = abs(est.mean - lam)
     passed = err <= 3.0 * sigma
     record_criterion(
         6, f"arrival-sees-busy probability equals utilization (rho={lam})",
         passed, f"err {err:.5f} vs 3-sigma {3 * sigma:.5f}",
     )
     assert passed
-    assert observed == pytest.approx(lam, abs=0.01)
+    assert est.mean == pytest.approx(lam, abs=0.01)
 
 
 def test_criterion_6_mgf_mixture_identity():
@@ -239,14 +244,11 @@ def test_criterion_8_figure_shapes():
     assert asymmetry
 
 
-def test_criterion_9_pasta_cross_check(trace_half):
-    warm_epoch = trace_half.departure_times[default_warmup(trace_half.n) - 1]
-    horizon = trace_half.last_departure
-    ages = post_warm_ages(trace_half, 1.0, 42)
-    aud_est = batch_means_ci(ages, 0.99)
-    edges = np.linspace(warm_epoch, horizon, 101)
-    path = aoi_path(trace_half)
-    batches = time_average_aoi(path, edges)
+def test_criterion_9_pasta_cross_check(point_half):
+    point, _ = point_half
+    aud_est = point.aud(1.0)[0]
+    edges = np.linspace(point.warm_epoch, point.trace.last_departure, 101)
+    batches = time_average_aoi(aoi_path(point.trace), edges)
     aoi_mean = batches.mean()
     aoi_half = z_value(0.99) * batches.std(ddof=1) / 10.0
     diff = abs(aoi_mean - aud_est.mean)

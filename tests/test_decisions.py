@@ -7,16 +7,15 @@ from aud_lab.decisions import (
     _generation_epochs,
     _mean_age,
     aoi_path,
-    average_aud,
     decisions_at,
-    generate_decisions,
     poisson_epochs,
     time_average_aoi,
 )
 from aud_lab.distributions import DECISION_STREAM, SeededStream
-from aud_lab.errors import InsufficientDataError, ParameterError, TruncationError
+from aud_lab.errors import ParameterError, TruncationError
+from aud_lab.experiments import _batch_means
 from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, simulate
-from aud_lab.stats import batch_means_ci, ks_exponential
+from aud_lab.stats import ks_exponential
 
 
 def crafted_trace():
@@ -74,26 +73,13 @@ def test_decisions_before_first_departure_are_undefined():
     assert decisions.n_undefined == 2
     assert list(decisions.freshest_index) == [-1, -1, 0]
     assert math.isnan(decisions.ages[0]) and math.isnan(decisions.generation_times[1])
-    summary = average_aud(decisions)
-    assert summary.mean == pytest.approx(2.0)  # tau 4.0 minus generation epoch 2.0
-    assert summary.n_defined == 1 and summary.n_undefined == 2
-
-
-def test_average_aud_simple_mean():
-    decisions = decisions_at(crafted_trace(), [3.0, 6.0])  # ages 1.0 and 3.0
-    assert average_aud(decisions).mean == pytest.approx(2.0, abs=1e-12)
-
-
-def test_average_aud_requires_defined_decision():
-    decisions = decisions_at(crafted_trace(), [1.0, 2.5])
-    with pytest.raises(InsufficientDataError):
-        average_aud(decisions)
+    assert list(decisions.defined_ages) == [2.0]  # tau 4.0 minus generation epoch 2.0
 
 
 def test_horizon_beyond_trace_rejected():
     trace = crafted_trace()
     with pytest.raises(TruncationError):
-        generate_decisions(trace, 1.0, 100.0, SeededStream(0, DECISION_STREAM))
+        decisions_at(trace, poisson_epochs(1.0, 100.0, SeededStream(0, DECISION_STREAM)))
     with pytest.raises(TruncationError):
         decisions_at(trace, [8.0])
 
@@ -101,9 +87,9 @@ def test_horizon_beyond_trace_rejected():
 def test_bad_decision_arguments():
     trace = crafted_trace()
     with pytest.raises(ParameterError):
-        generate_decisions(trace, 0.0, 5.0, SeededStream(0, DECISION_STREAM))
+        poisson_epochs(0.0, 5.0, SeededStream(0, DECISION_STREAM))
     with pytest.raises(ParameterError):
-        generate_decisions(trace, 1.0, -1.0, SeededStream(0, DECISION_STREAM))
+        poisson_epochs(1.0, -1.0, SeededStream(0, DECISION_STREAM))
     with pytest.raises(ParameterError):
         decisions_at(trace, [0.0])
 
@@ -111,23 +97,20 @@ def test_bad_decision_arguments():
 def test_poisson_decision_count():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
     horizon = trace.last_departure
-    decisions = generate_decisions(trace, 1.0, horizon, SeededStream(42, DECISION_STREAM))
-    assert len(decisions) == pytest.approx(horizon, rel=0.01)
+    epochs = poisson_epochs(1.0, horizon, SeededStream(42, DECISION_STREAM))
+    assert len(epochs) == pytest.approx(horizon, rel=0.01)
 
 
 def test_interdecision_gaps_are_exponential():
     trace = simulate(SystemParams(0.5, 1.0), 200_000, 3)
-    decisions = generate_decisions(
-        trace, 2.0, trace.last_departure, SeededStream(3, DECISION_STREAM)
-    )
-    gaps = np.diff(decisions.times)
+    gaps = np.diff(poisson_epochs(2.0, trace.last_departure, SeededStream(3, DECISION_STREAM)))
     assert not ks_exponential(gaps[:100_000], 2.0).reject_at_001
 
 
 def test_decision_determinism():
     trace = simulate(SystemParams(0.5, 1.0), 10_000, 5)
-    a = generate_decisions(trace, 1.0, trace.last_departure, SeededStream(5, 7))
-    b = generate_decisions(trace, 1.0, trace.last_departure, SeededStream(5, 7))
+    a = decisions_at(trace, poisson_epochs(1.0, trace.last_departure, SeededStream(5, 7)))
+    b = decisions_at(trace, poisson_epochs(1.0, trace.last_departure, SeededStream(5, 7)))
     assert (a.times == b.times).all()
     assert (a.ages[a.defined] == b.ages[b.defined]).all()
 
@@ -135,9 +118,8 @@ def test_decision_determinism():
 def test_aud_mean_matches_closed_form():
     # the closed form at utilization 0.5 gives 3.5
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
-    decisions = generate_decisions(
-        trace, 1.0, trace.last_departure, SeededStream(42, DECISION_STREAM)
-    )
+    epochs = poisson_epochs(1.0, trace.last_departure, SeededStream(42, DECISION_STREAM))
+    decisions = decisions_at(trace, epochs)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
     ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
     assert ages.mean() == pytest.approx(3.5, rel=0.01)
@@ -149,9 +131,10 @@ def test_aud_invariant_across_decision_rates():
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
     estimates = []
     for nu, sid in ((0.1, 100), (10.0, 101)):
-        decisions = generate_decisions(trace, nu, trace.last_departure, SeededStream(42, sid))
+        epochs = poisson_epochs(nu, trace.last_departure, SeededStream(42, sid))
+        decisions = decisions_at(trace, epochs)
         ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-        estimates.append(batch_means_ci(ages, 0.99))
+        estimates.append(_batch_means(lambda a, b: ages[a:b].mean(), 0, len(ages), 0.99))
     assert estimates[0].overlaps(estimates[1])
 
 
@@ -209,7 +192,7 @@ def test_time_average_window_validation():
 def test_decision_ages_equal_path_evaluation():
     # pointwise identity: a decision's age is the sawtooth sampled at its epoch
     trace = simulate(SystemParams(0.5, 1.0), 20_000, 23)
-    decisions = generate_decisions(trace, 1.5, trace.last_departure, SeededStream(23, 9))
+    decisions = decisions_at(trace, poisson_epochs(1.5, trace.last_departure, SeededStream(23, 9)))
     path = aoi_path(trace)
     mask = decisions.defined
     assert np.allclose(
@@ -224,9 +207,10 @@ def test_pasta_time_average_matches_decision_mean():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
     horizon = trace.last_departure
-    decisions = generate_decisions(trace, 1.0, horizon, SeededStream(42, DECISION_STREAM))
+    decisions = decisions_at(trace, poisson_epochs(1.0, horizon,
+                                                   SeededStream(42, DECISION_STREAM)))
     ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-    est = batch_means_ci(ages, 0.99)
+    est = _batch_means(lambda a, b: ages[a:b].mean(), 0, len(ages), 0.99)
     sawtooth_mean = time_average_aoi(aoi_path(trace), [warm_epoch, horizon])[0]
     assert abs(est.mean - sawtooth_mean) <= est.half_width
 
@@ -312,7 +296,7 @@ def test_inverted_decision_search_is_identical(seed):
     trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
     for nu in (0.1, 10.0):
         stream = SeededStream(seed, DECISION_STREAM)
-        epochs = generate_decisions(trace, nu, trace.last_departure, stream).times
+        epochs = poisson_epochs(nu, trace.last_departure, stream)
         assert_decisions_match_reference(trace, epochs)
 
 
@@ -367,9 +351,8 @@ def test_epoch_generators_match_the_record_builders():
     trace = simulate(SystemParams(0.5, 1.0), 5000, 3)
     horizon = trace.last_departure
     epochs = poisson_epochs(2.0, horizon, SeededStream(3, 9))
-    assert np.array_equal(
-        epochs, generate_decisions(trace, 2.0, horizon, SeededStream(3, 9)).times
-    )
+    assert np.array_equal(epochs, poisson_epochs(2.0, horizon, SeededStream(3, 9)))
+    assert np.array_equal(epochs, decisions_at(trace, epochs).times)
     assert 0.0 < epochs[0] and epochs[-1] <= horizon < epochs[-1] + 10.0
     with pytest.raises(ParameterError):
         poisson_epochs(0.0, 5.0, SeededStream(0, DECISION_STREAM))

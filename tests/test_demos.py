@@ -35,3 +35,14 @@ def test_validate_calibration_runs(tmp_path, flags, cells):
     summaries = [line for line in proc.stdout.splitlines() if line.startswith("rho=")]
     assert len(summaries) == len(cells)
     assert all(line.startswith(cell) for line, cell in zip(summaries, cells))
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's first python block, run as written
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    theory, empirical = capsys.readouterr().out.splitlines()
+    assert float(theory) == pytest.approx(3.5, rel=1e-12)
+    mean, undefined = empirical.split()
+    assert float(mean) == pytest.approx(3.5, rel=0.01) and int(undefined) > 0

@@ -13,7 +13,7 @@ import pytest
 import aud_lab
 from aud_lab import analytic, distributions, experiments
 from aud_lab.cli import main as cli_main
-from aud_lab.decisions import decisions_at, generate_decisions
+from aud_lab.decisions import decisions_at, poisson_epochs
 from aud_lab.distributions import SeededStream
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.experiments import (
@@ -46,7 +46,7 @@ from aud_lab.queueing import (
     queue_length_process,
     simulate,
 )
-from aud_lab.stats import EstimateWithCI, batch_means_ci, mean_ci, z_value
+from aud_lab.stats import EstimateWithCI, mean_ci, z_value
 
 SMALL = dict(n_updates=50_000, seed=11)
 
@@ -356,10 +356,10 @@ def test_warmup_is_configurable(tmp_path):
     assert math.isfinite(no_warm_row.empirical_aud)
     assert no_warm_row.empirical_aud != default_row.empirical_aud
     trace = simulate(SystemParams(0.5, 1.0), 20_000, derive_point_seed(5, 0))
-    reference = generate_decisions(
-        trace, 1.0, trace.last_departure,
+    reference = decisions_at(trace, poisson_epochs(
+        1.0, trace.last_departure,
         SeededStream(derive_point_seed(5, 0), decision_stream_id(1.0)),
-    )
+    ))
     expected = batch_means_ci(reference.defined_ages)
     assert no_warm_row.empirical_aud == expected.mean
     assert no_warm_row.ci_half_width == expected.half_width
@@ -472,7 +472,12 @@ def test_validation_writes_deterministic_outputs(tmp_path):
     assert timing["workers"] == distributions.worker_limit()
     versions = next(r for r in records if r["record"] == "versions")
     assert versions["aud_lab"] == aud_lab.__version__
-    assert set(versions) == {"record", "aud_lab", "python", "numpy"}
+    assert set(versions) == {"record", "aud_lab", "python", "numpy", "cpu_features"}
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    assert versions["cpu_features"] == sorted(k for k, on in __cpu_features__.items() if on)
     sizes = next(r for r in records if r["record"] == "sizes")
     assert sizes["n_updates"] == 20_000 and sizes["warmup_updates"] == 1000
     assert [d["nu"] for d in sizes["decisions"]] == [0.1, 1.0, 10.0]
@@ -492,6 +497,45 @@ def test_validation_without_warmup_returns_a_report(tmp_path, capsys):
     cfg.write_text("warmup = 0\nupdates = 20000\nseed = 8\n")
     assert cli_main(["validate", "--config", str(cfg)]) in (0, 1)
     assert "error" not in capsys.readouterr().err
+
+
+def batch_means_ci(samples, confidence: float = 0.99, n_batches: int = 100) -> EstimateWithCI:
+    """Reference: the CI from the means of a whole column cut in order into equal batches.
+
+    The remainder is dropped, and ``n`` in the result is the number of
+    batches.  ``experiments._batch_means`` takes the same means slice by
+    slice, without the whole column.
+    """
+    x = np.asarray(samples, dtype=float)
+    if n_batches < 2:
+        raise ParameterError(f"need at least 2 batches, got {n_batches}")
+    if x.size < n_batches:
+        raise InsufficientDataError(f"need >= {n_batches} samples, got {x.size}")
+    per = x.size // n_batches
+    return mean_ci(x[: per * n_batches].reshape(n_batches, per).mean(axis=1), confidence)
+
+
+def test_batch_means_widens_for_correlated_series():
+    # an AR(1)-style positively correlated series: naive i.i.d. CI is too
+    # narrow, batch means must be materially wider
+    rng = np.random.default_rng(5)
+    x = np.empty(200_000)
+    x[0] = 0.0
+    noise = rng.standard_normal(200_000)
+    for i in range(1, len(x)):
+        x[i] = 0.95 * x[i - 1] + noise[i]
+    naive = mean_ci(x)
+    batched = batch_means_ci(x, n_batches=100)
+    assert batched.half_width > 3.0 * naive.half_width
+    assert batched.n == 100
+    assert experiments._batch_means(lambda a, b: x[a:b].mean(), 0, len(x), 0.99) == batched
+
+
+def test_batch_means_requires_enough_samples():
+    with pytest.raises(InsufficientDataError):
+        batch_means_ci(np.arange(50.0), n_batches=100)
+    with pytest.raises(ParameterError):
+        batch_means_ci(np.arange(50.0), n_batches=1)
 
 
 def reference_estimate(decisions, warm_epoch):
@@ -697,6 +741,12 @@ def test_cli_error_paths(tmp_path, capsys):
     code = cli_main(["validate", "--lambda", "1.5", "--mu", "1.0", "--updates", "1000"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+    # nu-invariance refuses a point without a steady state, as validate does
+    for lam in ("0.9999999999", "1.5"):
+        argv = ["nu-invariance", "--lambda", lam, "--mu", "1", "--nu", "1,2", "--updates", "1000"]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: utilization {float(lam):.6g} is not safely below 1\n"
 
 
 def test_cli_bad_rate_exits_2(capsys):
@@ -704,6 +754,29 @@ def test_cli_bad_rate_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
+    # an empty rate flag is refused, not taken for the default rate
+    for flag in ("--lambda", "--mu", "--nu"):
+        argv = ["sweep", "--lambda", "0.5", "--mu", "1", "--nu", "1", "--updates", "1000", flag, ""]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and "must not be empty" in err
+
+
+@pytest.mark.parametrize("rates,listed,mu", [
+    ("1.5e-12:4.5e-12:1.5e-12", "1.5e-12,3e-12,4.5e-12", "1e-11"),
+    ("1e-13:3e-13:1e-13", "1e-13,2e-13,3e-13", "1e-12"),
+])
+def test_cli_range_of_tiny_rates_runs_the_rates_its_text_names(rates, listed, mu, tmp_path):
+    # a range is stepped in decimal on its text, so no rate is rounded away at any scale
+    assert parse_rates(rates) == parse_rates(listed)
+    csvs = []
+    for i, form in enumerate((rates, listed)):
+        out = tmp_path / f"s{i}.csv"
+        assert cli_main(["sweep", "--lambda", form, "--mu", mu, "--nu", mu, "--updates", "1000",
+                         "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1] and len(csvs[0].splitlines()) == 4
 
 
 def test_cli_rates_outside_their_range_exit_2(capsys):
@@ -1132,9 +1205,11 @@ subprocess.run([sys.executable, "-m", "aud_lab.cli", *sys.argv[1:]], check=True,
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
-# Allowed rise of the two-thread peak over the one-thread peak.  The trace
-# checks' temporaries that overlap the decision epochs add about 7% at this
-# size; a merged path of all 2n events beside the nu = 10 epochs adds 25-35%.
+# Allowed rise of the two-thread peak over the one-thread peak.  The checks
+# run one after another, so a second thread adds only the block pool's
+# in-flight blocks (a Philox counter block, a batch's slice or an occupancy
+# window), about 1% at this size; a merged path of all 2n events beside the
+# nu = 10 epochs would add 25-35%.
 THREADS_RSS_MARGIN = 0.12
 
 

@@ -16,7 +16,6 @@ from aud_lab.queueing import (
     _non_decreasing,
     arrivals_seeing_busy,
     default_warmup,
-    empirical_prob_arrival_sees_busy,
     occupancy_fractions,
     queue_length_process,
     simulate,
@@ -128,18 +127,17 @@ def test_busy_time_equals_total_service():
 @pytest.mark.parametrize("lam,expected", [(0.5, 0.5), (0.8, 0.8)])
 def test_prob_arrival_sees_busy(lam, expected):
     trace = simulate(SystemParams(lam, 1.0), 1_000_000, 44)
-    assert empirical_prob_arrival_sees_busy(trace) == pytest.approx(expected, abs=0.005)
+    assert arrivals_seeing_busy(trace).mean() == pytest.approx(expected, abs=0.005)
 
 
 def test_prob_arrival_sees_busy_dd1():
-    assert empirical_prob_arrival_sees_busy(dd1_trace(50, 2.0)) == 0.0
+    assert arrivals_seeing_busy(dd1_trace(50, 2.0)).mean() == 0.0
 
 
 def test_busy_indicator_is_the_gap_against_the_previous_system_time():
     trace = simulate(SystemParams(0.5, 1.0), 20_000, 3)
     reference = trace.interarrival_times[1:] < trace.system_times[:-1]
     assert np.array_equal(arrivals_seeing_busy(trace), reference)
-    assert empirical_prob_arrival_sees_busy(trace) == float(np.mean(reference))
     # an index range gives the same entries as the slice of the whole column
     for start, stop in ((0, None), (0, 19_999), (1000, 1190), (19_998, 19_999), (7, 7)):
         got = arrivals_seeing_busy(trace, start, stop)
@@ -149,7 +147,7 @@ def test_busy_indicator_is_the_gap_against_the_previous_system_time():
 def test_prob_busy_needs_two_updates():
     trace = simulate(SystemParams(0.5, 1.0), 1, 2)
     with pytest.raises(InsufficientDataError):
-        empirical_prob_arrival_sees_busy(trace)
+        arrivals_seeing_busy(trace)
 
 
 def test_unstable_raises_without_override():

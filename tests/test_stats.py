@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from aud_lab.decisions import generate_decisions
+from aud_lab.decisions import decisions_at, poisson_epochs
 from aud_lab.distributions import DECISION_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.queueing import SystemParams, UpdateTrace, simulate
-from aud_lab.stats import (
-    batch_means_ci,
-    kolmogorov_sf,
-    ks_exponential,
-    mean_ci,
-    z_value,
-)
+from aud_lab.stats import kolmogorov_sf, ks_exponential, mean_ci, z_value
 
 
 def test_mean_ci_zero_variance():
@@ -45,28 +39,6 @@ def test_ci_coverage_experiment():
         if mean_ci(draws, 0.99).contains(2.0):
             hits += 1
     assert hits >= 95
-
-
-def test_batch_means_widens_for_correlated_series():
-    # an AR(1)-style positively correlated series: naive i.i.d. CI is too
-    # narrow, batch means must be materially wider
-    rng = np.random.default_rng(5)
-    x = np.empty(200_000)
-    x[0] = 0.0
-    noise = rng.standard_normal(200_000)
-    for i in range(1, len(x)):
-        x[i] = 0.95 * x[i - 1] + noise[i]
-    naive = mean_ci(x)
-    batched = batch_means_ci(x, n_batches=100)
-    assert batched.half_width > 3.0 * naive.half_width
-    assert batched.n == 100
-
-
-def test_batch_means_requires_enough_samples():
-    with pytest.raises(InsufficientDataError):
-        batch_means_ci(np.arange(50.0), n_batches=100)
-    with pytest.raises(ParameterError):
-        batch_means_ci(np.arange(50.0), n_batches=1)
 
 
 def test_z_value_bounds():
@@ -153,8 +125,8 @@ def test_ks_system_times_not_rejected():
 
 def test_uniform_offsets_of_poisson_decisions():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
-    decisions = generate_decisions(
-        trace, 1.0, trace.last_departure, SeededStream(42, DECISION_STREAM)
+    decisions = decisions_at(
+        trace, poisson_epochs(1.0, trace.last_departure, SeededStream(42, DECISION_STREAM))
     )
     # each decision inside a complete departure gap, as a fraction of that gap,
     # is Uniform(0, 1) under Poisson decisions

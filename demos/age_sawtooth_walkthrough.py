@@ -46,7 +46,7 @@ warm_epoch = long_trace.departure_times[default_warmup(long_trace.n) - 1]
 poisson = decisions_at(long_trace, poisson_epochs(1.0, long_trace.last_departure,
                                                   SeededStream(9, DECISION_STREAM)))
 kept = poisson.ages[poisson.defined & (poisson.times > warm_epoch)]
-sawtooth_avg = time_average_aoi(aoi_path(long_trace), [warm_epoch, long_trace.last_departure])[0]
+sawtooth_avg = time_average_aoi(aoi_path(long_trace), warm_epoch, long_trace.last_departure)
 print(f"\nlong run: sawtooth time average {sawtooth_avg:.4f}, "
       f"decision-sampled mean {kept.mean():.4f} "
       f"({len(poisson) - poisson.n_undefined} decisions)")

@@ -40,7 +40,7 @@ print(f"gap mean {gaps.mean():.4f} vs {report.mean_interdeparture:.4f}, "
 
 path = queue_length_process(trace)
 warm_epoch = trace.departure_times[warm - 1]
-observed = occupancy_fractions(path, 8, [warm_epoch, trace.last_departure])[0]
+observed = occupancy_fractions(path, 8, warm_epoch, trace.last_departure)
 expected = stationary_queue_dist(params, 8)
 print(f"{'level':>5} {'observed':>9} {'geometric':>9}")
 for level, (obs, exp) in enumerate(zip(observed, expected)):

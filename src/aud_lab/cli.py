@@ -5,7 +5,8 @@ Verbs:
     nu-invariance  paired decision-rate comparison on one shared trace
     validate       run every oracle check against one simulated point
 
-Flag values override config-file values.  ``--lambda`` / ``--mu`` / ``--nu``
+Flag values override config-file values, and a flag's text is read as the
+config-file key of the same name.  ``--lambda`` / ``--mu`` / ``--nu``
 accept a single number, a comma list, or ``start:stop:step``.
 """
 from __future__ import annotations
@@ -15,37 +16,41 @@ import sys
 
 from .errors import AudLabError
 from .experiments import (
+    _CONFIG_KEYS,
     build_config,
-    parse_rates,
     run_nu_invariance,
     run_sweep,
     run_validation,
 )
 
 
+# Each flag sets the config-file key of its name, read by the same converter.
+_FLAGS = {
+    "lambda": "arrival rate(s)",
+    "mu": "service rate(s)",
+    "nu": "decision rate(s)",
+    "updates": "updates to simulate per point",
+    "seed": "base seed",
+    "out": "output CSV path",
+    "confidence": "CI confidence level",
+}
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--lambda", dest="arrival", help="arrival rate(s)")
-    parser.add_argument("--mu", dest="service", help="service rate(s)")
-    parser.add_argument("--nu", dest="decision", help="decision rate(s)")
-    parser.add_argument("--updates", type=int, help="updates to simulate per point")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--confidence", type=float, help="CI confidence level")
+    for key, help_text in _FLAGS.items():
+        parser.add_argument(f"--{key}", help=help_text)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     """The ExperimentConfig field values of the flags that were given."""
-    out = {
-        "arrival_rates": parse_rates(args.arrival) if args.arrival is not None else None,
-        "service_rates": parse_rates(args.service) if args.service is not None else None,
-        "decision_rates": parse_rates(args.decision) if args.decision is not None else None,
-        "n_updates": args.updates,
-        "seed": args.seed,
-        "output_path": args.out,
-        "confidence": args.confidence,
-    }
-    return {k: v for k, v in out.items() if v is not None}
+    values = {}
+    for key in _FLAGS:
+        text = getattr(args, key)
+        if text is not None:
+            field, convert = _CONFIG_KEYS[key]
+            values[field] = convert(text)
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import SeededStream, exponential_epochs
 from .errors import InsufficientDataError, ParameterError, TruncationError
-from .queueing import UpdateTrace, locate_window_edges
+from .queueing import UpdateTrace
 
 
 class DecisionRecord(NamedTuple):
@@ -216,33 +216,29 @@ def aoi_path(trace: UpdateTrace) -> AoiPath:
     return AoiPath(trace.departure_times, trace.system_times)
 
 
-def time_average_aoi(path: AoiPath, edges) -> np.ndarray:
-    """Exact time average of the sawtooth over each window, within its support.
+def time_average_aoi(path: AoiPath, start: float, end: float) -> float:
+    """Exact time average of the sawtooth over [start, end], within its support.
 
-    ``edges`` bound adjacent windows [edges[w], edges[w + 1]]; a single
-    window is ``[start, end]``.  Returns one average per window.
-
-    Each window's integral is ``np.sum`` over one term per sawtooth segment,
-    zero for segments outside the window.  Adding only the window's own
-    terms would change numpy's pairwise summation tree and move the last
-    bits, so ``_padded_sum`` follows that tree over the window's terms.
+    The integral is ``np.sum`` over one term per sawtooth segment, zero for
+    segments outside the window.  Adding only the window's own terms would
+    change numpy's pairwise summation tree and move the last bits, so
+    ``_padded_sum`` follows that tree over the window's terms.
     """
     lo, hi = path.support
-    e, v = path.drop_epochs, path.drop_values
-    edges, pos = locate_window_edges(e, edges)
-    if edges[0] < lo or edges[-1] > hi:
+    if not start < end:
+        raise ParameterError(f"need start < end, got window [{start}, {end}]")
+    if start < lo or end > hi:
         raise ParameterError(
-            f"windows [{edges[0]}, {edges[-1]}] outside path support [{lo:.6g}, {hi:.6g}]"
+            f"window [{start}, {end}] outside path support [{lo:.6g}, {hi:.6g}]"
         )
-    integrals = np.empty(len(edges) - 1)
-    for w, (start, end) in enumerate(zip(edges[:-1], edges[1:])):
-        # segments [e[i], e[i + 1]] for a <= i < b are all that overlap the window
-        a, b = pos[w] - 1, min(pos[w + 1], len(e) - 1)
-        seg_lo = np.maximum(e[a:b], start)
-        dur = np.clip(np.minimum(e[a + 1:b + 1], end) - seg_lo, 0.0, None)
-        age_at_lo = v[a:b] + (seg_lo - e[a:b])
-        integrals[w] = _padded_sum(dur * age_at_lo + 0.5 * dur * dur, a, len(e) - 1)
-    return integrals / np.diff(edges)
+    e, v = path.drop_epochs, path.drop_values
+    # segments [e[i], e[i + 1]] for a <= i < b are all that overlap the window
+    a, b = np.searchsorted(e, (start, end), side="right")
+    a, b = a - 1, min(b, len(e) - 1)
+    seg_lo = np.maximum(e[a:b], start)
+    dur = np.clip(np.minimum(e[a + 1:b + 1], end) - seg_lo, 0.0, None)
+    age_at_lo = v[a:b] + (seg_lo - e[a:b])
+    return float(_padded_sum(dur * age_at_lo + 0.5 * dur * dur, a, len(e) - 1) / (end - start))
 
 
 # numpy sums at most this many values of a contiguous float64 array in one leaf.

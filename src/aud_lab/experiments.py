@@ -6,16 +6,17 @@ plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one column of decision
 epochs at a time, and output is byte-reproducible.  Validation estimates one
-decision rate at a time, then runs its checks in order.  Long random draws,
-the occupancy windows and the batch means of every correlated mean
-(``_batch_means``: one slice per batch, never a full-length column) run on
-the shared block pool (``distributions.block_pool``), the program's only
-thread pool.  ``AUD_LAB_THREADS`` caps its threads; one thread runs
-everything in sequence, and no result depends on it.  A sample below its
-estimator's floor (InsufficientDataError) gets no verdict: a sweep leaves
-that p-value, or a mean age with under 2 * AUD_BATCHES decisions after the
-warm-up, blank, and validation reports that check alone as skipped, with
-the reason.
+decision rate at a time, then runs its checks in order.  Long random draws
+and every batch run on the shared block pool (``distributions.block_pool``),
+the program's only thread pool.  ``_by_window`` maps the batches there: the
+batch means of every correlated mean (``_batch_means``: one slice per batch,
+never a full-length column), and validation's 100 time windows of the
+occupancy levels and of the sawtooth's time average.  ``AUD_LAB_THREADS``
+caps its threads; one thread runs everything in sequence, and no result
+depends on it.  A sample below its estimator's floor (InsufficientDataError)
+gets no verdict: a sweep leaves that p-value, or a mean age with under
+2 * AUD_BATCHES decisions after the warm-up, blank, and validation reports
+that check alone as skipped, with the reason.
 Validation splits 1 - confidence evenly over its statistical checks, so a
 correct run fails with at most that probability (see ``_within``).
 """
@@ -99,19 +100,25 @@ def _require(enough: bool, reason: str) -> None:
         raise InsufficientDataError(reason)
 
 
+def _by_window(stat, edges) -> list:
+    """``stat(a, b)`` for each pair of consecutive ``edges``, in order, on the block pool.
+
+    Only the windows in flight are held.
+    """
+    return list(block_pool().map(stat, edges[:-1], edges[1:]))
+
+
 def _batch_means(stat, start: int, stop: int, confidence: float) -> EstimateWithCI:
     """CI from the means ``stat(a, b)`` of [start, stop) cut into AUD_BATCHES equal slices.
 
-    The remainder is dropped, and the slices' means are taken on the block
-    pool, so only the slices in flight are held.  Over a contiguous column
-    this equals the row means of its (AUD_BATCHES, per) reshape bit for bit:
-    numpy sums a row with the same pairwise tree as the 1-D slice.
+    The remainder is dropped.  Over a contiguous column this equals the row
+    means of its (AUD_BATCHES, per) reshape bit for bit: numpy sums a row
+    with the same pairwise tree as the 1-D slice.
     """
     per = (stop - start) // AUD_BATCHES
     _require(per >= 2, f"{stop - start} samples; batch means need {2 * AUD_BATCHES}")
-    starts = range(start, start + per * AUD_BATCHES, per)
-    means = list(block_pool().map(lambda a: stat(a, a + per), starts))
-    return mean_ci(means, confidence)
+    return mean_ci(_by_window(stat, range(start, start + per * AUD_BATCHES + 1, per)),
+                   confidence)
 
 
 @dataclass(frozen=True)
@@ -206,25 +213,14 @@ def parse_rates(text: str) -> tuple:
     return tuple(_parse_number(p, float, "rate") for p in text.split(",") if p.strip())
 
 
-def _parse_mode(text: str) -> str:
-    """A mode from MODES; a verb overrides it, but a file may not name another."""
-    mode = text.strip()
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return mode
-
-
 _CONFIG_KEYS = {
-    "mode": ("mode", _parse_mode),
     "lambda": ("arrival_rates", parse_rates),
     "mu": ("service_rates", parse_rates),
     "nu": ("decision_rates", parse_rates),
     "updates": ("n_updates", lambda s: _parse_number(s, int, "updates")),
-    "n_updates": ("n_updates", lambda s: _parse_number(s, int, "n_updates")),
     "seed": ("seed", lambda s: _parse_number(s, int, "seed")),
     "confidence": ("confidence", lambda s: _parse_number(s, float, "confidence")),
     "out": ("output_path", str.strip),
-    "output": ("output_path", str.strip),
     "warmup": ("warmup_updates", lambda s: _parse_number(s, int, "warmup")),
 }
 
@@ -519,21 +515,6 @@ def _ks_samples(point: _Point) -> tuple[int, np.ndarray, np.ndarray]:
     return lag, thinned, dep[warm + 1:warm + 1 + m] - dep[warm:warm + m]
 
 
-def _occupancy_by_window(trace: UpdateTrace, max_length: int, edges: np.ndarray) -> np.ndarray:
-    """``occupancy_fractions(queue_length_process(trace), max_length, edges)``, window by window.
-
-    Each window's path merges only the events inside it and starts from the
-    level at its start edge.  It has the same pieces, durations and order of
-    addition as the path of the whole run, so every row is bit-identical,
-    and no path of all 2n events is built.  The windows are taken on the
-    block pool, in order.
-    """
-    def window(ab):
-        return occupancy_fractions(queue_length_process(trace, *ab), max_length, ab)
-
-    return np.vstack(list(block_pool().map(window, zip(edges[:-1], edges[1:]))))
-
-
 def _ks_p_value(samples: np.ndarray, rate: float) -> float | None:
     """K-S p-value against Exponential(rate); None (a blank field) below the test's floor."""
     try:
@@ -778,7 +759,12 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         k = int((expected >= MIN_EXPECTED).sum())  # expected falls with the level
         _require(k > 0, f"fewer than {MIN_EXPECTED} arrivals per window expected at occupancy "
                         "level 0")
-        per_batch = _occupancy_by_window(trace, k - 1, edges)
+        # A window's path merges only the events inside it and starts from the
+        # level at its start edge: the pieces, durations and order of addition
+        # of the whole run's path, without a path of all 2n events.
+        per_batch = np.array(_by_window(
+            lambda a, b: occupancy_fractions(queue_length_process(trace, a, b), k - 1, a, b),
+            edges))
         per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
         return _within([mean_ci(level, config.confidence) for level in per_batch.T],
                        np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
@@ -869,7 +855,9 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         # Poisson decisions sample the time average of the age path (PASTA).  The
         # median configured rate (the upper one of an even count) draws nothing extra.
         aud = estimate(distinct[len(distinct) // 2])  # its batch rule keeps the windows apart
-        aoi = mean_ci(time_average_aoi(aoi_path(trace), edges), config.confidence)
+        path = aoi_path(trace)
+        aoi = mean_ci(_by_window(lambda a, b: time_average_aoi(path, a, b), edges),
+                      config.confidence)
         return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 
     order = [aud_mc_vs_theory, aud_nu_invariance, ks_system_time, ks_interdeparture,

@@ -235,56 +235,28 @@ def queue_length_process(
     return QueueLengthPath(times[order], lengths, initial)
 
 
-def locate_window_edges(breaks: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Check window edges and count the sorted ``breaks`` at or before each edge.
+def occupancy_fractions(path: QueueLengthPath, max_length: int, start: float,
+                        end: float) -> np.ndarray:
+    """Time-weighted fraction of [start, end] spent at each occupancy level 0..max_length.
 
-    ``edges`` lists W + 1 strictly increasing epochs that bound the W
-    adjacent windows [edges[w], edges[w + 1]].  Returns the edges as a float
-    array and ``searchsorted(breaks, edges, side="right")``.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2:
-        raise ParameterError("window edges must be a 1-D sequence of at least two epochs")
-    increasing = edges[1:] > edges[:-1]
-    if not increasing.all():
-        w = int(np.argmin(increasing))
-        raise ParameterError(f"need start < end, got window [{edges[w]}, {edges[w + 1]}]")
-    return edges, np.searchsorted(breaks, edges, side="right")
-
-
-def occupancy_fractions(path: QueueLengthPath, max_length: int, edges) -> np.ndarray:
-    """Time-weighted fraction spent at each occupancy level 0..max_length, per window.
-
-    ``edges`` bound adjacent windows [edges[w], edges[w + 1]]; a single
-    window is ``[start, end]``.  Returns an array of shape
-    (len(edges) - 1, max_length + 1).  Levels above ``max_length`` are not
-    reported, so a row may sum to < 1.  The path's ``initial`` level holds
-    before its first event, and the last event's level after it.
-
-    The windows are computed in one pass: the window edges are merged into
-    the event epochs, every stretch between consecutive merged epochs is one
-    piece of one window at one level, and ``np.bincount`` adds the piece
-    durations per (window, level) in time order.  That is the order in which
-    a window-by-window scan adds them, so each row is bit-identical to
-    computing its window alone.
+    Levels above ``max_length`` are not reported, so the fractions may sum
+    to < 1.  The path's ``initial`` level holds before its first event, and
+    the last event's level after it.  Every stretch between consecutive
+    bounds (the window's edges and the events inside it) is one piece at one
+    level, and ``np.bincount`` adds the piece durations per level in time
+    order.
     """
     if max_length < 0:
         raise ParameterError(f"max_length must be >= 0, got {max_length}")
-    edges, pos = locate_window_edges(path.epochs, edges)
-    n_windows = len(edges) - 1
-    bounds = np.insert(path.epochs[pos[0]:pos[-1]], pos - pos[0], edges)
-    # window w has one piece from its start edge plus one per event inside it
-    window = np.repeat(np.arange(n_windows), np.diff(pos) + 1)
+    if not start < end:
+        raise ParameterError(f"need start < end, got window [{start}, {end}]")
+    i, j = np.searchsorted(path.epochs, (start, end), side="right")
+    bounds = np.concatenate(([start], path.epochs[i:j], [end]))
     # the level of a piece is that after the events at or before its start
-    levels = np.concatenate(([path.initial], path.lengths))
-    level = levels[np.arange(len(window)) - window + pos[0]]
-    keep = level <= max_length
-    totals = np.bincount(
-        window[keep] * (max_length + 1) + level[keep],
-        weights=np.diff(bounds)[keep],
-        minlength=n_windows * (max_length + 1),
-    )
-    return totals.reshape(n_windows, max_length + 1) / np.diff(edges)[:, None]
+    levels = path.lengths[i - 1:j] if i else np.concatenate(([path.initial], path.lengths[:j]))
+    keep = levels <= max_length
+    totals = np.bincount(levels[keep], weights=np.diff(bounds)[keep], minlength=max_length + 1)
+    return totals / (end - start)
 
 
 def arrivals_seeing_busy(trace: UpdateTrace, start: int = 0,

@@ -138,7 +138,7 @@ def test_criterion_5_queue_length_distribution(lam, seed):
     horizon = trace.last_departure
     path = queue_length_process(trace)
     edges = np.linspace(warm_epoch, horizon, 101)
-    per_batch = occupancy_fractions(path, 10, edges)
+    per_batch = np.array([occupancy_fractions(path, 10, a, b) for a, b in zip(edges, edges[1:])])
     mean = per_batch.mean(axis=0)
     half = z_value(0.99) * per_batch.std(axis=0, ddof=1) / 10.0
     pi = analytic.stationary_queue_dist(params, 10)
@@ -248,7 +248,8 @@ def test_criterion_9_pasta_cross_check(point_half):
     point, _ = point_half
     aud_est = point.aud(1.0)[0]
     edges = np.linspace(point.warm_epoch, point.trace.last_departure, 101)
-    batches = time_average_aoi(aoi_path(point.trace), edges)
+    path = aoi_path(point.trace)
+    batches = np.array([time_average_aoi(path, a, b) for a, b in zip(edges, edges[1:])])
     aoi_mean = batches.mean()
     aoi_half = z_value(0.99) * batches.std(ddof=1) / 10.0
     diff = abs(aoi_mean - aud_est.mean)

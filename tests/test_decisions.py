@@ -64,8 +64,9 @@ def test_decisions_at_tied_epochs():
 
 def test_time_average_over_tied_epochs():
     # the tied departures leave a zero-length sawtooth segment
-    assert list(time_average_aoi(aoi_path(tied_departures()), [2.0, 3.5, 5.0])) == [1.25, 2.75]
-    assert list(time_average_aoi(aoi_path(tied_arrivals()), [2.0, 6.0])) == [2.25]
+    path = aoi_path(tied_departures())
+    assert [time_average_aoi(path, 2.0, 3.5), time_average_aoi(path, 3.5, 5.0)] == [1.25, 2.75]
+    assert time_average_aoi(aoi_path(tied_arrivals()), 2.0, 6.0) == 2.25
 
 
 def test_decisions_before_first_departure_are_undefined():
@@ -156,15 +157,15 @@ def test_aoi_path_dd1_sawtooth():
     assert verts[:, 1].min() == pytest.approx(1.0)
     assert verts[:, 1].max() == pytest.approx(3.0)
     # over whole periods the ramp from 1 to 3 averages 2
-    assert time_average_aoi(path, [3.0, 99.0])[0] == pytest.approx(2.0, abs=1e-12)
+    assert time_average_aoi(path, 3.0, 99.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_time_average_on_constant_slope_segment():
     # a pure ramp from age a over window w averages a + w/2
     trace = UpdateTrace(np.array([0.0, 9.0]), np.array([1.0, 10.0]))
     path = aoi_path(trace)
-    assert time_average_aoi(path, [1.0, 5.0])[0] == pytest.approx(1.0 + 4.0 / 2.0, abs=1e-12)
-    assert time_average_aoi(path, [2.0, 3.0])[0] == pytest.approx(2.0 + 0.5, abs=1e-12)
+    assert time_average_aoi(path, 1.0, 5.0) == pytest.approx(1.0 + 4.0 / 2.0, abs=1e-12)
+    assert time_average_aoi(path, 2.0, 3.0) == pytest.approx(2.0 + 0.5, abs=1e-12)
 
 
 def test_time_average_matches_riemann_oracle():
@@ -176,17 +177,17 @@ def test_time_average_matches_riemann_oracle():
     grid = np.linspace(a, b, 2_000_001)
     mids = 0.5 * (grid[:-1] + grid[1:])
     riemann = path.evaluate(mids).mean()
-    assert time_average_aoi(path, [a, b])[0] == pytest.approx(riemann, abs=2e-4)
+    assert time_average_aoi(path, a, b) == pytest.approx(riemann, abs=2e-4)
 
 
 def test_time_average_window_validation():
     path = aoi_path(crafted_trace())
-    with pytest.raises(ParameterError):
-        time_average_aoi(path, [5.0, 5.0])
-    with pytest.raises(ParameterError):
-        time_average_aoi(path, [1.0, 6.0])
-    with pytest.raises(ParameterError):
-        time_average_aoi(path, [4.0, 9.0])
+    for start, end in ((5.0, 5.0), (5.0, 4.0), (np.nan, 5.0)):
+        with pytest.raises(ParameterError, match="need start < end"):
+            time_average_aoi(path, start, end)
+    for start, end in ((1.0, 6.0), (4.0, 9.0)):
+        with pytest.raises(ParameterError, match="outside path support"):
+            time_average_aoi(path, start, end)
 
 
 def test_decision_ages_equal_path_evaluation():
@@ -211,7 +212,7 @@ def test_pasta_time_average_matches_decision_mean():
                                                    SeededStream(42, DECISION_STREAM)))
     ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
     est = _batch_means(lambda a, b: ages[a:b].mean(), 0, len(ages), 0.99)
-    sawtooth_mean = time_average_aoi(aoi_path(trace), [warm_epoch, horizon])[0]
+    sawtooth_mean = time_average_aoi(aoi_path(trace), warm_epoch, horizon)
     assert abs(est.mean - sawtooth_mean) <= est.half_width
 
 
@@ -221,7 +222,7 @@ def test_empty_trace_rejected():
 
 
 def sawtooth_reference(path, start, end):
-    """One window at a time: the per-window integral the batched estimator replaced."""
+    """``np.sum`` over one term per segment of the whole path, zero outside the window."""
     e, v = path.drop_epochs, path.drop_values
     seg_lo = np.maximum(e[:-1], start)
     seg_hi = np.minimum(e[1:], end)
@@ -232,9 +233,8 @@ def sawtooth_reference(path, start, end):
 
 
 def assert_sawtooth_matches_reference(path, edges):
-    batched = time_average_aoi(path, edges)
-    reference = [sawtooth_reference(path, edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    assert np.array_equal(batched, reference)
+    for start, end in zip(edges[:-1], edges[1:]):
+        assert time_average_aoi(path, start, end) == sawtooth_reference(path, start, end)
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -254,7 +254,7 @@ def test_batched_sawtooth_window_edge_cases():
     # a single window
     assert_sawtooth_matches_reference(path, [drops[5] + 0.25, drops[2000] - 0.25])
     with pytest.raises(ParameterError):
-        time_average_aoi(path, [drops[0], drops[10], drops[9]])
+        time_average_aoi(path, drops[10], drops[9])
 
 
 def test_sawtooth_matches_the_padded_sum_at_a_million_updates():

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -70,7 +72,6 @@ def test_config_file_parsing(tmp_path):
     cfg.write_text(
         """
 # comment line
-mode = sweep
 lambda = 0.2:0.4:0.1   # inline comment
 mu = 1.0
 nu = 1
@@ -80,7 +81,6 @@ out = result.csv
 """
     )
     values = load_config_file(str(cfg))
-    assert values["mode"] == "sweep"
     assert values["arrival_rates"] == pytest.approx((0.2, 0.3, 0.4))
     assert values["n_updates"] == 20000
     assert values["output_path"] == "result.csv"
@@ -95,7 +95,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 def test_overrides_beat_file_values(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = validate\nseed = 1\nupdates = 5000\n")
+    cfg.write_text("seed = 1\nupdates = 5000\n")
     config = build_config(str(cfg), seed=77, n_updates=None)
     assert config.seed == 77
     assert config.n_updates == 5000
@@ -112,12 +112,16 @@ def test_manifest_config_record_rebuilds_the_config(config, tmp_path):
     record = json.loads(manifest.read_text().splitlines()[0])
     assert record.pop("record") == "config"
     assert len(record) == len(fields(ExperimentConfig))
-    # one config-file line per key: lists joined with commas, null left out
+    # the verb sets the mode, and the rest is one config-file line per field:
+    # lists joined with commas, null left out
+    mode = record.pop("mode")
+    keys = {"n_updates": "updates", "output": "out"}
     cfg = tmp_path / "cfg"
     cfg.write_text("".join(
-        f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+        f"{keys.get(key, key)} = "
+        f"{','.join(map(str, value)) if isinstance(value, list) else value}\n"
         for key, value in record.items() if value is not None))
-    assert ExperimentConfig(**load_config_file(str(cfg))) == config
+    assert build_config(str(cfg), mode=mode) == config
 
 
 def test_config_validation():
@@ -707,7 +711,7 @@ def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, ca
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg"
     out = tmp_path / "o.csv"
-    cfg.write_text("mode = validate\nlambda = 0.5\nmu = 0.8:1.2:0.2\nnu = 1\n"
+    cfg.write_text("lambda = 0.5\nmu = 0.8:1.2:0.2\nnu = 1\n"
                    "updates = 5000\nseed = 1\n")
     code = cli_main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "99"])
     assert code == 0
@@ -754,6 +758,12 @@ def test_cli_bad_rate_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
+    # a malformed number in any flag is read as its config-file key is
+    for flag, text, noun in (("--updates", "1e6", "an integer"), ("--seed", "x", "an integer"),
+                             ("--confidence", "abc", "a number")):
+        assert cli_main(["validate", flag, text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag[2:]} must be {noun}, got {text!r}\n"
     # an empty rate flag is refused, not taken for the default rate
     for flag in ("--lambda", "--mu", "--nu"):
         argv = ["sweep", "--lambda", "0.5", "--mu", "1", "--nu", "1", "--updates", "1000", flag, ""]
@@ -777,6 +787,66 @@ def test_cli_range_of_tiny_rates_runs_the_rates_its_text_names(rates, listed, mu
                          "--out", str(out)]) == 0
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1] and len(csvs[0].splitlines()) == 4
+
+
+def test_cli_seeded_configs_over_the_valid_box_end_in_a_verdict_or_one_error_line(
+        tmp_path, capsys):
+    # 200 seeded configs: rates log-uniform in [2^-64, 2^64], drawn alone or
+    # within 2^3 of a shared scale so that most points are stable, 1 to 4096
+    # updates, and confidences near 0 and 1.  Each run prints a verdict or
+    # exits 2 with one error line, never a traceback, and a sweep's rates
+    # written as ranges give the CSV of the same rates as comma lists.
+    rng = random.Random(2026)
+
+    def three_digits(x):
+        return Decimal(f"{x:.3g}")
+
+    def rates(scale, k):
+        # a step within 2^6 of the start keeps each rate's decimal exact
+        start = three_digits((scale or 2.0 ** rng.uniform(-64, 64)) * 2.0 ** rng.uniform(-3, 3))
+        step = three_digits(float(start) * 2.0 ** rng.uniform(-6, 0))
+        values = [start + i * step for i in range(k)]
+        return f"{start}:{values[-1]}:{step}", ",".join(map(str, values))
+
+    def confidence():
+        u = rng.uniform(1.0, 17.0)
+        return rng.choice(["0.99", repr(1.0 - 10.0**-u), f"{10.0**-u:.3g}"])
+
+    runs = {}
+    while sum(runs.values()) < 200:
+        verb = rng.choice(["sweep", "sweep", "nu-invariance", "validate"])
+        scale = 2.0 ** rng.uniform(-64, 64) if rng.random() < 0.6 else None
+        single = verb != "sweep"
+        lam, mu = (rates(scale, 1 if single else rng.randint(1, 3)) for _ in range(2))
+        nu = rates(scale, rng.randint(1, 3))
+        n = int(2.0 ** rng.uniform(0, 12))
+        stable = [(a, m) for a in map(float, lam[1].split(","))
+                  for m in map(float, mu[1].split(",")) if a < m]
+        decisions = max(map(float, nu[1].split(","))) * n / min(
+            (min(a, m) for a, m in stable), default=math.inf)
+        if 2**20 < decisions <= experiments.MAX_COLUMN:
+            continue  # a valid run, but too many decisions for a unit test
+        flags = ["--updates", str(n), "--seed", str(rng.randrange(2**64)),
+                 "--confidence", confidence()]
+        codes, csvs = set(), set()
+        for form in (1,) if single else (0, 1):
+            out = tmp_path / f"{form}.csv"
+            argv = [verb, "--lambda", lam[form], "--mu", mu[form], "--nu", nu[form], *flags,
+                    "--out", str(out)]
+            shown = " ".join(argv)
+            code = cli_main(argv)
+            printed, err = capsys.readouterr()
+            if code == 2:
+                assert printed == "" and err.startswith("error: ") and err.count("\n") == 1, shown
+            else:
+                # exit 1 is a failed check's verdict, which a correct run may give
+                assert err == "" and (code == 0 or code == 1 and single), shown
+                csvs.add(out.read_bytes())
+            codes.add(code)
+        assert len(codes) == 1 and len(csvs) <= 1, shown
+        runs[verb, code] = runs.get((verb, code), 0) + 1
+    assert all(runs.get((verb, code)) for verb in ("sweep", "nu-invariance", "validate")
+               for code in (0, 2)), runs
 
 
 def test_cli_rates_outside_their_range_exit_2(capsys):
@@ -829,16 +899,6 @@ def test_cli_confidence_next_to_zero_exits_2(capsys):
         assert "too close to 0" in err
 
 
-def test_cli_config_file_with_an_unknown_mode_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("mode = nonsense\nupdates = 2000\n")
-    for verb in ("sweep", "nu-invariance", "validate"):
-        assert cli_main([verb, "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith(f"error: {cfg}:1: unknown mode 'nonsense'")
-
-
 def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("lambda = 0.5\nupdates = 1e6\n")
@@ -856,8 +916,11 @@ def test_cli_config_file_not_utf8_exits_2(tmp_path, capsys):
     assert out == "" and err == f"error: {cfg}: not UTF-8 text\n"
 
 
-@pytest.mark.parametrize("line", ["allow_unstable = true", "periodic_decisions = true"])
+@pytest.mark.parametrize("line", ["allow_unstable = true", "periodic_decisions = true",
+                                  "mode = nonsense", "mode = validate", "n_updates = 3000",
+                                  "output = o.csv"])
 def test_cli_removed_config_keys_exit_2(tmp_path, capsys, line):
+    # the verb is the mode, and each setting has one key
     cfg = tmp_path / "cfg"
     cfg.write_text(f"updates = 2000\n{line}\n")
     for verb in ("sweep", "nu-invariance", "validate"):
@@ -1150,7 +1213,8 @@ def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
     row("prob_busy_on_arrival", [batch_means_ci(busy, config.confidence)],
         params.utilization, alpha)
     edges = np.linspace(point.warm_epoch, trace.last_departure, 101)
-    per_batch = occupancy_fractions(queue_length_process(trace), 6, edges)
+    path = queue_length_process(trace)
+    per_batch = np.array([occupancy_fractions(path, 6, a, b) for a, b in zip(edges, edges[1:])])
     per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
     pi = analytic.stationary_queue_dist(params, 10)
     row("queue_length_distribution",
@@ -1187,12 +1251,12 @@ def test_validation_runs_its_estimates_and_windows_on_the_calling_thread(monkeyp
         return wrapped
 
     monkeypatch.setattr(experiments._Point, "aud", on_caller(experiments._Point.aud))
-    for name in ("_occupancy_by_window", "time_average_aoi"):
-        monkeypatch.setattr(experiments, name, on_caller(getattr(experiments, name)))
+    monkeypatch.setattr(experiments, "_by_window", on_caller(experiments._by_window))
     report = run_validation(ExperimentConfig(n_updates=20_000, seed=7))
     assert not any(check.passed is None for check in report.checks)
-    assert sorted(name for name, _ in threads) == [
-        "_occupancy_by_window", "aud", "aud", "aud", "time_average_aoi"]
+    # the batch means of three decision rates, the busy indicator and the cross
+    # moment, then the occupancy and sawtooth windows
+    assert sorted(name for name, _ in threads) == ["_by_window"] * 7 + ["aud"] * 3
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
@@ -1207,8 +1271,8 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 # Allowed rise of the two-thread peak over the one-thread peak.  The checks
 # run one after another, so a second thread adds only the block pool's
-# in-flight blocks (a Philox counter block, a batch's slice or an occupancy
-# window), about 1% at this size; a merged path of all 2n events beside the
+# in-flight blocks (a Philox counter block, a batch's slice, or an occupancy
+# or sawtooth window), about 1% at this size; a merged path of all 2n events beside the
 # nu = 10 epochs would add 25-35%.
 THREADS_RSS_MARGIN = 0.12
 

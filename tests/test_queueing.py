@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from aud_lab import distributions, queueing
 from aud_lab.distributions import ARRIVAL_STREAM, SERVICE_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError, StabilityError
-from aud_lab.experiments import _occupancy_by_window
 from aud_lab.queueing import (
     SystemParams,
     UpdateTrace,
@@ -79,7 +78,7 @@ def test_dd1_queue_length_cycle():
     path = queue_length_process(trace)
     assert set(np.unique(path.lengths)) == {0, 1}
     # whole cycles: busy exactly half the time
-    fractions = occupancy_fractions(path, 1, [2.0, 2.0 * n])[0]
+    fractions = occupancy_fractions(path, 1, 2.0, 2.0 * n)
     assert fractions[1] == pytest.approx(0.5, abs=1e-12)
     assert fractions[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -90,7 +89,7 @@ def test_single_update_pulse():
     path = queue_length_process(trace)
     assert list(path.lengths) == [1, 0]
     width = trace.departure_times[0] - trace.arrival_times[0]
-    fractions = occupancy_fractions(path, 1, [0.0, trace.last_departure])[0]
+    fractions = occupancy_fractions(path, 1, 0.0, trace.last_departure)
     assert fractions[1] * trace.last_departure == pytest.approx(width, rel=1e-12)
 
 
@@ -111,7 +110,7 @@ def test_empty_fraction_matches_geometric_head():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 43)
     path = queue_length_process(trace)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
-    fractions = occupancy_fractions(path, 0, [warm_epoch, trace.last_departure])[0]
+    fractions = occupancy_fractions(path, 0, warm_epoch, trace.last_departure)
     assert fractions[0] == pytest.approx(0.5, rel=0.01)
 
 
@@ -119,7 +118,7 @@ def test_busy_time_equals_total_service():
     trace = simulate(SystemParams(0.6, 1.0), 50_000, 5)
     path = queue_length_process(trace)
     end = trace.last_departure
-    fractions = occupancy_fractions(path, 10_000, [0.0, end])[0]
+    fractions = occupancy_fractions(path, 10_000, 0.0, end)
     idle = fractions[0] * end
     assert end - idle == pytest.approx(trace.service_times.sum(), rel=1e-9)
 
@@ -253,10 +252,11 @@ def test_queue_length_path_of_tied_epochs():
 
 
 def test_occupancy_of_tied_epochs():
-    got = occupancy_fractions(queue_length_process(tied_arrivals()), 2, [0.0, 2.0, 6.0])
-    assert got.tolist() == [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25]]
-    got = occupancy_fractions(queue_length_process(tied_departures()), 2, [0.0, 5.0])
-    assert got[0] == pytest.approx([0.6, 0.3, 0.1], abs=1e-15)
+    path = queue_length_process(tied_arrivals())
+    assert occupancy_fractions(path, 2, 0.0, 2.0).tolist() == [0.5, 0.5, 0.0]
+    assert occupancy_fractions(path, 2, 2.0, 6.0).tolist() == [0.25, 0.5, 0.25]
+    got = occupancy_fractions(queue_length_process(tied_departures()), 2, 0.0, 5.0)
+    assert got == pytest.approx([0.6, 0.3, 0.1], abs=1e-15)
 
 
 @given(seed=st.integers(0, 2**32), lam=st.floats(0.1, 0.9))
@@ -274,7 +274,7 @@ def test_engine_invariants_property(seed, lam):
 
 
 def occupancy_reference(path, max_length, start, end):
-    """One window at a time: the per-window scan the batched estimator replaced."""
+    """A scan of every piece of the whole path, clipped to the window."""
     lo = np.concatenate(([0.0], path.epochs))
     hi = np.concatenate((path.epochs, [end]))
     levels = np.concatenate(([0], path.lengths))
@@ -286,13 +286,10 @@ def occupancy_reference(path, max_length, start, end):
 
 
 def assert_occupancy_matches_reference(path, max_length, edges):
-    batched = occupancy_fractions(path, max_length, edges)
-    reference = np.array([
-        occupancy_reference(path, max_length, edges[i], edges[i + 1])
-        for i in range(len(edges) - 1)
-    ])
-    assert batched.shape == (len(edges) - 1, max_length + 1)
-    assert np.array_equal(batched, reference)
+    for start, end in zip(edges[:-1], edges[1:]):
+        got = occupancy_fractions(path, max_length, start, end)
+        assert got.shape == (max_length + 1,)
+        assert np.array_equal(got, occupancy_reference(path, max_length, start, end))
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -312,7 +309,7 @@ def test_batched_occupancy_window_edge_cases():
     # a window that starts before the first event, and one past the last event
     edges = [0.0, 0.5 * epochs[0], epochs[10], epochs[-1], epochs[-1] + 3.0]
     assert_occupancy_matches_reference(path, 5, edges)
-    assert occupancy_fractions(path, 5, edges)[0].tolist() == [1.0, 0, 0, 0, 0, 0]
+    assert occupancy_fractions(path, 5, edges[0], edges[1]).tolist() == [1.0, 0, 0, 0, 0, 0]
     # a single window
     assert_occupancy_matches_reference(path, 5, [epochs[7] + 0.1, epochs[1500] - 0.1])
 
@@ -325,21 +322,20 @@ def test_batched_occupancy_edges_on_simultaneous_events():
 
 def test_occupancy_rejects_bad_edges():
     path = queue_length_process(simulate(SystemParams(0.5, 1.0), 100, 1))
-    with pytest.raises(ParameterError):
-        occupancy_fractions(path, 3, [5.0])
-    with pytest.raises(ParameterError):
-        occupancy_fractions(path, 3, [1.0, 4.0, 4.0])
-    with pytest.raises(ParameterError):
-        occupancy_fractions(path, 3, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def occupancy_of_whole_path(trace, max_length, edges):
-    return occupancy_fractions(queue_length_process(trace), max_length, edges)
+    for start, end in ((4.0, 4.0), (4.0, 1.0), (np.nan, 4.0), (1.0, np.nan)):
+        with pytest.raises(ParameterError, match="need start < end"):
+            occupancy_fractions(path, 3, start, end)
+    with pytest.raises(ParameterError, match="max_length"):
+        occupancy_fractions(path, -1, 1.0, 4.0)
 
 
 def assert_windowed_occupancy_matches(trace, max_length, edges):
-    windowed = _occupancy_by_window(trace, max_length, np.asarray(edges, dtype=float))
-    assert np.array_equal(windowed, occupancy_of_whole_path(trace, max_length, edges))
+    # validate's windows: each one's path holds only the events inside it
+    whole = queue_length_process(trace)
+    for start, end in zip(edges[:-1], edges[1:]):
+        windowed = queue_length_process(trace, start, end)
+        assert np.array_equal(occupancy_fractions(windowed, max_length, start, end),
+                              occupancy_fractions(whole, max_length, start, end))
 
 
 @pytest.mark.parametrize("lam,seed", [(0.5, 42), (0.5, 1009), (0.9, 7)])
@@ -379,7 +375,7 @@ def test_queue_length_path_of_a_window_starts_from_its_level():
     assert (path.initial, list(path.epochs), list(path.lengths)) == (2, [2.0, 2.0], [1, 0])
     empty = queue_length_process(tied_departures(), 2.5, 3.5)
     assert (empty.initial, len(empty)) == (0, 0)
-    assert occupancy_fractions(empty, 1, [2.5, 3.5]).tolist() == [[1.0, 0.0]]
+    assert occupancy_fractions(empty, 1, 2.5, 3.5).tolist() == [1.0, 0.0]
     whole = queue_length_process(tied_arrivals())
     assert whole.initial == 0 and len(whole) == 8
 

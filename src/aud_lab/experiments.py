@@ -11,7 +11,9 @@ and every batch run on the shared block pool (``distributions.block_pool``),
 the program's only thread pool.  ``_by_window`` maps the batches there: the
 batch means of every correlated mean (``_batch_means``: one slice per batch,
 never a full-length column), and validation's 100 time windows of the
-occupancy levels and of the sawtooth's time average.  ``AUD_LAB_THREADS``
+occupancy levels and of the sawtooth's time average.  It hands the pool a
+few contiguous groups of batches or windows per thread, each run in order,
+not one task per batch.  ``AUD_LAB_THREADS``
 caps its threads; one thread runs everything in sequence, and no result
 depends on it.  A sample below its estimator's floor (InsufficientDataError)
 gets no verdict: a sweep leaves that p-value, or a mean age with under
@@ -100,12 +102,27 @@ def _require(enough: bool, reason: str) -> None:
         raise InsufficientDataError(reason)
 
 
+# ``_by_window`` hands the block pool this many groups of windows per thread.
+GROUPS_PER_THREAD = 2
+
+
 def _by_window(stat, edges) -> list:
     """``stat(a, b)`` for each pair of consecutive ``edges``, in order, on the block pool.
 
-    Only the windows in flight are held.
+    The windows go to the pool in up to GROUPS_PER_THREAD contiguous groups
+    per thread; each task runs its group's windows in order, so a thread
+    holds one window at a time, and the groups' results are joined in order.
     """
-    return list(block_pool().map(stat, edges[:-1], edges[1:]))
+    n = len(edges) - 1
+    if n < 1:
+        return []
+    groups = min(n, GROUPS_PER_THREAD * worker_limit())
+    cuts = [i * n // groups for i in range(groups + 1)]
+
+    def run(lo: int, hi: int) -> list:
+        return [stat(edges[i], edges[i + 1]) for i in range(lo, hi)]
+
+    return list(itertools.chain.from_iterable(block_pool().map(run, cuts[:-1], cuts[1:])))
 
 
 def _batch_means(stat, start: int, stop: int, confidence: float) -> EstimateWithCI:

@@ -88,6 +88,11 @@ class UpdateTrace:
         for name in ("arrival_times", "departure_times"):
             # read-only view: traces are shared across threads after construction
             col = np.asarray(getattr(self, name), dtype=float).view()
+            if len(col) and col[0] == 0.0:
+                # A non-decreasing column holds zeros only at its start; +0.0
+                # keeps the int64 keys of the decision lookup in the order of
+                # the values (-0.0 has the sign bit set).
+                col = col + 0.0
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         arr, dep = self.arrival_times, self.departure_times
@@ -203,7 +208,10 @@ def simulate(params: SystemParams, n_updates: int, seed: int) -> UpdateTrace:
         carry = shifted[-1] + service[-1]
         np.subtract(arrivals[a:b], shifted, out=starts)
         starts[0] = max(starts[0], headroom)
-        np.maximum.accumulate(starts, out=starts)
+        # fmax is faster than maximum and gives the same bits on input free of
+        # NaN and -0.0.  The gaps are finite and positive and the headroom
+        # starts at -inf, so the differences scanned here hold neither.
+        np.fmax.accumulate(starts, out=starts)
         headroom = starts[-1]
         np.add(shifted, starts, out=starts)
         np.maximum(arrivals[a:b], starts, out=starts)
@@ -224,11 +232,11 @@ def queue_length_process(
     a0, a1 = np.searchsorted(arr, (start, end), side="right")
     d0, d1 = np.searchsorted(dep, (start, end), side="right")
     na, nd = a1 - a0, d1 - d0
-    times = np.concatenate([arr[a0:a1], dep[d0:d1]])
-    delta = np.concatenate([np.ones(na, dtype=np.int64), -np.ones(nd, dtype=np.int64)])
-    # lexsort is stable: equal epochs keep departures (priority 0) ahead of arrivals
-    priority = np.concatenate([np.ones(na, dtype=np.int8), np.zeros(nd, dtype=np.int8)])
-    order = np.lexsort((priority, times))
+    times = np.concatenate([dep[d0:d1], arr[a0:a1]])
+    delta = np.ones(nd + na, dtype=np.int64)
+    delta[:nd] = -1
+    # a stable sort keeps the departures, listed first, ahead of arrivals at equal epochs
+    order = np.argsort(times, kind="stable")
     initial = int(a0 - d0)
     lengths = np.cumsum(delta[order])
     lengths += initial

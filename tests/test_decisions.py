@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aud_lab.decisions import (
+    REPEAT_RATIO,
     _generation_epochs,
     _mean_age,
     aoi_path,
@@ -93,6 +94,9 @@ def test_bad_decision_arguments():
         poisson_epochs(1.0, -1.0, SeededStream(0, DECISION_STREAM))
     with pytest.raises(ParameterError):
         decisions_at(trace, [0.0])
+    for nan in (math.nan, -math.nan):  # a lone NaN passes the order check
+        with pytest.raises(ParameterError, match="must be positive"):
+            decisions_at(trace, [nan])
 
 
 def test_poisson_decision_count():
@@ -366,33 +370,82 @@ def tied_departure_runs():
                        np.array([2.0, 2.0, 4.0, 4.0, 6.0, 7.0, 8.0]))
 
 
+def decisions_per_departure(trace, times):
+    """m / k over the span (times[0], times[-1]]: what picks ``_generation_epochs``' lookup."""
+    k0, k1 = np.searchsorted(trace.departure_times, [times[0], times[-1]], side="right")
+    return len(times) / (k1 - k0) if k1 > k0 else math.inf
+
+
 def assert_generation_epochs_match_reference(trace, times):
+    """Check both forms of the lookup against the reference; return its decisions per departure."""
     times = np.asarray(times, dtype=float)
     freshest, generation, _ = decisions_reference(trace, times)
-    got, k0, counts = _generation_epochs(trace, times)
+    got, index = _generation_epochs(trace, times, freshest=True)
     assert np.array_equal(got, generation, equal_nan=True)
-    assert k0 == np.searchsorted(trace.departure_times, times[0], side="right")
-    assert np.array_equal(np.repeat(np.arange(k0 - 1, k0 - 1 + len(counts)), counts), freshest)
-    k1 = np.searchsorted(trace.departure_times, times[-1], side="right")
-    assert len(counts) == k1 - k0 + 1
+    assert index.dtype == freshest.dtype
+    assert np.array_equal(index, freshest)
+    alone, none = _generation_epochs(trace, times)
+    assert none is None and np.array_equal(alone, generation, equal_nan=True)
+    return decisions_per_departure(trace, times)
 
 
-def test_generation_epochs_search_the_shorter_side():
+def test_generation_epochs_take_each_of_the_three_lookups():
     trace = tied_departure_runs()
-    # fewer epochs than departures in their span: 2.0 and 4.0 fall on tied
-    # departures and act on the later update, 7.0 on a single departure
-    sparse = [2.0, 4.0, 7.0]
-    k0, k1 = np.searchsorted(trace.departure_times, [2.0, 7.0], side="right")
-    assert k1 - k0 > len(sparse)
-    assert_generation_epochs_match_reference(trace, sparse)
-    assert_generation_epochs_match_reference(trace, [1.5, 6.5])  # from before the first departure
+    ratios = [
+        # fewer epochs than departures in their span: 2.0 and 4.0 fall on tied
+        # departures and act on the later update, 7.0 on a single departure
+        assert_generation_epochs_match_reference(trace, [2.0, 4.0, 7.0]),
+        assert_generation_epochs_match_reference(trace, [1.5, 6.5]),  # from before the first
+        # from one epoch per departure to just under REPEAT_RATIO
+        assert_generation_epochs_match_reference(trace, [2.0, 4.0]),
+        assert_generation_epochs_match_reference(
+            trace, [1.5, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 7.0, 8.0]),
+        assert_generation_epochs_match_reference(
+            trace, np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], [6, 3, 3, 3, 3, 3, 3, 3])),
+        # REPEAT_RATIO and more, with tied epochs on and between departures
+        assert_generation_epochs_match_reference(
+            trace, np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], [7, 3, 3, 3, 3, 3, 3, 3])),
+        assert_generation_epochs_match_reference(
+            trace, np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], 5)),
+        assert_generation_epochs_match_reference(trace, [2.5, 3.0, 3.5]),  # no departure inside
+        assert_generation_epochs_match_reference(trace, [0.5, 1.0, 1.5]),  # all before the first
+        assert_generation_epochs_match_reference(trace, [7.5]),
+    ]
+    assert ratios[:2] == [0.75, 0.4]
+    assert ratios[2:5] == [1.0, 9 / 7, 27 / 7]
+    assert ratios[5:7] == [REPEAT_RATIO, 40 / 7] and math.isinf(min(ratios[7:]))
     assert list(_generation_epochs(trace, np.array([2.0, 4.0, 7.0]))[0]) == [1.5, 3.5, 6.0]
-    # at least as many epochs as departures in their span
-    dense = [1.5, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 7.0, 8.0]
-    assert_generation_epochs_match_reference(trace, dense)
-    assert_generation_epochs_match_reference(trace, [2.0, 4.0])
-    for times in (sparse, dense):
-        times = np.array(times)
-        assert _mean_age(trace, times[times >= 2.0]) == decisions_at(
-            trace, times[times >= 2.0]).ages.mean()
+    assert len(_generation_epochs(trace, np.array([]), freshest=True)[1]) == 0
+    for times in ([2.0, 4.0, 7.0], np.repeat([2.0, 3.0, 4.0, 8.0], [1, 2, 3, 4]),
+                  np.repeat([2.0, 3.0, 4.0, 4.5, 8.0], 5)):
+        assert _mean_age(trace, np.array(times)) == decisions_at(trace, times).ages.mean()
 
+
+def test_generation_epochs_on_a_trace_that_starts_at_negative_zero():
+    # -0.0 passes every check of the trace; its columns keep +0.0 instead, so
+    # that the int64 keys of the search sort as the values do
+    trace = UpdateTrace(np.array([-0.0, -0.0, 0.0, 1.0, 1.2]),
+                        np.array([-0.0, 0.0, 0.5, 2.0, 2.5]))
+    for col in (trace.arrival_times, trace.departure_times):
+        assert not np.signbit(col).any()
+    assert list(trace.system_times) == [0.0, 0.0, 0.5, 1.0, 1.3]
+    ratios = [assert_generation_epochs_match_reference(trace, times) for times in (
+        [0.25, 2.5], [0.25, 0.5, 1.0, 2.0], [0.5] * 9 + [2.0], [1.0, 1.5])]
+    assert ratios == [2 / 3, 2.0, 10.0, math.inf]
+    assert list(decisions_at(trace, [0.25, 0.5]).freshest_index) == [1, 2]
+
+
+def test_mean_age_equals_the_decision_records_across_decisions_per_departure():
+    trace = simulate(SystemParams(0.5, 1.0), 20_000, 11)
+    ratios = set()
+    for nu in (0.1, 0.5, 1.0, 1.5, 2.5, 5.0, 10.0):  # 0.2 to 20 decisions per departure
+        epochs = poisson_epochs(nu, trace.last_departure, SeededStream(11, DECISION_STREAM))
+        epochs = epochs[epochs >= trace.departure_times[0]]
+        per = len(epochs) // 7
+        for a, b in ((0, len(epochs)), (per, 2 * per), (3 * per, 3 * per + 250)):
+            times = epochs[a:b]
+            got = _mean_age(trace, times)
+            assert got.tobytes() == decisions_at(trace, times).ages.mean().tobytes()
+            ratios.add(decisions_per_departure(trace, times))
+    assert min(ratios) < 0.3 and max(ratios) > 15
+    assert any(1 <= r < REPEAT_RATIO for r in ratios)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -593,6 +594,29 @@ def test_batch_means_over_slices_match_the_whole_column():
     assert experiments._batch_means(lambda a, b: x[a:b].mean(), 0, 200, 0.99).n == 100
     with pytest.raises(InsufficientDataError, match="199 samples; batch means need 200"):
         experiments._batch_means(lambda a, b: x[a:b].mean(), 1, 200, 0.99)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_by_window_maps_a_few_contiguous_groups_per_thread(threads, monkeypatch):
+    monkeypatch.setenv("AUD_LAB_THREADS", threads)
+    submitted = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(threading.get_ident())
+            return super().submit(*args, **kwargs)
+
+    with CountingPool(int(threads)) as pool:
+        monkeypatch.setattr(experiments, "block_pool", lambda: pool)
+        for windows in (1, 7, 100, 101):
+            edges = np.cumsum(np.random.default_rng(windows).exponential(size=windows + 1))
+            stat = lambda a, b: (a, b, threading.get_ident())  # noqa: E731
+            got = experiments._by_window(stat, edges)
+            assert [(a, b) for a, b, _ in got] == list(zip(edges[:-1], edges[1:]))
+            assert len(submitted) == min(windows, experiments.GROUPS_PER_THREAD * int(threads))
+            submitted.clear()
+        assert experiments._by_window(stat, edges[:1]) == []
+        assert not submitted
 
 
 def test_within_gates_the_worst_se_ratio():

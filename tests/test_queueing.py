@@ -433,6 +433,41 @@ def test_simulate_in_place_is_bit_identical_to_the_reference(block, monkeypatch)
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
+def test_lindley_scan_with_fmax_keeps_the_departures_of_maximum():
+    # simulate scans with np.fmax.accumulate; the reference uses np.maximum.accumulate
+    chunk = queueing.SCAN_CHUNK
+    for lam in (0.5, 0.95):
+        for n in (chunk - 1, chunk + 1, 3 * chunk + 5):
+            for seed in (1, 2, 3):
+                trace = simulate(SystemParams(lam, 1.0), n, seed)
+                _, departures = simulate_reference(lam, 1.0, n, seed)
+                assert np.array_equal(trace.departure_times, departures)
+
+
+def queue_length_reference(trace):
+    """The lexsort merge ``queue_length_process`` replaced: departures first at equal epochs."""
+    arr, dep = trace.arrival_times, trace.departure_times
+    times = np.concatenate([arr, dep])
+    delta = np.concatenate([np.ones(len(arr), dtype=np.int64), -np.ones(len(dep), dtype=np.int64)])
+    priority = np.concatenate([np.ones(len(arr), dtype=np.int8), np.zeros(len(dep), dtype=np.int8)])
+    order = np.lexsort((priority, times))
+    return times[order], np.cumsum(delta[order])
+
+
+def test_stable_merge_matches_the_lexsort_merge_on_tied_epochs():
+    # arrivals tie with each other and with departures, and departures tie
+    ties = UpdateTrace(np.array([1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 6.0]),
+                       np.array([2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 7.0]))
+    for trace in (ties, tied_arrivals(), tied_departures(), dd1_trace(50, 1.0),
+                  simulate(SystemParams(0.9, 1.0), 5000, 4)):
+        path = queue_length_process(trace)
+        epochs, lengths = queue_length_reference(trace)
+        assert np.array_equal(path.epochs, epochs) and np.array_equal(path.lengths, lengths)
+    path = queue_length_process(ties)
+    assert list(path.epochs) == [1, 2, 2, 2, 3, 3, 4, 4, 4, 4, 5, 6, 6, 7]
+    assert list(path.lengths) == [1, 0, 1, 2, 1, 2, 1, 0, 1, 2, 1, 0, 1, 0]
+
+
 def test_simulated_trace_holds_16_bytes_per_update():
     n = 100_000
     trace = simulate(SystemParams(0.5, 1.0), n, 3)

@@ -79,10 +79,9 @@ def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
     departure yield records with the undefined-age marker.  A decision at a
     departure epoch acts on the update departing then.
 
-    The search is local to the epochs' span (``_generation_epochs``), so a
-    call on a short run of epochs from a long trace costs O(len(times) +
-    departures in the span), and any contiguous slice of epochs gets exactly
-    the records of the same slice of a call on all of them.
+    Each epoch is searched into the departures, so a call costs
+    O(len(times) * log(trace.n)), and any contiguous slice of epochs gets
+    exactly the records of the same slice of a call on all of them.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if trace.n < 1:
@@ -94,83 +93,37 @@ def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
         raise TruncationError("decision epochs extend beyond the last departure")
     if m and not times[0] > 0.0:
         raise ParameterError("decision epochs must be positive")
-    generation, freshest = _generation_epochs(trace, times, freshest=True)
+    freshest = np.searchsorted(trace.departure_times, times, side="right") - 1
+    generation = np.where(freshest >= 0, trace.arrival_times[freshest], np.nan)
     return DecisionSet(times, freshest, generation, times - generation)
 
 
-# From this many decisions per departure in a span on, repeating each
-# departure's generation epoch over its run of decisions costs less than
-# gathering one per decision.  Measured on 2 threads as the 100 batch means of
-# one 1e6-update trace (median of 11): the gather won at 3 decisions per
-# departure (35 against 37 ms), tied at 4 (43 ms) and lost at 6 (51 against
-# 37 ms) and at 10 (98 against 52 ms).
-REPEAT_RATIO = 4
+def _age_sum(trace: UpdateTrace, times: np.ndarray) -> float:
+    """Sum of the ages upon decisions at sorted ``times`` in [first departure, last departure].
 
-
-def _generation_epochs(
-    trace: UpdateTrace, times: np.ndarray, freshest: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Generation epochs of the freshest delivered update at sorted ``times``.
-
-    Only the departures in (times[0], times[-1]] take part: k = k1 - k0 of
-    them, k0 being the departures at or before times[0].  Each starts a run
-    of decisions that act on it, the decisions ahead of the first one act on
-    update k0 - 1 (on no update, NaN, when k0 == 0), and decision i takes
-    the arrival epoch of update k0 - 1 + run[i].  One of three lookups finds
-    the runs, by the m / k decisions per departure:
-
-    * below 1, the epochs are searched into the departures, which gives
-      ``run`` directly;
-    * from 1 to REPEAT_RATIO, the departures are searched into the epochs,
-      and ``run`` is the running count of the departures each epoch has
-      passed (``np.bincount`` then ``np.cumsum``);
-    * from REPEAT_RATIO on, the same search gives the run lengths, and
-      ``np.repeat`` lays the sources out over them.
-
-    The first two gather the sources with ``take``.  ``take``, ``cumsum``
-    and the searches release the GIL to the other pool threads, and
-    ``np.bincount`` and ``np.repeat`` hold it.  All three give the same
-    values.  The searches compare int64 views, which sort as the doubles do
-    only where no value is negative, NaN or -0.0: the departures are
-    non-negative with no -0.0 (``UpdateTrace``), and the epochs positive.
-    Returns the generation epochs and, if asked for, the indices of the
-    freshest updates (-1 for none), else None.
+    With c_j the decisions that act on update j, that is sum(times) -
+    sum_j c_j * arrival_j, with no per-decision column.  Only the k
+    departures in (times[0], times[-1]] take part: searched into the
+    epochs, they cut the decisions into the k + 1 runs that act on updates
+    k0 - 1 to k0 + k - 1.  The searches compare int64 views, which sort as
+    the doubles do only where no value is negative, NaN or -0.0: the
+    departures are non-negative with no -0.0 (``UpdateTrace``), and the
+    epochs positive.
     """
-    departures = trace.departure_times.view(np.int64)
-    keys = times.view(np.int64)
     m = len(times)
+    if not m:
+        return 0.0
+    departures, keys = trace.departure_times.view(np.int64), times.view(np.int64)
     # departures[:k0] precede the span, departures[k0:k1] fall inside it
-    k0, k1 = np.searchsorted(departures, keys[[0, -1]], side="right") if m else (0, 0)
-    k0, k = int(k0), int(k1 - k0)
-    arrivals = trace.arrival_times
-    sources = np.concatenate(([np.nan], arrivals[:k1])) if k0 == 0 else arrivals[k0 - 1:k1]
-    if m < k:
-        run = np.searchsorted(departures[k0:k1], keys, side="right")
-    else:
-        # first[j]: the first decision at or after departure k0 + j
-        first = np.searchsorted(keys, departures[k0:k1], side="left")
-        if m < REPEAT_RATIO * k:
-            run = np.bincount(first, minlength=m + 1)[:m]
-            np.cumsum(run, out=run)
-        else:
-            counts = np.empty(k + 1, dtype=np.intp)
-            counts[:k] = first
-            counts[k] = m
-            np.subtract(counts[1:], first, out=counts[1:])
-            index = np.repeat(np.arange(k0 - 1, k1), counts) if freshest else None
-            return np.repeat(sources, counts), index
-    return sources.take(run), run + (k0 - 1) if freshest else None
-
-
-def _mean_age(trace: UpdateTrace, times: np.ndarray) -> np.float64:
-    """Mean age upon decisions at sorted ``times`` in (first departure, last departure].
-
-    Bit-identical to ``decisions_at(trace, times).ages.mean()``, without the
-    record columns or the input checks.
-    """
-    ages, _ = _generation_epochs(trace, times)
-    np.subtract(times, ages, out=ages)
-    return ages.mean()
+    k0, k1 = np.searchsorted(departures, keys[[0, -1]], side="right")
+    # first[i]: the first decision at or after departure k0 + i
+    first = np.searchsorted(keys, departures[k0:k1], side="left")
+    counts = np.empty(k1 - k0 + 1, dtype=np.intp)
+    counts[:-1] = first
+    counts[-1] = m
+    np.subtract(counts[1:], first, out=counts[1:])
+    # np.multiply, not a dot product: BLAS threads would contend with the pool's
+    return float(times.sum() - np.multiply(counts, trace.arrival_times[k0 - 1:k1]).sum())
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -248,10 +201,8 @@ def aoi_path(trace: UpdateTrace) -> AoiPath:
 def time_average_aoi(path: AoiPath, start: float, end: float) -> float:
     """Exact time average of the sawtooth over [start, end], within its support.
 
-    The integral is ``np.sum`` over one term per sawtooth segment, zero for
-    segments outside the window.  Adding only the window's own terms would
-    change numpy's pairwise summation tree and move the last bits, so
-    ``_padded_sum`` follows that tree over the window's terms.
+    The integral is ``np.sum`` over one term per sawtooth segment that
+    overlaps the window.
     """
     lo, hi = path.support
     if not start < end:
@@ -267,36 +218,5 @@ def time_average_aoi(path: AoiPath, start: float, end: float) -> float:
     seg_lo = np.maximum(e[a:b], start)
     dur = np.clip(np.minimum(e[a + 1:b + 1], end) - seg_lo, 0.0, None)
     age_at_lo = v[a:b] + (seg_lo - e[a:b])
-    return float(_padded_sum(dur * age_at_lo + 0.5 * dur * dur, a, len(e) - 1) / (end - start))
+    return float(np.sum(dur * age_at_lo + 0.5 * dur * dur) / (end - start))
 
-
-# numpy sums at most this many values of a contiguous float64 array in one leaf.
-_PAIRWISE_LEAF = 128
-
-
-def _padded_sum(terms: np.ndarray, a: int, n: int) -> float:
-    """``np.sum`` of ``n`` values that are ``terms`` at [a, a + len(terms)) and +0.0 elsewhere.
-
-    numpy sums a contiguous float64 array with one pairwise tree: a node of
-    more than _PAIRWISE_LEAF values splits at half its length, rounded down
-    to a multiple of 8.  Every term is at least +0.0, so a node of padding
-    adds exactly +0.0.  A node inside the terms is ``np.sum`` of its slice,
-    and one across an edge of them splits further, down to a zero-padded
-    leaf.  That is bit-identical to the padded sum in O(len(terms) + log n).
-    """
-    b = a + len(terms)
-
-    def node(lo: int, size: int):
-        hi = lo + size
-        if hi <= a or b <= lo:
-            return 0.0
-        if a <= lo and hi <= b:
-            return np.sum(terms[lo - a:hi - a])
-        if size <= _PAIRWISE_LEAF:
-            leaf = np.zeros(size)
-            leaf[max(a, lo) - lo:min(b, hi) - lo] = terms[max(a, lo) - a:min(b, hi) - a]
-            return np.sum(leaf)
-        half = size // 2 - size // 2 % 8
-        return node(lo, half) + node(lo + half, size - half)
-
-    return node(0, n)

@@ -7,13 +7,15 @@ run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one column of decision
 epochs at a time, and output is byte-reproducible.  Validation estimates one
 decision rate at a time, then runs its checks in order.  Long random draws
-and every batch run on the shared block pool (``distributions.block_pool``),
-the program's only thread pool.  ``_by_window`` maps the batches there: the
-batch means of every correlated mean (``_batch_means``: one slice per batch,
-never a full-length column), and validation's 100 time windows of the
-occupancy levels and of the sawtooth's time average.  It hands the pool a
-few contiguous groups of batches or windows per thread, each run in order,
-not one task per batch.  ``AUD_LAB_THREADS``
+and every time window run on the shared block pool
+(``distributions.block_pool``), the program's only thread pool.  A point's
+AUD_BATCHES time windows (``_Point``) batch every correlated mean: each
+window's sum and count of the decision ages, the busy indicators or the
+cross-moment products give the ratio of their totals with a delta-method CI
+(``stats.ratio_ci``), and validation's occupancy levels and sawtooth time
+average are taken per window.  ``_by_window`` maps the windows onto the
+pool in a few contiguous groups per thread, each run in order, not one task
+per window.  ``AUD_LAB_THREADS``
 caps its threads; one thread runs everything in sequence, and no result
 depends on it.  A sample below its estimator's floor (InsufficientDataError)
 gets no verdict: a sweep leaves that p-value, or a mean age with under
@@ -38,7 +40,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytic
-from .decisions import _mean_age, aoi_path, poisson_epochs, time_average_aoi
+from .decisions import _age_sum, aoi_path, poisson_epochs, time_average_aoi
 from .distributions import SeededStream, block_pool, splitmix64, worker_limit
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
@@ -50,7 +52,7 @@ from .queueing import (
     queue_length_process,
     simulate,
 )
-from .stats import EstimateWithCI, ks_exponential, mean_ci, z_value
+from .stats import EstimateWithCI, ks_exponential, mean_ci, ratio_ci, z_value
 
 MODES = ("sweep", "nu_invariance", "validate")
 
@@ -66,7 +68,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Goodness-of-fit tests use at most this many post-warm-up samples.
 KS_MAX_SAMPLES = 100_000
 
-# Every correlated mean takes its CI from this many batch means.
+# Every correlated mean takes its CI from this many time windows.
 AUD_BATCHES = 100
 
 # A batch mean is near-normal once it expects this many events: updates,
@@ -109,9 +111,11 @@ GROUPS_PER_THREAD = 2
 def _by_window(stat, edges) -> list:
     """``stat(a, b)`` for each pair of consecutive ``edges``, in order, on the block pool.
 
-    The windows go to the pool in up to GROUPS_PER_THREAD contiguous groups
-    per thread; each task runs its group's windows in order, so a thread
-    holds one window at a time, and the groups' results are joined in order.
+    The edges are times, or the indices where a point's time windows cut a
+    sorted column.  The windows go to the pool in up to GROUPS_PER_THREAD
+    contiguous groups per thread; each task runs its group's windows in
+    order, so a thread holds one window at a time, and the groups' results
+    are joined in order.
     """
     n = len(edges) - 1
     if n < 1:
@@ -123,19 +127,6 @@ def _by_window(stat, edges) -> list:
         return [stat(edges[i], edges[i + 1]) for i in range(lo, hi)]
 
     return list(itertools.chain.from_iterable(block_pool().map(run, cuts[:-1], cuts[1:])))
-
-
-def _batch_means(stat, start: int, stop: int, confidence: float) -> EstimateWithCI:
-    """CI from the means ``stat(a, b)`` of [start, stop) cut into AUD_BATCHES equal slices.
-
-    The remainder is dropped.  Over a contiguous column this equals the row
-    means of its (AUD_BATCHES, per) reshape bit for bit: numpy sums a row
-    with the same pairwise tree as the 1-D slice.
-    """
-    per = (stop - start) // AUD_BATCHES
-    _require(per >= 2, f"{stop - start} samples; batch means need {2 * AUD_BATCHES}")
-    return mean_ci(_by_window(stat, range(start, start + per * AUD_BATCHES + 1, per)),
-                   confidence)
 
 
 @dataclass(frozen=True)
@@ -261,6 +252,8 @@ def load_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
         attr, conv = _CONFIG_KEYS[key]
+        if attr in values:
+            raise ParameterError(f"{path}:{lineno}: key {key!r} set twice")
         try:
             values[attr] = conv(value)
         except ParameterError as exc:
@@ -455,34 +448,16 @@ def _n_undefined(trace: UpdateTrace, epochs: np.ndarray) -> int:
     return int(np.searchsorted(epochs, trace.departure_times[0], side="left"))
 
 
-def _first_estimated(trace: UpdateTrace, epochs: np.ndarray, warm_epoch: float) -> int:
-    """Index of the first decision after the warm-up that has a defined age."""
-    return max(int(np.searchsorted(epochs, warm_epoch, side="right")),
-               _n_undefined(trace, epochs))
-
-
-def _aud_estimate(
-    trace: UpdateTrace, epochs: np.ndarray, first: int, confidence: float
-) -> EstimateWithCI | None:
-    """Mean age upon the decisions at the sorted ``epochs`` from index ``first`` on.
-
-    The epochs come from ``poisson_epochs`` with the last departure as
-    horizon, so they are sorted and end within the trace.
-    ``first`` is ``_first_estimated``: the first decision after the warm-up
-    with a defined age.  With under 2 * AUD_BATCHES decisions from there on,
-    there is no estimate (None).  A slice of epochs gets exactly the ages of
-    that slice of one ``decisions_at`` call.
-    """
-    try:
-        return _batch_means(lambda a, b: _mean_age(trace, epochs[a:b]),
-                            first, len(epochs), confidence)
-    except InsufficientDataError:
-        return None
-
-
 @dataclass(frozen=True)
 class _Point:
-    """One simulated (lambda, mu) point: its trace, seed and warm-up cut."""
+    """One simulated (lambda, mu) point: its trace, seed, warm-up cut and time windows.
+
+    The AUD_BATCHES windows between consecutive ``edges`` split the run from
+    the warm-up's last departure, or the first departure, where the age path
+    begins, if that is later, to the last departure.  A correlated mean is
+    the total of its samples in the windows over their count, with the ratio
+    CI of ``stats.ratio_ci`` over the windows' sums and counts.
+    """
 
     config: ExperimentConfig
     params: SystemParams
@@ -490,23 +465,40 @@ class _Point:
     trace: UpdateTrace
     warm: int  # updates cut as warm-up
     warm_epoch: float  # departure of the last warm-up update, 0.0 without one
+    edges: np.ndarray  # AUD_BATCHES + 1 window edges in time
 
     def aud(self, nu: float) -> tuple[EstimateWithCI | None, dict]:
-        """Mean age upon the decisions at rate ``nu`` after the warm-up, and their counts.
+        """Mean age upon the decisions at rate ``nu`` in the windows, and their counts.
 
-        The decision epochs (8 bytes per decision) are dropped on return.
+        A window takes the decisions in (its start, its end].  With under
+        2 * AUD_BATCHES of them there is no estimate (None).  The decision
+        epochs (8 bytes per decision) are dropped on return.
         """
         epochs = _decision_epochs(self.trace, nu, self.seed)
-        first = _first_estimated(self.trace, epochs, self.warm_epoch)
-        est = _aud_estimate(self.trace, epochs, first, self.config.confidence)
-        estimated = len(epochs) - first
+        cuts = np.searchsorted(epochs, self.edges, side="right")
+        counts = np.diff(cuts)
+        estimated = int(cuts[-1] - cuts[0])
+        est = None
+        if estimated >= 2 * AUD_BATCHES:
+            sums = _by_window(lambda a, b: _age_sum(self.trace, epochs[a:b]), cuts)
+            est = ratio_ci(sums, counts, self.config.confidence)
         return est, {
             "nu": nu,
             "total": len(epochs),
             "after_warmup": estimated,
             "undefined": _n_undefined(self.trace, epochs),
-            "batch_length": estimated // AUD_BATCHES if est else 0,
+            "min_window_decisions": int(counts.min()),
         }
+
+    def update_mean(self, window_sum) -> EstimateWithCI:
+        """Mean of one sample per update after the warm-up but the last, with its ratio CI.
+
+        A window takes the updates that depart in (its start, its end], and
+        ``window_sum(a, b)`` sums the samples of updates [a, b).
+        """
+        cuts = np.searchsorted(self.trace.departure_times, self.edges, side="right")
+        np.minimum(cuts, self.trace.n - 1, out=cuts)
+        return ratio_ci(_by_window(window_sum, cuts), np.diff(cuts), self.config.confidence)
 
 
 def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
@@ -514,7 +506,9 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
     trace = simulate(params, config.n_updates, seed)
     warm = _warmup_count(config, trace.n)
     warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
-    return _Point(config, params, seed, trace, warm, warm_epoch)
+    edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), trace.last_departure,
+                        AUD_BATCHES + 1)
+    return _Point(config, params, seed, trace, warm, warm_epoch, edges)
 
 
 def _ks_samples(point: _Point) -> tuple[int, np.ndarray, np.ndarray]:
@@ -706,7 +700,8 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     ``point.params``, so a point simulated at other rates is checked against
     the wrong oracle.
     """
-    config, params, trace, warm = point.config, point.params, point.trace, point.warm
+    config, params, trace, warm, edges = (point.config, point.params, point.trace, point.warm,
+                                          point.edges)
     lam, mu = params.arrival_rate, params.service_rate
 
     # The mean age and counts at each decision rate; each rate's epochs are
@@ -718,8 +713,8 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     span = (trace.n - warm) // AUD_BATCHES
 
     def batched():
-        # Batch means are near-independent once a batch spans the relaxation scale, and
-        # near-normal once it holds a few updates; such batches leave time in every window.
+        # Window means are near-independent once a window spans the relaxation scale, and
+        # near-normal once it holds a few updates: (n - warm) / AUD_BATCHES of them.
         _require(span >= lag, f"a batch spans {span} updates; below the decorrelation lag {lag}")
         _require(span >= MIN_EXPECTED, f"a batch spans {span} updates; below {MIN_EXPECTED}")
 
@@ -731,11 +726,6 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
                                   f"an estimate needs {2 * AUD_BATCHES}")
         batched()
         return est
-
-    # The time windows start no earlier than the first departure, where the
-    # age path begins; with a warm-up that is the warm-up's last departure.
-    edges = np.linspace(max(point.warm_epoch, float(trace.departure_times[0])),
-                        trace.last_departure, 101)
 
     def aud_mc_vs_theory():
         theory = analytic.average_aud(params)
@@ -793,8 +783,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         expected = min(rho, 1.0 - rho) * ((trace.n - 1 - warm) // AUD_BATCHES)
         _require(expected >= MIN_EXPECTED,
                  f"{expected:.3g} busy or idle arrivals expected per batch; below {MIN_EXPECTED}")
-        est = _batch_means(lambda a, b: arrivals_seeing_busy(trace, a, b).mean(),
-                           warm, trace.n - 1, config.confidence)
+        est = point.update_mean(lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b)))
         return _within([est], rho, alpha)
 
     def mgf_mixture_identity():
@@ -815,14 +804,14 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         batched()
         arr, dep = trace.arrival_times, trace.departure_times
 
-        def mean_product(a: int, b: int) -> np.float64:
+        def product_sum(a: int, b: int) -> np.float64:
             # each departure gap after the warm-up times the system time before it
             prod = dep[a + 1:b + 1] - dep[a:b]
             prod *= dep[a:b] - arr[a:b]
-            return prod.mean()
+            return prod.sum()
 
         theory = analytic.cross_moment_system_interdeparture(params)
-        est = _batch_means(mean_product, warm, trace.n - 1, config.confidence)
+        est = point.update_mean(product_sum)
         return _within([est], theory, alpha, f"theory={theory:.6g}")
 
     def aud_dual_path():

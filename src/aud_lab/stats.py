@@ -2,8 +2,9 @@
 
 Confidence intervals use the normal approximation (every certification run
 has n >= 1e4).  A serially correlated series such as the decision ages gets
-its interval from near-independent batch means (``experiments._batch_means``
-feeds them to ``mean_ci``), so the width reflects the true estimator variance.
+its interval from its sums and counts over near-independent time windows
+(``experiments._Point``): ``ratio_ci`` takes the ratio of their totals and
+its delta-method interval, so the width reflects the true estimator variance.
 """
 from __future__ import annotations
 
@@ -72,6 +73,26 @@ def mean_ci(samples, confidence: float = 0.99) -> EstimateWithCI:
     z = z_value(confidence)
     half = z * float(x.std(ddof=1)) / math.sqrt(x.size)
     return EstimateWithCI(float(x.mean()), half, int(x.size), confidence)
+
+
+def ratio_ci(sums, counts, confidence: float = 0.99) -> EstimateWithCI:
+    """Normal-approximation CI for sum(sums) / sum(counts) over near-independent windows.
+
+    The delta method gives the ratio R a standard error of
+    sqrt(sum((sums - R * counts)**2) * K / (K - 1)) / sum(counts) over K
+    windows; with equal counts that is ``mean_ci`` of the window means.  A
+    window may hold no samples; ``n`` is the number of windows.
+    """
+    s, c = np.asarray(sums, dtype=float), np.asarray(counts, dtype=float)
+    if s.size < 2:
+        raise InsufficientDataError(f"need at least 2 windows, got {s.size}")
+    total = float(c.sum())
+    if not total > 0.0:
+        raise InsufficientDataError("the windows hold no samples")
+    ratio = float(s.sum()) / total
+    residuals = s - ratio * c
+    se = math.sqrt(float(np.square(residuals).sum()) * s.size / (s.size - 1)) / total
+    return EstimateWithCI(ratio, z_value(confidence) * se, int(s.size), confidence)
 
 
 def kolmogorov_sf(x: float) -> float:

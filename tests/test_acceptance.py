@@ -18,7 +18,6 @@ from aud_lab.decisions import aoi_path, time_average_aoi
 from aud_lab.errors import StabilityError
 from aud_lab.experiments import (
     ExperimentConfig,
-    _batch_means,
     _simulate_point,
     decorrelation_lag,
     manifest_path_for,
@@ -157,8 +156,7 @@ def test_criterion_6_busy_probability(lam):
     point = _simulate_point(ExperimentConfig(n_updates=1_000_000, seed=44), 0,
                             SystemParams(lam, 1.0))
     trace = point.trace
-    est = _batch_means(lambda a, b: arrivals_seeing_busy(trace, a, b).mean(),
-                       point.warm, trace.n - 1, 0.99)
+    est = point.update_mean(lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b)))
     sigma = est.half_width / z_value(0.99)
     err = abs(est.mean - lam)
     passed = err <= 3.0 * sigma
@@ -247,8 +245,8 @@ def test_criterion_8_figure_shapes():
 def test_criterion_9_pasta_cross_check(point_half):
     point, _ = point_half
     aud_est = point.aud(1.0)[0]
-    edges = np.linspace(point.warm_epoch, point.trace.last_departure, 101)
     path = aoi_path(point.trace)
+    edges = point.edges  # the windows of every estimate of the point
     batches = np.array([time_average_aoi(path, a, b) for a, b in zip(edges, edges[1:])])
     aoi_mean = batches.mean()
     aoi_half = z_value(0.99) * batches.std(ddof=1) / 10.0

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from aud_lab.decisions import (
-    REPEAT_RATIO,
-    _generation_epochs,
-    _mean_age,
+    _age_sum,
     aoi_path,
     decisions_at,
     poisson_epochs,
@@ -14,9 +12,14 @@ from aud_lab.decisions import (
 )
 from aud_lab.distributions import DECISION_STREAM, SeededStream
 from aud_lab.errors import ParameterError, TruncationError
-from aud_lab.experiments import _batch_means
 from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, simulate
-from aud_lab.stats import ks_exponential
+from aud_lab.stats import ks_exponential, mean_ci
+
+
+def batch_means_ci(ages):
+    """The CI from the means of 100 equal batches of a column, its remainder dropped."""
+    per = len(ages) // 100
+    return mean_ci(ages[:100 * per].reshape(100, per).mean(axis=1))
 
 
 def crafted_trace():
@@ -139,7 +142,7 @@ def test_aud_invariant_across_decision_rates():
         epochs = poisson_epochs(nu, trace.last_departure, SeededStream(42, sid))
         decisions = decisions_at(trace, epochs)
         ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-        estimates.append(_batch_means(lambda a, b: ages[a:b].mean(), 0, len(ages), 0.99))
+        estimates.append(batch_means_ci(ages))
     assert estimates[0].overlaps(estimates[1])
 
 
@@ -215,7 +218,7 @@ def test_pasta_time_average_matches_decision_mean():
     decisions = decisions_at(trace, poisson_epochs(1.0, horizon,
                                                    SeededStream(42, DECISION_STREAM)))
     ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-    est = _batch_means(lambda a, b: ages[a:b].mean(), 0, len(ages), 0.99)
+    est = batch_means_ci(ages)
     sawtooth_mean = time_average_aoi(aoi_path(trace), warm_epoch, horizon)
     assert abs(est.mean - sawtooth_mean) <= est.half_width
 
@@ -237,12 +240,14 @@ def sawtooth_reference(path, start, end):
 
 
 def assert_sawtooth_matches_reference(path, edges):
+    # the window's own terms add up in another order than the padded sum's
     for start, end in zip(edges[:-1], edges[1:]):
-        assert time_average_aoi(path, start, end) == sawtooth_reference(path, start, end)
+        assert time_average_aoi(path, start, end) == pytest.approx(
+            sawtooth_reference(path, start, end), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
-def test_batched_sawtooth_is_bit_identical_to_window_scan(seed):
+def test_batched_sawtooth_matches_the_window_scan(seed):
     trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
     edges = np.linspace(warm_epoch, trace.last_departure, 101)
@@ -265,12 +270,11 @@ def test_sawtooth_matches_the_padded_sum_at_a_million_updates():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 7)
     path = aoi_path(trace)
     drops = path.drop_epochs
-    terms = len(drops) - 1  # one per segment
-    split = terms // 2 - terms // 2 % 8  # the root split of numpy's pairwise tree
     assert_sawtooth_matches_reference(path, np.linspace(drops[1000], drops[-1], 11))
-    # straddling the root split: within one leaf, and across several leaves
-    assert_sawtooth_matches_reference(path, [drops[split - 3] + 0.25, drops[split + 2]])
-    assert_sawtooth_matches_reference(path, [drops[split - 200], drops[split + 300] - 0.25])
+    # a window over a few segments, and one over a few hundred
+    mid = len(drops) // 2
+    assert_sawtooth_matches_reference(path, [drops[mid - 3] + 0.25, drops[mid + 2]])
+    assert_sawtooth_matches_reference(path, [drops[mid - 200], drops[mid + 300] - 0.25])
 
 
 def decisions_reference(trace, times):
@@ -370,82 +374,93 @@ def tied_departure_runs():
                        np.array([2.0, 2.0, 4.0, 4.0, 6.0, 7.0, 8.0]))
 
 
-def decisions_per_departure(trace, times):
-    """m / k over the span (times[0], times[-1]]: what picks ``_generation_epochs``' lookup."""
-    k0, k1 = np.searchsorted(trace.departure_times, [times[0], times[-1]], side="right")
-    return len(times) / (k1 - k0) if k1 > k0 else math.inf
+def assert_age_sum_matches_reference(trace, times):
+    """``_age_sum`` against math.fsum of the reference ages, for epochs past the first departure.
 
-
-def assert_generation_epochs_match_reference(trace, times):
-    """Check both forms of the lookup against the reference; return its decisions per departure."""
+    sum(times) rounds by about log2(m) ulp of times[-1] per decision, and an
+    age is at least a service time, about 1 / mu: so the relative error is
+    within trace.n * 2^-53 * log2(m) for the M/M/1 traces here (times[-1] is
+    about n / lambda and lambda < mu).  The hand-built traces have exact sums.
+    """
     times = np.asarray(times, dtype=float)
-    freshest, generation, _ = decisions_reference(trace, times)
-    got, index = _generation_epochs(trace, times, freshest=True)
-    assert np.array_equal(got, generation, equal_nan=True)
-    assert index.dtype == freshest.dtype
-    assert np.array_equal(index, freshest)
-    alone, none = _generation_epochs(trace, times)
-    assert none is None and np.array_equal(alone, generation, equal_nan=True)
-    return decisions_per_departure(trace, times)
+    _, _, ages = decisions_reference(trace, times)
+    assert not np.isnan(ages).any()
+    got, want = _age_sum(trace, times), math.fsum(ages)
+    assert type(got) is float
+    bound = trace.n * 2.0**-53 * math.log2(max(len(times), 2))
+    assert abs(got - want) <= bound * abs(want), (got, want)
+    return abs(got - want) / want if want else 0.0
 
 
-def test_generation_epochs_take_each_of_the_three_lookups():
+def test_generation_epochs_on_tied_departure_runs():
     trace = tied_departure_runs()
-    ratios = [
+    for times in (
         # fewer epochs than departures in their span: 2.0 and 4.0 fall on tied
         # departures and act on the later update, 7.0 on a single departure
-        assert_generation_epochs_match_reference(trace, [2.0, 4.0, 7.0]),
-        assert_generation_epochs_match_reference(trace, [1.5, 6.5]),  # from before the first
-        # from one epoch per departure to just under REPEAT_RATIO
-        assert_generation_epochs_match_reference(trace, [2.0, 4.0]),
-        assert_generation_epochs_match_reference(
-            trace, [1.5, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 7.0, 8.0]),
-        assert_generation_epochs_match_reference(
-            trace, np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], [6, 3, 3, 3, 3, 3, 3, 3])),
-        # REPEAT_RATIO and more, with tied epochs on and between departures
-        assert_generation_epochs_match_reference(
-            trace, np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], [7, 3, 3, 3, 3, 3, 3, 3])),
-        assert_generation_epochs_match_reference(
-            trace, np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], 5)),
-        assert_generation_epochs_match_reference(trace, [2.5, 3.0, 3.5]),  # no departure inside
-        assert_generation_epochs_match_reference(trace, [0.5, 1.0, 1.5]),  # all before the first
-        assert_generation_epochs_match_reference(trace, [7.5]),
-    ]
-    assert ratios[:2] == [0.75, 0.4]
-    assert ratios[2:5] == [1.0, 9 / 7, 27 / 7]
-    assert ratios[5:7] == [REPEAT_RATIO, 40 / 7] and math.isinf(min(ratios[7:]))
-    assert list(_generation_epochs(trace, np.array([2.0, 4.0, 7.0]))[0]) == [1.5, 3.5, 6.0]
-    assert len(_generation_epochs(trace, np.array([]), freshest=True)[1]) == 0
-    for times in ([2.0, 4.0, 7.0], np.repeat([2.0, 3.0, 4.0, 8.0], [1, 2, 3, 4]),
+        [2.0, 4.0, 7.0],
+        [1.5, 6.5],  # from before the first
+        # one and more epochs per departure, tied on and between departures
+        [2.0, 4.0],
+        [1.5, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 7.0, 8.0],
+        np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], [6, 3, 3, 3, 3, 3, 3, 3]),
+        np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], [7, 3, 3, 3, 3, 3, 3, 3]),
+        np.repeat([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 7.0, 8.0], 5),
+        [2.5, 3.0, 3.5],  # no departure inside
+        [0.5, 1.0, 1.5],  # all before the first
+        [7.5],
+    ):
+        assert_decisions_match_reference(trace, times)
+    assert list(decisions_at(trace, [2.0, 4.0, 7.0]).generation_times) == [1.5, 3.5, 6.0]
+    assert len(decisions_at(trace, []).freshest_index) == 0
+    for times in ([2.0, 4.0, 7.0], [2.5, 3.0, 3.5], [7.5], [8.0],
+                  np.repeat([2.0, 3.0, 4.0, 8.0], [1, 2, 3, 4]),
                   np.repeat([2.0, 3.0, 4.0, 4.5, 8.0], 5)):
-        assert _mean_age(trace, np.array(times)) == decisions_at(trace, times).ages.mean()
+        assert _age_sum(trace, np.array(times)) == math.fsum(decisions_at(trace, times).ages)
+    assert _age_sum(trace, np.empty(0)) == 0.0
 
 
 def test_generation_epochs_on_a_trace_that_starts_at_negative_zero():
     # -0.0 passes every check of the trace; its columns keep +0.0 instead, so
-    # that the int64 keys of the search sort as the values do
+    # that the int64 keys of _age_sum's searches sort as the values do
     trace = UpdateTrace(np.array([-0.0, -0.0, 0.0, 1.0, 1.2]),
                         np.array([-0.0, 0.0, 0.5, 2.0, 2.5]))
     for col in (trace.arrival_times, trace.departure_times):
         assert not np.signbit(col).any()
     assert list(trace.system_times) == [0.0, 0.0, 0.5, 1.0, 1.3]
-    ratios = [assert_generation_epochs_match_reference(trace, times) for times in (
-        [0.25, 2.5], [0.25, 0.5, 1.0, 2.0], [0.5] * 9 + [2.0], [1.0, 1.5])]
-    assert ratios == [2 / 3, 2.0, 10.0, math.inf]
+    for times in ([0.25, 2.5], [0.25, 0.5, 1.0, 2.0], [0.5] * 9 + [2.0], [1.0, 1.5]):
+        assert_decisions_match_reference(trace, times)
+        assert _age_sum(trace, np.array(times)) == math.fsum(decisions_at(trace, times).ages)
     assert list(decisions_at(trace, [0.25, 0.5]).freshest_index) == [1, 2]
 
 
 def test_mean_age_equals_the_decision_records_across_decisions_per_departure():
     trace = simulate(SystemParams(0.5, 1.0), 20_000, 11)
-    ratios = set()
     for nu in (0.1, 0.5, 1.0, 1.5, 2.5, 5.0, 10.0):  # 0.2 to 20 decisions per departure
         epochs = poisson_epochs(nu, trace.last_departure, SeededStream(11, DECISION_STREAM))
         epochs = epochs[epochs >= trace.departure_times[0]]
         per = len(epochs) // 7
         for a, b in ((0, len(epochs)), (per, 2 * per), (3 * per, 3 * per + 250)):
             times = epochs[a:b]
-            got = _mean_age(trace, times)
-            assert got.tobytes() == decisions_at(trace, times).ages.mean().tobytes()
-            ratios.add(decisions_per_departure(trace, times))
-    assert min(ratios) < 0.3 and max(ratios) > 15
-    assert any(1 <= r < REPEAT_RATIO for r in ratios)
+            mean = _age_sum(trace, times) / len(times)
+            assert mean == pytest.approx(decisions_at(trace, times).ages.mean(), rel=1e-10)
+            assert_age_sum_matches_reference(trace, times)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.5, 0.9])
+def test_age_sum_matches_fsum_on_the_windows_of_a_million_updates(lam):
+    trace = simulate(SystemParams(lam, 1.0), 1_000_000, 13)
+    dep = trace.departure_times
+    edges = np.linspace(dep[0], trace.last_departure, 101)
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for nu in (0.1, 1.0, 10.0):
+        for k in (0, 50, 99):  # the first, a middle and the last window
+            # at most about 2e5 decisions: the end of the window at high rates
+            a, b = max(edges[k], edges[k + 1] - 2e5 / nu), edges[k + 1]
+            times = rng.uniform(a, b, size=rng.poisson(nu * (b - a)))
+            # and decisions exactly on a few of the window's departures
+            on = dep[np.searchsorted(dep, a, side="right"):np.searchsorted(dep, b)][::97]
+            times = np.sort(np.concatenate((times, on, [b])))
+            worst = max(worst, assert_age_sum_matches_reference(trace, times))
+    assert 0.0 < worst
+    assert _age_sum(trace, np.empty(0)) == 0.0

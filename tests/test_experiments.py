@@ -21,10 +21,8 @@ from aud_lab.distributions import SeededStream
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.experiments import (
     ExperimentConfig,
-    _aud_estimate,
     _decision_epochs,
     _differences,
-    _first_estimated,
     _ks_samples,
     _n_undefined,
     _simulate_point,
@@ -49,7 +47,7 @@ from aud_lab.queueing import (
     queue_length_process,
     simulate,
 )
-from aud_lab.stats import EstimateWithCI, mean_ci, z_value
+from aud_lab.stats import EstimateWithCI, mean_ci, ratio_ci, z_value
 
 SMALL = dict(n_updates=50_000, seed=11)
 
@@ -360,15 +358,14 @@ def test_warmup_is_configurable(tmp_path):
     assert no_warm_row.n_decisions == default_row.n_decisions
     assert math.isfinite(no_warm_row.empirical_aud)
     assert no_warm_row.empirical_aud != default_row.empirical_aud
-    trace = simulate(SystemParams(0.5, 1.0), 20_000, derive_point_seed(5, 0))
-    reference = decisions_at(trace, poisson_epochs(
-        1.0, trace.last_departure,
-        SeededStream(derive_point_seed(5, 0), decision_stream_id(1.0)),
-    ))
-    expected = batch_means_ci(reference.defined_ages)
-    assert no_warm_row.empirical_aud == expected.mean
-    assert no_warm_row.ci_half_width == expected.half_width
-    assert no_warm_row.n_undefined_decisions == reference.n_undefined > 0
+    point = _simulate_point(replace(base, warmup_updates=0), 0, SystemParams(0.5, 1.0))
+    assert point.warm == 0 and point.edges[0] == point.trace.departure_times[0]
+    epochs = poisson_epochs(1.0, point.trace.last_departure,
+                            SeededStream(derive_point_seed(5, 0), decision_stream_id(1.0)))
+    expected = aud_reference(point, epochs)
+    assert no_warm_row.empirical_aud == pytest.approx(expected.mean, rel=1e-9)
+    assert no_warm_row.ci_half_width == pytest.approx(expected.half_width, rel=1e-9)
+    assert no_warm_row.n_undefined_decisions == decisions_at(point.trace, epochs).n_undefined > 0
     with pytest.raises(ParameterError):
         ExperimentConfig(n_updates=100, warmup_updates=100)
     cfg = tmp_path / "w.cfg"
@@ -488,7 +485,7 @@ def test_validation_writes_deterministic_outputs(tmp_path):
     assert [d["nu"] for d in sizes["decisions"]] == [0.1, 1.0, 10.0]
     for d in sizes["decisions"]:
         assert d["undefined"] < d["total"] - d["after_warmup"]
-        assert d["batch_length"] == d["after_warmup"] // 100
+        assert 0 < d["min_window_decisions"] <= d["after_warmup"] // 100
     assert sizes["ks_system_time_lag"] == decorrelation_lag(0.5)
     assert sizes["ks_system_time_samples"] == len(range(0, 19_000, sizes["ks_system_time_lag"]))
     assert sizes["ks_interdeparture_samples"] == 18_999  # n - 1 gaps, less the warm-up
@@ -504,25 +501,40 @@ def test_validation_without_warmup_returns_a_report(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
 
 
-def batch_means_ci(samples, confidence: float = 0.99, n_batches: int = 100) -> EstimateWithCI:
-    """Reference: the CI from the means of a whole column cut in order into equal batches.
+def window_reference(samples, cuts, confidence: float = 0.99) -> EstimateWithCI:
+    """Reference: math.fsum of a whole column in each window [cuts[k], cuts[k + 1]), and the ratio CI."""
+    sums = [math.fsum(samples[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    return ratio_ci(sums, np.diff(cuts), confidence)
 
-    The remainder is dropped, and ``n`` in the result is the number of
-    batches.  ``experiments._batch_means`` takes the same means slice by
-    slice, without the whole column.
-    """
-    x = np.asarray(samples, dtype=float)
-    if n_batches < 2:
-        raise ParameterError(f"need at least 2 batches, got {n_batches}")
-    if x.size < n_batches:
-        raise InsufficientDataError(f"need >= {n_batches} samples, got {x.size}")
-    per = x.size // n_batches
-    return mean_ci(x[: per * n_batches].reshape(n_batches, per).mean(axis=1), confidence)
+
+def aud_reference(point, epochs):
+    """The mean-age estimate from the full decision columns: a window takes the decisions in (start, end]."""
+    ages = decisions_at(point.trace, epochs).ages
+    return window_reference(ages, np.searchsorted(epochs, point.edges, side="right"),
+                            point.config.confidence)
+
+
+def update_cuts(point):
+    """Where the windows cut the updates but the last: each goes to the window it departs in."""
+    cuts = np.searchsorted(point.trace.departure_times, point.edges, side="right")
+    return np.minimum(cuts, point.trace.n - 1)
+
+
+def assert_close(got, want, rel=1e-9):
+    assert (got.n, got.confidence) == (want.n, want.confidence)
+    assert got.mean == pytest.approx(want.mean, rel=rel, abs=0.0)
+    assert got.half_width == pytest.approx(want.half_width, rel=rel, abs=0.0)
+
+
+def aud_at(point, epochs, monkeypatch):
+    """``point.aud`` with ``epochs`` in place of the decision epochs it draws."""
+    monkeypatch.setattr(experiments, "_decision_epochs", lambda trace, nu, seed: epochs)
+    return point.aud(1.0)
 
 
 def test_batch_means_widens_for_correlated_series():
     # an AR(1)-style positively correlated series: naive i.i.d. CI is too
-    # narrow, batch means must be materially wider
+    # narrow, the ratio CI over 100 windows must be materially wider
     rng = np.random.default_rng(5)
     x = np.empty(200_000)
     x[0] = 0.0
@@ -530,70 +542,85 @@ def test_batch_means_widens_for_correlated_series():
     for i in range(1, len(x)):
         x[i] = 0.95 * x[i - 1] + noise[i]
     naive = mean_ci(x)
-    batched = batch_means_ci(x, n_batches=100)
+    cuts = np.sort(rng.integers(0, len(x), 101))  # windows of unequal length
+    cuts[[0, -1]] = 0, len(x)
+    batched = window_reference(x, cuts)
     assert batched.half_width > 3.0 * naive.half_width
-    assert batched.n == 100
-    assert experiments._batch_means(lambda a, b: x[a:b].mean(), 0, len(x), 0.99) == batched
+    assert batched.n == 100 and batched.mean == pytest.approx(naive.mean, rel=1e-12)
 
 
 def test_batch_means_requires_enough_samples():
-    with pytest.raises(InsufficientDataError):
-        batch_means_ci(np.arange(50.0), n_batches=100)
-    with pytest.raises(ParameterError):
-        batch_means_ci(np.arange(50.0), n_batches=1)
-
-
-def reference_estimate(decisions, warm_epoch):
-    """The mean-age estimate from the full decision columns of one run."""
-    ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-    return batch_means_ci(ages, 0.99) if len(ages) >= 200 else None
+    # a single update leaves no busy indicator, and its windows no time
+    point = _simulate_point(ExperimentConfig(n_updates=1, seed=3), 0, SystemParams(0.5, 1.0))
+    assert len(set(point.edges)) == 1
+    with pytest.raises(InsufficientDataError, match="no samples"):
+        point.update_mean(lambda a, b: float(b - a))
+    est, counts = point.aud(1.0)
+    assert est is None and counts["after_warmup"] == counts["min_window_decisions"] == 0
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
 @pytest.mark.parametrize("regular", [False, True])
-def test_batched_aud_estimate_is_bit_identical(seed, regular):
+def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular, monkeypatch):
     # Poisson epochs, or evenly spaced ones at gap 1 / nu
-    trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
-    for nu in (0.1, 1.0, 10.0):
-        if regular:
-            epochs = np.arange(1, math.floor(trace.last_departure * nu) + 1) / nu
-        else:
-            epochs = _decision_epochs(trace, nu, seed)
-        decisions = decisions_at(trace, epochs)
-        assert _n_undefined(trace, epochs) == decisions.n_undefined
-        for warm_epoch in (0.0, float(trace.departure_times[999])):
-            got = _aud_estimate(trace, epochs, _first_estimated(trace, epochs, warm_epoch), 0.99)
-            assert got == reference_estimate(decisions, warm_epoch)
-            assert got.n == 100
+    for warmup in (0, 1000):
+        config = ExperimentConfig(n_updates=100_000, seed=seed, warmup_updates=warmup)
+        point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+        trace = point.trace
+        for nu in (0.1, 1.0, 10.0):
+            if regular:
+                epochs = np.arange(1, math.floor(trace.last_departure * nu) + 1) / nu
+            else:
+                epochs = _decision_epochs(trace, nu, point.seed)
+            assert _n_undefined(trace, epochs) == decisions_at(trace, epochs).n_undefined
+            got, counts = aud_at(point, epochs, monkeypatch)
+            assert_close(got, aud_reference(point, epochs))
+            cuts = np.searchsorted(epochs, point.edges, side="right")
+            assert counts["after_warmup"] == cuts[-1] - cuts[0]
+            assert counts["min_window_decisions"] == np.diff(cuts).min() > 0
 
 
-def test_aud_estimate_small_branches():
-    # an estimate needs two decisions per batch after the warm-up: 199 give
-    # none, 200 give the batch means of 100 pairs
-    trace = simulate(SystemParams(0.5, 1.0), 3000, 4)
-    d0 = float(trace.departure_times[0])
-    epochs = _decision_epochs(trace, 1.0, 4)
-    for warm_epoch in (0.0, float(trace.departure_times[1500])):
-        start = _first_estimated(trace, epochs, warm_epoch)
-        assert _aud_estimate(trace, epochs[:start + 199], start, 0.99) is None
-        got = _aud_estimate(trace, epochs[:start + 200], start, 0.99)
-        assert got == reference_estimate(decisions_at(trace, epochs[:start + 200]), warm_epoch)
+def test_aud_estimate_small_branches(monkeypatch):
+    # an estimate needs 200 decisions in the windows: 199 give none, 200 give
+    # the ratio over the 100 windows, most of them empty
+    for warmup in (1500, 0):
+        config = ExperimentConfig(n_updates=3000, seed=4, warmup_updates=warmup)
+        point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+        epochs = _decision_epochs(point.trace, 1.0, point.seed)
+        start = int(np.searchsorted(epochs, point.edges[0], side="right"))
+        assert aud_at(point, epochs[:start + 199], monkeypatch)[0] is None
+        got, counts = aud_at(point, epochs[:start + 200], monkeypatch)
+        assert counts["after_warmup"] == 200 and counts["min_window_decisions"] == 0
+        assert_close(got, aud_reference(point, epochs[:start + 200]))
         assert got.n == 100 and math.isfinite(got.half_width)
-    # a single decision behind undefined ones, only undefined decisions, or none
+    # without a warm-up: a single decision behind undefined ones, only undefined
+    # decisions, or none; one at the first departure is on the first window's open start
+    d0 = float(point.trace.departure_times[0])
+    assert point.edges[0] == d0
     single = np.array([0.5 * d0, 0.8 * d0, d0])
     for epochs in (single, single[:2], np.empty(0)):
-        assert _aud_estimate(trace, epochs, _first_estimated(trace, epochs, 0.0), 0.99) is None
-    assert _n_undefined(trace, single) == 2 and _n_undefined(trace, np.empty(0)) == 0
+        est, counts = aud_at(point, epochs, monkeypatch)
+        assert est is None and counts["after_warmup"] == 0
+    assert _n_undefined(point.trace, single) == 2 and _n_undefined(point.trace, np.empty(0)) == 0
 
 
 def test_batch_means_over_slices_match_the_whole_column():
-    x = np.random.default_rng(3).exponential(size=12_345)
-    for start in (0, 345):
-        got = experiments._batch_means(lambda a, b: x[a:b].mean(), start, len(x), 0.99)
-        assert got == batch_means_ci(x[start:], 0.99)
-    assert experiments._batch_means(lambda a, b: x[a:b].mean(), 0, 200, 0.99).n == 100
-    with pytest.raises(InsufficientDataError, match="199 samples; batch means need 200"):
-        experiments._batch_means(lambda a, b: x[a:b].mean(), 1, 200, 0.99)
+    # the busy indicator and the cross moment of validate, window by window
+    # from slices of the trace, against math.fsum over the whole columns
+    for lam, seed, warmup in ((0.5, 21, None), (0.9, 22, None), (0.5, 23, 0)):
+        config = ExperimentConfig(n_updates=100_000, seed=seed, warmup_updates=warmup)
+        point = _simulate_point(config, 0, SystemParams(lam, 1.0))
+        trace, cuts = point.trace, update_cuts(point)
+        assert cuts[0] == point.warm + (warmup == 0) and cuts[-1] == trace.n - 1
+        busy = arrivals_seeing_busy(trace).astype(float)
+        assert_close(point.update_mean(
+            lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b))),
+            window_reference(busy, cuts))
+        prod = trace.system_times[:-1] * trace.interdeparture_times
+        assert_close(point.update_mean(
+            lambda a, b: ((trace.departure_times[a + 1:b + 1] - trace.departure_times[a:b])
+                          * (trace.departure_times[a:b] - trace.arrival_times[a:b])).sum()),
+            window_reference(prod, cuts))
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
@@ -954,6 +981,20 @@ def test_cli_removed_config_keys_exit_2(tmp_path, capsys, line):
         assert err.startswith("error:") and err.endswith(f":2: unknown key {line.split()[0]!r}\n")
 
 
+def test_cli_config_key_set_twice_exits_2(tmp_path, capsys):
+    # the second value used to win silently
+    cfg = tmp_path / "cfg"
+    cfg.write_text("lambda = 0.5\nlambda = 0.6\nupdates = 2000\n")
+    for verb in ("sweep", "nu-invariance", "validate"):
+        assert cli_main([verb, "--config", str(cfg), "--nu", "1,2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: key 'lambda' set twice\n")
+    # a flag still overrides the file
+    cfg.write_text("lambda = 0.5\nupdates = 2000\n")
+    out = tmp_path / "s.csv"
+    assert cli_main(["sweep", "--config", str(cfg), "--lambda", "0.6", "--out", str(out)]) == 0
+    assert {row.split(",")[0] for row in out.read_text().splitlines()[1:]} == {"0.6"}
+
+
 def test_cli_seed_outside_64_bits_exits_2(tmp_path, capsys):
     # a sweep used to mask such a seed to 64 bits, and validate refused it
     # only after simulating
@@ -985,7 +1026,7 @@ def test_cli_no_decision_for_the_pasta_check_skips_it(tmp_path, capsys):
     with open(manifest_path_for(str(out))) as fh:
         sizes = json.loads(fh.readlines()[-1])
     assert [d["nu"] for d in sizes["decisions"]] == [1000.0, 0.002, 0.001]
-    assert sizes["decisions"][1]["after_warmup"] == sizes["decisions"][1]["batch_length"] == 0
+    assert sizes["decisions"][1]["after_warmup"] == sizes["decisions"][1]["min_window_decisions"] == 0
 
 
 # The validate rows that read only the trace or the closed forms.
@@ -1219,7 +1260,7 @@ def test_ks_samples_from_column_slices(cap, monkeypatch):
 def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
     config = ExperimentConfig(n_updates=100_000, seed=21)
     point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.1))
-    trace, warm, params = point.trace, point.warm, point.params
+    trace, params = point.trace, point.params
     checks = {c.name: c for c in _validation_checks(point)[0]}
     alpha = (1.0 - config.confidence) / 10
 
@@ -1228,15 +1269,21 @@ def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
         assert (checks[name].passed, checks[name].observed, checks[name].tolerance,
                 checks[name].detail) == (passed, observed, tolerance, detail)
 
-    prod = (trace.system_times[:-1] * trace.interdeparture_times)[warm:]
+    # a window of a whole column sums as the window's own column does
+    cuts = update_cuts(point)
+
+    def by_window(column):
+        sums = [column[a:b].sum() for a, b in zip(cuts[:-1], cuts[1:])]
+        return ratio_ci(sums, np.diff(cuts), config.confidence)
+
+    prod = trace.system_times[:-1] * trace.interdeparture_times
     theory = analytic.cross_moment_system_interdeparture(params)
-    row("cross_moment", [batch_means_ci(prod, config.confidence)], theory, alpha,
-        f"theory={theory:.6g}")
-    busy = arrivals_seeing_busy(trace).astype(float)[warm:]
-    assert np.array_equal(busy, (trace.interarrival_times[1:] < trace.system_times[:-1])[warm:])
-    row("prob_busy_on_arrival", [batch_means_ci(busy, config.confidence)],
-        params.utilization, alpha)
+    row("cross_moment", [by_window(prod)], theory, alpha, f"theory={theory:.6g}")
+    busy = arrivals_seeing_busy(trace).astype(float)
+    assert np.array_equal(busy, trace.interarrival_times[1:] < trace.system_times[:-1])
+    row("prob_busy_on_arrival", [by_window(busy)], params.utilization, alpha)
     edges = np.linspace(point.warm_epoch, trace.last_departure, 101)
+    assert np.array_equal(edges, point.edges)
     path = queue_length_process(trace)
     per_batch = np.array([occupancy_fractions(path, 6, a, b) for a, b in zip(edges, edges[1:])])
     per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))

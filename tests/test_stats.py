@@ -8,7 +8,7 @@ from aud_lab.decisions import decisions_at, poisson_epochs
 from aud_lab.distributions import DECISION_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.queueing import SystemParams, UpdateTrace, simulate
-from aud_lab.stats import kolmogorov_sf, ks_exponential, mean_ci, z_value
+from aud_lab.stats import kolmogorov_sf, ks_exponential, mean_ci, ratio_ci, z_value
 
 
 def test_mean_ci_zero_variance():
@@ -28,6 +28,36 @@ def test_mean_ci_against_scipy_z():
     est = mean_ci(x, confidence=0.95)
     z = scipy.stats.norm.ppf(0.975)
     assert est.half_width == pytest.approx(z * x.std(ddof=1) / math.sqrt(len(x)), rel=1e-12)
+
+
+def test_ratio_ci_with_equal_counts_is_the_mean_ci_of_the_window_means():
+    rng = np.random.default_rng(8)
+    for count in (1, 7, 1000):
+        sums = rng.exponential(size=100) * count
+        ratio = ratio_ci(sums, np.full(100, count), 0.95)
+        means = mean_ci(sums / count, 0.95)
+        assert ratio.n == means.n == 100 and ratio.confidence == 0.95
+        assert ratio.mean == pytest.approx(means.mean, rel=1e-12)
+        assert ratio.half_width == pytest.approx(means.half_width, rel=1e-12)
+
+
+def test_ratio_ci_of_windows_with_unequal_and_zero_counts():
+    sums, counts = [3.0, 0.0, 5.0, 4.0], [1, 0, 2, 2]
+    est = ratio_ci(sums, counts)
+    assert est.mean == 12.0 / 5.0 and est.n == 4
+    # residuals sums - R * counts: 0.6, 0, 0.2, -0.8, over 4 windows
+    se = math.sqrt((0.6**2 + 0.2**2 + 0.8**2) * 4 / 3) / 5.0
+    assert est.half_width == pytest.approx(z_value(0.99) * se, rel=1e-12)
+    assert ratio_ci([2.0, 4.0], [1, 2]).half_width == 0.0  # one ratio in every window
+
+
+def test_ratio_ci_needs_two_windows_and_a_sample():
+    with pytest.raises(InsufficientDataError, match="at least 2 windows"):
+        ratio_ci([1.0], [1])
+    with pytest.raises(InsufficientDataError, match="at least 2 windows"):
+        ratio_ci([], [])
+    with pytest.raises(InsufficientDataError, match="no samples"):
+        ratio_ci([0.0, 0.0, 0.0], [0, 0, 0])
 
 
 def test_ci_coverage_experiment():

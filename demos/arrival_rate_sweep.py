@@ -12,7 +12,6 @@ from aud_lab import optimal_utilization
 from aud_lab.experiments import ExperimentConfig, run_sweep
 
 config = ExperimentConfig(
-    mode="sweep",
     arrival_rates=tuple(np.round(np.arange(0.05, 0.96, 0.05), 10)),
     service_rates=(1.0,),
     decision_rates=(1.0,),

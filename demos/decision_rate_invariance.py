@@ -2,7 +2,7 @@
 
 One simulated path is sampled by Poisson decision processes at three very
 different rates; the per-rate mean ages agree pairwise within a few
-batch-means standard errors, and all match the closed form that contains no
+window-means standard errors, and all match the closed form that contains no
 decision rate at all.
 """
 from aud_lab import SystemParams, average_aud
@@ -10,7 +10,6 @@ from aud_lab.experiments import ExperimentConfig, run_nu_invariance
 
 params = SystemParams(0.5, 1.0)
 config = ExperimentConfig(
-    mode="nu_invariance",
     arrival_rates=(params.arrival_rate,),
     service_rates=(params.service_rate,),
     decision_rates=(0.1, 1.0, 10.0),

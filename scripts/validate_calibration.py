@@ -77,10 +77,10 @@ def wrong_oracles(rho: float, args) -> None:
     for i in range(args.runs):
         config = ExperimentConfig(arrival_rates=(rho,), decision_rates=args.nu,
                                   n_updates=args.updates, seed=args.seed + i)
-        point = _simulate_point(config, 0, SystemParams(rho, 1.0, args.nu[0]))
+        point = _simulate_point(config, 0, SystemParams(rho, 1.0))
         for s in args.scales:
             checks, _ = _validation_checks(
-                replace(point, params=SystemParams(rho * s, s, args.nu[0])))
+                replace(point, params=SystemParams(rho * s, s)))
             failed = [c.name for c in checks if c.passed is False]
             detected[s] += bool(failed)
             per_check[s].update(failed)

@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = build_config(args.config, **_overrides(args), mode=args.verb.replace("-", "_"))
+        config = build_config(args.config, **_overrides(args))
         if args.verb == "sweep":
             result = run_sweep(config)
             print(f"wrote {len(result.rows)} rows"

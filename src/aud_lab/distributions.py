@@ -76,24 +76,25 @@ def block_pool() -> concurrent.futures.ThreadPoolExecutor:
         return _pool
 
 
-def _finish(part: np.ndarray, transform) -> bool:
-    """Whether freshly drawn ``part`` is free of 0.0; only then is ``transform`` applied.
+# The smallest nonzero draw: Philox's doubles are the multiples of 2^-53 in [0, 1).
+SMALLEST_DRAW = 2.0**-53
 
-    A part holding an exact 0.0 stays raw for the rejection loop.
-    """
-    nonzero = bool(part.all())
-    if nonzero and transform is not None:
+
+def _finish(part: np.ndarray, transform) -> np.ndarray:
+    """Freshly drawn ``part``, each exact 0.0 mapped to SMALLEST_DRAW, then ``transform``-ed."""
+    if not part.all():
+        part[part == 0.0] = SMALLEST_DRAW
+    if transform is not None:
         transform(part)
-    return nonzero
+    return part
 
 
-def _draw_block(counter, key, skip: int, out: np.ndarray, transform) -> bool:
-    """Fill ``out`` from the Philox stream (counter, key) advanced by ``skip`` counters."""
+def _draw_block(counter, key, skip: int, out: np.ndarray, transform) -> np.ndarray:
+    """``out``, finished, drawn from Philox stream (counter, key) after ``skip`` counters."""
     bit_generator = Philox(counter=counter, key=key)
     if skip:
         bit_generator.advance(skip)
-    Generator(bit_generator).random(out=out)
-    return _finish(out, transform)
+    return _finish(Generator(bit_generator).random(out=out), transform)
 
 
 def splitmix64(x: int) -> int:
@@ -134,13 +135,13 @@ class SeededStream:
         return f"SeededStream(seed={self.seed}, stream_id={self.stream_id})"
 
     def uniform_open(self, size: int) -> np.ndarray:
-        """``size`` uniform draws on the open interval (0, 1); exact 0.0 is rejected.
+        """``size`` uniform draws on the open interval (0, 1).
 
-        Each exact 0.0 is replaced, in index order, by the next draws after
-        the ``size`` requested (repeatedly, should one of those be 0.0 too).
-        A request longer than ``BLOCK_SIZE`` is drawn in counter blocks on
-        ``block_pool()`` (see ``fill_open``); the values and the stream's
-        state afterwards are those of one sequential draw.
+        An exact 0.0, drawn with probability 2^-53, is mapped to
+        SMALLEST_DRAW, so a request moves the stream on by exactly ``size``
+        draws.  A request longer than ``BLOCK_SIZE`` is drawn in counter
+        blocks on ``block_pool()`` (see ``fill_open``); the values and the
+        stream's state afterwards are those of one sequential draw.
         """
         if size < 0:
             raise ParameterError(f"size must be non-negative, got {size}")
@@ -152,12 +153,12 @@ class SeededStream:
     def fill_open(
         self, out: np.ndarray, transform: Callable[[np.ndarray], None] | None = None
     ) -> Iterator[np.ndarray]:
-        """Fill ``out`` with ``uniform_open(len(out))``; yield its parts in index order.
+        """Fill ``out`` with ``uniform_open(len(out))``; return its parts in index order.
 
-        Each yielded part is a non-empty view of ``out`` that is final: its
-        draws passed through ``transform`` (in place), if given.  The parts
-        cover ``out`` once the generator is exhausted, and only then is the
-        stream's state that of a ``uniform_open`` call.
+        The stream moves on by ``len(out)`` draws before this returns.  Each
+        part is a non-empty view of ``out`` that is final when the iterator
+        yields it: its 0.0s are mapped and its draws passed through
+        ``transform`` (in place), if given.  The parts cover ``out``.
 
         Up to ``BLOCK_SIZE`` values are drawn sequentially in one part.  A
         longer request draws the words left in Philox's four-word buffer
@@ -166,62 +167,31 @@ class SeededStream:
         ``BLOCK_SIZE`` on ``block_pool()``, each from the counter after the
         head plus its offset.  The stream then skips the body with one
         ``advance``; ``advance`` also clears the buffer, which is spent by
-        then.  The tasks apply ``transform``, so the caller can consume each
-        block while later ones are still being drawn.
+        then.  Each task finishes its own block, so the caller can consume
+        it while later ones are still being drawn.
         """
         gen = self._gen
         size = len(out)
-        # (part, whether it is free of 0.0, or the future of that), in index order
-        parts: list[tuple[np.ndarray, bool | concurrent.futures.Future]] = []
         if size <= BLOCK_SIZE:
             gen.random(out=out)
-            parts.append((out, _finish(out, transform)))
-        else:
-            bit_generator = gen.bit_generator
-            state = bit_generator.state
-            head = 4 - state["buffer_pos"]
-            end = size - (size - head) % 4
-            if head:
-                gen.random(out=out[:head])
-                parts.append((out[:head], _finish(out[:head], transform)))
-            counter, key = state["state"]["counter"], state["state"]["key"]
-            pool = block_pool()
-            for a in range(head, end, BLOCK_SIZE):
-                block = out[a:min(a + BLOCK_SIZE, end)]
-                parts.append((block, pool.submit(
-                    _draw_block, counter, key, (a - head) // 4, block, transform)))
-            bit_generator.advance((end - head) // 4)
-            if end < size:
-                gen.random(out=out[end:])
-                parts.append((out[end:], _finish(out[end:], transform)))
-
-        def nonzero(flag) -> bool:
-            return flag if isinstance(flag, bool) else flag.result()
-
-        rejected = False
-        for part, flag in parts:
-            if not rejected and not nonzero(flag):
-                self._reject_zeros([p for p, f in parts if not nonzero(f)], transform)
-                rejected = True
-            if len(part):
-                yield part
-
-    def _reject_zeros(self, raw: list, transform) -> None:
-        """Replace exact 0.0s in the ``raw`` parts as one sequential draw would.
-
-        The parts are the ones holding a 0.0, in index order; every other
-        part is free of them, so the replacements go to the same positions
-        as in a rejection loop over the whole request.
-        """
-        u = np.concatenate(raw)
-        bad = u == 0.0
-        while bad.any():
-            u[bad] = self._gen.random(int(bad.sum()))
-            bad = u == 0.0
-        for part, values in zip(raw, np.split(u, np.cumsum([len(p) for p in raw[:-1]]))):
-            part[:] = values
-            if transform is not None:
-                transform(part)
+            _finish(out, transform)
+            return iter((out,) if size else ())
+        bit_generator = gen.bit_generator
+        state = bit_generator.state
+        head = 4 - state["buffer_pos"]
+        end = size - (size - head) % 4
+        parts: list = []  # in index order: final parts, and the futures of body blocks
+        if head:
+            parts.append(_finish(gen.random(out=out[:head]), transform))
+        counter, key = state["state"]["counter"], state["state"]["key"]
+        pool = block_pool()
+        for a in range(head, end, BLOCK_SIZE):
+            parts.append(pool.submit(_draw_block, counter, key, (a - head) // 4,
+                                     out[a:min(a + BLOCK_SIZE, end)], transform))
+        bit_generator.advance((end - head) // 4)
+        if end < size:
+            parts.append(_finish(gen.random(out=out[end:]), transform))
+        return (part if isinstance(part, np.ndarray) else part.result() for part in parts)
 
 
 def _gap_parts(stream: SeededStream, rate: float, out: np.ndarray) -> Iterator[np.ndarray]:
@@ -229,7 +199,7 @@ def _gap_parts(stream: SeededStream, rate: float, out: np.ndarray) -> Iterator[n
 
     The uniforms come from ``stream.fill_open``, and each part is final when
     yielded (see there): the tasks of a long request take the log and scale
-    on the block pool.
+    of their own blocks on the block pool.
     """
 
     def to_gaps(u: np.ndarray) -> None:

@@ -54,8 +54,6 @@ from .queueing import (
 )
 from .stats import EstimateWithCI, ks_exponential, mean_ci, ratio_ci, z_value
 
-MODES = ("sweep", "nu_invariance", "validate")
-
 SWEEP_CSV_HEADER = (
     "lambda,mu,nu,analytic_aud,empirical_aud,ci_half_width,"
     "n_decisions,n_undefined_decisions,ks_T_pvalue,ks_Y_pvalue,status"
@@ -131,7 +129,6 @@ def _by_window(stat, edges) -> list:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str = "validate"
     arrival_rates: tuple = (0.5,)
     service_rates: tuple = (1.0,)
     decision_rates: tuple = (0.1, 1.0, 10.0)
@@ -142,8 +139,6 @@ class ExperimentConfig:
     warmup_updates: int | None = None  # None: max(1000, 1% of n), capped at half
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ParameterError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.warmup_updates is not None and not (
             0 <= self.warmup_updates < self.n_updates
         ):
@@ -161,12 +156,6 @@ class ExperimentConfig:
         if not 0 <= self.seed <= _MASK64:
             raise ParameterError(f"seed must lie in [0, 2^64), got {self.seed}")
         z_value(self.confidence)  # raises for a confidence without a finite, positive z
-        if self.mode in ("nu_invariance", "validate") and (
-            len(self.arrival_rates) != 1 or len(self.service_rates) != 1
-        ):
-            raise ParameterError(f"{self.mode} runs a single (lambda, mu) point")
-        if self.mode == "nu_invariance" and len(self.decision_rates) < 2:
-            raise ParameterError("nu_invariance needs at least two decision rates")
         if self.n_updates > MAX_COLUMN:
             raise ParameterError(f"{self.n_updates} updates exceed the cap of {MAX_COLUMN} "
                                  "values per column")
@@ -353,10 +342,10 @@ class SweepResult:
             fh.writelines(row.as_csv() + "\n" for row in self.rows)
 
 
-def _config_record(config: ExperimentConfig) -> dict:
+def _config_record(config: ExperimentConfig, mode: str) -> dict:
     return {
         "record": "config",
-        "mode": config.mode,
+        "mode": mode,
         "lambda": list(config.arrival_rates),
         "mu": list(config.service_rates),
         "nu": list(config.decision_rates),
@@ -395,19 +384,20 @@ def _versions_record() -> dict:
 
 
 def write_manifest(
-    path: str, config: ExperimentConfig, wall_seconds: float, workers: int,
+    path: str, config: ExperimentConfig, mode: str, wall_seconds: float, workers: int,
     extra_records: tuple = (),
 ) -> None:
     """Write the config, versions and timing records, then ``extra_records``.
 
-    The timing record holds the wall time, ``workers``, the threads of the
-    block pool the run used, and the process's peak RSS so far in MiB
+    The config record names the ``mode``, the verb that ran ``config``.  The
+    timing record holds the wall time, ``workers``, the threads of the block
+    pool the run used, and the process's peak RSS so far in MiB
     (``ru_maxrss``, which Linux reports in KiB).
     """
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(path, "w", newline="") as fh:
         for record in (
-            _config_record(config),
+            _config_record(config, mode),
             _versions_record(),
             {"record": "timing", "wall_seconds": wall_seconds, "workers": workers,
              "peak_rss_mb": peak_rss_mb},
@@ -421,15 +411,21 @@ def manifest_path_for(output_path: str) -> str:
     return base + ".manifest.jsonl"
 
 
-def _write_outputs(config: ExperimentConfig, result, started: float, workers: int,
+def _write_outputs(config: ExperimentConfig, mode: str, result, started: float, workers: int,
                    extra_records: tuple = ()) -> None:
     """Write ``result``'s CSV and the manifest next to it, if the config names an output."""
     if config.output_path:
         result.write_csv(config.output_path)
         write_manifest(
-            manifest_path_for(config.output_path), config, time.monotonic() - started,
+            manifest_path_for(config.output_path), config, mode, time.monotonic() - started,
             workers, extra_records,
         )
+
+
+def _require_single_point(config: ExperimentConfig, mode: str) -> None:
+    """Raise ParameterError unless ``config`` names one (lambda, mu) point, as ``mode`` needs."""
+    if len(config.arrival_rates) != 1 or len(config.service_rates) != 1:
+        raise ParameterError(f"{mode} runs a single (lambda, mu) point")
 
 
 def _warmup_count(config: ExperimentConfig, n: int) -> int:
@@ -567,7 +563,7 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
     StabilityError: utilization within ``analytic.STABILITY_GUARD`` of 1 or
     above) is not simulated and gets ``unstable`` rows.
     """
-    params = SystemParams(arrival_rate, service_rate, config.decision_rates[0])
+    params = SystemParams(arrival_rate, service_rate)
     try:
         analytic_value = analytic.average_aud(params)
     except StabilityError:
@@ -605,7 +601,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     rows = tuple(row for i, (lam, mu) in enumerate(points)
                  for row in _point_rows(config, i, lam, mu))
     result = SweepResult(config, rows)
-    _write_outputs(config, result, started, workers)
+    _write_outputs(config, "sweep", result, started, workers)
     return result
 
 
@@ -628,10 +624,13 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     and below two rates with an estimate ``consistent`` is None.  A point
     without a steady state raises StabilityError, as in ``run_validation``.
     """
+    _require_single_point(config, "nu_invariance")
+    if len(config.decision_rates) < 2:
+        raise ParameterError("nu_invariance needs at least two decision rates")
     started = time.monotonic()
     workers = worker_limit()
     analytic.require_stable(SystemParams(config.arrival_rates[0], config.service_rates[0]))
-    sweep = run_sweep(replace(config, mode="nu_invariance", output_path=None))
+    sweep = run_sweep(replace(config, output_path=None))
     estimates = {
         row.decision_rate: EstimateWithCI(row.empirical_aud, row.ci_half_width, 0,
                                           config.confidence)
@@ -641,7 +640,7 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     if len(estimates) >= 2:
         consistent, worst, _, z, _ = _within(_differences(estimates.values()), 0.0,
                                              1.0 - config.confidence)
-    _write_outputs(config, sweep, started, workers)
+    _write_outputs(config, "nu_invariance", sweep, started, workers)
     return NuInvarianceResult(sweep, estimates, worst, z, consistent)
 
 
@@ -710,18 +709,19 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     estimates = {nu: point.aud(nu) for nu in distinct}
 
     lag, thinned, gaps = _ks_samples(point)
-    span = (trace.n - warm) // AUD_BATCHES
+    # the updates in a window, as ``_Point.update_mean`` cuts them: those after
+    # the warm-up but the last
+    span = (trace.n - 1 - warm) // AUD_BATCHES
 
     def batched():
         # Window means are near-independent once a window spans the relaxation scale, and
-        # near-normal once it holds a few updates: (n - warm) / AUD_BATCHES of them.
-        _require(span >= lag, f"a batch spans {span} updates; below the decorrelation lag {lag}")
-        _require(span >= MIN_EXPECTED, f"a batch spans {span} updates; below {MIN_EXPECTED}")
+        # near-normal once it holds a few updates.
+        _require(span >= lag, f"a window holds {span} updates; below the decorrelation lag {lag}")
+        _require(span >= MIN_EXPECTED, f"a window holds {span} updates; below {MIN_EXPECTED}")
 
     def estimate(nu: float) -> EstimateWithCI:
         est, counts = estimates[nu]
         n = counts["after_warmup"]
-        _require(n > 0, f"no defined decisions at decision rate {nu}")
         _require(est is not None, f"{n} decisions after the warm-up at decision rate {nu}; "
                                   f"an estimate needs {2 * AUD_BATCHES}")
         batched()
@@ -780,9 +780,9 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         # one indicator per update after the warm-up but the last
         batched()
         rho = analytic.prob_busy_on_arrival(params)
-        expected = min(rho, 1.0 - rho) * ((trace.n - 1 - warm) // AUD_BATCHES)
+        expected = min(rho, 1.0 - rho) * span
         _require(expected >= MIN_EXPECTED,
-                 f"{expected:.3g} busy or idle arrivals expected per batch; below {MIN_EXPECTED}")
+                 f"{expected:.3g} busy or idle arrivals expected per window; below {MIN_EXPECTED}")
         est = point.update_mean(lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b)))
         return _within([est], rho, alpha)
 
@@ -901,12 +901,12 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
 
 def run_validation(config: ExperimentConfig) -> ValidationReport:
     """Certify one simulated point against every closed-form oracle."""
+    _require_single_point(config, "validate")
     started = time.monotonic()
     workers = worker_limit()
-    params = SystemParams(config.arrival_rates[0], config.service_rates[0],
-                          config.decision_rates[0])
+    params = SystemParams(config.arrival_rates[0], config.service_rates[0])
     analytic.require_stable(params)
     checks, sizes = _validation_checks(_simulate_point(config, 0, params))
     report = ValidationReport(config, tuple(checks))
-    _write_outputs(config, report, started, workers, (sizes,))
+    _write_outputs(config, "validate", report, started, workers, (sizes,))
     return report

@@ -34,20 +34,22 @@ SCAN_CHUNK = 2**16
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Rates of an update-and-decide system.
+    """Rates of the M/M/1 queue that the updates flow through.
+
+    The average age upon decisions depends on these two rates only, so the
+    decision rate is not one of them: a run takes it from its config, and
+    ``decisions.poisson_epochs`` takes it as an argument.
 
     Attributes:
         arrival_rate: update arrivals per unit time.
         service_rate: service completions per unit time while busy.
-        decision_rate: receiver decisions per unit time.
     """
 
     arrival_rate: float
     service_rate: float
-    decision_rate: float = 1.0
 
     def __post_init__(self):
-        for name in ("arrival_rate", "service_rate", "decision_rate"):
+        for name in ("arrival_rate", "service_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterError(f"{name} must be positive and finite, got {value!r}")

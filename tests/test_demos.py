@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,9 +9,16 @@ import aud_lab
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(aud_lab.__file__)))
+DEMOS = sorted(os.listdir(os.path.join(ROOT, "demos")))
 
 
-@pytest.mark.parametrize("demo", sorted(os.listdir(os.path.join(ROOT, "demos"))))
+def readme_quickstart() -> str:
+    """The README's first python block."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(tmp_path, demo):
     # cwd is a scratch directory: a demo may write its CSV and manifest there
     proc = subprocess.run(
@@ -39,10 +47,26 @@ def test_validate_calibration_runs(tmp_path, flags, cells):
 
 def test_readme_quickstart_runs(capsys):
     # the README's first python block, run as written
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(readme_quickstart(), "README.md", "exec"), {})
     theory, empirical = capsys.readouterr().out.splitlines()
     assert float(theory) == pytest.approx(3.5, rel=1e-12)
     mean, undefined = empirical.split()
     assert float(mean) == pytest.approx(3.5, rel=0.01) and int(undefined) > 0
+
+
+def test_package_exports_what_the_demos_and_the_quickstart_import():
+    # the package's own names are those its users import from it, no more
+    def imported(source: str, from_package) -> set:
+        return {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and from_package(node)
+                for alias in node.names}
+
+    sources = [readme_quickstart()]
+    for demo in DEMOS:
+        with open(os.path.join(ROOT, "demos", demo), encoding="utf-8") as fh:
+            sources.append(fh.read())
+    used = set().union(*(imported(source, lambda node: node.level == 0
+                                  and node.module == "aud_lab") for source in sources))
+    with open(aud_lab.__file__, encoding="utf-8") as fh:
+        exported = imported(fh.read(), lambda node: node.level == 1)
+    assert used == exported

@@ -82,8 +82,6 @@ def test_draws_strictly_positive():
         lambda: SystemParams(1.0, 0.0),
         lambda: SystemParams(1.0, -2.5),
         lambda: SystemParams(1.0, math.nan),
-        lambda: SystemParams(1.0, 2.0, 0.0),
-        lambda: SystemParams(1.0, 2.0, -math.inf),
     ],
 )
 def test_invalid_spec_parameters(bad):
@@ -128,12 +126,9 @@ BLOCK_SIZES = [0, 1, 3, 4, 5, SMALL_BLOCK + 7, 3 * SMALL_BLOCK]
 
 
 def sequential_open(gen, size):
-    """``uniform_open`` as one sequential draw plus the rejection loop."""
+    """``uniform_open`` as one sequential draw, with 0.0 mapped to 2^-53."""
     u = gen.random(size)
-    bad = u == 0.0
-    while bad.any():
-        u[bad] = gen.random(int(bad.sum()))
-        bad = u == 0.0
+    u[u == 0.0] = 2.0**-53
     return u
 
 
@@ -186,16 +181,21 @@ def test_block_draws_reject_zeros_like_one_sequential_draw(monkeypatch, threads)
             sequential_open(reference, offset)
             got = stream.uniform_open(size)
             assert (got > 0.0).all()
+            # each 0.0 is mapped where it was drawn, and the request takes size draws
             np.testing.assert_array_equal(got, sequential_open(reference, size))
             np.testing.assert_array_equal(stream.uniform_open(11), sequential_open(reference, 11))
 
 
-@pytest.mark.parametrize("threshold,zeros", [(0.0, 0), (5e-5, 1), (0.05, 1054)])
+@pytest.mark.parametrize("threshold,zeros", [(0.0, 0), (5e-5, 1), (0.05, 1054), (0.25, 5263)])
 def test_block_cumulative_gaps_equal_one_cumsum(monkeypatch, threshold, zeros):
     monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
-    size = 5 * SMALL_BLOCK + 3
-    # at 5e-5 one draw turns to 0.0, in the first of five blocks; at 0.05 every block has some
-    assert (SeededStream(1009, 2).uniform_open(1 + size) < threshold).sum() == zeros
+    # after one draw: a head of draws 1-3, five blocks, and a tail of the last draw
+    size = 5 * SMALL_BLOCK + 4
+    draws = SeededStream(1009, 2).uniform_open(1 + size)
+    # at 5e-5 one draw turns to 0.0, in the first of five blocks; at 0.05 every block has
+    # some, and at 0.25 the head and the tail too
+    assert (draws < threshold).sum() == zeros
+    assert (draws[1:4].min() < threshold and draws[-1] < threshold) == (threshold == 0.25)
     monkeypatch.setattr(ZeroingGenerator, "threshold", threshold)
     monkeypatch.setattr(distributions, "Generator", ZeroingGenerator)
     # both entry points: the epochs of the arrivals and decisions, the gaps of the services

@@ -100,40 +100,82 @@ def test_overrides_beat_file_values(tmp_path):
     assert config.n_updates == 5000
 
 
-@pytest.mark.parametrize("config", [
-    ExperimentConfig(mode="sweep", arrival_rates=(0.3, 0.6), service_rates=(1.0, 2.0),
-                     decision_rates=(1.0,), n_updates=2000, seed=5, output_path="s.csv"),
-    ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95, warmup_updates=10),
+@pytest.mark.parametrize("config,mode", [
+    (ExperimentConfig(arrival_rates=(0.3, 0.6), service_rates=(1.0, 2.0), decision_rates=(1.0,),
+                      n_updates=2000, seed=5, output_path="s.csv"), "sweep"),
+    (ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95, warmup_updates=10),
+     "validate"),
 ], ids=["sweep", "validate"])
-def test_manifest_config_record_rebuilds_the_config(config, tmp_path):
+def test_manifest_config_record_rebuilds_the_config(config, mode, tmp_path):
     manifest = tmp_path / "m.jsonl"
-    write_manifest(str(manifest), config, 0.0, 1)
+    write_manifest(str(manifest), config, mode, 0.0, 1)
     record = json.loads(manifest.read_text().splitlines()[0])
     assert record.pop("record") == "config"
+    # the verb's mode, then one config-file line per field: lists joined
+    # with commas, null left out
+    assert record.pop("mode") == mode
     assert len(record) == len(fields(ExperimentConfig))
-    # the verb sets the mode, and the rest is one config-file line per field:
-    # lists joined with commas, null left out
-    mode = record.pop("mode")
     keys = {"n_updates": "updates", "output": "out"}
     cfg = tmp_path / "cfg"
     cfg.write_text("".join(
         f"{keys.get(key, key)} = "
         f"{','.join(map(str, value)) if isinstance(value, list) else value}\n"
         for key, value in record.items() if value is not None))
-    assert build_config(str(cfg), mode=mode) == config
+    assert build_config(str(cfg)) == config
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        ExperimentConfig(mode="nonsense")
     with pytest.raises(ParameterError):
         ExperimentConfig(arrival_rates=())
     with pytest.raises(ParameterError):
         ExperimentConfig(arrival_rates=(-0.5,))
     with pytest.raises(ParameterError):
-        ExperimentConfig(mode="nu_invariance", decision_rates=(1.0,))
-    with pytest.raises(ParameterError):
         ExperimentConfig(confidence=1.2)
+
+
+def test_sweep_runs_a_grid_with_the_config_defaults():
+    # the shape a verb needs is checked by its runner, not by the config
+    rows = run_sweep(ExperimentConfig(arrival_rates=(0.3, 0.6), decision_rates=(1.0,),
+                                      n_updates=2000)).rows
+    assert [(r.arrival_rate, r.status) for r in rows] == [(0.3, "ok"), (0.6, "ok")]
+
+
+@pytest.mark.parametrize("run,config,message", [
+    (run_validation, ExperimentConfig(arrival_rates=(0.3, 0.6)),
+     "validate runs a single (lambda, mu) point"),
+    (run_validation, ExperimentConfig(service_rates=(1.0, 2.0)),
+     "validate runs a single (lambda, mu) point"),
+    (run_nu_invariance, ExperimentConfig(arrival_rates=(0.3, 0.6)),
+     "nu_invariance runs a single (lambda, mu) point"),
+    (run_nu_invariance, ExperimentConfig(decision_rates=(1.0,)),
+     "nu_invariance needs at least two decision rates"),
+], ids=["validate-lambda", "validate-mu", "nu-invariance-lambda", "nu-invariance-nu"])
+def test_runners_check_their_shape_before_simulating(run, config, message, monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the shape check")
+
+    monkeypatch.setattr(experiments, "simulate", no_simulation)
+    with pytest.raises(ParameterError) as raised:
+        run(config)
+    assert str(raised.value) == message
+
+
+def test_each_runner_records_its_own_mode(tmp_path):
+    config = ExperimentConfig(decision_rates=(1.0, 2.0), n_updates=2000, seed=3)
+
+    def mode(path):
+        with open(manifest_path_for(str(path))) as fh:
+            return json.loads(fh.readline())["mode"]
+
+    for run, name in ((run_sweep, "sweep"), (run_nu_invariance, "nu_invariance"),
+                      (run_validation, "validate")):
+        out = tmp_path / f"{name}.csv"
+        run(replace(config, output_path=str(out)))
+        assert mode(out) == name
+        out = tmp_path / f"cli-{name}.csv"
+        code = cli_main([name.replace("_", "-"), "--nu", "1,2", "--updates", "2000",
+                         "--seed", "3", "--out", str(out)])
+        assert code in (0, 1) and mode(out) == name
 
 
 def test_derived_seeds_are_distinct():
@@ -157,7 +199,6 @@ def test_decorrelation_lag_grows_with_load():
 def test_sweep_lambda_shape(tmp_path):
     out = tmp_path / "sweep.csv"
     config = ExperimentConfig(
-        mode="sweep",
         arrival_rates=tuple(np.round(np.arange(0.1, 0.95, 0.1), 10)),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -187,7 +228,6 @@ def test_sweep_lambda_shape(tmp_path):
 
 def test_sweep_mu_strictly_decreasing():
     config = ExperimentConfig(
-        mode="sweep",
         arrival_rates=(0.5,),
         service_rates=tuple(np.round(np.arange(0.6, 3.01, 0.2), 10)),
         decision_rates=(1.0,),
@@ -200,7 +240,6 @@ def test_sweep_mu_strictly_decreasing():
 
 def test_sweep_marks_unstable_rows():
     config = ExperimentConfig(
-        mode="sweep",
         arrival_rates=(0.5, 1 - 1e-10, 1.0, 1.3),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -220,7 +259,6 @@ def test_sweep_marks_unstable_rows():
 
 def test_grid_mode_covers_cross_product():
     config = ExperimentConfig(
-        mode="sweep",
         arrival_rates=(0.3, 0.5),
         service_rates=(1.0, 2.0),
         decision_rates=(1.0,),
@@ -236,7 +274,6 @@ def test_grid_mode_covers_cross_product():
 def test_threads_env_does_not_change_rows(tmp_path, monkeypatch):
     # the points take turns at the decision phase, at every thread count
     config = ExperimentConfig(
-        mode="sweep",
         arrival_rates=parse_rates("0.1:0.9:0.1"),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -274,7 +311,7 @@ def test_thread_count_does_not_change_block_drawn_outputs(tmp_path, monkeypatch)
     # n = 2e4 fills no full-size block; a small block runs the block path on
     # the trace's draws and on the epochs at every decision rate
     validate = ExperimentConfig(n_updates=20_000, seed=8)
-    sweep = ExperimentConfig(mode="sweep", arrival_rates=(0.3, 0.6),
+    sweep = ExperimentConfig(arrival_rates=(0.3, 0.6),
                              decision_rates=(0.5, 4.0), n_updates=20_000, seed=5)
 
     def csv_bytes(name):
@@ -299,7 +336,6 @@ def test_thread_count_does_not_change_block_drawn_outputs(tmp_path, monkeypatch)
 
 def test_nu_invariance_paired_design():
     config = ExperimentConfig(
-        mode="nu_invariance",
         arrival_rates=(0.5,),
         service_rates=(1.0,),
         decision_rates=(0.5, 2.0),
@@ -316,7 +352,6 @@ def test_nu_invariance_paired_design():
 
 def test_nu_invariance_duplicate_rates_identical():
     config = ExperimentConfig(
-        mode="nu_invariance",
         arrival_rates=(0.5,),
         service_rates=(1.0,),
         decision_rates=(1.0, 1.0),
@@ -332,7 +367,6 @@ def test_nu_invariance_duplicate_rates_identical():
 
 def test_nu_invariance_tiny_trace_no_crash():
     config = ExperimentConfig(
-        mode="nu_invariance",
         arrival_rates=(0.5,),
         service_rates=(1.0,),
         decision_rates=(0.1, 1.0),
@@ -344,12 +378,12 @@ def test_nu_invariance_tiny_trace_no_crash():
 
 
 def test_warmup_is_configurable(tmp_path):
-    base = ExperimentConfig(mode="sweep", arrival_rates=(0.5,),
+    base = ExperimentConfig(arrival_rates=(0.5,),
                             service_rates=(1.0,), decision_rates=(1.0,),
                             n_updates=20_000, seed=5)
     default_row = run_sweep(base).rows[0]
     no_warm_row = run_sweep(
-        ExperimentConfig(mode="sweep", arrival_rates=(0.5,),
+        ExperimentConfig(arrival_rates=(0.5,),
                          service_rates=(1.0,), decision_rates=(1.0,),
                          n_updates=20_000, seed=5, warmup_updates=0)
     ).rows[0]
@@ -377,8 +411,8 @@ def test_validation_small_run_skips_the_checks_below_their_floors():
     # 500 updates after the warm-up: thinned at the full lag of 12 they leave
     # 42 system times, below the K-S floor; 95 decisions at nu = 0.1 give no
     # mean-age estimate; 499 departure gaps are below the squared-gap floor;
-    # and a batch of 5 updates is shorter than that lag, so every other
-    # batch-means check is skipped too
+    # and a window of 4 updates (499 over 100 windows) is shorter than that
+    # lag, so every other window-means check is skipped too
     report = run_validation(ExperimentConfig(n_updates=1000, seed=6))
     skipped = {c.name: c.as_csv() for c in report.checks if c.passed is None}
     assert skipped.pop("ks_system_time") == (
@@ -389,11 +423,11 @@ def test_validation_small_run_skips_the_checks_below_their_floors():
     assert skipped.pop("interdeparture_second_moment") == (
         "interdeparture_second_moment,skipped,nan,nan,nan,"
         "499 departure gaps; the squared-gap mean needs 1085")
-    # nu = 1 has an estimate, so the PASTA check reports the batch floor
+    # nu = 1 has an estimate, so the PASTA check reports the window floor
     assert set(skipped) == {"queue_length_distribution", "prob_busy_on_arrival",
                             "cross_moment", "pasta_time_average"}
     assert set(skipped.values()) == {
-        f"{name},skipped,nan,nan,nan,a batch spans 5 updates; below the decorrelation lag 12"
+        f"{name},skipped,nan,nan,nan,a window holds 4 updates; below the decorrelation lag 12"
         for name in skipped}
     summary = report.summary()
     assert summary.endswith("(8 skipped: too few samples)") and "widened" not in summary
@@ -404,15 +438,15 @@ def test_validation_power_against_wrong_oracle():
     # checking a (0.5, 1) trace against the closed forms at (1, 2) doubles
     # every reference rate, which must break the goodness-of-fit checks
     config = ExperimentConfig(n_updates=50_000, seed=6)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.1))
-    checks, _ = _validation_checks(replace(point, params=SystemParams(1.0, 2.0, 0.1)))
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+    checks, _ = _validation_checks(replace(point, params=SystemParams(1.0, 2.0)))
     failed = {c.name for c in checks if not c.passed}
     assert "ks_system_time" in failed and "ks_interdeparture" in failed
     # rates 1% off at 1e6 updates: the mean age misses theory by ~6 of its
     # standard errors, which a fixed 1% tolerance on it did not see
     point = _simulate_point(replace(config, n_updates=1_000_000, decision_rates=(0.1, 1.0),
-                                    seed=7001), 0, SystemParams(0.5, 1.0, 0.1))
-    checks, _ = _validation_checks(replace(point, params=SystemParams(0.505, 1.01, 0.1)))
+                                    seed=7001), 0, SystemParams(0.5, 1.0))
+    checks, _ = _validation_checks(replace(point, params=SystemParams(0.505, 1.01)))
     assert "aud_mc_vs_theory" in {c.name for c in checks if c.passed is False}
     checks, _ = _validation_checks(point)
     assert all(c.passed for c in checks)
@@ -665,7 +699,6 @@ def test_within_gates_the_worst_se_ratio():
 def test_sweep_csv_reruns_byte_identical(tmp_path):
     out = tmp_path / "s.csv"
     config = ExperimentConfig(
-        mode="sweep",
         arrival_rates=(0.3, 0.6),
         service_rates=(1.0,),
         decision_rates=(1.0,),
@@ -700,7 +733,7 @@ def test_sweep_runs_one_point_at_a_time(tmp_path, monkeypatch):
     for threads in ("1", "4"):
         monkeypatch.setenv("AUD_LAB_THREADS", threads)
         out = tmp_path / f"s{threads}.csv"
-        run_sweep(ExperimentConfig(mode="sweep", arrival_rates=parse_rates("0.1:0.9:0.1"),
+        run_sweep(ExperimentConfig(arrival_rates=parse_rates("0.1:0.9:0.1"),
                                    decision_rates=(1.0,), n_updates=3000, seed=42,
                                    output_path=str(out)))
         outputs.append(out.read_bytes())
@@ -742,9 +775,9 @@ def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, ca
     # decisions at these two rates fall 199 and 200 times after the warm-up:
     # the first row stays blank, and one rate alone leaves nothing to compare
     flags = ["--nu", "0.0945,0.0905", "--updates", "2000", "--seed", "42"]
-    config = ExperimentConfig(mode="nu_invariance", decision_rates=(0.0945, 0.0905),
+    config = ExperimentConfig(decision_rates=(0.0945, 0.0905),
                               n_updates=2000, seed=42)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.0945))
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
     assert [point.aud(nu)[1]["after_warmup"] for nu in config.decision_rates] == [199, 200]
     out = tmp_path / "nu.csv"
     code = cli_main(["nu-invariance", *flags, "--out", str(out)])
@@ -1021,7 +1054,7 @@ def test_cli_no_decision_for_the_pasta_check_skips_it(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     rows = out.read_text().splitlines()
     assert ("pasta_time_average,skipped,nan,nan,nan,"
-            "no defined decisions at decision rate 0.002") in rows
+            "0 decisions after the warm-up at decision rate 0.002; an estimate needs 200") in rows
     # the sizes record counts the configured rates alone, in their order
     with open(manifest_path_for(str(out))) as fh:
         sizes = json.loads(fh.readlines()[-1])
@@ -1069,6 +1102,8 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
          "decision rate 1 at lambda=1e-12, mu=1 draws about 1e+15 decisions"),
         (["validate", "--lambda", "0.3,0.5", "--mu", "1", "--updates", "5000"],
          "validate runs a single (lambda, mu) point"),
+        (["nu-invariance", "--nu", "1", "--updates", "5000"],
+         "nu_invariance needs at least two decision rates"),
         # epochs near the horizon lie 16 or more mean service times apart, so a
         # correct simulator failed ks_system_time and cross_moment here
         (["validate", "--lambda", "1e-12", "--mu", "1", "--nu", "1e-12", "--updates", "100000"],
@@ -1084,9 +1119,9 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
         assert not out.exists() and not os.path.exists(manifest_path_for(str(out)))
     # 2e8 decisions at nu = 10 stay within the cap of 2^28
     assert experiments.MAX_COLUMN == 2**28
-    build_config(mode="validate", arrival_rates=(0.01,), n_updates=200_000, seed=3)
+    build_config(arrival_rates=(0.01,), n_updates=200_000, seed=3)
     # n * mu / lambda = 1e12 stays within the cap of 2^40
-    build_config(mode="validate", arrival_rates=(1e-7,), decision_rates=(1e-7,),
+    build_config(arrival_rates=(1e-7,), decision_rates=(1e-7,),
                  n_updates=100_000)
 
 
@@ -1103,7 +1138,7 @@ FAST = ["--lambda", "1000", "--mu", "2000", "--nu", "1000", "--seed", "1"]
                           "ks_interdeparture", "interdeparture_mean",
                           "interdeparture_second_moment", "queue_length_distribution",
                           "prob_busy_on_arrival", "cross_moment", "pasta_time_average"}),
-    # a batch of under 12 updates is below the decorrelation lag at rho = 0.5
+    # a window of under 12 updates is below the decorrelation lag at rho = 0.5
     # and the squared departure gaps are below their floor up to n = 2085
     (["--updates", "60"], {"aud_mc_vs_theory", "aud_nu_invariance", "ks_system_time",
                            "ks_interdeparture", "interdeparture_second_moment",
@@ -1129,21 +1164,23 @@ def test_cli_short_runs_skip_the_checks_below_their_floor(tmp_path, capsys, flag
     assert code == (1 if any(r[1] == "false" for r in rows) else 0)
 
 
-@pytest.mark.parametrize("flags,aud_reason,batch_span", [
-    # 89 decisions at nu = 0.1 once failed aud_mc_vs_theory on an i.i.d. CI
+@pytest.mark.parametrize("flags,aud_reason,window_reason", [
+    # 89 decisions at nu = 0.1 once failed aud_mc_vs_theory on an i.i.d. CI;
+    # 99 updates after the warm-up leave none per window
     (["--lambda", "0.1", "--updates", "200", "--seed", "100"],
-     "89 decisions after the warm-up at decision rate 0.1; an estimate needs 200", 1),
-    # batches of 3 updates at rho = 0.01 once failed prob_busy_on_arrival
+     "89 decisions after the warm-up at decision rate 0.1; an estimate needs 200",
+     "a window holds 0 updates; below the decorrelation lag 1"),
+    # short windows at rho = 0.01 once failed prob_busy_on_arrival
     (["--lambda", "0.01", "--updates", "600", "--seed", "102"],
-     "a batch spans 3 updates; below 5", 3),
+     "a window holds 2 updates; below 5", "a window holds 2 updates; below 5"),
 ], ids=["rho0.1-n200", "rho0.01-n600"])
-def test_cli_short_low_load_runs_pass(tmp_path, capsys, flags, aud_reason, batch_span):
+def test_cli_short_low_load_runs_pass(tmp_path, capsys, flags, aud_reason, window_reason):
     out = tmp_path / "v.csv"
     assert cli_main(["validate", *flags, "--out", str(out)]) == 0, capsys.readouterr().out
     rows = {r.split(",")[0]: r for r in out.read_text().splitlines()[1:]}
     assert rows["aud_mc_vs_theory"] == f"aud_mc_vs_theory,skipped,nan,nan,nan,{aud_reason}"
     assert rows["prob_busy_on_arrival"] == ("prob_busy_on_arrival,skipped,nan,nan,nan,"
-                                            f"a batch spans {batch_span} updates; below 5")
+                                            + window_reason)
 
 
 @pytest.mark.parametrize("updates,row", [
@@ -1163,16 +1200,16 @@ def test_squared_gap_check_needs_its_floor(tmp_path, updates, row):
 
 
 def test_busy_check_needs_busy_and_idle_arrivals_in_every_batch(tmp_path):
-    # 190 updates per batch at rho = 0.01 expect 1.89 busy arrivals each
+    # 189 updates per window at rho = 0.01 expect 1.89 busy arrivals each
     out = tmp_path / "v.csv"
     cli_main(["validate", "--lambda", "0.01", "--updates", "20000", "--seed", "100",
               "--out", str(out)])
     assert ("prob_busy_on_arrival,skipped,nan,nan,nan,1.89 busy or idle arrivals expected per "
-            "batch; below 5") in out.read_text().splitlines()
+            "window; below 5") in out.read_text().splitlines()
 
 
 def test_sweep_leaves_the_estimate_blank_below_two_decisions_per_batch():
-    config = ExperimentConfig(mode="sweep", decision_rates=(0.01, 1.0),
+    config = ExperimentConfig(decision_rates=(0.01, 1.0),
                               n_updates=2000, seed=7)
     low, high = run_sweep(config).rows
     assert low.n_decisions > 0 and low.empirical_aud is low.ci_half_width is None
@@ -1245,7 +1282,7 @@ def ks_samples_reference(point):
 def test_ks_samples_from_column_slices(cap, monkeypatch):
     if cap:  # the cap binds on both samples
         monkeypatch.setattr(experiments, "KS_MAX_SAMPLES", cap)
-    params = SystemParams(0.5, 1.0, 1.0)
+    params = SystemParams(0.5, 1.0)
     for n, warmup in ((30_000, None), (30_000, 0), (5000, 4998), (2, 1), (1, None), (1, 0)):
         config = ExperimentConfig(n_updates=n, seed=4, warmup_updates=warmup)
         point = _simulate_point(config, 0, params)
@@ -1259,7 +1296,7 @@ def test_ks_samples_from_column_slices(cap, monkeypatch):
 
 def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
     config = ExperimentConfig(n_updates=100_000, seed=21)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0, 0.1))
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
     trace, params = point.trace, point.params
     checks = {c.name: c for c in _validation_checks(point)[0]}
     alpha = (1.0 - config.confidence) / 10

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import SeededStream, exponential_epochs
+from .distributions import BLOCK_SIZE, SeededStream, exponential_epochs
 from .errors import InsufficientDataError, ParameterError, TruncationError
 from .queueing import UpdateTrace
 
@@ -131,27 +131,53 @@ def _require_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
-def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -> np.ndarray:
-    """Sorted Poisson epochs at ``decision_rate`` on (0, horizon].
+# The most epochs ``fill_epochs``' buffer holds (2^22, 32 MiB), unless one window needs more.
+SEGMENT = 8 * BLOCK_SIZE
 
-    The gaps are drawn in one request sized ten standard deviations above
-    the expected count, topped up request by request in the rare case that
-    falls short, and the epochs past the horizon are cut off.  The draws
-    consume ``stream`` as one sequential draw would (long requests run in
-    counter blocks on the block pool), so the result is deterministic in
-    (decision_rate, horizon, stream) and does not depend on the number of
-    threads.  The result is a view of the drawn buffer: 8 bytes per epoch
-    kept.
+# A fill draws this many standard deviations more epochs than it expects to need.
+MARGIN_SDS = 10.0
+
+
+def fill_epochs(decision_rate: float, horizon: float, stream: SeededStream, take) -> None:
+    """Draw sorted Poisson epochs at ``decision_rate`` past ``horizon`` into one reused buffer.
+
+    The buffer holds the epochs expected on (0, horizon] plus MARGIN_SDS
+    standard deviations, at most SEGMENT; each fill draws as many for the
+    rest, or what room is left.  After each fill ``take(seg, fresh)`` sees
+    the buffer, new from ``seg[fresh]`` on, and returns the index of the
+    first epoch it needs again: those move to the front (a buffer they fill
+    is doubled).  The first fill past ``horizon`` is the last.  Fills continue
+    the running sum, so the epochs are one ``np.cumsum`` of one sequential
+    draw, bit for bit, at any thread count.
     """
     _require_positive("decision_rate", decision_rate)
     _require_positive("horizon", horizon)
-    expected = decision_rate * horizon
-    chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
-    epochs = exponential_epochs(stream, decision_rate, chunk)
-    while epochs[-1] <= horizon:
-        more = exponential_epochs(stream, decision_rate, chunk)
-        epochs = np.concatenate([epochs, epochs[-1] + more])
-    return epochs[: np.searchsorted(epochs, horizon, side="right")]
+    buf, kept, last = np.empty(0), 0, 0.0
+    while True:
+        expected = decision_rate * (horizon - last)
+        fresh = int(expected + MARGIN_SDS * math.sqrt(expected) + 16.0)
+        if kept == len(buf):  # the first fill, or the epochs kept fill the buffer
+            buf = np.concatenate((buf, buf)) if kept else np.empty(min(fresh, SEGMENT))
+        fresh = min(fresh, len(buf) - kept)
+        seg = buf[:kept + fresh]
+        last = exponential_epochs(stream, decision_rate, fresh, last, seg[kept:])[-1]
+        keep = take(seg, kept)
+        if last > horizon:
+            return
+        kept = len(seg) - keep
+        buf[:kept] = seg[keep:]
+
+
+def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -> np.ndarray:
+    """Sorted Poisson epochs at ``decision_rate`` on (0, horizon], joined from ``fill_epochs``."""
+    pieces = []
+
+    def take(seg: np.ndarray, fresh: int) -> int:
+        pieces.append(seg[fresh:np.searchsorted(seg, horizon, side="right")].copy())
+        return len(seg)
+
+    fill_epochs(decision_rate, horizon, stream, take)
+    return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)

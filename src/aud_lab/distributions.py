@@ -217,18 +217,19 @@ def exponential_gaps(stream: SeededStream, rate: float, size: int) -> np.ndarray
     return gaps
 
 
-def exponential_epochs(stream: SeededStream, rate: float, size: int) -> np.ndarray:
-    """Cumulative sums of ``exponential_gaps(stream, rate, size)``, computed in one buffer.
+def exponential_epochs(stream: SeededStream, rate: float, size: int, start: float = 0.0,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """``start`` plus the running sums of ``exponential_gaps(stream, rate, size)``, into ``out``.
 
     Each part of the gaps is summed as it arrives, its first element first
-    taking the previous part's last sum.  ``np.cumsum`` adds left to right,
-    so this is bit-identical to one ``np.cumsum`` over all the gaps.
+    taking the previous part's last sum, or ``start``.  ``np.cumsum`` adds left
+    to right and 0.0 + gap is the gap, so this is bit-identical to one
+    ``np.cumsum`` over the gaps that led to ``start`` and these.
     """
-    epochs = np.empty(size)
-    carry = None
+    epochs = np.empty(size) if out is None else out
+    carry = start
     for part in _gap_parts(stream, rate, epochs):
-        if carry is not None:
-            part[0] += carry
+        part[0] += carry
         np.cumsum(part, out=part)
         carry = part[-1]
     return epochs

@@ -4,7 +4,7 @@ Configurations come from flat ``key = value`` text files (``#`` starts a
 comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
-seed and its grid index, so a run holds one trace and one column of decision
+seed and its grid index, so a run holds one trace and one buffer of decision
 epochs at a time, and output is byte-reproducible.  Validation estimates one
 decision rate at a time, then runs its checks in order.  Long random draws
 and every time window run on the shared block pool
@@ -40,7 +40,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytic
-from .decisions import _age_sum, aoi_path, poisson_epochs, time_average_aoi
+from .decisions import _age_sum, aoi_path, fill_epochs, time_average_aoi
 from .distributions import SeededStream, block_pool, splitmix64, worker_limit
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
@@ -84,9 +84,9 @@ MIN_SQUARED_GAPS = 1085
 MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 
 # A run simulates at most this many updates and draws at most about this
-# many decisions at one rate (nu * n / min(lambda, mu) at a point): one
-# column of that many float64 values takes 2 GiB.  Beyond it a run exits
-# before simulating, where numpy would fail mid-run.
+# many decisions at one rate (nu * n / min(lambda, mu) at a point), or exits
+# before simulating.  That bounds the run time, and a window's expected
+# decisions to MAX_COLUMN / AUD_BATCHES, well within decisions.SEGMENT.
 MAX_COLUMN = 2**28
 
 # A stable point's epochs reach about n / lambda, where adjacent doubles lie
@@ -434,16 +434,6 @@ def _warmup_count(config: ExperimentConfig, n: int) -> int:
     return default_warmup(n)
 
 
-def _decision_epochs(trace: UpdateTrace, decision_rate: float, point_seed: int) -> np.ndarray:
-    stream = SeededStream(point_seed, decision_stream_id(decision_rate))
-    return poisson_epochs(decision_rate, trace.last_departure, stream)
-
-
-def _n_undefined(trace: UpdateTrace, epochs: np.ndarray) -> int:
-    """Decisions ahead of the first departure, which have no age."""
-    return int(np.searchsorted(epochs, trace.departure_times[0], side="left"))
-
-
 @dataclass(frozen=True)
 class _Point:
     """One simulated (lambda, mu) point: its trace, seed, warm-up cut and time windows.
@@ -467,22 +457,35 @@ class _Point:
         """Mean age upon the decisions at rate ``nu`` in the windows, and their counts.
 
         A window takes the decisions in (its start, its end].  With under
-        2 * AUD_BATCHES of them there is no estimate (None).  The decision
-        epochs (8 bytes per decision) are dropped on return.
+        2 * AUD_BATCHES of them there is no estimate (None).  Each fill of
+        ``decisions.fill_epochs``' buffer sums the windows it holds whole, each
+        as one slice, and keeps the epochs of the window still open.
         """
-        epochs = _decision_epochs(self.trace, nu, self.seed)
-        cuts = np.searchsorted(epochs, self.edges, side="right")
-        counts = np.diff(cuts)
-        estimated = int(cuts[-1] - cuts[0])
-        est = None
-        if estimated >= 2 * AUD_BATCHES:
-            sums = _by_window(lambda a, b: _age_sum(self.trace, epochs[a:b]), cuts)
-            est = ratio_ci(sums, counts, self.config.confidence)
+        trace, edges = self.trace, self.edges
+        sums, counts, total, undefined = [], [], 0, 0
+
+        def take(seg: np.ndarray, fresh: int) -> int:
+            nonlocal total, undefined
+            total += int(np.searchsorted(seg[fresh:], trace.last_departure, side="right"))
+            # decisions ahead of the first departure have no age
+            undefined += int(np.searchsorted(seg[fresh:], trace.departure_times[0], side="left"))
+            # the edges with an epoch drawn past them close the windows between them
+            cuts = np.searchsorted(seg, edges[len(sums):], side="right")
+            closed = cuts[:np.searchsorted(cuts, len(seg))]
+            sums.extend(_by_window(lambda a, b: _age_sum(trace, seg[a:b]), closed))
+            counts.extend(np.diff(closed))
+            return int(np.searchsorted(seg, edges[len(sums)], side="right"))
+
+        fill_epochs(nu, trace.last_departure, SeededStream(self.seed, decision_stream_id(nu)), take)
+        counts = np.array(counts)
+        estimated = int(counts.sum())
+        est = (ratio_ci(sums, counts, self.config.confidence)
+               if estimated >= 2 * AUD_BATCHES else None)
         return est, {
             "nu": nu,
-            "total": len(epochs),
+            "total": total,
             "after_warmup": estimated,
-            "undefined": _n_undefined(self.trace, epochs),
+            "undefined": undefined,
             "min_window_decisions": int(counts.min()),
         }
 
@@ -593,7 +596,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     The points run one after another in grid order, and each draws and
     averages its decision epochs one rate at a time on the block pool, so a
-    run holds one trace and one column of epochs at any thread count.
+    run holds one trace and one buffer of epochs at any thread count.
     """
     started = time.monotonic()
     workers = worker_limit()
@@ -703,8 +706,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
                                           point.edges)
     lam, mu = params.arrival_rate, params.service_rate
 
-    # The mean age and counts at each decision rate; each rate's epochs are
-    # dropped once counted, before any check runs.
+    # The mean age and counts at each decision rate, before any check runs.
     distinct = sorted(set(config.decision_rates))
     estimates = {nu: point.aud(nu) for nu in distinct}
 

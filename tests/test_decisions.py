@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aud_lab import decisions
 from aud_lab.decisions import (
     _age_sum,
     aoi_path,
@@ -10,7 +11,7 @@ from aud_lab.decisions import (
     poisson_epochs,
     time_average_aoi,
 )
-from aud_lab.distributions import DECISION_STREAM, SeededStream
+from aud_lab.distributions import DECISION_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import ParameterError, TruncationError
 from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, simulate
 from aud_lab.stats import ks_exponential, mean_ci
@@ -366,6 +367,24 @@ def test_epoch_generators_match_the_record_builders():
         poisson_epochs(0.0, 5.0, SeededStream(0, DECISION_STREAM))
     with pytest.raises(ParameterError):
         poisson_epochs(1.0, math.inf, SeededStream(0, DECISION_STREAM))
+
+
+@pytest.mark.parametrize("margin", [-5.0, -7.5])
+@pytest.mark.parametrize("segment", [2**12, 2**22])
+def test_short_fills_continue_one_running_sum(monkeypatch, margin, segment):
+    # fills 5 or 7.5 standard deviations short of the epochs expected to
+    # remain (1e4 at first) need further fills, in buffers that hold them or not
+    monkeypatch.setattr(decisions, "MARGIN_SDS", margin)
+    monkeypatch.setattr(decisions, "SEGMENT", segment)
+    fills = []
+    draw = decisions.exponential_epochs
+    monkeypatch.setattr(decisions, "exponential_epochs",
+                        lambda *args: fills.append(args[2]) or draw(*args))
+    epochs = poisson_epochs(1.0, 1e4, SeededStream(5, 7))
+    column = np.cumsum(exponential_gaps(SeededStream(5, 7), 1.0, sum(fills)))
+    assert len(epochs) == np.searchsorted(column, 1e4, side="right") < len(column)
+    np.testing.assert_array_equal(epochs, column[:len(epochs)])
+    assert fills[0] == min(segment, int(1e4 + margin * 100.0 + 16.0)) and len(fills) >= 3
 
 
 def tied_departure_runs():

@@ -14,17 +14,15 @@ import numpy as np
 import pytest
 
 import aud_lab
-from aud_lab import analytic, distributions, experiments
+from aud_lab import analytic, decisions, distributions, experiments
 from aud_lab.cli import main as cli_main
-from aud_lab.decisions import decisions_at, poisson_epochs
-from aud_lab.distributions import SeededStream
+from aud_lab.decisions import _age_sum, decisions_at, poisson_epochs
+from aud_lab.distributions import SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.experiments import (
     ExperimentConfig,
-    _decision_epochs,
     _differences,
     _ks_samples,
-    _n_undefined,
     _simulate_point,
     _validation_checks,
     _within,
@@ -560,10 +558,53 @@ def assert_close(got, want, rel=1e-9):
     assert got.half_width == pytest.approx(want.half_width, rel=rel, abs=0.0)
 
 
-def aud_at(point, epochs, monkeypatch):
+def inject(monkeypatch, epochs):
+    """Make ``decisions.fill_epochs`` fill its buffer from ``epochs``, then +inf.
+
+    The loop runs as it is; only the values it draws are replaced.  Returns
+    the list of each fill's last epoch, filled as the loop runs.
+    """
+    drawn, ends = [0], []
+
+    def fill(stream, rate, size, start, out):
+        part = epochs[drawn[0]:drawn[0] + size]
+        out[:len(part)], out[len(part):] = part, np.inf
+        drawn[0] += size
+        ends.append(out[-1])
+        return out
+
+    monkeypatch.setattr(decisions, "exponential_epochs", fill)
+    return ends
+
+
+def aud_at(point, epochs):
     """``point.aud`` with ``epochs`` in place of the decision epochs it draws."""
-    monkeypatch.setattr(experiments, "_decision_epochs", lambda trace, nu, seed: epochs)
-    return point.aud(1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        inject(patch, epochs)
+        return point.aud(1.0)
+
+
+def drawn_epochs(point, nu):
+    """The decision epochs ``point.aud(nu)`` draws, as one column."""
+    return poisson_epochs(nu, point.trace.last_departure,
+                          SeededStream(point.seed, decision_stream_id(nu)))
+
+
+def column_reference(point, epochs, nu=1.0):
+    """``point.aud(nu)`` from one whole column of ``epochs``: one ``_age_sum`` per window slice."""
+    trace = point.trace
+    cuts = np.searchsorted(epochs, point.edges, side="right")
+    counts = np.diff(cuts)
+    sums = [_age_sum(trace, epochs[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    estimated = int(counts.sum())
+    est = ratio_ci(sums, counts, point.config.confidence) if estimated >= 200 else None
+    return est, {
+        "nu": nu,
+        "total": int(np.searchsorted(epochs, trace.last_departure, side="right")),
+        "after_warmup": estimated,
+        "undefined": decisions_at(trace, epochs).n_undefined,
+        "min_window_decisions": int(counts.min()),
+    }
 
 
 def test_batch_means_widens_for_correlated_series():
@@ -595,7 +636,7 @@ def test_batch_means_requires_enough_samples():
 
 @pytest.mark.parametrize("seed", [42, 1009])
 @pytest.mark.parametrize("regular", [False, True])
-def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular, monkeypatch):
+def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular):
     # Poisson epochs, or evenly spaced ones at gap 1 / nu
     for warmup in (0, 1000):
         config = ExperimentConfig(n_updates=100_000, seed=seed, warmup_updates=warmup)
@@ -605,25 +646,26 @@ def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular, 
             if regular:
                 epochs = np.arange(1, math.floor(trace.last_departure * nu) + 1) / nu
             else:
-                epochs = _decision_epochs(trace, nu, point.seed)
-            assert _n_undefined(trace, epochs) == decisions_at(trace, epochs).n_undefined
-            got, counts = aud_at(point, epochs, monkeypatch)
+                epochs = drawn_epochs(point, nu)
+            got, counts = aud_at(point, epochs)
             assert_close(got, aud_reference(point, epochs))
+            assert (got, counts) == column_reference(point, epochs)
             cuts = np.searchsorted(epochs, point.edges, side="right")
             assert counts["after_warmup"] == cuts[-1] - cuts[0]
             assert counts["min_window_decisions"] == np.diff(cuts).min() > 0
+            assert counts["undefined"] == decisions_at(trace, epochs).n_undefined
 
 
-def test_aud_estimate_small_branches(monkeypatch):
+def test_aud_estimate_small_branches():
     # an estimate needs 200 decisions in the windows: 199 give none, 200 give
     # the ratio over the 100 windows, most of them empty
     for warmup in (1500, 0):
         config = ExperimentConfig(n_updates=3000, seed=4, warmup_updates=warmup)
         point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
-        epochs = _decision_epochs(point.trace, 1.0, point.seed)
+        epochs = drawn_epochs(point, 1.0)
         start = int(np.searchsorted(epochs, point.edges[0], side="right"))
-        assert aud_at(point, epochs[:start + 199], monkeypatch)[0] is None
-        got, counts = aud_at(point, epochs[:start + 200], monkeypatch)
+        assert aud_at(point, epochs[:start + 199])[0] is None
+        got, counts = aud_at(point, epochs[:start + 200])
         assert counts["after_warmup"] == 200 and counts["min_window_decisions"] == 0
         assert_close(got, aud_reference(point, epochs[:start + 200]))
         assert got.n == 100 and math.isfinite(got.half_width)
@@ -632,10 +674,72 @@ def test_aud_estimate_small_branches(monkeypatch):
     d0 = float(point.trace.departure_times[0])
     assert point.edges[0] == d0
     single = np.array([0.5 * d0, 0.8 * d0, d0])
-    for epochs in (single, single[:2], np.empty(0)):
-        est, counts = aud_at(point, epochs, monkeypatch)
+    for epochs, undefined in ((single, 2), (single[:2], 2), (np.empty(0), 0)):
+        est, counts = aud_at(point, epochs)
         assert est is None and counts["after_warmup"] == 0
-    assert _n_undefined(point.trace, single) == 2 and _n_undefined(point.trace, np.empty(0)) == 0
+        assert counts["total"] == len(epochs) and counts["undefined"] == undefined
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
+    # at n = 1e5 and nu = 10, 2e6 epochs are one fill of the default segment
+    # and about 30 fills of 2^16
+    monkeypatch.setenv("AUD_LAB_THREADS", threads)
+    point = _simulate_point(ExperimentConfig(n_updates=100_000, seed=23), 0,
+                            SystemParams(0.5, 1.0))
+    checks, sizes = _validation_checks(point)
+    fills = []
+    draw = decisions.exponential_epochs
+    monkeypatch.setattr(decisions, "exponential_epochs",
+                        lambda *args: fills.append(args[2]) or draw(*args))
+    monkeypatch.setattr(decisions, "SEGMENT", 2**16)
+    small_checks, small_sizes = _validation_checks(point)
+    assert [c.as_csv() for c in small_checks] == [c.as_csv() for c in checks]
+    assert small_sizes == sizes
+    horizon = point.trace.last_departure
+    for nu in (0.1, 1.0, 10.0):
+        fills.clear()
+        # the reference: one np.cumsum over the same gaps
+        gaps = exponential_gaps(SeededStream(point.seed, decision_stream_id(nu)), nu,
+                                int(nu * horizon + 10.0 * math.sqrt(nu * horizon) + 16.0))
+        column = np.cumsum(gaps)
+        assert column[-1] > horizon
+        assert point.aud(nu) == column_reference(point, column[column <= horizon], nu)
+        assert len(fills) >= len(column) / 2**16
+    assert len(fills) >= 30  # at nu = 10
+
+
+def test_decision_buffer_seams_match_the_whole_column():
+    # ~20 evenly spaced epochs and the end edge per window, 50 before the first
+    # departure, and none in windows 11-12, 21-22, ..., 91-92.  Over buffer sizes
+    # of 16-89 epochs, fills end exactly on an edge, inside the last window,
+    # before the first departure (the undefined decisions span fills) and just
+    # before empty windows; below 21 a window outgrows the buffer, which doubles.
+    config = ExperimentConfig(n_updates=2000, seed=4, warmup_updates=0)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+    edges = point.edges
+    grid = np.concatenate((np.linspace(0.0, edges[0], 52)[1:-1],
+                           np.linspace(0.0, edges[-1], 2001)[1:], edges[1:]))
+    window = np.searchsorted(edges, grid, side="left")  # (edges[w - 1], edges[w]]
+    epochs = np.sort(grid[(window % 10 != 1) & (window % 10 != 2) | (window < 10)])
+    want = column_reference(point, epochs)
+    assert want[1]["undefined"] >= 50
+    assert np.diff(np.searchsorted(epochs, edges, side="right")).max() > 16
+    seen = set()
+    for segment in range(16, 90):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decisions, "SEGMENT", segment)
+            ends = inject(patch, epochs)
+            assert point.aud(1.0) == want, segment
+        ends = np.array(ends[:-1])  # the last fill passes the horizon
+        after = np.append(epochs, np.inf)[np.searchsorted(epochs, ends, side="right")]
+        skipped = np.searchsorted(edges, after) - np.searchsorted(edges, ends)
+        seen |= {case for case, hit in (
+            ("on an edge", np.isin(ends, edges).any()),
+            ("in the last window", (ends > edges[-2]).any()),
+            ("before the first departure", (ends < edges[0]).any()),
+            ("before empty windows", (skipped >= 2).any())) if hit}
+    assert len(seen) == 4, seen
 
 
 def test_batch_means_over_slices_match_the_whole_column():
@@ -1093,6 +1197,15 @@ def test_validate_rescaled_in_time_keeps_its_trace_rows_and_its_cost(tmp_path):
         assert all(abs(s - t) <= 0.05 * t for s, t in zip(scaled_totals, totals))
 
 
+def test_a_window_at_the_decision_cap_fits_in_one_buffer():
+    # a run within MAX_COLUMN expects at most MAX_COLUMN / AUD_BATCHES decisions
+    # per window over its expected horizon; with MARGIN_SDS standard deviations
+    # more that is 2.70e6 against 4.19e6
+    window = experiments.MAX_COLUMN / experiments.AUD_BATCHES
+    assert window + decisions.MARGIN_SDS * math.sqrt(window) < 0.65 * decisions.SEGMENT
+    assert decisions.SEGMENT == 2**22 == 8 * distributions.BLOCK_SIZE
+
+
 def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
     # each used to end in a numpy memory error or, for the grid, to validate
     # its first point alone
@@ -1379,22 +1492,36 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 # Allowed rise of the two-thread peak over the one-thread peak.  The checks
 # run one after another, so a second thread adds only the block pool's
-# in-flight blocks (a Philox counter block, a batch's slice, or an occupancy
-# or sawtooth window), about 1% at this size; a merged path of all 2n events beside the
-# nu = 10 epochs would add 25-35%.
+# in-flight work (a Philox counter block, a window's slice of the decision
+# buffer, or an occupancy or sawtooth window): none measurable at this size,
+# where the nu = 10 epochs fill one buffer of 4e6.  A merged path of all 2n
+# events beside that buffer would add 25-35%.
 THREADS_RSS_MARGIN = 0.12
 
 
-def test_validate_peak_memory_with_two_threads_stays_near_one_thread(tmp_path):
+def peak_rss_kib(tmp_path, *argv, threads="2"):
+    """Peak RSS in KiB of ``aud-lab validate argv`` in a child process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(aud_lab.__file__)))
-    peaks = {}
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_OF_VALIDATE, "validate", "--updates", "200000",
-             "--seed", "3", "--out", str(tmp_path / f"v{threads}.csv")],
-            cwd=tmp_path, capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": src, "AUD_LAB_THREADS": threads},
-        )
-        assert proc.returncode == 0, proc.stderr
-        peaks[threads] = int(proc.stdout.split()[-1])
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_OF_VALIDATE, "validate", *argv,
+         "--out", str(tmp_path / "v.csv")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "AUD_LAB_THREADS": threads},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+def test_validate_peak_memory_with_two_threads_stays_near_one_thread(tmp_path):
+    peaks = {threads: peak_rss_kib(tmp_path, "--updates", "200000", "--seed", "3",
+                                   threads=threads) for threads in ("1", "2")}
     assert peaks["2"] <= (1.0 + THREADS_RSS_MARGIN) * peaks["1"], peaks
+
+
+def test_validate_peak_memory_does_not_grow_with_the_decision_count(tmp_path):
+    # At lambda = 0.01 the nu = 10 epochs would fill a 160 MB column, at 0.5 a
+    # 3.2 MB one; the trace is the same size.  One buffer of SEGMENT epochs (32
+    # MiB) and an eighth of a buffer for temporaries bound the difference.
+    peaks = {lam: peak_rss_kib(tmp_path, "--lambda", lam, "--updates", "20000", "--seed", "3")
+             for lam in ("0.5", "0.01")}
+    assert peaks["0.01"] <= peaks["0.5"] + decisions.SEGMENT * 8 * 9 // 8 // 1024, peaks

@@ -217,11 +217,22 @@ class AoiPath:
         return out
 
 
-def aoi_path(trace: UpdateTrace) -> AoiPath:
-    """Sawtooth age process of the trace: drops to the system time at each departure."""
+def aoi_path(trace: UpdateTrace, start: float | None = None, end: float | None = None) -> AoiPath:
+    """Sawtooth age process of the trace: drops to the system time at each departure.
+
+    Given a window [start, end] within the trace's span, it holds only the
+    segments that overlap the window, from slices of the trace: no
+    full-length column, and ``time_average_aoi`` over the window takes the
+    same terms as on the whole path.
+    """
     if trace.n < 1:
         raise InsufficientDataError("empty trace")
-    return AoiPath(trace.departure_times, trace.system_times)
+    dep, arr = trace.departure_times, trace.arrival_times
+    if start is not None:
+        a, b = np.searchsorted(dep, (start, end), side="right")
+        window = slice(max(a - 1, 0), min(b, trace.n - 1) + 1)
+        dep, arr = dep[window], arr[window]
+    return AoiPath(dep, dep - arr)
 
 
 def time_average_aoi(path: AoiPath, start: float, end: float) -> float:

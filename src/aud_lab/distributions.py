@@ -7,11 +7,11 @@ streams for the arrival, service, and decision processes.  One transform
 (``_gap_parts``) makes the gaps of all three: ``exponential_gaps`` returns
 them, ``exponential_epochs`` their running sums.
 
-Philox maps a counter to four 64-bit words, so any stretch of a stream can
-be drawn on its own from the key and the counter at its start.  Requests
-longer than ``BLOCK_SIZE`` values are drawn that way, one counter block per
-task on a shared thread pool, with the same values and the same stream
-state afterwards as one sequential draw.
+A stream is its Philox key and the count of draws taken from it.  Philox
+maps a counter to four 64-bit words, so any stretch of a stream can be
+drawn on its own from the key and its position.  Every request is drawn
+that way, one block of up to ``BLOCK_SIZE`` values per task on a shared
+thread pool, with the same values as one sequential draw.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ DECISION_STREAM = 2
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Values per pool task; a multiple of Philox's four words per counter.  The
-# split changes no drawn value, only how the work is shared out.
+# Values per pool task.  The split changes no drawn value, only how the work
+# is shared out.
 BLOCK_SIZE = 1 << 19
 
 _pool: concurrent.futures.ThreadPoolExecutor | None = None
@@ -62,10 +62,10 @@ def block_pool() -> concurrent.futures.ThreadPoolExecutor:
     """The shared pool of ``worker_limit()`` threads, made on first use.
 
     Its tasks never wait on other tasks, so any thread may submit to it
-    and wait.  A changed ``AUD_LAB_THREADS`` gets a new pool;
-    the old one's threads exit once the last caller drops it.  The
-    executor's module loads on first use too, which keeps it out of the
-    import.
+    and wait.  Every random draw waits on it, so no task draws.  A changed
+    ``AUD_LAB_THREADS`` gets a new pool; the old one's threads exit once the
+    last caller drops it.  The executor's module loads on first use too,
+    which keeps it out of the import.
     """
     global _pool, _pool_workers
     workers = worker_limit()
@@ -89,11 +89,11 @@ def _finish(part: np.ndarray, transform) -> np.ndarray:
     return part
 
 
-def _draw_block(counter, key, skip: int, out: np.ndarray, transform) -> np.ndarray:
-    """``out``, finished, drawn from Philox stream (counter, key) after ``skip`` counters."""
-    bit_generator = Philox(counter=counter, key=key)
-    if skip:
-        bit_generator.advance(skip)
+def _draw_block(key, start: int, out: np.ndarray, transform) -> np.ndarray:
+    """``out``, finished, drawn from the Philox stream keyed ``key`` from its draw ``start`` on."""
+    bit_generator = Philox(key=key)
+    bit_generator.advance(start // 4)  # skip whole counters, four draws each
+    bit_generator.random_raw(start % 4)  # and the next counter's draws before ``start``
     return _finish(Generator(bit_generator).random(out=out), transform)
 
 
@@ -111,6 +111,7 @@ class SeededStream:
 
     Identical (seed, stream_id) pairs produce bit-identical sequences across
     runs and platforms; distinct stream ids key independent Philox streams.
+    The stream holds its Philox key and the count of draws taken so far.
     A stream is single-owner: never share one between concurrent consumers.
     """
 
@@ -123,25 +124,19 @@ class SeededStream:
             raise ParameterError(f"seed must fit in 64 bits, got {seed}")
         if stream_id < 0:
             raise ParameterError(f"stream_id must be non-negative, got {stream_id}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id) & _MASK64
-        key = SeedSequence(
-            entropy=self.seed,
-            spawn_key=(self.stream_id & 0xFFFFFFFF, self.stream_id >> 32),
-        )
-        self._gen = Generator(Philox(key))
-
-    def __repr__(self):
-        return f"SeededStream(seed={self.seed}, stream_id={self.stream_id})"
+        stream_id = int(stream_id) & _MASK64
+        # the key ``Philox(seed_seq)`` takes, with its counter at 0
+        self._key = SeedSequence(entropy=int(seed), spawn_key=(
+            stream_id & 0xFFFFFFFF, stream_id >> 32)).generate_state(2, np.uint64)
+        self._drawn = 0
 
     def uniform_open(self, size: int) -> np.ndarray:
         """``size`` uniform draws on the open interval (0, 1).
 
         An exact 0.0, drawn with probability 2^-53, is mapped to
         SMALLEST_DRAW, so a request moves the stream on by exactly ``size``
-        draws.  A request longer than ``BLOCK_SIZE`` is drawn in counter
-        blocks on ``block_pool()`` (see ``fill_open``); the values and the
-        stream's state afterwards are those of one sequential draw.
+        draws.  The values are drawn by ``fill_open``: those of one
+        sequential draw.
         """
         if size < 0:
             raise ParameterError(f"size must be non-negative, got {size}")
@@ -160,45 +155,23 @@ class SeededStream:
         yields it: its 0.0s are mapped and its draws passed through
         ``transform`` (in place), if given.  The parts cover ``out``.
 
-        Up to ``BLOCK_SIZE`` values are drawn sequentially in one part.  A
-        longer request draws the words left in Philox's four-word buffer
-        (the head) and the last ``(size - head) % 4`` values (the tail) from
-        the stream itself, and the body between them in counter blocks of
-        ``BLOCK_SIZE`` on ``block_pool()``, each from the counter after the
-        head plus its offset.  The stream then skips the body with one
-        ``advance``; ``advance`` also clears the buffer, which is spent by
-        then.  Each task finishes its own block, so the caller can consume
-        it while later ones are still being drawn.
+        Each part is a block of up to ``BLOCK_SIZE`` values, drawn by its own
+        task on ``block_pool()`` from the stream's key at the block's
+        position, so the caller can consume a block while later ones are
+        still being drawn.
         """
-        gen = self._gen
-        size = len(out)
-        if size <= BLOCK_SIZE:
-            gen.random(out=out)
-            _finish(out, transform)
-            return iter((out,) if size else ())
-        bit_generator = gen.bit_generator
-        state = bit_generator.state
-        head = 4 - state["buffer_pos"]
-        end = size - (size - head) % 4
-        parts: list = []  # in index order: final parts, and the futures of body blocks
-        if head:
-            parts.append(_finish(gen.random(out=out[:head]), transform))
-        counter, key = state["state"]["counter"], state["state"]["key"]
         pool = block_pool()
-        for a in range(head, end, BLOCK_SIZE):
-            parts.append(pool.submit(_draw_block, counter, key, (a - head) // 4,
-                                     out[a:min(a + BLOCK_SIZE, end)], transform))
-        bit_generator.advance((end - head) // 4)
-        if end < size:
-            parts.append(_finish(gen.random(out=out[end:]), transform))
-        return (part if isinstance(part, np.ndarray) else part.result() for part in parts)
+        start, self._drawn = self._drawn, self._drawn + len(out)
+        blocks = [pool.submit(_draw_block, self._key, start + a, out[a:a + BLOCK_SIZE], transform)
+                  for a in range(0, len(out), BLOCK_SIZE)]
+        return (block.result() for block in blocks)
 
 
 def _gap_parts(stream: SeededStream, rate: float, out: np.ndarray) -> Iterator[np.ndarray]:
     """Fill ``out`` with gaps -log(U) / rate from ``stream``; yield its parts in index order.
 
     The uniforms come from ``stream.fill_open``, and each part is final when
-    yielded (see there): the tasks of a long request take the log and scale
+    yielded (see there): the block tasks take the log and scale
     of their own blocks on the block pool.
     """
 

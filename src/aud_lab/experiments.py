@@ -6,7 +6,7 @@ plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one buffer of decision
 epochs at a time, and output is byte-reproducible.  Validation estimates one
-decision rate at a time, then runs its checks in order.  Long random draws
+decision rate at a time, then runs its checks in order.  Every random draw
 and every time window run on the shared block pool
 (``distributions.block_pool``), the program's only thread pool.  A point's
 AUD_BATCHES time windows (``_Point``) batch every correlated mean: each
@@ -84,9 +84,11 @@ MIN_SQUARED_GAPS = 1085
 MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 
 # A run simulates at most this many updates and draws at most about this
-# many decisions at one rate (nu * n / min(lambda, mu) at a point), or exits
-# before simulating.  That bounds the run time, and a window's expected
-# decisions to MAX_COLUMN / AUD_BATCHES, well within decisions.SEGMENT.
+# many decisions at one rate.  It exits before simulating where a point's
+# expected horizon n / min(lambda, mu) times nu exceeds the cap, and before
+# drawing a decision where the simulated horizon times nu does.  That bounds
+# the run time, and a window's expected decisions to MAX_COLUMN / AUD_BATCHES,
+# well within decisions.SEGMENT.
 MAX_COLUMN = 2**28
 
 # A stable point's epochs reach about n / lambda, where adjacent doubles lie
@@ -503,6 +505,12 @@ class _Point:
 def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
     seed = derive_point_seed(config.seed, grid_index)
     trace = simulate(params, config.n_updates, seed)
+    nu = max(config.decision_rates)
+    if nu * trace.last_departure > MAX_COLUMN:
+        raise ParameterError(
+            f"decision rate {nu:g} over the simulated horizon {trace.last_departure:.6g} draws "
+            f"about {nu * trace.last_departure:.3g} decisions; the cap is {MAX_COLUMN} values "
+            "per column")
     warm = _warmup_count(config, trace.n)
     warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
     edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), trace.last_departure,
@@ -863,8 +871,8 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
         # Poisson decisions sample the time average of the age path (PASTA).  The
         # median configured rate (the upper one of an even count) draws nothing extra.
         aud = estimate(distinct[len(distinct) // 2])  # its batch rule keeps the windows apart
-        path = aoi_path(trace)
-        aoi = mean_ci(_by_window(lambda a, b: time_average_aoi(path, a, b), edges),
+        # each window's sawtooth from slices of the trace, with no system-time column
+        aoi = mean_ci(_by_window(lambda a, b: time_average_aoi(aoi_path(trace, a, b), a, b), edges),
                       config.confidence)
         return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 

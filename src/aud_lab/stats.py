@@ -54,9 +54,6 @@ class EstimateWithCI:
     def hi(self) -> float:
         return self.mean + self.half_width
 
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
     def overlaps(self, other: "EstimateWithCI") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

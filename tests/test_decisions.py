@@ -240,11 +240,14 @@ def sawtooth_reference(path, start, end):
     return integral / (end - start)
 
 
-def assert_sawtooth_matches_reference(path, edges):
-    # the window's own terms add up in another order than the padded sum's
+def assert_sawtooth_matches_reference(trace, edges):
+    # the window's own terms add up in another order than the padded sum's, and
+    # a path of only the window's segments gives the same bits as the whole path
+    path = aoi_path(trace)
     for start, end in zip(edges[:-1], edges[1:]):
-        assert time_average_aoi(path, start, end) == pytest.approx(
-            sawtooth_reference(path, start, end), rel=1e-12, abs=0.0)
+        average = time_average_aoi(path, start, end)
+        assert average == pytest.approx(sawtooth_reference(path, start, end), rel=1e-12, abs=0.0)
+        assert time_average_aoi(aoi_path(trace, start, end), start, end) == average
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -252,7 +255,7 @@ def test_batched_sawtooth_matches_the_window_scan(seed):
     trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
     edges = np.linspace(warm_epoch, trace.last_departure, 101)
-    assert_sawtooth_matches_reference(aoi_path(trace), edges)
+    assert_sawtooth_matches_reference(trace, edges)
 
 
 def test_batched_sawtooth_window_edge_cases():
@@ -260,9 +263,12 @@ def test_batched_sawtooth_window_edge_cases():
     path = aoi_path(trace)
     drops = path.drop_epochs
     # edges exactly on drop epochs, including both ends of the support
-    assert_sawtooth_matches_reference(path, drops[[0, 1, 2, 700, 701, 2999]])
+    assert_sawtooth_matches_reference(trace, drops[[0, 1, 2, 700, 701, 2999]])
     # a single window
-    assert_sawtooth_matches_reference(path, [drops[5] + 0.25, drops[2000] - 0.25])
+    assert_sawtooth_matches_reference(trace, [drops[5] + 0.25, drops[2000] - 0.25])
+    # edges on tied drops
+    assert_sawtooth_matches_reference(tied_departures(), [2.0, 3.0, 5.0])
+    assert_sawtooth_matches_reference(tied_arrivals(), [2.0, 3.0, 4.0, 6.0])
     with pytest.raises(ParameterError):
         time_average_aoi(path, drops[10], drops[9])
 
@@ -271,11 +277,11 @@ def test_sawtooth_matches_the_padded_sum_at_a_million_updates():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 7)
     path = aoi_path(trace)
     drops = path.drop_epochs
-    assert_sawtooth_matches_reference(path, np.linspace(drops[1000], drops[-1], 11))
+    assert_sawtooth_matches_reference(trace, np.linspace(drops[1000], drops[-1], 11))
     # a window over a few segments, and one over a few hundred
     mid = len(drops) // 2
-    assert_sawtooth_matches_reference(path, [drops[mid - 3] + 0.25, drops[mid + 2]])
-    assert_sawtooth_matches_reference(path, [drops[mid - 200], drops[mid + 300] - 0.25])
+    assert_sawtooth_matches_reference(trace, [drops[mid - 3] + 0.25, drops[mid + 2]])
+    assert_sawtooth_matches_reference(trace, [drops[mid - 200], drops[mid + 300] - 0.25])
 
 
 def decisions_reference(trace, times):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator
+from numpy.random import Generator, Philox, SeedSequence
 
 from aud_lab import distributions
 from aud_lab.distributions import SeededStream, exponential_epochs, exponential_gaps, splitmix64
@@ -120,9 +120,19 @@ def test_exponential_draw_properties(rate, seed, stream_id):
     assert (draws == again).all()
 
 
-# A small block so that short requests already run in several counter blocks.
+# A small block so that short requests already run in several blocks.
 SMALL_BLOCK = 4096
 BLOCK_SIZES = [0, 1, 3, 4, 5, SMALL_BLOCK + 7, 3 * SMALL_BLOCK]
+
+
+def reference_generator(seed, stream_id):
+    """A sequential generator of the stream (seed, stream_id), from its own SeedSequence.
+
+    It is made through ``distributions.Generator``, so a test that patches
+    that name patches the reference too.
+    """
+    key = SeedSequence(entropy=seed, spawn_key=(stream_id & 0xFFFFFFFF, stream_id >> 32))
+    return distributions.Generator(Philox(key))
 
 
 def sequential_open(gen, size):
@@ -159,7 +169,7 @@ def test_block_draws_equal_one_sequential_draw(monkeypatch, offset):
     monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
     for size in BLOCK_SIZES:
         stream = SeededStream(42, 3)
-        reference = SeededStream(42, 3)._gen
+        reference = reference_generator(42, 3)
         np.testing.assert_array_equal(stream.uniform_open(offset), reference.random(offset))
         got = stream.uniform_open(size)
         assert got.shape == (size,)
@@ -176,7 +186,7 @@ def test_block_draws_reject_zeros_like_one_sequential_draw(monkeypatch, threads)
     for offset in (0, 1, 3):
         for size in BLOCK_SIZES:
             stream = SeededStream(7, 1)
-            reference = SeededStream(7, 1)._gen
+            reference = reference_generator(7, 1)
             stream.uniform_open(offset)
             sequential_open(reference, offset)
             got = stream.uniform_open(size)
@@ -189,11 +199,13 @@ def test_block_draws_reject_zeros_like_one_sequential_draw(monkeypatch, threads)
 @pytest.mark.parametrize("threshold,zeros", [(0.0, 0), (5e-5, 1), (0.05, 1054), (0.25, 5263)])
 def test_block_cumulative_gaps_equal_one_cumsum(monkeypatch, threshold, zeros):
     monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
-    # after one draw: a head of draws 1-3, five blocks, and a tail of the last draw
+    # after one draw: five blocks, each starting one draw into a Philox counter,
+    # and a sixth of the last four draws
     size = 5 * SMALL_BLOCK + 4
     draws = SeededStream(1009, 2).uniform_open(1 + size)
-    # at 5e-5 one draw turns to 0.0, in the first of five blocks; at 0.05 every block has
-    # some, and at 0.25 the head and the tail too
+    # at 5e-5 one draw turns to 0.0, in the first block; at 0.05 every full block has
+    # some, and at 0.25 the sixth block and draws 1-3 too: the first block's draws in
+    # the counter whose draw 0 it skips
     assert (draws < threshold).sum() == zeros
     assert (draws[1:4].min() < threshold and draws[-1] < threshold) == (threshold == 0.25)
     monkeypatch.setattr(ZeroingGenerator, "threshold", threshold)
@@ -201,7 +213,7 @@ def test_block_cumulative_gaps_equal_one_cumsum(monkeypatch, threshold, zeros):
     # both entry points: the epochs of the arrivals and decisions, the gaps of the services
     for entry, total in ((exponential_epochs, np.cumsum), (exponential_gaps, None)):
         stream = SeededStream(1009, 2)
-        reference = SeededStream(1009, 2)._gen
+        reference = reference_generator(1009, 2)
         stream.uniform_open(1)
         sequential_open(reference, 1)
         got = entry(stream, 2.5, size)
@@ -229,7 +241,7 @@ def test_concurrent_block_draws_from_many_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     for stream_id, got in enumerate(results):
-        reference = SeededStream(5, stream_id)._gen
+        reference = reference_generator(5, stream_id)
         for draws in got:
             np.testing.assert_array_equal(draws, reference.random(size))
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
 
@@ -1223,9 +1224,15 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
          "100000 updates at lambda=1e-12, mu=1 span about 1e+17 mean service times"),
         (["sweep", "--lambda", "1e-19", "--mu", "1", "--nu", "1e-19", "--updates", "100"],
          "100 updates at lambda=1e-19, mu=1 span about 1e+21 mean service times"),
+        # nu * n / lambda = 2^28 passes the cap, but this trace's horizon is 11.3,
+        # not the expected 4: the run drew 7.56e8 decisions
+        (["validate", "--updates", "2", "--lambda", "0.5", "--nu", "67108864", "--seed", "43"],
+         "decision rate 6.71089e+07 over the simulated horizon 11.2704 draws about 7.56e+08 "
+         "decisions"),
     ):
         out = tmp_path / "out.csv"
-        assert cli_main([*argv, "--seed", "1", "--out", str(out)]) == 2
+        # a seed in ``argv`` comes later, so it wins
+        assert cli_main([argv[0], "--seed", "1", *argv[1:], "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error:") and reason in captured.err
@@ -1525,3 +1532,20 @@ def test_validate_peak_memory_does_not_grow_with_the_decision_count(tmp_path):
     peaks = {lam: peak_rss_kib(tmp_path, "--lambda", lam, "--updates", "20000", "--seed", "3")
              for lam in ("0.5", "0.01")}
     assert peaks["0.01"] <= peaks["0.5"] + decisions.SEGMENT * 8 * 9 // 8 // 1024, peaks
+
+
+def test_validation_checks_hold_no_column_beyond_the_trace():
+    # The trace (16 bytes per update) is built before tracing starts.  At nu =
+    # 0.01 the decision epochs are few, so the checks' own peak is their
+    # slices and K-S samples: about 3.1 bytes per update.  A system-time column
+    # for the sawtooth would add 8.
+    n = 2_000_000
+    config = build_config(decision_rates=(0.01,), n_updates=n, seed=3)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+    tracemalloc.start()
+    try:
+        _validation_checks(point)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n, peak / n

@@ -487,8 +487,8 @@ def test_simulated_trace_holds_16_bytes_per_update():
 def test_sample_many_keeps_from_uniform_pure(monkeypatch):
     # a gap draw transforms only its own buffer: uniforms drawn earlier stay as
     # they were, each gap is -log(U) / rate of them, and the stream ends where
-    # one uniform draw of the same length leaves it; on the sequential path and
-    # on the block path
+    # one uniform draw of the same length leaves it; drawn in one block and in
+    # several
     for block in (distributions.BLOCK_SIZE, 256):
         monkeypatch.setattr(distributions, "BLOCK_SIZE", block)
         u = SeededStream(4, 0).uniform_open(1000)

@@ -66,8 +66,8 @@ def test_ci_coverage_experiment():
     hits = 0
     for seed in range(100):
         draws = exponential_gaps(SeededStream(1000 + seed, 0), 0.5, 1_000_000)
-        if mean_ci(draws, 0.99).contains(2.0):
-            hits += 1
+        est = mean_ci(draws, 0.99)
+        hits += est.lo <= 2.0 <= est.hi
     assert hits >= 95
 
 

@@ -14,19 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, StabilityError
-from .queueing import SystemParams
-
-# Utilizations this close to 1 are rejected rather than evaluated: the
-# closed forms blow up and silent overflow would poison parameter sweeps.
-STABILITY_GUARD = 1e-9
-
-
-def require_stable(params: SystemParams) -> None:
-    if params.utilization >= 1.0 - STABILITY_GUARD:
-        raise StabilityError(
-            f"utilization {params.utilization:.6g} is not safely below 1"
-        )
+from .errors import DivergenceError, ParameterError
+from .queueing import SystemParams, require_stable
 
 
 def stationary_queue_dist(params: SystemParams, max_length: int) -> np.ndarray:
@@ -69,12 +58,12 @@ def interdeparture_mgf_given_idle_arrival(params: SystemParams, s: float) -> flo
 
     Such a gap is the leftover arrival wait plus a fresh service time, so
     the transform is the product of two exponential MGFs; it diverges for
-    s >= min(arrival_rate, service_rate).
+    s >= arrival_rate, the smaller rate of a stable point.
     """
     require_stable(params)
     lam, mu = params.arrival_rate, params.service_rate
-    if s >= min(lam, mu):
-        raise DivergenceError(f"transform diverges for s >= {min(lam, mu):.6g}")
+    if s >= lam:
+        raise DivergenceError(f"transform diverges for s >= {lam:.6g}")
     return lam * mu / ((lam - s) * (mu - s))
 
 

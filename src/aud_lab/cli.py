@@ -24,33 +24,18 @@ from .experiments import (
 )
 
 
-# Each flag sets the config-file key of its name, read by the same converter.
-_FLAGS = {
-    "lambda": "arrival rate(s)",
-    "mu": "service rate(s)",
-    "nu": "decision rate(s)",
-    "updates": "updates to simulate per point",
-    "seed": "base seed",
-    "out": "output CSV path",
-    "confidence": "CI confidence level",
-}
-
-
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    for key, help_text in _FLAGS.items():
-        parser.add_argument(f"--{key}", help=help_text)
+    for key, (_, _, help_text) in _CONFIG_KEYS.items():
+        if help_text:
+            parser.add_argument(f"--{key}", help=help_text)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     """The ExperimentConfig field values of the flags that were given."""
-    values = {}
-    for key in _FLAGS:
-        text = getattr(args, key)
-        if text is not None:
-            field, convert = _CONFIG_KEYS[key]
-            values[field] = convert(text)
-    return values
+    given = vars(args)
+    return {field: convert(given[key]) for key, (field, convert, _) in _CONFIG_KEYS.items()
+            if given.get(key) is not None}
 
 
 def main(argv: list[str] | None = None) -> int:

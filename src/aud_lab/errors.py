@@ -10,7 +10,7 @@ class ParameterError(AudLabError, ValueError):
 
 
 class StabilityError(AudLabError, ValueError):
-    """Operation requires a stable queue (utilization < 1) and got one that is not."""
+    """Operation requires a stable queue (``SystemParams.is_stable``) and got one that is not."""
 
 
 class InsufficientDataError(AudLabError, ValueError):

@@ -84,8 +84,8 @@ MIN_SQUARED_GAPS = 1085
 MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 
 # A run simulates at most this many updates and draws at most about this
-# many decisions at one rate.  It exits before simulating where a point's
-# expected horizon n / min(lambda, mu) times nu exceeds the cap, and before
+# many decisions at one rate.  It exits before simulating where a stable
+# point's expected horizon n / lambda times nu exceeds the cap, and before
 # drawing a decision where the simulated horizon times nu does.  That bounds
 # the run time, and a window's expected decisions to MAX_COLUMN / AUD_BATCHES,
 # well within decisions.SEGMENT.
@@ -96,6 +96,10 @@ MAX_COLUMN = 2**28
 # is at most 2^-12 of a mean service time 1 / mu: rounding cannot bend a
 # system time by anything a K-S test on KS_MAX_SAMPLES samples could see.
 MAX_HORIZON = 2.0**40
+
+# A run writes at most this many rows, one per (lambda, mu, nu).  A row
+# holds about 430 bytes in memory, so a run's rows stay under 0.5 GB.
+MAX_ROWS = 2**20
 
 
 def _require(enough: bool, reason: str) -> None:
@@ -161,19 +165,22 @@ class ExperimentConfig:
         if self.n_updates > MAX_COLUMN:
             raise ParameterError(f"{self.n_updates} updates exceed the cap of {MAX_COLUMN} "
                                  "values per column")
+        rows = len(self.arrival_rates) * len(self.service_rates) * len(self.decision_rates)
+        if rows > MAX_ROWS:
+            raise ParameterError(f"the grid holds {rows} rows; the cap is {MAX_ROWS}")
         nu = max(self.decision_rates)
         for lam, mu in itertools.product(self.arrival_rates, self.service_rates):
-            if lam / mu >= 1.0:
-                continue  # an unstable point is not simulated
-            count = nu * self.n_updates / min(lam, mu)
+            if not SystemParams(lam, mu).is_stable:
+                continue  # a sweep gives it ``unstable`` rows and does not simulate it
+            count = nu * self.n_updates / lam
             if count > MAX_COLUMN:
                 raise ParameterError(
-                    f"decision rate {nu:g} at lambda={lam:g}, mu={mu:g} draws about "
+                    f"decision rate {nu!r} at lambda={lam!r}, mu={mu!r} draws about "
                     f"{count:.3g} decisions; the cap is {MAX_COLUMN} values per column")
             span = self.n_updates * mu / lam
             if span > MAX_HORIZON:
                 raise ParameterError(
-                    f"{self.n_updates} updates at lambda={lam:g}, mu={mu:g} span about "
+                    f"{self.n_updates} updates at lambda={lam!r}, mu={mu!r} span about "
                     f"{span:.3g} mean service times; epochs that late cannot resolve a "
                     "service time (the cap is 2^40)")
 
@@ -205,22 +212,28 @@ def parse_rates(text: str) -> tuple:
         start, stop, step = (Decimal(p.strip()) for p in parts)
         # the range holds floor(steps) + 1 rates
         steps = (stop - start) / step
-        if not steps < MAX_COLUMN:
+        if not steps < MAX_ROWS:
             raise ParameterError(f"range {text!r} holds about {float(steps):.3g} rates; "
-                                 f"the cap is {MAX_COLUMN}")
+                                 f"the cap is {MAX_ROWS}")
         return tuple(float(start + i * step) for i in range(int(steps) + 1))
     return tuple(_parse_number(p, float, "rate") for p in text.split(",") if p.strip())
 
 
+# The one table of input keys: each config-file key names its ExperimentConfig
+# field, the converter of its text and the help of the CLI flag of its name
+# (None: a config-file key only).  The flags, config files and the manifest's
+# config record all read it.
 _CONFIG_KEYS = {
-    "lambda": ("arrival_rates", parse_rates),
-    "mu": ("service_rates", parse_rates),
-    "nu": ("decision_rates", parse_rates),
-    "updates": ("n_updates", lambda s: _parse_number(s, int, "updates")),
-    "seed": ("seed", lambda s: _parse_number(s, int, "seed")),
-    "confidence": ("confidence", lambda s: _parse_number(s, float, "confidence")),
-    "out": ("output_path", str.strip),
-    "warmup": ("warmup_updates", lambda s: _parse_number(s, int, "warmup")),
+    "lambda": ("arrival_rates", parse_rates, "arrival rate(s)"),
+    "mu": ("service_rates", parse_rates, "service rate(s)"),
+    "nu": ("decision_rates", parse_rates, "decision rate(s)"),
+    "updates": ("n_updates", lambda s: _parse_number(s, int, "updates"),
+                "updates to simulate per point"),
+    "seed": ("seed", lambda s: _parse_number(s, int, "seed"), "base seed"),
+    "out": ("output_path", str.strip, "output CSV path"),
+    "confidence": ("confidence", lambda s: _parse_number(s, float, "confidence"),
+                   "CI confidence level"),
+    "warmup": ("warmup_updates", lambda s: _parse_number(s, int, "warmup"), None),
 }
 
 
@@ -242,7 +255,7 @@ def load_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, conv = _CONFIG_KEYS[key]
+        attr, conv, _ = _CONFIG_KEYS[key]
         if attr in values:
             raise ParameterError(f"{path}:{lineno}: key {key!r} set twice")
         try:
@@ -345,18 +358,9 @@ class SweepResult:
 
 
 def _config_record(config: ExperimentConfig, mode: str) -> dict:
-    return {
-        "record": "config",
-        "mode": mode,
-        "lambda": list(config.arrival_rates),
-        "mu": list(config.service_rates),
-        "nu": list(config.decision_rates),
-        "n_updates": config.n_updates,
-        "seed": config.seed,
-        "confidence": config.confidence,
-        "output": config.output_path,
-        "warmup": config.warmup_updates,
-    }
+    """The ``mode`` and each config-file key's value, so the record reads back as a config."""
+    return {"record": "config", "mode": mode,
+            **{key: getattr(config, field) for key, (field, _, _) in _CONFIG_KEYS.items()}}
 
 
 def _cpu_features() -> list[str]:
@@ -570,20 +574,16 @@ def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
                 service_rate: float) -> list[SweepRow]:
     """All rows (one per decision rate) for a single (lambda, mu) grid point.
 
-    A point without a closed form (``analytic.average_aud`` raises
-    StabilityError: utilization within ``analytic.STABILITY_GUARD`` of 1 or
-    above) is not simulated and gets ``unstable`` rows.
+    A point that is not ``params.is_stable`` (utilization within
+    ``queueing.STABILITY_GUARD`` of 1 or above) has no closed form; it is not
+    simulated and gets ``unstable`` rows.
     """
     params = SystemParams(arrival_rate, service_rate)
-    try:
-        analytic_value = analytic.average_aud(params)
-    except StabilityError:
-        return [
-            SweepRow(arrival_rate, service_rate, nu, None, None, None, None, None,
-                     None, None, "unstable")
-            for nu in config.decision_rates
-        ]
+    if not params.is_stable:
+        return [SweepRow(arrival_rate, service_rate, nu, *[None] * 7, "unstable")
+                for nu in config.decision_rates]
 
+    analytic_value = analytic.average_aud(params)
     point = _simulate_point(config, grid_index, params)
     _, thinned, gaps = _ks_samples(point)
     ks_t_p = _ks_p_value(thinned, analytic.system_time_rate(params))
@@ -799,7 +799,7 @@ def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
     def mgf_mixture_identity():
         # Busy/idle mixture must reassemble the plain rate transform.
         s_stream = SeededStream(config.seed, 0xC0FFEE)
-        s_hi = min(lam, mu)
+        s_hi = lam  # the smaller rate of a stable point
         s_values = -2.0 * s_hi + 2.95 * s_hi * np.asarray(s_stream.uniform_open(10))
         rho = params.utilization
         worst_mgf = 0.0

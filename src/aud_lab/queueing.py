@@ -31,6 +31,10 @@ from .errors import InsufficientDataError, ParameterError, StabilityError
 # ``simulate`` runs its Lindley scan over this many updates at a time.
 SCAN_CHUNK = 2**16
 
+# Utilizations this close to 1 count as unstable: the closed forms blow up
+# there, and silent overflow would poison parameter sweeps.
+STABILITY_GUARD = 1e-9
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -38,7 +42,9 @@ class SystemParams:
 
     The average age upon decisions depends on these two rates only, so the
     decision rate is not one of them: a run takes it from its config, and
-    ``decisions.poisson_epochs`` takes it as an argument.
+    ``decisions.poisson_epochs`` takes it as an argument.  ``is_stable`` is
+    the one stability rule: utilization below 1 - STABILITY_GUARD, where
+    the closed forms hold, and the only points ``simulate`` runs.
 
     Attributes:
         arrival_rate: update arrivals per unit time.
@@ -60,7 +66,12 @@ class SystemParams:
 
     @property
     def is_stable(self) -> bool:
-        return self.utilization < 1.0
+        return self.utilization < 1.0 - STABILITY_GUARD
+
+
+def require_stable(params: SystemParams) -> None:
+    if not params.is_stable:
+        raise StabilityError(f"utilization {params.utilization!r} is not safely below 1")
 
 
 def _non_decreasing(epochs: np.ndarray) -> bool:
@@ -179,13 +190,13 @@ def simulate(params: SystemParams, n_updates: int, seed: int) -> UpdateTrace:
     function of (params, n_updates, seed).
 
     Raises:
-        StabilityError: utilization >= 1.
+        StabilityError: ``params`` is not stable (utilization within
+            STABILITY_GUARD of 1 or above it), as for the closed forms.
         ParameterError: ``n_updates`` < 1.
     """
     if n_updates < 1:
         raise ParameterError(f"n_updates must be >= 1, got {n_updates}")
-    if not params.is_stable:
-        raise StabilityError(f"utilization {params.utilization:.6g} >= 1")
+    require_stable(params)
 
     # The departures overwrite the service gaps in place, SCAN_CHUNK updates
     # at a time, so the scan holds the trace's two columns and two chunks.

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -110,17 +111,29 @@ def test_manifest_config_record_rebuilds_the_config(config, mode, tmp_path):
     write_manifest(str(manifest), config, mode, 0.0, 1)
     record = json.loads(manifest.read_text().splitlines()[0])
     assert record.pop("record") == "config"
-    # the verb's mode, then one config-file line per field: lists joined
-    # with commas, null left out
+    # the verb's mode, then one config-file key per field: written back as
+    # config lines unchanged, lists joined with commas, null left out
     assert record.pop("mode") == mode
     assert len(record) == len(fields(ExperimentConfig))
-    keys = {"n_updates": "updates", "output": "out"}
     cfg = tmp_path / "cfg"
     cfg.write_text("".join(
-        f"{keys.get(key, key)} = "
-        f"{','.join(map(str, value)) if isinstance(value, list) else value}\n"
+        f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
         for key, value in record.items() if value is not None))
     assert build_config(str(cfg)) == config
+
+
+def test_one_key_table_sets_every_field_and_names_every_flag(capsys):
+    keyed = [field for field, _, _ in experiments._CONFIG_KEYS.values()]
+    assert sorted(keyed) == sorted(f.name for f in fields(ExperimentConfig))
+    flags = [f"--{key}" for key, (_, _, help_text) in experiments._CONFIG_KEYS.items()
+             if help_text]
+    assert flags == ["--lambda", "--mu", "--nu", "--updates", "--seed", "--out",
+                     "--confidence"]
+    for verb in ("sweep", "nu-invariance", "validate"):
+        with pytest.raises(SystemExit):
+            cli_main([verb, "--help"])
+        shown = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.MULTILINE)
+        assert shown == ["--config", *flags]
 
 
 def test_config_validation():
@@ -254,6 +267,17 @@ def test_sweep_marks_unstable_rows():
         assert row.analytic_aud is None and row.empirical_aud is None
     csv_line = row.as_csv()
     assert csv_line.endswith("unstable")
+
+
+def test_cli_sweep_of_a_guard_band_point_writes_its_unstable_row(tmp_path, capsys):
+    # rho = 1 - 1e-10 has no closed form, so it is neither simulated nor held
+    # to the decision cap it would exceed (it exited 2 on that cap)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--lambda", "0.9999999999", "--mu", "1", "--nu", "300",
+            "--updates", "1000000", "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1:] == ["0.9999999999,1.0,300.0,,,,,,,,unstable"]
 
 
 def test_grid_mode_covers_cross_product():
@@ -939,7 +963,7 @@ def test_cli_error_paths(tmp_path, capsys):
         argv = ["nu-invariance", "--lambda", lam, "--mu", "1", "--nu", "1,2", "--updates", "1000"]
         assert cli_main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: utilization {float(lam):.6g} is not safely below 1\n"
+        assert out == "" and err == f"error: utilization {float(lam)!r} is not safely below 1\n"
 
 
 def test_cli_bad_rate_exits_2(capsys):
@@ -1056,7 +1080,7 @@ def test_cli_rates_outside_their_range_exit_2(capsys):
     # refused before any rate is built
     for text, reason in (("0.1:inf:0.1", "bad range"), ("nan:1:0.1", "bad range"),
                          ("0.1:0.9:nan", "bad range"), ("-inf:1:0.1", "bad range"),
-                         ("0.1:0.9:1e-12", "holds about 8e+11 rates; the cap is 268435456"),
+                         ("0.1:0.9:1e-12", "holds about 8e+11 rates; the cap is 1048576"),
                          ("1e-300:1e300:1e-300", "holds about inf rates")):
         assert cli_main(["sweep", f"--lambda={text}", "--updates", "100"]) == 2
         out, err = capsys.readouterr()
@@ -1065,6 +1089,17 @@ def test_cli_rates_outside_their_range_exit_2(capsys):
     for rate in (math.nextafter(2.0**-64, 0.0), math.nextafter(2.0**64, math.inf)):
         with pytest.raises(ParameterError):
             ExperimentConfig(decision_rates=(rate,))
+
+
+def test_grids_over_the_row_cap_are_refused_before_they_are_built():
+    assert experiments.MAX_ROWS == 2**20
+    # one rate more than the cap, refused on its count
+    with pytest.raises(ParameterError, match="holds about 1.05e[+]06 rates; the cap is 1048576"):
+        parse_rates("1:1048577:1")
+    assert len(parse_rates("1:1048576:1")) == 2**20
+    # 1025 * 1024 points of 3 rows each, refused before the per-point loop
+    with pytest.raises(ParameterError, match="the grid holds 3148800 rows; the cap is 1048576"):
+        build_config(arrival_rates=parse_rates("1:1025:1"), service_rates=parse_rates("1:1024:1"))
 
 
 def test_cli_confidence_next_to_one_exits_2(capsys):
@@ -1213,7 +1248,7 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
     for argv, reason in (
         (["validate", "--updates", "100000000000"], "100000000000 updates exceed the cap"),
         (["sweep", "--lambda", "1e-12", "--mu", "1", "--nu", "1", "--updates", "1000"],
-         "decision rate 1 at lambda=1e-12, mu=1 draws about 1e+15 decisions"),
+         "decision rate 1.0 at lambda=1e-12, mu=1.0 draws about 1e+15 decisions"),
         (["validate", "--lambda", "0.3,0.5", "--mu", "1", "--updates", "5000"],
          "validate runs a single (lambda, mu) point"),
         (["nu-invariance", "--nu", "1", "--updates", "5000"],
@@ -1221,9 +1256,9 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
         # epochs near the horizon lie 16 or more mean service times apart, so a
         # correct simulator failed ks_system_time and cross_moment here
         (["validate", "--lambda", "1e-12", "--mu", "1", "--nu", "1e-12", "--updates", "100000"],
-         "100000 updates at lambda=1e-12, mu=1 span about 1e+17 mean service times"),
+         "100000 updates at lambda=1e-12, mu=1.0 span about 1e+17 mean service times"),
         (["sweep", "--lambda", "1e-19", "--mu", "1", "--nu", "1e-19", "--updates", "100"],
-         "100 updates at lambda=1e-19, mu=1 span about 1e+21 mean service times"),
+         "100 updates at lambda=1e-19, mu=1.0 span about 1e+21 mean service times"),
         # nu * n / lambda = 2^28 passes the cap, but this trace's horizon is 11.3,
         # not the expected 4: the run drew 7.56e8 decisions
         (["validate", "--updates", "2", "--lambda", "0.5", "--nu", "67108864", "--seed", "43"],

@@ -152,6 +152,9 @@ def test_prob_busy_needs_two_updates():
 def test_unstable_raises_without_override():
     with pytest.raises(StabilityError):
         simulate(SystemParams(1.2, 1.0), 100, 0)
+    # and the guard band the closed forms refuse
+    with pytest.raises(StabilityError, match="utilization 0.9999999999 is not safely below 1"):
+        simulate(SystemParams(1 - 1e-10, 1.0), 10, 1)
 
 
 def test_simultaneous_events_depart_before_arrive():

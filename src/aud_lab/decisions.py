@@ -131,34 +131,43 @@ def _require_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
-# The most epochs ``fill_epochs``' buffer holds (2^22, 32 MiB), unless one window needs more.
-SEGMENT = 8 * BLOCK_SIZE
+# The most epochs one fill of ``fill_epochs`` draws, and the most its buffer
+# holds unless one window expects more (2^21, 16 MiB): sixteen pool blocks.
+SEGMENT = 16 * BLOCK_SIZE
 
 # A fill draws this many standard deviations more epochs than it expects to need.
 MARGIN_SDS = 10.0
 
 
-def fill_epochs(decision_rate: float, horizon: float, stream: SeededStream, take) -> None:
+def _with_margin(expected: float) -> int:
+    """Epochs to draw where ``expected`` are expected: MARGIN_SDS standard deviations more."""
+    return int(expected + MARGIN_SDS * math.sqrt(expected) + 16.0)
+
+
+def fill_epochs(decision_rate: float, horizon: float, stream: SeededStream, take,
+                window: float = 0.0) -> None:
     """Draw sorted Poisson epochs at ``decision_rate`` past ``horizon`` into one reused buffer.
 
-    The buffer holds the epochs expected on (0, horizon] plus MARGIN_SDS
-    standard deviations, at most SEGMENT; each fill draws as many for the
-    rest, or what room is left.  After each fill ``take(seg, fresh)`` sees
-    the buffer, new from ``seg[fresh]`` on, and returns the index of the
-    first epoch it needs again: those move to the front (a buffer they fill
-    is doubled).  The first fill past ``horizon`` is the last.  Fills continue
-    the running sum, so the epochs are one ``np.cumsum`` of one sequential
-    draw, bit for bit, at any thread count.
+    The buffer holds the epochs expected on (0, horizon] with a margin of
+    MARGIN_SDS standard deviations, or SEGMENT if that is fewer, or those
+    expected in one ``window`` of time with the margin if that is more; each
+    fill draws at most SEGMENT of them, as many as the rest expects, or what
+    room is left.  After each fill ``take(seg, fresh)`` sees the buffer, new
+    from ``seg[fresh]`` on, and returns the index of the first epoch it needs
+    again: those move to the front (if they fill the buffer, a window has
+    overrun its margin, and the buffer is doubled).  The first fill past
+    ``horizon`` is the last.  Fills continue the running sum, so the epochs are one
+    ``np.cumsum`` of one sequential draw, bit for bit, at any thread count.
     """
     _require_positive("decision_rate", decision_rate)
     _require_positive("horizon", horizon)
     buf, kept, last = np.empty(0), 0, 0.0
     while True:
-        expected = decision_rate * (horizon - last)
-        fresh = int(expected + MARGIN_SDS * math.sqrt(expected) + 16.0)
+        fresh = _with_margin(decision_rate * (horizon - last))
         if kept == len(buf):  # the first fill, or the epochs kept fill the buffer
-            buf = np.concatenate((buf, buf)) if kept else np.empty(min(fresh, SEGMENT))
-        fresh = min(fresh, len(buf) - kept)
+            buf = np.concatenate((buf, buf)) if kept else np.empty(
+                min(fresh, max(SEGMENT, _with_margin(decision_rate * window))))
+        fresh = min(fresh, SEGMENT, len(buf) - kept)
         seg = buf[:kept + fresh]
         last = exponential_epochs(stream, decision_rate, fresh, last, seg[kept:])[-1]
         keep = take(seg, kept)

@@ -22,6 +22,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ParameterError
 
@@ -34,7 +35,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Values per pool task.  The split changes no drawn value, only how the work
 # is shared out.
-BLOCK_SIZE = 1 << 19
+BLOCK_SIZE = 1 << 17
 
 _pool: concurrent.futures.ThreadPoolExecutor | None = None
 _pool_workers = 0
@@ -64,8 +65,8 @@ def block_pool() -> concurrent.futures.ThreadPoolExecutor:
     Its tasks never wait on other tasks, so any thread may submit to it
     and wait.  Every random draw waits on it, so no task draws.  A changed
     ``AUD_LAB_THREADS`` gets a new pool; the old one's threads exit once the
-    last caller drops it.  The executor's module loads on first use too,
-    which keeps it out of the import.
+    last caller drops it.  The threads start on first use; the executor's
+    module itself is imported with this one.
     """
     global _pool, _pool_workers
     workers = worker_limit()
@@ -89,9 +90,19 @@ def _finish(part: np.ndarray, transform) -> np.ndarray:
     return part
 
 
+class _StoredKey(ISeedSequence):
+    """Hands Philox a stored key as its seed state: no entropy is drawn to build one."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key  # Philox asks for its two-word uint64 key alone
+
+
 def _draw_block(key, start: int, out: np.ndarray, transform) -> np.ndarray:
     """``out``, finished, drawn from the Philox stream keyed ``key`` from its draw ``start`` on."""
-    bit_generator = Philox(key=key)
+    bit_generator = Philox(_StoredKey(key))
     bit_generator.advance(start // 4)  # skip whole counters, four draws each
     bit_generator.random_raw(start % 4)  # and the next counter's draws before ``start``
     return _finish(Generator(bit_generator).random(out=out), transform)

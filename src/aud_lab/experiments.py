@@ -87,8 +87,9 @@ MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 # many decisions at one rate.  It exits before simulating where a stable
 # point's expected horizon n / lambda times nu exceeds the cap, and before
 # drawing a decision where the simulated horizon times nu does.  That bounds
-# the run time, and a window's expected decisions to MAX_COLUMN / AUD_BATCHES,
-# well within decisions.SEGMENT.
+# the run time, and a window's expected decisions to MAX_COLUMN / AUD_BATCHES
+# (2.7e6 with decisions.MARGIN_SDS, 21.6 MB), which decisions.fill_epochs' first
+# buffer holds whole.
 MAX_COLUMN = 2**28
 
 # A stable point's epochs reach about n / lambda, where adjacent doubles lie
@@ -464,8 +465,9 @@ class _Point:
 
         A window takes the decisions in (its start, its end].  With under
         2 * AUD_BATCHES of them there is no estimate (None).  Each fill of
-        ``decisions.fill_epochs``' buffer sums the windows it holds whole, each
-        as one slice, and keeps the epochs of the window still open.
+        ``decisions.fill_epochs``' buffer, sized to hold a window's epochs,
+        sums the windows it holds whole, each as one slice, and keeps the
+        epochs of the window still open.
         """
         trace, edges = self.trace, self.edges
         sums, counts, total, undefined = [], [], 0, 0
@@ -482,7 +484,8 @@ class _Point:
             counts.extend(np.diff(closed))
             return int(np.searchsorted(seg, edges[len(sums)], side="right"))
 
-        fill_epochs(nu, trace.last_departure, SeededStream(self.seed, decision_stream_id(nu)), take)
+        fill_epochs(nu, trace.last_departure, SeededStream(self.seed, decision_stream_id(nu)), take,
+                    edges[1] - edges[0])
         counts = np.array(counts)
         estimated = int(counts.sum())
         est = (ratio_ci(sums, counts, self.config.confidence)
@@ -512,7 +515,7 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
     nu = max(config.decision_rates)
     if nu * trace.last_departure > MAX_COLUMN:
         raise ParameterError(
-            f"decision rate {nu:g} over the simulated horizon {trace.last_departure:.6g} draws "
+            f"decision rate {nu!r} over the simulated horizon {trace.last_departure!r} draws "
             f"about {nu * trace.last_departure:.3g} decisions; the cap is {MAX_COLUMN} values "
             "per column")
     warm = _warmup_count(config, trace.n)

@@ -178,6 +178,21 @@ def test_block_draws_equal_one_sequential_draw(monkeypatch, offset):
         np.testing.assert_array_equal(stream.uniform_open(11), reference.random(11))
 
 
+def test_a_block_drawn_from_the_stored_key_equals_philox_keyed_by_it():
+    # each block builds its Philox from the stream's stored key, with no seed
+    # entropy drawn; its values are those of Philox(key=key) from its position
+    key = SeededStream(42, 3)._key
+    reference = Generator(Philox(key=key)).random(2 * SMALL_BLOCK + 12)
+    for start in range(6):
+        block = distributions._draw_block(key, start, np.empty(10), None)
+        np.testing.assert_array_equal(block, reference[start:start + 10])
+    # three blocks whose seams fall one and two draws into a Philox counter
+    seams = [0, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 6, 2 * SMALL_BLOCK + 12]
+    blocks = [distributions._draw_block(key, a, np.empty(b - a), None)
+              for a, b in zip(seams[:-1], seams[1:])]
+    np.testing.assert_array_equal(np.concatenate(blocks), reference)
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
 def test_block_draws_reject_zeros_like_one_sequential_draw(monkeypatch, threads):
     monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)

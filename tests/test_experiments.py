@@ -1233,13 +1233,32 @@ def test_validate_rescaled_in_time_keeps_its_trace_rows_and_its_cost(tmp_path):
         assert all(abs(s - t) <= 0.05 * t for s, t in zip(scaled_totals, totals))
 
 
-def test_a_window_at_the_decision_cap_fits_in_one_buffer():
+def test_a_window_at_the_decision_cap_fits_in_one_buffer(monkeypatch):
     # a run within MAX_COLUMN expects at most MAX_COLUMN / AUD_BATCHES decisions
-    # per window over its expected horizon; with MARGIN_SDS standard deviations
-    # more that is 2.70e6 against 4.19e6
-    window = experiments.MAX_COLUMN / experiments.AUD_BATCHES
-    assert window + decisions.MARGIN_SDS * math.sqrt(window) < 0.65 * decisions.SEGMENT
-    assert decisions.SEGMENT == 2**22 == 8 * distributions.BLOCK_SIZE
+    # per window over its expected horizon; the first buffer holds that many and
+    # MARGIN_SDS standard deviations more (2.70e6, 21.6 MB), so three such
+    # windows of real draws pass through it without a doubling
+    assert decisions.SEGMENT == 16 * distributions.BLOCK_SIZE
+    rate = experiments.MAX_COLUMN / experiments.AUD_BATCHES  # windows of length 1
+    buffers, counts = [], []
+    draw = decisions.exponential_epochs
+
+    def fill(stream, nu, size, start, out):
+        buffers.append(out.base)  # the array that owns the buffer
+        return draw(stream, nu, size, start, out)
+
+    def take(seg, fresh):
+        # the window ends 1, 2 and 3 with an epoch drawn past them close
+        ends = np.arange(len(counts) + 1.0, 4.0)
+        cuts = np.searchsorted(seg, ends[ends < seg[-1]], side="right")
+        counts.extend(np.diff(cuts, prepend=0))
+        return int(cuts[-1]) if len(cuts) else 0
+
+    monkeypatch.setattr(decisions, "exponential_epochs", fill)
+    decisions.fill_epochs(rate, 3.0, SeededStream(9, 2), take, 1.0)
+    assert len(counts) == 3 and all(abs(c - rate) < 5.0 * math.sqrt(rate) for c in counts)
+    assert len(buffers) >= 4 and all(b is buffers[0] for b in buffers)
+    assert buffers[0].nbytes <= 22e6
 
 
 def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
@@ -1262,8 +1281,8 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
         # nu * n / lambda = 2^28 passes the cap, but this trace's horizon is 11.3,
         # not the expected 4: the run drew 7.56e8 decisions
         (["validate", "--updates", "2", "--lambda", "0.5", "--nu", "67108864", "--seed", "43"],
-         "decision rate 6.71089e+07 over the simulated horizon 11.2704 draws about 7.56e+08 "
-         "decisions"),
+         "decision rate 67108864.0 over the simulated horizon 11.270391452682043 draws about "
+         "7.56e+08 decisions"),
     ):
         out = tmp_path / "out.csv"
         # a seed in ``argv`` comes later, so it wins
@@ -1536,8 +1555,8 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 # run one after another, so a second thread adds only the block pool's
 # in-flight work (a Philox counter block, a window's slice of the decision
 # buffer, or an occupancy or sawtooth window): none measurable at this size,
-# where the nu = 10 epochs fill one buffer of 4e6.  A merged path of all 2n
-# events beside that buffer would add 25-35%.
+# where the 4e6 nu = 10 epochs pass through one buffer of SEGMENT = 2^21.  A
+# merged path of all 2n events beside that buffer would add 25-35%.
 THREADS_RSS_MARGIN = 0.12
 
 
@@ -1562,11 +1581,28 @@ def test_validate_peak_memory_with_two_threads_stays_near_one_thread(tmp_path):
 
 def test_validate_peak_memory_does_not_grow_with_the_decision_count(tmp_path):
     # At lambda = 0.01 the nu = 10 epochs would fill a 160 MB column, at 0.5 a
-    # 3.2 MB one; the trace is the same size.  One buffer of SEGMENT epochs (32
+    # 3.2 MB one; the trace is the same size.  One buffer of SEGMENT epochs (16
     # MiB) and an eighth of a buffer for temporaries bound the difference.
     peaks = {lam: peak_rss_kib(tmp_path, "--lambda", lam, "--updates", "20000", "--seed", "3")
              for lam in ("0.5", "0.01")}
     assert peaks["0.01"] <= peaks["0.5"] + decisions.SEGMENT * 8 * 9 // 8 // 1024, peaks
+
+
+def test_decision_epochs_beyond_one_segment_hold_one_buffer():
+    # 4e6 epochs at nu = 40, twice SEGMENT, pass through one buffer of SEGMENT
+    # epochs; a window (4e4 epochs) and the pool's per-window temporaries fit in
+    # the slack, where a whole column would add about 15 MB more
+    point = _simulate_point(build_config(decision_rates=(40.0,), n_updates=50_000, seed=3), 0,
+                            SystemParams(0.5, 1.0))
+    window = 40.0 * (point.edges[1] - point.edges[0])
+    tracemalloc.start()
+    try:
+        est, counts = point.aud(40.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est is not None and counts["total"] > decisions.SEGMENT
+    assert peak <= 8 * (decisions.SEGMENT + window) + 2**20, peak
 
 
 def test_validation_checks_hold_no_column_beyond_the_trace():

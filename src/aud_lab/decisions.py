@@ -204,15 +204,6 @@ class AoiPath:
     def support(self) -> tuple[float, float]:
         return float(self.drop_epochs[0]), float(self.drop_epochs[-1])
 
-    def evaluate(self, t):
-        """Age at time(s) t within the support; post-drop value at drop epochs."""
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.support
-        if (t < lo).any() or (t > hi).any():
-            raise ParameterError(f"evaluation epoch outside path support [{lo:.6g}, {hi:.6g}]")
-        idx = np.searchsorted(self.drop_epochs, t, side="right") - 1
-        return self.drop_values[idx] + (t - self.drop_epochs[idx])
-
     def vertices(self) -> np.ndarray:
         """Explicit (epoch, age) polyline, two vertices per interior drop."""
         e, v = self.drop_epochs, self.drop_values

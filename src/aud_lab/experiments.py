@@ -5,19 +5,21 @@ comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one buffer of decision
-epochs at a time, and output is byte-reproducible.  Validation estimates one
-decision rate at a time, then runs its checks in order.  Every random draw
-and every time window run on the shared block pool
+epochs at a time, and output is byte-reproducible.  ``_simulate_point``
+measures a point once: its mean age at each distinct decision rate, one rate
+at a time, then its K-S samples.  The sweep rows, the nu-invariance
+comparison and validation's checks all read that ``_Point``; the checks are
+plain functions of it, run in the order of the ``CHECKS`` table.  Every
+random draw and every time window run on the shared block pool
 (``distributions.block_pool``), the program's only thread pool.  A point's
-AUD_BATCHES time windows (``_Point``) batch every correlated mean: each
-window's sum and count of the decision ages, the busy indicators or the
-cross-moment products give the ratio of their totals with a delta-method CI
-(``stats.ratio_ci``), and validation's occupancy levels and sawtooth time
-average are taken per window.  ``_by_window`` maps the windows onto the
-pool in a few contiguous groups per thread, each run in order, not one task
-per window.  ``AUD_LAB_THREADS``
-caps its threads; one thread runs everything in sequence, and no result
-depends on it.  A sample below its estimator's floor (InsufficientDataError)
+AUD_BATCHES time windows batch every correlated mean: each window's sum and
+count of the decision ages, the busy indicators or the cross-moment products
+give the ratio of their totals with a delta-method CI (``stats.ratio_ci``),
+and validation's occupancy levels and sawtooth time average are taken per
+window.  ``_by_window`` maps the windows onto the pool in a few contiguous
+groups per thread, each run in order, not one task per window.
+``AUD_LAB_THREADS`` caps its threads; one thread runs everything in
+sequence, and no result depends on it.  A sample below its estimator's floor (InsufficientDataError)
 gets no verdict: a sweep leaves that p-value, or a mean age with under
 2 * AUD_BATCHES decisions after the warm-up, blank, and validation reports
 that check alone as skipped, with the reason.
@@ -163,6 +165,8 @@ class ExperimentConfig:
         if not 0 <= self.seed <= _MASK64:
             raise ParameterError(f"seed must lie in [0, 2^64), got {self.seed}")
         z_value(self.confidence)  # raises for a confidence without a finite, positive z
+        if self.output_path is not None and not self.output_path.strip():
+            raise ParameterError(f"output_path must not be blank, got {self.output_path!r}")
         if self.n_updates > MAX_COLUMN:
             raise ParameterError(f"{self.n_updates} updates exceed the cap of {MAX_COLUMN} "
                                  "values per column")
@@ -443,13 +447,15 @@ def _warmup_count(config: ExperimentConfig, n: int) -> int:
 
 @dataclass(frozen=True)
 class _Point:
-    """One simulated (lambda, mu) point: its trace, seed, warm-up cut and time windows.
+    """One simulated (lambda, mu) point: its trace, seed, warm-up cut, time windows and samples.
 
     The AUD_BATCHES windows between consecutive ``edges`` split the run from
     the warm-up's last departure, or the first departure, where the age path
     begins, if that is later, to the last departure.  A correlated mean is
     the total of its samples in the windows over their count, with the ratio
     CI of ``stats.ratio_ci`` over the windows' sums and counts.
+    ``_simulate_point`` measures it once, ``estimates`` then ``_ks_samples``, for
+    the sweep rows, the nu-invariance comparison and every check to read.
     """
 
     config: ExperimentConfig
@@ -459,6 +465,10 @@ class _Point:
     warm: int  # updates cut as warm-up
     warm_epoch: float  # departure of the last warm-up update, 0.0 without one
     edges: np.ndarray  # AUD_BATCHES + 1 window edges in time
+    estimates: dict | None = None  # aud(nu) for each distinct configured nu, ascending
+    lag: int = 0  # the full decorrelation_lag
+    thinned: np.ndarray | None = None  # system times after the warm-up, every lag-th
+    gaps: np.ndarray | None = None  # departure gaps after the warm-up
 
     def aud(self, nu: float) -> tuple[EstimateWithCI | None, dict]:
         """Mean age upon the decisions at rate ``nu`` in the windows, and their counts.
@@ -510,6 +520,7 @@ class _Point:
 
 
 def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
+    """Simulate one grid point and measure it once (see ``_Point``)."""
     seed = derive_point_seed(config.seed, grid_index)
     trace = simulate(params, config.n_updates, seed)
     nu = max(config.decision_rates)
@@ -522,10 +533,13 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
     warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
     edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), trace.last_departure,
                         AUD_BATCHES + 1)
-    return _Point(config, params, seed, trace, warm, warm_epoch, edges)
+    point = _Point(config, params, seed, trace, warm, warm_epoch, edges)
+    # one rate's decision buffer at a time, then the K-S samples, outside that phase
+    estimates = {rate: point.aud(rate) for rate in sorted(set(config.decision_rates))}
+    return replace(point, estimates=estimates, **_ks_samples(point))
 
 
-def _ks_samples(point: _Point) -> tuple[int, np.ndarray, np.ndarray]:
+def _ks_samples(point: _Point) -> dict:
     """The full ``decorrelation_lag``, the system times thinned at it and the departure gaps.
 
     Both samples start after the warm-up and hold at most KS_MAX_SAMPLES
@@ -535,9 +549,9 @@ def _ks_samples(point: _Point) -> tuple[int, np.ndarray, np.ndarray]:
     arr, dep, warm = point.trace.arrival_times, point.trace.departure_times, point.warm
     lag = decorrelation_lag(point.params.utilization)
     stop = warm + lag * KS_MAX_SAMPLES
-    thinned = dep[warm:stop:lag] - arr[warm:stop:lag]
     m = min(KS_MAX_SAMPLES, len(dep) - warm - 1)
-    return lag, thinned, dep[warm + 1:warm + 1 + m] - dep[warm:warm + m]
+    return {"lag": lag, "thinned": dep[warm:stop:lag] - arr[warm:stop:lag],
+            "gaps": dep[warm + 1:warm + 1 + m] - dep[warm:warm + m]}
 
 
 def _ks_p_value(samples: np.ndarray, rate: float) -> float | None:
@@ -573,30 +587,20 @@ def _differences(estimates) -> list[EstimateWithCI]:
                            a.confidence) for a, b in itertools.combinations(estimates, 2)]
 
 
-def _point_rows(config: ExperimentConfig, grid_index: int, arrival_rate: float,
-                service_rate: float) -> list[SweepRow]:
-    """All rows (one per decision rate) for a single (lambda, mu) grid point.
+def _point_rows(point: _Point) -> list[SweepRow]:
+    """One row per configured decision rate of a simulated point, in the config's order.
 
-    A point that is not ``params.is_stable`` (utilization within
-    ``queueing.STABILITY_GUARD`` of 1 or above) has no closed form; it is not
-    simulated and gets ``unstable`` rows.
+    A repeated rate reads the estimate the point holds for it.
     """
-    params = SystemParams(arrival_rate, service_rate)
-    if not params.is_stable:
-        return [SweepRow(arrival_rate, service_rate, nu, *[None] * 7, "unstable")
-                for nu in config.decision_rates]
-
+    params = point.params
+    lam, mu = params.arrival_rate, params.service_rate
     analytic_value = analytic.average_aud(params)
-    point = _simulate_point(config, grid_index, params)
-    _, thinned, gaps = _ks_samples(point)
-    ks_t_p = _ks_p_value(thinned, analytic.system_time_rate(params))
-    ks_y_p = _ks_p_value(gaps, params.arrival_rate)
-    del thinned, gaps  # not held through the decision phase
-
+    ks_t_p = _ks_p_value(point.thinned, analytic.system_time_rate(params))
+    ks_y_p = _ks_p_value(point.gaps, lam)
     rows = []
-    for nu in config.decision_rates:
-        est, counts = point.aud(nu)
-        rows.append(SweepRow(arrival_rate, service_rate, nu, analytic_value,
+    for nu in point.config.decision_rates:
+        est, counts = point.estimates[nu]
+        rows.append(SweepRow(lam, mu, nu, analytic_value,
                              est.mean if est else None, est.half_width if est else None,
                              counts["total"], counts["undefined"], ks_t_p, ks_y_p, "ok"))
     return rows
@@ -607,14 +611,19 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     The points run one after another in grid order, and each draws and
     averages its decision epochs one rate at a time on the block pool, so a
-    run holds one trace and one buffer of epochs at any thread count.
+    run holds one trace and one buffer of epochs at any thread count.  A
+    point that is not ``params.is_stable`` (utilization within
+    ``queueing.STABILITY_GUARD`` of 1 or above) has no closed form; it is not
+    simulated and gets ``unstable`` rows.
     """
     started = time.monotonic()
     workers = worker_limit()
-    points = itertools.product(config.arrival_rates, config.service_rates)
-    rows = tuple(row for i, (lam, mu) in enumerate(points)
-                 for row in _point_rows(config, i, lam, mu))
-    result = SweepResult(config, rows)
+    rows = []
+    for i, (lam, mu) in enumerate(itertools.product(config.arrival_rates, config.service_rates)):
+        params = SystemParams(lam, mu)
+        rows += (_point_rows(_simulate_point(config, i, params)) if params.is_stable else
+                 [SweepRow(lam, mu, nu, *[None] * 7, "unstable") for nu in config.decision_rates])
+    result = SweepResult(config, tuple(rows))
     _write_outputs(config, "sweep", result, started, workers)
     return result
 
@@ -643,13 +652,11 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
         raise ParameterError("nu_invariance needs at least two decision rates")
     started = time.monotonic()
     workers = worker_limit()
-    analytic.require_stable(SystemParams(config.arrival_rates[0], config.service_rates[0]))
-    sweep = run_sweep(replace(config, output_path=None))
-    estimates = {
-        row.decision_rate: EstimateWithCI(row.empirical_aud, row.ci_half_width, 0,
-                                          config.confidence)
-        for row in sweep.rows if row.empirical_aud is not None
-    }
+    params = SystemParams(config.arrival_rates[0], config.service_rates[0])
+    analytic.require_stable(params)
+    point = _simulate_point(config, 0, params)
+    sweep = SweepResult(config, tuple(_point_rows(point)))
+    estimates = {nu: est for nu, (est, _) in point.estimates.items() if est is not None}
     consistent, worst, z = None, math.nan, math.nan
     if len(estimates) >= 2:
         consistent, worst, _, z, _ = _within(_differences(estimates.values()), 0.0,
@@ -703,213 +710,233 @@ class ValidationReport:
         return "\n".join(lines + [verdict])
 
 
-def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
-    """Every oracle check on one simulated point, and the run sizes for the manifest.
+def _batched(point: _Point) -> int:
+    """The updates in a window, as ``_Point.update_mean`` cuts them, if window means are usable.
 
-    Each check is a function named after it that returns its verdict,
-    observed, expected and tolerance values and detail.  One whose sample is
-    below its estimator's floor raises InsufficientDataError and is reported
-    as skipped, with the reason.  The closed forms are evaluated at
-    ``point.params``, so a point simulated at other rates is checked against
-    the wrong oracle.
+    They are near-independent once a window spans the decorrelation lag, and
+    near-normal once it holds a few updates.
     """
-    config, params, trace, warm, edges = (point.config, point.params, point.trace, point.warm,
-                                          point.edges)
-    lam, mu = params.arrival_rate, params.service_rate
+    span, lag = (point.trace.n - 1 - point.warm) // AUD_BATCHES, point.lag
+    _require(span >= lag, f"a window holds {span} updates; below the decorrelation lag {lag}")
+    _require(span >= MIN_EXPECTED, f"a window holds {span} updates; below {MIN_EXPECTED}")
+    return span
 
-    # The mean age and counts at each decision rate, before any check runs.
-    distinct = sorted(set(config.decision_rates))
-    estimates = {nu: point.aud(nu) for nu in distinct}
 
-    lag, thinned, gaps = _ks_samples(point)
-    # the updates in a window, as ``_Point.update_mean`` cuts them: those after
-    # the warm-up but the last
-    span = (trace.n - 1 - warm) // AUD_BATCHES
+def _estimate(point: _Point, nu: float) -> EstimateWithCI:
+    """The mean age at ``nu``, if it has an estimate and ``_batched`` windows."""
+    est, counts = point.estimates[nu]
+    _require(est is not None, f"{counts['after_warmup']} decisions after the warm-up at decision "
+                              f"rate {nu}; an estimate needs {2 * AUD_BATCHES}")
+    _batched(point)
+    return est
 
-    def batched():
-        # Window means are near-independent once a window spans the relaxation scale, and
-        # near-normal once it holds a few updates.
-        _require(span >= lag, f"a window holds {span} updates; below the decorrelation lag {lag}")
-        _require(span >= MIN_EXPECTED, f"a window holds {span} updates; below {MIN_EXPECTED}")
 
-    def estimate(nu: float) -> EstimateWithCI:
-        est, counts = estimates[nu]
-        n = counts["after_warmup"]
-        _require(est is not None, f"{n} decisions after the warm-up at decision rate {nu}; "
-                                  f"an estimate needs {2 * AUD_BATCHES}")
-        batched()
-        return est
+def aud_mc_vs_theory(point: _Point, alpha: float) -> tuple:
+    theory = analytic.average_aud(point.params)
+    ests = {nu: _estimate(point, nu) for nu in point.config.decision_rates}
+    return _within(ests.values(), theory, alpha, f"theory={theory:.6g}; rates={sorted(ests)}")
 
-    def aud_mc_vs_theory():
-        theory = analytic.average_aud(params)
-        ests = {nu: estimate(nu) for nu in config.decision_rates}
-        return _within(ests.values(), theory, alpha, f"theory={theory:.6g}; rates={sorted(ests)}")
 
-    def aud_nu_invariance():
-        by_rate = [estimate(nu) for nu in distinct]
-        return _within(_differences(by_rate), 0.0, alpha, "pairwise on the shared trace")
+def aud_nu_invariance(point: _Point, alpha: float) -> tuple:
+    by_rate = [_estimate(point, nu) for nu in point.estimates]
+    return _within(_differences(by_rate), 0.0, alpha, "pairwise on the shared trace")
 
-    def ks_system_time():
-        ks = ks_exponential(thinned, analytic.system_time_rate(params))
-        return (ks.p_value >= alpha, ks.p_value, alpha, 0.0,
-                f"n={ks.n}; D={ks.statistic:.6g}; lag={lag}")
 
-    def ks_interdeparture():
-        ks = ks_exponential(gaps, lam)
-        return ks.p_value >= alpha, ks.p_value, alpha, 0.0, f"n={ks.n}; D={ks.statistic:.6g}"
+def ks_system_time(point: _Point, alpha: float) -> tuple:
+    ks = ks_exponential(point.thinned, analytic.system_time_rate(point.params))
+    return (ks.p_value >= alpha, ks.p_value, alpha, 0.0,
+            f"n={ks.n}; D={ks.statistic:.6g}; lag={point.lag}")
 
-    # The departure gaps are i.i.d. (the departures are Poisson, by Burke's theorem).
-    def interdeparture_mean():
-        return _within([mean_ci(gaps, config.confidence)],
-                       analytic.mean_interdeparture(params), alpha)
 
-    def interdeparture_second_moment():
-        _require(len(gaps) >= MIN_SQUARED_GAPS,
-                 f"{len(gaps)} departure gaps; the squared-gap mean needs {MIN_SQUARED_GAPS}")
-        return _within([mean_ci(gaps**2, config.confidence)],
-                       analytic.second_moment_interdeparture(params), alpha)
+def ks_interdeparture(point: _Point, alpha: float) -> tuple:
+    ks = ks_exponential(point.gaps, point.params.arrival_rate)
+    return ks.p_value >= alpha, ks.p_value, alpha, 0.0, f"n={ks.n}; D={ks.statistic:.6g}"
 
-    def queue_length_distribution():
-        # Levels 0..k-1 and the tail >= k against the geometric law, k the first
-        # of levels 0-10 where the level or the tail after it expects fewer than
-        # 5 arrivals per window: the normal law breaks down for rarer cells.
-        batched()
-        pi = analytic.stationary_queue_dist(params, 10)
-        expected = lam * (edges[1] - edges[0]) * np.minimum(pi, 1.0 - np.cumsum(pi))
-        k = int((expected >= MIN_EXPECTED).sum())  # expected falls with the level
-        _require(k > 0, f"fewer than {MIN_EXPECTED} arrivals per window expected at occupancy "
-                        "level 0")
-        # A window's path merges only the events inside it and starts from the
-        # level at its start edge: the pieces, durations and order of addition
-        # of the whole run's path, without a path of all 2n events.
-        per_batch = np.array(_by_window(
-            lambda a, b: occupancy_fractions(queue_length_process(trace, a, b), k - 1, a, b),
-            edges))
-        per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
-        return _within([mean_ci(level, config.confidence) for level in per_batch.T],
-                       np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
-    def prob_busy_on_arrival():
-        # one indicator per update after the warm-up but the last
-        batched()
-        rho = analytic.prob_busy_on_arrival(params)
-        expected = min(rho, 1.0 - rho) * span
-        _require(expected >= MIN_EXPECTED,
-                 f"{expected:.3g} busy or idle arrivals expected per window; below {MIN_EXPECTED}")
-        est = point.update_mean(lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b)))
-        return _within([est], rho, alpha)
+# The departure gaps are i.i.d. (the departures are Poisson, by Burke's theorem).
+def interdeparture_mean(point: _Point, alpha: float) -> tuple:
+    return _within([mean_ci(point.gaps, point.config.confidence)],
+                   analytic.mean_interdeparture(point.params), alpha)
 
-    def mgf_mixture_identity():
-        # Busy/idle mixture must reassemble the plain rate transform.
-        s_stream = SeededStream(config.seed, 0xC0FFEE)
-        s_hi = lam  # the smaller rate of a stable point
-        s_values = -2.0 * s_hi + 2.95 * s_hi * np.asarray(s_stream.uniform_open(10))
-        rho = params.utilization
-        worst_mgf = 0.0
-        for s in map(float, s_values):
-            mixed = (rho * analytic.interdeparture_mgf_given_busy_arrival(params, s)
-                     + (1.0 - rho) * analytic.interdeparture_mgf_given_idle_arrival(params, s))
-            direct = analytic.interdeparture_mgf(params, s)
-            worst_mgf = max(worst_mgf, abs(mixed - direct) / abs(direct))
-        return worst_mgf <= 1e-10, worst_mgf, 0.0, 1e-10
 
-    def cross_moment():
-        batched()
-        arr, dep = trace.arrival_times, trace.departure_times
+def interdeparture_second_moment(point: _Point, alpha: float) -> tuple:
+    gaps = point.gaps
+    _require(len(gaps) >= MIN_SQUARED_GAPS,
+             f"{len(gaps)} departure gaps; the squared-gap mean needs {MIN_SQUARED_GAPS}")
+    return _within([mean_ci(gaps**2, point.config.confidence)],
+                   analytic.second_moment_interdeparture(point.params), alpha)
 
-        def product_sum(a: int, b: int) -> np.float64:
-            # each departure gap after the warm-up times the system time before it
-            prod = dep[a + 1:b + 1] - dep[a:b]
-            prod *= dep[a:b] - arr[a:b]
-            return prod.sum()
 
-        theory = analytic.cross_moment_system_interdeparture(params)
-        est = point.update_mean(product_sum)
-        return _within([est], theory, alpha, f"theory={theory:.6g}")
+def queue_length_distribution(point: _Point, alpha: float) -> tuple:
+    # Levels 0..k-1 and the tail >= k against the geometric law, k the first
+    # of levels 0-10 where the level or the tail after it expects fewer than
+    # 5 arrivals per window: the normal law breaks down for rarer cells.
+    _batched(point)
+    trace, edges = point.trace, point.edges
+    pi = analytic.stationary_queue_dist(point.params, 10)
+    expected = (point.params.arrival_rate * (edges[1] - edges[0])
+                * np.minimum(pi, 1.0 - np.cumsum(pi)))
+    k = int((expected >= MIN_EXPECTED).sum())  # expected falls with the level
+    _require(k > 0, f"fewer than {MIN_EXPECTED} arrivals per window expected at occupancy "
+                    "level 0")
+    # A window's path merges only the events inside it and starts from the
+    # level at its start edge: the pieces, durations and order of addition
+    # of the whole run's path, without a path of all 2n events.
+    per_batch = np.array(_by_window(
+        lambda a, b: occupancy_fractions(queue_length_process(trace, a, b), k - 1, a, b),
+        edges))
+    per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
+    return _within([mean_ci(level, point.config.confidence) for level in per_batch.T],
+                   np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
-    def aud_dual_path():
-        # Two derivations of the average age must coincide across the stable region.
-        u = np.asarray(SeededStream(config.seed, 0xD0A1).uniform_open(200)).reshape(100, 2)
-        worst_dual = 0.0
-        for u_rho, u_mu in u:
-            mu_r = 0.1 + 9.9 * u_mu
-            rho_r = 0.01 + 0.98 * u_rho
-            p = SystemParams(rho_r * mu_r, mu_r)
-            direct = analytic.average_aud(p)
-            renewal = analytic.average_aud_renewal(p)
-            worst_dual = max(worst_dual, abs(direct - renewal) / direct)
-        return worst_dual <= 1e-12, worst_dual, 0.0, 1e-12
 
-    # Shape of the closed form: U in arrival rate, decreasing in service rate,
-    # and blowing up faster as service capacity vanishes than as arrivals do.
-    def shape_lambda_u_curve():
-        rho_grid = np.linspace(0.01, 0.99, 999)
-        curve = np.array([analytic.average_aud(SystemParams(r, 1.0)) for r in rho_grid])
-        interior_min = int(np.argmin(curve))
-        rho_at_min = float(rho_grid[interior_min])
-        u_ok = (
-            0 < interior_min < len(curve) - 1
-            and bool((np.diff(curve[: interior_min + 1]) < 0).all())
-            and bool((np.diff(curve[interior_min:]) > 0).all())
-            and 0.45 <= rho_at_min <= 0.60
-        )
-        return u_ok, rho_at_min, 0.525, 0.075, "interior minimum of the arrival-rate sweep"
+def prob_busy_on_arrival(point: _Point, alpha: float) -> tuple:
+    # one indicator per update after the warm-up but the last
+    span, trace = _batched(point), point.trace
+    rho = analytic.prob_busy_on_arrival(point.params)
+    expected = min(rho, 1.0 - rho) * span
+    _require(expected >= MIN_EXPECTED,
+             f"{expected:.3g} busy or idle arrivals expected per window; below {MIN_EXPECTED}")
+    est = point.update_mean(lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b)))
+    return _within([est], rho, alpha)
 
-    def shape_mu_decreasing():
-        mu_grid = np.linspace(0.6, 3.0, 200)
-        mu_curve = np.array([analytic.average_aud(SystemParams(0.5, m)) for m in mu_grid])
-        return (bool((np.diff(mu_curve) < 0).all()), float(np.max(np.diff(mu_curve))), 0.0,
-                0.0, "age strictly decreases with service rate")
 
-    def shape_divergence_asymmetry():
+def mgf_mixture_identity(point: _Point, alpha: float) -> tuple:
+    # Busy/idle mixture must reassemble the plain rate transform.
+    params, s_stream = point.params, SeededStream(point.config.seed, 0xC0FFEE)
+    s_hi = params.arrival_rate  # the smaller rate of a stable point
+    s_values = -2.0 * s_hi + 2.95 * s_hi * np.asarray(s_stream.uniform_open(10))
+    rho = params.utilization
+    worst_mgf = 0.0
+    for s in map(float, s_values):
+        mixed = (rho * analytic.interdeparture_mgf_given_busy_arrival(params, s)
+                 + (1.0 - rho) * analytic.interdeparture_mgf_given_idle_arrival(params, s))
+        direct = analytic.interdeparture_mgf(params, s)
+        worst_mgf = max(worst_mgf, abs(mixed - direct) / abs(direct))
+    return worst_mgf <= 1e-10, worst_mgf, 0.0, 1e-10
+
+
+def cross_moment(point: _Point, alpha: float) -> tuple:
+    _batched(point)
+    arr, dep = point.trace.arrival_times, point.trace.departure_times
+
+    def product_sum(a: int, b: int) -> np.float64:
+        # each departure gap after the warm-up times the system time before it
+        prod = dep[a + 1:b + 1] - dep[a:b]
+        prod *= dep[a:b] - arr[a:b]
+        return prod.sum()
+
+    theory = analytic.cross_moment_system_interdeparture(point.params)
+    est = point.update_mean(product_sum)
+    return _within([est], theory, alpha, f"theory={theory:.6g}")
+
+
+def aud_dual_path(point: _Point, alpha: float) -> tuple:
+    # Two derivations of the average age must coincide across the stable region.
+    u = np.asarray(SeededStream(point.config.seed, 0xD0A1).uniform_open(200)).reshape(100, 2)
+    worst_dual = 0.0
+    for u_rho, u_mu in u:
+        mu_r = 0.1 + 9.9 * u_mu
+        rho_r = 0.01 + 0.98 * u_rho
+        p = SystemParams(rho_r * mu_r, mu_r)
+        direct = analytic.average_aud(p)
+        renewal = analytic.average_aud_renewal(p)
+        worst_dual = max(worst_dual, abs(direct - renewal) / direct)
+    return worst_dual <= 1e-12, worst_dual, 0.0, 1e-12
+
+
+# Shape of the closed form: U in arrival rate, decreasing in service rate,
+# and blowing up faster as service capacity vanishes than as arrivals do.
+def shape_lambda_u_curve(point: _Point, alpha: float) -> tuple:
+    rho_grid = np.linspace(0.01, 0.99, 999)
+    curve = np.array([analytic.average_aud(SystemParams(r, 1.0)) for r in rho_grid])
+    interior_min = int(np.argmin(curve))
+    rho_at_min = float(rho_grid[interior_min])
+    u_ok = (
+        0 < interior_min < len(curve) - 1
+        and bool((np.diff(curve[: interior_min + 1]) < 0).all())
+        and bool((np.diff(curve[interior_min:]) > 0).all())
+        and 0.45 <= rho_at_min <= 0.60
+    )
+    return u_ok, rho_at_min, 0.525, 0.075, "interior minimum of the arrival-rate sweep"
+
+
+def shape_mu_decreasing(point: _Point, alpha: float) -> tuple:
+    mu_grid = np.linspace(0.6, 3.0, 200)
+    mu_curve = np.array([analytic.average_aud(SystemParams(0.5, m)) for m in mu_grid])
+    return (bool((np.diff(mu_curve) < 0).all()), float(np.max(np.diff(mu_curve))), 0.0,
+            0.0, "age strictly decreases with service rate")
+
+
+def shape_divergence_asymmetry(point: _Point, alpha: float) -> tuple:
+    try:
+        service_starved = analytic.average_aud(SystemParams(0.5, 0.05))
+    except StabilityError:
+        service_starved = math.inf  # unstable: the age has no finite steady state
+    arrival_starved = analytic.average_aud(SystemParams(0.05, 0.5))
+    return (service_starved > arrival_starved, arrival_starved, service_starved, 0.0,
+            "service starvation must dominate arrival starvation")
+
+
+def pasta_time_average(point: _Point, alpha: float) -> tuple:
+    # Poisson decisions sample the time average of the age path (PASTA).  The
+    # median configured rate (the upper one of an even count) draws nothing extra.
+    rates = list(point.estimates)
+    aud = _estimate(point, rates[len(rates) // 2])  # its batch rule keeps the windows apart
+    # each window's sawtooth from slices of the trace, with no system-time column
+    trace = point.trace
+    aoi = mean_ci(_by_window(lambda a, b: time_average_aoi(aoi_path(trace, a, b), a, b),
+                             point.edges), point.config.confidence)
+    return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
+
+
+# Validation's checks in row order, each with whether it is exact: a closed-form
+# identity or shape, which takes no share of 1 - confidence.  A check is a
+# function of a point and alpha, its share, named after its row.  It returns its
+# verdict, observed, expected and tolerance values and detail, or raises
+# InsufficientDataError (a skipped row) where its sample is below its estimator's
+# floor.  The closed forms are evaluated at ``point.params``, so a point
+# simulated at other rates meets the wrong oracle.
+CHECKS = (
+    (aud_mc_vs_theory, False), (aud_nu_invariance, False), (ks_system_time, False),
+    (ks_interdeparture, False), (interdeparture_mean, False),
+    (interdeparture_second_moment, False), (queue_length_distribution, False),
+    (prob_busy_on_arrival, False), (mgf_mixture_identity, True), (cross_moment, False),
+    (aud_dual_path, True), (shape_lambda_u_curve, True), (shape_mu_decreasing, True),
+    (shape_divergence_asymmetry, True), (pasta_time_average, False),
+)
+
+
+def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
+    """The ``CHECKS`` rows of one simulated point, in order, and the run sizes for the manifest.
+
+    ``aud_nu_invariance`` needs two distinct decision rates.  alpha, fixed
+    before the first check runs, splits 1 - confidence over the statistical ones.
+    """
+    config, trace = point.config, point.trace
+    checks = [(check, exact) for check, exact in CHECKS
+              if check is not aud_nu_invariance or len(point.estimates) > 1]
+    alpha = (1.0 - config.confidence) / sum(not exact for _, exact in checks)
+    rows = []
+    for check, _ in checks:
         try:
-            service_starved = analytic.average_aud(SystemParams(0.5, 0.05))
-        except StabilityError:
-            service_starved = math.inf  # unstable: the age has no finite steady state
-        arrival_starved = analytic.average_aud(SystemParams(0.05, 0.5))
-        return (service_starved > arrival_starved, arrival_starved, service_starved, 0.0,
-                "service starvation must dominate arrival starvation")
-
-    def pasta_time_average():
-        # Poisson decisions sample the time average of the age path (PASTA).  The
-        # median configured rate (the upper one of an even count) draws nothing extra.
-        aud = estimate(distinct[len(distinct) // 2])  # its batch rule keeps the windows apart
-        # each window's sawtooth from slices of the trace, with no system-time column
-        aoi = mean_ci(_by_window(lambda a, b: time_average_aoi(aoi_path(trace, a, b), a, b), edges),
-                      config.confidence)
-        return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
-
-    order = [aud_mc_vs_theory, aud_nu_invariance, ks_system_time, ks_interdeparture,
-             interdeparture_mean, interdeparture_second_moment, queue_length_distribution,
-             prob_busy_on_arrival, mgf_mixture_identity, cross_moment, aud_dual_path,
-             shape_lambda_u_curve, shape_mu_decreasing, shape_divergence_asymmetry,
-             pasta_time_average]
-    if len(distinct) < 2:
-        order.remove(aud_nu_invariance)
-    exact = {mgf_mixture_identity, aud_dual_path, shape_lambda_u_curve, shape_mu_decreasing,
-             shape_divergence_asymmetry}
-    alpha = (1.0 - config.confidence) / len(set(order) - exact)
-
-    checks = []
-    for check in order:
-        try:
-            passed, *rest = check()
+            passed, *rest = check(point, alpha)
         except InsufficientDataError as exc:
             passed, rest = None, (math.nan, math.nan, math.nan, str(exc))
-        checks.append(CheckResult(check.__name__, None if passed is None else bool(passed), *rest))
+        rows.append(CheckResult(check.__name__, None if passed is None else bool(passed), *rest))
 
     sizes = {
         "record": "sizes",
         "n_updates": trace.n,
-        "warmup_updates": warm,
+        "warmup_updates": point.warm,
         "warm_epoch": point.warm_epoch,
-        "decisions": [estimates[nu][1] for nu in config.decision_rates],
-        "window_length": float(edges[1] - edges[0]),
-        "ks_system_time_samples": len(thinned),
-        "ks_system_time_lag": lag,
-        "ks_interdeparture_samples": len(gaps),
+        "decisions": [point.estimates[nu][1] for nu in config.decision_rates],
+        "window_length": float(point.edges[1] - point.edges[0]),
+        "ks_system_time_samples": len(point.thinned),
+        "ks_system_time_lag": point.lag,
+        "ks_interdeparture_samples": len(point.gaps),
     }
-    return checks, sizes
+    return rows, sizes
 
 
 def run_validation(config: ExperimentConfig) -> ValidationReport:

@@ -130,11 +130,6 @@ class UpdateTrace:
         return len(self.arrival_times)
 
     @property
-    def interarrival_times(self) -> np.ndarray:
-        """Gaps between consecutive arrivals; the first entry is the first epoch."""
-        return np.diff(self.arrival_times, prepend=0.0)
-
-    @property
     def service_start_times(self) -> np.ndarray:
         """FCFS service starts: the later of each arrival and the previous departure."""
         starts = self.arrival_times.copy()
@@ -144,10 +139,6 @@ class UpdateTrace:
     @property
     def waiting_times(self) -> np.ndarray:
         return self.service_start_times - self.arrival_times
-
-    @property
-    def service_times(self) -> np.ndarray:
-        return self.departure_times - self.service_start_times
 
     @property
     def system_times(self) -> np.ndarray:

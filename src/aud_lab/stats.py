@@ -46,17 +46,6 @@ class EstimateWithCI:
     n: int
     confidence: float = 0.99
 
-    @property
-    def lo(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def hi(self) -> float:
-        return self.mean + self.half_width
-
-    def overlaps(self, other: "EstimateWithCI") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 def mean_ci(samples, confidence: float = 0.99) -> EstimateWithCI:
     """Normal-approximation CI for the mean of (approximately) i.i.d. samples.
@@ -118,7 +107,6 @@ class KsResult:
     statistic: float
     p_value: float
     n: int
-    reject_at_001: bool
 
 
 def ks_exponential(samples, rate: float) -> KsResult:
@@ -135,4 +123,4 @@ def ks_exponential(samples, rate: float) -> KsResult:
     d_minus = float((cdf - (i - 1.0) / n).max())
     d = max(d_plus, d_minus)
     p = kolmogorov_sf(math.sqrt(n) * d)
-    return KsResult(d, p, n, p < 0.01)
+    return KsResult(d, p, n)

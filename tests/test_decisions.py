@@ -23,6 +23,15 @@ def batch_means_ci(ages):
     return mean_ci(ages[:100 * per].reshape(100, per).mean(axis=1))
 
 
+def evaluate(path, t):
+    """Reference: the age at time(s) t within the path's support; the post-drop value at a drop."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = path.support
+    assert ((lo <= t) & (t <= hi)).all(), "evaluation epoch outside the path's support"
+    idx = np.searchsorted(path.drop_epochs, t, side="right") - 1
+    return path.drop_values[idx] + (t - path.drop_epochs[idx])
+
+
 def crafted_trace():
     # update 1: arrives 2, departs 3 (system time 1)
     # update 2: arrives 3, departs 5 (system time 2)
@@ -113,7 +122,7 @@ def test_poisson_decision_count():
 def test_interdecision_gaps_are_exponential():
     trace = simulate(SystemParams(0.5, 1.0), 200_000, 3)
     gaps = np.diff(poisson_epochs(2.0, trace.last_departure, SeededStream(3, DECISION_STREAM)))
-    assert not ks_exponential(gaps[:100_000], 2.0).reject_at_001
+    assert ks_exponential(gaps[:100_000], 2.0).p_value >= 0.01
 
 
 def test_decision_determinism():
@@ -144,14 +153,15 @@ def test_aud_invariant_across_decision_rates():
         decisions = decisions_at(trace, epochs)
         ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
         estimates.append(batch_means_ci(ages))
-    assert estimates[0].overlaps(estimates[1])
+    a, b = estimates
+    assert abs(a.mean - b.mean) <= a.half_width + b.half_width  # the intervals overlap
 
 
 def test_aoi_path_single_update():
     trace = UpdateTrace(np.array([0.0]), np.array([1.0]))
     path = aoi_path(trace)
     assert path.vertices().tolist() == [[1.0, 1.0]]
-    assert path.evaluate(1.0) == pytest.approx(1.0)
+    assert evaluate(path, 1.0) == pytest.approx(1.0)
 
 
 def test_aoi_path_dd1_sawtooth():
@@ -159,8 +169,8 @@ def test_aoi_path_dd1_sawtooth():
     arrivals = 2.0 * np.arange(1, 51)
     path = aoi_path(UpdateTrace(arrivals, arrivals + 1.0))
     # age oscillates between 1 (just after a departure) and 3 (just before the next)
-    assert path.evaluate(3.0) == pytest.approx(1.0)
-    assert path.evaluate(4.999999) == pytest.approx(2.999999)
+    assert evaluate(path, 3.0) == pytest.approx(1.0)
+    assert evaluate(path, 4.999999) == pytest.approx(2.999999)
     verts = path.vertices()
     assert verts[:, 1].min() == pytest.approx(1.0)
     assert verts[:, 1].max() == pytest.approx(3.0)
@@ -184,7 +194,7 @@ def test_time_average_matches_riemann_oracle():
     a, b = lo + 0.1 * (hi - lo), lo + 0.9 * (hi - lo)
     grid = np.linspace(a, b, 2_000_001)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    riemann = path.evaluate(mids).mean()
+    riemann = evaluate(path, mids).mean()
     assert time_average_aoi(path, a, b) == pytest.approx(riemann, abs=2e-4)
 
 
@@ -205,7 +215,7 @@ def test_decision_ages_equal_path_evaluation():
     path = aoi_path(trace)
     mask = decisions.defined
     assert np.allclose(
-        decisions.ages[mask], path.evaluate(decisions.times[mask]), rtol=1e-12, atol=1e-9
+        decisions.ages[mask], evaluate(path, decisions.times[mask]), rtol=1e-12, atol=1e-9
     )
     # an age can never undercut the acted-on update's own time in the system
     floor = trace.system_times[decisions.freshest_index[mask]]

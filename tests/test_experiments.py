@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -22,9 +23,10 @@ from aud_lab.decisions import _age_sum, decisions_at, poisson_epochs
 from aud_lab.distributions import SeededStream, exponential_gaps
 from aud_lab.errors import InsufficientDataError, ParameterError
 from aud_lab.experiments import (
+    CHECKS,
+    CheckResult,
     ExperimentConfig,
     _differences,
-    _ks_samples,
     _simulate_point,
     _validation_checks,
     _within,
@@ -388,6 +390,19 @@ def test_nu_invariance_duplicate_rates_identical():
     assert list(result.estimates) == [1.0] and result.consistent is None
 
 
+def test_sweep_draws_a_repeated_decision_rate_once(tmp_path, monkeypatch):
+    calls = []
+    aud = experiments._Point.aud
+    monkeypatch.setattr(experiments._Point, "aud",
+                        lambda self, nu: calls.append(nu) or aud(self, nu))
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--lambda", "0.5", "--nu", "1,1", "--updates", "500", "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert calls == [1.0]
+    header, first, second = out.read_text().splitlines()
+    assert first == second and first.endswith(",ok")
+
+
 def test_nu_invariance_tiny_trace_no_crash():
     config = ExperimentConfig(
         arrival_rates=(0.5,),
@@ -482,9 +497,16 @@ def test_validation_default_small_passes():
     assert report.passed, report.summary()
 
 
-def test_validation_full_default_passes():
+def test_validation_full_default_passes(tmp_path):
     # the stock configuration: half load, 1e6 updates, three decision rates
     report = run_validation(ExperimentConfig())
+    # The CSV bytes of ``validate --updates 1000000 --seed 42``, at any thread
+    # count.  ROADMAP item 3 found this run byte-identical with numpy's AVX-512
+    # dispatch disabled.  A change that declares a byte change updates this
+    # hash with it.
+    report.write_csv(str(tmp_path / "v.csv"))
+    assert hashlib.sha256((tmp_path / "v.csv").read_bytes()).hexdigest() == (
+        "fa8575d7d6945d9c7b9add7a68fbbc82ce0b829c7e54cc4e03764e279c0a6f8f")
     assert report.passed, report.summary()
     assert len(report.checks) == 15
     assert all(type(c.passed) is bool for c in report.checks)
@@ -710,14 +732,14 @@ def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
     # at n = 1e5 and nu = 10, 2e6 epochs are one fill of the default segment
     # and about 30 fills of 2^16
     monkeypatch.setenv("AUD_LAB_THREADS", threads)
-    point = _simulate_point(ExperimentConfig(n_updates=100_000, seed=23), 0,
-                            SystemParams(0.5, 1.0))
-    checks, sizes = _validation_checks(point)
+    config, params = ExperimentConfig(n_updates=100_000, seed=23), SystemParams(0.5, 1.0)
+    checks, sizes = _validation_checks(_simulate_point(config, 0, params))
     fills = []
     draw = decisions.exponential_epochs
     monkeypatch.setattr(decisions, "exponential_epochs",
                         lambda *args: fills.append(args[2]) or draw(*args))
     monkeypatch.setattr(decisions, "SEGMENT", 2**16)
+    point = _simulate_point(config, 0, params)
     small_checks, small_sizes = _validation_checks(point)
     assert [c.as_csv() for c in small_checks] == [c.as_csv() for c in checks]
     assert small_sizes == sizes
@@ -842,7 +864,7 @@ def test_sweep_csv_reruns_byte_identical(tmp_path):
 
 
 def test_sweep_runs_one_point_at_a_time(tmp_path, monkeypatch):
-    point_rows, lock = experiments._point_rows, threading.Lock()
+    simulate_point, lock = experiments._simulate_point, threading.Lock()
     in_flight = most = 0
 
     def counted(*args):
@@ -852,12 +874,12 @@ def test_sweep_runs_one_point_at_a_time(tmp_path, monkeypatch):
             most = max(most, in_flight)
         try:
             time.sleep(0.05)  # time for another point to start, if one could
-            return point_rows(*args)
+            return simulate_point(*args)
         finally:
             with lock:
                 in_flight -= 1
 
-    monkeypatch.setattr(experiments, "_point_rows", counted)
+    monkeypatch.setattr(experiments, "_simulate_point", counted)
     outputs = []
     for threads in ("1", "4"):
         monkeypatch.setenv("AUD_LAB_THREADS", threads)
@@ -907,7 +929,7 @@ def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, ca
     config = ExperimentConfig(decision_rates=(0.0945, 0.0905),
                               n_updates=2000, seed=42)
     point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
-    assert [point.aud(nu)[1]["after_warmup"] for nu in config.decision_rates] == [199, 200]
+    assert [point.estimates[nu][1]["after_warmup"] for nu in config.decision_rates] == [199, 200]
     out = tmp_path / "nu.csv"
     code = cli_main(["nu-invariance", *flags, "--out", str(out)])
     captured = capsys.readouterr()
@@ -984,6 +1006,18 @@ def test_cli_bad_rate_exits_2(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error:") and "must not be empty" in err
+
+
+def test_cli_blank_output_path_exits_2(tmp_path, capsys):
+    # a blank path would run and write nothing; it is refused as an empty rate is
+    cfg = tmp_path / "blank.cfg"
+    cfg.write_text("out =\n")
+    for flags in (["--out", ""], ["--out", " "], ["--config", str(cfg)]):
+        assert cli_main(["validate", "--updates", "1000", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: output_path must not be blank, got ''\n"
+    with pytest.raises(ParameterError, match="must not be blank"):
+        ExperimentConfig(output_path=" ")
 
 
 @pytest.mark.parametrize("rates,listed,mu", [
@@ -1460,12 +1494,13 @@ def test_ks_samples_from_column_slices(cap, monkeypatch):
     for n, warmup in ((30_000, None), (30_000, 0), (5000, 4998), (2, 1), (1, None), (1, 0)):
         config = ExperimentConfig(n_updates=n, seed=4, warmup_updates=warmup)
         point = _simulate_point(config, 0, params)
-        lag, thinned, gaps = _ks_samples(point)
         ref_lag, ref_thinned, ref_gaps = ks_samples_reference(point)
-        assert lag == ref_lag
-        assert np.array_equal(thinned, ref_thinned) and np.array_equal(gaps, ref_gaps)
-        assert thinned.base is None and gaps.base is None  # no full-length buffer kept
-    assert len(gaps) == 0 and len(thinned) == 1  # n - warm = 1: no departure gap
+        assert point.lag == ref_lag
+        assert np.array_equal(point.thinned, ref_thinned)
+        assert np.array_equal(point.gaps, ref_gaps)
+        # no full-length buffer kept
+        assert point.thinned.base is None and point.gaps.base is None
+    assert len(point.gaps) == 0 and len(point.thinned) == 1  # n - warm = 1: no departure gap
 
 
 def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
@@ -1475,10 +1510,11 @@ def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
     checks = {c.name: c for c in _validation_checks(point)[0]}
     alpha = (1.0 - config.confidence) / 10
 
-    def row(name, *gate):
-        passed, observed, expected, tolerance, detail = _within(*gate)
-        assert (checks[name].passed, checks[name].observed, checks[name].tolerance,
-                checks[name].detail) == (passed, observed, tolerance, detail)
+    def row(check, *gate):
+        want = _within(*gate)
+        assert check(point, alpha) == want
+        got = checks[check.__name__]
+        assert (got.passed, got.observed, got.expected, got.tolerance, got.detail) == want
 
     # a window of a whole column sums as the window's own column does
     cuts = update_cuts(point)
@@ -1489,19 +1525,32 @@ def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
 
     prod = trace.system_times[:-1] * trace.interdeparture_times
     theory = analytic.cross_moment_system_interdeparture(params)
-    row("cross_moment", [by_window(prod)], theory, alpha, f"theory={theory:.6g}")
+    row(experiments.cross_moment, [by_window(prod)], theory, alpha, f"theory={theory:.6g}")
     busy = arrivals_seeing_busy(trace).astype(float)
-    assert np.array_equal(busy, trace.interarrival_times[1:] < trace.system_times[:-1])
-    row("prob_busy_on_arrival", [by_window(busy)], params.utilization, alpha)
+    assert np.array_equal(busy, np.diff(trace.arrival_times) < trace.system_times[:-1])
+    row(experiments.prob_busy_on_arrival, [by_window(busy)], params.utilization, alpha)
     edges = np.linspace(point.warm_epoch, trace.last_departure, 101)
     assert np.array_equal(edges, point.edges)
     path = queue_length_process(trace)
     per_batch = np.array([occupancy_fractions(path, 6, a, b) for a, b in zip(edges, edges[1:])])
     per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
     pi = analytic.stationary_queue_dist(params, 10)
-    row("queue_length_distribution",
+    row(experiments.queue_length_distribution,
         [mean_ci(level, config.confidence) for level in per_batch.T],
         np.append(pi[:7], 1 - pi[:7].sum()), alpha, "levels 0-6 and >= 7")
+
+
+def test_each_check_alone_on_a_fresh_point_gives_its_validate_row():
+    # a check reads only its point and alpha, so it gives the same row in any
+    # order, run alone on a point simulated afresh
+    config = ExperimentConfig(n_updates=20_000, seed=7)
+    report = run_validation(config)
+    assert [c.name for c in report.checks] == [check.__name__ for check, _ in CHECKS]
+    rows = {c.name: c.as_csv() for c in report.checks}
+    alpha = (1.0 - config.confidence) / sum(not exact for _, exact in CHECKS)
+    for check, _ in reversed(CHECKS):
+        passed, *rest = check(_simulate_point(config, 0, SystemParams(0.5, 1.0)), alpha)
+        assert CheckResult(check.__name__, bool(passed), *rest).as_csv() == rows[check.__name__]
 
 
 @pytest.mark.parametrize("config", [
@@ -1605,17 +1654,19 @@ def test_decision_epochs_beyond_one_segment_hold_one_buffer():
     assert peak <= 8 * (decisions.SEGMENT + window) + 2**20, peak
 
 
-def test_validation_checks_hold_no_column_beyond_the_trace():
+def test_validation_checks_hold_no_column_beyond_the_trace(monkeypatch):
     # The trace (16 bytes per update) is built before tracing starts.  At nu =
-    # 0.01 the decision epochs are few, so the checks' own peak is their
-    # slices and K-S samples: about 3.1 bytes per update.  A system-time column
-    # for the sawtooth would add 8.
+    # 0.01 the decision epochs are few, so measuring the point and running its
+    # checks peaks at their slices and K-S samples: about 3.1 bytes per update.
+    # A system-time column for the sawtooth would add 8.
     n = 2_000_000
     config = build_config(decision_rates=(0.01,), n_updates=n, seed=3)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+    params = SystemParams(0.5, 1.0)
+    trace = simulate(params, n, derive_point_seed(3, 0))
+    monkeypatch.setattr(experiments, "simulate", lambda *args: trace)
     tracemalloc.start()
     try:
-        _validation_checks(point)
+        _validation_checks(_simulate_point(config, 0, params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

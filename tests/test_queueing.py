@@ -120,7 +120,8 @@ def test_busy_time_equals_total_service():
     end = trace.last_departure
     fractions = occupancy_fractions(path, 10_000, 0.0, end)
     idle = fractions[0] * end
-    assert end - idle == pytest.approx(trace.service_times.sum(), rel=1e-9)
+    service = trace.departure_times - trace.service_start_times
+    assert end - idle == pytest.approx(service.sum(), rel=1e-9)
 
 
 @pytest.mark.parametrize("lam,expected", [(0.5, 0.5), (0.8, 0.8)])
@@ -135,7 +136,7 @@ def test_prob_arrival_sees_busy_dd1():
 
 def test_busy_indicator_is_the_gap_against_the_previous_system_time():
     trace = simulate(SystemParams(0.5, 1.0), 20_000, 3)
-    reference = trace.interarrival_times[1:] < trace.system_times[:-1]
+    reference = np.diff(trace.arrival_times) < trace.system_times[:-1]
     assert np.array_equal(arrivals_seeing_busy(trace), reference)
     # an index range gives the same entries as the slice of the whole column
     for start, stop in ((0, None), (0, 19_999), (1000, 1190), (19_998, 19_999), (7, 7)):
@@ -167,7 +168,7 @@ def test_simultaneous_events_depart_before_arrive():
 
 def test_lindley_recursion_holds():
     trace = simulate(SystemParams(0.7, 1.0), 20_000, 12)
-    x = trace.interarrival_times[1:]
+    x = np.diff(trace.arrival_times)
     w = trace.waiting_times[1:]
     t_prev = trace.system_times[:-1]
     assert np.allclose(w, np.maximum(0.0, t_prev - x), rtol=1e-9, atol=1e-9)
@@ -177,8 +178,8 @@ def test_interdeparture_case_split():
     # gap equals service alone iff the update arrived while its predecessor
     # was still in the system; otherwise the idle stretch is added
     trace = simulate(SystemParams(0.5, 1.0), 20_000, 13)
-    x = trace.interarrival_times[1:]
-    s = trace.service_times[1:]
+    x = np.diff(trace.arrival_times)
+    s = (trace.departure_times - trace.service_start_times)[1:]
     t_prev = trace.system_times[:-1]
     y = trace.interdeparture_times
     busy = x < t_prev
@@ -193,7 +194,9 @@ def test_trace_invariants_on_mm1():
     assert (np.diff(trace.departure_times) > 0).all()
     assert (trace.departure_times >= trace.arrival_times).all()
     assert np.allclose(
-        trace.system_times, trace.waiting_times + trace.service_times, rtol=1e-12, atol=1e-12
+        trace.system_times,
+        trace.waiting_times + (trace.departure_times - trace.service_start_times),
+        rtol=1e-12, atol=1e-12,
     )
 
 
@@ -229,7 +232,7 @@ def tied_departures():
 
 
 def test_trace_accepts_tied_epochs_and_rejects_decreasing_ones():
-    assert list(tied_arrivals().interarrival_times) == [1.0, 1.0, 0.0, 3.0]
+    assert list(np.diff(tied_arrivals().arrival_times, prepend=0.0)) == [1.0, 1.0, 0.0, 3.0]
     assert list(tied_departures().interdeparture_times) == [0.0, 3.0]
     # an update arriving with its predecessor finds the server busy
     assert list(arrivals_seeing_busy(tied_arrivals())) == [False, True, False]

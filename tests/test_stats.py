@@ -67,7 +67,7 @@ def test_ci_coverage_experiment():
     for seed in range(100):
         draws = exponential_gaps(SeededStream(1000 + seed, 0), 0.5, 1_000_000)
         est = mean_ci(draws, 0.99)
-        hits += est.lo <= 2.0 <= est.hi
+        hits += est.mean - est.half_width <= 2.0 <= est.mean + est.half_width
     assert hits >= 95
 
 
@@ -127,15 +127,15 @@ def test_ks_calibration_under_null():
     rejections = 0
     for seed in range(100):
         draws = exponential_gaps(SeededStream(5000 + seed, 0), 1.3, 10_000)
-        if ks_exponential(draws, 1.3).reject_at_001:
+        if ks_exponential(draws, 1.3).p_value < 0.01:
             rejections += 1
     assert rejections <= 2
 
 
 def test_ks_power_against_wrong_rate():
     draws = exponential_gaps(SeededStream(8, 0), 1.0, 10_000)
-    assert ks_exponential(draws, 2.0).reject_at_001
-    assert not ks_exponential(draws, 1.0).reject_at_001
+    assert ks_exponential(draws, 2.0).p_value < 0.01
+    assert ks_exponential(draws, 1.0).p_value >= 0.01
 
 
 def test_ks_requires_minimum_samples_and_valid_rate():
@@ -150,7 +150,7 @@ def test_ks_system_times_not_rejected():
     # mu(1 - utilization); thinned samples decorrelate the series
     trace = simulate(SystemParams(0.5, 1.0), 1_300_000, 11)
     thinned = trace.system_times[10_000:][::12][:100_000]
-    assert not ks_exponential(thinned, 0.5).reject_at_001
+    assert ks_exponential(thinned, 0.5).p_value >= 0.01
 
 
 def test_uniform_offsets_of_poisson_decisions():

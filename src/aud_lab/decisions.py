@@ -4,7 +4,8 @@ A decision made at time tau acts on the freshest update already delivered,
 so its age upon decision is tau minus that update's generation (arrival)
 epoch.  Decisions falling before the first departure have no delivered
 update to act on; they carry an undefined-age marker and are counted
-separately rather than imputed.
+separately rather than imputed.  ``poisson_epochs`` draws a rate's epochs as
+one column, ``experiments._Point.aud`` fill by fill into a reused buffer.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import BLOCK_SIZE, SeededStream, exponential_epochs
+from .distributions import SeededStream, exponential_epochs
 from .errors import InsufficientDataError, ParameterError, TruncationError
 from .queueing import UpdateTrace
 
@@ -105,7 +106,9 @@ def _age_sum(trace: UpdateTrace, times: np.ndarray) -> float:
     sum_j c_j * arrival_j, with no per-decision column.  Only the k
     departures in (times[0], times[-1]] take part: searched into the
     epochs, they cut the decisions into the k + 1 runs that act on updates
-    k0 - 1 to k0 + k - 1.  The searches compare int64 views, which sort as
+    k0 - 1 to k0 + k - 1.  Where the m epochs are fewer than k, the epochs
+    are searched into those departures instead, for the same counts in
+    m * log(k).  The searches compare int64 views, which sort as
     the doubles do only where no value is negative, NaN or -0.0: the
     departures are non-negative with no -0.0 (``UpdateTrace``), and the
     epochs positive.
@@ -116,12 +119,17 @@ def _age_sum(trace: UpdateTrace, times: np.ndarray) -> float:
     departures, keys = trace.departure_times.view(np.int64), times.view(np.int64)
     # departures[:k0] precede the span, departures[k0:k1] fall inside it
     k0, k1 = np.searchsorted(departures, keys[[0, -1]], side="right")
-    # first[i]: the first decision at or after departure k0 + i
-    first = np.searchsorted(keys, departures[k0:k1], side="left")
-    counts = np.empty(k1 - k0 + 1, dtype=np.intp)
-    counts[:-1] = first
-    counts[-1] = m
-    np.subtract(counts[1:], first, out=counts[1:])
+    if m < k1 - k0:
+        # a decision after i of the span's departures acts on update k0 - 1 + i
+        counts = np.bincount(np.searchsorted(departures[k0:k1], keys, side="right"),
+                             minlength=k1 - k0 + 1)
+    else:
+        # first[i]: the first decision at or after departure k0 + i
+        first = np.searchsorted(keys, departures[k0:k1], side="left")
+        counts = np.empty(k1 - k0 + 1, dtype=np.intp)
+        counts[:-1] = first
+        counts[-1] = m
+        np.subtract(counts[1:], first, out=counts[1:])
     # np.multiply, not a dot product: BLAS threads would contend with the pool's
     return float(times.sum() - np.multiply(counts, trace.arrival_times[k0 - 1:k1]).sum())
 
@@ -131,11 +139,7 @@ def _require_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
-# The most epochs one fill of ``fill_epochs`` draws, and the most its buffer
-# holds unless one window expects more (2^21, 16 MiB): sixteen pool blocks.
-SEGMENT = 16 * BLOCK_SIZE
-
-# A fill draws this many standard deviations more epochs than it expects to need.
+# A draw of decision epochs takes this many standard deviations more than it expects to need.
 MARGIN_SDS = 10.0
 
 
@@ -144,49 +148,23 @@ def _with_margin(expected: float) -> int:
     return int(expected + MARGIN_SDS * math.sqrt(expected) + 16.0)
 
 
-def fill_epochs(decision_rate: float, horizon: float, stream: SeededStream, take,
-                window: float = 0.0) -> None:
-    """Draw sorted Poisson epochs at ``decision_rate`` past ``horizon`` into one reused buffer.
+def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -> np.ndarray:
+    """Sorted Poisson epochs at ``decision_rate`` on (0, horizon].
 
-    The buffer holds the epochs expected on (0, horizon] with a margin of
-    MARGIN_SDS standard deviations, or SEGMENT if that is fewer, or those
-    expected in one ``window`` of time with the margin if that is more; each
-    fill draws at most SEGMENT of them, as many as the rest expects, or what
-    room is left.  After each fill ``take(seg, fresh)`` sees the buffer, new
-    from ``seg[fresh]`` on, and returns the index of the first epoch it needs
-    again: those move to the front (if they fill the buffer, a window has
-    overrun its margin, and the buffer is doubled).  The first fill past
-    ``horizon`` is the last.  Fills continue the running sum, so the epochs are one
-    ``np.cumsum`` of one sequential draw, bit for bit, at any thread count.
+    One draw of the epochs expected with a margin of MARGIN_SDS standard
+    deviations, continued from its last epoch while that falls short of
+    ``horizon``, is trimmed by a slice: the result holds one column and its
+    margin.  Continuing the running sum keeps the epochs one ``np.cumsum`` of
+    one sequential draw, bit for bit.
     """
     _require_positive("decision_rate", decision_rate)
     _require_positive("horizon", horizon)
-    buf, kept, last = np.empty(0), 0, 0.0
-    while True:
-        fresh = _with_margin(decision_rate * (horizon - last))
-        if kept == len(buf):  # the first fill, or the epochs kept fill the buffer
-            buf = np.concatenate((buf, buf)) if kept else np.empty(
-                min(fresh, max(SEGMENT, _with_margin(decision_rate * window))))
-        fresh = min(fresh, SEGMENT, len(buf) - kept)
-        seg = buf[:kept + fresh]
-        last = exponential_epochs(stream, decision_rate, fresh, last, seg[kept:])[-1]
-        keep = take(seg, kept)
-        if last > horizon:
-            return
-        kept = len(seg) - keep
-        buf[:kept] = seg[keep:]
-
-
-def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -> np.ndarray:
-    """Sorted Poisson epochs at ``decision_rate`` on (0, horizon], joined from ``fill_epochs``."""
-    pieces = []
-
-    def take(seg: np.ndarray, fresh: int) -> int:
-        pieces.append(seg[fresh:np.searchsorted(seg, horizon, side="right")].copy())
-        return len(seg)
-
-    fill_epochs(decision_rate, horizon, stream, take)
-    return np.concatenate(pieces)
+    epochs = exponential_epochs(stream, decision_rate, _with_margin(decision_rate * horizon))
+    while epochs[-1] <= horizon:
+        rest = _with_margin(decision_rate * (horizon - epochs[-1]))
+        epochs = np.concatenate((epochs, exponential_epochs(stream, decision_rate, rest,
+                                                            epochs[-1])))
+    return epochs[:np.searchsorted(epochs, horizon, side="right")]
 
 
 @dataclass(frozen=True)

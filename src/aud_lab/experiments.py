@@ -7,24 +7,26 @@ run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one buffer of decision
 epochs at a time, and output is byte-reproducible.  ``_simulate_point``
 measures a point once: its mean age at each distinct decision rate, one rate
-at a time, then its K-S samples.  The sweep rows, the nu-invariance
-comparison and validation's checks all read that ``_Point``; the checks are
-plain functions of it, run in the order of the ``CHECKS`` table.  Every
-random draw and every time window run on the shared block pool
-(``distributions.block_pool``), the program's only thread pool.  A point's
-AUD_BATCHES time windows batch every correlated mean: each window's sum and
-count of the decision ages, the busy indicators or the cross-moment products
-give the ratio of their totals with a delta-method CI (``stats.ratio_ci``),
-and validation's occupancy levels and sawtooth time average are taken per
-window.  ``_by_window`` maps the windows onto the pool in a few contiguous
-groups per thread, each run in order, not one task per window.
-``AUD_LAB_THREADS`` caps its threads; one thread runs everything in
-sequence, and no result depends on it.  A sample below its estimator's floor (InsufficientDataError)
-gets no verdict: a sweep leaves that p-value, or a mean age with under
-2 * AUD_BATCHES decisions after the warm-up, blank, and validation reports
-that check alone as skipped, with the reason.
-Validation splits 1 - confidence evenly over its statistical checks, so a
-correct run fails with at most that probability (see ``_within``).
+at a time (``_Point.aud`` owns the decision loop), then its K-S samples.
+The sweep rows, the nu-invariance comparison and validation's checks all
+read that ``_Point``; the checks are plain functions of it, run in the order
+of the ``CHECKS`` table.  A point's AUD_BATCHES time windows batch every
+correlated mean: each window's sum and count of the decision ages, the busy
+indicators or the cross-moment products give the ratio of their totals with
+a delta-method CI (``stats.ratio_ci``), and validation's occupancy levels and
+sawtooth time average are taken per window.  Every random draw, the decision
+sums and the occupancy windows run on the shared block pool
+(``distributions.block_pool``), the program's only thread pool: ``_by_window``
+maps the windows onto it in a few contiguous groups per thread, each run in
+order, not one task per window.  The lighter windows, of a few numpy calls
+each, run in a plain loop on the calling thread.  ``AUD_LAB_THREADS`` caps the
+pool's threads; one thread runs everything in sequence, and no result depends
+on it.  A sample below its estimator's floor (InsufficientDataError) gets no
+verdict: a sweep leaves that p-value, or a mean age with under 2 * AUD_BATCHES
+decisions after the warm-up, blank, and validation reports that check alone as
+skipped, with the reason.  Validation splits 1 - confidence evenly over its
+statistical checks, so a correct run fails with at most that probability
+(``_within``).
 """
 from __future__ import annotations
 
@@ -42,8 +44,9 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytic
-from .decisions import _age_sum, aoi_path, fill_epochs, time_average_aoi
-from .distributions import SeededStream, block_pool, splitmix64, worker_limit
+from .decisions import _age_sum, _with_margin, aoi_path, time_average_aoi
+from .distributions import (
+    BLOCK_SIZE, SeededStream, block_pool, exponential_epochs, splitmix64, worker_limit)
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
     SystemParams,
@@ -90,9 +93,13 @@ MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 # point's expected horizon n / lambda times nu exceeds the cap, and before
 # drawing a decision where the simulated horizon times nu does.  That bounds
 # the run time, and a window's expected decisions to MAX_COLUMN / AUD_BATCHES
-# (2.7e6 with decisions.MARGIN_SDS, 21.6 MB), which decisions.fill_epochs' first
+# (2.7e6 with decisions.MARGIN_SDS, 21.6 MB), which ``_Point.aud``'s first
 # buffer holds whole.
 MAX_COLUMN = 2**28
+
+# The most epochs one fill of ``_Point.aud``'s decision buffer draws, and the most
+# the buffer holds unless one window expects more (2^21, 16 MiB): sixteen pool blocks.
+SEGMENT = 16 * BLOCK_SIZE
 
 # A stable point's epochs reach about n / lambda, where adjacent doubles lie
 # up to (n / lambda) * 2^-52 apart.  With n * mu / lambda at most this, that
@@ -474,28 +481,39 @@ class _Point:
         """Mean age upon the decisions at rate ``nu`` in the windows, and their counts.
 
         A window takes the decisions in (its start, its end].  With under
-        2 * AUD_BATCHES of them there is no estimate (None).  Each fill of
-        ``decisions.fill_epochs``' buffer, sized to hold a window's epochs,
-        sums the windows it holds whole, each as one slice, and keeps the
-        epochs of the window still open.
+        2 * AUD_BATCHES of them there is no estimate (None).  The epochs are
+        drawn in fills of at most SEGMENT into one buffer sized for the run's
+        expected epochs with ``_with_margin``, or SEGMENT if fewer, or one
+        window's if more.  A fill sums the windows it closes, each as one
+        slice, and moves the open window's epochs to the front, doubling the
+        buffer only if they fill it.  Fills continue one running sum, so the
+        epochs are one ``np.cumsum`` of one draw, bit for bit, at any thread count.
         """
-        trace, edges = self.trace, self.edges
+        trace, edges, horizon = self.trace, self.edges, self.trace.last_departure
+        stream = SeededStream(self.seed, decision_stream_id(nu))
         sums, counts, total, undefined = [], [], 0, 0
-
-        def take(seg: np.ndarray, fresh: int) -> int:
-            nonlocal total, undefined
-            total += int(np.searchsorted(seg[fresh:], trace.last_departure, side="right"))
+        buf = np.empty(min(_with_margin(nu * horizon),
+                           max(SEGMENT, _with_margin(nu * (edges[1] - edges[0])))))
+        kept, last = 0, 0.0
+        while True:
+            fresh = min(_with_margin(nu * (horizon - last)), SEGMENT, len(buf) - kept)
+            seg = buf[:kept + fresh]
+            last = exponential_epochs(stream, nu, fresh, last, seg[kept:])[-1]
+            total += int(np.searchsorted(seg[kept:], horizon, side="right"))
             # decisions ahead of the first departure have no age
-            undefined += int(np.searchsorted(seg[fresh:], trace.departure_times[0], side="left"))
+            undefined += int(np.searchsorted(seg[kept:], trace.departure_times[0], side="left"))
             # the edges with an epoch drawn past them close the windows between them
             cuts = np.searchsorted(seg, edges[len(sums):], side="right")
             closed = cuts[:np.searchsorted(cuts, len(seg))]
             sums.extend(_by_window(lambda a, b: _age_sum(trace, seg[a:b]), closed))
             counts.extend(np.diff(closed))
-            return int(np.searchsorted(seg, edges[len(sums)], side="right"))
-
-        fill_epochs(nu, trace.last_departure, SeededStream(self.seed, decision_stream_id(nu)), take,
-                    edges[1] - edges[0])
+            if last > horizon:
+                break
+            keep = int(np.searchsorted(seg, edges[len(sums)], side="right"))
+            kept = len(seg) - keep
+            buf[:kept] = seg[keep:]
+            if kept == len(buf):
+                buf = np.concatenate((buf, buf))
         counts = np.array(counts)
         estimated = int(counts.sum())
         est = (ratio_ci(sums, counts, self.config.confidence)
@@ -512,11 +530,13 @@ class _Point:
         """Mean of one sample per update after the warm-up but the last, with its ratio CI.
 
         A window takes the updates that depart in (its start, its end], and
-        ``window_sum(a, b)`` sums the samples of updates [a, b).
+        ``window_sum(a, b)`` sums the samples of updates [a, b), on the calling
+        thread: a window's few numpy calls cost less than a pool task.
         """
         cuts = np.searchsorted(self.trace.departure_times, self.edges, side="right")
         np.minimum(cuts, self.trace.n - 1, out=cuts)
-        return ratio_ci(_by_window(window_sum, cuts), np.diff(cuts), self.config.confidence)
+        return ratio_ci([window_sum(a, b) for a, b in zip(cuts[:-1], cuts[1:])], np.diff(cuts),
+                        self.config.confidence)
 
 
 def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
@@ -884,9 +904,9 @@ def pasta_time_average(point: _Point, alpha: float) -> tuple:
     rates = list(point.estimates)
     aud = _estimate(point, rates[len(rates) // 2])  # its batch rule keeps the windows apart
     # each window's sawtooth from slices of the trace, with no system-time column
-    trace = point.trace
-    aoi = mean_ci(_by_window(lambda a, b: time_average_aoi(aoi_path(trace, a, b), a, b),
-                             point.edges), point.config.confidence)
+    trace, edges = point.trace, point.edges
+    aoi = mean_ci([time_average_aoi(aoi_path(trace, a, b), a, b)
+                   for a, b in zip(edges[:-1], edges[1:])], point.config.confidence)
     return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aud_lab import decisions
+from aud_lab import decisions, experiments
 from aud_lab.decisions import (
     _age_sum,
     aoi_path,
@@ -13,6 +14,7 @@ from aud_lab.decisions import (
 )
 from aud_lab.distributions import DECISION_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import ParameterError, TruncationError
+from aud_lab.experiments import ExperimentConfig, _simulate_point, decision_stream_id
 from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, simulate
 from aud_lab.stats import ks_exponential, mean_ci
 
@@ -388,19 +390,45 @@ def test_epoch_generators_match_the_record_builders():
 @pytest.mark.parametrize("margin", [-5.0, -7.5])
 @pytest.mark.parametrize("segment", [2**12, 2**22])
 def test_short_fills_continue_one_running_sum(monkeypatch, margin, segment):
-    # fills 5 or 7.5 standard deviations short of the epochs expected to
-    # remain (1e4 at first) need further fills, in buffers that hold them or not
+    # draws 5 or 7.5 standard deviations short of the epochs expected to
+    # remain (about 1e4 at first) need further draws, each from the last
+    # epoch: poisson_epochs' one column, and _Point.aud's fills of at most
+    # SEGMENT, in a buffer that holds the run's epochs or not
+    point = _simulate_point(ExperimentConfig(n_updates=5000, seed=5), 0, SystemParams(0.5, 1.0))
+    want = point.aud(1.0)
     monkeypatch.setattr(decisions, "MARGIN_SDS", margin)
-    monkeypatch.setattr(decisions, "SEGMENT", segment)
-    fills = []
+    monkeypatch.setattr(experiments, "SEGMENT", segment)
+    fills, drawn = [], []
     draw = decisions.exponential_epochs
     monkeypatch.setattr(decisions, "exponential_epochs",
                         lambda *args: fills.append(args[2]) or draw(*args))
+    monkeypatch.setattr(experiments, "exponential_epochs",
+                        lambda *args: drawn.append(draw(*args).copy()) or drawn[-1])
     epochs = poisson_epochs(1.0, 1e4, SeededStream(5, 7))
     column = np.cumsum(exponential_gaps(SeededStream(5, 7), 1.0, sum(fills)))
     assert len(epochs) == np.searchsorted(column, 1e4, side="right") < len(column)
     np.testing.assert_array_equal(epochs, column[:len(epochs)])
-    assert fills[0] == min(segment, int(1e4 + margin * 100.0 + 16.0)) and len(fills) >= 3
+    assert fills[0] == int(1e4 + margin * 100.0 + 16.0) and len(fills) >= 3
+    # the same short fills in _Point.aud: one column, so the same bits
+    assert point.aud(1.0) == want
+    expected = point.trace.last_departure
+    assert len(drawn[0]) == min(segment, int(expected + margin * math.sqrt(expected) + 16.0))
+    assert len(drawn) >= 3 and drawn[-1][-1] > expected
+    column = np.cumsum(exponential_gaps(SeededStream(point.seed, decision_stream_id(1.0)), 1.0,
+                                        sum(map(len, drawn))))
+    np.testing.assert_array_equal(np.concatenate(drawn), column)
+
+
+def test_poisson_epochs_holds_one_column_and_its_margin():
+    # one draw of the expected epochs and their margin, trimmed by a slice: a
+    # column joined from pieces, or a trimmed copy, would hold twice as much
+    tracemalloc.start()
+    try:
+        poisson_epochs(1.0, 3e6, SeededStream(5, 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * decisions._with_margin(3e6) + 2**20, peak
 
 
 def tied_departure_runs():
@@ -452,6 +480,30 @@ def test_generation_epochs_on_tied_departure_runs():
                   np.repeat([2.0, 3.0, 4.0, 4.5, 8.0], 5)):
         assert _age_sum(trace, np.array(times)) == math.fsum(decisions_at(trace, times).ages)
     assert _age_sum(trace, np.empty(0)) == 0.0
+
+
+def test_age_sum_counts_the_decisions_by_either_search():
+    # A span with fewer decisions than departures searches the decisions into
+    # the departures, one with more the departures into the decisions: the same
+    # counts as the records', so the same bits.
+    tied, trace = tied_departure_runs(), simulate(SystemParams(0.5, 1.0), 20_000, 11)
+    dep = trace.departure_times
+    cases = [(tied, [2.0, 4.0, 7.0]), (tied, [2.0, 8.0]),
+             (tied, np.repeat([2.0, 3.0, 4.0, 8.0], [1, 2, 3, 4]))]
+    for nu in (0.1, 10.0):  # 0.2 and 20 decisions per departure
+        epochs = poisson_epochs(nu, trace.last_departure, SeededStream(11, DECISION_STREAM))
+        # and a few decisions exactly on departures
+        cases.append((trace, np.sort(np.append(epochs[epochs >= dep[0]], dep[5::997]))))
+    fewer = set()
+    for tr, times in cases:
+        times = np.asarray(times, dtype=float)
+        freshest = decisions_at(tr, times).freshest_index
+        lo, hi = freshest[0], freshest[-1]
+        counts = np.bincount(freshest - lo, minlength=hi - lo + 1)
+        want = times.sum() - np.multiply(counts, tr.arrival_times[lo:hi + 1]).sum()
+        assert _age_sum(tr, times) == want
+        fewer.add(len(times) < hi - lo)  # the span holds hi - lo departures
+    assert fewer == {True, False}
 
 
 def test_generation_epochs_on_a_trace_that_starts_at_negative_zero():

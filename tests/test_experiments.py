@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import aud_lab
-from aud_lab import analytic, decisions, distributions, experiments
+from aud_lab import analytic, distributions, experiments
 from aud_lab.cli import main as cli_main
 from aud_lab.decisions import _age_sum, decisions_at, poisson_epochs
 from aud_lab.distributions import SeededStream, exponential_gaps
@@ -44,6 +44,7 @@ from aud_lab.experiments import (
 )
 from aud_lab.queueing import (
     SystemParams,
+    UpdateTrace,
     arrivals_seeing_busy,
     occupancy_fractions,
     queue_length_process,
@@ -518,6 +519,23 @@ def test_validation_full_default_passes(tmp_path):
     assert rows["queue_length_distribution"].tolerance == pytest.approx(z_value(1 - 0.001 / 11))
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # the lambda <= 0.4 points take 2-5 fills of the decision buffer, the others one
+    (["sweep", "--lambda", "0.1:0.9:0.1", "--mu", "1", "--nu", "1", "--updates", "1000000",
+      "--seed", "42"], "e98311518029fb9048da2334882f07dc7e85e9f4d4233be988335951179e701a"),
+    # a window holds about 2.0e6 epochs, just under SEGMENT, so each fill closes one
+    (["validate", "--lambda", "0.01", "--updates", "200000", "--seed", "3"],
+     "dc2748ecafe2e34a82fa8d144661f95d71af74027c250f4ca9468cd0639d4b29"),
+], ids=["sweep-lambda", "validate-lambda-0.01"])
+def test_decision_loop_keeps_the_csv_bytes(tmp_path, argv, digest):
+    # The CSV bytes of these runs, at any thread count, as for the default
+    # validate run above.  A change that declares a byte change updates this
+    # hash with it.
+    out = tmp_path / "r.csv"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("flags", [
     # correct runs that fixed tolerances failed: the occupancy level 7 (3.02
     # > 1), the second moment of the gaps (0.021 > 0.02), their K-S test (p =
@@ -606,7 +624,7 @@ def assert_close(got, want, rel=1e-9):
 
 
 def inject(monkeypatch, epochs):
-    """Make ``decisions.fill_epochs`` fill its buffer from ``epochs``, then +inf.
+    """Make ``_Point.aud`` fill its buffer from ``epochs``, then +inf.
 
     The loop runs as it is; only the values it draws are replaced.  Returns
     the list of each fill's last epoch, filled as the loop runs.
@@ -620,7 +638,7 @@ def inject(monkeypatch, epochs):
         ends.append(out[-1])
         return out
 
-    monkeypatch.setattr(decisions, "exponential_epochs", fill)
+    monkeypatch.setattr(experiments, "exponential_epochs", fill)
     return ends
 
 
@@ -735,10 +753,10 @@ def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
     config, params = ExperimentConfig(n_updates=100_000, seed=23), SystemParams(0.5, 1.0)
     checks, sizes = _validation_checks(_simulate_point(config, 0, params))
     fills = []
-    draw = decisions.exponential_epochs
-    monkeypatch.setattr(decisions, "exponential_epochs",
+    draw = experiments.exponential_epochs
+    monkeypatch.setattr(experiments, "exponential_epochs",
                         lambda *args: fills.append(args[2]) or draw(*args))
-    monkeypatch.setattr(decisions, "SEGMENT", 2**16)
+    monkeypatch.setattr(experiments, "SEGMENT", 2**16)
     point = _simulate_point(config, 0, params)
     small_checks, small_sizes = _validation_checks(point)
     assert [c.as_csv() for c in small_checks] == [c.as_csv() for c in checks]
@@ -775,7 +793,7 @@ def test_decision_buffer_seams_match_the_whole_column():
     seen = set()
     for segment in range(16, 90):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(decisions, "SEGMENT", segment)
+            patch.setattr(experiments, "SEGMENT", segment)
             ends = inject(patch, epochs)
             assert point.aud(1.0) == want, segment
         ends = np.array(ends[:-1])  # the last fill passes the horizon
@@ -1272,24 +1290,27 @@ def test_a_window_at_the_decision_cap_fits_in_one_buffer(monkeypatch):
     # per window over its expected horizon; the first buffer holds that many and
     # MARGIN_SDS standard deviations more (2.70e6, 21.6 MB), so three such
     # windows of real draws pass through it without a doubling
-    assert decisions.SEGMENT == 16 * distributions.BLOCK_SIZE
-    rate = experiments.MAX_COLUMN / experiments.AUD_BATCHES  # windows of length 1
+    assert experiments.SEGMENT == 16 * distributions.BLOCK_SIZE
+    rate = experiments.MAX_COLUMN / experiments.AUD_BATCHES
+    # a hand-built point: three windows of length 1 from its first departure
+    trace = UpdateTrace(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 3.5]))
+    point = experiments._Point(ExperimentConfig(), SystemParams(0.5, 1.0), 9, trace, 0, 0.0,
+                               np.array([0.5, 1.5, 2.5, 3.5]))
     buffers, counts = [], []
-    draw = decisions.exponential_epochs
+    draw, ratio = experiments.exponential_epochs, experiments.ratio_ci
 
     def fill(stream, nu, size, start, out):
         buffers.append(out.base)  # the array that owns the buffer
         return draw(stream, nu, size, start, out)
 
-    def take(seg, fresh):
-        # the window ends 1, 2 and 3 with an epoch drawn past them close
-        ends = np.arange(len(counts) + 1.0, 4.0)
-        cuts = np.searchsorted(seg, ends[ends < seg[-1]], side="right")
-        counts.extend(np.diff(cuts, prepend=0))
-        return int(cuts[-1]) if len(cuts) else 0
+    def window_ratio(sums, window_counts, confidence):
+        counts.extend(window_counts)
+        return ratio(sums, window_counts, confidence)
 
-    monkeypatch.setattr(decisions, "exponential_epochs", fill)
-    decisions.fill_epochs(rate, 3.0, SeededStream(9, 2), take, 1.0)
+    monkeypatch.setattr(experiments, "exponential_epochs", fill)
+    monkeypatch.setattr(experiments, "ratio_ci", window_ratio)
+    est, _ = point.aud(rate)
+    assert est is not None
     assert len(counts) == 3 and all(abs(c - rate) < 5.0 * math.sqrt(rate) for c in counts)
     assert len(buffers) >= 4 and all(b is buffers[0] for b in buffers)
     assert buffers[0].nbytes <= 22e6
@@ -1585,9 +1606,9 @@ def test_validation_runs_its_estimates_and_windows_on_the_calling_thread(monkeyp
     monkeypatch.setattr(experiments, "_by_window", on_caller(experiments._by_window))
     report = run_validation(ExperimentConfig(n_updates=20_000, seed=7))
     assert not any(check.passed is None for check in report.checks)
-    # the batch means of three decision rates, the busy indicator and the cross
-    # moment, then the occupancy and sawtooth windows
-    assert sorted(name for name, _ in threads) == ["_by_window"] * 7 + ["aud"] * 3
+    # the batch means of three decision rates, then the occupancy windows; the
+    # busy indicator, cross moment and sawtooth windows run in a plain loop
+    assert sorted(name for name, _ in threads) == ["_by_window"] * 4 + ["aud"] * 3
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
@@ -1634,7 +1655,7 @@ def test_validate_peak_memory_does_not_grow_with_the_decision_count(tmp_path):
     # MiB) and an eighth of a buffer for temporaries bound the difference.
     peaks = {lam: peak_rss_kib(tmp_path, "--lambda", lam, "--updates", "20000", "--seed", "3")
              for lam in ("0.5", "0.01")}
-    assert peaks["0.01"] <= peaks["0.5"] + decisions.SEGMENT * 8 * 9 // 8 // 1024, peaks
+    assert peaks["0.01"] <= peaks["0.5"] + experiments.SEGMENT * 8 * 9 // 8 // 1024, peaks
 
 
 def test_decision_epochs_beyond_one_segment_hold_one_buffer():
@@ -1650,8 +1671,8 @@ def test_decision_epochs_beyond_one_segment_hold_one_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est is not None and counts["total"] > decisions.SEGMENT
-    assert peak <= 8 * (decisions.SEGMENT + window) + 2**20, peak
+    assert est is not None and counts["total"] > experiments.SEGMENT
+    assert peak <= 8 * (experiments.SEGMENT + window) + 2**20, peak
 
 
 def test_validation_checks_hold_no_column_beyond_the_trace(monkeypatch):

@@ -1,16 +1,19 @@
 """Calibration study of ``validate``: false alarms on correct runs, detections of a wrong oracle.
 
 Correct runs (the default): ``run_validation`` at each utilization rho of
-``--rho`` (mu = 1, lambda = rho) over ``--runs`` seeds from ``--seed`` on.
-Each cell prints its failing-run count with a Wilson 95 % interval, then
-the fail and skip count of every check that failed or was skipped.
+``--rho`` (mu = 1, lambda = rho), ``--runs`` times.  Run i of the cell
+(rho, n) takes the seed ``run_seed`` derives from ``--seed``, rho, n and i,
+so no two cells share their random numbers.  Each cell prints its
+failing-run count with a Wilson 95 % interval, then the fail and skip count
+of every check that failed or was skipped.
 
-Wrong oracles (``--scales``): one simulated point per seed, checked by
+Wrong oracles (``--scales``): one simulated point per run, checked by
 ``_validation_checks`` against the closed forms at both rates times s, for
 each s.  Each s prints the runs with at least one failed check and the
 failures per check; s = 1 is the correct oracle.
 
-Usage (the study behind the calibration table in CHANGES.md):
+Usage (the commands of the study behind the calibration table in CHANGES.md;
+that table predates ``run_seed``, so they now draw other seeds than it did):
 
     PYTHONPATH=src python scripts/validate_calibration.py \\
         --rho 0.01,0.1,0.3,0.5,0.8,0.9,0.95 --updates 100000 --runs 100 --seed 5000
@@ -27,13 +30,16 @@ from __future__ import annotations
 import argparse
 import collections
 import math
+import struct
 import time
 from dataclasses import replace
 
+from aud_lab.distributions import splitmix64
 from aud_lab.experiments import (
     ExperimentConfig,
     _simulate_point,
     _validation_checks,
+    derive_point_seed,
     parse_rates,
     run_validation,
 )
@@ -48,6 +54,12 @@ def wilson(k: int, n: int, z: float = 1.959964) -> tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+def run_seed(seed: int, rho: float, n: int, run: int) -> int:
+    """The seed of run ``run`` of the cell (rho, n), from the base ``seed``."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", rho))
+    return derive_point_seed(seed, splitmix64(splitmix64(bits) ^ n) ^ run)
+
+
 def _counts(counter: collections.Counter) -> str:
     return " ".join(f"{name}={count}" for name, count in sorted(counter.items())) or "-"
 
@@ -57,7 +69,8 @@ def correct_runs(rho: float, args) -> None:
     started = time.monotonic()
     for i in range(args.runs):
         config = ExperimentConfig(arrival_rates=(rho,), decision_rates=args.nu,
-                                  n_updates=args.updates, seed=args.seed + i)
+                                  n_updates=args.updates,
+                                  seed=run_seed(args.seed, rho, args.updates, i))
         checks = run_validation(config).checks
         failed = [c.name for c in checks if c.passed is False]
         failing += bool(failed)
@@ -76,7 +89,8 @@ def wrong_oracles(rho: float, args) -> None:
     per_check = collections.defaultdict(collections.Counter)
     for i in range(args.runs):
         config = ExperimentConfig(arrival_rates=(rho,), decision_rates=args.nu,
-                                  n_updates=args.updates, seed=args.seed + i)
+                                  n_updates=args.updates,
+                                  seed=run_seed(args.seed, rho, args.updates, i))
         point = _simulate_point(config, 0, SystemParams(rho, 1.0))
         for s in args.scales:
             checks, _ = _validation_checks(
@@ -95,8 +109,8 @@ def main() -> None:
     parser.add_argument("--updates", type=int, default=100_000)
     parser.add_argument("--nu", type=parse_rates, default=(0.1, 1.0, 10.0),
                         help="decision rates")
-    parser.add_argument("--runs", type=int, default=100, help="seeds per utilization")
-    parser.add_argument("--seed", type=int, default=5000, help="first seed")
+    parser.add_argument("--runs", type=int, default=100, help="runs per utilization")
+    parser.add_argument("--seed", type=int, default=5000, help="base seed")
     parser.add_argument("--scales", type=parse_rates, default=None,
                         help="wrong-oracle rate multiples; omit for the correct-run study")
     args = parser.parse_args()

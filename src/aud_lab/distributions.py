@@ -3,22 +3,24 @@
 Every gap is -ln(U) / rate for a uniform draw U on (0, 1) from a Philox
 stream, so a given (seed, stream_id) pair reproduces the same sequence on
 any platform, and distinct stream ids give statistically independent
-streams for the arrival, service, and decision processes.  One transform
-(``_gap_parts``) makes the gaps of all three: ``exponential_gaps`` returns
-them, ``exponential_epochs`` their running sums.
+streams for the arrival, service, and decision processes.  The block that
+draws the uniforms also turns them into the gaps of all three, given their
+rate: ``exponential_gaps`` returns them, ``exponential_epochs`` their
+running sums.
 
 A stream is its Philox key and the count of draws taken from it.  Philox
 maps a counter to four 64-bit words, so any stretch of a stream can be
 drawn on its own from the key and its position.  Every request is drawn
-that way, one block of up to ``BLOCK_SIZE`` values per task on a shared
-thread pool, with the same values as one sequential draw.
+that way, in blocks of up to ``BLOCK_SIZE`` values, with the same values as
+one sequential draw: a request of one block on the calling thread, a longer
+one block by block as tasks on a shared thread pool.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import os
 import threading
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -33,8 +35,8 @@ DECISION_STREAM = 2
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Values per pool task.  The split changes no drawn value, only how the work
-# is shared out.
+# Values per block, and the most a request draws on the calling thread.  The
+# split changes no drawn value, only how the work is shared out.
 BLOCK_SIZE = 1 << 17
 
 _pool: concurrent.futures.ThreadPoolExecutor | None = None
@@ -63,10 +65,11 @@ def block_pool() -> concurrent.futures.ThreadPoolExecutor:
     """The shared pool of ``worker_limit()`` threads, made on first use.
 
     Its tasks never wait on other tasks, so any thread may submit to it
-    and wait.  Every random draw waits on it, so no task draws.  A changed
-    ``AUD_LAB_THREADS`` gets a new pool; the old one's threads exit once the
-    last caller drops it.  The threads start on first use; the executor's
-    module itself is imported with this one.
+    and wait.  A random draw of more than one block waits on it, so no
+    task draws more than one block.  A changed ``AUD_LAB_THREADS`` gets a
+    new pool; the old one's threads exit once the last caller drops it.
+    The threads start on first use; the executor's module itself is
+    imported with this one.
     """
     global _pool, _pool_workers
     workers = worker_limit()
@@ -81,12 +84,14 @@ def block_pool() -> concurrent.futures.ThreadPoolExecutor:
 SMALLEST_DRAW = 2.0**-53
 
 
-def _finish(part: np.ndarray, transform) -> np.ndarray:
-    """Freshly drawn ``part``, each exact 0.0 mapped to SMALLEST_DRAW, then ``transform``-ed."""
+def _finish(part: np.ndarray, rate: float | None) -> np.ndarray:
+    """Freshly drawn ``part``, each exact 0.0 mapped to SMALLEST_DRAW, then, given a
+    ``rate``, turned in place into the gaps -log(U) / rate."""
     if not part.all():
         part[part == 0.0] = SMALLEST_DRAW
-    if transform is not None:
-        transform(part)
+    if rate is not None:
+        np.log(part, out=part)
+        part /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
     return part
 
 
@@ -100,12 +105,12 @@ class _StoredKey(ISeedSequence):
         return self.key  # Philox asks for its two-word uint64 key alone
 
 
-def _draw_block(key, start: int, out: np.ndarray, transform) -> np.ndarray:
+def _draw_block(key, start: int, out: np.ndarray, rate: float | None) -> np.ndarray:
     """``out``, finished, drawn from the Philox stream keyed ``key`` from its draw ``start`` on."""
     bit_generator = Philox(_StoredKey(key))
     bit_generator.advance(start // 4)  # skip whole counters, four draws each
     bit_generator.random_raw(start % 4)  # and the next counter's draws before ``start``
-    return _finish(Generator(bit_generator).random(out=out), transform)
+    return _finish(Generator(bit_generator).random(out=out), rate)
 
 
 def splitmix64(x: int) -> int:
@@ -156,47 +161,34 @@ class SeededStream:
             pass
         return u
 
-    def fill_open(
-        self, out: np.ndarray, transform: Callable[[np.ndarray], None] | None = None
-    ) -> Iterator[np.ndarray]:
+    def fill_open(self, out: np.ndarray, rate: float | None = None) -> Iterator[np.ndarray]:
         """Fill ``out`` with ``uniform_open(len(out))``; return its parts in index order.
 
         The stream moves on by ``len(out)`` draws before this returns.  Each
         part is a non-empty view of ``out`` that is final when the iterator
-        yields it: its 0.0s are mapped and its draws passed through
-        ``transform`` (in place), if given.  The parts cover ``out``.
+        yields it: its 0.0s are mapped and, given a ``rate``, its draws U
+        turned into the gaps -log(U) / rate.  The parts cover ``out``.
 
-        Each part is a block of up to ``BLOCK_SIZE`` values, drawn by its own
-        task on ``block_pool()`` from the stream's key at the block's
-        position, so the caller can consume a block while later ones are
-        still being drawn.
+        Each part is a block of up to ``BLOCK_SIZE`` values, drawn from the
+        stream's key at the block's position.  A request of one block is
+        drawn here, on the calling thread; a longer one draws each block by
+        its own task on ``block_pool()``, so the caller can consume a block
+        while later ones are still being drawn.
         """
-        pool = block_pool()
         start, self._drawn = self._drawn, self._drawn + len(out)
-        blocks = [pool.submit(_draw_block, self._key, start + a, out[a:a + BLOCK_SIZE], transform)
-                  for a in range(0, len(out), BLOCK_SIZE)]
+        tasks = [(self._key, start + a, out[a:a + BLOCK_SIZE], rate)
+                 for a in range(0, len(out), BLOCK_SIZE)]
+        if len(tasks) <= 1:  # no pool round trip for a short request
+            return iter([_draw_block(*task) for task in tasks])
+        pool = block_pool()
+        blocks = [pool.submit(_draw_block, *task) for task in tasks]
         return (block.result() for block in blocks)
-
-
-def _gap_parts(stream: SeededStream, rate: float, out: np.ndarray) -> Iterator[np.ndarray]:
-    """Fill ``out`` with gaps -log(U) / rate from ``stream``; yield its parts in index order.
-
-    The uniforms come from ``stream.fill_open``, and each part is final when
-    yielded (see there): the block tasks take the log and scale
-    of their own blocks on the block pool.
-    """
-
-    def to_gaps(u: np.ndarray) -> None:
-        np.log(u, out=u)
-        u /= -rate  # IEEE division is sign-symmetric: the same bits as -log(U) / rate
-
-    return stream.fill_open(out, to_gaps)
 
 
 def exponential_gaps(stream: SeededStream, rate: float, size: int) -> np.ndarray:
     """``size`` exponential gaps -log(U) / rate (mean 1 / rate) drawn from ``stream``."""
     gaps = np.empty(size)
-    for _ in _gap_parts(stream, rate, gaps):
+    for _ in stream.fill_open(gaps, rate):
         pass
     return gaps
 
@@ -212,7 +204,7 @@ def exponential_epochs(stream: SeededStream, rate: float, size: int, start: floa
     """
     epochs = np.empty(size) if out is None else out
     carry = start
-    for part in _gap_parts(stream, rate, epochs):
+    for part in stream.fill_open(epochs, rate):
         part[0] += carry
         np.cumsum(part, out=part)
         carry = part[-1]

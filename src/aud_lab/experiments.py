@@ -14,19 +14,19 @@ of the ``CHECKS`` table.  A point's AUD_BATCHES time windows batch every
 correlated mean: each window's sum and count of the decision ages, the busy
 indicators or the cross-moment products give the ratio of their totals with
 a delta-method CI (``stats.ratio_ci``), and validation's occupancy levels and
-sawtooth time average are taken per window.  Every random draw, the decision
-sums and the occupancy windows run on the shared block pool
-(``distributions.block_pool``), the program's only thread pool: ``_by_window``
-maps the windows onto it in a few contiguous groups per thread, each run in
-order, not one task per window.  The lighter windows, of a few numpy calls
-each, run in a plain loop on the calling thread.  ``AUD_LAB_THREADS`` caps the
-pool's threads; one thread runs everything in sequence, and no result depends
-on it.  A sample below its estimator's floor (InsufficientDataError) gets no
-verdict: a sweep leaves that p-value, or a mean age with under 2 * AUD_BATCHES
-decisions after the warm-up, blank, and validation reports that check alone as
-skipped, with the reason.  Validation splits 1 - confidence evenly over its
-statistical checks, so a correct run fails with at most that probability
-(``_within``).
+sawtooth time average are taken per window.  Every random draw of more than
+one block, the decision sums and the occupancy windows run on the shared
+block pool (``distributions.block_pool``), the program's only thread pool:
+``_by_window`` maps the windows onto it in one contiguous stretch per
+thread, each run in order, not one task per window.  The lighter windows, of
+a few numpy calls each, run in a plain loop on the calling thread.
+``AUD_LAB_THREADS`` caps the pool's threads; one thread runs everything in
+sequence, and no result depends on it.  A sample below its estimator's
+floor (InsufficientDataError) gets no verdict: a sweep leaves that p-value,
+or a mean age with under 2 * AUD_BATCHES decisions after the warm-up, blank,
+and validation reports that check alone as skipped, with the reason.
+Validation splits 1 - confidence evenly over its statistical checks, so a
+correct run fails with at most that probability (``_within``).
 """
 from __future__ import annotations
 
@@ -118,23 +118,19 @@ def _require(enough: bool, reason: str) -> None:
         raise InsufficientDataError(reason)
 
 
-# ``_by_window`` hands the block pool this many groups of windows per thread.
-GROUPS_PER_THREAD = 2
-
-
 def _by_window(stat, edges) -> list:
     """``stat(a, b)`` for each pair of consecutive ``edges``, in order, on the block pool.
 
     The edges are times, or the indices where a point's time windows cut a
-    sorted column.  The windows go to the pool in up to GROUPS_PER_THREAD
-    contiguous groups per thread; each task runs its group's windows in
-    order, so a thread holds one window at a time, and the groups' results
-    are joined in order.
+    sorted column.  The windows go to the pool in one contiguous stretch
+    per thread; each task runs its stretch's windows in order, so a thread
+    holds one window at a time, and the stretches' results are joined in
+    order.
     """
     n = len(edges) - 1
     if n < 1:
         return []
-    groups = min(n, GROUPS_PER_THREAD * worker_limit())
+    groups = min(n, worker_limit())
     cuts = [i * n // groups for i in range(groups + 1)]
 
     def run(lo: int, hi: int) -> list:

@@ -272,3 +272,36 @@ def test_block_pool_follows_the_thread_cap(monkeypatch):
     monkeypatch.setenv("AUD_LAB_THREADS", "two")
     with pytest.raises(ParameterError, match="AUD_LAB_THREADS"):
         distributions.worker_limit()
+
+
+def test_short_requests_are_drawn_in_place_with_the_pooled_values(monkeypatch):
+    # a request of at most one block is drawn on the calling thread, from the same
+    # key and position as the pool would draw it
+    monkeypatch.setattr(distributions, "BLOCK_SIZE", SMALL_BLOCK)
+    # from nonzero positions, across the seams of the pooled draw's blocks and of
+    # Philox counters, an empty request among them
+    sizes = [1, 3, SMALL_BLOCK - 1, SMALL_BLOCK, 0, 6, SMALL_BLOCK, 2]
+    pool_calls = []
+    pool = distributions.block_pool
+    monkeypatch.setattr(distributions, "block_pool", lambda: pool_calls.append(1) or pool())
+    uniforms = SeededStream(42, 3).uniform_open(sum(sizes))
+    epochs = exponential_epochs(SeededStream(42, 3), 2.5, sum(sizes))
+    gaps = exponential_gaps(SeededStream(42, 3), 2.5, sum(sizes))
+    assert len(pool_calls) == 3
+
+    def no_pool():
+        raise AssertionError("a short request went to the block pool")
+
+    monkeypatch.setattr(distributions, "block_pool", no_pool)
+    assert list(SeededStream(42, 3).fill_open(np.empty(0), 2.5)) == []  # an empty request
+    stream = SeededStream(42, 3)
+    np.testing.assert_array_equal(
+        np.concatenate([stream.uniform_open(size) for size in sizes]), uniforms)
+    stream, got, last = SeededStream(42, 3), [], 0.0
+    for size in sizes:
+        got.append(exponential_epochs(stream, 2.5, size, last))
+        last = got[-1][-1] if size else last
+    np.testing.assert_array_equal(np.concatenate(got), epochs)
+    stream = SeededStream(42, 3)
+    np.testing.assert_array_equal(
+        np.concatenate([exponential_gaps(stream, 2.5, size) for size in sizes]), gaps)

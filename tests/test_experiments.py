@@ -827,7 +827,7 @@ def test_batch_means_over_slices_match_the_whole_column():
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
-def test_by_window_maps_a_few_contiguous_groups_per_thread(threads, monkeypatch):
+def test_by_window_maps_one_contiguous_stretch_per_thread(threads, monkeypatch):
     monkeypatch.setenv("AUD_LAB_THREADS", threads)
     submitted = []
 
@@ -843,7 +843,7 @@ def test_by_window_maps_a_few_contiguous_groups_per_thread(threads, monkeypatch)
             stat = lambda a, b: (a, b, threading.get_ident())  # noqa: E731
             got = experiments._by_window(stat, edges)
             assert [(a, b) for a, b, _ in got] == list(zip(edges[:-1], edges[1:]))
-            assert len(submitted) == min(windows, experiments.GROUPS_PER_THREAD * int(threads))
+            assert len(submitted) == min(windows, int(threads))
             submitted.clear()
         assert experiments._by_window(stat, edges[:1]) == []
         assert not submitted

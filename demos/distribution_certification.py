@@ -9,7 +9,6 @@ import numpy as np
 
 from aud_lab import (
     SystemParams,
-    analytic_report,
     arrivals_seeing_busy,
     default_warmup,
     ks_exponential,
@@ -19,12 +18,16 @@ from aud_lab import (
     stationary_queue_dist,
     system_time_rate,
 )
+from aud_lab.analytic import (
+    cross_moment_system_interdeparture,
+    mean_interdeparture,
+    second_moment_interdeparture,
+)
 from aud_lab.experiments import decorrelation_lag
 
 params = SystemParams(0.8, 1.0)
 trace = simulate(params, 1_000_000, 7)
 warm = default_warmup(trace.n)
-report = analytic_report(params)
 
 lag = decorrelation_lag(params.utilization)
 system_sample = trace.system_times[warm:][::lag][:100_000]
@@ -35,8 +38,8 @@ print(f"system times (every {lag}th sample, n={ks_t.n}): "
 gaps = trace.interdeparture_times[warm:][:100_000]
 ks_y = ks_exponential(gaps, params.arrival_rate)
 print(f"departure gaps (n={ks_y.n}): D={ks_y.statistic:.5f}, p={ks_y.p_value:.3f}")
-print(f"gap mean {gaps.mean():.4f} vs {report.mean_interdeparture:.4f}, "
-      f"second moment {np.mean(gaps**2):.4f} vs {report.second_moment_interdeparture:.4f}\n")
+print(f"gap mean {gaps.mean():.4f} vs {mean_interdeparture(params):.4f}, "
+      f"second moment {np.mean(gaps**2):.4f} vs {second_moment_interdeparture(params):.4f}\n")
 
 path = queue_length_process(trace)
 warm_epoch = trace.departure_times[warm - 1]
@@ -49,4 +52,4 @@ for level, (obs, exp) in enumerate(zip(observed, expected)):
 busy = arrivals_seeing_busy(trace).mean()
 print(f"\narrival sees busy: {busy:.4f} vs utilization {params.utilization:.4f}")
 cross = (trace.system_times[:-1] * trace.interdeparture_times)[warm:].mean()
-print(f"cross moment: {cross:.4f} vs {report.cross_moment_system_interdeparture:.4f}")
+print(f"cross moment: {cross:.4f} vs {cross_moment_system_interdeparture(params):.4f}")

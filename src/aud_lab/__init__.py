@@ -13,7 +13,6 @@ rest of the API lives in the submodules (``aud_lab.experiments`` runs the
 """
 
 from .analytic import (
-    analytic_report,
     average_aud,
     optimal_utilization,
     stationary_queue_dist,

@@ -9,7 +9,6 @@ slips in the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -142,29 +141,3 @@ def optimal_utilization(service_rate: float = 1.0) -> OptimalOperatingPoint:
     rho_star = 2.0 / (1.0 + math.sqrt(2.0) + math.sqrt(2.0 * math.sqrt(2.0) - 1.0))
     return OptimalOperatingPoint(rho_star, rho_star * service_rate)
 
-
-@dataclass(frozen=True)
-class AnalyticReport:
-    """Bundle of every closed-form quantity at one parameter point."""
-
-    avg_aud: float
-    avg_aud_via_renewal: float
-    mean_system_time: float
-    mean_interdeparture: float
-    second_moment_interdeparture: float
-    cross_moment_system_interdeparture: float
-    prob_busy_on_arrival: float
-    stationary_dist_head: np.ndarray
-
-
-def analytic_report(params: SystemParams, max_queue_levels: int = 10) -> AnalyticReport:
-    return AnalyticReport(
-        avg_aud=average_aud(params),
-        avg_aud_via_renewal=average_aud_renewal(params),
-        mean_system_time=mean_system_time(params),
-        mean_interdeparture=mean_interdeparture(params),
-        second_moment_interdeparture=second_moment_interdeparture(params),
-        cross_moment_system_interdeparture=cross_moment_system_interdeparture(params),
-        prob_busy_on_arrival=prob_busy_on_arrival(params),
-        stationary_dist_head=stationary_queue_dist(params, max_queue_levels),
-    )

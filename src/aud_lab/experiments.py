@@ -14,12 +14,15 @@ of the ``CHECKS`` table.  A point's AUD_BATCHES time windows batch every
 correlated mean: each window's sum and count of the decision ages, the busy
 indicators or the cross-moment products give the ratio of their totals with
 a delta-method CI (``stats.ratio_ci``), and validation's occupancy levels and
-sawtooth time average are taken per window.  Every random draw of more than
-one block, the decision sums and the occupancy windows run on the shared
-block pool (``distributions.block_pool``), the program's only thread pool:
-``_by_window`` maps the windows onto it in one contiguous stretch per
-thread, each run in order, not one task per window.  The lighter windows, of
-a few numpy calls each, run in a plain loop on the calling thread.
+sawtooth time average are taken per window.  A window's decision ages are
+summed as running totals, in block-sized pieces of each fill of decision
+epochs.  Every random draw of more than one block, the decision pieces and
+the occupancy windows run on the shared block pool
+(``distributions.block_pool``), the program's only thread pool:
+``_by_window`` maps the windows or pieces onto it in one contiguous stretch
+per thread, each run in order, not one task per window.  The lighter
+windows, of a few numpy calls each, run in a plain loop on the calling
+thread.
 ``AUD_LAB_THREADS`` caps the pool's threads; one thread runs everything in
 sequence, and no result depends on it.  A sample below its estimator's
 floor (InsufficientDataError) gets no verdict: a sweep leaves that p-value,
@@ -92,13 +95,11 @@ MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 # many decisions at one rate.  It exits before simulating where a stable
 # point's expected horizon n / lambda times nu exceeds the cap, and before
 # drawing a decision where the simulated horizon times nu does.  That bounds
-# the run time, and a window's expected decisions to MAX_COLUMN / AUD_BATCHES
-# (2.7e6 with decisions.MARGIN_SDS, 21.6 MB), which ``_Point.aud``'s first
-# buffer holds whole.
+# the run time.
 MAX_COLUMN = 2**28
 
-# The most epochs one fill of ``_Point.aud``'s decision buffer draws, and the most
-# the buffer holds unless one window expects more (2^21, 16 MiB): sixteen pool blocks.
+# The most epochs ``_Point.aud``'s decision buffer holds, and so one fill draws
+# (2^21, 16 MiB): sixteen pool blocks, so that each fill starts on a block.
 SEGMENT = 16 * BLOCK_SIZE
 
 # A stable point's epochs reach about n / lambda, where adjacent doubles lie
@@ -478,39 +479,34 @@ class _Point:
 
         A window takes the decisions in (its start, its end].  With under
         2 * AUD_BATCHES of them there is no estimate (None).  The epochs are
-        drawn in fills of at most SEGMENT into one buffer sized for the run's
-        expected epochs with ``_with_margin``, or SEGMENT if fewer, or one
-        window's if more.  A fill sums the windows it closes, each as one
-        slice, and moves the open window's epochs to the front, doubling the
-        buffer only if they fill it.  Fills continue one running sum, so the
-        epochs are one ``np.cumsum`` of one draw, bit for bit, at any thread count.
+        drawn in fills into one buffer of SEGMENT, or of the run's expected
+        epochs with ``_with_margin`` if fewer.  Each fill is cut at the window
+        edges and at every BLOCK_SIZE-th epoch from its start; the pieces are
+        summed on the pool and added to their windows' running sums in order.
+        A fill starts on a block of the rate's epoch column, unless a
+        margin-sized draw fell short, and fills continue one running sum: the
+        epochs are one ``np.cumsum`` of one draw, and the sums the same bits
+        at any thread count and any SEGMENT that is a multiple of BLOCK_SIZE.
         """
         trace, edges, horizon = self.trace, self.edges, self.trace.last_departure
         stream = SeededStream(self.seed, decision_stream_id(nu))
-        sums, counts, total, undefined = [], [], 0, 0
-        buf = np.empty(min(_with_margin(nu * horizon),
-                           max(SEGMENT, _with_margin(nu * (edges[1] - edges[0])))))
-        kept, last = 0, 0.0
-        while True:
-            fresh = min(_with_margin(nu * (horizon - last)), SEGMENT, len(buf) - kept)
-            seg = buf[:kept + fresh]
-            last = exponential_epochs(stream, nu, fresh, last, seg[kept:])[-1]
-            total += int(np.searchsorted(seg[kept:], horizon, side="right"))
+        sums, counts = [0.0] * (len(edges) - 1), np.zeros(len(edges) - 1, dtype=np.intp)
+        total, undefined, last = 0, 0, 0.0
+        buf = np.empty(min(_with_margin(nu * horizon), SEGMENT))
+        while last <= horizon:
+            seg = buf[:min(_with_margin(nu * (horizon - last)), len(buf))]
+            last = exponential_epochs(stream, nu, len(seg), last, seg)[-1]
+            total += int(np.searchsorted(seg, horizon, side="right"))
             # decisions ahead of the first departure have no age
-            undefined += int(np.searchsorted(seg[kept:], trace.departure_times[0], side="left"))
-            # the edges with an epoch drawn past them close the windows between them
-            cuts = np.searchsorted(seg, edges[len(sums):], side="right")
-            closed = cuts[:np.searchsorted(cuts, len(seg))]
-            sums.extend(_by_window(lambda a, b: _age_sum(trace, seg[a:b]), closed))
-            counts.extend(np.diff(closed))
-            if last > horizon:
-                break
-            keep = int(np.searchsorted(seg, edges[len(sums)], side="right"))
-            kept = len(seg) - keep
-            buf[:kept] = seg[keep:]
-            if kept == len(buf):
-                buf = np.concatenate((buf, buf))
-        counts = np.array(counts)
+            undefined += int(np.searchsorted(seg, trace.departure_times[0], side="left"))
+            bounds = np.searchsorted(seg, edges, side="right")
+            counts += np.diff(bounds)
+            # the windows' pieces: cut at the edges and at each block of the fill
+            cuts = [c for c in sorted({*bounds.tolist(), *range(0, bounds[-1], BLOCK_SIZE)})
+                    if c >= bounds[0]]
+            pieces = _by_window(lambda a, b: _age_sum(trace, seg[a:b]), cuts)
+            for w, piece in zip(np.searchsorted(bounds, cuts[:-1], side="right") - 1, pieces):
+                sums[w] += piece
         estimated = int(counts.sum())
         est = (ratio_ci(sums, counts, self.config.confidence)
                if estimated >= 2 * AUD_BATCHES else None)

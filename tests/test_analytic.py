@@ -224,8 +224,10 @@ def test_rate_scaling_covariance(c, rho, mu):
 
 
 def test_analytic_report_consistency():
-    report = analytic.analytic_report(SystemParams(0.8, 1.0), max_queue_levels=10)
-    assert abs(report.avg_aud - report.avg_aud_via_renewal) / report.avg_aud < 1e-12
-    assert report.stationary_dist_head.sum() <= 1.0
-    assert len(report.stationary_dist_head) == 11
-    assert report.prob_busy_on_arrival == pytest.approx(0.8)
+    params = SystemParams(0.8, 1.0)
+    aud = analytic.average_aud(params)
+    assert abs(aud - analytic.average_aud_renewal(params)) / aud < 1e-12
+    head = analytic.stationary_queue_dist(params, 10)
+    assert head.sum() <= 1.0
+    assert len(head) == 11
+    assert analytic.prob_busy_on_arrival(params) == pytest.approx(0.8)

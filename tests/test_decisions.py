@@ -17,6 +17,7 @@ from aud_lab.errors import ParameterError, TruncationError
 from aud_lab.experiments import ExperimentConfig, _simulate_point, decision_stream_id
 from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, simulate
 from aud_lab.stats import ks_exponential, mean_ci
+from test_experiments import column_reference
 
 
 def batch_means_ci(ages):
@@ -409,14 +410,18 @@ def test_short_fills_continue_one_running_sum(monkeypatch, margin, segment):
     assert len(epochs) == np.searchsorted(column, 1e4, side="right") < len(column)
     np.testing.assert_array_equal(epochs, column[:len(epochs)])
     assert fills[0] == int(1e4 + margin * 100.0 + 16.0) and len(fills) >= 3
-    # the same short fills in _Point.aud: one column, so the same bits
-    assert point.aud(1.0) == want
+    # the same short fills in _Point.aud: one column, the same counts, and
+    # each window summed in pieces cut at the fill starts
+    got = point.aud(1.0)
+    assert got[1] == want[1]
     expected = point.trace.last_departure
     assert len(drawn[0]) == min(segment, int(expected + margin * math.sqrt(expected) + 16.0))
     assert len(drawn) >= 3 and drawn[-1][-1] > expected
     column = np.cumsum(exponential_gaps(SeededStream(point.seed, decision_stream_id(1.0)), 1.0,
                                         sum(map(len, drawn))))
     np.testing.assert_array_equal(np.concatenate(drawn), column)
+    starts = np.cumsum([0, *map(len, drawn[:-1])]).tolist()
+    assert got == column_reference(point, column[column <= expected], starts)
 
 
 def test_poisson_epochs_holds_one_column_and_its_margin():

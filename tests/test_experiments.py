@@ -507,7 +507,7 @@ def test_validation_full_default_passes(tmp_path):
     # hash with it.
     report.write_csv(str(tmp_path / "v.csv"))
     assert hashlib.sha256((tmp_path / "v.csv").read_bytes()).hexdigest() == (
-        "fa8575d7d6945d9c7b9add7a68fbbc82ce0b829c7e54cc4e03764e279c0a6f8f")
+        "588f204ce40ac2b3364e6021aafc562ac4afb306481e51d00ace3dcb2567f3f7")
     assert report.passed, report.summary()
     assert len(report.checks) == 15
     assert all(type(c.passed) is bool for c in report.checks)
@@ -522,10 +522,11 @@ def test_validation_full_default_passes(tmp_path):
 @pytest.mark.parametrize("argv, digest", [
     # the lambda <= 0.4 points take 2-5 fills of the decision buffer, the others one
     (["sweep", "--lambda", "0.1:0.9:0.1", "--mu", "1", "--nu", "1", "--updates", "1000000",
-      "--seed", "42"], "e98311518029fb9048da2334882f07dc7e85e9f4d4233be988335951179e701a"),
-    # a window holds about 2.0e6 epochs, just under SEGMENT, so each fill closes one
+      "--seed", "42"], "d007e9114635cf24d7119642a1a7e2725b4371f8dcbde3d0076fff68191896e5"),
+    # a window holds about 2.0e6 epochs, just under SEGMENT: each fill is cut at
+    # its 16 blocks and at the one or two window edges in it
     (["validate", "--lambda", "0.01", "--updates", "200000", "--seed", "3"],
-     "dc2748ecafe2e34a82fa8d144661f95d71af74027c250f4ca9468cd0639d4b29"),
+     "69a3d1ae92ca4c66bdd7a9413b667862d3d05c921e1af155231f90f1af84be26"),
 ], ids=["sweep-lambda", "validate-lambda-0.01"])
 def test_decision_loop_keeps_the_csv_bytes(tmp_path, argv, digest):
     # The CSV bytes of these runs, at any thread count, as for the default
@@ -627,19 +628,19 @@ def inject(monkeypatch, epochs):
     """Make ``_Point.aud`` fill its buffer from ``epochs``, then +inf.
 
     The loop runs as it is; only the values it draws are replaced.  Returns
-    the list of each fill's last epoch, filled as the loop runs.
+    the list of the position in ``epochs`` where each fill starts, filled as
+    the loop runs.
     """
-    drawn, ends = [0], []
+    starts = [0]
 
     def fill(stream, rate, size, start, out):
-        part = epochs[drawn[0]:drawn[0] + size]
+        part = epochs[starts[-1]:starts[-1] + size]
         out[:len(part)], out[len(part):] = part, np.inf
-        drawn[0] += size
-        ends.append(out[-1])
+        starts.append(starts[-1] + size)
         return out
 
     monkeypatch.setattr(experiments, "exponential_epochs", fill)
-    return ends
+    return starts
 
 
 def aud_at(point, epochs):
@@ -655,12 +656,24 @@ def drawn_epochs(point, nu):
                           SeededStream(point.seed, decision_stream_id(nu)))
 
 
-def column_reference(point, epochs, nu=1.0):
-    """``point.aud(nu)`` from one whole column of ``epochs``: one ``_age_sum`` per window slice."""
+def column_reference(point, epochs, starts, nu=1.0):
+    """``point.aud(nu)`` from one whole column of ``epochs``, drawn in fills from ``starts`` on.
+
+    A window's sum adds the ``_age_sum`` of its pieces left to right: the
+    window cut at each fill start and at every BLOCK_SIZE-th epoch after one.
+    """
     trace = point.trace
     cuts = np.searchsorted(epochs, point.edges, side="right")
     counts = np.diff(cuts)
-    sums = [_age_sum(trace, epochs[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    seams = np.array(sorted({c for s, e in zip(starts, [*starts[1:], len(epochs)])
+                             for c in range(s, e, experiments.BLOCK_SIZE)}))
+    sums = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        pieces = [a, *seams[(a < seams) & (seams < b)], b]
+        total = 0.0
+        for p, q in zip(pieces[:-1], pieces[1:]):
+            total += _age_sum(trace, epochs[p:q])
+        sums.append(total)
     estimated = int(counts.sum())
     est = ratio_ci(sums, counts, point.config.confidence) if estimated >= 200 else None
     return est, {
@@ -712,9 +725,11 @@ def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular):
                 epochs = np.arange(1, math.floor(trace.last_departure * nu) + 1) / nu
             else:
                 epochs = drawn_epochs(point, nu)
-            got, counts = aud_at(point, epochs)
+            with pytest.MonkeyPatch.context() as patch:
+                starts = inject(patch, epochs)
+                got, counts = point.aud(1.0)
             assert_close(got, aud_reference(point, epochs))
-            assert (got, counts) == column_reference(point, epochs)
+            assert (got, counts) == column_reference(point, epochs, starts)
             cuts = np.searchsorted(epochs, point.edges, side="right")
             assert counts["after_warmup"] == cuts[-1] - cuts[0]
             assert counts["min_window_decisions"] == np.diff(cuts).min() > 0
@@ -747,8 +762,8 @@ def test_aud_estimate_small_branches():
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
 def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
-    # at n = 1e5 and nu = 10, 2e6 epochs are one fill of the default segment
-    # and about 30 fills of 2^16
+    # at n = 1e5 and nu = 10, 2e6 epochs (15.3 blocks) are one fill of the
+    # default segment, 16 fills of one block and 8 of two
     monkeypatch.setenv("AUD_LAB_THREADS", threads)
     config, params = ExperimentConfig(n_updates=100_000, seed=23), SystemParams(0.5, 1.0)
     checks, sizes = _validation_checks(_simulate_point(config, 0, params))
@@ -756,22 +771,24 @@ def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
     draw = experiments.exponential_epochs
     monkeypatch.setattr(experiments, "exponential_epochs",
                         lambda *args: fills.append(args[2]) or draw(*args))
-    monkeypatch.setattr(experiments, "SEGMENT", 2**16)
-    point = _simulate_point(config, 0, params)
-    small_checks, small_sizes = _validation_checks(point)
-    assert [c.as_csv() for c in small_checks] == [c.as_csv() for c in checks]
-    assert small_sizes == sizes
-    horizon = point.trace.last_departure
-    for nu in (0.1, 1.0, 10.0):
-        fills.clear()
-        # the reference: one np.cumsum over the same gaps
-        gaps = exponential_gaps(SeededStream(point.seed, decision_stream_id(nu)), nu,
-                                int(nu * horizon + 10.0 * math.sqrt(nu * horizon) + 16.0))
-        column = np.cumsum(gaps)
-        assert column[-1] > horizon
-        assert point.aud(nu) == column_reference(point, column[column <= horizon], nu)
-        assert len(fills) >= len(column) / 2**16
-    assert len(fills) >= 30  # at nu = 10
+    for segment in (distributions.BLOCK_SIZE, 2 * distributions.BLOCK_SIZE):
+        monkeypatch.setattr(experiments, "SEGMENT", segment)
+        point = _simulate_point(config, 0, params)
+        small_checks, small_sizes = _validation_checks(point)
+        assert [c.as_csv() for c in small_checks] == [c.as_csv() for c in checks]
+        assert small_sizes == sizes
+        horizon = point.trace.last_departure
+        for nu in (0.1, 1.0, 10.0):
+            fills.clear()
+            # the reference: one np.cumsum over the same gaps
+            gaps = exponential_gaps(SeededStream(point.seed, decision_stream_id(nu)), nu,
+                                    int(nu * horizon + 10.0 * math.sqrt(nu * horizon) + 16.0))
+            column = np.cumsum(gaps)
+            assert column[-1] > horizon
+            got = point.aud(nu)
+            starts = np.cumsum([0, *fills[:-1]]).tolist()
+            assert got == column_reference(point, column[column <= horizon], starts, nu)
+        assert len(fills) > 15 * distributions.BLOCK_SIZE / segment  # at nu = 10
 
 
 def test_decision_buffer_seams_match_the_whole_column():
@@ -779,7 +796,8 @@ def test_decision_buffer_seams_match_the_whole_column():
     # departure, and none in windows 11-12, 21-22, ..., 91-92.  Over buffer sizes
     # of 16-89 epochs, fills end exactly on an edge, inside the last window,
     # before the first departure (the undefined decisions span fills) and just
-    # before empty windows; below 21 a window outgrows the buffer, which doubles.
+    # before empty windows; below 21 a window spans fills.  Blocks of 8 epochs
+    # cut the windows further, from each fill's start.
     config = ExperimentConfig(n_updates=2000, seed=4, warmup_updates=0)
     point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
     edges = point.edges
@@ -787,16 +805,19 @@ def test_decision_buffer_seams_match_the_whole_column():
                            np.linspace(0.0, edges[-1], 2001)[1:], edges[1:]))
     window = np.searchsorted(edges, grid, side="left")  # (edges[w - 1], edges[w]]
     epochs = np.sort(grid[(window % 10 != 1) & (window % 10 != 2) | (window < 10)])
-    want = column_reference(point, epochs)
+    want = column_reference(point, epochs, [0])
     assert want[1]["undefined"] >= 50
     assert np.diff(np.searchsorted(epochs, edges, side="right")).max() > 16
     seen = set()
     for segment in range(16, 90):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "SEGMENT", segment)
-            ends = inject(patch, epochs)
-            assert point.aud(1.0) == want, segment
-        ends = np.array(ends[:-1])  # the last fill passes the horizon
+            patch.setattr(experiments, "BLOCK_SIZE", 8)
+            starts = inject(patch, epochs)
+            got = point.aud(1.0)
+            assert got == column_reference(point, epochs, starts), segment
+        assert got[1] == want[1]
+        ends = epochs[np.array(starts[1:-1]) - 1]  # the last fill passes the horizon
         after = np.append(epochs, np.inf)[np.searchsorted(epochs, ends, side="right")]
         skipped = np.searchsorted(edges, after) - np.searchsorted(edges, ends)
         seen |= {case for case, hit in (
@@ -1285,11 +1306,10 @@ def test_validate_rescaled_in_time_keeps_its_trace_rows_and_its_cost(tmp_path):
         assert all(abs(s - t) <= 0.05 * t for s, t in zip(scaled_totals, totals))
 
 
-def test_a_window_at_the_decision_cap_fits_in_one_buffer(monkeypatch):
+def test_the_decision_cap_rate_draws_through_one_segment_buffer(monkeypatch):
     # a run within MAX_COLUMN expects at most MAX_COLUMN / AUD_BATCHES decisions
-    # per window over its expected horizon; the first buffer holds that many and
-    # MARGIN_SDS standard deviations more (2.70e6, 21.6 MB), so three such
-    # windows of real draws pass through it without a doubling
+    # per window over its expected horizon (2.7e6, more than SEGMENT); three
+    # such windows of real draws pass through one buffer of SEGMENT epochs
     assert experiments.SEGMENT == 16 * distributions.BLOCK_SIZE
     rate = experiments.MAX_COLUMN / experiments.AUD_BATCHES
     # a hand-built point: three windows of length 1 from its first departure
@@ -1313,7 +1333,7 @@ def test_a_window_at_the_decision_cap_fits_in_one_buffer(monkeypatch):
     assert est is not None
     assert len(counts) == 3 and all(abs(c - rate) < 5.0 * math.sqrt(rate) for c in counts)
     assert len(buffers) >= 4 and all(b is buffers[0] for b in buffers)
-    assert buffers[0].nbytes <= 22e6
+    assert buffers[0].nbytes == 8 * experiments.SEGMENT
 
 
 def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
@@ -1623,7 +1643,7 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 # Allowed rise of the two-thread peak over the one-thread peak.  The checks
 # run one after another, so a second thread adds only the block pool's
-# in-flight work (a Philox counter block, a window's slice of the decision
+# in-flight work (a Philox counter block, a block-sized piece of the decision
 # buffer, or an occupancy or sawtooth window): none measurable at this size,
 # where the 4e6 nu = 10 epochs pass through one buffer of SEGMENT = 2^21.  A
 # merged path of all 2n events beside that buffer would add 25-35%.

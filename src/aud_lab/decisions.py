@@ -5,7 +5,8 @@ so its age upon decision is tau minus that update's generation (arrival)
 epoch.  Decisions falling before the first departure have no delivered
 update to act on; they carry an undefined-age marker and are counted
 separately rather than imputed.  ``poisson_epochs`` draws a rate's epochs as
-one column, ``experiments._Point.aud`` fill by fill into a reused buffer.
+one column, ``experiments._Point.aud`` block by block into each pool
+thread's scratch.
 """
 from __future__ import annotations
 

@@ -13,7 +13,9 @@ maps a counter to four 64-bit words, so any stretch of a stream can be
 drawn on its own from the key and its position.  Every request is drawn
 that way, in blocks of up to ``BLOCK_SIZE`` values, with the same values as
 one sequential draw: a request of one block on the calling thread, a longer
-one block by block as tasks on a shared thread pool.
+one block by block as tasks on a shared thread pool.  ``SeededStream.draw_at``
+draws one stretch at a given position on the calling thread, for a consumer
+that runs its own blocks as pool tasks.
 """
 from __future__ import annotations
 
@@ -64,12 +66,18 @@ def worker_limit() -> int:
 def block_pool() -> concurrent.futures.ThreadPoolExecutor:
     """The shared pool of ``worker_limit()`` threads, made on first use.
 
-    Its tasks never wait on other tasks, so any thread may submit to it
-    and wait.  A random draw of more than one block waits on it, so no
-    task draws more than one block.  A changed ``AUD_LAB_THREADS`` gets a
-    new pool; the old one's threads exit once the last caller drops it.
-    The threads start on first use; the executor's module itself is
-    imported with this one.
+    A task may wait only on a task submitted before it in the same chain
+    (``experiments._Point.aud``'s decision blocks, each of which waits for
+    the last epoch of the block before it).  The queue is FIFO, so a thread
+    took that earlier task first: it is running or done, and by the same
+    rule it waits only on tasks that are, down to a chain's first, which
+    waits on nothing.  So no wait deadlocks, at any thread count and with
+    any number of callers submitting chains at once.  Any thread that is not
+    one of the pool's may submit and wait.  A random draw of more than one
+    block waits on it, so no task draws more than one block.  A changed
+    ``AUD_LAB_THREADS`` gets a new pool; the old one's threads exit once the
+    last caller drops it.  The threads start on first use; the executor's
+    module itself is imported with this one.
     """
     global _pool, _pool_workers
     workers = worker_limit()
@@ -161,6 +169,16 @@ class SeededStream:
             pass
         return u
 
+    def draw_at(self, start: int, out: np.ndarray, rate: float | None = None) -> np.ndarray:
+        """``out``, finished as a part of ``fill_open``, from the stream's draw ``start`` on.
+
+        The draws are those the stream gives at positions ``start`` to
+        ``start + len(out)``, whatever it has drawn so far; the stream does
+        not move.  It reads only the key, so concurrent calls may share the
+        stream, and draws on the calling thread, so a pool task may call it.
+        """
+        return _draw_block(self._key, start, out, rate)
+
     def fill_open(self, out: np.ndarray, rate: float | None = None) -> Iterator[np.ndarray]:
         """Fill ``out`` with ``uniform_open(len(out))``; return its parts in index order.
 
@@ -176,18 +194,18 @@ class SeededStream:
         while later ones are still being drawn.
         """
         start, self._drawn = self._drawn, self._drawn + len(out)
-        tasks = [(self._key, start + a, out[a:a + BLOCK_SIZE], rate)
-                 for a in range(0, len(out), BLOCK_SIZE)]
+        tasks = [(start + a, out[a:a + BLOCK_SIZE], rate) for a in range(0, len(out), BLOCK_SIZE)]
         if len(tasks) <= 1:  # no pool round trip for a short request
-            return iter([_draw_block(*task) for task in tasks])
+            return iter([self.draw_at(*task) for task in tasks])
         pool = block_pool()
-        blocks = [pool.submit(_draw_block, *task) for task in tasks]
+        blocks = [pool.submit(self.draw_at, *task) for task in tasks]
         return (block.result() for block in blocks)
 
 
-def exponential_gaps(stream: SeededStream, rate: float, size: int) -> np.ndarray:
-    """``size`` exponential gaps -log(U) / rate (mean 1 / rate) drawn from ``stream``."""
-    gaps = np.empty(size)
+def exponential_gaps(stream: SeededStream, rate: float, size: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``size`` exponential gaps -log(U) / rate (mean 1 / rate) from ``stream``, into ``out``."""
+    gaps = np.empty(size) if out is None else out
     for _ in stream.fill_open(gaps, rate):
         pass
     return gaps

@@ -4,10 +4,11 @@ Configurations come from flat ``key = value`` text files (``#`` starts a
 comment) and/or keyword overrides; results are written as fixed-schema CSV
 plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
-seed and its grid index, so a run holds one trace and one buffer of decision
-epochs at a time, and output is byte-reproducible.  ``_simulate_point``
-measures a point once: its mean age at each distinct decision rate, one rate
-at a time (``_Point.aud`` owns the decision loop), then its K-S samples.
+seed and its grid index, so a run holds one trace and one block of decision
+epochs per pool thread at a time, and output is byte-reproducible.
+``_simulate_point`` measures a point once: its mean age at each distinct
+decision rate, one rate at a time (``_Point.aud`` owns the decision loop),
+then its K-S samples.
 The sweep rows, the nu-invariance comparison and validation's checks all
 read that ``_Point``; the checks are plain functions of it, run in the order
 of the ``CHECKS`` table.  A point's AUD_BATCHES time windows batch every
@@ -15,14 +16,18 @@ correlated mean: each window's sum and count of the decision ages, the busy
 indicators or the cross-moment products give the ratio of their totals with
 a delta-method CI (``stats.ratio_ci``), and validation's occupancy levels and
 sawtooth time average are taken per window.  A window's decision ages are
-summed as running totals, in block-sized pieces of each fill of decision
-epochs.  Every random draw of more than one block, the decision pieces and
+summed as running totals, in pieces of the blocks of the rate's epoch
+column.  Every random draw of more than one block, the decision blocks and
 the occupancy windows run on the shared block pool
-(``distributions.block_pool``), the program's only thread pool:
-``_by_window`` maps the windows or pieces onto it in one contiguous stretch
-per thread, each run in order, not one task per window.  The lighter
-windows, of a few numpy calls each, run in a plain loop on the calling
-thread.
+(``distributions.block_pool``), the program's only thread pool.  Each
+block of decision epochs is one task that draws it into its thread's
+scratch, takes the last epoch of the block before it, and sums its pieces:
+the tasks of a rate form a chain, and a task waits only on the one before
+it, which the pool's FIFO queue started first, so the chain cannot
+deadlock.  ``_by_window`` maps the occupancy windows onto the pool in one
+contiguous stretch per thread, each run in order, not one task per window.
+The lighter windows, of a few numpy calls each, run in a plain loop on the
+calling thread.
 ``AUD_LAB_THREADS`` caps the pool's threads; one thread runs everything in
 sequence, and no result depends on it.  A sample below its estimator's
 floor (InsufficientDataError) gets no verdict: a sweep leaves that p-value,
@@ -33,6 +38,7 @@ correct run fails with at most that probability (``_within``).
 """
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import json
 import math
@@ -40,6 +46,7 @@ import os
 import platform
 import resource
 import struct
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
@@ -48,8 +55,7 @@ import numpy as np
 
 from . import analytic
 from .decisions import _age_sum, _with_margin, aoi_path, time_average_aoi
-from .distributions import (
-    BLOCK_SIZE, SeededStream, block_pool, exponential_epochs, splitmix64, worker_limit)
+from .distributions import BLOCK_SIZE, SeededStream, block_pool, splitmix64, worker_limit
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
     SystemParams,
@@ -98,10 +104,6 @@ MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 # the run time.
 MAX_COLUMN = 2**28
 
-# The most epochs ``_Point.aud``'s decision buffer holds, and so one fill draws
-# (2^21, 16 MiB): sixteen pool blocks, so that each fill starts on a block.
-SEGMENT = 16 * BLOCK_SIZE
-
 # A stable point's epochs reach about n / lambda, where adjacent doubles lie
 # up to (n / lambda) * 2^-52 apart.  With n * mu / lambda at most this, that
 # is at most 2^-12 of a mean service time 1 / mu: rounding cannot bend a
@@ -122,11 +124,10 @@ def _require(enough: bool, reason: str) -> None:
 def _by_window(stat, edges) -> list:
     """``stat(a, b)`` for each pair of consecutive ``edges``, in order, on the block pool.
 
-    The edges are times, or the indices where a point's time windows cut a
-    sorted column.  The windows go to the pool in one contiguous stretch
-    per thread; each task runs its stretch's windows in order, so a thread
-    holds one window at a time, and the stretches' results are joined in
-    order.
+    The edges are a point's window edges in time.  The windows go to the
+    pool in one contiguous stretch per thread; each task runs its stretch's
+    windows in order, so a thread holds one window at a time, and the
+    stretches' results are joined in order.
     """
     n = len(edges) - 1
     if n < 1:
@@ -138,6 +139,32 @@ def _by_window(stat, edges) -> list:
         return [stat(edges[i], edges[i + 1]) for i in range(lo, hi)]
 
     return list(itertools.chain.from_iterable(block_pool().map(run, cuts[:-1], cuts[1:])))
+
+
+# Each pool thread's scratch for one block of decision epochs (``_Point.aud``).
+_scratch = threading.local()
+
+
+def _scratch_of(size: int) -> np.ndarray:
+    """``size`` doubles of the calling thread's scratch, grown to fit the request if short."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or len(buf) < size:
+        buf = _scratch.buf = np.empty(size)
+    return buf[:size]
+
+
+def _block_epochs(stream: SeededStream, rate: float, start: int, out: np.ndarray,
+                  carry: concurrent.futures.Future) -> np.ndarray:
+    """``out`` filled with the Poisson epochs at ``rate`` from ``stream``'s draw ``start`` on.
+
+    The gaps are drawn first.  Then the running sum waits on ``carry``, the
+    future of the epoch before them (0.0 before the first), adds it to the
+    first gap and sums left to right: the epochs of one ``np.cumsum`` over
+    the stream's gaps from its first draw, bit for bit.
+    """
+    stream.draw_at(start, out, rate)
+    out[0] += carry.result()
+    return np.cumsum(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -478,34 +505,37 @@ class _Point:
         """Mean age upon the decisions at rate ``nu`` in the windows, and their counts.
 
         A window takes the decisions in (its start, its end].  With under
-        2 * AUD_BATCHES of them there is no estimate (None).  The epochs are
-        drawn in fills into one buffer of SEGMENT, or of the run's expected
-        epochs with ``_with_margin`` if fewer.  Each fill is cut at the window
-        edges and at every BLOCK_SIZE-th epoch from its start; the pieces are
-        summed on the pool and added to their windows' running sums in order.
-        A fill starts on a block of the rate's epoch column, unless a
-        margin-sized draw fell short, and fills continue one running sum: the
-        epochs are one ``np.cumsum`` of one draw, and the sums the same bits
-        at any thread count and any SEGMENT that is a multiple of BLOCK_SIZE.
+        2 * AUD_BATCHES of them there is no estimate (None).  The rate's epoch
+        column is drawn with a ``_with_margin`` of the epochs expected, and
+        continued from its last epoch while that falls short of the horizon,
+        in blocks of BLOCK_SIZE at multiples of BLOCK_SIZE.  Each block is one
+        ``block_pool()`` task (``_block_sums``) that holds it in its thread's
+        scratch: the tasks form a chain, each taking the last epoch of the
+        block before it.  The caller waits on the chain's last epoch, then
+        adds each block's pieces to their windows' running sums in block
+        order: the sums are the same bits at any thread count.
         """
-        trace, edges, horizon = self.trace, self.edges, self.trace.last_departure
+        edges, horizon = self.edges, self.trace.last_departure
         stream = SeededStream(self.seed, decision_stream_id(nu))
-        sums, counts = [0.0] * (len(edges) - 1), np.zeros(len(edges) - 1, dtype=np.intp)
-        total, undefined, last = 0, 0, 0.0
-        buf = np.empty(min(_with_margin(nu * horizon), SEGMENT))
+        pool, blocks = block_pool(), []
+        carry = concurrent.futures.Future()
+        carry.set_result(0.0)
+        drawn, last = 0, 0.0
         while last <= horizon:
-            seg = buf[:min(_with_margin(nu * (horizon - last)), len(buf))]
-            last = exponential_epochs(stream, nu, len(seg), last, seg)[-1]
-            total += int(np.searchsorted(seg, horizon, side="right"))
-            # decisions ahead of the first departure have no age
-            undefined += int(np.searchsorted(seg, trace.departure_times[0], side="left"))
-            bounds = np.searchsorted(seg, edges, side="right")
-            counts += np.diff(bounds)
-            # the windows' pieces: cut at the edges and at each block of the fill
-            cuts = [c for c in sorted({*bounds.tolist(), *range(0, bounds[-1], BLOCK_SIZE)})
-                    if c >= bounds[0]]
-            pieces = _by_window(lambda a, b: _age_sum(trace, seg[a:b]), cuts)
-            for w, piece in zip(np.searchsorted(bounds, cuts[:-1], side="right") - 1, pieces):
+            end = drawn + _with_margin(nu * (horizon - last))
+            cuts = [drawn, *range((drawn // BLOCK_SIZE + 1) * BLOCK_SIZE, end, BLOCK_SIZE), end]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                carry, previous = concurrent.futures.Future(), carry
+                blocks.append(pool.submit(self._block_sums, stream, nu, a, b - a, previous, carry))
+            drawn, last = end, carry.result()
+        sums, counts = [0.0] * (len(edges) - 1), np.zeros(len(edges) - 1, dtype=np.intp)
+        total, undefined = 0, 0
+        for block in blocks:
+            block_total, block_undefined, block_counts, pieces = block.result()
+            total += block_total
+            undefined += block_undefined
+            counts += block_counts
+            for w, piece in pieces:
                 sums[w] += piece
         estimated = int(counts.sum())
         est = (ratio_ci(sums, counts, self.config.confidence)
@@ -517,6 +547,35 @@ class _Point:
             "undefined": undefined,
             "min_window_decisions": int(counts.min()),
         }
+
+    def _block_sums(self, stream: SeededStream, nu: float, start: int, size: int,
+                    carry: concurrent.futures.Future,
+                    published: concurrent.futures.Future) -> tuple:
+        """One block of ``aud``'s epoch column, from its draw ``start`` on, as a pool task.
+
+        The block's ``size`` epochs (``_block_epochs``) wait on ``carry``, and
+        their last epoch is set on ``published`` for the next block; a block
+        that fails sets its error there instead, so the rest of the chain
+        fails rather than waits.  Returns the block's decisions up to the
+        horizon, those before the first departure, the counts in each window
+        and its pieces: each the ``_age_sum`` of the block's part in one
+        window, with that window's index, in order.
+        """
+        try:
+            epochs = _block_epochs(stream, nu, start, _scratch_of(size), carry)
+        except BaseException as exc:
+            published.set_exception(exc)
+            raise
+        published.set_result(epochs[-1])
+        trace = self.trace
+        bounds = np.searchsorted(epochs, self.edges, side="right")
+        cuts = sorted(set(bounds.tolist()))
+        windows = (np.searchsorted(bounds, cuts[:-1], side="right") - 1).tolist()
+        pieces = [(w, _age_sum(trace, epochs[a:b])) for w, a, b in zip(windows, cuts, cuts[1:])]
+        # decisions ahead of the first departure have no age
+        return (int(np.searchsorted(epochs, trace.last_departure, side="right")),
+                int(np.searchsorted(epochs, trace.departure_times[0], side="left")),
+                np.diff(bounds), pieces)
 
     def update_mean(self, window_sum) -> EstimateWithCI:
         """Mean of one sample per update after the warm-up but the last, with its ratio CI.
@@ -531,10 +590,14 @@ class _Point:
                         self.config.confidence)
 
 
-def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams) -> _Point:
-    """Simulate one grid point and measure it once (see ``_Point``)."""
+def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams,
+                    columns: tuple | None = None) -> _Point:
+    """Simulate one grid point and measure it once (see ``_Point``).
+
+    Given ``columns``, the trace is written into them (``simulate``'s ``out``).
+    """
     seed = derive_point_seed(config.seed, grid_index)
-    trace = simulate(params, config.n_updates, seed)
+    trace = simulate(params, config.n_updates, seed, columns)
     nu = max(config.decision_rates)
     if nu * trace.last_departure > MAX_COLUMN:
         raise ParameterError(
@@ -546,7 +609,7 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
     edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), trace.last_departure,
                         AUD_BATCHES + 1)
     point = _Point(config, params, seed, trace, warm, warm_epoch, edges)
-    # one rate's decision buffer at a time, then the K-S samples, outside that phase
+    # one rate's decision blocks at a time, then the K-S samples, outside that phase
     estimates = {rate: point.aud(rate) for rate in sorted(set(config.decision_rates))}
     return replace(point, estimates=estimates, **_ks_samples(point))
 
@@ -623,17 +686,20 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     The points run one after another in grid order, and each draws and
     averages its decision epochs one rate at a time on the block pool, so a
-    run holds one trace and one buffer of epochs at any thread count.  A
-    point that is not ``params.is_stable`` (utilization within
-    ``queueing.STABILITY_GUARD`` of 1 or above) has no closed form; it is not
-    simulated and gets ``unstable`` rows.
+    run holds one trace and a block of epochs per pool thread at any thread
+    count.  Every point's trace is written into one pair of columns, reused
+    once the point's rows are built.  A point that is not
+    ``params.is_stable`` (utilization within ``queueing.STABILITY_GUARD`` of
+    1 or above) has no closed form; it is not simulated and gets
+    ``unstable`` rows.
     """
     started = time.monotonic()
     workers = worker_limit()
     rows = []
+    columns = (np.empty(config.n_updates), np.empty(config.n_updates))
     for i, (lam, mu) in enumerate(itertools.product(config.arrival_rates, config.service_rates)):
         params = SystemParams(lam, mu)
-        rows += (_point_rows(_simulate_point(config, i, params)) if params.is_stable else
+        rows += (_point_rows(_simulate_point(config, i, params, columns)) if params.is_stable else
                  [SweepRow(lam, mu, nu, *[None] * 7, "unstable") for nu in config.decision_rates])
     result = SweepResult(config, tuple(rows))
     _write_outputs(config, "sweep", result, started, workers)

@@ -172,29 +172,36 @@ class QueueLengthPath:
         return len(self.epochs)
 
 
-def simulate(params: SystemParams, n_updates: int, seed: int) -> UpdateTrace:
+def simulate(params: SystemParams, n_updates: int, seed: int,
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> UpdateTrace:
     """Simulate ``n_updates`` through the M/M/1 FCFS queue of ``params``.
 
     Inter-arrival and service times are exponential at
     ``params.arrival_rate`` and ``params.service_rate``, drawn from two
     independent streams keyed by ``seed``, so the trace is a deterministic
-    function of (params, n_updates, seed).
+    function of (params, n_updates, seed).  Given ``out``, two float columns
+    of ``n_updates`` each, the arrival and departure epochs are written into
+    them and the trace views them: a caller that reuses the columns for its
+    next trace must be done with this one.
 
     Raises:
         StabilityError: ``params`` is not stable (utilization within
             STABILITY_GUARD of 1 or above it), as for the closed forms.
-        ParameterError: ``n_updates`` < 1.
+        ParameterError: ``n_updates`` < 1, or ``out``'s columns are not that long.
     """
     if n_updates < 1:
         raise ParameterError(f"n_updates must be >= 1, got {n_updates}")
     require_stable(params)
+    if out is not None and any(len(col) != n_updates for col in out):
+        raise ParameterError(f"the columns to fill must hold {n_updates} values each")
 
     # The departures overwrite the service gaps in place, SCAN_CHUNK updates
     # at a time, so the scan holds the trace's two columns and two chunks.
+    arrivals, services = (None, None) if out is None else out
     arrivals = exponential_epochs(SeededStream(seed, ARRIVAL_STREAM), params.arrival_rate,
-                                  n_updates)
+                                  n_updates, out=arrivals)
     services = exponential_gaps(SeededStream(seed, SERVICE_STREAM), params.service_rate,
-                                n_updates)
+                                n_updates, out=services)
     # start(k) = max(arrival(k), departure(k-1)) unrolls to
     # shifted_cum_service(k) + max_{j<=k}(arrival(j) - shifted_cum_service(j));
     # the outer maximum re-pins idle starts to the arrival epoch exactly.

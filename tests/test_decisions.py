@@ -389,38 +389,48 @@ def test_epoch_generators_match_the_record_builders():
 
 
 @pytest.mark.parametrize("margin", [-5.0, -7.5])
-@pytest.mark.parametrize("segment", [2**12, 2**22])
-def test_short_fills_continue_one_running_sum(monkeypatch, margin, segment):
+@pytest.mark.parametrize("block", [2**12, 2**22])
+def test_short_fills_continue_one_running_sum(monkeypatch, margin, block):
     # draws 5 or 7.5 standard deviations short of the epochs expected to
     # remain (about 1e4 at first) need further draws, each from the last
-    # epoch: poisson_epochs' one column, and _Point.aud's fills of at most
-    # SEGMENT, in a buffer that holds the run's epochs or not
+    # epoch: poisson_epochs' one column, and _Point.aud's chain of blocks of
+    # at most BLOCK_SIZE, a block holding the run's epochs or not
     point = _simulate_point(ExperimentConfig(n_updates=5000, seed=5), 0, SystemParams(0.5, 1.0))
     want = point.aud(1.0)
     monkeypatch.setattr(decisions, "MARGIN_SDS", margin)
-    monkeypatch.setattr(experiments, "SEGMENT", segment)
+    monkeypatch.setattr(experiments, "BLOCK_SIZE", block)
     fills, drawn = [], []
     draw = decisions.exponential_epochs
     monkeypatch.setattr(decisions, "exponential_epochs",
                         lambda *args: fills.append(args[2]) or draw(*args))
-    monkeypatch.setattr(experiments, "exponential_epochs",
-                        lambda *args: drawn.append(draw(*args).copy()) or drawn[-1])
     epochs = poisson_epochs(1.0, 1e4, SeededStream(5, 7))
     column = np.cumsum(exponential_gaps(SeededStream(5, 7), 1.0, sum(fills)))
     assert len(epochs) == np.searchsorted(column, 1e4, side="right") < len(column)
     np.testing.assert_array_equal(epochs, column[:len(epochs)])
     assert fills[0] == int(1e4 + margin * 100.0 + 16.0) and len(fills) >= 3
-    # the same short fills in _Point.aud: one column, the same counts, and
-    # each window summed in pieces cut at the fill starts
+    # the same short draws in _Point.aud: one column, the same counts, and
+    # each window summed in pieces cut at the blocks and where a draw continued
+    block_epochs, with_margin, rounds = experiments._block_epochs, experiments._with_margin, []
+
+    def recorded_block(stream, rate, start, out, carry):
+        drawn.append((start, block_epochs(stream, rate, start, out, carry).copy()))
+        return out
+
+    monkeypatch.setattr(experiments, "_block_epochs", recorded_block)
+    monkeypatch.setattr(experiments, "_with_margin",
+                        lambda expected: rounds.append(with_margin(expected)) or rounds[-1])
     got = point.aud(1.0)
     assert got[1] == want[1]
     expected = point.trace.last_departure
-    assert len(drawn[0]) == min(segment, int(expected + margin * math.sqrt(expected) + 16.0))
-    assert len(drawn) >= 3 and drawn[-1][-1] > expected
+    assert rounds[0] == int(expected + margin * math.sqrt(expected) + 16.0) and len(rounds) >= 3
+    drawn.sort(key=lambda d: d[0])
+    assert [start for start, _ in drawn] == sorted(
+        {*range(0, sum(rounds), block), *np.cumsum([0, *rounds[:-1]]).tolist()})
+    assert drawn[-1][1][-1] > expected
     column = np.cumsum(exponential_gaps(SeededStream(point.seed, decision_stream_id(1.0)), 1.0,
-                                        sum(map(len, drawn))))
-    np.testing.assert_array_equal(np.concatenate(drawn), column)
-    starts = np.cumsum([0, *map(len, drawn[:-1])]).tolist()
+                                        sum(rounds)))
+    np.testing.assert_array_equal(np.concatenate([e for _, e in drawn]), column)
+    starts = np.cumsum([0, *rounds[:-1]]).tolist()
     assert got == column_reference(point, column[column <= expected], starts)
 
 

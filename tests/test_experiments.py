@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -520,11 +521,11 @@ def test_validation_full_default_passes(tmp_path):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    # the lambda <= 0.4 points take 2-5 fills of the decision buffer, the others one
+    # the lambda <= 0.4 points draw 2.5e6-1e7 epochs (20-77 blocks), the others fewer
     (["sweep", "--lambda", "0.1:0.9:0.1", "--mu", "1", "--nu", "1", "--updates", "1000000",
       "--seed", "42"], "d007e9114635cf24d7119642a1a7e2725b4371f8dcbde3d0076fff68191896e5"),
-    # a window holds about 2.0e6 epochs, just under SEGMENT: each fill is cut at
-    # its 16 blocks and at the one or two window edges in it
+    # a window holds about 2.0e6 epochs, 15.3 blocks: the pieces are its blocks,
+    # and the block that holds its edge is cut there
     (["validate", "--lambda", "0.01", "--updates", "200000", "--seed", "3"],
      "69a3d1ae92ca4c66bdd7a9413b667862d3d05c921e1af155231f90f1af84be26"),
 ], ids=["sweep-lambda", "validate-lambda-0.01"])
@@ -625,21 +626,21 @@ def assert_close(got, want, rel=1e-9):
 
 
 def inject(monkeypatch, epochs):
-    """Make ``_Point.aud`` fill its buffer from ``epochs``, then +inf.
+    """Make each block of ``_Point.aud``'s epoch column hold ``epochs`` at its place, then +inf.
 
-    The loop runs as it is; only the values it draws are replaced.  Returns
-    the list of the position in ``epochs`` where each fill starts, filled as
-    the loop runs.
+    The chain of block tasks runs as it is; only the values a block holds are
+    replaced.  Returns the list of the position in ``epochs`` where each
+    block starts, filled as the chain runs.
     """
-    starts = [0]
+    starts = []
 
-    def fill(stream, rate, size, start, out):
-        part = epochs[starts[-1]:starts[-1] + size]
+    def block(stream, rate, start, out, carry):
+        part = epochs[start:start + len(out)]
         out[:len(part)], out[len(part):] = part, np.inf
-        starts.append(starts[-1] + size)
+        starts.append(start)
         return out
 
-    monkeypatch.setattr(experiments, "exponential_epochs", fill)
+    monkeypatch.setattr(experiments, "_block_epochs", block)
     return starts
 
 
@@ -656,17 +657,17 @@ def drawn_epochs(point, nu):
                           SeededStream(point.seed, decision_stream_id(nu)))
 
 
-def column_reference(point, epochs, starts, nu=1.0):
-    """``point.aud(nu)`` from one whole column of ``epochs``, drawn in fills from ``starts`` on.
+def column_reference(point, epochs, starts=(), nu=1.0):
+    """``point.aud(nu)`` from one whole column of ``epochs``.
 
     A window's sum adds the ``_age_sum`` of its pieces left to right: the
-    window cut at each fill start and at every BLOCK_SIZE-th epoch after one.
+    window cut at every BLOCK_SIZE-th epoch of the column and at each of
+    ``starts``, where a draw continued after falling short of the horizon.
     """
     trace = point.trace
     cuts = np.searchsorted(epochs, point.edges, side="right")
     counts = np.diff(cuts)
-    seams = np.array(sorted({c for s, e in zip(starts, [*starts[1:], len(epochs)])
-                             for c in range(s, e, experiments.BLOCK_SIZE)}))
+    seams = np.array(sorted({*range(0, len(epochs), experiments.BLOCK_SIZE), *starts}))
     sums = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         pieces = [a, *seams[(a < seams) & (seams < b)], b]
@@ -760,44 +761,50 @@ def test_aud_estimate_small_branches():
         assert counts["total"] == len(epochs) and counts["undefined"] == undefined
 
 
+def recording_blocks(monkeypatch):
+    """Record ``(start, len(out), out)`` for each block ``_Point.aud`` draws, then draw it."""
+    blocks, draw = [], experiments._block_epochs
+
+    def block(stream, rate, start, out, carry):
+        blocks.append((start, len(out), out))
+        return draw(stream, rate, start, out, carry)
+
+    monkeypatch.setattr(experiments, "_block_epochs", block)
+    return blocks
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
 def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
-    # at n = 1e5 and nu = 10, 2e6 epochs (15.3 blocks) are one fill of the
-    # default segment, 16 fills of one block and 8 of two
+    # at n = 1e5 and nu = 10, 2e6 epochs (15.3 blocks) are 16 blocks of the
+    # default size and 62 of 2^15, each a task of the chain
     monkeypatch.setenv("AUD_LAB_THREADS", threads)
     config, params = ExperimentConfig(n_updates=100_000, seed=23), SystemParams(0.5, 1.0)
-    checks, sizes = _validation_checks(_simulate_point(config, 0, params))
-    fills = []
-    draw = experiments.exponential_epochs
-    monkeypatch.setattr(experiments, "exponential_epochs",
-                        lambda *args: fills.append(args[2]) or draw(*args))
-    for segment in (distributions.BLOCK_SIZE, 2 * distributions.BLOCK_SIZE):
-        monkeypatch.setattr(experiments, "SEGMENT", segment)
+    blocks = recording_blocks(monkeypatch)
+    for size in (distributions.BLOCK_SIZE, 2**15):
+        monkeypatch.setattr(experiments, "BLOCK_SIZE", size)
         point = _simulate_point(config, 0, params)
-        small_checks, small_sizes = _validation_checks(point)
-        assert [c.as_csv() for c in small_checks] == [c.as_csv() for c in checks]
-        assert small_sizes == sizes
         horizon = point.trace.last_departure
         for nu in (0.1, 1.0, 10.0):
-            fills.clear()
+            blocks.clear()
             # the reference: one np.cumsum over the same gaps
-            gaps = exponential_gaps(SeededStream(point.seed, decision_stream_id(nu)), nu,
-                                    int(nu * horizon + 10.0 * math.sqrt(nu * horizon) + 16.0))
-            column = np.cumsum(gaps)
+            drawn = int(nu * horizon + 10.0 * math.sqrt(nu * horizon) + 16.0)
+            column = np.cumsum(exponential_gaps(SeededStream(point.seed, decision_stream_id(nu)),
+                                                nu, drawn))
             assert column[-1] > horizon
             got = point.aud(nu)
-            starts = np.cumsum([0, *fills[:-1]]).tolist()
-            assert got == column_reference(point, column[column <= horizon], starts, nu)
-        assert len(fills) > 15 * distributions.BLOCK_SIZE / segment  # at nu = 10
+            assert got == column_reference(point, column[column <= horizon], nu=nu)
+            # the chain covers the column once, in blocks at multiples of the size
+            assert sorted((a, n) for a, n, _ in blocks) == [
+                (a, min(size, drawn - a)) for a in range(0, drawn, size)]
+        assert len(blocks) == math.ceil(drawn / size) > 15 * distributions.BLOCK_SIZE / size
 
 
 def test_decision_buffer_seams_match_the_whole_column():
     # ~20 evenly spaced epochs and the end edge per window, 50 before the first
-    # departure, and none in windows 11-12, 21-22, ..., 91-92.  Over buffer sizes
-    # of 16-89 epochs, fills end exactly on an edge, inside the last window,
-    # before the first departure (the undefined decisions span fills) and just
-    # before empty windows; below 21 a window spans fills.  Blocks of 8 epochs
-    # cut the windows further, from each fill's start.
+    # departure, and none in windows 11-12, 21-22, ..., 91-92.  Over blocks of
+    # 4-89 epochs, blocks end exactly on an edge, inside the last window,
+    # before the first departure (the undefined decisions span blocks) and
+    # just before empty windows; below 21 a window spans blocks.
     config = ExperimentConfig(n_updates=2000, seed=4, warmup_updates=0)
     point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
     edges = point.edges
@@ -805,19 +812,19 @@ def test_decision_buffer_seams_match_the_whole_column():
                            np.linspace(0.0, edges[-1], 2001)[1:], edges[1:]))
     window = np.searchsorted(edges, grid, side="left")  # (edges[w - 1], edges[w]]
     epochs = np.sort(grid[(window % 10 != 1) & (window % 10 != 2) | (window < 10)])
-    want = column_reference(point, epochs, [0])
+    want = column_reference(point, epochs)
     assert want[1]["undefined"] >= 50
     assert np.diff(np.searchsorted(epochs, edges, side="right")).max() > 16
     seen = set()
-    for segment in range(16, 90):
+    for size in range(4, 90):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "SEGMENT", segment)
-            patch.setattr(experiments, "BLOCK_SIZE", 8)
-            starts = inject(patch, epochs)
+            patch.setattr(experiments, "BLOCK_SIZE", size)
+            inject(patch, epochs)
             got = point.aud(1.0)
-            assert got == column_reference(point, epochs, starts), segment
+            assert got == column_reference(point, epochs), size
         assert got[1] == want[1]
-        ends = epochs[np.array(starts[1:-1]) - 1]  # the last fill passes the horizon
+        # the last epoch of each block but the column's last
+        ends = epochs[np.arange(size, len(epochs), size) - 1]
         after = np.append(epochs, np.inf)[np.searchsorted(epochs, ends, side="right")]
         skipped = np.searchsorted(edges, after) - np.searchsorted(edges, ends)
         seen |= {case for case, hit in (
@@ -826,6 +833,110 @@ def test_decision_buffer_seams_match_the_whole_column():
             ("before the first departure", (ends < edges[0]).any()),
             ("before empty windows", (skipped >= 2).any())) if hit}
     assert len(seen) == 4, seen
+
+
+def within(seconds, fn, *args):
+    """``fn(*args)`` on a daemon thread: its result or error; a failure past ``seconds``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - handed back to the caller
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_failing_decision_block_fails_the_chain_instead_of_hanging(threads, monkeypatch):
+    # nu = 10 over 4e4 time units draws 4.1e5 epochs in 4 blocks; the third
+    # block drawn raises
+    monkeypatch.setenv("AUD_LAB_THREADS", threads)
+    point = _simulate_point(ExperimentConfig(n_updates=20_000, seed=6), 0, SystemParams(0.5, 1.0))
+    want, draw, calls = point.aud(10.0), distributions._draw_block, itertools.count()
+
+    def failing(key, start, out, rate):
+        if next(calls) == 2:
+            raise RuntimeError("the third block")
+        return draw(key, start, out, rate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "_draw_block", failing)
+        with pytest.raises(RuntimeError, match="the third block"):
+            within(60, point.aud, 10.0)
+    # the pool is still free: the same call now runs through
+    assert within(60, point.aud, 10.0) == want
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_concurrent_callers_share_the_pool(threads, monkeypatch):
+    # four callers' chains of about 100 blocks of 2^12 epochs interleave in the
+    # pool's FIFO, on one thread and on more threads than cores; each block
+    # waits only on the one before it in its own chain, so all finish with
+    # the results of sequential calls, a repeated rate's too
+    monkeypatch.setenv("AUD_LAB_THREADS", threads)
+    monkeypatch.setattr(experiments, "BLOCK_SIZE", 2**12)
+    point = _simulate_point(ExperimentConfig(n_updates=20_000, seed=6), 0, SystemParams(0.5, 1.0))
+    rates = (10.0, 4.0, 10.0, 1.0)
+    want = [point.aud(nu) for nu in rates]
+    barrier = threading.Barrier(len(rates))
+
+    def at_once(nu):
+        barrier.wait()
+        return point.aud(nu)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(rates)) as callers:
+            got = list(callers.map(at_once, rates, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_decision_scratch_grows_to_each_request(threads, monkeypatch):
+    # a run with small blocks leaves each pool thread a small scratch; a later
+    # run at the default size must not draw into it as it stands
+    monkeypatch.setenv("AUD_LAB_THREADS", threads)
+    point = _simulate_point(ExperimentConfig(n_updates=20_000, seed=9), 0, SystemParams(0.5, 1.0))
+    # a new pool, whose threads hold no scratch yet; the old one comes back after
+    monkeypatch.setattr(distributions, "_pool", None)
+    monkeypatch.setattr(distributions, "_pool_workers", 0)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (distributions, experiments):
+            patch.setattr(module, "BLOCK_SIZE", 64)
+        point.aud(1.0)
+    horizon = point.trace.last_departure
+    column = drawn_epochs(point, 10.0)
+    assert len(column) > distributions.BLOCK_SIZE
+    assert point.aud(10.0) == column_reference(point, column[column <= horizon], nu=10.0)
+
+
+def test_sweep_points_reuse_one_pair_of_trace_columns(tmp_path, monkeypatch):
+    # every simulated point writes its trace into the same two columns, and
+    # the rows are those of points simulated into columns of their own
+    config = ExperimentConfig(arrival_rates=(0.3, 0.6, 1.5, 0.9), decision_rates=(1.0, 4.0),
+                              n_updates=20_000, seed=5)
+    fresh = run_sweep(config)
+    columns, simulate = [], experiments.simulate
+
+    def recorded(params, n, seed, out=None):
+        columns.append(out)
+        return simulate(params, n, seed, out)
+
+    monkeypatch.setattr(experiments, "simulate", recorded)
+    assert run_sweep(config) == fresh
+    assert len(columns) == 3 and all(c is columns[0] for c in columns)
+    assert [len(c) for c in columns[0]] == [20_000, 20_000]
 
 
 def test_batch_means_over_slices_match_the_whole_column():
@@ -1306,34 +1417,31 @@ def test_validate_rescaled_in_time_keeps_its_trace_rows_and_its_cost(tmp_path):
         assert all(abs(s - t) <= 0.05 * t for s, t in zip(scaled_totals, totals))
 
 
-def test_the_decision_cap_rate_draws_through_one_segment_buffer(monkeypatch):
+def test_the_decision_cap_rate_draws_through_the_thread_scratch(monkeypatch):
     # a run within MAX_COLUMN expects at most MAX_COLUMN / AUD_BATCHES decisions
-    # per window over its expected horizon (2.7e6, more than SEGMENT); three
-    # such windows of real draws pass through one buffer of SEGMENT epochs
-    assert experiments.SEGMENT == 16 * distributions.BLOCK_SIZE
+    # per window over its expected horizon (2.7e6, 20.5 blocks); three such
+    # windows of real draws pass through one block-sized scratch per pool thread
+    monkeypatch.setenv("AUD_LAB_THREADS", "2")
     rate = experiments.MAX_COLUMN / experiments.AUD_BATCHES
     # a hand-built point: three windows of length 1 from its first departure
     trace = UpdateTrace(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 3.5]))
     point = experiments._Point(ExperimentConfig(), SystemParams(0.5, 1.0), 9, trace, 0, 0.0,
                                np.array([0.5, 1.5, 2.5, 3.5]))
-    buffers, counts = [], []
-    draw, ratio = experiments.exponential_epochs, experiments.ratio_ci
-
-    def fill(stream, nu, size, start, out):
-        buffers.append(out.base)  # the array that owns the buffer
-        return draw(stream, nu, size, start, out)
+    counts, ratio = [], experiments.ratio_ci
 
     def window_ratio(sums, window_counts, confidence):
         counts.extend(window_counts)
         return ratio(sums, window_counts, confidence)
 
-    monkeypatch.setattr(experiments, "exponential_epochs", fill)
     monkeypatch.setattr(experiments, "ratio_ci", window_ratio)
-    est, _ = point.aud(rate)
-    assert est is not None
+    want = point.aud(rate)  # each pool thread's scratch now holds a full block
+    blocks = recording_blocks(monkeypatch)
+    counts.clear()
+    assert point.aud(rate) == want and want[0] is not None
     assert len(counts) == 3 and all(abs(c - rate) < 5.0 * math.sqrt(rate) for c in counts)
-    assert len(buffers) >= 4 and all(b is buffers[0] for b in buffers)
-    assert buffers[0].nbytes == 8 * experiments.SEGMENT
+    scratches = {id(out.base): out.base for _, _, out in blocks}
+    assert len(blocks) >= 60 and len(scratches) <= 2
+    assert all(b.nbytes == 8 * distributions.BLOCK_SIZE for b in scratches.values())
 
 
 def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
@@ -1626,9 +1734,10 @@ def test_validation_runs_its_estimates_and_windows_on_the_calling_thread(monkeyp
     monkeypatch.setattr(experiments, "_by_window", on_caller(experiments._by_window))
     report = run_validation(ExperimentConfig(n_updates=20_000, seed=7))
     assert not any(check.passed is None for check in report.checks)
-    # the batch means of three decision rates, then the occupancy windows; the
-    # busy indicator, cross moment and sawtooth windows run in a plain loop
-    assert sorted(name for name, _ in threads) == ["_by_window"] * 4 + ["aud"] * 3
+    # the batch means of three decision rates, each a chain of block tasks,
+    # then the occupancy windows; the busy indicator, cross moment and
+    # sawtooth windows run in a plain loop
+    assert sorted(name for name, _ in threads) == ["_by_window"] + ["aud"] * 3
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
@@ -1643,10 +1752,10 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 # Allowed rise of the two-thread peak over the one-thread peak.  The checks
 # run one after another, so a second thread adds only the block pool's
-# in-flight work (a Philox counter block, a block-sized piece of the decision
-# buffer, or an occupancy or sawtooth window): none measurable at this size,
-# where the 4e6 nu = 10 epochs pass through one buffer of SEGMENT = 2^21.  A
-# merged path of all 2n events beside that buffer would add 25-35%.
+# in-flight work (a Philox counter block, a block of decision epochs in its
+# scratch, or an occupancy window): none measurable at this size, where the
+# 4e6 nu = 10 epochs pass through one 1 MiB scratch per pool thread.  A
+# merged path of all 2n events would add 25-35%.
 THREADS_RSS_MARGIN = 0.12
 
 
@@ -1671,28 +1780,30 @@ def test_validate_peak_memory_with_two_threads_stays_near_one_thread(tmp_path):
 
 def test_validate_peak_memory_does_not_grow_with_the_decision_count(tmp_path):
     # At lambda = 0.01 the nu = 10 epochs would fill a 160 MB column, at 0.5 a
-    # 3.2 MB one; the trace is the same size.  One buffer of SEGMENT epochs (16
-    # MiB) and an eighth of a buffer for temporaries bound the difference.
+    # 3.2 MB one; the trace is the same size.  The two pool threads' scratch
+    # blocks (1 MiB each) and an eighth of them for temporaries bound the
+    # difference.
     peaks = {lam: peak_rss_kib(tmp_path, "--lambda", lam, "--updates", "20000", "--seed", "3")
              for lam in ("0.5", "0.01")}
-    assert peaks["0.01"] <= peaks["0.5"] + experiments.SEGMENT * 8 * 9 // 8 // 1024, peaks
+    assert peaks["0.01"] <= peaks["0.5"] + 2 * distributions.BLOCK_SIZE * 8 * 9 // 8 // 1024, peaks
 
 
-def test_decision_epochs_beyond_one_segment_hold_one_buffer():
-    # 4e6 epochs at nu = 40, twice SEGMENT, pass through one buffer of SEGMENT
-    # epochs; a window (4e4 epochs) and the pool's per-window temporaries fit in
-    # the slack, where a whole column would add about 15 MB more
+def test_decision_epochs_hold_one_block_per_pool_thread(monkeypatch):
+    # 4e6 epochs at nu = 40 (31 blocks) pass through one block-sized scratch
+    # per pool thread; each task's temporaries (its window pieces and their
+    # searches of about 1600 departures) fit in the slack, where a column of
+    # the epochs would add 32 MB
+    monkeypatch.setenv("AUD_LAB_THREADS", "2")
     point = _simulate_point(build_config(decision_rates=(40.0,), n_updates=50_000, seed=3), 0,
                             SystemParams(0.5, 1.0))
-    window = 40.0 * (point.edges[1] - point.edges[0])
     tracemalloc.start()
     try:
         est, counts = point.aud(40.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est is not None and counts["total"] > experiments.SEGMENT
-    assert peak <= 8 * (experiments.SEGMENT + window) + 2**20, peak
+    assert est is not None and counts["total"] > 30 * distributions.BLOCK_SIZE
+    assert peak <= distributions.worker_limit() * distributions.BLOCK_SIZE * 8 + 2**18, peak
 
 
 def test_validation_checks_hold_no_column_beyond_the_trace(monkeypatch):

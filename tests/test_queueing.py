@@ -490,6 +490,21 @@ def test_simulated_trace_holds_16_bytes_per_update():
     assert peak < 16 * n + 3 * 2**20
 
 
+def test_simulate_fills_caller_owned_columns():
+    # the same trace, written into the caller's columns and viewing them; a
+    # second trace into the same columns overwrites the first
+    params = SystemParams(0.5, 1.0)
+    columns = (np.empty(5000), np.empty(5000))
+    for seed in (3, 4):
+        trace = simulate(params, 5000, seed, columns)
+        want = simulate(params, 5000, seed)
+        for got, col, ref in zip((trace.arrival_times, trace.departure_times), columns,
+                                 (want.arrival_times, want.departure_times)):
+            assert np.shares_memory(got, col) and np.array_equal(got, ref)
+    with pytest.raises(ParameterError, match="5001 values each"):
+        simulate(params, 5001, 3, columns)
+
+
 def test_sample_many_keeps_from_uniform_pure(monkeypatch):
     # a gap draw transforms only its own buffer: uniforms drawn earlier stay as
     # they were, each gap is -log(U) / rate of them, and the stream ends where

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,35 @@ def test_ks_on_gaps_of_tied_epochs_matches_scipy():
     ref = scipy.stats.ks_1samp(gaps, lambda x: 1.0 - np.exp(-x), method="asymp")
     assert mine.statistic == pytest.approx(ref.statistic, abs=1e-12)
     assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-8)
+
+
+def ks_reference(samples, rate):
+    """The statistic and p-value as ``ks_exponential`` once wrote them: one expression per term."""
+    x = np.asarray(samples, dtype=float)
+    cdf = 1.0 - np.exp(-rate * np.sort(x))
+    n = x.size
+    i = np.arange(1, n + 1, dtype=float)
+    d = max(float((i / n - cdf).max()), float((cdf - (i - 1.0) / n).max()))
+    return d, kolmogorov_sf(math.sqrt(n) * d), n
+
+
+def test_ks_in_place_keeps_the_bits_of_the_written_out_terms():
+    # exponential draws at the tested rate and off it, n = 50, tied values
+    # (rounded draws and their zeros), and a sample given as a list
+    draws = exponential_gaps(SeededStream(3, 0), 0.8, 100_000)
+    for samples, rate in ((draws, 0.8), (draws, 1.1), (draws[:50], 0.8),
+                          (np.round(draws[:5000], 1), 0.8), (np.round(draws[:300]), 2.0),
+                          (draws[:777].tolist(), 0.3)):
+        got = ks_exponential(samples, rate)
+        assert (got.statistic, got.p_value, got.n) == ks_reference(samples, rate)
+    tracemalloc.start()
+    try:
+        ks_exponential(draws, 0.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the sorted copy and one array of steps, with 4 KiB of slack
+    assert peak <= 2 * draws.nbytes + 4096, peak
 
 
 def test_ks_calibration_under_null():

@@ -5,8 +5,8 @@ so its age upon decision is tau minus that update's generation (arrival)
 epoch.  Decisions falling before the first departure have no delivered
 update to act on; they carry an undefined-age marker and are counted
 separately rather than imputed.  ``poisson_epochs`` draws a rate's epochs as
-one column, ``experiments._Point.aud`` block by block into each pool
-thread's scratch.
+one column, ``experiments._Point.aud`` block by block into one array per
+pool thread, held for the call.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import SeededStream, exponential_epochs
+from .distributions import SeededStream, _require_positive, exponential_epochs
 from .errors import InsufficientDataError, ParameterError, TruncationError
 from .queueing import UpdateTrace
 
@@ -133,11 +133,6 @@ def _age_sum(trace: UpdateTrace, times: np.ndarray) -> float:
         np.subtract(counts[1:], first, out=counts[1:])
     # np.multiply, not a dot product: BLAS threads would contend with the pool's
     return float(times.sum() - np.multiply(counts, trace.arrival_times[k0 - 1:k1]).sum())
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
 # A draw of decision epochs takes this many standard deviations more than it expects to need.

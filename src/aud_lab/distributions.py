@@ -6,23 +6,23 @@ any platform, and distinct stream ids give statistically independent
 streams for the arrival, service, and decision processes.  The block that
 draws the uniforms also turns them into the gaps of all three, given their
 rate: ``exponential_gaps`` returns them, ``exponential_epochs`` their
-running sums.
+running sums, one ``np.cumsum`` over the filled gaps.
 
 A stream is its Philox key and the count of draws taken from it.  Philox
 maps a counter to four 64-bit words, so any stretch of a stream can be
 drawn on its own from the key and its position.  Every request is drawn
 that way, in blocks of up to ``BLOCK_SIZE`` values, with the same values as
 one sequential draw: a request of one block on the calling thread, a longer
-one block by block as tasks on a shared thread pool.  ``SeededStream.draw_at``
-draws one stretch at a given position on the calling thread, for a consumer
-that runs its own blocks as pool tasks.
+one block by block as tasks on a shared thread pool, waited on before it
+returns.  ``SeededStream.draw_at`` draws one stretch at a given position on
+the calling thread, for a consumer that runs its own blocks as pool tasks.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 import threading
-from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -164,13 +164,10 @@ class SeededStream:
         """
         if size < 0:
             raise ParameterError(f"size must be non-negative, got {size}")
-        u = np.empty(size)
-        for _ in self.fill_open(u):
-            pass
-        return u
+        return self.fill_open(np.empty(size))
 
     def draw_at(self, start: int, out: np.ndarray, rate: float | None = None) -> np.ndarray:
-        """``out``, finished as a part of ``fill_open``, from the stream's draw ``start`` on.
+        """``out``, filled as ``fill_open`` fills it, from the stream's draw ``start`` on.
 
         The draws are those the stream gives at positions ``start`` to
         ``start + len(out)``, whatever it has drawn so far; the stream does
@@ -179,51 +176,56 @@ class SeededStream:
         """
         return _draw_block(self._key, start, out, rate)
 
-    def fill_open(self, out: np.ndarray, rate: float | None = None) -> Iterator[np.ndarray]:
-        """Fill ``out`` with ``uniform_open(len(out))``; return its parts in index order.
+    def fill_open(self, out: np.ndarray, rate: float | None = None) -> np.ndarray:
+        """``out``, filled with ``uniform_open(len(out))``: given a ``rate``, their gaps.
 
-        The stream moves on by ``len(out)`` draws before this returns.  Each
-        part is a non-empty view of ``out`` that is final when the iterator
-        yields it: its 0.0s are mapped and, given a ``rate``, its draws U
-        turned into the gaps -log(U) / rate.  The parts cover ``out``.
-
-        Each part is a block of up to ``BLOCK_SIZE`` values, drawn from the
-        stream's key at the block's position.  A request of one block is
-        drawn here, on the calling thread; a longer one draws each block by
-        its own task on ``block_pool()``, so the caller can consume a block
-        while later ones are still being drawn.
+        The stream moves on by ``len(out)`` draws.  The 0.0s are mapped and,
+        given a ``rate``, each draw U is turned into the gap -log(U) / rate.
+        A request of at most ``BLOCK_SIZE`` values is drawn here, on the
+        calling thread; a longer one draws each block of ``BLOCK_SIZE``, from
+        the stream's key at the block's position, by its own task on
+        ``block_pool()``, and waits for them all.
         """
         start, self._drawn = self._drawn, self._drawn + len(out)
-        tasks = [(start + a, out[a:a + BLOCK_SIZE], rate) for a in range(0, len(out), BLOCK_SIZE)]
-        if len(tasks) <= 1:  # no pool round trip for a short request
-            return iter([self.draw_at(*task) for task in tasks])
+        if len(out) <= BLOCK_SIZE:  # no pool round trip for a short request
+            return self.draw_at(start, out, rate)
         pool = block_pool()
-        blocks = [pool.submit(self.draw_at, *task) for task in tasks]
-        return (block.result() for block in blocks)
+        blocks = [pool.submit(self.draw_at, start + a, out[a:a + BLOCK_SIZE], rate)
+                  for a in range(0, len(out), BLOCK_SIZE)]
+        for block in blocks:
+            block.result()
+        return out
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
 def exponential_gaps(stream: SeededStream, rate: float, size: int,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """``size`` exponential gaps -log(U) / rate (mean 1 / rate) from ``stream``, into ``out``."""
-    gaps = np.empty(size) if out is None else out
-    for _ in stream.fill_open(gaps, rate):
-        pass
-    return gaps
+    """``size`` exponential gaps -log(U) / rate (mean 1 / rate) from ``stream``, into ``out``.
+
+    Raises ParameterError for a rate that is not positive and finite, a
+    negative ``size`` or an ``out`` of another length.
+    """
+    _require_positive("rate", rate)
+    if size < 0:
+        raise ParameterError(f"size must be non-negative, got {size}")
+    if out is not None and len(out) != size:
+        raise ParameterError(f"out holds {len(out)} values, not size {size}")
+    return stream.fill_open(np.empty(size) if out is None else out, rate)
 
 
 def exponential_epochs(stream: SeededStream, rate: float, size: int, start: float = 0.0,
                        out: np.ndarray | None = None) -> np.ndarray:
     """``start`` plus the running sums of ``exponential_gaps(stream, rate, size)``, into ``out``.
 
-    Each part of the gaps is summed as it arrives, its first element first
-    taking the previous part's last sum, or ``start``.  ``np.cumsum`` adds left
-    to right and 0.0 + gap is the gap, so this is bit-identical to one
-    ``np.cumsum`` over the gaps that led to ``start`` and these.
+    ``start`` is added to the first gap, then ``np.cumsum`` adds left to
+    right, so this is bit-identical to one ``np.cumsum`` over the gaps that
+    led to ``start`` and these.
     """
-    epochs = np.empty(size) if out is None else out
-    carry = start
-    for part in stream.fill_open(epochs, rate):
-        part[0] += carry
-        np.cumsum(part, out=part)
-        carry = part[-1]
-    return epochs
+    epochs = exponential_gaps(stream, rate, size, out)
+    if size:
+        epochs[0] += start
+    return np.cumsum(epochs, out=epochs)

@@ -20,12 +20,13 @@ summed as running totals, in pieces of the blocks of the rate's epoch
 column.  Every random draw of more than one block, the decision blocks and
 the occupancy windows run on the shared block pool
 (``distributions.block_pool``), the program's only thread pool.  Each
-block of decision epochs is one task that draws it into its thread's
-scratch, takes the last epoch of the block before it, and sums its pieces:
-the tasks of a rate form a chain, and a task waits only on the one before
-it, which the pool's FIFO queue started first, so the chain cannot
-deadlock.  ``_by_window`` maps the occupancy windows onto the pool in one
-contiguous stretch per thread, each run in order, not one task per window.
+block of decision epochs is one task that draws it into one of the rate's
+``worker_limit()`` arrays, lent to it while it runs, takes the last epoch
+of the block before it and sums its pieces: the tasks of a rate form a
+chain, and a task waits only on the one before it, which the pool's FIFO
+queue started first, so the chain cannot deadlock.  ``_by_window`` maps
+the occupancy windows onto the pool in one contiguous stretch per thread,
+each run in order, not one task per window.
 The lighter windows, of a few numpy calls each, run in a plain loop on the
 calling thread.
 ``AUD_LAB_THREADS`` caps the pool's threads; one thread runs everything in
@@ -46,7 +47,6 @@ import os
 import platform
 import resource
 import struct
-import threading
 import time
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
@@ -139,18 +139,6 @@ def _by_window(stat, edges) -> list:
         return [stat(edges[i], edges[i + 1]) for i in range(lo, hi)]
 
     return list(itertools.chain.from_iterable(block_pool().map(run, cuts[:-1], cuts[1:])))
-
-
-# Each pool thread's scratch for one block of decision epochs (``_Point.aud``).
-_scratch = threading.local()
-
-
-def _scratch_of(size: int) -> np.ndarray:
-    """``size`` doubles of the calling thread's scratch, grown to fit the request if short."""
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or len(buf) < size:
-        buf = _scratch.buf = np.empty(size)
-    return buf[:size]
 
 
 def _block_epochs(stream: SeededStream, rate: float, start: int, out: np.ndarray,
@@ -509,15 +497,19 @@ class _Point:
         column is drawn with a ``_with_margin`` of the epochs expected, and
         continued from its last epoch while that falls short of the horizon,
         in blocks of BLOCK_SIZE at multiples of BLOCK_SIZE.  Each block is one
-        ``block_pool()`` task (``_block_sums``) that holds it in its thread's
-        scratch: the tasks form a chain, each taking the last epoch of the
-        block before it.  The caller waits on the chain's last epoch, then
-        adds each block's pieces to their windows' running sums in block
-        order: the sums are the same bits at any thread count.
+        ``block_pool()`` task (``_block_sums``) that draws it into one of this
+        call's ``worker_limit()`` arrays, lent to it while it runs: the tasks
+        form a chain, each taking the last epoch of the block before it.  The
+        caller waits on the chain's last epoch, then adds each block's pieces
+        to their windows' running sums in block order: the sums are the same
+        bits at any thread count.  The arrays are freed when this returns.
         """
         edges, horizon = self.edges, self.trace.last_departure
         stream = SeededStream(self.seed, decision_stream_id(nu))
         pool, blocks = block_pool(), []
+        # one array per pool thread, made here: arrays made and freed by each task
+        # would pile up in the pool threads' own malloc arenas
+        spare = [np.empty(BLOCK_SIZE) for _ in range(worker_limit())]
         carry = concurrent.futures.Future()
         carry.set_result(0.0)
         drawn, last = 0, 0.0
@@ -526,7 +518,8 @@ class _Point:
             cuts = [drawn, *range((drawn // BLOCK_SIZE + 1) * BLOCK_SIZE, end, BLOCK_SIZE), end]
             for a, b in zip(cuts[:-1], cuts[1:]):
                 carry, previous = concurrent.futures.Future(), carry
-                blocks.append(pool.submit(self._block_sums, stream, nu, a, b - a, previous, carry))
+                blocks.append(pool.submit(self._block_sums, stream, nu, a, b - a, previous, carry,
+                                          spare))
             drawn, last = end, carry.result()
         sums, counts = [0.0] * (len(edges) - 1), np.zeros(len(edges) - 1, dtype=np.intp)
         total, undefined = 0, 0
@@ -550,10 +543,11 @@ class _Point:
 
     def _block_sums(self, stream: SeededStream, nu: float, start: int, size: int,
                     carry: concurrent.futures.Future,
-                    published: concurrent.futures.Future) -> tuple:
+                    published: concurrent.futures.Future, spare: list) -> tuple:
         """One block of ``aud``'s epoch column, from its draw ``start`` on, as a pool task.
 
-        The block's ``size`` epochs (``_block_epochs``) wait on ``carry``, and
+        The block's ``size`` epochs (``_block_epochs``), drawn into an array
+        taken from ``spare`` and put back when done, wait on ``carry``, and
         their last epoch is set on ``published`` for the next block; a block
         that fails sets its error there instead, so the rest of the chain
         fails rather than waits.  Returns the block's decisions up to the
@@ -561,21 +555,26 @@ class _Point:
         and its pieces: each the ``_age_sum`` of the block's part in one
         window, with that window's index, in order.
         """
+        # ``aud`` lends one array per pool thread, and no more of its tasks run at once
+        block = spare.pop()
         try:
-            epochs = _block_epochs(stream, nu, start, _scratch_of(size), carry)
-        except BaseException as exc:
-            published.set_exception(exc)
-            raise
-        published.set_result(epochs[-1])
-        trace = self.trace
-        bounds = np.searchsorted(epochs, self.edges, side="right")
-        cuts = sorted(set(bounds.tolist()))
-        windows = (np.searchsorted(bounds, cuts[:-1], side="right") - 1).tolist()
-        pieces = [(w, _age_sum(trace, epochs[a:b])) for w, a, b in zip(windows, cuts, cuts[1:])]
-        # decisions ahead of the first departure have no age
-        return (int(np.searchsorted(epochs, trace.last_departure, side="right")),
-                int(np.searchsorted(epochs, trace.departure_times[0], side="left")),
-                np.diff(bounds), pieces)
+            try:
+                epochs = _block_epochs(stream, nu, start, block[:size], carry)
+            except BaseException as exc:
+                published.set_exception(exc)
+                raise
+            published.set_result(epochs[-1])
+            trace = self.trace
+            bounds = np.searchsorted(epochs, self.edges, side="right")
+            counts = np.diff(bounds)
+            pieces = [(w, _age_sum(trace, epochs[bounds[w]:bounds[w + 1]]))
+                      for w in np.flatnonzero(counts).tolist()]
+            # decisions ahead of the first departure have no age
+            return (int(np.searchsorted(epochs, trace.last_departure, side="right")),
+                    int(np.searchsorted(epochs, trace.departure_times[0], side="left")),
+                    counts, pieces)
+        finally:
+            spare.append(block)  # read or failed: the next task may draw into it
 
     def update_mean(self, window_sum) -> EstimateWithCI:
         """Mean of one sample per update after the warm-up but the last, with its ratio CI.

@@ -95,6 +95,17 @@ def test_invalid_stream_arguments(seed, stream_id):
         SeededStream(seed, stream_id)
 
 
+@pytest.mark.parametrize("entry", [exponential_gaps, exponential_epochs])
+@pytest.mark.parametrize("rate,size,out", [
+    (-1.0, 3, None), (0.0, 3, None), (math.nan, 3, None), (math.inf, 3, None),
+    (1.0, 3, np.empty(4)), (1.0, 3, np.empty(2)),
+    (1.0, -1, None),
+])
+def test_invalid_draw_arguments(entry, rate, size, out):
+    with pytest.raises(ParameterError):
+        entry(SeededStream(1, 2), rate, size, out=out)
+
+
 def test_uniform_open_excludes_endpoints():
     u = SeededStream(0, 0).uniform_open(1_000_000)
     assert u.min() > 0.0 and u.max() < 1.0
@@ -293,7 +304,8 @@ def test_short_requests_are_drawn_in_place_with_the_pooled_values(monkeypatch):
         raise AssertionError("a short request went to the block pool")
 
     monkeypatch.setattr(distributions, "block_pool", no_pool)
-    assert list(SeededStream(42, 3).fill_open(np.empty(0), 2.5)) == []  # an empty request
+    empty = np.empty(0)
+    assert SeededStream(42, 3).fill_open(empty, 2.5) is empty  # an empty request, filled
     stream = SeededStream(42, 3)
     np.testing.assert_array_equal(
         np.concatenate([stream.uniform_open(size) for size in sizes]), uniforms)

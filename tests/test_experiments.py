@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from decimal import Decimal
 
@@ -762,11 +763,11 @@ def test_aud_estimate_small_branches():
 
 
 def recording_blocks(monkeypatch):
-    """Record ``(start, len(out), out)`` for each block ``_Point.aud`` draws, then draw it."""
+    """Record ``(start, len(out))`` for each block ``_Point.aud`` draws, then draw it."""
     blocks, draw = [], experiments._block_epochs
 
     def block(stream, rate, start, out, carry):
-        blocks.append((start, len(out), out))
+        blocks.append((start, len(out)))
         return draw(stream, rate, start, out, carry)
 
     monkeypatch.setattr(experiments, "_block_epochs", block)
@@ -794,7 +795,7 @@ def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
             got = point.aud(nu)
             assert got == column_reference(point, column[column <= horizon], nu=nu)
             # the chain covers the column once, in blocks at multiples of the size
-            assert sorted((a, n) for a, n, _ in blocks) == [
+            assert sorted(blocks) == [
                 (a, min(size, drawn - a)) for a in range(0, drawn, size)]
         assert len(blocks) == math.ceil(drawn / size) > 15 * distributions.BLOCK_SIZE / size
 
@@ -903,12 +904,12 @@ def test_concurrent_callers_share_the_pool(threads, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_decision_scratch_grows_to_each_request(threads, monkeypatch):
-    # a run with small blocks leaves each pool thread a small scratch; a later
-    # run at the default size must not draw into it as it stands
+def test_default_blocks_after_small_blocks_match_the_column(threads, monkeypatch):
+    # a run with small blocks on a new pool, then one at the default size on
+    # the same threads: the second must draw whole default-size blocks
     monkeypatch.setenv("AUD_LAB_THREADS", threads)
     point = _simulate_point(ExperimentConfig(n_updates=20_000, seed=9), 0, SystemParams(0.5, 1.0))
-    # a new pool, whose threads hold no scratch yet; the old one comes back after
+    # a new pool, whose threads have run no block yet; the old one comes back after
     monkeypatch.setattr(distributions, "_pool", None)
     monkeypatch.setattr(distributions, "_pool_workers", 0)
     with pytest.MonkeyPatch.context() as patch:
@@ -1417,10 +1418,12 @@ def test_validate_rescaled_in_time_keeps_its_trace_rows_and_its_cost(tmp_path):
         assert all(abs(s - t) <= 0.05 * t for s, t in zip(scaled_totals, totals))
 
 
-def test_the_decision_cap_rate_draws_through_the_thread_scratch(monkeypatch):
+def test_the_decision_cap_rate_holds_one_block_per_pool_thread(monkeypatch):
     # a run within MAX_COLUMN expects at most MAX_COLUMN / AUD_BATCHES decisions
     # per window over its expected horizon (2.7e6, 20.5 blocks); three such
-    # windows of real draws pass through one block-sized scratch per pool thread
+    # windows of real draws hold at most one block per pool thread at a time.
+    # The caller also keeps each block's future and pieces until it sums them,
+    # and a round's queued tasks their carry futures: about 4 KiB a block.
     monkeypatch.setenv("AUD_LAB_THREADS", "2")
     rate = experiments.MAX_COLUMN / experiments.AUD_BATCHES
     # a hand-built point: three windows of length 1 from its first departure
@@ -1434,14 +1437,48 @@ def test_the_decision_cap_rate_draws_through_the_thread_scratch(monkeypatch):
         return ratio(sums, window_counts, confidence)
 
     monkeypatch.setattr(experiments, "ratio_ci", window_ratio)
-    want = point.aud(rate)  # each pool thread's scratch now holds a full block
+    want = point.aud(rate)
     blocks = recording_blocks(monkeypatch)
     counts.clear()
-    assert point.aud(rate) == want and want[0] is not None
+    tracemalloc.start()
+    try:
+        got = point.aud(rate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want and want[0] is not None
     assert len(counts) == 3 and all(abs(c - rate) < 5.0 * math.sqrt(rate) for c in counts)
-    scratches = {id(out.base): out.base for _, _, out in blocks}
-    assert len(blocks) >= 60 and len(scratches) <= 2
-    assert all(b.nbytes == 8 * distributions.BLOCK_SIZE for b in scratches.values())
+    assert len(blocks) >= 60
+    assert peak <= (distributions.worker_limit() * distributions.BLOCK_SIZE * 8 + 2**18
+                    + 2**12 * len(blocks)), peak
+
+
+def test_no_decision_block_outlives_aud(monkeypatch):
+    # 4e6 epochs at nu = 40 (31 blocks) on a new pool: the arrays the blocks
+    # are drawn into are freed when aud returns, and neither the pool's
+    # threads nor the module keep one
+    monkeypatch.setenv("AUD_LAB_THREADS", "2")
+    point = _simulate_point(build_config(decision_rates=(40.0,), n_updates=50_000, seed=3), 0,
+                            SystemParams(0.5, 1.0))
+    monkeypatch.setattr(distributions, "_pool", None)
+    monkeypatch.setattr(distributions, "_pool_workers", 0)
+    arrays, draw = [], experiments._block_epochs
+
+    def block(stream, rate, start, out, carry):
+        arrays.append(weakref.ref(out.base))
+        return draw(stream, rate, start, out, carry)
+
+    monkeypatch.setattr(experiments, "_block_epochs", block)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        est, _ = point.aud(40.0)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est is not None and len(arrays) > 30
+    assert after - before <= 2**16, after - before
+    assert all(array() is None for array in arrays)
 
 
 def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
@@ -1752,9 +1789,9 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 # Allowed rise of the two-thread peak over the one-thread peak.  The checks
 # run one after another, so a second thread adds only the block pool's
-# in-flight work (a Philox counter block, a block of decision epochs in its
-# scratch, or an occupancy window): none measurable at this size, where the
-# 4e6 nu = 10 epochs pass through one 1 MiB scratch per pool thread.  A
+# in-flight work (a Philox counter block, a block of decision epochs, or an
+# occupancy window): none measurable at this size, where the 4e6 nu = 10
+# epochs pass through one 1 MiB array per pool thread.  A
 # merged path of all 2n events would add 25-35%.
 THREADS_RSS_MARGIN = 0.12
 
@@ -1780,7 +1817,7 @@ def test_validate_peak_memory_with_two_threads_stays_near_one_thread(tmp_path):
 
 def test_validate_peak_memory_does_not_grow_with_the_decision_count(tmp_path):
     # At lambda = 0.01 the nu = 10 epochs would fill a 160 MB column, at 0.5 a
-    # 3.2 MB one; the trace is the same size.  The two pool threads' scratch
+    # 3.2 MB one; the trace is the same size.  The two pool threads' decision
     # blocks (1 MiB each) and an eighth of them for temporaries bound the
     # difference.
     peaks = {lam: peak_rss_kib(tmp_path, "--lambda", lam, "--updates", "20000", "--seed", "3")
@@ -1789,7 +1826,7 @@ def test_validate_peak_memory_does_not_grow_with_the_decision_count(tmp_path):
 
 
 def test_decision_epochs_hold_one_block_per_pool_thread(monkeypatch):
-    # 4e6 epochs at nu = 40 (31 blocks) pass through one block-sized scratch
+    # 4e6 epochs at nu = 40 (31 blocks) pass through one block-sized array
     # per pool thread; each task's temporaries (its window pieces and their
     # searches of about 1600 departures) fit in the slack, where a column of
     # the epochs would add 32 MB

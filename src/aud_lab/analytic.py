@@ -32,10 +32,6 @@ def system_time_rate(params: SystemParams) -> float:
     return params.service_rate * (1.0 - params.utilization)
 
 
-def mean_system_time(params: SystemParams) -> float:
-    return 1.0 / system_time_rate(params)
-
-
 def mean_interdeparture(params: SystemParams) -> float:
     require_stable(params)
     return 1.0 / params.arrival_rate

@@ -17,18 +17,15 @@ indicators or the cross-moment products give the ratio of their totals with
 a delta-method CI (``stats.ratio_ci``), and validation's occupancy levels and
 sawtooth time average are taken per window.  A window's decision ages are
 summed as running totals, in pieces of the blocks of the rate's epoch
-column.  Every random draw of more than one block, the decision blocks and
-the occupancy windows run on the shared block pool
-(``distributions.block_pool``), the program's only thread pool.  Each
-block of decision epochs is one task that draws it into one of the rate's
-``worker_limit()`` arrays, lent to it while it runs, takes the last epoch
-of the block before it and sums its pieces: the tasks of a rate form a
-chain, and a task waits only on the one before it, which the pool's FIFO
-queue started first, so the chain cannot deadlock.  ``_by_window`` maps
-the occupancy windows onto the pool in one contiguous stretch per thread,
-each run in order, not one task per window.
-The lighter windows, of a few numpy calls each, run in a plain loop on the
-calling thread.
+column.  Every random draw of more than one block and the decision blocks
+run on the shared block pool (``distributions.block_pool``), the program's
+only thread pool.  Each block of decision epochs is one task that draws it
+into one of the rate's ``worker_limit()`` arrays, lent to it while it runs,
+takes the last epoch of the block before it and sums its pieces: the tasks
+of a rate form a chain, and a task waits only on the one before it, which
+the pool's FIFO queue started first, so the chain cannot deadlock.  The
+windows of the other estimates, occupancy levels included, run in a plain
+loop on the calling thread.
 ``AUD_LAB_THREADS`` caps the pool's threads; one thread runs everything in
 sequence, and no result depends on it.  A sample below its estimator's
 floor (InsufficientDataError) gets no verdict: a sweep leaves that p-value,
@@ -39,6 +36,7 @@ correct run fails with at most that probability (``_within``).
 """
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -104,6 +102,13 @@ MIN_RATE, MAX_RATE = 2.0**-64, 2.0**64
 # the run time.
 MAX_COLUMN = 2**28
 
+# ``_Point.aud`` keeps at most this many decision blocks per pool thread
+# submitted and not yet added to the window sums.  Each holds its queued task,
+# carry future, counts and pieces, about 4 KiB, so a column of any length holds
+# a fixed number of them; two per thread keep a block queued for each thread
+# while the caller adds the oldest.
+BLOCKS_AHEAD_PER_THREAD = 2
+
 # A stable point's epochs reach about n / lambda, where adjacent doubles lie
 # up to (n / lambda) * 2^-52 apart.  With n * mu / lambda at most this, that
 # is at most 2^-12 of a mean service time 1 / mu: rounding cannot bend a
@@ -119,26 +124,6 @@ def _require(enough: bool, reason: str) -> None:
     """Raise InsufficientDataError with ``reason`` unless there is ``enough`` data."""
     if not enough:
         raise InsufficientDataError(reason)
-
-
-def _by_window(stat, edges) -> list:
-    """``stat(a, b)`` for each pair of consecutive ``edges``, in order, on the block pool.
-
-    The edges are a point's window edges in time.  The windows go to the
-    pool in one contiguous stretch per thread; each task runs its stretch's
-    windows in order, so a thread holds one window at a time, and the
-    stretches' results are joined in order.
-    """
-    n = len(edges) - 1
-    if n < 1:
-        return []
-    groups = min(n, worker_limit())
-    cuts = [i * n // groups for i in range(groups + 1)]
-
-    def run(lo: int, hi: int) -> list:
-        return [stat(edges[i], edges[i + 1]) for i in range(lo, hi)]
-
-    return list(itertools.chain.from_iterable(block_pool().map(run, cuts[:-1], cuts[1:])))
 
 
 def _block_epochs(stream: SeededStream, rate: float, start: int, out: np.ndarray,
@@ -500,16 +485,30 @@ class _Point:
         ``block_pool()`` task (``_block_sums``) that draws it into one of this
         call's ``worker_limit()`` arrays, lent to it while it runs: the tasks
         form a chain, each taking the last epoch of the block before it.  The
-        caller waits on the chain's last epoch, then adds each block's pieces
-        to their windows' running sums in block order: the sums are the same
-        bits at any thread count.  The arrays are freed when this returns.
+        caller adds each block's pieces to their windows' running sums in
+        block order, the oldest block as soon as it is done, and waits on each
+        round's last epoch before the next: the sums are the same bits at any
+        thread count.  The arrays are freed when this returns.
         """
         edges, horizon = self.edges, self.trace.last_departure
         stream = SeededStream(self.seed, decision_stream_id(nu))
-        pool, blocks = block_pool(), []
+        pool, threads = block_pool(), worker_limit()
         # one array per pool thread, made here: arrays made and freed by each task
         # would pile up in the pool threads' own malloc arenas
-        spare = [np.empty(BLOCK_SIZE) for _ in range(worker_limit())]
+        spare = [np.empty(BLOCK_SIZE) for _ in range(threads)]
+        sums, counts = [0.0] * (len(edges) - 1), np.zeros(len(edges) - 1, dtype=np.intp)
+        total, undefined = 0, 0
+        blocks = collections.deque()  # submitted and not yet added, in block order
+
+        def add_oldest() -> None:
+            nonlocal total, undefined, counts
+            block_total, block_undefined, block_counts, pieces = blocks.popleft().result()
+            total += block_total
+            undefined += block_undefined
+            counts += block_counts
+            for w, piece in pieces:
+                sums[w] += piece
+
         carry = concurrent.futures.Future()
         carry.set_result(0.0)
         drawn, last = 0, 0.0
@@ -517,19 +516,14 @@ class _Point:
             end = drawn + _with_margin(nu * (horizon - last))
             cuts = [drawn, *range((drawn // BLOCK_SIZE + 1) * BLOCK_SIZE, end, BLOCK_SIZE), end]
             for a, b in zip(cuts[:-1], cuts[1:]):
+                if len(blocks) == BLOCKS_AHEAD_PER_THREAD * threads:
+                    add_oldest()
                 carry, previous = concurrent.futures.Future(), carry
                 blocks.append(pool.submit(self._block_sums, stream, nu, a, b - a, previous, carry,
                                           spare))
             drawn, last = end, carry.result()
-        sums, counts = [0.0] * (len(edges) - 1), np.zeros(len(edges) - 1, dtype=np.intp)
-        total, undefined = 0, 0
-        for block in blocks:
-            block_total, block_undefined, block_counts, pieces = block.result()
-            total += block_total
-            undefined += block_undefined
-            counts += block_counts
-            for w, piece in pieces:
-                sums[w] += piece
+        while blocks:
+            add_oldest()
         estimated = int(counts.sum())
         est = (ratio_ci(sums, counts, self.config.confidence)
                if estimated >= 2 * AUD_BATCHES else None)
@@ -581,7 +575,9 @@ class _Point:
 
         A window takes the updates that depart in (its start, its end], and
         ``window_sum(a, b)`` sums the samples of updates [a, b), on the calling
-        thread: a window's few numpy calls cost less than a pool task.
+        thread, where every window of every estimate runs: a window's few numpy
+        calls cost less than a pool task, and the temporaries of the heavier
+        occupancy windows would stay resident in each pool thread's malloc arena.
         """
         cuts = np.searchsorted(self.trace.departure_times, self.edges, side="right")
         np.minimum(cuts, self.trace.n - 1, out=cuts)
@@ -859,9 +855,8 @@ def queue_length_distribution(point: _Point, alpha: float) -> tuple:
     # A window's path merges only the events inside it and starts from the
     # level at its start edge: the pieces, durations and order of addition
     # of the whole run's path, without a path of all 2n events.
-    per_batch = np.array(_by_window(
-        lambda a, b: occupancy_fractions(queue_length_process(trace, a, b), k - 1, a, b),
-        edges))
+    per_batch = np.array([occupancy_fractions(queue_length_process(trace, a, b), k - 1, a, b)
+                          for a, b in zip(edges[:-1], edges[1:])])
     per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
     return _within([mean_ci(level, point.config.confidence) for level in per_batch.T],
                    np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")

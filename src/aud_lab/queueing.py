@@ -263,7 +263,8 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, start: float,
     the last event's level after it.  Every stretch between consecutive
     bounds (the window's edges and the events inside it) is one piece at one
     level, and ``np.bincount`` adds the piece durations per level in time
-    order.
+    order, the levels above ``max_length`` into one overflow bin that is
+    dropped.
     """
     if max_length < 0:
         raise ParameterError(f"max_length must be >= 0, got {max_length}")
@@ -273,9 +274,9 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, start: float,
     bounds = np.concatenate(([start], path.epochs[i:j], [end]))
     # the level of a piece is that after the events at or before its start
     levels = path.lengths[i - 1:j] if i else np.concatenate(([path.initial], path.lengths[:j]))
-    keep = levels <= max_length
-    totals = np.bincount(levels[keep], weights=np.diff(bounds)[keep], minlength=max_length + 1)
-    return totals / (end - start)
+    totals = np.bincount(np.minimum(levels, max_length + 1), weights=np.diff(bounds),
+                         minlength=max_length + 2)
+    return totals[:max_length + 1] / (end - start)
 
 
 def arrivals_seeing_busy(trace: UpdateTrace, start: int = 0,

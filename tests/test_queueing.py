@@ -373,6 +373,33 @@ def test_windowed_occupancy_edge_cases():
     assert_windowed_occupancy_matches(dd1_trace(200, 1.0), 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
 
 
+def masked_occupancy(path, max_length, start, end):
+    """``occupancy_fractions`` as a mask of the levels up to ``max_length`` computed it."""
+    i, j = np.searchsorted(path.epochs, (start, end), side="right")
+    bounds = np.concatenate(([start], path.epochs[i:j], [end]))
+    levels = path.lengths[i - 1:j] if i else np.concatenate(([path.initial], path.lengths[:j]))
+    keep = levels <= max_length
+    totals = np.bincount(levels[keep], weights=np.diff(bounds)[keep], minlength=max_length + 1)
+    return totals / (end - start)
+
+
+@pytest.mark.parametrize("lam,seed", [(0.5, 42), (0.9, 7)])
+def test_overflow_bin_occupancy_is_bit_identical_to_the_masked_form(lam, seed):
+    # at rho = 0.9 most windows reach levels far above each max_length, and
+    # many start above it, so the overflow bin takes pieces in every window
+    trace = simulate(SystemParams(lam, 1.0), 100_000, seed)
+    edges = np.linspace(trace.departure_times[default_warmup(trace.n) - 1],
+                        trace.last_departure, 101)
+    overflowed = 0
+    for start, end in zip(edges[:-1], edges[1:]):
+        path = queue_length_process(trace, start, end)
+        overflowed += int(path.initial > 3)
+        for max_length in (0, 3, 10):
+            got = occupancy_fractions(path, max_length, start, end)
+            assert got.tobytes() == masked_occupancy(path, max_length, start, end).tobytes()
+    assert overflowed > 0
+
+
 def test_queue_length_path_of_a_window_starts_from_its_level():
     # (2, 4] of the tied arrivals: three updates arrived and one departed by 2.0
     path = queue_length_process(tied_arrivals(), 2.0, 4.0)

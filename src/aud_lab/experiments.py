@@ -6,38 +6,29 @@ plus a JSON-lines manifest (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one block of decision
 epochs per pool thread at a time, and output is byte-reproducible.
-``_simulate_point`` measures a point once: its mean age at each distinct
-decision rate, one rate at a time (``_Point.aud`` owns the decision loop),
-then its K-S samples.
-The sweep rows, the nu-invariance comparison and validation's checks all
-read that ``_Point``; the checks are plain functions of it, run in the order
-of the ``CHECKS`` table.  A point's AUD_BATCHES time windows batch every
-correlated mean: each window's sum and count of the decision ages, the busy
-indicators or the cross-moment products give the ratio of their totals with
-a delta-method CI (``stats.ratio_ci``), and validation's occupancy levels and
-sawtooth time average are taken per window.  A window's decision ages are
-summed as running totals, in pieces of the blocks of the rate's epoch
-column.  Every random draw of more than one block and the decision blocks
-run on the shared block pool (``distributions.block_pool``), the program's
-only thread pool.  Each block of decision epochs is one task that draws it
-into one of the rate's ``worker_limit()`` arrays, lent to it while it runs,
-takes the last epoch of the block before it and sums its pieces: the tasks
-of a rate form a chain, and a task waits only on the one before it, which
-the pool's FIFO queue started first, so the chain cannot deadlock.  The
-windows of the other estimates, occupancy levels included, run in a plain
-loop on the calling thread.
-``AUD_LAB_THREADS`` caps the pool's threads; one thread runs everything in
-sequence, and no result depends on it.  A sample below its estimator's
-floor (InsufficientDataError) gets no verdict: a sweep leaves that p-value,
-or a mean age with under 2 * AUD_BATCHES decisions after the warm-up, blank,
-and validation reports that check alone as skipped, with the reason.
-Validation splits 1 - confidence evenly over its statistical checks, so a
-correct run fails with at most that probability (``_within``).
+``_simulate_point`` measures a point once, as a ``_Point``: its mean age at
+each distinct decision rate, then its K-S samples.  The sweep rows, the
+nu-invariance comparison and validation's checks all read it; the checks are
+plain functions of it, run in the order of the ``CHECKS`` table.  A point's
+AUD_BATCHES time windows batch every correlated mean, with a delta-method CI
+over the windows' sums and counts (``stats.ratio_ci``): the decision ages'
+running window totals (``_Point.aud``) and one table of the trace's sums per
+window, which only the checks build (``_Point.windows``).  Long random draws
+and the decision blocks run on the shared block pool
+(``distributions.block_pool``), the program's only thread pool, and the rest
+on the calling thread.  ``AUD_LAB_THREADS`` caps the pool's threads; one
+thread runs everything in sequence, and no result depends on it.  A sample
+below its estimator's floor (InsufficientDataError) gets no verdict: a sweep
+leaves that p-value, or a mean age with under 2 * AUD_BATCHES decisions after
+the warm-up, blank, and validation reports that check alone as skipped, with
+the reason.  Validation splits 1 - confidence evenly over its statistical
+checks, so a correct run fails with at most that probability (``_within``).
 """
 from __future__ import annotations
 
 import collections
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -48,6 +39,7 @@ import struct
 import time
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +73,8 @@ KS_MAX_SAMPLES = 100_000
 # Every correlated mean takes its CI from this many time windows.
 AUD_BATCHES = 100
 
+MAX_LEVEL = 10  # validation tests occupancy levels 0..k-1 and >= k, k <= MAX_LEVEL + 1
+
 # A batch mean is near-normal once it expects this many events: updates,
 # busy and idle arrivals, arrivals at an occupancy level.
 MIN_EXPECTED = 5
@@ -113,6 +107,9 @@ BLOCKS_AHEAD_PER_THREAD = 2
 # up to (n / lambda) * 2^-52 apart.  With n * mu / lambda at most this, that
 # is at most 2^-12 of a mean service time 1 / mu: rounding cannot bend a
 # system time by anything a K-S test on KS_MAX_SAMPLES samples could see.
+# Gaps below half that step still round away, so a long run admits ties: a
+# zero sojourn (an idle update departing at its own arrival epoch), tied
+# arrivals and tied departures.
 MAX_HORIZON = 2.0**40
 
 # A run writes at most this many rows, one per (lambda, mu, nu).  A row
@@ -332,27 +329,14 @@ class SweepRow:
     status: str
 
     def as_csv(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
+        def fmt(v, kind=float):
+            return "" if v is None else repr(kind(v))
 
-        def fmt_int(v):
-            return "" if v is None else str(int(v))
-
-        return ",".join(
-            (
-                repr(float(self.arrival_rate)),
-                repr(float(self.service_rate)),
-                repr(float(self.decision_rate)),
-                fmt(self.analytic_aud),
-                fmt(self.empirical_aud),
-                fmt(self.ci_half_width),
-                fmt_int(self.n_decisions),
-                fmt_int(self.n_undefined_decisions),
-                fmt(self.ks_system_time_pvalue),
-                fmt(self.ks_interdeparture_pvalue),
-                self.status,
-            )
-        )
+        return ",".join((*map(fmt, (self.arrival_rate, self.service_rate, self.decision_rate,
+                                    self.analytic_aud, self.empirical_aud, self.ci_half_width)),
+                         fmt(self.n_decisions, int), fmt(self.n_undefined_decisions, int),
+                         fmt(self.ks_system_time_pvalue), fmt(self.ks_interdeparture_pvalue),
+                         self.status))
 
 
 @dataclass(frozen=True)
@@ -449,6 +433,17 @@ def _warmup_count(config: ExperimentConfig, n: int) -> int:
     return default_warmup(n)
 
 
+class _Windows(NamedTuple):
+    """``_Point.windows``: a point's trace sums, one row per time window."""
+
+    cuts: np.ndarray  # AUD_BATCHES + 1: window w holds updates [cuts[w], cuts[w + 1])
+    counts: np.ndarray  # its updates
+    busy: np.ndarray  # those whose next update arrives before they depart
+    products: np.ndarray  # the sum of each one's system time times the departure gap after it
+    occupancy: np.ndarray  # the fractions of its time at levels 0..MAX_LEVEL
+    sawtooth: np.ndarray  # the time average of the age over it
+
+
 @dataclass(frozen=True)
 class _Point:
     """One simulated (lambda, mu) point: its trace, seed, warm-up cut, time windows and samples.
@@ -457,9 +452,9 @@ class _Point:
     the warm-up's last departure, or the first departure, where the age path
     begins, if that is later, to the last departure.  A correlated mean is
     the total of its samples in the windows over their count, with the ratio
-    CI of ``stats.ratio_ci`` over the windows' sums and counts.
-    ``_simulate_point`` measures it once, ``estimates`` then ``_ks_samples``, for
-    the sweep rows, the nu-invariance comparison and every check to read.
+    CI of ``stats.ratio_ci`` over the windows' sums and counts, or the mean of
+    per-window values: ``aud`` sums the decision ages, ``windows`` the trace.
+    ``_simulate_point`` fills ``estimates``, then the K-S samples.
     """
 
     config: ExperimentConfig
@@ -570,19 +565,31 @@ class _Point:
         finally:
             spare.append(block)  # read or failed: the next task may draw into it
 
-    def update_mean(self, window_sum) -> EstimateWithCI:
-        """Mean of one sample per update after the warm-up but the last, with its ratio CI.
+    @functools.cached_property
+    def windows(self) -> _Windows:
+        """The trace's sums per window that validation's checks read, built once, on first read.
 
-        A window takes the updates that depart in (its start, its end], and
-        ``window_sum(a, b)`` sums the samples of updates [a, b), on the calling
-        thread, where every window of every estimate runs: a window's few numpy
-        calls cost less than a pool task, and the temporaries of the heavier
-        occupancy windows would stay resident in each pool thread's malloc arena.
+        A window takes the updates but the last that depart in (its start,
+        its end], the events inside it on a path from the level at its start
+        edge, and the sawtooth segments that overlap it: the pieces and order
+        of addition of the whole run, from slices of the trace, so no
+        temporary outgrows a window.  The occupancy columns stop at MAX_LEVEL,
+        and a check keeps those it tests.  Only the checks read it, behind
+        their floors, so the sweep and nu-invariance never build it; it reads
+        no ``params``, which a wrong-oracle study replaces.
         """
-        cuts = np.searchsorted(self.trace.departure_times, self.edges, side="right")
-        np.minimum(cuts, self.trace.n - 1, out=cuts)
-        return ratio_ci([window_sum(a, b) for a, b in zip(cuts[:-1], cuts[1:])], np.diff(cuts),
-                        self.config.confidence)
+        trace, edges = self.trace, self.edges
+        arr, dep = trace.arrival_times, trace.departure_times
+        cuts = np.searchsorted(dep, edges, side="right")
+        np.minimum(cuts, trace.n - 1, out=cuts)
+        rows = []
+        for a, b, i, j in zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]):
+            # each temporary dies with its expression, before the next is built
+            rows.append((np.count_nonzero(arrivals_seeing_busy(trace, i, j)),
+                         ((dep[i + 1:j + 1] - dep[i:j]) * (dep[i:j] - arr[i:j])).sum(),
+                         occupancy_fractions(queue_length_process(trace, a, b), MAX_LEVEL, a, b),
+                         time_average_aoi(aoi_path(trace, a, b), a, b)))
+        return _Windows(cuts, np.diff(cuts), *map(np.array, zip(*rows)))
 
 
 def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemParams,
@@ -784,7 +791,7 @@ class ValidationReport:
 
 
 def _batched(point: _Point) -> int:
-    """The updates in a window, as ``_Point.update_mean`` cuts them, if window means are usable.
+    """The updates in a window, as ``_Point.windows`` cuts them, if window means are usable.
 
     They are near-independent once a window spans the decorrelation lag, and
     near-normal once it holds a few updates.
@@ -842,35 +849,31 @@ def interdeparture_second_moment(point: _Point, alpha: float) -> tuple:
 
 def queue_length_distribution(point: _Point, alpha: float) -> tuple:
     # Levels 0..k-1 and the tail >= k against the geometric law, k the first
-    # of levels 0-10 where the level or the tail after it expects fewer than
-    # 5 arrivals per window: the normal law breaks down for rarer cells.
+    # of levels 0-MAX_LEVEL where the level or the tail after it expects fewer
+    # than 5 arrivals per window: the normal law breaks down for rarer cells.
+    # A level's fraction takes the same pieces whatever the top level counted.
     _batched(point)
-    trace, edges = point.trace, point.edges
-    pi = analytic.stationary_queue_dist(point.params, 10)
-    expected = (point.params.arrival_rate * (edges[1] - edges[0])
+    pi = analytic.stationary_queue_dist(point.params, MAX_LEVEL)
+    expected = (point.params.arrival_rate * (point.edges[1] - point.edges[0])
                 * np.minimum(pi, 1.0 - np.cumsum(pi)))
     k = int((expected >= MIN_EXPECTED).sum())  # expected falls with the level
     _require(k > 0, f"fewer than {MIN_EXPECTED} arrivals per window expected at occupancy "
                     "level 0")
-    # A window's path merges only the events inside it and starts from the
-    # level at its start edge: the pieces, durations and order of addition
-    # of the whole run's path, without a path of all 2n events.
-    per_batch = np.array([occupancy_fractions(queue_length_process(trace, a, b), k - 1, a, b)
-                          for a, b in zip(edges[:-1], edges[1:])])
-    per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
+    levels = point.windows.occupancy[:, :k]
+    per_batch = np.column_stack((levels, 1.0 - levels.sum(axis=1)))
     return _within([mean_ci(level, point.config.confidence) for level in per_batch.T],
                    np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
 
 def prob_busy_on_arrival(point: _Point, alpha: float) -> tuple:
     # one indicator per update after the warm-up but the last
-    span, trace = _batched(point), point.trace
+    span = _batched(point)
     rho = analytic.prob_busy_on_arrival(point.params)
     expected = min(rho, 1.0 - rho) * span
     _require(expected >= MIN_EXPECTED,
              f"{expected:.3g} busy or idle arrivals expected per window; below {MIN_EXPECTED}")
-    est = point.update_mean(lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b)))
-    return _within([est], rho, alpha)
+    windows = point.windows
+    return _within([ratio_ci(windows.busy, windows.counts, point.config.confidence)], rho, alpha)
 
 
 def mgf_mixture_identity(point: _Point, alpha: float) -> tuple:
@@ -889,17 +892,11 @@ def mgf_mixture_identity(point: _Point, alpha: float) -> tuple:
 
 
 def cross_moment(point: _Point, alpha: float) -> tuple:
+    # each departure gap after the warm-up times the system time before it
     _batched(point)
-    arr, dep = point.trace.arrival_times, point.trace.departure_times
-
-    def product_sum(a: int, b: int) -> np.float64:
-        # each departure gap after the warm-up times the system time before it
-        prod = dep[a + 1:b + 1] - dep[a:b]
-        prod *= dep[a:b] - arr[a:b]
-        return prod.sum()
-
     theory = analytic.cross_moment_system_interdeparture(point.params)
-    est = point.update_mean(product_sum)
+    windows = point.windows
+    est = ratio_ci(windows.products, windows.counts, point.config.confidence)
     return _within([est], theory, alpha, f"theory={theory:.6g}")
 
 
@@ -955,10 +952,7 @@ def pasta_time_average(point: _Point, alpha: float) -> tuple:
     # median configured rate (the upper one of an even count) draws nothing extra.
     rates = list(point.estimates)
     aud = _estimate(point, rates[len(rates) // 2])  # its batch rule keeps the windows apart
-    # each window's sawtooth from slices of the trace, with no system-time column
-    trace, edges = point.trace, point.edges
-    aoi = mean_ci([time_average_aoi(aoi_path(trace, a, b), a, b)
-                   for a, b in zip(edges[:-1], edges[1:])], point.config.confidence)
+    aoi = mean_ci(point.windows.sawtooth, point.config.confidence)
     return _within(_differences([aoi, aud]), 0.0, alpha, f"time-average age {aoi.mean:.6g}")
 
 

@@ -160,8 +160,10 @@ class QueueLengthPath:
 
     ``lengths[i]`` holds on [epochs[i], epochs[i+1]); before the first epoch
     the system holds ``initial`` updates (none on a path of the whole run).
-    Simultaneous events are ordered departure first, so the path never
-    counts an update and its same-instant replacement twice.
+    Simultaneous events are ordered departure first, so an update and its
+    same-instant replacement are not counted twice; but an update that
+    departs at its own arrival epoch leaves before it arrives, and the
+    zero-length piece between the two may show level -1.
     """
 
     epochs: np.ndarray
@@ -264,7 +266,8 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, start: float,
     bounds (the window's edges and the events inside it) is one piece at one
     level, and ``np.bincount`` adds the piece durations per level in time
     order, the levels above ``max_length`` into one overflow bin that is
-    dropped.
+    dropped, and a level -1 (``QueueLengthPath``) into level 0: its piece adds
+    +0.0.
     """
     if max_length < 0:
         raise ParameterError(f"max_length must be >= 0, got {max_length}")
@@ -274,7 +277,7 @@ def occupancy_fractions(path: QueueLengthPath, max_length: int, start: float,
     bounds = np.concatenate(([start], path.epochs[i:j], [end]))
     # the level of a piece is that after the events at or before its start
     levels = path.lengths[i - 1:j] if i else np.concatenate(([path.initial], path.lengths[:j]))
-    totals = np.bincount(np.minimum(levels, max_length + 1), weights=np.diff(bounds),
+    totals = np.bincount(np.clip(levels, 0, max_length + 1), weights=np.diff(bounds),
                          minlength=max_length + 2)
     return totals[:max_length + 1] / (end - start)
 

@@ -25,13 +25,12 @@ from aud_lab.experiments import (
 )
 from aud_lab.queueing import (
     SystemParams,
-    arrivals_seeing_busy,
     default_warmup,
     occupancy_fractions,
     queue_length_process,
     simulate,
 )
-from aud_lab.stats import ks_exponential, z_value
+from aud_lab.stats import ks_exponential, ratio_ci, z_value
 
 THEORY_AT_HALF = 3.5  # closed form at utilization 0.5, unit service rate
 KS_PARAM_SETS = [(0.5, 1.0), (0.8, 1.0), (0.25, 0.5)]
@@ -157,8 +156,7 @@ def test_criterion_6_busy_probability(lam):
     # the estimate of validate's prob_busy_on_arrival check
     point = _simulate_point(ExperimentConfig(n_updates=1_000_000, seed=44), 0,
                             SystemParams(lam, 1.0))
-    trace = point.trace
-    est = point.update_mean(lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b)))
+    est = ratio_ci(point.windows.busy, point.windows.counts, point.config.confidence)
     sigma = est.half_width / z_value(0.99)
     err = abs(est.mean - lam)
     passed = err <= 3.0 * sigma

@@ -708,10 +708,16 @@ def test_batch_means_requires_enough_samples():
     # a single update leaves no busy indicator, and its windows no time
     point = _simulate_point(ExperimentConfig(n_updates=1, seed=3), 0, SystemParams(0.5, 1.0))
     assert len(set(point.edges)) == 1
-    with pytest.raises(InsufficientDataError, match="no samples"):
-        point.update_mean(lambda a, b: float(b - a))
+    with pytest.raises(InsufficientDataError, match="at least 2 updates"):
+        point.windows
     est, counts = point.aud(1.0)
     assert est is None and counts["after_warmup"] == counts["min_window_decisions"] == 0
+    # two updates: the warm-up takes the first, and the windows hold no update but the last
+    point = _simulate_point(ExperimentConfig(n_updates=2, seed=3), 0, SystemParams(0.5, 1.0))
+    windows = point.windows
+    assert list(windows.cuts) == [1] * 101 and not windows.counts.any()
+    with pytest.raises(InsufficientDataError, match="no samples"):
+        ratio_ci(windows.busy, windows.counts)
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -946,17 +952,14 @@ def test_batch_means_over_slices_match_the_whole_column():
     for lam, seed, warmup in ((0.5, 21, None), (0.9, 22, None), (0.5, 23, 0)):
         config = ExperimentConfig(n_updates=100_000, seed=seed, warmup_updates=warmup)
         point = _simulate_point(config, 0, SystemParams(lam, 1.0))
-        trace, cuts = point.trace, update_cuts(point)
+        trace, cuts, windows = point.trace, update_cuts(point), point.windows
         assert cuts[0] == point.warm + (warmup == 0) and cuts[-1] == trace.n - 1
+        assert np.array_equal(windows.cuts, cuts)
+        assert np.array_equal(windows.counts, np.diff(cuts))
         busy = arrivals_seeing_busy(trace).astype(float)
-        assert_close(point.update_mean(
-            lambda a, b: np.count_nonzero(arrivals_seeing_busy(trace, a, b))),
-            window_reference(busy, cuts))
+        assert_close(ratio_ci(windows.busy, windows.counts), window_reference(busy, cuts))
         prod = trace.system_times[:-1] * trace.interdeparture_times
-        assert_close(point.update_mean(
-            lambda a, b: ((trace.departure_times[a + 1:b + 1] - trace.departure_times[a:b])
-                          * (trace.departure_times[a:b] - trace.arrival_times[a:b])).sum()),
-            window_reference(prod, cuts))
+        assert_close(ratio_ci(windows.products, windows.counts), window_reference(prod, cuts))
 
 
 def test_within_gates_the_worst_se_ratio():
@@ -1752,6 +1755,46 @@ def test_validation_outputs_do_not_depend_on_the_thread_count(config, tmp_path, 
         outputs.append((out.read_bytes(), sizes))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     assert len(outputs[0][1]) == 1
+
+
+def test_checks_read_the_trace_only_through_the_window_table():
+    # once the table is built, a trace of zeros of the same length leaves every row as it was
+    config = ExperimentConfig(n_updates=20_000, seed=7)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
+    rows = [c.as_csv() for c in _validation_checks(point)[0]]
+    assert "windows" in vars(point) and "skipped" not in "".join(rows)
+    zeros = np.zeros(point.trace.n)
+    object.__setattr__(point, "trace", UpdateTrace(zeros, zeros))
+    assert [c.as_csv() for c in _validation_checks(point)[0]] == rows
+
+
+def test_every_check_survives_the_ties_of_a_long_run(monkeypatch):
+    # Late in a long run a gap below half a double's step rounds away: an idle
+    # update departs at its own arrival epoch, and arrivals or departures tie.
+    params = SystemParams(0.5, 1.0)
+    trace = simulate(params, 20_000, 5)
+    arr, dep = trace.arrival_times.copy(), trace.departure_times.copy()
+    idle = np.flatnonzero(arr[1:] > dep[:-1]) + 1  # arrive to an empty system
+    busy = np.flatnonzero(arr[1:] < dep[:-1]) + 1  # arrive before the one ahead departs
+    i = idle[idle > 5000][0]
+    dep[i] = arr[i]
+    arr[8001] = arr[8000]
+    b = busy[busy > 11_000][0]
+    dep[b] = dep[b - 1]
+    tied = UpdateTrace(arr, dep)
+    assert queue_length_process(tied).lengths.min() == -1
+    assert (np.diff(arr) == 0).sum() == 1 and (np.diff(dep) == 0).sum() == 1
+    monkeypatch.setattr(experiments, "simulate", lambda *args: tied)
+    config = ExperimentConfig(n_updates=20_000, seed=5)
+    point = _simulate_point(config, 0, params)
+    alpha = (1.0 - config.confidence) / sum(not exact for _, exact in CHECKS)
+    for check, _ in CHECKS:
+        try:
+            passed, *numbers = check(point, alpha)
+        except InsufficientDataError:
+            continue
+        assert isinstance(passed, (bool, np.bool_)) and len(numbers) in (3, 4)
+    assert all(c.passed for c in _validation_checks(point)[0])
 
 
 def test_validation_runs_its_estimates_and_windows_on_the_calling_thread(monkeypatch):

@@ -265,6 +265,15 @@ def test_occupancy_of_tied_epochs():
     assert got == pytest.approx([0.6, 0.3, 0.1], abs=1e-15)
 
 
+def test_occupancy_of_a_zero_sojourn():
+    # an idle update departing at its own arrival epoch leaves before it
+    # arrives: the zero-length piece between shows level -1 and adds +0.0 to level 0
+    path = queue_length_process(UpdateTrace([1.0, 2.0, 4.0], [1.0, 3.0, 5.0]))
+    assert list(path.lengths) == [-1, 0, 1, 0, 1, 0]
+    got = occupancy_fractions(path, 3, 0.5, 5.0)
+    assert got.tolist() == [2.5 / 4.5, 2.0 / 4.5, 0.0, 0.0]
+
+
 @given(seed=st.integers(0, 2**32), lam=st.floats(0.1, 0.9))
 @settings(max_examples=25, deadline=None)
 def test_engine_invariants_property(seed, lam):

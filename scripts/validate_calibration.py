@@ -7,10 +7,12 @@ so no two cells share their random numbers.  Each cell prints its
 failing-run count with a Wilson 95 % interval, then the fail and skip count
 of every check that failed or was skipped.
 
-Wrong oracles (``--scales``): one simulated point per run, checked by
-``_validation_checks`` against the closed forms at both rates times s, for
-each s.  Each s prints the runs with at least one failed check and the
-failures per check; s = 1 is the correct oracle.
+Wrong oracles (``--scales``): each run judges one simulated point at every
+scale s, by ``_validation_checks`` against the closed forms at both rates
+times s, so the point's window table and estimates are built once.  Each s
+prints the runs with at least one failed check, the failures per check and
+the wall time of the utilization's runs, which its scales share; s = 1 is the
+correct oracle.
 
 Usage (the commands of the study behind the calibration table in CHANGES.md;
 that table predates ``run_seed``, so they now draw other seeds than it did):
@@ -32,7 +34,6 @@ import collections
 import math
 import struct
 import time
-from dataclasses import replace
 
 from aud_lab.distributions import splitmix64
 from aud_lab.experiments import (
@@ -87,20 +88,22 @@ def correct_runs(rho: float, args) -> None:
 def wrong_oracles(rho: float, args) -> None:
     detected = collections.Counter()
     per_check = collections.defaultdict(collections.Counter)
+    started = time.monotonic()
     for i in range(args.runs):
         config = ExperimentConfig(arrival_rates=(rho,), decision_rates=args.nu,
                                   n_updates=args.updates,
                                   seed=run_seed(args.seed, rho, args.updates, i))
         point = _simulate_point(config, 0, SystemParams(rho, 1.0))
         for s in args.scales:
-            checks, _ = _validation_checks(
-                replace(point, params=SystemParams(rho * s, s)))
-            failed = [c.name for c in checks if c.passed is False]
+            failed = [c.name for c in _validation_checks(point, SystemParams(rho * s, s))
+                      if c.passed is False]
             detected[s] += bool(failed)
             per_check[s].update(failed)
+    elapsed = time.monotonic() - started
     for s in args.scales:
         print(f"rho={rho:g} n={args.updates} oracle x{s:g}: "
-              f"detected {detected[s]} of {args.runs}; {_counts(per_check[s])}", flush=True)
+              f"detected {detected[s]} of {args.runs}; {_counts(per_check[s])} "
+              f"({elapsed:.0f} s)", flush=True)
 
 
 def main() -> None:

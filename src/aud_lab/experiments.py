@@ -9,12 +9,12 @@ epochs per pool thread at a time, and output is byte-reproducible.
 ``_simulate_point`` measures a point once, as a ``_Point``: its mean age at
 each distinct decision rate, then its K-S samples.  The sweep rows, the
 nu-invariance comparison and validation's checks all read it; the checks are
-plain functions of it, run in the order of the ``CHECKS`` table.  A point's
-AUD_BATCHES time windows batch every correlated mean, with a delta-method CI
-over the windows' sums and counts (``stats.ratio_ci``): the decision ages'
-running window totals (``_Point.aud``) and one table of the trace's sums per
-window, which only the checks build (``_Point.windows``).  Long random draws
-and the decision blocks run on the shared block pool
+plain functions of it and the rates they judge it at, in ``CHECKS`` order.  A
+point's AUD_BATCHES time windows batch every correlated mean, with a
+delta-method CI over the windows' sums and counts (``stats.ratio_ci``): the
+decision ages' running window totals (``_Point.aud``) and one table of the
+trace's sums per window, which only the checks build (``_Point.windows``).
+Long random draws and the decision blocks run on the shared block pool
 (``distributions.block_pool``), the program's only thread pool, and the rest
 on the calling thread.  ``AUD_LAB_THREADS`` caps the pool's threads; one
 thread runs everything in sequence, and no result depends on it.  A sample
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import analytic
 from .decisions import _age_sum, _with_margin, aoi_path, time_average_aoi
-from .distributions import BLOCK_SIZE, SeededStream, block_pool, splitmix64, worker_limit
+from .distributions import _MASK64, BLOCK_SIZE, SeededStream, block_pool, splitmix64, worker_limit
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
     SystemParams,
@@ -64,8 +64,6 @@ SWEEP_CSV_HEADER = (
 )
 
 VALIDATION_CSV_HEADER = "check,passed,observed,expected,tolerance,detail"
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Goodness-of-fit tests use at most this many post-warm-up samples.
 KS_MAX_SAMPLES = 100_000
@@ -446,9 +444,11 @@ class _Windows(NamedTuple):
 
 @dataclass(frozen=True)
 class _Point:
-    """One simulated (lambda, mu) point: its trace, seed, warm-up cut, time windows and samples.
+    """What one simulated point measured: trace, seed, warm-up cut, time windows and samples.
 
-    The AUD_BATCHES windows between consecutive ``edges`` split the run from
+    It holds no rates: the checks take the rates they judge the point
+    against as an argument, so one point can meet several oracles.  The
+    AUD_BATCHES windows between consecutive ``edges`` split the run from
     the warm-up's last departure, or the first departure, where the age path
     begins, if that is later, to the last departure.  A correlated mean is
     the total of its samples in the windows over their count, with the ratio
@@ -458,14 +458,13 @@ class _Point:
     """
 
     config: ExperimentConfig
-    params: SystemParams
     seed: int
     trace: UpdateTrace
     warm: int  # updates cut as warm-up
     warm_epoch: float  # departure of the last warm-up update, 0.0 without one
     edges: np.ndarray  # AUD_BATCHES + 1 window edges in time
     estimates: dict | None = None  # aud(nu) for each distinct configured nu, ascending
-    lag: int = 0  # the full decorrelation_lag
+    lag: int = 0  # the full decorrelation_lag of the simulated utilization
     thinned: np.ndarray | None = None  # system times after the warm-up, every lag-th
     gaps: np.ndarray | None = None  # departure gaps after the warm-up
 
@@ -575,8 +574,7 @@ class _Point:
         of addition of the whole run, from slices of the trace, so no
         temporary outgrows a window.  The occupancy columns stop at MAX_LEVEL,
         and a check keeps those it tests.  Only the checks read it, behind
-        their floors, so the sweep and nu-invariance never build it; it reads
-        no ``params``, which a wrong-oracle study replaces.
+        their floors, so the sweep and nu-invariance never build it.
         """
         trace, edges = self.trace, self.edges
         arr, dep = trace.arrival_times, trace.departure_times
@@ -610,25 +608,40 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
     warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
     edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), trace.last_departure,
                         AUD_BATCHES + 1)
-    point = _Point(config, params, seed, trace, warm, warm_epoch, edges)
+    point = _Point(config, seed, trace, warm, warm_epoch, edges)
     # one rate's decision blocks at a time, then the K-S samples, outside that phase
     estimates = {rate: point.aud(rate) for rate in sorted(set(config.decision_rates))}
-    return replace(point, estimates=estimates, **_ks_samples(point))
+    return replace(point, estimates=estimates, **_ks_samples(point, params))
 
 
-def _ks_samples(point: _Point) -> dict:
-    """The full ``decorrelation_lag``, the system times thinned at it and the departure gaps.
+def _ks_samples(point: _Point, params: SystemParams) -> dict:
+    """The ``decorrelation_lag`` of ``params``, the system times thinned at it, the departure gaps.
 
     Both samples start after the warm-up and hold at most KS_MAX_SAMPLES
     values.  They are taken from slices of the epoch columns, so no
     full-length column is built.
     """
     arr, dep, warm = point.trace.arrival_times, point.trace.departure_times, point.warm
-    lag = decorrelation_lag(point.params.utilization)
+    lag = decorrelation_lag(params.utilization)
     stop = warm + lag * KS_MAX_SAMPLES
     m = min(KS_MAX_SAMPLES, len(dep) - warm - 1)
     return {"lag": lag, "thinned": dep[warm:stop:lag] - arr[warm:stop:lag],
             "gaps": dep[warm + 1:warm + 1 + m] - dep[warm:warm + m]}
+
+
+def _sizes(point: _Point) -> dict:
+    """The manifest's ``sizes`` record of a point: its updates, warm-up, decisions and samples."""
+    return {
+        "record": "sizes",
+        "n_updates": point.trace.n,
+        "warmup_updates": point.warm,
+        "warm_epoch": point.warm_epoch,
+        "decisions": [point.estimates[nu][1] for nu in point.config.decision_rates],
+        "window_length": float(point.edges[1] - point.edges[0]),
+        "ks_system_time_samples": len(point.thinned),
+        "ks_system_time_lag": point.lag,
+        "ks_interdeparture_samples": len(point.gaps),
+    }
 
 
 def _ks_p_value(samples: np.ndarray, rate: float) -> float | None:
@@ -664,12 +677,11 @@ def _differences(estimates) -> list[EstimateWithCI]:
                            a.confidence) for a, b in itertools.combinations(estimates, 2)]
 
 
-def _point_rows(point: _Point) -> list[SweepRow]:
-    """One row per configured decision rate of a simulated point, in the config's order.
+def _point_rows(point: _Point, params: SystemParams) -> list[SweepRow]:
+    """One row per configured decision rate of a point simulated at ``params``, in config order.
 
     A repeated rate reads the estimate the point holds for it.
     """
-    params = point.params
     lam, mu = params.arrival_rate, params.service_rate
     analytic_value = analytic.average_aud(params)
     ks_t_p = _ks_p_value(point.thinned, analytic.system_time_rate(params))
@@ -701,7 +713,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     columns = (np.empty(config.n_updates), np.empty(config.n_updates))
     for i, (lam, mu) in enumerate(itertools.product(config.arrival_rates, config.service_rates)):
         params = SystemParams(lam, mu)
-        rows += (_point_rows(_simulate_point(config, i, params, columns)) if params.is_stable else
+        rows += (_point_rows(_simulate_point(config, i, params, columns), params)
+                 if params.is_stable else
                  [SweepRow(lam, mu, nu, *[None] * 7, "unstable") for nu in config.decision_rates])
     result = SweepResult(config, tuple(rows))
     _write_outputs(config, "sweep", result, started, workers)
@@ -735,13 +748,13 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     params = SystemParams(config.arrival_rates[0], config.service_rates[0])
     analytic.require_stable(params)
     point = _simulate_point(config, 0, params)
-    sweep = SweepResult(config, tuple(_point_rows(point)))
+    sweep = SweepResult(config, tuple(_point_rows(point, params)))
     estimates = {nu: est for nu, (est, _) in point.estimates.items() if est is not None}
     consistent, worst, z = None, math.nan, math.nan
     if len(estimates) >= 2:
         consistent, worst, _, z, _ = _within(_differences(estimates.values()), 0.0,
                                              1.0 - config.confidence)
-    _write_outputs(config, "nu_invariance", sweep, started, workers)
+    _write_outputs(config, "nu_invariance", sweep, started, workers, (_sizes(point),))
     return NuInvarianceResult(sweep, estimates, worst, z, consistent)
 
 
@@ -811,50 +824,50 @@ def _estimate(point: _Point, nu: float) -> EstimateWithCI:
     return est
 
 
-def aud_mc_vs_theory(point: _Point, alpha: float) -> tuple:
-    theory = analytic.average_aud(point.params)
+def aud_mc_vs_theory(point: _Point, params: SystemParams, alpha: float) -> tuple:
+    theory = analytic.average_aud(params)
     ests = {nu: _estimate(point, nu) for nu in point.config.decision_rates}
     return _within(ests.values(), theory, alpha, f"theory={theory:.6g}; rates={sorted(ests)}")
 
 
-def aud_nu_invariance(point: _Point, alpha: float) -> tuple:
+def aud_nu_invariance(point: _Point, params: SystemParams, alpha: float) -> tuple:
     by_rate = [_estimate(point, nu) for nu in point.estimates]
     return _within(_differences(by_rate), 0.0, alpha, "pairwise on the shared trace")
 
 
-def ks_system_time(point: _Point, alpha: float) -> tuple:
-    ks = ks_exponential(point.thinned, analytic.system_time_rate(point.params))
+def ks_system_time(point: _Point, params: SystemParams, alpha: float) -> tuple:
+    ks = ks_exponential(point.thinned, analytic.system_time_rate(params))
     return (ks.p_value >= alpha, ks.p_value, alpha, 0.0,
             f"n={ks.n}; D={ks.statistic:.6g}; lag={point.lag}")
 
 
-def ks_interdeparture(point: _Point, alpha: float) -> tuple:
-    ks = ks_exponential(point.gaps, point.params.arrival_rate)
+def ks_interdeparture(point: _Point, params: SystemParams, alpha: float) -> tuple:
+    ks = ks_exponential(point.gaps, params.arrival_rate)
     return ks.p_value >= alpha, ks.p_value, alpha, 0.0, f"n={ks.n}; D={ks.statistic:.6g}"
 
 
 # The departure gaps are i.i.d. (the departures are Poisson, by Burke's theorem).
-def interdeparture_mean(point: _Point, alpha: float) -> tuple:
+def interdeparture_mean(point: _Point, params: SystemParams, alpha: float) -> tuple:
     return _within([mean_ci(point.gaps, point.config.confidence)],
-                   analytic.mean_interdeparture(point.params), alpha)
+                   analytic.mean_interdeparture(params), alpha)
 
 
-def interdeparture_second_moment(point: _Point, alpha: float) -> tuple:
+def interdeparture_second_moment(point: _Point, params: SystemParams, alpha: float) -> tuple:
     gaps = point.gaps
     _require(len(gaps) >= MIN_SQUARED_GAPS,
              f"{len(gaps)} departure gaps; the squared-gap mean needs {MIN_SQUARED_GAPS}")
     return _within([mean_ci(gaps**2, point.config.confidence)],
-                   analytic.second_moment_interdeparture(point.params), alpha)
+                   analytic.second_moment_interdeparture(params), alpha)
 
 
-def queue_length_distribution(point: _Point, alpha: float) -> tuple:
+def queue_length_distribution(point: _Point, params: SystemParams, alpha: float) -> tuple:
     # Levels 0..k-1 and the tail >= k against the geometric law, k the first
     # of levels 0-MAX_LEVEL where the level or the tail after it expects fewer
     # than 5 arrivals per window: the normal law breaks down for rarer cells.
     # A level's fraction takes the same pieces whatever the top level counted.
     _batched(point)
-    pi = analytic.stationary_queue_dist(point.params, MAX_LEVEL)
-    expected = (point.params.arrival_rate * (point.edges[1] - point.edges[0])
+    pi = analytic.stationary_queue_dist(params, MAX_LEVEL)
+    expected = (params.arrival_rate * (point.edges[1] - point.edges[0])
                 * np.minimum(pi, 1.0 - np.cumsum(pi)))
     k = int((expected >= MIN_EXPECTED).sum())  # expected falls with the level
     _require(k > 0, f"fewer than {MIN_EXPECTED} arrivals per window expected at occupancy "
@@ -865,10 +878,10 @@ def queue_length_distribution(point: _Point, alpha: float) -> tuple:
                    np.append(pi[:k], 1 - pi[:k].sum()), alpha, f"levels 0-{k - 1} and >= {k}")
 
 
-def prob_busy_on_arrival(point: _Point, alpha: float) -> tuple:
+def prob_busy_on_arrival(point: _Point, params: SystemParams, alpha: float) -> tuple:
     # one indicator per update after the warm-up but the last
     span = _batched(point)
-    rho = analytic.prob_busy_on_arrival(point.params)
+    rho = analytic.prob_busy_on_arrival(params)
     expected = min(rho, 1.0 - rho) * span
     _require(expected >= MIN_EXPECTED,
              f"{expected:.3g} busy or idle arrivals expected per window; below {MIN_EXPECTED}")
@@ -876,14 +889,13 @@ def prob_busy_on_arrival(point: _Point, alpha: float) -> tuple:
     return _within([ratio_ci(windows.busy, windows.counts, point.config.confidence)], rho, alpha)
 
 
-def mgf_mixture_identity(point: _Point, alpha: float) -> tuple:
-    # Busy/idle mixture must reassemble the plain rate transform.
-    params, s_stream = point.params, SeededStream(point.config.seed, 0xC0FFEE)
-    s_hi = params.arrival_rate  # the smaller rate of a stable point
-    s_values = -2.0 * s_hi + 2.95 * s_hi * np.asarray(s_stream.uniform_open(10))
-    rho = params.utilization
+def mgf_mixture_identity(point: _Point, params: SystemParams, alpha: float) -> tuple:
+    # Busy/idle mixture must reassemble the plain rate transform, at s up to
+    # 0.95 times the arrival rate, the smaller rate of a stable point.
+    s_hi, rho = params.arrival_rate, params.utilization
+    u = SeededStream(point.config.seed, 0xC0FFEE).uniform_open(10)
     worst_mgf = 0.0
-    for s in map(float, s_values):
+    for s in map(float, -2.0 * s_hi + 2.95 * s_hi * u):
         mixed = (rho * analytic.interdeparture_mgf_given_busy_arrival(params, s)
                  + (1.0 - rho) * analytic.interdeparture_mgf_given_idle_arrival(params, s))
         direct = analytic.interdeparture_mgf(params, s)
@@ -891,18 +903,18 @@ def mgf_mixture_identity(point: _Point, alpha: float) -> tuple:
     return worst_mgf <= 1e-10, worst_mgf, 0.0, 1e-10
 
 
-def cross_moment(point: _Point, alpha: float) -> tuple:
+def cross_moment(point: _Point, params: SystemParams, alpha: float) -> tuple:
     # each departure gap after the warm-up times the system time before it
     _batched(point)
-    theory = analytic.cross_moment_system_interdeparture(point.params)
+    theory = analytic.cross_moment_system_interdeparture(params)
     windows = point.windows
     est = ratio_ci(windows.products, windows.counts, point.config.confidence)
     return _within([est], theory, alpha, f"theory={theory:.6g}")
 
 
-def aud_dual_path(point: _Point, alpha: float) -> tuple:
+def aud_dual_path(point: _Point, params: SystemParams, alpha: float) -> tuple:
     # Two derivations of the average age must coincide across the stable region.
-    u = np.asarray(SeededStream(point.config.seed, 0xD0A1).uniform_open(200)).reshape(100, 2)
+    u = SeededStream(point.config.seed, 0xD0A1).uniform_open(200).reshape(100, 2)
     worst_dual = 0.0
     for u_rho, u_mu in u:
         mu_r = 0.1 + 9.9 * u_mu
@@ -916,7 +928,7 @@ def aud_dual_path(point: _Point, alpha: float) -> tuple:
 
 # Shape of the closed form: U in arrival rate, decreasing in service rate,
 # and blowing up faster as service capacity vanishes than as arrivals do.
-def shape_lambda_u_curve(point: _Point, alpha: float) -> tuple:
+def shape_lambda_u_curve(point: _Point, params: SystemParams, alpha: float) -> tuple:
     rho_grid = np.linspace(0.01, 0.99, 999)
     curve = np.array([analytic.average_aud(SystemParams(r, 1.0)) for r in rho_grid])
     interior_min = int(np.argmin(curve))
@@ -930,14 +942,14 @@ def shape_lambda_u_curve(point: _Point, alpha: float) -> tuple:
     return u_ok, rho_at_min, 0.525, 0.075, "interior minimum of the arrival-rate sweep"
 
 
-def shape_mu_decreasing(point: _Point, alpha: float) -> tuple:
+def shape_mu_decreasing(point: _Point, params: SystemParams, alpha: float) -> tuple:
     mu_grid = np.linspace(0.6, 3.0, 200)
     mu_curve = np.array([analytic.average_aud(SystemParams(0.5, m)) for m in mu_grid])
     return (bool((np.diff(mu_curve) < 0).all()), float(np.max(np.diff(mu_curve))), 0.0,
             0.0, "age strictly decreases with service rate")
 
 
-def shape_divergence_asymmetry(point: _Point, alpha: float) -> tuple:
+def shape_divergence_asymmetry(point: _Point, params: SystemParams, alpha: float) -> tuple:
     try:
         service_starved = analytic.average_aud(SystemParams(0.5, 0.05))
     except StabilityError:
@@ -947,7 +959,7 @@ def shape_divergence_asymmetry(point: _Point, alpha: float) -> tuple:
             "service starvation must dominate arrival starvation")
 
 
-def pasta_time_average(point: _Point, alpha: float) -> tuple:
+def pasta_time_average(point: _Point, params: SystemParams, alpha: float) -> tuple:
     # Poisson decisions sample the time average of the age path (PASTA).  The
     # median configured rate (the upper one of an even count) draws nothing extra.
     rates = list(point.estimates)
@@ -958,11 +970,11 @@ def pasta_time_average(point: _Point, alpha: float) -> tuple:
 
 # Validation's checks in row order, each with whether it is exact: a closed-form
 # identity or shape, which takes no share of 1 - confidence.  A check is a
-# function of a point and alpha, its share, named after its row.  It returns its
-# verdict, observed, expected and tolerance values and detail, or raises
-# InsufficientDataError (a skipped row) where its sample is below its estimator's
-# floor.  The closed forms are evaluated at ``point.params``, so a point
-# simulated at other rates meets the wrong oracle.
+# function of a point, the rates it is judged at and alpha, its share, named
+# after its row.  It returns its verdict, observed, expected and tolerance values
+# and detail, or raises InsufficientDataError (a skipped row) where its sample is
+# below its estimator's floor.  The closed forms are evaluated at the rates the
+# caller passes, so rates other than the simulated ones are a wrong oracle.
 CHECKS = (
     (aud_mc_vs_theory, False), (aud_nu_invariance, False), (ks_system_time, False),
     (ks_interdeparture, False), (interdeparture_mean, False),
@@ -973,36 +985,23 @@ CHECKS = (
 )
 
 
-def _validation_checks(point: _Point) -> tuple[list[CheckResult], dict]:
-    """The ``CHECKS`` rows of one simulated point, in order, and the run sizes for the manifest.
+def _validation_checks(point: _Point, params: SystemParams) -> list[CheckResult]:
+    """The ``CHECKS`` rows of one simulated point judged at ``params``, in order.
 
     ``aud_nu_invariance`` needs two distinct decision rates.  alpha, fixed
     before the first check runs, splits 1 - confidence over the statistical ones.
     """
-    config, trace = point.config, point.trace
     checks = [(check, exact) for check, exact in CHECKS
               if check is not aud_nu_invariance or len(point.estimates) > 1]
-    alpha = (1.0 - config.confidence) / sum(not exact for _, exact in checks)
+    alpha = (1.0 - point.config.confidence) / sum(not exact for _, exact in checks)
     rows = []
     for check, _ in checks:
         try:
-            passed, *rest = check(point, alpha)
+            passed, *rest = check(point, params, alpha)
         except InsufficientDataError as exc:
             passed, rest = None, (math.nan, math.nan, math.nan, str(exc))
         rows.append(CheckResult(check.__name__, None if passed is None else bool(passed), *rest))
-
-    sizes = {
-        "record": "sizes",
-        "n_updates": trace.n,
-        "warmup_updates": point.warm,
-        "warm_epoch": point.warm_epoch,
-        "decisions": [point.estimates[nu][1] for nu in config.decision_rates],
-        "window_length": float(point.edges[1] - point.edges[0]),
-        "ks_system_time_samples": len(point.thinned),
-        "ks_system_time_lag": point.lag,
-        "ks_interdeparture_samples": len(point.gaps),
-    }
-    return rows, sizes
+    return rows
 
 
 def run_validation(config: ExperimentConfig) -> ValidationReport:
@@ -1012,7 +1011,7 @@ def run_validation(config: ExperimentConfig) -> ValidationReport:
     workers = worker_limit()
     params = SystemParams(config.arrival_rates[0], config.service_rates[0])
     analytic.require_stable(params)
-    checks, sizes = _validation_checks(_simulate_point(config, 0, params))
-    report = ValidationReport(config, tuple(checks))
-    _write_outputs(config, "validate", report, started, workers, (sizes,))
+    point = _simulate_point(config, 0, params)
+    report = ValidationReport(config, tuple(_validation_checks(point, params)))
+    _write_outputs(config, "validate", report, started, workers, (_sizes(point),))
     return report

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -43,6 +44,8 @@ def test_validate_calibration_runs(tmp_path, flags, cells):
     summaries = [line for line in proc.stdout.splitlines() if line.startswith("rho=")]
     assert len(summaries) == len(cells)
     assert all(line.startswith(cell) for line, cell in zip(summaries, cells))
+    # every cell line ends with its wall time
+    assert all(re.search(r" \(\d+ s\)$", line) for line in summaries), summaries
 
 
 def test_readme_quickstart_runs(capsys):

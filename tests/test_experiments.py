@@ -178,21 +178,34 @@ def test_runners_check_their_shape_before_simulating(run, config, message, monke
 
 
 def test_each_runner_records_its_own_mode(tmp_path):
+    # validate and nu-invariance, the single-point runners, also record the point's sizes
     config = ExperimentConfig(decision_rates=(1.0, 2.0), n_updates=2000, seed=3)
 
-    def mode(path):
+    def mode_and_sizes(path):
         with open(manifest_path_for(str(path))) as fh:
-            return json.loads(fh.readline())["mode"]
+            records = [json.loads(line) for line in fh]
+        return records[0]["mode"], sum(r["record"] == "sizes" for r in records)
 
-    for run, name in ((run_sweep, "sweep"), (run_nu_invariance, "nu_invariance"),
-                      (run_validation, "validate")):
+    for run, name, sizes in ((run_sweep, "sweep", 0), (run_nu_invariance, "nu_invariance", 1),
+                             (run_validation, "validate", 1)):
         out = tmp_path / f"{name}.csv"
         run(replace(config, output_path=str(out)))
-        assert mode(out) == name
+        assert mode_and_sizes(out) == (name, sizes)
         out = tmp_path / f"cli-{name}.csv"
         code = cli_main([name.replace("_", "-"), "--nu", "1,2", "--updates", "2000",
                          "--seed", "3", "--out", str(out)])
-        assert code in (0, 1) and mode(out) == name
+        assert code in (0, 1) and mode_and_sizes(out) == (name, sizes)
+
+
+def test_nu_invariance_records_the_sizes_validate_records(tmp_path):
+    config = ExperimentConfig(decision_rates=(0.1, 1.0, 10.0), n_updates=20_000, seed=8)
+    sizes = []
+    for run, name in ((run_nu_invariance, "nu"), (run_validation, "validate")):
+        out = tmp_path / f"{name}.csv"
+        run(replace(config, output_path=str(out)))
+        with open(manifest_path_for(str(out)), "rb") as fh:
+            sizes.append([line for line in fh if b'"record": "sizes"' in line])
+    assert len(sizes[0]) == 1 and sizes[0] == sizes[1]
 
 
 def test_derived_seeds_are_distinct():
@@ -478,18 +491,17 @@ def test_validation_small_run_skips_the_checks_below_their_floors():
 def test_validation_power_against_wrong_oracle():
     # checking a (0.5, 1) trace against the closed forms at (1, 2) doubles
     # every reference rate, which must break the goodness-of-fit checks
-    config = ExperimentConfig(n_updates=50_000, seed=6)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
-    checks, _ = _validation_checks(replace(point, params=SystemParams(1.0, 2.0)))
-    failed = {c.name for c in checks if not c.passed}
+    config, params = ExperimentConfig(n_updates=50_000, seed=6), SystemParams(0.5, 1.0)
+    point = _simulate_point(config, 0, params)
+    failed = {c.name for c in _validation_checks(point, SystemParams(1.0, 2.0)) if not c.passed}
     assert "ks_system_time" in failed and "ks_interdeparture" in failed
     # rates 1% off at 1e6 updates: the mean age misses theory by ~6 of its
     # standard errors, which a fixed 1% tolerance on it did not see
     point = _simulate_point(replace(config, n_updates=1_000_000, decision_rates=(0.1, 1.0),
-                                    seed=7001), 0, SystemParams(0.5, 1.0))
-    checks, _ = _validation_checks(replace(point, params=SystemParams(0.505, 1.01)))
+                                    seed=7001), 0, params)
+    checks = _validation_checks(point, SystemParams(0.505, 1.01))
     assert "aud_mc_vs_theory" in {c.name for c in checks if c.passed is False}
-    checks, _ = _validation_checks(point)
+    checks = _validation_checks(point, params)
     assert all(c.passed for c in checks)
     gated = [c for c in checks if not c.name.startswith(("ks_", "shape_"))]
     assert len(gated) == 10 and all(c.observed <= c.tolerance for c in gated)
@@ -1407,7 +1419,7 @@ def test_the_decision_cap_rate_holds_one_block_per_pool_thread(monkeypatch):
     rate = experiments.MAX_COLUMN / experiments.AUD_BATCHES
     # a hand-built point: three windows of length 1 from its first departure
     trace = UpdateTrace(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 3.5]))
-    point = experiments._Point(ExperimentConfig(), SystemParams(0.5, 1.0), 9, trace, 0, 0.0,
+    point = experiments._Point(ExperimentConfig(), 9, trace, 0, 0.0,
                                np.array([0.5, 1.5, 2.5, 3.5]))
     counts, ratio = [], experiments.ratio_ci
 
@@ -1437,7 +1449,7 @@ def test_the_decision_bookkeeping_does_not_grow_with_the_block_count(monkeypatch
     # is added, so the traced peak beyond the blocks' arrays is the same
     monkeypatch.setenv("AUD_LAB_THREADS", "2")
     trace = UpdateTrace(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 3.5]))
-    point = experiments._Point(ExperimentConfig(), SystemParams(0.5, 1.0), 9, trace, 0, 0.0,
+    point = experiments._Point(ExperimentConfig(), 9, trace, 0, 0.0,
                                np.array([0.5, 1.5, 2.5, 3.5]))
     point.aud(1.0)  # starts the pool's threads before tracing
     blocks, peaks = recording_blocks(monkeypatch), []
@@ -1665,10 +1677,10 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result["attempts"] == []
 
 
-def ks_samples_reference(point):
-    """The K-S samples as views of the full-length derived columns."""
+def ks_samples_reference(point, params):
+    """The K-S samples of a point simulated at ``params``, as views of the full-length columns."""
     trace, warm = point.trace, point.warm
-    lag = decorrelation_lag(point.params.utilization)
+    lag = decorrelation_lag(params.utilization)
     return (lag, trace.system_times[warm:][::lag][:experiments.KS_MAX_SAMPLES],
             trace.interdeparture_times[warm:][:experiments.KS_MAX_SAMPLES])
 
@@ -1681,7 +1693,7 @@ def test_ks_samples_from_column_slices(cap, monkeypatch):
     for n, warmup in ((30_000, None), (30_000, 0), (5000, 4998), (2, 1), (1, None), (1, 0)):
         config = ExperimentConfig(n_updates=n, seed=4, warmup_updates=warmup)
         point = _simulate_point(config, 0, params)
-        ref_lag, ref_thinned, ref_gaps = ks_samples_reference(point)
+        ref_lag, ref_thinned, ref_gaps = ks_samples_reference(point, params)
         assert point.lag == ref_lag
         assert np.array_equal(point.thinned, ref_thinned)
         assert np.array_equal(point.gaps, ref_gaps)
@@ -1692,14 +1704,15 @@ def test_ks_samples_from_column_slices(cap, monkeypatch):
 
 def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
     config = ExperimentConfig(n_updates=100_000, seed=21)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
-    trace, params = point.trace, point.params
-    checks = {c.name: c for c in _validation_checks(point)[0]}
+    params = SystemParams(0.5, 1.0)
+    point = _simulate_point(config, 0, params)
+    trace = point.trace
+    checks = {c.name: c for c in _validation_checks(point, params)}
     alpha = (1.0 - config.confidence) / 10
 
     def row(check, *gate):
         want = _within(*gate)
-        assert check(point, alpha) == want
+        assert check(point, params, alpha) == want
         got = checks[check.__name__]
         assert (got.passed, got.observed, got.expected, got.tolerance, got.detail) == want
 
@@ -1728,15 +1741,16 @@ def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
 
 
 def test_each_check_alone_on_a_fresh_point_gives_its_validate_row():
-    # a check reads only its point and alpha, so it gives the same row in any
-    # order, run alone on a point simulated afresh
+    # a check reads only its point, the rates and alpha, so it gives the same
+    # row in any order, run alone on a point simulated afresh
     config = ExperimentConfig(n_updates=20_000, seed=7)
     report = run_validation(config)
     assert [c.name for c in report.checks] == [check.__name__ for check, _ in CHECKS]
     rows = {c.name: c.as_csv() for c in report.checks}
     alpha = (1.0 - config.confidence) / sum(not exact for _, exact in CHECKS)
+    params = SystemParams(0.5, 1.0)
     for check, _ in reversed(CHECKS):
-        passed, *rest = check(_simulate_point(config, 0, SystemParams(0.5, 1.0)), alpha)
+        passed, *rest = check(_simulate_point(config, 0, params), params, alpha)
         assert CheckResult(check.__name__, bool(passed), *rest).as_csv() == rows[check.__name__]
 
 
@@ -1759,13 +1773,35 @@ def test_validation_outputs_do_not_depend_on_the_thread_count(config, tmp_path, 
 
 def test_checks_read_the_trace_only_through_the_window_table():
     # once the table is built, a trace of zeros of the same length leaves every row as it was
-    config = ExperimentConfig(n_updates=20_000, seed=7)
-    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
-    rows = [c.as_csv() for c in _validation_checks(point)[0]]
+    config, params = ExperimentConfig(n_updates=20_000, seed=7), SystemParams(0.5, 1.0)
+    point = _simulate_point(config, 0, params)
+    rows = [c.as_csv() for c in _validation_checks(point, params)]
     assert "windows" in vars(point) and "skipped" not in "".join(rows)
     zeros = np.zeros(point.trace.n)
     object.__setattr__(point, "trace", UpdateTrace(zeros, zeros))
-    assert [c.as_csv() for c in _validation_checks(point)[0]] == rows
+    assert [c.as_csv() for c in _validation_checks(point, params)] == rows
+
+
+def test_one_point_is_judged_at_other_rates_without_a_copy(monkeypatch):
+    # the rates are an argument of every judge: one point judged at its own
+    # rates and at 1% off builds its window table once (a copy of the point
+    # per oracle built it again), draws no decision and keeps every field
+    config, params = ExperimentConfig(n_updates=20_000, seed=7), SystemParams(0.5, 1.0)
+    point = _simulate_point(config, 0, params)
+    measured = {f.name: getattr(point, f.name) for f in fields(point)}
+    calls, occupancy = [], experiments.occupancy_fractions
+
+    def counted(*args):
+        calls.append(args)
+        return occupancy(*args)
+
+    monkeypatch.setattr(experiments, "occupancy_fractions", counted)
+    blocks = recording_blocks(monkeypatch)
+    own = [c.as_csv() for c in _validation_checks(point, params)]
+    wrong = [c.as_csv() for c in _validation_checks(point, SystemParams(0.505, 1.01))]
+    assert len(calls) == experiments.AUD_BATCHES and blocks == []
+    assert all(getattr(point, name) is value for name, value in measured.items())
+    assert own == [c.as_csv() for c in run_validation(config).checks] != wrong
 
 
 def test_every_check_survives_the_ties_of_a_long_run(monkeypatch):
@@ -1790,11 +1826,11 @@ def test_every_check_survives_the_ties_of_a_long_run(monkeypatch):
     alpha = (1.0 - config.confidence) / sum(not exact for _, exact in CHECKS)
     for check, _ in CHECKS:
         try:
-            passed, *numbers = check(point, alpha)
+            passed, *numbers = check(point, params, alpha)
         except InsufficientDataError:
             continue
         assert isinstance(passed, (bool, np.bool_)) and len(numbers) in (3, 4)
-    assert all(c.passed for c in _validation_checks(point)[0])
+    assert all(c.passed for c in _validation_checks(point, params))
 
 
 def test_validation_runs_its_estimates_and_windows_on_the_calling_thread(monkeypatch):
@@ -1907,7 +1943,7 @@ def test_validation_checks_hold_no_column_beyond_the_trace(monkeypatch):
     monkeypatch.setattr(experiments, "simulate", lambda *args: trace)
     tracemalloc.start()
     try:
-        _validation_checks(_simulate_point(config, 0, params))
+        _validation_checks(_simulate_point(config, 0, params), params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -27,8 +27,7 @@ from .experiments import (
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     for key, (_, _, help_text) in _CONFIG_KEYS.items():
-        if help_text:
-            parser.add_argument(f"--{key}", help=help_text)
+        parser.add_argument(f"--{key}", help=help_text)
 
 
 def _overrides(args: argparse.Namespace) -> dict:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import SeededStream, _require_positive, exponential_epochs
-from .errors import InsufficientDataError, ParameterError, TruncationError
+from .errors import ParameterError, TruncationError
 from .queueing import UpdateTrace
 
 
@@ -86,8 +86,6 @@ def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
     exactly the records of the same slice of a call on all of them.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if trace.n < 1:
-        raise InsufficientDataError("empty trace")
     if not (times[1:] >= times[:-1]).all():
         raise ParameterError("decision epochs must be sorted")
     m = len(times)
@@ -199,8 +197,6 @@ def aoi_path(trace: UpdateTrace, start: float | None = None, end: float | None =
     full-length column, and ``time_average_aoi`` over the window takes the
     same terms as on the whole path.
     """
-    if trace.n < 1:
-        raise InsufficientDataError("empty trace")
     dep, arr = trace.departure_times, trace.arrival_times
     if start is not None:
         a, b = np.searchsorted(dep, (start, end), side="right")

@@ -146,9 +146,9 @@ class SeededStream:
             raise ParameterError(f"stream_id must be an integer, got {stream_id!r}")
         if not 0 <= seed <= _MASK64:
             raise ParameterError(f"seed must fit in 64 bits, got {seed}")
-        if stream_id < 0:
-            raise ParameterError(f"stream_id must be non-negative, got {stream_id}")
-        stream_id = int(stream_id) & _MASK64
+        if not 0 <= stream_id <= _MASK64:
+            raise ParameterError(f"stream_id must lie in [0, 2^64), got {stream_id}")
+        stream_id = int(stream_id)
         # the key ``Philox(seed_seq)`` takes, with its counter at 0
         self._key = SeedSequence(entropy=int(seed), spawn_key=(
             stream_id & 0xFFFFFFFF, stream_id >> 32)).generate_state(2, np.uint64)

@@ -144,15 +144,8 @@ class ExperimentConfig:
     seed: int = 42
     confidence: float = 0.99
     output_path: str | None = None
-    warmup_updates: int | None = None  # None: max(1000, 1% of n), capped at half
 
     def __post_init__(self):
-        if self.warmup_updates is not None and not (
-            0 <= self.warmup_updates < self.n_updates
-        ):
-            raise ParameterError(
-                f"warmup_updates must lie in [0, n_updates), got {self.warmup_updates}"
-            )
         for name in ("arrival_rates", "service_rates", "decision_rates"):
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -224,9 +217,8 @@ def parse_rates(text: str) -> tuple:
 
 
 # The one table of input keys: each config-file key names its ExperimentConfig
-# field, the converter of its text and the help of the CLI flag of its name
-# (None: a config-file key only).  The flags, config files and the manifest's
-# config record all read it.
+# field, the converter of its text and the help of the CLI flag of its name.
+# The flags, config files and the manifest's config record all read it.
 _CONFIG_KEYS = {
     "lambda": ("arrival_rates", parse_rates, "arrival rate(s)"),
     "mu": ("service_rates", parse_rates, "service rate(s)"),
@@ -237,7 +229,6 @@ _CONFIG_KEYS = {
     "out": ("output_path", str.strip, "output CSV path"),
     "confidence": ("confidence", lambda s: _parse_number(s, float, "confidence"),
                    "CI confidence level"),
-    "warmup": ("warmup_updates", lambda s: _parse_number(s, int, "warmup"), None),
 }
 
 
@@ -425,12 +416,6 @@ def _require_single_point(config: ExperimentConfig, mode: str) -> None:
         raise ParameterError(f"{mode} runs a single (lambda, mu) point")
 
 
-def _warmup_count(config: ExperimentConfig, n: int) -> int:
-    if config.warmup_updates is not None:
-        return min(config.warmup_updates, n - 1)
-    return default_warmup(n)
-
-
 class _Windows(NamedTuple):
     """``_Point.windows``: a point's trace sums, one row per time window."""
 
@@ -604,7 +589,7 @@ def _simulate_point(config: ExperimentConfig, grid_index: int, params: SystemPar
             f"decision rate {nu!r} over the simulated horizon {trace.last_departure!r} draws "
             f"about {nu * trace.last_departure:.3g} decisions; the cap is {MAX_COLUMN} values "
             "per column")
-    warm = _warmup_count(config, trace.n)
+    warm = default_warmup(trace.n)
     warm_epoch = float(trace.departure_times[warm - 1]) if warm >= 1 else 0.0
     edges = np.linspace(max(warm_epoch, float(trace.departure_times[0])), trace.last_departure,
                         AUD_BATCHES + 1)
@@ -804,7 +789,10 @@ class ValidationReport:
 
 
 def _batched(point: _Point) -> int:
-    """The updates in a window, as ``_Point.windows`` cuts them, if window means are usable.
+    """The mean updates per window, rounded down, if window means are usable.
+
+    That is the updates after the warm-up but the last over AUD_BATCHES; the
+    windows ``_Point.windows`` cuts by time hold more or fewer each.
 
     They are near-independent once a window spans the decorrelation lag, and
     near-normal once it holds a few updates.

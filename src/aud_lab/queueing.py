@@ -122,9 +122,6 @@ class UpdateTrace:
         if not (dep >= arr).all():
             raise ParameterError("each update needs arrival <= departure")
 
-    def __len__(self) -> int:
-        return len(self.arrival_times)
-
     @property
     def n(self) -> int:
         return len(self.arrival_times)

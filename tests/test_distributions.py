@@ -89,7 +89,7 @@ def test_invalid_spec_parameters(bad):
         bad()
 
 
-@pytest.mark.parametrize("seed,stream_id", [(-1, 0), (2**64, 0), (0, -1), (1.5, 0)])
+@pytest.mark.parametrize("seed,stream_id", [(-1, 0), (2**64, 0), (0, -1), (1.5, 0), (0, 2**64)])
 def test_invalid_stream_arguments(seed, stream_id):
     with pytest.raises(ParameterError):
         SeededStream(seed, stream_id)

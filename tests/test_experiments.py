@@ -48,6 +48,7 @@ from aud_lab.queueing import (
     SystemParams,
     UpdateTrace,
     arrivals_seeing_busy,
+    default_warmup,
     occupancy_fractions,
     queue_length_process,
     simulate,
@@ -55,6 +56,12 @@ from aud_lab.queueing import (
 from aud_lab.stats import EstimateWithCI, mean_ci, ratio_ci, z_value
 
 SMALL = dict(n_updates=50_000, seed=11)
+
+
+def cut_warmup(monkeypatch, updates):
+    """Make every point cut ``updates`` as its warm-up (None: ``default_warmup``'s rule)."""
+    rule = default_warmup if updates is None else lambda n: updates
+    monkeypatch.setattr(experiments, "default_warmup", rule)
 
 
 def non_timing_lines(path):
@@ -108,8 +115,7 @@ def test_overrides_beat_file_values(tmp_path):
 @pytest.mark.parametrize("config,mode", [
     (ExperimentConfig(arrival_rates=(0.3, 0.6), service_rates=(1.0, 2.0), decision_rates=(1.0,),
                       n_updates=2000, seed=5, output_path="s.csv"), "sweep"),
-    (ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95, warmup_updates=10),
-     "validate"),
+    (ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95), "validate"),
 ], ids=["sweep", "validate"])
 def test_manifest_config_record_rebuilds_the_config(config, mode, tmp_path):
     manifest = tmp_path / "m.jsonl"
@@ -130,8 +136,9 @@ def test_manifest_config_record_rebuilds_the_config(config, mode, tmp_path):
 def test_one_key_table_sets_every_field_and_names_every_flag(capsys):
     keyed = [field for field, _, _ in experiments._CONFIG_KEYS.values()]
     assert sorted(keyed) == sorted(f.name for f in fields(ExperimentConfig))
-    flags = [f"--{key}" for key, (_, _, help_text) in experiments._CONFIG_KEYS.items()
-             if help_text]
+    # every key is a flag, with help
+    assert all(help_text for _, _, help_text in experiments._CONFIG_KEYS.values())
+    flags = [f"--{key}" for key in experiments._CONFIG_KEYS]
     assert flags == ["--lambda", "--mu", "--nu", "--updates", "--seed", "--out",
                      "--confidence"]
     for verb in ("sweep", "nu-invariance", "validate"):
@@ -431,22 +438,19 @@ def test_nu_invariance_tiny_trace_no_crash():
     assert all(row.n_decisions is not None for row in result.sweep.rows)
 
 
-def test_warmup_is_configurable(tmp_path):
+def test_sweep_row_without_a_warmup_averages_from_the_first_departure(monkeypatch):
     base = ExperimentConfig(arrival_rates=(0.5,),
                             service_rates=(1.0,), decision_rates=(1.0,),
                             n_updates=20_000, seed=5)
     default_row = run_sweep(base).rows[0]
-    no_warm_row = run_sweep(
-        ExperimentConfig(arrival_rates=(0.5,),
-                         service_rates=(1.0,), decision_rates=(1.0,),
-                         n_updates=20_000, seed=5, warmup_updates=0)
-    ).rows[0]
+    cut_warmup(monkeypatch, 0)
+    no_warm_row = run_sweep(base).rows[0]
     # dropping the warm-up keeps the transient decisions in the mean, and
     # the decisions ahead of the first departure stay out of it
     assert no_warm_row.n_decisions == default_row.n_decisions
     assert math.isfinite(no_warm_row.empirical_aud)
     assert no_warm_row.empirical_aud != default_row.empirical_aud
-    point = _simulate_point(replace(base, warmup_updates=0), 0, SystemParams(0.5, 1.0))
+    point = _simulate_point(base, 0, SystemParams(0.5, 1.0))
     assert point.warm == 0 and point.edges[0] == point.trace.departure_times[0]
     epochs = poisson_epochs(1.0, point.trace.last_departure,
                             SeededStream(derive_point_seed(5, 0), decision_stream_id(1.0)))
@@ -454,11 +458,6 @@ def test_warmup_is_configurable(tmp_path):
     assert no_warm_row.empirical_aud == pytest.approx(expected.mean, rel=1e-9)
     assert no_warm_row.ci_half_width == pytest.approx(expected.half_width, rel=1e-9)
     assert no_warm_row.n_undefined_decisions == decisions_at(point.trace, epochs).n_undefined > 0
-    with pytest.raises(ParameterError):
-        ExperimentConfig(n_updates=100, warmup_updates=100)
-    cfg = tmp_path / "w.cfg"
-    cfg.write_text("warmup = 500\n")
-    assert load_config_file(str(cfg))["warmup_updates"] == 500
 
 
 def test_validation_small_run_skips_the_checks_below_their_floors():
@@ -603,13 +602,12 @@ def test_validation_writes_deterministic_outputs(tmp_path):
     assert sizes["ks_interdeparture_samples"] == 18_999  # n - 1 gaps, less the warm-up
 
 
-def test_validation_without_warmup_returns_a_report(tmp_path, capsys):
-    report = run_validation(ExperimentConfig(n_updates=20_000, seed=8, warmup_updates=0))
+def test_validation_of_a_point_without_a_warmup_returns_a_report(monkeypatch, capsys):
+    cut_warmup(monkeypatch, 0)
+    report = run_validation(ExperimentConfig(n_updates=20_000, seed=8))
     assert len(report.checks) == 15
     assert all(math.isfinite(c.observed) for c in report.checks)
-    cfg = tmp_path / "cfg"
-    cfg.write_text("warmup = 0\nupdates = 20000\nseed = 8\n")
-    assert cli_main(["validate", "--config", str(cfg)]) in (0, 1)
+    assert cli_main(["validate", "--updates", "20000", "--seed", "8"]) in (0, 1)
     assert "error" not in capsys.readouterr().err
 
 
@@ -734,10 +732,11 @@ def test_batch_means_requires_enough_samples():
 
 @pytest.mark.parametrize("seed", [42, 1009])
 @pytest.mark.parametrize("regular", [False, True])
-def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular):
+def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular, monkeypatch):
     # Poisson epochs, or evenly spaced ones at gap 1 / nu
     for warmup in (0, 1000):
-        config = ExperimentConfig(n_updates=100_000, seed=seed, warmup_updates=warmup)
+        cut_warmup(monkeypatch, warmup)
+        config = ExperimentConfig(n_updates=100_000, seed=seed)
         point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
         trace = point.trace
         for nu in (0.1, 1.0, 10.0):
@@ -756,11 +755,12 @@ def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular):
             assert counts["undefined"] == decisions_at(trace, epochs).n_undefined
 
 
-def test_aud_estimate_small_branches():
+def test_aud_estimate_small_branches(monkeypatch):
     # an estimate needs 200 decisions in the windows: 199 give none, 200 give
     # the ratio over the 100 windows, most of them empty
     for warmup in (1500, 0):
-        config = ExperimentConfig(n_updates=3000, seed=4, warmup_updates=warmup)
+        cut_warmup(monkeypatch, warmup)
+        config = ExperimentConfig(n_updates=3000, seed=4)
         point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
         epochs = drawn_epochs(point, 1.0)
         start = int(np.searchsorted(epochs, point.edges[0], side="right"))
@@ -818,13 +818,14 @@ def test_segmented_decision_epochs_equal_one_whole_column(threads, monkeypatch):
         assert len(blocks) == math.ceil(drawn / size) > 15 * distributions.BLOCK_SIZE / size
 
 
-def test_decision_buffer_seams_match_the_whole_column():
+def test_decision_buffer_seams_match_the_whole_column(monkeypatch):
     # ~20 evenly spaced epochs and the end edge per window, 50 before the first
     # departure, and none in windows 11-12, 21-22, ..., 91-92.  Over blocks of
     # 4-89 epochs, blocks end exactly on an edge, inside the last window,
     # before the first departure (the undefined decisions span blocks) and
     # just before empty windows; below 21 a window spans blocks.
-    config = ExperimentConfig(n_updates=2000, seed=4, warmup_updates=0)
+    cut_warmup(monkeypatch, 0)
+    config = ExperimentConfig(n_updates=2000, seed=4)
     point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
     edges = point.edges
     grid = np.concatenate((np.linspace(0.0, edges[0], 52)[1:-1],
@@ -958,11 +959,12 @@ def test_sweep_points_reuse_one_pair_of_trace_columns(tmp_path, monkeypatch):
     assert [len(c) for c in columns[0]] == [20_000, 20_000]
 
 
-def test_batch_means_over_slices_match_the_whole_column():
+def test_batch_means_over_slices_match_the_whole_column(monkeypatch):
     # the busy indicator and the cross moment of validate, window by window
     # from slices of the trace, against math.fsum over the whole columns
     for lam, seed, warmup in ((0.5, 21, None), (0.9, 22, None), (0.5, 23, 0)):
-        config = ExperimentConfig(n_updates=100_000, seed=seed, warmup_updates=warmup)
+        cut_warmup(monkeypatch, warmup)
+        config = ExperimentConfig(n_updates=100_000, seed=seed)
         point = _simulate_point(config, 0, SystemParams(lam, 1.0))
         trace, cuts, windows = point.trace, update_cuts(point), point.windows
         assert cuts[0] == point.warm + (warmup == 0) and cuts[-1] == trace.n - 1
@@ -1319,7 +1321,7 @@ def test_cli_config_file_not_utf8_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["allow_unstable = true", "periodic_decisions = true",
                                   "mode = nonsense", "mode = validate", "n_updates = 3000",
-                                  "output = o.csv"])
+                                  "output = o.csv", "warmup = 0"])
 def test_cli_removed_config_keys_exit_2(tmp_path, capsys, line):
     # the verb is the mode, and each setting has one key
     cfg = tmp_path / "cfg"
@@ -1691,7 +1693,8 @@ def test_ks_samples_from_column_slices(cap, monkeypatch):
         monkeypatch.setattr(experiments, "KS_MAX_SAMPLES", cap)
     params = SystemParams(0.5, 1.0)
     for n, warmup in ((30_000, None), (30_000, 0), (5000, 4998), (2, 1), (1, None), (1, 0)):
-        config = ExperimentConfig(n_updates=n, seed=4, warmup_updates=warmup)
+        cut_warmup(monkeypatch, warmup)
+        config = ExperimentConfig(n_updates=n, seed=4)
         point = _simulate_point(config, 0, params)
         ref_lag, ref_thinned, ref_gaps = ks_samples_reference(point, params)
         assert point.lag == ref_lag

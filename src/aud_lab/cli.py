@@ -5,9 +5,9 @@ Verbs:
     nu-invariance  paired decision-rate comparison on one shared trace
     validate       run every oracle check against one simulated point
 
-Flag values override config-file values, and a flag's text is read as the
-config-file key of the same name.  ``--lambda`` / ``--mu`` / ``--nu``
-accept a single number, a comma list, or ``start:stop:step``.
+Every setting of a run is a flag; an unset flag keeps the ExperimentConfig
+default.  ``--lambda`` / ``--mu`` / ``--nu`` accept a single number, a comma
+list, or ``start:stop:step``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 from .errors import AudLabError
 from .experiments import (
     _CONFIG_KEYS,
-    build_config,
+    ExperimentConfig,
     run_nu_invariance,
     run_sweep,
     run_validation,
@@ -25,7 +25,6 @@ from .experiments import (
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
     for key, (_, _, help_text) in _CONFIG_KEYS.items():
         parser.add_argument(f"--{key}", help=help_text)
 
@@ -46,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = build_config(args.config, **_overrides(args))
+        config = ExperimentConfig(**_overrides(args))
         if args.verb == "sweep":
             result = run_sweep(config)
             print(f"wrote {len(result.rows)} rows"

@@ -1,8 +1,8 @@
 """Experiment runner: parameter sweeps, decision-rate invariance, validation.
 
-Configurations come from flat ``key = value`` text files (``#`` starts a
-comment) and/or keyword overrides; results are written as fixed-schema CSV
-plus a JSON-lines manifest (config echo, versions, timings).  Grid points
+A run is an ``ExperimentConfig``, which the CLI builds from its flags
+(``_CONFIG_KEYS``); results are written as fixed-schema CSV plus a
+JSON-lines manifest (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one block of decision
 epochs per pool thread at a time, and output is byte-reproducible.
@@ -37,7 +37,7 @@ import platform
 import resource
 import struct
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -216,9 +216,9 @@ def parse_rates(text: str) -> tuple:
     return tuple(_parse_number(p, float, "rate") for p in text.split(",") if p.strip())
 
 
-# The one table of input keys: each config-file key names its ExperimentConfig
-# field, the converter of its text and the help of the CLI flag of its name.
-# The flags, config files and the manifest's config record all read it.
+# The one table of input keys: each key is a CLI flag and names its
+# ExperimentConfig field, the converter of the flag's text and its help.
+# The flags and the manifest's config record both read it.
 _CONFIG_KEYS = {
     "lambda": ("arrival_rates", parse_rates, "arrival rate(s)"),
     "mu": ("service_rates", parse_rates, "service rate(s)"),
@@ -230,47 +230,6 @@ _CONFIG_KEYS = {
     "confidence": ("confidence", lambda s: _parse_number(s, float, "confidence"),
                    "CI confidence level"),
 }
-
-
-def load_config_file(path: str) -> dict:
-    """Read a flat key=value config file into ExperimentConfig field values."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise ParameterError(f"{path}: not UTF-8 text") from None
-    values = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, conv, _ = _CONFIG_KEYS[key]
-        if attr in values:
-            raise ParameterError(f"{path}:{lineno}: key {key!r} set twice")
-        try:
-            values[attr] = conv(value)
-        except ParameterError as exc:
-            raise ParameterError(f"{path}:{lineno}: {exc}") from None
-    return values
-
-
-def build_config(file_path: str | None = None, **overrides) -> ExperimentConfig:
-    """Config from optional file plus keyword overrides (overrides win)."""
-    values = load_config_file(file_path) if file_path else {}
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ParameterError(f"unknown config fields: {sorted(unknown)}")
-    return ExperimentConfig(**values)
 
 
 def derive_point_seed(seed: int, grid_index: int) -> int:
@@ -340,7 +299,7 @@ class SweepResult:
 
 
 def _config_record(config: ExperimentConfig, mode: str) -> dict:
-    """The ``mode`` and each config-file key's value, so the record reads back as a config."""
+    """The ``mode`` and each flag's value, so the record reads back as the run's flags."""
     return {"record": "config", "mode": mode,
             **{key: getattr(config, field) for key, (field, _, _) in _CONFIG_KEYS.items()}}
 
@@ -542,8 +501,9 @@ class _Point:
             counts = np.diff(bounds)
             pieces = [(w, _age_sum(trace, epochs[bounds[w]:bounds[w + 1]]))
                       for w in np.flatnonzero(counts).tolist()]
-            # decisions ahead of the first departure have no age
-            return (int(np.searchsorted(epochs, trace.last_departure, side="right")),
+            # the last edge is the horizon, the last departure; decisions ahead of
+            # the first departure have no age
+            return (int(bounds[-1]),
                     int(np.searchsorted(epochs, trace.departure_times[0], side="left")),
                     counts, pieces)
         finally:

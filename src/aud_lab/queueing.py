@@ -167,9 +167,6 @@ class QueueLengthPath:
     lengths: np.ndarray
     initial: int = 0
 
-    def __len__(self) -> int:
-        return len(self.epochs)
-
 
 def simulate(params: SystemParams, n_updates: int, seed: int,
              out: tuple[np.ndarray, np.ndarray] | None = None) -> UpdateTrace:

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import itertools
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import aud_lab
-from aud_lab import analytic, distributions, experiments
+from aud_lab import analytic, cli, distributions, experiments
 from aud_lab.cli import main as cli_main
 from aud_lab.decisions import _age_sum, decisions_at, poisson_epochs
 from aud_lab.distributions import SeededStream, exponential_gaps
@@ -32,11 +33,9 @@ from aud_lab.experiments import (
     _simulate_point,
     _validation_checks,
     _within,
-    build_config,
     decision_stream_id,
     decorrelation_lag,
     derive_point_seed,
-    load_config_file,
     manifest_path_for,
     parse_rates,
     run_nu_invariance,
@@ -78,59 +77,25 @@ def test_parse_rates_forms():
         parse_rates("1:2:3:4")
 
 
-def test_config_file_parsing(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        """
-# comment line
-lambda = 0.2:0.4:0.1   # inline comment
-mu = 1.0
-nu = 1
-updates = 20000
-seed = 9
-out = result.csv
-"""
-    )
-    values = load_config_file(str(cfg))
-    assert values["arrival_rates"] == pytest.approx((0.2, 0.3, 0.4))
-    assert values["n_updates"] == 20000
-    assert values["output_path"] == "result.csv"
-
-
-def test_config_file_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("frobnicate = 3\n")
-    with pytest.raises(ParameterError):
-        load_config_file(str(cfg))
-
-
-def test_overrides_beat_file_values(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 1\nupdates = 5000\n")
-    config = build_config(str(cfg), seed=77, n_updates=None)
-    assert config.seed == 77
-    assert config.n_updates == 5000
-
-
 @pytest.mark.parametrize("config,mode", [
     (ExperimentConfig(arrival_rates=(0.3, 0.6), service_rates=(1.0, 2.0), decision_rates=(1.0,),
                       n_updates=2000, seed=5, output_path="s.csv"), "sweep"),
+    (ExperimentConfig(decision_rates=(0.5, 2.0), n_updates=4000, seed=0, output_path="n.csv"),
+     "nu_invariance"),
     (ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95), "validate"),
-], ids=["sweep", "validate"])
+], ids=["sweep", "nu-invariance", "validate"])
 def test_manifest_config_record_rebuilds_the_config(config, mode, tmp_path):
     manifest = tmp_path / "m.jsonl"
     write_manifest(str(manifest), config, mode, 0.0, 1)
     record = json.loads(manifest.read_text().splitlines()[0])
     assert record.pop("record") == "config"
-    # the verb's mode, then one config-file key per field: written back as
-    # config lines unchanged, lists joined with commas, null left out
+    # the verb's mode, then one entry per flag: written back as the flags'
+    # texts, lists joined with commas and null left out, they give the config
     assert record.pop("mode") == mode
-    assert len(record) == len(fields(ExperimentConfig))
-    cfg = tmp_path / "cfg"
-    cfg.write_text("".join(
-        f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
-        for key, value in record.items() if value is not None))
-    assert build_config(str(cfg)) == config
+    assert sorted(record) == sorted(experiments._CONFIG_KEYS)
+    flags = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+             for key, value in record.items() if value is not None}
+    assert ExperimentConfig(**cli._overrides(argparse.Namespace(**flags))) == config
 
 
 def test_one_key_table_sets_every_field_and_names_every_flag(capsys):
@@ -145,7 +110,7 @@ def test_one_key_table_sets_every_field_and_names_every_flag(capsys):
         with pytest.raises(SystemExit):
             cli_main([verb, "--help"])
         shown = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.MULTILINE)
-        assert shown == ["--config", *flags]
+        assert shown == flags
 
 
 def test_config_validation():
@@ -1088,39 +1053,6 @@ def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, ca
     assert code == 0 and capsys.readouterr().out.startswith("SKIP")
 
 
-def test_cli_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg"
-    out = tmp_path / "o.csv"
-    cfg.write_text("lambda = 0.5\nmu = 0.8:1.2:0.2\nnu = 1\n"
-                   "updates = 5000\nseed = 1\n")
-    code = cli_main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "99"])
-    assert code == 0
-    manifest = [json.loads(line) for line in open(manifest_path_for(str(out)))]
-    config_record = next(r for r in manifest if r["record"] == "config")
-    assert config_record["seed"] == 99
-    assert config_record["mode"] == "sweep"  # the verb sets the mode
-
-
-def test_cli_sweep_reads_its_config_file_once(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("lambda = 0.3,0.6\nnu = 1\nupdates = 2000\nseed = 1\n")
-    reads = []
-
-    def counting(path):
-        reads.append(path)
-        return load_config_file(path)
-
-    monkeypatch.setattr(experiments, "load_config_file", counting)
-    assert cli_main(["sweep", "--config", str(cfg)]) == 0
-    assert reads == [str(cfg)] and capsys.readouterr().out == "wrote 2 rows\n"
-    # a bad flag is still reported ahead of a bad file
-    cfg.write_text("bogus = 1\n")
-    assert cli_main(["sweep", "--config", str(cfg), "--lambda", "x"]) == 2
-    assert capsys.readouterr().err == "error: rate must be a number, got 'x'\n"
-    assert cli_main(["sweep", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'bogus'\n"
-
-
 def test_cli_error_paths(tmp_path, capsys):
     code = cli_main(["validate", "--lambda", "1.5", "--mu", "1.0", "--updates", "1000"])
     assert code == 2
@@ -1138,7 +1070,7 @@ def test_cli_bad_rate_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'abc'" in err and err.count("\n") == 1
-    # a malformed number in any flag is read as its config-file key is
+    # a malformed number in any flag exits 2 with one line naming the setting
     for flag, text, noun in (("--updates", "1e6", "an integer"), ("--seed", "x", "an integer"),
                              ("--confidence", "abc", "a number")):
         assert cli_main(["validate", flag, text]) == 2
@@ -1153,11 +1085,17 @@ def test_cli_bad_rate_exits_2(capsys):
         assert err.startswith("error:") and "must not be empty" in err
 
 
-def test_cli_blank_output_path_exits_2(tmp_path, capsys):
+def test_cli_non_integer_config_value_exits_2(capsys):
+    # an integer setting refuses a float text, even one that names a whole number
+    for text in ("1e6", "2000.0", "1.5"):
+        assert cli_main(["validate", "--lambda", "0.5", "--updates", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: updates must be an integer, got {text!r}\n"
+
+
+def test_cli_blank_output_path_exits_2(capsys):
     # a blank path would run and write nothing; it is refused as an empty rate is
-    cfg = tmp_path / "blank.cfg"
-    cfg.write_text("out =\n")
-    for flags in (["--out", ""], ["--out", " "], ["--config", str(cfg)]):
+    for flags in (["--out", ""], ["--out", " "]):
         assert cli_main(["validate", "--updates", "1000", *flags]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: output_path must not be blank, got ''\n"
@@ -1278,7 +1216,8 @@ def test_grids_over_the_row_cap_are_refused_before_they_are_built():
     assert len(parse_rates("1:1048576:1")) == 2**20
     # 1025 * 1024 points of 3 rows each, refused before the per-point loop
     with pytest.raises(ParameterError, match="the grid holds 3148800 rows; the cap is 1048576"):
-        build_config(arrival_rates=parse_rates("1:1025:1"), service_rates=parse_rates("1:1024:1"))
+        ExperimentConfig(arrival_rates=parse_rates("1:1025:1"),
+                         service_rates=parse_rates("1:1024:1"))
 
 
 def test_cli_confidence_next_to_one_exits_2(capsys):
@@ -1302,49 +1241,18 @@ def test_cli_confidence_next_to_zero_exits_2(capsys):
         assert "too close to 0" in err
 
 
-def test_cli_non_integer_config_value_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("lambda = 0.5\nupdates = 1e6\n")
-    code = cli_main(["validate", "--config", str(cfg)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and ":2: updates must be an integer" in err
-
-
-def test_cli_config_file_not_utf8_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_bytes(b"seed = 1\n\xff = 2\n")
-    assert cli_main(["validate", "--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {cfg}: not UTF-8 text\n"
-
-
 @pytest.mark.parametrize("line", ["allow_unstable = true", "periodic_decisions = true",
                                   "mode = nonsense", "mode = validate", "n_updates = 3000",
-                                  "output = o.csv", "warmup = 0"])
-def test_cli_removed_config_keys_exit_2(tmp_path, capsys, line):
-    # the verb is the mode, and each setting has one key
-    cfg = tmp_path / "cfg"
-    cfg.write_text(f"updates = 2000\n{line}\n")
+                                  "output = o.csv", "warmup = 0", "config = x.cfg"])
+def test_cli_removed_config_keys_exit_2(capsys, line):
+    # the verb is the mode, each setting has one flag, and no file holds settings
+    key, _, value = line.partition(" = ")
     for verb in ("sweep", "nu-invariance", "validate"):
-        assert cli_main([verb, "--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main([verb, "--updates", "2000", f"--{key}", value])
+        assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error:") and err.endswith(f":2: unknown key {line.split()[0]!r}\n")
-
-
-def test_cli_config_key_set_twice_exits_2(tmp_path, capsys):
-    # the second value used to win silently
-    cfg = tmp_path / "cfg"
-    cfg.write_text("lambda = 0.5\nlambda = 0.6\nupdates = 2000\n")
-    for verb in ("sweep", "nu-invariance", "validate"):
-        assert cli_main([verb, "--config", str(cfg), "--nu", "1,2"]) == 2
-        assert capsys.readouterr() == ("", f"error: {cfg}:2: key 'lambda' set twice\n")
-    # a flag still overrides the file
-    cfg.write_text("lambda = 0.5\nupdates = 2000\n")
-    out = tmp_path / "s.csv"
-    assert cli_main(["sweep", "--config", str(cfg), "--lambda", "0.6", "--out", str(out)]) == 0
-    assert {row.split(",")[0] for row in out.read_text().splitlines()[1:]} == {"0.6"}
+        assert out == "" and f"unrecognized arguments: --{key} {value}" in err
 
 
 def test_cli_seed_outside_64_bits_exits_2(tmp_path, capsys):
@@ -1473,8 +1381,8 @@ def test_no_decision_block_outlives_aud(monkeypatch):
     # are drawn into are freed when aud returns, and neither the pool's
     # threads nor the module keep one
     monkeypatch.setenv("AUD_LAB_THREADS", "2")
-    point = _simulate_point(build_config(decision_rates=(40.0,), n_updates=50_000, seed=3), 0,
-                            SystemParams(0.5, 1.0))
+    config = ExperimentConfig(decision_rates=(40.0,), n_updates=50_000, seed=3)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
     monkeypatch.setattr(distributions, "_pool", None)
     monkeypatch.setattr(distributions, "_pool_workers", 0)
     arrays, draw = [], experiments._block_epochs
@@ -1528,10 +1436,9 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
         assert not out.exists() and not os.path.exists(manifest_path_for(str(out)))
     # 2e8 decisions at nu = 10 stay within the cap of 2^28
     assert experiments.MAX_COLUMN == 2**28
-    build_config(arrival_rates=(0.01,), n_updates=200_000, seed=3)
+    ExperimentConfig(arrival_rates=(0.01,), n_updates=200_000, seed=3)
     # n * mu / lambda = 1e12 stays within the cap of 2^40
-    build_config(arrival_rates=(1e-7,), decision_rates=(1e-7,),
-                 n_updates=100_000)
+    ExperimentConfig(arrival_rates=(1e-7,), decision_rates=(1e-7,), n_updates=100_000)
 
 
 FAST = ["--lambda", "1000", "--mu", "2000", "--nu", "1000", "--seed", "1"]
@@ -1922,8 +1829,8 @@ def test_decision_epochs_hold_one_block_per_pool_thread(monkeypatch):
     # searches of about 1600 departures) fit in the slack, where a column of
     # the epochs would add 32 MB
     monkeypatch.setenv("AUD_LAB_THREADS", "2")
-    point = _simulate_point(build_config(decision_rates=(40.0,), n_updates=50_000, seed=3), 0,
-                            SystemParams(0.5, 1.0))
+    config = ExperimentConfig(decision_rates=(40.0,), n_updates=50_000, seed=3)
+    point = _simulate_point(config, 0, SystemParams(0.5, 1.0))
     tracemalloc.start()
     try:
         est, counts = point.aud(40.0)
@@ -1940,7 +1847,7 @@ def test_validation_checks_hold_no_column_beyond_the_trace(monkeypatch):
     # checks peaks at their slices and K-S samples: about 3.1 bytes per update.
     # A system-time column for the sawtooth would add 8.
     n = 2_000_000
-    config = build_config(decision_rates=(0.01,), n_updates=n, seed=3)
+    config = ExperimentConfig(decision_rates=(0.01,), n_updates=n, seed=3)
     params = SystemParams(0.5, 1.0)
     trace = simulate(params, n, derive_point_seed(3, 0))
     monkeypatch.setattr(experiments, "simulate", lambda *args: trace)

@@ -416,10 +416,10 @@ def test_queue_length_path_of_a_window_starts_from_its_level():
     path = queue_length_process(tied_departures(), 1.5, 2.0)
     assert (path.initial, list(path.epochs), list(path.lengths)) == (2, [2.0, 2.0], [1, 0])
     empty = queue_length_process(tied_departures(), 2.5, 3.5)
-    assert (empty.initial, len(empty)) == (0, 0)
+    assert (empty.initial, len(empty.epochs)) == (0, 0)
     assert occupancy_fractions(empty, 1, 2.5, 3.5).tolist() == [1.0, 0.0]
     whole = queue_length_process(tied_arrivals())
-    assert whole.initial == 0 and len(whole) == 8
+    assert whole.initial == 0 and len(whole.epochs) == 8
 
 
 @pytest.mark.parametrize("epochs", [

@@ -19,10 +19,10 @@ config = ExperimentConfig(
     seed=2024,
     output_path="arrival_rate_sweep.csv",
 )
-result = run_sweep(config)
+rows = run_sweep(config)
 
 print(f"{'lambda':>8} {'analytic':>10} {'simulated':>10} {'ci±':>8}")
-for row in result.rows:
+for row in rows:
     print(
         f"{row.arrival_rate:8.2f} {row.analytic_aud:10.4f} "
         f"{row.empirical_aud:10.4f} {row.ci_half_width:8.4f}"

@@ -21,7 +21,7 @@ result = run_nu_invariance(config)
 theory = average_aud(params)
 print(f"closed-form average age: {theory:.4f} (no decision rate anywhere in it)\n")
 print(f"{'decision rate':>14} {'decisions':>10} {'mean age':>9} {'99% ci±':>9}")
-for row in result.sweep.rows:
+for row in result.rows:
     print(f"{row.decision_rate:14.1f} {row.n_decisions:10d} "
           f"{row.empirical_aud:9.4f} {row.ci_half_width:9.4f}")
 

@@ -6,7 +6,9 @@ Verbs:
     validate       run every oracle check against one simulated point
 
 Every setting of a run is a flag; an unset flag keeps the ExperimentConfig
-default.  ``--lambda`` / ``--mu`` / ``--nu`` accept a single number, a comma
+default.  A flag is spelled in full and given at most once: an abbreviated or
+repeated flag is a usage error, so the manifest's config record is what was
+typed.  ``--lambda`` / ``--mu`` / ``--nu`` accept a single number, a comma
 list, or ``start:stop:step``.
 """
 from __future__ import annotations
@@ -24,9 +26,18 @@ from .experiments import (
 )
 
 
+class _Once(argparse.Action):
+    """Store the flag's text; a second occurrence of the flag is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {option_string}: may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     for key, (_, _, help_text) in _CONFIG_KEYS.items():
-        parser.add_argument(f"--{key}", help=help_text)
+        parser.add_argument(f"--{key}", action=_Once, help=help_text)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -38,17 +49,18 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="aud-lab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+                                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("sweep", "nu-invariance", "validate"):
-        _add_common_flags(sub.add_parser(verb))
+        _add_common_flags(sub.add_parser(verb, allow_abbrev=False))
     args = parser.parse_args(argv)
 
     try:
         config = ExperimentConfig(**_overrides(args))
         if args.verb == "sweep":
-            result = run_sweep(config)
-            print(f"wrote {len(result.rows)} rows"
+            rows = run_sweep(config)
+            print(f"wrote {len(rows)} rows"
                   + (f" to {config.output_path}" if config.output_path else ""))
             return 0
         if args.verb == "nu-invariance":

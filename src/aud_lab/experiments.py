@@ -1,8 +1,8 @@
 """Experiment runner: parameter sweeps, decision-rate invariance, validation.
 
 A run is an ``ExperimentConfig``, which the CLI builds from its flags
-(``_CONFIG_KEYS``); results are written as fixed-schema CSV plus a
-JSON-lines manifest (config echo, versions, timings).  Grid points
+(``_CONFIG_KEYS``); ``_write_outputs`` writes a run's fixed-schema CSV and the
+JSON-lines manifest beside it (config echo, versions, timings).  Grid points
 run one after another in grid order, each with a seed derived from the base
 seed and its grid index, so a run holds one trace and one block of decision
 epochs per pool thread at a time, and output is byte-reproducible.
@@ -287,17 +287,6 @@ class SweepRow:
                          self.status))
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    config: ExperimentConfig
-    rows: tuple
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(SWEEP_CSV_HEADER + "\n")
-            fh.writelines(row.as_csv() + "\n" for row in self.rows)
-
-
 def _config_record(config: ExperimentConfig, mode: str) -> dict:
     """The ``mode`` and each flag's value, so the record reads back as the run's flags."""
     return {"record": "config", "mode": mode,
@@ -330,19 +319,31 @@ def _versions_record() -> dict:
     }
 
 
-def write_manifest(
-    path: str, config: ExperimentConfig, mode: str, wall_seconds: float, workers: int,
-    extra_records: tuple = (),
-) -> None:
-    """Write the config, versions and timing records, then ``extra_records``.
+def manifest_path_for(output_path: str) -> str:
+    base, _ = os.path.splitext(output_path)
+    return base + ".manifest.jsonl"
 
-    The config record names the ``mode``, the verb that ran ``config``.  The
-    timing record holds the wall time, ``workers``, the threads of the block
-    pool the run used, and the process's peak RSS so far in MiB
-    (``ru_maxrss``, which Linux reports in KiB).
+
+def _write_outputs(config: ExperimentConfig, mode: str, header: str, rows, started: float,
+                   workers: int, extra_records: tuple = ()) -> None:
+    """Write a run's CSV and the manifest next to it, if the config names an output.
+
+    The CSV is ``header``, then each row's ``as_csv()``.  The manifest
+    (``manifest_path_for``) holds one JSON record per line: the config
+    record, which names the ``mode``, the verb that ran ``config``; the
+    versions; the timing record, with the wall time since ``started`` once
+    the CSV is written, ``workers``, the threads of the block pool the run
+    used, and the process's peak RSS so far in MiB (``ru_maxrss``, which
+    Linux reports in KiB); then ``extra_records``.
     """
+    if not config.output_path:
+        return
+    with open(config.output_path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row.as_csv() + "\n" for row in rows)
+    wall_seconds = time.monotonic() - started
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    with open(path, "w", newline="") as fh:
+    with open(manifest_path_for(config.output_path), "w", newline="") as fh:
         for record in (
             _config_record(config, mode),
             _versions_record(),
@@ -351,22 +352,6 @@ def write_manifest(
             *extra_records,
         ):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def manifest_path_for(output_path: str) -> str:
-    base, _ = os.path.splitext(output_path)
-    return base + ".manifest.jsonl"
-
-
-def _write_outputs(config: ExperimentConfig, mode: str, result, started: float, workers: int,
-                   extra_records: tuple = ()) -> None:
-    """Write ``result``'s CSV and the manifest next to it, if the config names an output."""
-    if config.output_path:
-        result.write_csv(config.output_path)
-        write_manifest(
-            manifest_path_for(config.output_path), config, mode, time.monotonic() - started,
-            workers, extra_records,
-        )
 
 
 def _require_single_point(config: ExperimentConfig, mode: str) -> None:
@@ -640,8 +625,8 @@ def _point_rows(point: _Point, params: SystemParams) -> list[SweepRow]:
     return rows
 
 
-def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """One simulated row per (grid point, decision rate); CSV + manifest if configured.
+def run_sweep(config: ExperimentConfig) -> tuple[SweepRow, ...]:
+    """The rows, one per (grid point, decision rate) in grid order; CSV + manifest if configured.
 
     The points run one after another in grid order, and each draws and
     averages its decision epochs one rate at a time on the block pool, so a
@@ -661,14 +646,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         rows += (_point_rows(_simulate_point(config, i, params, columns), params)
                  if params.is_stable else
                  [SweepRow(lam, mu, nu, *[None] * 7, "unstable") for nu in config.decision_rates])
-    result = SweepResult(config, tuple(rows))
-    _write_outputs(config, "sweep", result, started, workers)
-    return result
+    _write_outputs(config, "sweep", SWEEP_CSV_HEADER, rows, started, workers)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class NuInvarianceResult:
-    sweep: SweepResult
+    rows: tuple  # the sweep rows of the point, one per configured decision rate
     estimates: dict
     worst_se_ratio: float
     z: float
@@ -693,14 +677,15 @@ def run_nu_invariance(config: ExperimentConfig) -> NuInvarianceResult:
     params = SystemParams(config.arrival_rates[0], config.service_rates[0])
     analytic.require_stable(params)
     point = _simulate_point(config, 0, params)
-    sweep = SweepResult(config, tuple(_point_rows(point, params)))
+    rows = tuple(_point_rows(point, params))
     estimates = {nu: est for nu, (est, _) in point.estimates.items() if est is not None}
     consistent, worst, z = None, math.nan, math.nan
     if len(estimates) >= 2:
         consistent, worst, _, z, _ = _within(_differences(estimates.values()), 0.0,
                                              1.0 - config.confidence)
-    _write_outputs(config, "nu_invariance", sweep, started, workers, (_sizes(point),))
-    return NuInvarianceResult(sweep, estimates, worst, z, consistent)
+    _write_outputs(config, "nu_invariance", SWEEP_CSV_HEADER, rows, started, workers,
+                   (_sizes(point),))
+    return NuInvarianceResult(rows, estimates, worst, z, consistent)
 
 
 @dataclass(frozen=True)
@@ -722,18 +707,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    config: ExperimentConfig
     checks: tuple
 
     @property
     def passed(self) -> bool:
         """No check failed; a skipped check counts as neither pass nor fail."""
         return all(check.passed or check.passed is None for check in self.checks)
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(VALIDATION_CSV_HEADER + "\n")
-            fh.writelines(check.as_csv() + "\n" for check in self.checks)
 
     def summary(self) -> str:
         lines = [
@@ -960,6 +939,7 @@ def run_validation(config: ExperimentConfig) -> ValidationReport:
     params = SystemParams(config.arrival_rates[0], config.service_rates[0])
     analytic.require_stable(params)
     point = _simulate_point(config, 0, params)
-    report = ValidationReport(config, tuple(_validation_checks(point, params)))
-    _write_outputs(config, "validate", report, started, workers, (_sizes(point),))
+    report = ValidationReport(tuple(_validation_checks(point, params)))
+    _write_outputs(config, "validate", VALIDATION_CSV_HEADER, report.checks, started, workers,
+                   (_sizes(point),))
     return report

@@ -41,7 +41,6 @@ from aud_lab.experiments import (
     run_nu_invariance,
     run_sweep,
     run_validation,
-    write_manifest,
 )
 from aud_lab.queueing import (
     SystemParams,
@@ -82,12 +81,14 @@ def test_parse_rates_forms():
                       n_updates=2000, seed=5, output_path="s.csv"), "sweep"),
     (ExperimentConfig(decision_rates=(0.5, 2.0), n_updates=4000, seed=0, output_path="n.csv"),
      "nu_invariance"),
-    (ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95), "validate"),
+    (ExperimentConfig(n_updates=3000, seed=2**64 - 1, confidence=0.95, output_path="v.csv"),
+     "validate"),
 ], ids=["sweep", "nu-invariance", "validate"])
-def test_manifest_config_record_rebuilds_the_config(config, mode, tmp_path):
-    manifest = tmp_path / "m.jsonl"
-    write_manifest(str(manifest), config, mode, 0.0, 1)
-    record = json.loads(manifest.read_text().splitlines()[0])
+def test_manifest_config_record_rebuilds_the_config(config, mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the configs name relative outputs
+    experiments._write_outputs(config, mode, "header", (), time.monotonic(), 1)
+    assert (tmp_path / config.output_path).read_text() == "header\n"
+    record = json.loads(open(manifest_path_for(config.output_path)).readline())
     assert record.pop("record") == "config"
     # the verb's mode, then one entry per flag: written back as the flags'
     # texts, lists joined with commas and null left out, they give the config
@@ -125,7 +126,7 @@ def test_config_validation():
 def test_sweep_runs_a_grid_with_the_config_defaults():
     # the shape a verb needs is checked by its runner, not by the config
     rows = run_sweep(ExperimentConfig(arrival_rates=(0.3, 0.6), decision_rates=(1.0,),
-                                      n_updates=2000)).rows
+                                      n_updates=2000))
     assert [(r.arrival_rate, r.status) for r in rows] == [(0.3, "ok"), (0.6, "ok")]
 
 
@@ -207,9 +208,9 @@ def test_sweep_lambda_shape(tmp_path):
         output_path=str(out),
         **SMALL,
     )
-    result = run_sweep(config)
-    assert len(result.rows) == 9
-    analytic_col = [row.analytic_aud for row in result.rows]
+    rows = run_sweep(config)
+    assert len(rows) == 9
+    analytic_col = [row.analytic_aud for row in rows]
     # U shape: interior minimum near half load
     idx = int(np.argmin(analytic_col))
     assert 0 < idx < 8
@@ -222,7 +223,7 @@ def test_sweep_lambda_shape(tmp_path):
     assert len(lines) == 10
     # empirical tracks analytic within a few percent at this size, and the
     # reported batch-means interval is honest about the residual gap
-    for row in result.rows:
+    for row in rows:
         assert row.status == "ok"
         assert abs(row.empirical_aud - row.analytic_aud) / row.analytic_aud < 0.1
         assert abs(row.empirical_aud - row.analytic_aud) <= 2.0 * row.ci_half_width
@@ -235,8 +236,7 @@ def test_sweep_mu_strictly_decreasing():
         decision_rates=(1.0,),
         **SMALL,
     )
-    result = run_sweep(config)
-    analytic_col = [row.analytic_aud for row in result.rows]
+    analytic_col = [row.analytic_aud for row in run_sweep(config)]
     assert all(b < a for a, b in zip(analytic_col, analytic_col[1:]))
 
 
@@ -248,8 +248,7 @@ def test_sweep_marks_unstable_rows():
         n_updates=5000,
         seed=2,
     )
-    result = run_sweep(config)
-    by_rate = {row.arrival_rate: row for row in result.rows}
+    by_rate = {row.arrival_rate: row for row in run_sweep(config)}
     assert by_rate[0.5].status == "ok"
     for lam in (1 - 1e-10, 1.0, 1.3):
         row = by_rate[lam]
@@ -278,8 +277,7 @@ def test_grid_mode_covers_cross_product():
         n_updates=10_000,
         seed=3,
     )
-    result = run_sweep(config)
-    assert [(r.arrival_rate, r.service_rate) for r in result.rows] == [
+    assert [(r.arrival_rate, r.service_rate) for r in run_sweep(config)] == [
         (0.3, 1.0), (0.3, 2.0), (0.5, 1.0), (0.5, 2.0)
     ]
 
@@ -372,7 +370,7 @@ def test_nu_invariance_duplicate_rates_identical():
         seed=4,
     )
     result = run_nu_invariance(config)
-    rows = result.sweep.rows
+    rows = result.rows
     assert rows[0].as_csv() == rows[1].as_csv()
     # one distinct rate leaves no pair to compare
     assert list(result.estimates) == [1.0] and result.consistent is None
@@ -400,16 +398,16 @@ def test_nu_invariance_tiny_trace_no_crash():
         seed=4,
     )
     result = run_nu_invariance(config)
-    assert all(row.n_decisions is not None for row in result.sweep.rows)
+    assert all(row.n_decisions is not None for row in result.rows)
 
 
 def test_sweep_row_without_a_warmup_averages_from_the_first_departure(monkeypatch):
     base = ExperimentConfig(arrival_rates=(0.5,),
                             service_rates=(1.0,), decision_rates=(1.0,),
                             n_updates=20_000, seed=5)
-    default_row = run_sweep(base).rows[0]
+    default_row = run_sweep(base)[0]
     cut_warmup(monkeypatch, 0)
-    no_warm_row = run_sweep(base).rows[0]
+    no_warm_row = run_sweep(base)[0]
     # dropping the warm-up keeps the transient decisions in the mean, and
     # the decisions ahead of the first departure stay out of it
     assert no_warm_row.n_decisions == default_row.n_decisions
@@ -478,12 +476,11 @@ def test_validation_default_small_passes():
 
 def test_validation_full_default_passes(tmp_path):
     # the stock configuration: half load, 1e6 updates, three decision rates
-    report = run_validation(ExperimentConfig())
+    report = run_validation(ExperimentConfig(output_path=str(tmp_path / "v.csv")))
     # The CSV bytes of ``validate --updates 1000000 --seed 42``, at any thread
     # count.  ROADMAP item 3 found this run byte-identical with numpy's AVX-512
     # dispatch disabled.  A change that declares a byte change updates this
     # hash with it.
-    report.write_csv(str(tmp_path / "v.csv"))
     assert hashlib.sha256((tmp_path / "v.csv").read_bytes()).hexdigest() == (
         "588f204ce40ac2b3364e6021aafc562ac4afb306481e51d00ace3dcb2567f3f7")
     assert report.passed, report.summary()
@@ -1078,7 +1075,8 @@ def test_cli_bad_rate_exits_2(capsys):
         assert out == "" and err == f"error: {flag[2:]} must be {noun}, got {text!r}\n"
     # an empty rate flag is refused, not taken for the default rate
     for flag in ("--lambda", "--mu", "--nu"):
-        argv = ["sweep", "--lambda", "0.5", "--mu", "1", "--nu", "1", "--updates", "1000", flag, ""]
+        rates = {"--lambda": "0.5", "--mu": "1", "--nu": "1", flag: ""}  # each flag once
+        argv = ["sweep", "--updates", "1000", *itertools.chain.from_iterable(rates.items())]
         assert cli_main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
@@ -1255,6 +1253,27 @@ def test_cli_removed_config_keys_exit_2(capsys, line):
         assert out == "" and f"unrecognized arguments: --{key} {value}" in err
 
 
+@pytest.mark.parametrize("flags, error", [
+    # the second --lambda replaced the first, so one point ran unasked
+    (["--lambda", "0.5", "--lambda", "0.6"],
+     "aud-lab {verb}: error: argument --lambda: may be given only once"),
+    # --lamb and --conf ran as --lambda and --confidence
+    (["--lamb", "0.3", "--conf", "0.9"],
+     "aud-lab: error: unrecognized arguments: --lamb 0.3 --conf 0.9"),
+], ids=["repeated", "abbreviated"])
+@pytest.mark.parametrize("verb", ["sweep", "nu-invariance", "validate"])
+def test_cli_repeated_or_abbreviated_flag_exits_2(verb, flags, error, tmp_path, capsys):
+    # the manifest's config record is the flags as typed, so each is typed once and in full
+    with pytest.raises(SystemExit) as exc:
+        cli_main([verb, *flags, "--nu", "1,2", "--updates", "2000",
+                  "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: aud-lab ")
+    assert [line for line in err.splitlines() if "error:" in line] == [error.format(verb=verb)]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_seed_outside_64_bits_exits_2(tmp_path, capsys):
     # a sweep used to mask such a seed to 64 bits, and validate refused it
     # only after simulating
@@ -1428,8 +1447,9 @@ def test_cli_refuses_oversized_runs_and_a_validate_grid(tmp_path, capsys):
          "7.56e+08 decisions"),
     ):
         out = tmp_path / "out.csv"
-        # a seed in ``argv`` comes later, so it wins
-        assert cli_main([argv[0], "--seed", "1", *argv[1:], "--out", str(out)]) == 2
+        # a flag is given once: a seed in ``argv`` takes the place of seed 1
+        seeded = argv if "--seed" in argv else [*argv, "--seed", "1"]
+        assert cli_main([*seeded, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error:") and reason in captured.err
@@ -1527,7 +1547,7 @@ def test_busy_check_needs_busy_and_idle_arrivals_in_every_batch(tmp_path):
 def test_sweep_leaves_the_estimate_blank_below_two_decisions_per_batch():
     config = ExperimentConfig(decision_rates=(0.01, 1.0),
                               n_updates=2000, seed=7)
-    low, high = run_sweep(config).rows
+    low, high = run_sweep(config)
     assert low.n_decisions > 0 and low.empirical_aud is low.ci_half_width is None
     assert high.empirical_aud > 0.0 and high.ci_half_width > 0.0
 

@@ -35,18 +35,17 @@ for epoch, age in path.vertices():
 
 lo, hi = path.support
 taus = np.round(np.linspace(lo + 0.5, hi - 0.5, 5), 3)
-decisions = decisions_at(trace, taus)
 print("\ndecisions:")
-for rec in (decisions[j] for j in range(len(decisions))):
-    print(f"  t={rec.time:7.3f} acts on update {rec.freshest_index + 1} "
-          f"(generated {rec.generation_time:.3f}) -> age {rec.age:.3f}")
+for tau, k, age in zip(taus, *decisions_at(trace, taus)):
+    print(f"  t={tau:7.3f} acts on update {k + 1} "
+          f"(generated {trace.arrival_times[k]:.3f}) -> age {age:.3f}")
 
 long_trace = simulate(params, 200_000, 9)
 warm_epoch = long_trace.departure_times[default_warmup(long_trace.n) - 1]
-poisson = decisions_at(long_trace, poisson_epochs(1.0, long_trace.last_departure,
-                                                  SeededStream(9, DECISION_STREAM)))
-kept = poisson.ages[poisson.defined & (poisson.times > warm_epoch)]
+epochs = poisson_epochs(1.0, long_trace.last_departure, SeededStream(9, DECISION_STREAM))
+freshest, ages = decisions_at(long_trace, epochs)
+kept = ages[(freshest >= 0) & (epochs > warm_epoch)]
 sawtooth_avg = time_average_aoi(aoi_path(long_trace), warm_epoch, long_trace.last_departure)
 print(f"\nlong run: sawtooth time average {sawtooth_avg:.4f}, "
       f"decision-sampled mean {kept.mean():.4f} "
-      f"({len(poisson) - poisson.n_undefined} decisions)")
+      f"({(freshest >= 0).sum()} decisions)")

@@ -28,7 +28,7 @@ for row in rows:
         f"{row.empirical_aud:10.4f} {row.ci_half_width:8.4f}"
     )
 
-best = optimal_utilization(service_rate=1.0)
-print(f"\nminimizing utilization: {best.utilization:.6f} "
-      f"(arrival rate {best.arrival_rate:.6f} at unit service rate)")
+rho_star = optimal_utilization()
+print(f"\nminimizing utilization: {rho_star:.6f} "
+      f"(arrival rate {rho_star:.6f} at unit service rate)")
 print(f"rows written to {config.output_path}")

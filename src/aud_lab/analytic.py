@@ -5,11 +5,15 @@ upon decisions is available through two independent derivations (a direct
 closed form and a renewal-reward ratio of moments) that must agree to
 near machine precision; keeping both guards each against transcription
 slips in the other.
+
+Every 1 - rho is written as (mu - lambda) / mu.  mu - lambda is exact for
+rho >= 1/2 (Sterbenz's lemma), so no form cancels as rho -> 1: each is
+within a few units of 2^-53 of its exact rational value over the whole
+admitted box, down to 1 - rho = STABILITY_GUARD.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +26,14 @@ def stationary_queue_dist(params: SystemParams, max_length: int) -> np.ndarray:
     require_stable(params)
     if max_length < 0:
         raise ParameterError(f"max_length must be >= 0, got {max_length}")
-    rho = params.utilization
-    return (1.0 - rho) * rho ** np.arange(max_length + 1)
+    lam, mu = params.arrival_rate, params.service_rate
+    return (mu - lam) / mu * params.utilization ** np.arange(max_length + 1)
 
 
 def system_time_rate(params: SystemParams) -> float:
-    """Exponential rate of the stationary system time: service_rate * (1 - utilization)."""
+    """Exponential rate of the stationary system time: service_rate - arrival_rate."""
     require_stable(params)
-    return params.service_rate * (1.0 - params.utilization)
+    return params.service_rate - params.arrival_rate
 
 
 def mean_interdeparture(params: SystemParams) -> float:
@@ -86,8 +90,8 @@ def cross_moment_system_interdeparture(params: SystemParams) -> float:
     Diverges as utilization -> 0 (the idle-wait term grows like 1/utilization).
     """
     require_stable(params)
-    mu, rho = params.service_rate, params.utilization
-    return 1.0 / (mu**2 * (1.0 - rho)) + (1.0 - rho) / (mu**2 * rho)
+    lam, mu = params.arrival_rate, params.service_rate
+    return 1.0 / (mu * (mu - lam)) + (mu - lam) / (mu * lam * mu)
 
 
 def average_aud(params: SystemParams) -> float:
@@ -95,11 +99,11 @@ def average_aud(params: SystemParams) -> float:
 
     Poisson-timed decisions see the time-average age (PASTA), so the
     decision rate does not appear: making decisions more often cannot make
-    them act on fresher data.
+    them act on fresher data.  It is (1/mu)(1 + 1/rho + rho^2/(1 - rho)).
     """
     require_stable(params)
-    mu, rho = params.service_rate, params.utilization
-    return (1.0 / mu) * (1.0 + 1.0 / rho + rho**2 / (1.0 - rho))
+    lam, mu = params.arrival_rate, params.service_rate
+    return (1.0 + mu / lam + lam / mu * lam / (mu - lam)) / mu
 
 
 def average_aud_renewal(params: SystemParams) -> float:
@@ -114,26 +118,18 @@ def average_aud_renewal(params: SystemParams) -> float:
     return (y2 + 2.0 * ty) / (2.0 * y1)
 
 
-class OptimalOperatingPoint(NamedTuple):
-    utilization: float
-    arrival_rate: float
-
-
-def optimal_utilization(service_rate: float = 1.0) -> OptimalOperatingPoint:
-    """Utilization (and matching arrival rate) minimizing the average age upon decisions.
+def optimal_utilization() -> float:
+    """The utilization rho* minimizing the average age upon decisions.
 
     service_rate * average_aud is g(rho) = 1 + 1/rho + rho^2/(1 - rho), so the
-    minimizer does not depend on the service rate.  g'(rho) = 0 clears to the
-    palindromic quartic rho^4 - 2 rho^3 + rho^2 - 2 rho + 1 = 0; divided by
-    rho^2 it is x^2 - 2x - 1 = 0 in x = rho + 1/rho, so x = 1 + sqrt(2) and
+    minimizer does not depend on the service rate: the minimizing arrival
+    rate is rho* times it.  g'(rho) = 0 clears to the palindromic quartic
+    rho^4 - 2 rho^3 + rho^2 - 2 rho + 1 = 0; divided by rho^2 it is
+    x^2 - 2x - 1 = 0 in x = rho + 1/rho, so x = 1 + sqrt(2) and
 
         rho* = (x - sqrt(x^2 - 4)) / 2 = (1 + sqrt(2) - sqrt(2 sqrt(2) - 1)) / 2.
 
     It is evaluated as 2 / (x + sqrt(x^2 - 4)), which adds where the first
     form cancels, and lands within an ulp of the root.
     """
-    if not (math.isfinite(service_rate) and service_rate > 0.0):
-        raise ParameterError(f"service_rate must be positive, got {service_rate!r}")
-    rho_star = 2.0 / (1.0 + math.sqrt(2.0) + math.sqrt(2.0 * math.sqrt(2.0) - 1.0))
-    return OptimalOperatingPoint(rho_star, rho_star * service_rate)
-
+    return 2.0 / (1.0 + math.sqrt(2.0) + math.sqrt(2.0 * math.sqrt(2.0) - 1.0))

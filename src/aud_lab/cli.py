@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
                 est = result.estimates[rate]
                 print(f"nu={rate:g}: mean age {est.mean:.6g} +/- {est.half_width:.6g}")
             if result.consistent is None:
-                print("SKIP  fewer than two decision rates have an estimate")
+                print("SKIP  fewer than two distinct decision rates have an estimate")
                 return 0
             print(f"worst pairwise difference {result.worst_se_ratio:.6g} standard errors "
                   f"(gate {result.z:.6g}); "

@@ -2,17 +2,17 @@
 
 A decision made at time tau acts on the freshest update already delivered,
 so its age upon decision is tau minus that update's generation (arrival)
-epoch.  Decisions falling before the first departure have no delivered
-update to act on; they carry an undefined-age marker and are counted
-separately rather than imputed.  ``poisson_epochs`` draws a rate's epochs as
-one column, ``experiments._Point.aud`` block by block into one array per
-pool thread, held for the call.
+epoch.  ``decisions_at`` returns the two as columns.  Decisions falling
+before the first departure have no delivered update to act on; they get the
+index -1 and the age NaN, and are counted separately rather than imputed.
+``poisson_epochs`` draws a rate's epochs as one column,
+``experiments._Point.aud`` block by block into one array per pool thread,
+held for the call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,69 +21,20 @@ from .errors import ParameterError, TruncationError
 from .queueing import UpdateTrace
 
 
-class DecisionRecord(NamedTuple):
-    """One decision: epoch, freshest delivered update, its generation epoch, age."""
+def decisions_at(trace: UpdateTrace, times) -> tuple[np.ndarray, np.ndarray]:
+    """The freshest delivered update and the age upon decision at each epoch.
 
-    time: float
-    freshest_index: int  # 0-based index into the trace; -1 when undefined
-    generation_time: float  # NaN when undefined
-    age: float  # NaN when undefined
-
-
-@dataclass(frozen=True)
-class DecisionSet:
-    """Columnar sequence of decision records over one trace."""
-
-    times: np.ndarray
-    freshest_index: np.ndarray
-    generation_times: np.ndarray
-    ages: np.ndarray
-
-    def __post_init__(self):
-        if not (
-            len(self.times)
-            == len(self.freshest_index)
-            == len(self.generation_times)
-            == len(self.ages)
-        ):
-            raise ParameterError("decision columns must be equally long")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getitem__(self, j: int) -> DecisionRecord:
-        return DecisionRecord(
-            float(self.times[j]),
-            int(self.freshest_index[j]),
-            float(self.generation_times[j]),
-            float(self.ages[j]),
-        )
-
-    @property
-    def defined(self) -> np.ndarray:
-        return self.freshest_index >= 0
-
-    @property
-    def defined_ages(self) -> np.ndarray:
-        return self.ages[self.defined]
-
-    @property
-    def n_undefined(self) -> int:
-        return int((~self.defined).sum())
-
-
-def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
-    """Evaluate decision records at explicit epochs.
-
-    The epochs must be sorted (non-decreasing); unsorted input raises
-    ParameterError.  Epochs beyond the last departure cannot certify the
-    freshest update and raise TruncationError.  Epochs before the first
-    departure yield records with the undefined-age marker.  A decision at a
-    departure epoch acts on the update departing then.
+    Returns ``(freshest_index, ages)``: the 0-based index into the trace of
+    the update each decision acts on, and the epoch minus that update's
+    arrival epoch.  Epochs before the first departure have none, and get -1
+    and NaN.  A decision at a departure epoch acts on the update departing
+    then.  The epochs must be sorted (non-decreasing) and positive, or
+    ParameterError is raised; epochs beyond the last departure cannot certify
+    the freshest update and raise TruncationError.
 
     Each epoch is searched into the departures, so a call costs
     O(len(times) * log(trace.n)), and any contiguous slice of epochs gets
-    exactly the records of the same slice of a call on all of them.
+    exactly the same slice of a call on all of them.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not (times[1:] >= times[:-1]).all():
@@ -94,8 +45,7 @@ def decisions_at(trace: UpdateTrace, times) -> DecisionSet:
     if m and not times[0] > 0.0:
         raise ParameterError("decision epochs must be positive")
     freshest = np.searchsorted(trace.departure_times, times, side="right") - 1
-    generation = np.where(freshest >= 0, trace.arrival_times[freshest], np.nan)
-    return DecisionSet(times, freshest, generation, times - generation)
+    return freshest, times - np.where(freshest >= 0, trace.arrival_times[freshest], np.nan)
 
 
 def _age_sum(trace: UpdateTrace, times: np.ndarray) -> float:

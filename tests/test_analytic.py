@@ -1,5 +1,8 @@
 import decimal
 import math
+import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from scipy.integrate import dblquad
 
 from aud_lab import analytic
 from aud_lab.errors import DivergenceError, StabilityError
-from aud_lab.queueing import SystemParams
+from aud_lab.queueing import STABILITY_GUARD, SystemParams
 
 HALF = SystemParams(0.5, 1.0)
 
@@ -144,17 +147,79 @@ def test_stability_guard():
     assert math.isfinite(analytic.average_aud(SystemParams(1.0 - 1e-6, 1.0)))
 
 
+def admitted_points(count: int, seed: int) -> list[SystemParams]:
+    """Stable points with both rates in [2^-64, 2^64]: the box's corners, then ``count`` drawn.
+
+    The rates are log-uniform; every other point draws 1 - rho log-uniform
+    down to STABILITY_GUARD, the others rho log-uniform over the whole box.
+    """
+    near_one = 1.0 - 2.0 * STABILITY_GUARD
+    points = [SystemParams(2.0**-64, 2.0**64), SystemParams(near_one * 2.0**64, 2.0**64),
+              SystemParams(2.0**-64, 2.0**-64 / near_one)]
+    rng = random.Random(seed)
+    while len(points) < count + 3:
+        mu = 2.0 ** rng.uniform(-64, 64)
+        rho = (1.0 - 10.0 ** rng.uniform(math.log10(STABILITY_GUARD), -0.3) if len(points) % 2
+               else 2.0 ** rng.uniform(-128, 0))
+        params = SystemParams(rho * mu, mu)
+        if params.arrival_rate >= 2.0**-64 and params.is_stable:
+            points.append(params)
+    return points
+
+
+# Each closed form's worst relative error over the admitted box, in units of
+# 2^-53: one rounding of an exact result is at most 1, and each further
+# operation adds about one.  Only writing 1 - rho as (mu - lambda) / mu keeps
+# them there as rho -> 1: 1 - rho from the rounded rho cancels.
+EXACT_FORMS = {
+    "system_time_rate": (1, lambda lam, mu, rho: mu - lam),
+    "mean_interdeparture": (1, lambda lam, mu, rho: 1 / lam),
+    "second_moment_interdeparture": (2, lambda lam, mu, rho: 2 / lam**2),
+    "prob_busy_on_arrival": (1, lambda lam, mu, rho: rho),
+    "cross_moment_system_interdeparture":
+        (4, lambda lam, mu, rho: 1 / (mu**2 * (1 - rho)) + (1 - rho) / (mu**2 * rho)),
+    "average_aud": (4, lambda lam, mu, rho: (1 + 1 / rho + rho**2 / (1 - rho)) / mu),
+    "average_aud_renewal": (5, lambda lam, mu, rho: (1 + 1 / rho + rho**2 / (1 - rho)) / mu),
+}
+EXACT_MGFS = {
+    "interdeparture_mgf": (2, lambda lam, mu, s: lam / (lam - s)),
+    "interdeparture_mgf_given_busy_arrival": (3, lambda lam, mu, s: mu / (mu - s)),
+    "interdeparture_mgf_given_idle_arrival":
+        (5, lambda lam, mu, s: lam * mu / ((lam - s) * (mu - s))),
+}
+
+
+def units_off(got: float, exact: Fraction) -> float:
+    """The relative error of ``got`` against ``exact``, in units of 2^-53."""
+    return float(abs(Fraction(got) - exact) / exact) * 2.0**53
+
+
+def test_closed_forms_match_exact_rationals_over_the_admitted_box():
+    # every closed form is rational in the two float rates (and s), so
+    # Fraction arithmetic gives its exact value
+    for params in admitted_points(300, 17):
+        lam, mu = Fraction(params.arrival_rate), Fraction(params.service_rate)
+        rho = lam / mu
+        for name, (bound, exact) in EXACT_FORMS.items():
+            got = getattr(analytic, name)(params)
+            assert units_off(got, exact(lam, mu, rho)) <= bound, (name, params)
+        for u in (-3.0, -1.0, 0.25, 0.5, 0.999):
+            s = u * params.arrival_rate
+            for name, (bound, exact) in EXACT_MGFS.items():
+                got = getattr(analytic, name)(params, s)
+                assert units_off(got, exact(lam, mu, Fraction(s))) <= bound, (name, params, u)
+        # level k adds k roundings of rho; levels below the normal range lose
+        # relative precision to gradual underflow and are not compared
+        for k, got in enumerate(analytic.stationary_queue_dist(params, 40)):
+            exact = (1 - rho) * rho**k
+            if exact < Fraction(sys.float_info.min):
+                break
+            assert units_off(float(got), exact) <= 4 + k, (k, params)
+
+
 def test_optimal_utilization_in_expected_band():
-    point = analytic.optimal_utilization(1.0)
-    assert 0.45 <= point.utilization <= 0.60
-    assert point.arrival_rate == pytest.approx(point.utilization)
-
-
-def test_optimal_utilization_independent_of_service_rate():
-    a = analytic.optimal_utilization(1.0)
-    b = analytic.optimal_utilization(37.0)
-    assert a.utilization == pytest.approx(b.utilization, abs=1e-12)
-    assert b.arrival_rate == pytest.approx(37.0 * b.utilization, rel=1e-12)
+    rho_star = analytic.optimal_utilization()
+    assert type(rho_star) is float and 0.45 <= rho_star <= 0.60
 
 
 def test_optimizer_agrees_with_derivative_bisection():
@@ -171,7 +236,7 @@ def test_optimizer_agrees_with_derivative_bisection():
         else:
             hi = mid
     by_bisection = 0.5 * (lo + hi)
-    by_search = analytic.optimal_utilization(1.0).utilization
+    by_search = analytic.optimal_utilization()
     assert abs(by_search - by_bisection) <= 1e-9
 
 
@@ -182,13 +247,13 @@ def test_optimal_utilization_is_the_root_of_the_quartic():
         two = decimal.Decimal(2)
         root = (1 + two.sqrt() - (2 * two.sqrt() - 1).sqrt()) / 2
         assert abs(root**4 - 2 * root**3 + root**2 - 2 * root + 1) < decimal.Decimal("1e-55")
-        rho_star = analytic.optimal_utilization(1.0).utilization
+        rho_star = analytic.optimal_utilization()
         assert abs(decimal.Decimal(rho_star) - root) <= decimal.Decimal(math.ulp(rho_star))
 
 
 def test_aud_curve_u_shape_in_arrival_rate():
     # strictly decreasing before the minimizer, strictly increasing after
-    rho_star = analytic.optimal_utilization(1.0).utilization
+    rho_star = analytic.optimal_utilization()
     grid = np.linspace(0.001, 0.999, 1000)
     values = np.array([analytic.average_aud(SystemParams(r, 1.0)) for r in grid])
     below = values[grid <= rho_star]

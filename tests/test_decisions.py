@@ -43,20 +43,19 @@ def crafted_trace():
 
 
 def test_decision_exactly_at_departure():
-    decisions = decisions_at(crafted_trace(), [3.0])
-    rec = decisions[0]
-    assert rec.freshest_index == 0
-    assert rec.age == pytest.approx(1.0, abs=1e-12)  # the system time of update 1
+    freshest, ages = decisions_at(crafted_trace(), [3.0])
+    assert freshest[0] == 0
+    assert ages[0] == pytest.approx(1.0, abs=1e-12)  # the system time of update 1
 
 
 def test_decision_inside_following_gap():
     # tau = 6 falls between departures 5 and 7.5: age is update 2's system
     # time plus the elapsed 1.0 since its departure
-    decisions = decisions_at(crafted_trace(), [6.0])
-    rec = decisions[0]
-    assert rec.freshest_index == 1
-    assert rec.generation_time == 3.0
-    assert rec.age == pytest.approx(3.0, abs=1e-12)
+    trace = crafted_trace()
+    freshest, ages = decisions_at(trace, [6.0])
+    assert freshest[0] == 1
+    assert trace.arrival_times[freshest[0]] == 3.0
+    assert ages[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def tied_arrivals():
@@ -71,12 +70,12 @@ def tied_departures():
 
 def test_decisions_at_tied_epochs():
     # a decision at tied departures acts on the later, fresher update
-    decisions = decisions_at(tied_departures(), [1.5, 2.0, 3.0, 5.0])
-    assert list(decisions.freshest_index) == [-1, 1, 1, 2]
-    assert list(decisions.ages[1:]) == [0.5, 1.5, 1.0]
-    decisions = decisions_at(tied_arrivals(), [3.0, 4.0, 4.5])
-    assert list(decisions.freshest_index) == [1, 2, 2]
-    assert list(decisions.ages) == [1.0, 2.0, 2.5]
+    freshest, ages = decisions_at(tied_departures(), [1.5, 2.0, 3.0, 5.0])
+    assert list(freshest) == [-1, 1, 1, 2]
+    assert list(ages[1:]) == [0.5, 1.5, 1.0]
+    freshest, ages = decisions_at(tied_arrivals(), [3.0, 4.0, 4.5])
+    assert list(freshest) == [1, 2, 2]
+    assert list(ages) == [1.0, 2.0, 2.5]
 
 
 def test_time_average_over_tied_epochs():
@@ -87,11 +86,10 @@ def test_time_average_over_tied_epochs():
 
 
 def test_decisions_before_first_departure_are_undefined():
-    decisions = decisions_at(crafted_trace(), [0.5, 1.0, 4.0])
-    assert decisions.n_undefined == 2
-    assert list(decisions.freshest_index) == [-1, -1, 0]
-    assert math.isnan(decisions.ages[0]) and math.isnan(decisions.generation_times[1])
-    assert list(decisions.defined_ages) == [2.0]  # tau 4.0 minus generation epoch 2.0
+    freshest, ages = decisions_at(crafted_trace(), [0.5, 1.0, 4.0])
+    assert list(freshest) == [-1, -1, 0]
+    assert math.isnan(ages[0]) and math.isnan(ages[1])
+    assert list(ages[freshest >= 0]) == [2.0]  # tau 4.0 minus generation epoch 2.0
 
 
 def test_horizon_beyond_trace_rejected():
@@ -130,19 +128,19 @@ def test_interdecision_gaps_are_exponential():
 
 def test_decision_determinism():
     trace = simulate(SystemParams(0.5, 1.0), 10_000, 5)
-    a = decisions_at(trace, poisson_epochs(1.0, trace.last_departure, SeededStream(5, 7)))
-    b = decisions_at(trace, poisson_epochs(1.0, trace.last_departure, SeededStream(5, 7)))
-    assert (a.times == b.times).all()
-    assert (a.ages[a.defined] == b.ages[b.defined]).all()
+    a = poisson_epochs(1.0, trace.last_departure, SeededStream(5, 7))
+    b = poisson_epochs(1.0, trace.last_departure, SeededStream(5, 7))
+    assert (a == b).all()
+    assert np.array_equal(decisions_at(trace, a)[1], decisions_at(trace, b)[1], equal_nan=True)
 
 
 def test_aud_mean_matches_closed_form():
     # the closed form at utilization 0.5 gives 3.5
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
     epochs = poisson_epochs(1.0, trace.last_departure, SeededStream(42, DECISION_STREAM))
-    decisions = decisions_at(trace, epochs)
+    freshest, ages = decisions_at(trace, epochs)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
-    ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
+    ages = ages[(freshest >= 0) & (epochs > warm_epoch)]
     assert ages.mean() == pytest.approx(3.5, rel=0.01)
 
 
@@ -153,9 +151,8 @@ def test_aud_invariant_across_decision_rates():
     estimates = []
     for nu, sid in ((0.1, 100), (10.0, 101)):
         epochs = poisson_epochs(nu, trace.last_departure, SeededStream(42, sid))
-        decisions = decisions_at(trace, epochs)
-        ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-        estimates.append(batch_means_ci(ages))
+        freshest, ages = decisions_at(trace, epochs)
+        estimates.append(batch_means_ci(ages[(freshest >= 0) & (epochs > warm_epoch)]))
     a, b = estimates
     assert abs(a.mean - b.mean) <= a.half_width + b.half_width  # the intervals overlap
 
@@ -214,25 +211,23 @@ def test_time_average_window_validation():
 def test_decision_ages_equal_path_evaluation():
     # pointwise identity: a decision's age is the sawtooth sampled at its epoch
     trace = simulate(SystemParams(0.5, 1.0), 20_000, 23)
-    decisions = decisions_at(trace, poisson_epochs(1.5, trace.last_departure, SeededStream(23, 9)))
+    epochs = poisson_epochs(1.5, trace.last_departure, SeededStream(23, 9))
+    freshest, ages = decisions_at(trace, epochs)
     path = aoi_path(trace)
-    mask = decisions.defined
-    assert np.allclose(
-        decisions.ages[mask], evaluate(path, decisions.times[mask]), rtol=1e-12, atol=1e-9
-    )
+    mask = freshest >= 0
+    assert np.allclose(ages[mask], evaluate(path, epochs[mask]), rtol=1e-12, atol=1e-9)
     # an age can never undercut the acted-on update's own time in the system
-    floor = trace.system_times[decisions.freshest_index[mask]]
-    assert (decisions.ages[mask] >= floor - 1e-9).all()
+    floor = trace.system_times[freshest[mask]]
+    assert (ages[mask] >= floor - 1e-9).all()
 
 
 def test_pasta_time_average_matches_decision_mean():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
     horizon = trace.last_departure
-    decisions = decisions_at(trace, poisson_epochs(1.0, horizon,
-                                                   SeededStream(42, DECISION_STREAM)))
-    ages = decisions.ages[decisions.defined & (decisions.times > warm_epoch)]
-    est = batch_means_ci(ages)
+    epochs = poisson_epochs(1.0, horizon, SeededStream(42, DECISION_STREAM))
+    freshest, ages = decisions_at(trace, epochs)
+    est = batch_means_ci(ages[(freshest >= 0) & (epochs > warm_epoch)])
     sawtooth_mean = time_average_aoi(aoi_path(trace), warm_epoch, horizon)
     assert abs(est.mean - sawtooth_mean) <= est.half_width
 
@@ -302,21 +297,18 @@ def decisions_reference(trace, times):
     times = np.asarray(times, dtype=float)
     freshest = np.searchsorted(trace.departure_times, times, side="right") - 1
     defined = freshest >= 0
-    generation = np.full(len(times), np.nan)
     ages = np.full(len(times), np.nan)
-    generation[defined] = trace.arrival_times[freshest[defined]]
-    ages[defined] = times[defined] - generation[defined]
+    ages[defined] = times[defined] - trace.arrival_times[freshest[defined]]
     freshest[~defined] = -1
-    return freshest, generation, ages
+    return freshest, ages
 
 
 def assert_decisions_match_reference(trace, times):
-    decisions = decisions_at(trace, times)
-    freshest, generation, ages = decisions_reference(trace, times)
-    assert decisions.freshest_index.dtype == freshest.dtype
-    assert np.array_equal(decisions.freshest_index, freshest)
-    assert np.array_equal(decisions.generation_times, generation, equal_nan=True)
-    assert np.array_equal(decisions.ages, ages, equal_nan=True)
+    freshest, ages = decisions_at(trace, times)
+    want_freshest, want_ages = decisions_reference(trace, times)
+    assert freshest.dtype == want_freshest.dtype
+    assert np.array_equal(freshest, want_freshest)
+    assert np.array_equal(ages, want_ages, equal_nan=True)
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -335,8 +327,8 @@ def test_inverted_decision_search_edge_cases():
     # every epoch before the first departure
     assert_decisions_match_reference(trace, [0.5, 1.0, 2.999])
     # no epochs at all
-    empty = decisions_at(trace, [])
-    assert len(empty) == 0 and empty.freshest_index.dtype == np.intp
+    freshest, ages = decisions_at(trace, [])
+    assert len(freshest) == len(ages) == 0 and freshest.dtype == np.intp
 
 
 def test_decisions_at_rejects_unsorted_epochs():
@@ -345,13 +337,11 @@ def test_decisions_at_rejects_unsorted_epochs():
 
 
 def assert_slice_matches_full_call(trace, epochs, a, b):
-    full = decisions_at(trace, epochs)
-    part = decisions_at(trace, epochs[a:b])
-    assert np.array_equal(part.times, full.times[a:b])
-    assert part.freshest_index.dtype == full.freshest_index.dtype
-    assert np.array_equal(part.freshest_index, full.freshest_index[a:b])
-    assert np.array_equal(part.generation_times, full.generation_times[a:b], equal_nan=True)
-    assert np.array_equal(part.ages, full.ages[a:b], equal_nan=True)
+    full_freshest, full_ages = decisions_at(trace, epochs)
+    freshest, ages = decisions_at(trace, epochs[a:b])
+    assert freshest.dtype == full_freshest.dtype
+    assert np.array_equal(freshest, full_freshest[a:b])
+    assert np.array_equal(ages, full_ages[a:b], equal_nan=True)
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -371,8 +361,8 @@ def test_decision_slices_at_the_span_boundaries():
     for a, b in ((3, 9), (6, 8), (0, 3), (0, 4), (4, 7), (8, 9), (2, 2)):
         assert_slice_matches_full_call(trace, epochs, a, b)
     # a slice between two departures acts only on the earlier one
-    inside = decisions_at(trace, [5.5, 6.0, 7.0])
-    assert list(inside.freshest_index) == [1, 1, 1]
+    freshest, _ = decisions_at(trace, [5.5, 6.0, 7.0])
+    assert list(freshest) == [1, 1, 1]
 
 
 def test_epoch_generators_match_the_record_builders():
@@ -380,7 +370,6 @@ def test_epoch_generators_match_the_record_builders():
     horizon = trace.last_departure
     epochs = poisson_epochs(2.0, horizon, SeededStream(3, 9))
     assert np.array_equal(epochs, poisson_epochs(2.0, horizon, SeededStream(3, 9)))
-    assert np.array_equal(epochs, decisions_at(trace, epochs).times)
     assert 0.0 < epochs[0] and epochs[-1] <= horizon < epochs[-1] + 10.0
     with pytest.raises(ParameterError):
         poisson_epochs(0.0, 5.0, SeededStream(0, DECISION_STREAM))
@@ -461,7 +450,7 @@ def assert_age_sum_matches_reference(trace, times):
     about n / lambda and lambda < mu).  The hand-built traces have exact sums.
     """
     times = np.asarray(times, dtype=float)
-    _, _, ages = decisions_reference(trace, times)
+    _, ages = decisions_reference(trace, times)
     assert not np.isnan(ages).any()
     got, want = _age_sum(trace, times), math.fsum(ages)
     assert type(got) is float
@@ -488,12 +477,13 @@ def test_generation_epochs_on_tied_departure_runs():
         [7.5],
     ):
         assert_decisions_match_reference(trace, times)
-    assert list(decisions_at(trace, [2.0, 4.0, 7.0]).generation_times) == [1.5, 3.5, 6.0]
-    assert len(decisions_at(trace, []).freshest_index) == 0
+    freshest, _ = decisions_at(trace, [2.0, 4.0, 7.0])
+    assert list(trace.arrival_times[freshest]) == [1.5, 3.5, 6.0]
+    assert len(decisions_at(trace, [])[0]) == 0
     for times in ([2.0, 4.0, 7.0], [2.5, 3.0, 3.5], [7.5], [8.0],
                   np.repeat([2.0, 3.0, 4.0, 8.0], [1, 2, 3, 4]),
                   np.repeat([2.0, 3.0, 4.0, 4.5, 8.0], 5)):
-        assert _age_sum(trace, np.array(times)) == math.fsum(decisions_at(trace, times).ages)
+        assert _age_sum(trace, np.array(times)) == math.fsum(decisions_at(trace, times)[1])
     assert _age_sum(trace, np.empty(0)) == 0.0
 
 
@@ -512,7 +502,7 @@ def test_age_sum_counts_the_decisions_by_either_search():
     fewer = set()
     for tr, times in cases:
         times = np.asarray(times, dtype=float)
-        freshest = decisions_at(tr, times).freshest_index
+        freshest, _ = decisions_at(tr, times)
         lo, hi = freshest[0], freshest[-1]
         counts = np.bincount(freshest - lo, minlength=hi - lo + 1)
         want = times.sum() - np.multiply(counts, tr.arrival_times[lo:hi + 1]).sum()
@@ -531,8 +521,8 @@ def test_generation_epochs_on_a_trace_that_starts_at_negative_zero():
     assert list(trace.system_times) == [0.0, 0.0, 0.5, 1.0, 1.3]
     for times in ([0.25, 2.5], [0.25, 0.5, 1.0, 2.0], [0.5] * 9 + [2.0], [1.0, 1.5]):
         assert_decisions_match_reference(trace, times)
-        assert _age_sum(trace, np.array(times)) == math.fsum(decisions_at(trace, times).ages)
-    assert list(decisions_at(trace, [0.25, 0.5]).freshest_index) == [1, 2]
+        assert _age_sum(trace, np.array(times)) == math.fsum(decisions_at(trace, times)[1])
+    assert list(decisions_at(trace, [0.25, 0.5])[0]) == [1, 2]
 
 
 def test_mean_age_equals_the_decision_records_across_decisions_per_departure():
@@ -544,7 +534,7 @@ def test_mean_age_equals_the_decision_records_across_decisions_per_departure():
         for a, b in ((0, len(epochs)), (per, 2 * per), (3 * per, 3 * per + 250)):
             times = epochs[a:b]
             mean = _age_sum(trace, times) / len(times)
-            assert mean == pytest.approx(decisions_at(trace, times).ages.mean(), rel=1e-10)
+            assert mean == pytest.approx(decisions_at(trace, times)[1].mean(), rel=1e-10)
             assert_age_sum_matches_reference(trace, times)
 
 

@@ -420,7 +420,8 @@ def test_sweep_row_without_a_warmup_averages_from_the_first_departure(monkeypatc
     expected = aud_reference(point, epochs)
     assert no_warm_row.empirical_aud == pytest.approx(expected.mean, rel=1e-9)
     assert no_warm_row.ci_half_width == pytest.approx(expected.half_width, rel=1e-9)
-    assert no_warm_row.n_undefined_decisions == decisions_at(point.trace, epochs).n_undefined > 0
+    freshest, _ = decisions_at(point.trace, epochs)
+    assert no_warm_row.n_undefined_decisions == (freshest < 0).sum() > 0
 
 
 def test_validation_small_run_skips_the_checks_below_their_floors():
@@ -482,7 +483,7 @@ def test_validation_full_default_passes(tmp_path):
     # dispatch disabled.  A change that declares a byte change updates this
     # hash with it.
     assert hashlib.sha256((tmp_path / "v.csv").read_bytes()).hexdigest() == (
-        "588f204ce40ac2b3364e6021aafc562ac4afb306481e51d00ace3dcb2567f3f7")
+        "91c4b819d771d6cf55de0c4db74c7a413c5c5d768f4337e94308a9a1f0b55a3d")
     assert report.passed, report.summary()
     assert len(report.checks) == 15
     assert all(type(c.passed) is bool for c in report.checks)
@@ -501,7 +502,7 @@ def test_validation_full_default_passes(tmp_path):
     # a window holds about 2.0e6 epochs, 15.3 blocks: the pieces are its blocks,
     # and the block that holds its edge is cut there
     (["validate", "--lambda", "0.01", "--updates", "200000", "--seed", "3"],
-     "69a3d1ae92ca4c66bdd7a9413b667862d3d05c921e1af155231f90f1af84be26"),
+     "93f5402dc1b4d07cf33f1cfb1db6129ee7dd09b71dc3e8fa8b70a2dd30e3cb28"),
 ], ids=["sweep-lambda", "validate-lambda-0.01"])
 def test_decision_loop_keeps_the_csv_bytes(tmp_path, argv, digest):
     # The CSV bytes of these runs, at any thread count, as for the default
@@ -581,7 +582,7 @@ def window_reference(samples, cuts, confidence: float = 0.99) -> EstimateWithCI:
 
 def aud_reference(point, epochs):
     """The mean-age estimate from the full decision columns: a window takes the decisions in (start, end]."""
-    ages = decisions_at(point.trace, epochs).ages
+    _, ages = decisions_at(point.trace, epochs)
     return window_reference(ages, np.searchsorted(epochs, point.edges, side="right"),
                             point.config.confidence)
 
@@ -654,7 +655,7 @@ def column_reference(point, epochs, starts=(), nu=1.0):
         "nu": nu,
         "total": int(np.searchsorted(epochs, trace.last_departure, side="right")),
         "after_warmup": estimated,
-        "undefined": decisions_at(trace, epochs).n_undefined,
+        "undefined": int((decisions_at(trace, epochs)[0] < 0).sum()),
         "min_window_decisions": int(counts.min()),
     }
 
@@ -714,7 +715,7 @@ def test_batched_aud_estimate_matches_the_whole_column_reference(seed, regular, 
             cuts = np.searchsorted(epochs, point.edges, side="right")
             assert counts["after_warmup"] == cuts[-1] - cuts[0]
             assert counts["min_window_decisions"] == np.diff(cuts).min() > 0
-            assert counts["undefined"] == decisions_at(trace, epochs).n_undefined
+            assert counts["undefined"] == (decisions_at(trace, epochs)[0] < 0).sum()
 
 
 def test_aud_estimate_small_branches(monkeypatch):
@@ -1042,12 +1043,17 @@ def test_cli_nu_invariance_compares_only_the_rates_with_an_estimate(tmp_path, ca
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out.splitlines()[-1] == (
-        "SKIP  fewer than two decision rates have an estimate")
+        "SKIP  fewer than two distinct decision rates have an estimate")
     rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
     assert [r[4:6] == ["", ""] for r in rows] == [True, False]
     # no decision at nu = 1e-4 falls on this short trace
     code = cli_main(["nu-invariance", "--nu", "0.0001,1", "--updates", "100", "--out", str(out)])
     assert code == 0 and capsys.readouterr().out.startswith("SKIP")
+    # a repeated rate reads one estimate, so it names no second rate
+    code = cli_main(["nu-invariance", "--nu", "1,1", "--updates", "20000", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().out.splitlines() == [
+        "nu=1: mean age 3.48722 +/- 0.0828937",
+        "SKIP  fewer than two distinct decision rates have an estimate"]
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -185,14 +185,12 @@ def test_ks_system_times_not_rejected():
 
 def test_uniform_offsets_of_poisson_decisions():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 42)
-    decisions = decisions_at(
-        trace, poisson_epochs(1.0, trace.last_departure, SeededStream(42, DECISION_STREAM))
-    )
+    epochs = poisson_epochs(1.0, trace.last_departure, SeededStream(42, DECISION_STREAM))
     # each decision inside a complete departure gap, as a fraction of that gap,
     # is Uniform(0, 1) under Poisson decisions
-    idx = decisions.freshest_index
+    idx, _ = decisions_at(trace, epochs)
     inside = (idx >= 0) & (idx < trace.n - 1)
     left = trace.departure_times[idx[inside]]
     right = trace.departure_times[idx[inside] + 1]
-    offsets = (decisions.times[inside] - left) / (right - left)
+    offsets = (epochs[inside] - left) / (right - left)
     assert scipy.stats.kstest(offsets, "uniform").pvalue >= 0.01

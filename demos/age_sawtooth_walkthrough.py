@@ -10,12 +10,12 @@ import numpy as np
 from aud_lab import (
     SeededStream,
     SystemParams,
-    aoi_path,
     decisions_at,
     default_warmup,
     poisson_epochs,
+    sawtooth_mean,
+    sawtooth_vertices,
     simulate,
-    time_average_aoi,
 )
 from aud_lab.distributions import DECISION_STREAM
 
@@ -28,12 +28,11 @@ for k in range(trace.n):
           f"{trace.departure_times[k]:8.3f} {trace.waiting_times[k]:7.3f} "
           f"{trace.system_times[k]:7.3f}")
 
-path = aoi_path(trace)
 print("\nsawtooth vertices (epoch, age):")
-for epoch, age in path.vertices():
+for epoch, age in sawtooth_vertices(trace):
     print(f"  ({epoch:7.3f}, {age:6.3f})")
 
-lo, hi = path.support
+lo, hi = trace.departure_times[0], trace.last_departure
 taus = np.round(np.linspace(lo + 0.5, hi - 0.5, 5), 3)
 print("\ndecisions:")
 for tau, k, age in zip(taus, *decisions_at(trace, taus)):
@@ -45,7 +44,7 @@ warm_epoch = long_trace.departure_times[default_warmup(long_trace.n) - 1]
 epochs = poisson_epochs(1.0, long_trace.last_departure, SeededStream(9, DECISION_STREAM))
 freshest, ages = decisions_at(long_trace, epochs)
 kept = ages[(freshest >= 0) & (epochs > warm_epoch)]
-sawtooth_avg = time_average_aoi(aoi_path(long_trace), warm_epoch, long_trace.last_departure)
+sawtooth_avg = sawtooth_mean(long_trace, warm_epoch, long_trace.last_departure)
 print(f"\nlong run: sawtooth time average {sawtooth_avg:.4f}, "
       f"decision-sampled mean {kept.mean():.4f} "
       f"({(freshest >= 0).sum()} decisions)")

@@ -12,8 +12,7 @@ from aud_lab import (
     arrivals_seeing_busy,
     default_warmup,
     ks_exponential,
-    occupancy_fractions,
-    queue_length_process,
+    occupancy,
     simulate,
     stationary_queue_dist,
     system_time_rate,
@@ -41,9 +40,8 @@ print(f"departure gaps (n={ks_y.n}): D={ks_y.statistic:.5f}, p={ks_y.p_value:.3f
 print(f"gap mean {gaps.mean():.4f} vs {mean_interdeparture(params):.4f}, "
       f"second moment {np.mean(gaps**2):.4f} vs {second_moment_interdeparture(params):.4f}\n")
 
-path = queue_length_process(trace)
 warm_epoch = trace.departure_times[warm - 1]
-observed = occupancy_fractions(path, 8, warm_epoch, trace.last_departure)
+observed = occupancy(trace, 8, warm_epoch, trace.last_departure)
 expected = stationary_queue_dist(params, 8)
 print(f"{'level':>5} {'observed':>9} {'geometric':>9}")
 for level, (obs, exp) in enumerate(zip(observed, expected)):

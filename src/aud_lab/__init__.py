@@ -18,14 +18,13 @@ from .analytic import (
     stationary_queue_dist,
     system_time_rate,
 )
-from .decisions import aoi_path, decisions_at, poisson_epochs, time_average_aoi
+from .decisions import decisions_at, poisson_epochs, sawtooth_mean, sawtooth_vertices
 from .distributions import SeededStream
 from .queueing import (
     SystemParams,
     arrivals_seeing_busy,
     default_warmup,
-    occupancy_fractions,
-    queue_length_process,
+    occupancy,
     simulate,
 )
 from .stats import ks_exponential

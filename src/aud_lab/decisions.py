@@ -7,18 +7,19 @@ before the first departure have no delivered update to act on; they get the
 index -1 and the age NaN, and are counted separately rather than imputed.
 ``poisson_epochs`` draws a rate's epochs as one column,
 ``experiments._Point.aud`` block by block into one array per pool thread,
-held for the call.
+held for the call.  Between departures the age grows at slope 1, so it
+follows a sawtooth: ``sawtooth_mean`` is its exact time average over a
+window of the trace, and ``sawtooth_vertices`` its polyline.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import SeededStream, _require_positive, exponential_epochs
 from .errors import ParameterError, TruncationError
-from .queueing import UpdateTrace
+from .queueing import UpdateTrace, _require_window
 
 
 def decisions_at(trace: UpdateTrace, times) -> tuple[np.ndarray, np.ndarray]:
@@ -111,69 +112,35 @@ def poisson_epochs(decision_rate: float, horizon: float, stream: SeededStream) -
     return epochs[:np.searchsorted(epochs, horizon, side="right")]
 
 
-@dataclass(frozen=True)
-class AoiPath:
-    """Age-of-information sawtooth: slope-1 growth, resetting at each departure.
+def sawtooth_vertices(trace: UpdateTrace) -> np.ndarray:
+    """The age sawtooth as an explicit (epoch, age) polyline on [first departure, last departure].
 
-    Stored compactly as the drop epochs (departures) and the post-drop ages
-    (system times); the path is defined on [first drop, last drop].
+    The age grows at slope 1 and drops at each departure to that update's
+    system time: two vertices per interior drop.
     """
-
-    drop_epochs: np.ndarray
-    drop_values: np.ndarray
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.drop_epochs[0]), float(self.drop_epochs[-1])
-
-    def vertices(self) -> np.ndarray:
-        """Explicit (epoch, age) polyline, two vertices per interior drop."""
-        e, v = self.drop_epochs, self.drop_values
-        pre_ages = v[:-1] + np.diff(e)
-        out = np.empty((2 * len(e) - 1, 2))
-        out[0] = (e[0], v[0])
-        out[1::2, 0] = e[1:]
-        out[1::2, 1] = pre_ages
-        out[2::2, 0] = e[1:]
-        out[2::2, 1] = v[1:]
-        return out
+    e, v = trace.departure_times, trace.system_times
+    out = np.empty((2 * len(e) - 1, 2))
+    out[0] = (e[0], v[0])
+    out[1::2, 0] = e[1:]
+    out[1::2, 1] = v[:-1] + np.diff(e)
+    out[2::2, 0] = e[1:]
+    out[2::2, 1] = v[1:]
+    return out
 
 
-def aoi_path(trace: UpdateTrace, start: float | None = None, end: float | None = None) -> AoiPath:
-    """Sawtooth age process of the trace: drops to the system time at each departure.
+def sawtooth_mean(trace: UpdateTrace, start: float, end: float) -> float:
+    """Exact time average of the age sawtooth over [start, end].
 
-    Given a window [start, end] within the trace's span, it holds only the
-    segments that overlap the window, from slices of the trace: no
-    full-length column, and ``time_average_aoi`` over the window takes the
-    same terms as on the whole path.
+    The window lies within [first departure, last departure].  The integral
+    is ``np.sum`` over one term per sawtooth segment [departure i, departure
+    i + 1] that overlaps the window, from slices of the trace.
     """
-    dep, arr = trace.departure_times, trace.arrival_times
-    if start is not None:
-        a, b = np.searchsorted(dep, (start, end), side="right")
-        window = slice(max(a - 1, 0), min(b, trace.n - 1) + 1)
-        dep, arr = dep[window], arr[window]
-    return AoiPath(dep, dep - arr)
-
-
-def time_average_aoi(path: AoiPath, start: float, end: float) -> float:
-    """Exact time average of the sawtooth over [start, end], within its support.
-
-    The integral is ``np.sum`` over one term per sawtooth segment that
-    overlaps the window.
-    """
-    lo, hi = path.support
-    if not start < end:
-        raise ParameterError(f"need start < end, got window [{start}, {end}]")
-    if start < lo or end > hi:
-        raise ParameterError(
-            f"window [{start}, {end}] outside path support [{lo:.6g}, {hi:.6g}]"
-        )
-    e, v = path.drop_epochs, path.drop_values
+    _require_window(trace, start, end)
+    e, arr = trace.departure_times, trace.arrival_times
     # segments [e[i], e[i + 1]] for a <= i < b are all that overlap the window
     a, b = np.searchsorted(e, (start, end), side="right")
     a, b = a - 1, min(b, len(e) - 1)
     seg_lo = np.maximum(e[a:b], start)
     dur = np.clip(np.minimum(e[a + 1:b + 1], end) - seg_lo, 0.0, None)
-    age_at_lo = v[a:b] + (seg_lo - e[a:b])
+    age_at_lo = (e[a:b] - arr[a:b]) + (seg_lo - e[a:b])
     return float(np.sum(dur * age_at_lo + 0.5 * dur * dur) / (end - start))
-

@@ -29,6 +29,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -39,12 +40,13 @@ import struct
 import time
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import analytic
-from .decisions import _age_sum, _with_margin, aoi_path, time_average_aoi
+from .decisions import _age_sum, _with_margin, sawtooth_mean
 from .distributions import _MASK64, BLOCK_SIZE, SeededStream, block_pool, splitmix64, worker_limit
 from .errors import InsufficientDataError, ParameterError, StabilityError
 from .queueing import (
@@ -52,8 +54,7 @@ from .queueing import (
     UpdateTrace,
     arrivals_seeing_busy,
     default_warmup,
-    occupancy_fractions,
-    queue_length_process,
+    occupancy,
     simulate,
 )
 from .stats import EstimateWithCI, ks_exponential, mean_ci, ratio_ci, z_value
@@ -307,12 +308,26 @@ def _cpu_features() -> list[str]:
     return sorted(name for name, enabled in __cpu_features__.items() if enabled)
 
 
+def _source_digest() -> str:
+    """SHA-256 of the package's modules: each one's path from the package's parent, NUL, its bytes.
+
+    ``__version__`` is not bumped when the code changes, so this names the
+    code that ran.
+    """
+    package = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(str(path.relative_to(package.parent)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _versions_record() -> dict:
     from . import __version__  # the package module imports this one first
 
     return {
         "record": "versions",
         "aud_lab": __version__,
+        "source_sha256": _source_digest(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_features": _cpu_features(),
@@ -499,12 +514,12 @@ class _Point:
         """The trace's sums per window that validation's checks read, built once, on first read.
 
         A window takes the updates but the last that depart in (its start,
-        its end], the events inside it on a path from the level at its start
-        edge, and the sawtooth segments that overlap it: the pieces and order
-        of addition of the whole run, from slices of the trace, so no
-        temporary outgrows a window.  The occupancy columns stop at MAX_LEVEL,
-        and a check keeps those it tests.  Only the checks read it, behind
-        their floors, so the sweep and nu-invariance never build it.
+        its end], and one call each of ``occupancy`` and ``sawtooth_mean`` on
+        the trace: the pieces and order of addition of the whole run, from
+        slices of the trace, so no temporary outgrows a window.  The
+        occupancy columns stop at MAX_LEVEL, and a check keeps those it
+        tests.  Only the checks read it, behind their floors, so the sweep
+        and nu-invariance never build it.
         """
         trace, edges = self.trace, self.edges
         arr, dep = trace.arrival_times, trace.departure_times
@@ -515,8 +530,7 @@ class _Point:
             # each temporary dies with its expression, before the next is built
             rows.append((np.count_nonzero(arrivals_seeing_busy(trace, i, j)),
                          ((dep[i + 1:j + 1] - dep[i:j]) * (dep[i:j] - arr[i:j])).sum(),
-                         occupancy_fractions(queue_length_process(trace, a, b), MAX_LEVEL, a, b),
-                         time_average_aoi(aoi_path(trace, a, b), a, b)))
+                         occupancy(trace, MAX_LEVEL, a, b), sawtooth_mean(trace, a, b)))
         return _Windows(cuts, np.diff(cuts), *map(np.array, zip(*rows)))
 
 
@@ -603,8 +617,8 @@ def _within(estimates, theory, alpha: float, detail: str = "") -> tuple:
 
 def _differences(estimates) -> list[EstimateWithCI]:
     """Every pairwise difference, half-widths in quadrature (conservative within one trace)."""
-    return [EstimateWithCI(a.mean - b.mean, math.hypot(a.half_width, b.half_width), 0,
-                           a.confidence) for a, b in itertools.combinations(estimates, 2)]
+    return [EstimateWithCI(a.mean - b.mean, math.hypot(a.half_width, b.half_width), a.confidence)
+            for a, b in itertools.combinations(estimates, 2)]
 
 
 def _point_rows(point: _Point, params: SystemParams) -> list[SweepRow]:

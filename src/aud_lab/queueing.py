@@ -151,23 +151,6 @@ class UpdateTrace:
         return float(self.departure_times[-1])
 
 
-@dataclass(frozen=True)
-class QueueLengthPath:
-    """Piecewise-constant number-in-system path.
-
-    ``lengths[i]`` holds on [epochs[i], epochs[i+1]); before the first epoch
-    the system holds ``initial`` updates (none on a path of the whole run).
-    Simultaneous events are ordered departure first, so an update and its
-    same-instant replacement are not counted twice; but an update that
-    departs at its own arrival epoch leaves before it arrives, and the
-    zero-length piece between the two may show level -1.
-    """
-
-    epochs: np.ndarray
-    lengths: np.ndarray
-    initial: int = 0
-
-
 def simulate(params: SystemParams, n_updates: int, seed: int,
              out: tuple[np.ndarray, np.ndarray] | None = None) -> UpdateTrace:
     """Simulate ``n_updates`` through the M/M/1 FCFS queue of ``params``.
@@ -226,54 +209,45 @@ def simulate(params: SystemParams, n_updates: int, seed: int,
     return UpdateTrace(arrivals, services)
 
 
-def queue_length_process(
-    trace: UpdateTrace, start: float = -math.inf, end: float = math.inf
-) -> QueueLengthPath:
-    """Number-in-system path implied by the trace's arrival/departure epochs.
+def _require_window(trace: UpdateTrace, start: float, end: float) -> None:
+    """Raise ParameterError unless first departure <= start < end <= last departure."""
+    lo, hi = float(trace.departure_times[0]), trace.last_departure
+    if not lo <= start < end <= hi:
+        raise ParameterError(f"window [{start}, {end}] is not an interval within the "
+                             f"trace's span [{lo:.6g}, {hi:.6g}]")
 
-    Only the events in (start, end] are merged, and the path starts from
-    the level after the events at or before ``start``: the arrivals less
-    the departures up to then.  By default that is the whole run.
+
+def occupancy(trace: UpdateTrace, max_level: int, start: float, end: float) -> np.ndarray:
+    """Time-weighted fraction of [start, end] spent at each number in system 0..max_level.
+
+    The window lies within [first departure, last departure].  Its path
+    starts from the level left by the events at or before ``start`` (the
+    arrivals less the departures up to then), and only the events in
+    (start, end] are merged: a stable sort keeps the departures ahead of the
+    arrivals at equal epochs, so an update and its same-instant replacement
+    are not counted twice.  Every stretch between consecutive bounds (the
+    window's edges and the events inside it) is one piece at one level, and
+    ``np.bincount`` adds the piece durations per level in time order, the
+    levels above ``max_level`` into one overflow bin that is dropped, so the
+    fractions may sum to < 1.  An update that departs at its own arrival
+    epoch leaves before it arrives; the zero-length piece between the two
+    shows level -1 and adds +0.0 to level 0.
     """
+    if max_level < 0:
+        raise ParameterError(f"max_level must be >= 0, got {max_level}")
+    _require_window(trace, start, end)
     arr, dep = trace.arrival_times, trace.departure_times
     a0, a1 = np.searchsorted(arr, (start, end), side="right")
     d0, d1 = np.searchsorted(dep, (start, end), side="right")
-    na, nd = a1 - a0, d1 - d0
     times = np.concatenate([dep[d0:d1], arr[a0:a1]])
-    delta = np.ones(nd + na, dtype=np.int64)
-    delta[:nd] = -1
-    # a stable sort keeps the departures, listed first, ahead of arrivals at equal epochs
     order = np.argsort(times, kind="stable")
-    initial = int(a0 - d0)
-    lengths = np.cumsum(delta[order])
-    lengths += initial
-    return QueueLengthPath(times[order], lengths, initial)
-
-
-def occupancy_fractions(path: QueueLengthPath, max_length: int, start: float,
-                        end: float) -> np.ndarray:
-    """Time-weighted fraction of [start, end] spent at each occupancy level 0..max_length.
-
-    Levels above ``max_length`` are not reported, so the fractions may sum
-    to < 1.  The path's ``initial`` level holds before its first event, and
-    the last event's level after it.  Every stretch between consecutive
-    bounds (the window's edges and the events inside it) is one piece at one
-    level, and ``np.bincount`` adds the piece durations per level in time
-    order, the levels above ``max_length`` into one overflow bin that is
-    dropped, and a level -1 (``QueueLengthPath``) into level 0: its piece adds
-    +0.0.
-    """
-    if max_length < 0:
-        raise ParameterError(f"max_length must be >= 0, got {max_length}")
-    if not start < end:
-        raise ParameterError(f"need start < end, got window [{start}, {end}]")
-    i, j = np.searchsorted(path.epochs, (start, end), side="right")
-    bounds = np.concatenate(([start], path.epochs[i:j], [end]))
-    # the level of a piece is that after the events at or before its start
-    levels = path.lengths[i - 1:j] if i else np.concatenate(([path.initial], path.lengths[:j]))
-    totals = np.bincount(np.clip(levels, 0, max_length + 1), weights=np.diff(bounds),
-                         minlength=max_length + 2)
-    return totals[:max_length + 1] / (end - start)
+    bounds = np.concatenate(([start], times[order], [end]))
+    # the level of a piece is that after the events at or before its start:
+    # each departure, listed first, steps it down and each arrival up
+    levels = np.cumsum(np.concatenate(([a0 - d0], np.where(order < d1 - d0, -1, 1))))
+    np.clip(levels, 0, max_level + 1, out=levels)  # in place: one window-long array fewer
+    totals = np.bincount(levels, weights=np.diff(bounds), minlength=max_level + 2)
+    return totals[:max_level + 1] / (end - start)
 
 
 def arrivals_seeing_busy(trace: UpdateTrace, start: int = 0,

@@ -43,22 +43,20 @@ class EstimateWithCI:
 
     mean: float
     half_width: float
-    n: int
     confidence: float = 0.99
 
 
 def mean_ci(samples, confidence: float = 0.99) -> EstimateWithCI:
     """Normal-approximation CI for the mean of (approximately) i.i.d. samples.
 
-    Near-independent batch means are such samples; ``n`` is then the number
-    of batches.
+    Near-independent batch means are such samples.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {x.size}")
     z = z_value(confidence)
     half = z * float(x.std(ddof=1)) / math.sqrt(x.size)
-    return EstimateWithCI(float(x.mean()), half, int(x.size), confidence)
+    return EstimateWithCI(float(x.mean()), half, confidence)
 
 
 def ratio_ci(sums, counts, confidence: float = 0.99) -> EstimateWithCI:
@@ -67,7 +65,7 @@ def ratio_ci(sums, counts, confidence: float = 0.99) -> EstimateWithCI:
     The delta method gives the ratio R a standard error of
     sqrt(sum((sums - R * counts)**2) * K / (K - 1)) / sum(counts) over K
     windows; with equal counts that is ``mean_ci`` of the window means.  A
-    window may hold no samples; ``n`` is the number of windows.
+    window may hold no samples.
     """
     s, c = np.asarray(sums, dtype=float), np.asarray(counts, dtype=float)
     if s.size < 2:
@@ -78,7 +76,7 @@ def ratio_ci(sums, counts, confidence: float = 0.99) -> EstimateWithCI:
     ratio = float(s.sum()) / total
     residuals = s - ratio * c
     se = math.sqrt(float(np.square(residuals).sum()) * s.size / (s.size - 1)) / total
-    return EstimateWithCI(ratio, z_value(confidence) * se, int(s.size), confidence)
+    return EstimateWithCI(ratio, z_value(confidence) * se, confidence)
 
 
 def kolmogorov_sf(x: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 from conftest import record_criterion
 
 from aud_lab import analytic
-from aud_lab.decisions import aoi_path, time_average_aoi
+from aud_lab.decisions import sawtooth_mean
 from aud_lab.errors import StabilityError
 from aud_lab.experiments import (
     ExperimentConfig,
@@ -26,8 +26,7 @@ from aud_lab.experiments import (
 from aud_lab.queueing import (
     SystemParams,
     default_warmup,
-    occupancy_fractions,
-    queue_length_process,
+    occupancy,
     simulate,
 )
 from aud_lab.stats import ks_exponential, ratio_ci, z_value
@@ -136,9 +135,8 @@ def test_criterion_5_queue_length_distribution(lam, seed):
     trace = simulate(params, 1_000_000, seed)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
     horizon = trace.last_departure
-    path = queue_length_process(trace)
     edges = np.linspace(warm_epoch, horizon, 101)
-    per_batch = np.array([occupancy_fractions(path, 10, a, b) for a, b in zip(edges, edges[1:])])
+    per_batch = np.array([occupancy(trace, 10, a, b) for a, b in zip(edges, edges[1:])])
     mean = per_batch.mean(axis=0)
     half = z_value(0.99) * per_batch.std(axis=0, ddof=1) / 10.0
     pi = analytic.stationary_queue_dist(params, 10)
@@ -245,9 +243,8 @@ def test_criterion_8_figure_shapes():
 def test_criterion_9_pasta_cross_check(point_half):
     point, _ = point_half
     aud_est = point.aud(1.0)[0]
-    path = aoi_path(point.trace)
     edges = point.edges  # the windows of every estimate of the point
-    batches = np.array([time_average_aoi(path, a, b) for a, b in zip(edges, edges[1:])])
+    batches = np.array([sawtooth_mean(point.trace, a, b) for a, b in zip(edges, edges[1:])])
     aoi_mean = batches.mean()
     aoi_half = z_value(0.99) * batches.std(ddof=1) / 10.0
     diff = abs(aoi_mean - aud_est.mean)

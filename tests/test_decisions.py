@@ -7,15 +7,15 @@ import pytest
 from aud_lab import decisions, experiments
 from aud_lab.decisions import (
     _age_sum,
-    aoi_path,
     decisions_at,
     poisson_epochs,
-    time_average_aoi,
+    sawtooth_mean,
+    sawtooth_vertices,
 )
 from aud_lab.distributions import DECISION_STREAM, SeededStream, exponential_gaps
 from aud_lab.errors import ParameterError, TruncationError
 from aud_lab.experiments import ExperimentConfig, _simulate_point, decision_stream_id
-from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, simulate
+from aud_lab.queueing import SystemParams, UpdateTrace, default_warmup, occupancy, simulate
 from aud_lab.stats import ks_exponential, mean_ci
 from test_experiments import column_reference
 
@@ -26,13 +26,13 @@ def batch_means_ci(ages):
     return mean_ci(ages[:100 * per].reshape(100, per).mean(axis=1))
 
 
-def evaluate(path, t):
-    """Reference: the age at time(s) t within the path's support; the post-drop value at a drop."""
+def evaluate(trace, t):
+    """Reference: the age at time(s) t within the trace's span; the post-drop value at a drop."""
     t = np.asarray(t, dtype=float)
-    lo, hi = path.support
-    assert ((lo <= t) & (t <= hi)).all(), "evaluation epoch outside the path's support"
-    idx = np.searchsorted(path.drop_epochs, t, side="right") - 1
-    return path.drop_values[idx] + (t - path.drop_epochs[idx])
+    dep = trace.departure_times
+    assert ((dep[0] <= t) & (t <= dep[-1])).all(), "evaluation epoch outside the trace's span"
+    idx = np.searchsorted(dep, t, side="right") - 1
+    return trace.system_times[idx] + (t - dep[idx])
 
 
 def crafted_trace():
@@ -80,9 +80,9 @@ def test_decisions_at_tied_epochs():
 
 def test_time_average_over_tied_epochs():
     # the tied departures leave a zero-length sawtooth segment
-    path = aoi_path(tied_departures())
-    assert [time_average_aoi(path, 2.0, 3.5), time_average_aoi(path, 3.5, 5.0)] == [1.25, 2.75]
-    assert time_average_aoi(aoi_path(tied_arrivals()), 2.0, 6.0) == 2.25
+    trace = tied_departures()
+    assert [sawtooth_mean(trace, 2.0, 3.5), sawtooth_mean(trace, 3.5, 5.0)] == [1.25, 2.75]
+    assert sawtooth_mean(tied_arrivals(), 2.0, 6.0) == 2.25
 
 
 def test_decisions_before_first_departure_are_undefined():
@@ -157,55 +157,83 @@ def test_aud_invariant_across_decision_rates():
     assert abs(a.mean - b.mean) <= a.half_width + b.half_width  # the intervals overlap
 
 
-def test_aoi_path_single_update():
+def test_sawtooth_of_a_single_update():
     trace = UpdateTrace(np.array([0.0]), np.array([1.0]))
-    path = aoi_path(trace)
-    assert path.vertices().tolist() == [[1.0, 1.0]]
-    assert evaluate(path, 1.0) == pytest.approx(1.0)
+    assert sawtooth_vertices(trace).tolist() == [[1.0, 1.0]]
+    assert evaluate(trace, 1.0) == pytest.approx(1.0)
 
 
-def test_aoi_path_dd1_sawtooth():
+def test_dd1_sawtooth():
     # D/D/1: an arrival every 2, each served on arrival for 1
     arrivals = 2.0 * np.arange(1, 51)
-    path = aoi_path(UpdateTrace(arrivals, arrivals + 1.0))
+    trace = UpdateTrace(arrivals, arrivals + 1.0)
     # age oscillates between 1 (just after a departure) and 3 (just before the next)
-    assert evaluate(path, 3.0) == pytest.approx(1.0)
-    assert evaluate(path, 4.999999) == pytest.approx(2.999999)
-    verts = path.vertices()
+    assert evaluate(trace, 3.0) == pytest.approx(1.0)
+    assert evaluate(trace, 4.999999) == pytest.approx(2.999999)
+    verts = sawtooth_vertices(trace)
     assert verts[:, 1].min() == pytest.approx(1.0)
     assert verts[:, 1].max() == pytest.approx(3.0)
     # over whole periods the ramp from 1 to 3 averages 2
-    assert time_average_aoi(path, 3.0, 99.0) == pytest.approx(2.0, abs=1e-12)
+    assert sawtooth_mean(trace, 3.0, 99.0) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_sawtooth_vertices_of_tied_departures():
+    # the tied departures drop the age at 2.0 twice: a zero-length segment at age 1
+    assert sawtooth_vertices(tied_departures()).tolist() == [
+        [2.0, 1.0], [2.0, 1.0], [2.0, 0.5], [5.0, 3.5], [5.0, 1.0]]
 
 
 def test_time_average_on_constant_slope_segment():
     # a pure ramp from age a over window w averages a + w/2
     trace = UpdateTrace(np.array([0.0, 9.0]), np.array([1.0, 10.0]))
-    path = aoi_path(trace)
-    assert time_average_aoi(path, 1.0, 5.0) == pytest.approx(1.0 + 4.0 / 2.0, abs=1e-12)
-    assert time_average_aoi(path, 2.0, 3.0) == pytest.approx(2.0 + 0.5, abs=1e-12)
+    assert sawtooth_mean(trace, 1.0, 5.0) == pytest.approx(1.0 + 4.0 / 2.0, abs=1e-12)
+    assert sawtooth_mean(trace, 2.0, 3.0) == pytest.approx(2.0 + 0.5, abs=1e-12)
 
 
 def test_time_average_matches_riemann_oracle():
     # independent check: dense midpoint quadrature over the sawtooth
     trace = simulate(SystemParams(0.6, 1.0), 400, 17)
-    path = aoi_path(trace)
-    lo, hi = path.support
+    lo, hi = trace.departure_times[0], trace.last_departure
     a, b = lo + 0.1 * (hi - lo), lo + 0.9 * (hi - lo)
     grid = np.linspace(a, b, 2_000_001)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    riemann = evaluate(path, mids).mean()
-    assert time_average_aoi(path, a, b) == pytest.approx(riemann, abs=2e-4)
+    riemann = evaluate(trace, mids).mean()
+    assert sawtooth_mean(trace, a, b) == pytest.approx(riemann, abs=2e-4)
 
 
 def test_time_average_window_validation():
-    path = aoi_path(crafted_trace())
-    for start, end in ((5.0, 5.0), (5.0, 4.0), (np.nan, 5.0)):
-        with pytest.raises(ParameterError, match="need start < end"):
-            time_average_aoi(path, start, end)
-    for start, end in ((1.0, 6.0), (4.0, 9.0)):
-        with pytest.raises(ParameterError, match="outside path support"):
-            time_average_aoi(path, start, end)
+    for start, end in ((5.0, 5.0), (5.0, 4.0), (np.nan, 5.0), (1.0, 6.0), (4.0, 9.0)):
+        with pytest.raises(ParameterError, match="within the trace's span"):
+            sawtooth_mean(crafted_trace(), start, end)
+
+
+WINDOW_TRACE = dict(params=SystemParams(0.5, 1.0), n_updates=1000, seed=1)
+
+
+@pytest.mark.parametrize("start,end", [
+    (300.0, 100.0),  # reversed
+    (100.0, 100.0),  # empty
+    (math.nan, 300.0), (100.0, math.nan), (math.nan, math.nan),
+    (5.0, 300.0),  # starts before the first departure
+    (100.0, 1e6),  # ends after the last departure
+    (-math.inf, math.inf),
+])
+@pytest.mark.parametrize("statistic", ["occupancy", "sawtooth_mean"])
+def test_window_statistics_reject_a_window_outside_the_trace(start, end, statistic):
+    trace = simulate(**WINDOW_TRACE)
+    assert 5.0 < trace.departure_times[0] < 100.0 and trace.last_departure < 1e6
+    call = {"occupancy": lambda: occupancy(trace, 3, start, end),
+            "sawtooth_mean": lambda: sawtooth_mean(trace, start, end)}[statistic]
+    with pytest.raises(ParameterError, match="within the trace's span"):
+        call()
+
+
+def test_window_statistics_accept_any_window_within_the_span():
+    trace = simulate(**WINDOW_TRACE)
+    for start, end in ((trace.departure_times[0], trace.last_departure), (50.0, 300.0)):
+        assert occupancy(trace, 100, start, end).sum() == pytest.approx(1.0, rel=1e-12)
+        assert sawtooth_mean(trace, start, end) == pytest.approx(
+            sawtooth_reference(trace, start, end), rel=1e-12, abs=0.0)
 
 
 def test_decision_ages_equal_path_evaluation():
@@ -213,9 +241,8 @@ def test_decision_ages_equal_path_evaluation():
     trace = simulate(SystemParams(0.5, 1.0), 20_000, 23)
     epochs = poisson_epochs(1.5, trace.last_departure, SeededStream(23, 9))
     freshest, ages = decisions_at(trace, epochs)
-    path = aoi_path(trace)
     mask = freshest >= 0
-    assert np.allclose(ages[mask], evaluate(path, epochs[mask]), rtol=1e-12, atol=1e-9)
+    assert np.allclose(ages[mask], evaluate(trace, epochs[mask]), rtol=1e-12, atol=1e-9)
     # an age can never undercut the acted-on update's own time in the system
     floor = trace.system_times[freshest[mask]]
     assert (ages[mask] >= floor - 1e-9).all()
@@ -228,8 +255,8 @@ def test_pasta_time_average_matches_decision_mean():
     epochs = poisson_epochs(1.0, horizon, SeededStream(42, DECISION_STREAM))
     freshest, ages = decisions_at(trace, epochs)
     est = batch_means_ci(ages[(freshest >= 0) & (epochs > warm_epoch)])
-    sawtooth_mean = time_average_aoi(aoi_path(trace), warm_epoch, horizon)
-    assert abs(est.mean - sawtooth_mean) <= est.half_width
+    average = sawtooth_mean(trace, warm_epoch, horizon)
+    assert abs(est.mean - average) <= est.half_width
 
 
 def test_empty_trace_rejected():
@@ -237,9 +264,9 @@ def test_empty_trace_rejected():
         UpdateTrace(np.array([]), np.array([]))
 
 
-def sawtooth_reference(path, start, end):
-    """``np.sum`` over one term per segment of the whole path, zero outside the window."""
-    e, v = path.drop_epochs, path.drop_values
+def sawtooth_reference(trace, start, end):
+    """``np.sum`` over one term per segment of the whole run, zero outside the window."""
+    e, v = trace.departure_times, trace.system_times
     seg_lo = np.maximum(e[:-1], start)
     seg_hi = np.minimum(e[1:], end)
     dur = np.clip(seg_hi - seg_lo, 0.0, None)
@@ -248,14 +275,22 @@ def sawtooth_reference(path, start, end):
     return integral / (end - start)
 
 
+def window_trace(trace, start, end):
+    """The updates whose sawtooth segments overlap [start, end]: those departing in it and one
+    either side."""
+    dep = trace.departure_times
+    a, b = np.searchsorted(dep, (start, end), side="right")
+    cut = slice(a - 1, min(b, trace.n - 1) + 1)
+    return UpdateTrace(trace.arrival_times[cut], dep[cut])
+
+
 def assert_sawtooth_matches_reference(trace, edges):
     # the window's own terms add up in another order than the padded sum's, and
-    # a path of only the window's segments gives the same bits as the whole path
-    path = aoi_path(trace)
+    # a trace of only the window's segments gives the same bits as the whole run
     for start, end in zip(edges[:-1], edges[1:]):
-        average = time_average_aoi(path, start, end)
-        assert average == pytest.approx(sawtooth_reference(path, start, end), rel=1e-12, abs=0.0)
-        assert time_average_aoi(aoi_path(trace, start, end), start, end) == average
+        average = sawtooth_mean(trace, start, end)
+        assert average == pytest.approx(sawtooth_reference(trace, start, end), rel=1e-12, abs=0.0)
+        assert sawtooth_mean(window_trace(trace, start, end), start, end) == average
 
 
 @pytest.mark.parametrize("seed", [42, 1009])
@@ -268,8 +303,7 @@ def test_batched_sawtooth_matches_the_window_scan(seed):
 
 def test_batched_sawtooth_window_edge_cases():
     trace = simulate(SystemParams(0.6, 1.0), 3000, 11)
-    path = aoi_path(trace)
-    drops = path.drop_epochs
+    drops = trace.departure_times
     # edges exactly on drop epochs, including both ends of the support
     assert_sawtooth_matches_reference(trace, drops[[0, 1, 2, 700, 701, 2999]])
     # a single window
@@ -278,13 +312,12 @@ def test_batched_sawtooth_window_edge_cases():
     assert_sawtooth_matches_reference(tied_departures(), [2.0, 3.0, 5.0])
     assert_sawtooth_matches_reference(tied_arrivals(), [2.0, 3.0, 4.0, 6.0])
     with pytest.raises(ParameterError):
-        time_average_aoi(path, drops[10], drops[9])
+        sawtooth_mean(trace, drops[10], drops[9])
 
 
 def test_sawtooth_matches_the_padded_sum_at_a_million_updates():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 7)
-    path = aoi_path(trace)
-    drops = path.drop_epochs
+    drops = trace.departure_times
     assert_sawtooth_matches_reference(trace, np.linspace(drops[1000], drops[-1], 11))
     # a window over a few segments, and one over a few hundred
     mid = len(drops) // 2

@@ -47,8 +47,7 @@ from aud_lab.queueing import (
     UpdateTrace,
     arrivals_seeing_busy,
     default_warmup,
-    occupancy_fractions,
-    queue_length_process,
+    occupancy,
     simulate,
 )
 from aud_lab.stats import EstimateWithCI, mean_ci, ratio_ci, z_value
@@ -548,7 +547,15 @@ def test_validation_writes_deterministic_outputs(tmp_path):
     assert timing["workers"] == distributions.worker_limit()
     versions = next(r for r in records if r["record"] == "versions")
     assert versions["aud_lab"] == aud_lab.__version__
-    assert set(versions) == {"record", "aud_lab", "python", "numpy", "cpu_features"}
+    assert set(versions) == {"record", "aud_lab", "source_sha256", "python", "numpy",
+                             "cpu_features"}
+    # each module's path from the package's parent, NUL, then its bytes, in path order
+    package = os.path.dirname(aud_lab.__file__)
+    digest = hashlib.sha256()
+    for name in sorted(name for name in os.listdir(package) if name.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            digest.update(f"aud_lab/{name}".encode() + b"\0" + fh.read())
+    assert versions["source_sha256"] == digest.hexdigest()
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy 1.x
@@ -594,7 +601,7 @@ def update_cuts(point):
 
 
 def assert_close(got, want, rel=1e-9):
-    assert (got.n, got.confidence) == (want.n, want.confidence)
+    assert got.confidence == want.confidence
     assert got.mean == pytest.approx(want.mean, rel=rel, abs=0.0)
     assert got.half_width == pytest.approx(want.half_width, rel=rel, abs=0.0)
 
@@ -674,7 +681,7 @@ def test_batch_means_widens_for_correlated_series():
     cuts[[0, -1]] = 0, len(x)
     batched = window_reference(x, cuts)
     assert batched.half_width > 3.0 * naive.half_width
-    assert batched.n == 100 and batched.mean == pytest.approx(naive.mean, rel=1e-12)
+    assert batched.mean == pytest.approx(naive.mean, rel=1e-12)
 
 
 def test_batch_means_requires_enough_samples():
@@ -731,7 +738,7 @@ def test_aud_estimate_small_branches(monkeypatch):
         got, counts = aud_at(point, epochs[:start + 200])
         assert counts["after_warmup"] == 200 and counts["min_window_decisions"] == 0
         assert_close(got, aud_reference(point, epochs[:start + 200]))
-        assert got.n == 100 and math.isfinite(got.half_width)
+        assert math.isfinite(got.half_width)
     # without a warm-up: a single decision behind undefined ones, only undefined
     # decisions, or none; one at the first departure is on the first window's open start
     d0 = float(point.trace.departure_times[0])
@@ -941,12 +948,12 @@ def test_batch_means_over_slices_match_the_whole_column(monkeypatch):
 
 def test_within_gates_the_worst_se_ratio():
     z99 = z_value(0.99)
-    a, b, c = (EstimateWithCI(m, se * z99, 100) for m, se in ((1.0, 0.5), (2.0, 0.25), (0.0, 1.0)))
+    a, b, c = (EstimateWithCI(m, se * z99) for m, se in ((1.0, 0.5), (2.0, 0.25), (0.0, 1.0)))
     # theory 1: |mean - 1| / se = 0, 4, 1; an infinite SE admits any mean
     assert _within([a, b, c], 1.0, 0.01, "d") == (False, 4.0, 0.0, z_value(1.0 - 0.01 / 3), "d")
     assert _within([a, c], [1.0, 0.0], 0.01)[:2] == (True, 0.0)
-    assert _within([EstimateWithCI(9.0, math.inf, 1)], 1.0, 0.01)[:2] == (True, 0.0)
-    assert _within([EstimateWithCI(0.5, 0.0, 100)], 0.0, 0.01)[:2] == (False, math.inf)
+    assert _within([EstimateWithCI(9.0, math.inf)], 1.0, 0.01)[:2] == (True, 0.0)
+    assert _within([EstimateWithCI(0.5, 0.0)], 0.0, 0.01)[:2] == (False, math.inf)
     # pairs (a, b), (a, c), (b, c): |diff| / hypot(se) = 1.79, 0.89, 1.94
     diffs = _differences([a, b, c])
     assert [d.mean for d in diffs] == [-1.0, 1.0, 2.0]
@@ -1667,8 +1674,7 @@ def test_trace_checks_keep_the_arithmetic_of_the_whole_columns():
     row(experiments.prob_busy_on_arrival, [by_window(busy)], params.utilization, alpha)
     edges = np.linspace(point.warm_epoch, trace.last_departure, 101)
     assert np.array_equal(edges, point.edges)
-    path = queue_length_process(trace)
-    per_batch = np.array([occupancy_fractions(path, 6, a, b) for a, b in zip(edges, edges[1:])])
+    per_batch = np.array([occupancy(trace, 6, a, b) for a, b in zip(edges, edges[1:])])
     per_batch = np.column_stack((per_batch, 1.0 - per_batch.sum(axis=1)))
     pi = analytic.stationary_queue_dist(params, 10)
     row(experiments.queue_length_distribution,
@@ -1725,13 +1731,13 @@ def test_one_point_is_judged_at_other_rates_without_a_copy(monkeypatch):
     config, params = ExperimentConfig(n_updates=20_000, seed=7), SystemParams(0.5, 1.0)
     point = _simulate_point(config, 0, params)
     measured = {f.name: getattr(point, f.name) for f in fields(point)}
-    calls, occupancy = [], experiments.occupancy_fractions
+    calls = []
 
     def counted(*args):
         calls.append(args)
         return occupancy(*args)
 
-    monkeypatch.setattr(experiments, "occupancy_fractions", counted)
+    monkeypatch.setattr(experiments, "occupancy", counted)
     blocks = recording_blocks(monkeypatch)
     own = [c.as_csv() for c in _validation_checks(point, params)]
     wrong = [c.as_csv() for c in _validation_checks(point, SystemParams(0.505, 1.01))]
@@ -1754,7 +1760,8 @@ def test_every_check_survives_the_ties_of_a_long_run(monkeypatch):
     b = busy[busy > 11_000][0]
     dep[b] = dep[b - 1]
     tied = UpdateTrace(arr, dep)
-    assert queue_length_process(tied).lengths.min() == -1
+    # an idle update departs at its own arrival epoch: departures first, the merge shows level -1
+    assert tied.departure_times[i] == tied.arrival_times[i] > tied.departure_times[i - 1]
     assert (np.diff(arr) == 0).sum() == 1 and (np.diff(dep) == 0).sum() == 1
     monkeypatch.setattr(experiments, "simulate", lambda *args: tied)
     config = ExperimentConfig(n_updates=20_000, seed=5)
@@ -1781,14 +1788,13 @@ def test_validation_runs_its_estimates_and_windows_on_the_calling_thread(monkeyp
         return wrapped
 
     monkeypatch.setattr(experiments._Point, "aud", on_caller(experiments._Point.aud))
-    monkeypatch.setattr(experiments, "occupancy_fractions",
-                        on_caller(experiments.occupancy_fractions))
+    monkeypatch.setattr(experiments, "occupancy", on_caller(experiments.occupancy))
     report = run_validation(ExperimentConfig(n_updates=20_000, seed=7))
     assert not any(check.passed is None for check in report.checks)
     # the batch means of three decision rates, each a chain of block tasks,
     # then the occupancy levels of each window, in a plain loop as the busy
     # indicator, cross moment and sawtooth windows are
-    assert sorted(name for name, _ in threads) == ["aud"] * 3 + ["occupancy_fractions"] * 100
+    assert sorted(name for name, _ in threads) == ["aud"] * 3 + ["occupancy"] * 100
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 

@@ -15,8 +15,7 @@ from aud_lab.queueing import (
     _non_decreasing,
     arrivals_seeing_busy,
     default_warmup,
-    occupancy_fractions,
-    queue_length_process,
+    occupancy,
     simulate,
 )
 
@@ -75,22 +74,18 @@ def dd1_trace(n: int, gap: float) -> UpdateTrace:
 def test_dd1_queue_length_cycle():
     n = 100
     trace = dd1_trace(n, 2.0)
-    path = queue_length_process(trace)
-    assert set(np.unique(path.lengths)) == {0, 1}
-    # whole cycles: busy exactly half the time
-    fractions = occupancy_fractions(path, 1, 2.0, 2.0 * n)
+    # whole cycles from the first departure: busy exactly half the time, never above 1
+    fractions = occupancy(trace, 1, 3.0, 2.0 * n + 1.0)
     assert fractions[1] == pytest.approx(0.5, abs=1e-12)
     assert fractions[0] == pytest.approx(0.5, abs=1e-12)
+    assert fractions.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_single_update_pulse():
-    params = SystemParams(0.5, 1.0)
-    trace = simulate(params, 1, 3)
-    path = queue_length_process(trace)
-    assert list(path.lengths) == [1, 0]
-    width = trace.departure_times[0] - trace.arrival_times[0]
-    fractions = occupancy_fractions(path, 1, 0.0, trace.last_departure)
-    assert fractions[1] * trace.last_departure == pytest.approx(width, rel=1e-12)
+def test_a_single_update_spans_no_window():
+    # the span [first departure, last departure] of one update is one epoch
+    trace = simulate(SystemParams(0.5, 1.0), 1, 3)
+    with pytest.raises(ParameterError, match="within the trace's span"):
+        occupancy(trace, 1, 0.0, trace.last_departure)
 
 
 def test_mean_system_time_matches_closed_form():
@@ -108,20 +103,20 @@ def test_mean_interdeparture_matches_arrival_rate():
 
 def test_empty_fraction_matches_geometric_head():
     trace = simulate(SystemParams(0.5, 1.0), 1_000_000, 43)
-    path = queue_length_process(trace)
     warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
-    fractions = occupancy_fractions(path, 0, warm_epoch, trace.last_departure)
+    fractions = occupancy(trace, 0, warm_epoch, trace.last_departure)
     assert fractions[0] == pytest.approx(0.5, rel=0.01)
 
 
 def test_busy_time_equals_total_service():
     trace = simulate(SystemParams(0.6, 1.0), 50_000, 5)
-    path = queue_length_process(trace)
-    end = trace.last_departure
-    fractions = occupancy_fractions(path, 10_000, 0.0, end)
-    idle = fractions[0] * end
+    start, end = trace.departure_times[0], trace.last_departure
+    fractions = occupancy(trace, 10_000, start, end)
+    busy = (1.0 - fractions[0]) * (end - start)
+    # the first update is served before the window opens at its departure
     service = trace.departure_times - trace.service_start_times
-    assert end - idle == pytest.approx(service.sum(), rel=1e-9)
+    assert busy == pytest.approx(service[1:].sum(), rel=1e-9)
+    assert fractions.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam,expected", [(0.5, 0.5), (0.8, 0.8)])
@@ -161,9 +156,7 @@ def test_unstable_raises_without_override():
 def test_simultaneous_events_depart_before_arrive():
     # deterministic X = S = 1: every arrival coincides with the previous departure,
     # so the queue never holds two updates at once
-    path = queue_length_process(dd1_trace(500, 1.0))
-    assert path.lengths.max() == 1
-    assert path.lengths.min() == 0
+    assert occupancy(dd1_trace(500, 1.0), 1, 2.0, 501.0).tolist() == [0.0, 1.0]
 
 
 def test_lindley_recursion_holds():
@@ -198,13 +191,6 @@ def test_trace_invariants_on_mm1():
         trace.waiting_times + (trace.departure_times - trace.service_start_times),
         rtol=1e-12, atol=1e-12,
     )
-
-
-def test_queue_length_path_closes_at_zero():
-    trace = simulate(SystemParams(0.7, 1.0), 5000, 2)
-    path = queue_length_process(trace)
-    assert path.lengths.min() >= 0
-    assert path.lengths[-1] == 0  # every update departs by the end
 
 
 def test_default_warmup_rule():
@@ -247,31 +233,154 @@ def test_trace_accepts_tied_epochs_and_rejects_decreasing_ones():
     assert list(tied_departures().service_start_times) == [1.0, 2.0, 4.0]
 
 
-def test_queue_length_path_of_tied_epochs():
-    # at a shared epoch departures come first, then the arrivals one by one
-    path = queue_length_process(tied_arrivals())
-    assert list(path.epochs) == [1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    assert list(path.lengths) == [1, 0, 1, 2, 1, 0, 1, 0]
-    path = queue_length_process(tied_departures())
-    assert list(path.epochs) == [1.0, 1.5, 2.0, 2.0, 4.0, 5.0]
-    assert list(path.lengths) == [1, 2, 1, 0, 1, 0]
+def ties_everywhere():
+    # arrivals tie with each other and with departures, and departures tie
+    return UpdateTrace(np.array([1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 6.0]),
+                       np.array([2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 7.0]))
+
+
+def zero_sojourn():
+    # update 1 arrives at 3.0 to an empty system and departs at once
+    return UpdateTrace(np.array([1.0, 3.0, 5.0]), np.array([2.0, 3.0, 6.0]))
+
+
+def queue_length_reference(trace):
+    """The whole run's number-in-system path by a lexsort merge, departures first at equal epochs.
+
+    Returns the event epochs and the level after each.
+    """
+    arr, dep = trace.arrival_times, trace.departure_times
+    times = np.concatenate([arr, dep])
+    delta = np.concatenate([np.ones(len(arr), dtype=np.int64), -np.ones(len(dep), dtype=np.int64)])
+    priority = np.concatenate([np.ones(len(arr), dtype=np.int8), np.zeros(len(dep), dtype=np.int8)])
+    order = np.lexsort((priority, times))
+    return times[order], np.cumsum(delta[order])
+
+
+def occupancy_reference(path, max_level, start, end):
+    """A scan of every piece of the whole run's path, clipped to the window."""
+    epochs, lengths = path
+    lo = np.concatenate(([0.0], epochs))
+    hi = np.concatenate((epochs, [end]))
+    levels = np.concatenate(([0], lengths))
+    durations = np.clip(np.minimum(hi, end) - np.maximum(lo, start), 0.0, None)
+    out = np.zeros(max_level + 1)
+    mask = (levels >= 0) & (levels <= max_level)
+    np.add.at(out, levels[mask], durations[mask])
+    return out / (end - start)
+
+
+def assert_occupancy_matches_reference(trace, max_levels, edges):
+    # each window merges only its own events, from the level at its start, and
+    # gives the bits of a scan of the whole run's path; below the top level,
+    # the fractions are those of any higher max_level
+    path = queue_length_reference(trace)
+    top = max(max_levels)
+    for start, end in zip(edges[:-1], edges[1:]):
+        want = occupancy_reference(path, top, start, end)
+        for max_level in max_levels:
+            got = occupancy(trace, max_level, start, end)
+            assert got.shape == (max_level + 1,)
+            assert np.array_equal(got, want[:max_level + 1])
+
+
+def test_the_reference_merge_puts_departures_first():
+    epochs, lengths = queue_length_reference(ties_everywhere())
+    assert list(epochs) == [1, 2, 2, 2, 3, 3, 4, 4, 4, 4, 5, 6, 6, 7]
+    assert list(lengths) == [1, 0, 1, 2, 1, 2, 1, 0, 1, 2, 1, 0, 1, 0]
+    epochs, lengths = queue_length_reference(tied_departures())
+    assert list(epochs) == [1.0, 1.5, 2.0, 2.0, 4.0, 5.0]
+    assert list(lengths) == [1, 2, 1, 0, 1, 0]
+    assert list(queue_length_reference(zero_sojourn())[1]) == [1, 0, -1, 0, 1, 0]
 
 
 def test_occupancy_of_tied_epochs():
-    path = queue_length_process(tied_arrivals())
-    assert occupancy_fractions(path, 2, 0.0, 2.0).tolist() == [0.5, 0.5, 0.0]
-    assert occupancy_fractions(path, 2, 2.0, 6.0).tolist() == [0.25, 0.5, 0.25]
-    got = occupancy_fractions(queue_length_process(tied_departures()), 2, 0.0, 5.0)
-    assert got == pytest.approx([0.6, 0.3, 0.1], abs=1e-15)
+    assert occupancy(tied_arrivals(), 2, 2.0, 6.0).tolist() == [0.25, 0.5, 0.25]
+    assert occupancy(tied_departures(), 2, 2.0, 5.0).tolist() == [2 / 3, 1 / 3, 0.0]
+    assert occupancy(ties_everywhere(), 2, 2.0, 7.0).tolist() == [0.0, 0.4, 0.6]
+    # at equal epochs departures come first, as in the reference merge, window
+    # by window and over the whole span
+    for trace, edges in ((tied_arrivals(), [2.0, 3.0, 5.5, 6.0]),
+                         (tied_departures(), [2.0, 4.5, 5.0]),
+                         (ties_everywhere(), [2.0, 3.0, 3.5, 4.0, 6.0, 7.0]),
+                         (zero_sojourn(), [2.0, 3.0, 6.0]),
+                         (dd1_trace(50, 1.0), [2.0, 3.0, 25.0, 25.5, 51.0])):
+        assert_occupancy_matches_reference(trace, (0, 1, 3), edges)
+        assert_occupancy_matches_reference(trace, (0, 1, 3), [edges[0], edges[-1]])
 
 
 def test_occupancy_of_a_zero_sojourn():
     # an idle update departing at its own arrival epoch leaves before it
     # arrives: the zero-length piece between shows level -1 and adds +0.0 to level 0
-    path = queue_length_process(UpdateTrace([1.0, 2.0, 4.0], [1.0, 3.0, 5.0]))
-    assert list(path.lengths) == [-1, 0, 1, 0, 1, 0]
-    got = occupancy_fractions(path, 3, 0.5, 5.0)
-    assert got.tolist() == [2.5 / 4.5, 2.0 / 4.5, 0.0, 0.0]
+    assert occupancy(zero_sojourn(), 3, 2.0, 6.0).tolist() == [0.75, 0.25, 0.0, 0.0]
+    assert occupancy(zero_sojourn(), 0, 2.5, 3.0).tolist() == [1.0]
+
+
+def test_a_window_starts_from_the_level_its_start_leaves():
+    # three updates arrived and one departed by 2.0, so (2, 4] starts at level 2
+    assert occupancy(tied_arrivals(), 2, 2.0, 4.0).tolist() == [0.0, 0.5, 0.5]
+    assert occupancy(tied_arrivals(), 2, 2.0, 2.5).tolist() == [0.0, 0.0, 1.0]
+    # both tied departures at 2.0 precede the window, which starts empty
+    assert occupancy(tied_departures(), 1, 2.0, 4.5).tolist() == [0.8, 0.2]
+    # a window with no event holds its start's level throughout
+    assert occupancy(tied_departures(), 1, 2.5, 3.5).tolist() == [1.0, 0.0]
+    assert occupancy(tied_arrivals(), 2, 3.25, 3.75).tolist() == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("lam,seed", [(0.5, 42), (0.5, 1009), (0.9, 7)])
+def test_windowed_occupancy_is_bit_identical_to_the_whole_run_scan(lam, seed):
+    trace = simulate(SystemParams(lam, 1.0), 100_000, seed)
+    warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
+    edges = np.linspace(warm_epoch, trace.last_departure, 101)
+    assert_occupancy_matches_reference(trace, (0, 4, 10), edges)
+
+
+def test_occupancy_window_edge_cases():
+    trace = simulate(SystemParams(0.7, 1.0), 2000, 8)
+    epochs = queue_length_reference(trace)[0]
+    epochs = epochs[epochs >= trace.departure_times[0]]
+    # edges on event epochs, the span's two ends and a window between two events among them
+    assert_occupancy_matches_reference(trace, (5,), epochs[[0, 3, 40, 41, 900, 2500, -1]])
+    # windows with no event, within one gap
+    assert_occupancy_matches_reference(trace, (5,), np.linspace(epochs[10], epochs[11], 6))
+    # a single window
+    assert_occupancy_matches_reference(trace, (5,), [epochs[7] + 0.1, epochs[1500] - 0.1])
+    # every arrival coincides with the previous departure
+    assert_occupancy_matches_reference(dd1_trace(200, 1.0), (2,),
+                                       [2.0, 3.0, 50.0, 50.5, 200.0, 201.0])
+
+
+def test_occupancy_rejects_a_negative_max_level():
+    with pytest.raises(ParameterError, match="max_level"):
+        occupancy(simulate(SystemParams(0.5, 1.0), 100, 1), -1, 10.0, 40.0)
+
+
+def masked_occupancy(path, max_level, start, end):
+    """``occupancy`` by a mask of the levels up to ``max_level``, on the reference merge."""
+    epochs, lengths = path
+    i, j = np.searchsorted(epochs, (start, end), side="right")
+    bounds = np.concatenate(([start], epochs[i:j], [end]))
+    levels = lengths[i - 1:j]  # the window opens at or after the first arrival
+    keep = levels <= max_level
+    totals = np.bincount(levels[keep], weights=np.diff(bounds)[keep], minlength=max_level + 1)
+    return totals / (end - start)
+
+
+@pytest.mark.parametrize("lam,seed", [(0.5, 42), (0.9, 7)])
+def test_overflow_bin_occupancy_is_bit_identical_to_the_masked_form(lam, seed):
+    # at rho = 0.9 most windows reach levels far above each max_level, and
+    # many start above it, so the overflow bin takes pieces in every window
+    trace = simulate(SystemParams(lam, 1.0), 100_000, seed)
+    path = queue_length_reference(trace)
+    edges = np.linspace(trace.departure_times[default_warmup(trace.n) - 1],
+                        trace.last_departure, 101)
+    overflowed = 0
+    for start, end in zip(edges[:-1], edges[1:]):
+        overflowed += int(path[1][np.searchsorted(path[0], start, side="right") - 1] > 3)
+        for max_level in (0, 3, 10):
+            got = occupancy(trace, max_level, start, end)
+            assert got.tobytes() == masked_occupancy(path, max_level, start, end).tobytes()
+    assert overflowed > 0
 
 
 @given(seed=st.integers(0, 2**32), lam=st.floats(0.1, 0.9))
@@ -286,140 +395,6 @@ def test_engine_invariants_property(seed, lam):
     expected_start = np.maximum(trace.arrival_times[1:], trace.departure_times[:-1])
     assert np.array_equal(starts[1:], expected_start)
     assert starts[0] == trace.arrival_times[0]
-
-
-def occupancy_reference(path, max_length, start, end):
-    """A scan of every piece of the whole path, clipped to the window."""
-    lo = np.concatenate(([0.0], path.epochs))
-    hi = np.concatenate((path.epochs, [end]))
-    levels = np.concatenate(([0], path.lengths))
-    durations = np.clip(np.minimum(hi, end) - np.maximum(lo, start), 0.0, None)
-    out = np.zeros(max_length + 1)
-    mask = levels <= max_length
-    np.add.at(out, levels[mask], durations[mask])
-    return out / (end - start)
-
-
-def assert_occupancy_matches_reference(path, max_length, edges):
-    for start, end in zip(edges[:-1], edges[1:]):
-        got = occupancy_fractions(path, max_length, start, end)
-        assert got.shape == (max_length + 1,)
-        assert np.array_equal(got, occupancy_reference(path, max_length, start, end))
-
-
-@pytest.mark.parametrize("seed", [42, 1009])
-def test_batched_occupancy_is_bit_identical_to_window_scan(seed):
-    trace = simulate(SystemParams(0.5, 1.0), 100_000, seed)
-    warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
-    edges = np.linspace(warm_epoch, trace.last_departure, 101)
-    assert_occupancy_matches_reference(queue_length_process(trace), 10, edges)
-
-
-def test_batched_occupancy_window_edge_cases():
-    trace = simulate(SystemParams(0.7, 1.0), 2000, 8)
-    path = queue_length_process(trace)
-    epochs = path.epochs
-    # edges exactly on event epochs
-    assert_occupancy_matches_reference(path, 5, epochs[[3, 40, 41, 900, 2500]])
-    # a window that starts before the first event, and one past the last event
-    edges = [0.0, 0.5 * epochs[0], epochs[10], epochs[-1], epochs[-1] + 3.0]
-    assert_occupancy_matches_reference(path, 5, edges)
-    assert occupancy_fractions(path, 5, edges[0], edges[1]).tolist() == [1.0, 0, 0, 0, 0, 0]
-    # a single window
-    assert_occupancy_matches_reference(path, 5, [epochs[7] + 0.1, epochs[1500] - 0.1])
-
-
-def test_batched_occupancy_edges_on_simultaneous_events():
-    # every arrival coincides with the previous departure
-    path = queue_length_process(dd1_trace(200, 1.0))
-    assert_occupancy_matches_reference(path, 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
-
-
-def test_occupancy_rejects_bad_edges():
-    path = queue_length_process(simulate(SystemParams(0.5, 1.0), 100, 1))
-    for start, end in ((4.0, 4.0), (4.0, 1.0), (np.nan, 4.0), (1.0, np.nan)):
-        with pytest.raises(ParameterError, match="need start < end"):
-            occupancy_fractions(path, 3, start, end)
-    with pytest.raises(ParameterError, match="max_length"):
-        occupancy_fractions(path, -1, 1.0, 4.0)
-
-
-def assert_windowed_occupancy_matches(trace, max_length, edges):
-    # validate's windows: each one's path holds only the events inside it
-    whole = queue_length_process(trace)
-    for start, end in zip(edges[:-1], edges[1:]):
-        windowed = queue_length_process(trace, start, end)
-        assert np.array_equal(occupancy_fractions(windowed, max_length, start, end),
-                              occupancy_fractions(whole, max_length, start, end))
-
-
-@pytest.mark.parametrize("lam,seed", [(0.5, 42), (0.5, 1009), (0.9, 7)])
-def test_windowed_occupancy_is_bit_identical_to_the_whole_path(lam, seed):
-    trace = simulate(SystemParams(lam, 1.0), 100_000, seed)
-    warm_epoch = trace.departure_times[default_warmup(trace.n) - 1]
-    edges = np.linspace(warm_epoch, trace.last_departure, 101)
-    for max_length in (0, 4, 10):
-        assert_windowed_occupancy_matches(trace, max_length, edges)
-
-
-def test_windowed_occupancy_of_tied_epochs():
-    assert_windowed_occupancy_matches(tied_arrivals(), 2, [0.0, 2.0, 6.0])
-    assert_windowed_occupancy_matches(tied_arrivals(), 3, [1.0, 2.0, 3.0, 5.5, 6.0])
-    assert_windowed_occupancy_matches(tied_departures(), 2, [0.0, 5.0])
-    assert_windowed_occupancy_matches(tied_departures(), 2, [1.0, 1.5, 2.0, 4.5, 5.0])
-
-
-def test_windowed_occupancy_edge_cases():
-    trace = simulate(SystemParams(0.7, 1.0), 2000, 8)
-    epochs = queue_length_process(trace).epochs
-    # edges on event epochs, including a window between two events
-    assert_windowed_occupancy_matches(trace, 5, epochs[[3, 40, 41, 900, 2500]])
-    # windows with no event: before the first event, within one gap, past the last
-    gap = np.linspace(epochs[10], epochs[11], 6)
-    edges = np.concatenate(([0.0, 0.5 * epochs[0]], gap, [epochs[-1], epochs[-1] + 3.0]))
-    assert_windowed_occupancy_matches(trace, 5, edges)
-    # every arrival coincides with the previous departure
-    assert_windowed_occupancy_matches(dd1_trace(200, 1.0), 2, [1.0, 2.0, 3.0, 50.0, 50.5, 200.0])
-
-
-def masked_occupancy(path, max_length, start, end):
-    """``occupancy_fractions`` as a mask of the levels up to ``max_length`` computed it."""
-    i, j = np.searchsorted(path.epochs, (start, end), side="right")
-    bounds = np.concatenate(([start], path.epochs[i:j], [end]))
-    levels = path.lengths[i - 1:j] if i else np.concatenate(([path.initial], path.lengths[:j]))
-    keep = levels <= max_length
-    totals = np.bincount(levels[keep], weights=np.diff(bounds)[keep], minlength=max_length + 1)
-    return totals / (end - start)
-
-
-@pytest.mark.parametrize("lam,seed", [(0.5, 42), (0.9, 7)])
-def test_overflow_bin_occupancy_is_bit_identical_to_the_masked_form(lam, seed):
-    # at rho = 0.9 most windows reach levels far above each max_length, and
-    # many start above it, so the overflow bin takes pieces in every window
-    trace = simulate(SystemParams(lam, 1.0), 100_000, seed)
-    edges = np.linspace(trace.departure_times[default_warmup(trace.n) - 1],
-                        trace.last_departure, 101)
-    overflowed = 0
-    for start, end in zip(edges[:-1], edges[1:]):
-        path = queue_length_process(trace, start, end)
-        overflowed += int(path.initial > 3)
-        for max_length in (0, 3, 10):
-            got = occupancy_fractions(path, max_length, start, end)
-            assert got.tobytes() == masked_occupancy(path, max_length, start, end).tobytes()
-    assert overflowed > 0
-
-
-def test_queue_length_path_of_a_window_starts_from_its_level():
-    # (2, 4] of the tied arrivals: three updates arrived and one departed by 2.0
-    path = queue_length_process(tied_arrivals(), 2.0, 4.0)
-    assert (path.initial, list(path.epochs), list(path.lengths)) == (2, [3.0, 4.0], [1, 0])
-    path = queue_length_process(tied_departures(), 1.5, 2.0)
-    assert (path.initial, list(path.epochs), list(path.lengths)) == (2, [2.0, 2.0], [1, 0])
-    empty = queue_length_process(tied_departures(), 2.5, 3.5)
-    assert (empty.initial, len(empty.epochs)) == (0, 0)
-    assert occupancy_fractions(empty, 1, 2.5, 3.5).tolist() == [1.0, 0.0]
-    whole = queue_length_process(tied_arrivals())
-    assert whole.initial == 0 and len(whole.epochs) == 8
 
 
 @pytest.mark.parametrize("epochs", [
@@ -484,30 +459,6 @@ def test_lindley_scan_with_fmax_keeps_the_departures_of_maximum():
                 trace = simulate(SystemParams(lam, 1.0), n, seed)
                 _, departures = simulate_reference(lam, 1.0, n, seed)
                 assert np.array_equal(trace.departure_times, departures)
-
-
-def queue_length_reference(trace):
-    """The lexsort merge ``queue_length_process`` replaced: departures first at equal epochs."""
-    arr, dep = trace.arrival_times, trace.departure_times
-    times = np.concatenate([arr, dep])
-    delta = np.concatenate([np.ones(len(arr), dtype=np.int64), -np.ones(len(dep), dtype=np.int64)])
-    priority = np.concatenate([np.ones(len(arr), dtype=np.int8), np.zeros(len(dep), dtype=np.int8)])
-    order = np.lexsort((priority, times))
-    return times[order], np.cumsum(delta[order])
-
-
-def test_stable_merge_matches_the_lexsort_merge_on_tied_epochs():
-    # arrivals tie with each other and with departures, and departures tie
-    ties = UpdateTrace(np.array([1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 6.0]),
-                       np.array([2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 7.0]))
-    for trace in (ties, tied_arrivals(), tied_departures(), dd1_trace(50, 1.0),
-                  simulate(SystemParams(0.9, 1.0), 5000, 4)):
-        path = queue_length_process(trace)
-        epochs, lengths = queue_length_reference(trace)
-        assert np.array_equal(path.epochs, epochs) and np.array_equal(path.lengths, lengths)
-    path = queue_length_process(ties)
-    assert list(path.epochs) == [1, 2, 2, 2, 3, 3, 4, 4, 4, 4, 5, 6, 6, 7]
-    assert list(path.lengths) == [1, 0, 1, 2, 1, 2, 1, 0, 1, 2, 1, 0, 1, 0]
 
 
 def test_simulated_trace_holds_16_bytes_per_update():
